@@ -7,7 +7,7 @@ Modules:
   groebner    Buchberger bases, normal forms, dimension
   legendrian  the verdict engine
   liealg      quadric Lie algebras, roots, Dynkin identification
-  rootdata    abstract root systems, Weyl dimension, multiplicities
+  rootdata    integer root data, Weyl dimension, weights of V(lambda)
   classify    the classification scan
   catalog     example varieties, generated and transcribed
   cli         the command-line interface
@@ -63,7 +63,6 @@ from .rootdata import (
     weyl_dimension,
     cone_orbit_dimension,
     is_self_dual,
-    weight_multiplicities,
     angle_audit,
 )
 from .classify import enumerate_simple, enumerate_semisimple_pairs, CandidateVerdict

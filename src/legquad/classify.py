@@ -6,7 +6,10 @@ the highest weight orbit to be a legendrian variety cut out by quadrics:
 
   (ii)  dim V equals twice the cone dimension of the orbit,
   (iii) V is self-dual,
-  (iv)  all weights have multiplicity one,
+  (iv)  all weights have multiplicity one; multiplicities are at least one
+        and sum to dim V, so this is tested exactly as "V has dim V distinct
+        weights", with the dominant weights found by subtracting positive
+        roots from lambda and each Weyl orbit enumerated in Dynkin coordinates,
   (v)   the quadrics through the orbit span a space of exactly dim(g):
         dim Sym^2 V - dim V(2 lambda) = dim g.
 
@@ -16,6 +19,7 @@ would also accept orbits whose quadric algebra is strictly larger than the
 group being tested (the spin variety of so_11 equals that of so_12, and the
 seven-dimensional quadric orbit of g_2 equals that of so_7).
 
+Every filter is exact and uncapped, so no candidate is left undecided.
 Acceptance means "survives every filter"; sufficiency is settled by the
 explicit constructions in the catalog, not re-proved here.
 """
@@ -28,7 +32,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
-    DimensionCapExceeded,
     angle_audit,
     build_root_system,
     cone_orbit_dimension,
@@ -45,7 +48,7 @@ class CandidateVerdict:
     weight: Tuple[int, ...]
     dim_v: int
     dim_cone: int
-    status: str                   # "accepted" | "rejected" | "undecided"
+    status: str                   # "accepted" | "rejected"
     reason: str = ""
     self_dual: Optional[bool] = None
     multiplicity_free: Optional[bool] = None
@@ -101,7 +104,7 @@ def quadric_space_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> in
 
 
 def _evaluate_candidate(
-    rs: AbstractRootSystem, coeffs: Tuple[int, ...], dim_v: int, cone: int, cap: int
+    rs: AbstractRootSystem, coeffs: Tuple[int, ...], dim_v: int, cone: int
 ) -> CandidateVerdict:
     """Filters (iii)-(v) plus the angle audit, for a candidate with dim V equal
     to twice the cone dimension."""
@@ -110,12 +113,7 @@ def _evaluate_candidate(
     if not verdict.self_dual:
         verdict.reason = "representation is not self-dual"
         return verdict
-    try:
-        verdict.multiplicity_free = is_multiplicity_free(rs, coeffs, cap=cap)
-    except DimensionCapExceeded as exc:
-        verdict.status = "undecided"
-        verdict.reason = str(exc)
-        return verdict
+    verdict.multiplicity_free = is_multiplicity_free(rs, coeffs)
     if not verdict.multiplicity_free:
         verdict.reason = "representation contains a multiple weight"
         return verdict
@@ -135,7 +133,7 @@ def _evaluate_candidate(
     return verdict
 
 
-def enumerate_simple(max_rank: int, max_dim: int, mult_cap: int = 600) -> List[CandidateVerdict]:
+def enumerate_simple(max_rank: int, max_dim: int) -> List[CandidateVerdict]:
     """Walk every Weyl chamber edge of every simple type up to the bounds.
 
     The cone dimension is constant along an edge while the representation
@@ -176,7 +174,7 @@ def enumerate_simple(max_rank: int, max_dim: int, mult_cap: int = 600) -> List[C
                         )
                     )
                     break
-                verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone, mult_cap))
+                verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
                 k += 1
     return verdicts
 
@@ -185,32 +183,6 @@ def _edge_weight(rank: int, edge: int, k: int) -> Tuple[int, ...]:
     coeffs = [0] * rank
     coeffs[edge] = k
     return tuple(coeffs)
-
-
-def diagram_automorphism_orbit(label: str, rank: int, coeffs: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """Orbit of a weight under the outer automorphism group of the diagram.
-
-    Weights in one orbit give projectively equivalent orbit varieties, so the
-    enumerators keep a single representative per orbit (A reverses, D swaps
-    the two spin nodes, D4 has the full triality group, E6 swaps 1-6, 3-5).
-    """
-    out = {coeffs}
-    if label == "A":
-        out.add(tuple(reversed(coeffs)))
-    elif label == "D" and rank == 4:
-        c1, c2, c3, c4 = coeffs
-        for a, b, c in itertools.permutations((c1, c3, c4)):
-            out.add((a, c2, b, c))
-    elif label == "D":
-        swapped = list(coeffs)
-        swapped[rank - 2], swapped[rank - 1] = swapped[rank - 1], swapped[rank - 2]
-        out.add(tuple(swapped))
-    elif label == "E" and rank == 6:
-        c = list(coeffs)
-        c[0], c[5] = c[5], c[0]
-        c[2], c[4] = c[4], c[2]
-        out.add(tuple(c))
-    return sorted(out)
 
 
 def is_canonical_weight(label: str, rank: int, coeffs: Tuple[int, ...]) -> bool:
@@ -285,7 +257,7 @@ def _dominant_weights_with_dim_cap(rs: AbstractRootSystem, max_dim: int):
             yield tuple(combo)
 
 
-def enumerate_semisimple_pairs(max_rank: int, max_dim: int, mult_cap: int = 600) -> List[PairVerdict]:
+def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]:
     """Two-factor tensor candidates g_a + g_b acting on W_a (x) W_b.
 
     A semisimple-but-not-simple algebra forces one factor to act with
@@ -320,13 +292,7 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int, mult_cap: int = 600)
                 verdict.reason = "a tensor factor is not self-dual"
                 verdicts.append(verdict)
                 continue
-            try:
-                free_b = is_multiplicity_free(rs_b, wb, cap=mult_cap)
-            except DimensionCapExceeded as exc:
-                verdict.status = "undecided"
-                verdict.reason = str(exc)
-                verdicts.append(verdict)
-                continue
+            free_b = is_multiplicity_free(rs_b, wb)
             if not free_b or distinct_weight_count(rs_b, wb) != dim_b:
                 verdict.reason = "tensor product contains a multiple weight"
                 verdicts.append(verdict)

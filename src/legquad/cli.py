@@ -25,7 +25,13 @@ from .groebner import (
     normal_form,
 )
 from .legendrian import VarietyPresentation, legendrian_verdict, rational_curve_check, tangent_point_check
-from .liealg import close_and_present, cartan_subalgebra, root_decomposition, identify_algebra
+from .liealg import (
+    NotAdaptedError,
+    cartan_subalgebra,
+    close_and_present,
+    identify_algebra,
+    root_decomposition,
+)
 from .poly import Polynomial, PolyParseError, parse_poly
 from .symplectic import SymplecticForm, poisson_bracket, standard_form
 from .classify import enumerate_semisimple_pairs, enumerate_simple
@@ -201,9 +207,11 @@ def _cmd_algebra(args) -> int:
             full = root_decomposition(algebra, cd)
             result["cartan_rank"] = cd.rank
             result["root_count"] = len(full.roots)
-        except Exception:
+        except NotAdaptedError as exc:
+            # a non-split real form: no rational Cartan subalgebra to report
             result["cartan_rank"] = None
             result["root_count"] = None
+            result["cartan_reason"] = f"NotAdaptedError: {exc}"
     _report(args, "algebra", {"file": args.file}, result, "ok",
             {"total": time.perf_counter() - t0})
     return EXIT_OK

@@ -94,7 +94,6 @@ class LegendrianVerdict:
     degenerate: Optional[bool]
     verdict: str                    # "legendrian" | "not-legendrian" | "undecided"
     witnesses: List[str] = field(default_factory=list)
-    equidimensionality_checked: bool = False
     budget_name: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -104,7 +103,6 @@ class LegendrianVerdict:
             "degenerate": self.degenerate,
             "verdict": self.verdict,
             "witnesses": list(self.witnesses),
-            "equidimensionality_checked": self.equidimensionality_checked,
             "budget": self.budget_name,
         }
 

@@ -1,23 +1,25 @@
-"""Abstract root systems with exact rational coordinates.
+"""Abstract root systems on integer Dynkin data.
 
-Standard realizations: A_n on the sum-zero hyperplane of Q^{n+1}; B, C, D in
-Q^n; G2 in Q^3; F4 in Q^4; E6, E7, E8 inside the usual even coordinate
-system of Q^8.  Roots are generated as the reflection orbit of the simple
-roots, so each construction is self-checking against the known root counts.
+Each simple type carries its integer Cartan matrix in Bourbaki numbering,
+C[i][j] = <alpha_i, alpha_j^vee>, so row i holds the Dynkin coordinates of
+alpha_i.  Positive roots are generated by root strings from that matrix, so
+each construction is self-checking against the known root counts.  Weights are
+integer tuples of Dynkin coordinates: mu is dominant when no coordinate is
+negative, and the simple reflection s_i sends mu to mu - mu_i * C[i].
 
-On top of the realizations: Weyl dimension formula, highest weight orbit
-(cone) dimension, duality involution, and Freudenthal weight multiplicities,
-all in exact arithmetic.
+On top of this data: Weyl dimension formula, highest weight orbit (cone)
+dimension, duality involution, the dominant weights and the number of
+distinct weights of V(lambda), and the multiplicity-free test, all in exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import List, Sequence, Tuple
 
-from . import linalg
-from .linalg import Vector
+Weight = Tuple[int, ...]
 
 _KNOWN_POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -31,18 +33,25 @@ _KNOWN_POSITIVE_COUNTS = {
 
 
 class AbstractRootSystem:
-    """Roots, fundamental weights and the Weyl vector of one simple type."""
+    """Cartan matrix, positive roots and positive coroots of one simple type.
+
+    `positive_roots` are in simple-root coordinates, `positive_roots_dynkin`
+    are the same roots in Dynkin coordinates, and `positive_coroots` are their
+    coroots in simple-coroot coordinates, all in the same order.
+    """
 
     def __init__(self, label: str, rank: int):
         self.label = label
         self.rank = rank
         self.type_label = f"{label}{rank}"
-        self.simple_roots = _simple_roots(label, rank)
-        self.ambient = len(self.simple_roots[0])
-        self.positive_roots = _generate_positive_roots(self.simple_roots)
+        self.cartan = _cartan_matrix(label, rank)
+        self.positive_roots = _generate_positive_roots(self.cartan)
         self._check_count()
-        self.fundamental_weights = _fundamental_weights(self.simple_roots)
-        self.weyl_vector = _half_sum(self.positive_roots)
+        self.positive_roots_dynkin = [_dynkin(self.cartan, a) for a in self.positive_roots]
+        lengths = _root_lengths(self.cartan)
+        self.positive_coroots = [
+            _coroot(a, d, lengths) for a, d in zip(self.positive_roots, self.positive_roots_dynkin)
+        ]
 
     def _check_count(self):
         expected = _KNOWN_POSITIVE_COUNTS[self.label]
@@ -53,21 +62,8 @@ class AbstractRootSystem:
                 f"expected {expected}"
             )
 
-    # -- weights ----------------------------------------------------------
-
-    def weight_from_coeffs(self, coeffs: Sequence[int]) -> Vector:
-        """Ambient coordinates of sum coeffs[i] * omega_{i+1}."""
-        if len(coeffs) != self.rank:
-            raise ValueError(f"{self.type_label} needs {self.rank} weight coefficients")
-        out = [Fraction(0)] * self.ambient
-        for c, w in zip(coeffs, self.fundamental_weights):
-            if c:
-                for i, x in enumerate(w):
-                    out[i] += c * x
-        return out
-
     def is_dominant_integral(self, coeffs: Sequence[int]) -> bool:
-        return all(isinstance(c, int) and c >= 0 for c in coeffs)
+        return len(coeffs) == self.rank and all(isinstance(c, int) and c >= 0 for c in coeffs)
 
     def __repr__(self):
         return f"AbstractRootSystem({self.type_label})"
@@ -89,104 +85,95 @@ def build_root_system(label: str, rank: int) -> AbstractRootSystem:
     return AbstractRootSystem(label, rank)
 
 
-def _basis_vec(n: int, entries: Dict[int, Fraction]) -> Vector:
-    v = [Fraction(0)] * n
-    for i, x in entries.items():
-        v[i] = Fraction(x)
-    return v
-
-
-def _simple_roots(label: str, rank: int) -> List[Vector]:
+def _cartan_matrix(label: str, rank: int) -> List[Weight]:
+    """C[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering.  A bond (i, j, a, b)
+    sets C[i][j] = a and C[j][i] = b; in a multiple bond, i is the long node."""
     n = rank
-    if label == "A":
-        return [_basis_vec(n + 1, {i: 1, i + 1: -1}) for i in range(n)]
+    bonds = [(i, i + 1, -1, -1) for i in range(n - 1)]
     if label == "B":
-        roots = [_basis_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
-        roots.append(_basis_vec(n, {n - 1: 1}))
-        return roots
-    if label == "C":
-        roots = [_basis_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
-        roots.append(_basis_vec(n, {n - 1: 2}))
-        return roots
-    if label == "D":
-        roots = [_basis_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
-        roots.append(_basis_vec(n, {n - 2: 1, n - 1: 1}))
-        return roots
-    if label == "G":
-        return [
-            _basis_vec(3, {0: 1, 1: -1}),
-            _basis_vec(3, {0: -2, 1: 1, 2: 1}),
-        ]
-    if label == "F":
-        half = Fraction(1, 2)
-        return [
-            _basis_vec(4, {1: 1, 2: -1}),
-            _basis_vec(4, {2: 1, 3: -1}),
-            _basis_vec(4, {3: 1}),
-            [half, -half, -half, -half],
-        ]
-    if label == "E":
-        half = Fraction(1, 2)
-        alpha1 = [half, -half, -half, -half, -half, -half, -half, half]
-        alpha2 = _basis_vec(8, {0: 1, 1: 1})
-        others = [_basis_vec(8, {i - 1: -1, i: 1}) for i in range(1, 7)]
-        simple = [alpha1, alpha2] + others  # Bourbaki numbering 1..8
-        return simple[:rank]
-    raise ValueError(label)
+        bonds[-1] = (n - 2, n - 1, -2, -1)
+    elif label == "C":
+        bonds[-1] = (n - 1, n - 2, -2, -1)
+    elif label == "D":
+        bonds[-1] = (n - 3, n - 1, -1, -1)
+    elif label == "E":
+        bonds = [(0, 2, -1, -1), (1, 3, -1, -1)] + [(i, i + 1, -1, -1) for i in range(2, n - 1)]
+    elif label == "F":
+        bonds[1] = (1, 2, -2, -1)
+    elif label == "G":
+        bonds = [(1, 0, -3, -1)]
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, a, b in bonds:
+        cartan[i][j], cartan[j][i] = a, b
+    return [tuple(row) for row in cartan]
 
 
-def _generate_positive_roots(simple: List[Vector]) -> List[Vector]:
-    """Reflection orbit of the simple roots, filtered to the positive cone."""
-    norms = [linalg.vec_dot(a, a) for a in simple]
-    roots = {tuple(a) for a in simple}
-    frontier = list(roots)
+def _dynkin(cartan: Sequence[Weight], root: Weight) -> Weight:
+    """Dynkin coordinates of a vector given in simple-root coordinates."""
+    n = len(cartan)
+    return tuple(sum(root[i] * cartan[i][j] for i in range(n) if root[i]) for j in range(n))
+
+
+def _generate_positive_roots(cartan: Sequence[Weight]) -> List[Weight]:
+    """Positive roots in simple-root coordinates, height by height.
+
+    The alpha_i-string through a root beta runs from beta - p alpha_i to
+    beta + q alpha_i with p - q = <beta, alpha_i^vee>; p is read off the roots
+    already found, and beta + alpha_i is a root exactly when q > 0.
+    """
+    n = len(cartan)
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(layer)
+    while layer:
+        above = []
+        for beta in layer:
+            pairings = _dynkin(cartan, beta)
+            for i in range(n):
+                p = 0
+                down = list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    p += 1
+                if p > pairings[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        above.append(up)
+        layer = above
+    return sorted(roots, key=lambda a: (sum(a), a))
+
+
+def _root_lengths(cartan: Sequence[Weight]) -> List[int]:
+    """Integers proportional to (alpha_i, alpha_i), from the symmetrizability
+    relation (alpha_i, alpha_i) C[j][i] = (alpha_j, alpha_j) C[i][j]."""
+    n = len(cartan)
+    lengths = [Fraction(0)] * n
+    lengths[0] = Fraction(1)
+    frontier = [0]
     while frontier:
-        new = []
-        for beta in frontier:
-            for a, norm in zip(simple, norms):
-                coeff = 2 * linalg.vec_dot(beta, a) / norm
-                image = tuple(x - coeff * y for x, y in zip(beta, a))
-                if image not in roots:
-                    roots.add(image)
-                    new.append(image)
-        frontier = new
-    # positivity: nonnegative coordinates in the simple-root basis
-    gram = [[linalg.vec_dot(a, b) for b in simple] for a in simple]
-    gram_inv = linalg.inverse(gram)
-    positives = []
-    for r in roots:
-        rhs = [linalg.vec_dot(list(r), a) for a in simple]
-        coords = linalg.mat_vec(gram_inv, rhs)
-        if all(c >= 0 for c in coords):
-            positives.append(list(r))
-    positives.sort(key=lambda v: (sum(v), tuple(v)))
-    return positives
+        i = frontier.pop()
+        for j in range(n):
+            if cartan[i][j] and not lengths[j]:
+                lengths[j] = lengths[i] * cartan[j][i] / cartan[i][j]
+                frontier.append(j)
+    scale = lcm(*(x.denominator for x in lengths))
+    return [int(x * scale) for x in lengths]
 
 
-def _fundamental_weights(simple: List[Vector]) -> List[Vector]:
-    """Dual basis to the coroots inside the span of the simple roots."""
-    m = len(simple)
-    coroot_pairings = [
-        [2 * linalg.vec_dot(simple[i], simple[j]) / linalg.vec_dot(simple[j], simple[j]) for j in range(m)]
-        for i in range(m)
-    ]
-    inv = linalg.inverse(coroot_pairings)
-    weights = []
-    for i in range(m):
-        w = [Fraction(0)] * len(simple[0])
-        for k in range(m):
-            for c in range(len(w)):
-                w[c] += inv[i][k] * simple[k][c]
-        weights.append(w)
-    return weights
-
-
-def _half_sum(roots: List[Vector]) -> Vector:
-    out = [Fraction(0)] * len(roots[0])
-    for r in roots:
-        for i, x in enumerate(r):
-            out[i] += x
-    return [x / 2 for x in out]
+def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
+    """Simple-coroot coordinates of alpha^vee = 2 alpha / (alpha, alpha), where
+    alpha_i = (alpha_i, alpha_i) / 2 * alpha_i^vee and
+    (alpha, alpha) = sum_i a_i (alpha_i, alpha_i) / 2 * <alpha, alpha_i^vee>."""
+    twice_norm = sum(a * d * p for a, d, p in zip(root, lengths, pairings))
+    coroot = []
+    for a, d in zip(root, lengths):
+        c, r = divmod(2 * a * d, twice_norm)
+        if r:
+            raise AssertionError("coroot coordinates did not come out integral")
+        coroot.append(c)
+    return tuple(coroot)
 
 
 # ---------------------------------------------------------------------------
@@ -194,30 +181,39 @@ def _half_sum(roots: List[Vector]) -> Vector:
 # ---------------------------------------------------------------------------
 
 
+def _pairing(coeffs: Sequence[int], coroot: Weight) -> int:
+    """<mu, alpha^vee> for mu in Dynkin coordinates."""
+    return sum(c * x for c, x in zip(coeffs, coroot))
+
+
 def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
     """Dimension of the irreducible representation with the given highest
-    weight, as a product over positive roots."""
+    weight: the product of <lambda + rho, alpha^vee> / <rho, alpha^vee> over
+    the positive roots, where rho has every Dynkin coordinate 1."""
     if not rs.is_dominant_integral(coeffs):
         raise ValueError("weight must be dominant integral")
-    lam = rs.weight_from_coeffs(coeffs)
-    rho = rs.weyl_vector
-    lam_rho = [a + b for a, b in zip(lam, rho)]
-    result = Fraction(1)
-    for alpha in rs.positive_roots:
-        result *= linalg.vec_dot(lam_rho, alpha) / linalg.vec_dot(rho, alpha)
-    if result.denominator != 1:
+    numerator = denominator = 1
+    for coroot in rs.positive_coroots:
+        numerator *= _pairing(coeffs, coroot) + sum(coroot)
+        denominator *= sum(coroot)
+    dim, rest = divmod(numerator, denominator)
+    if rest:
         raise AssertionError("Weyl dimension did not come out integral")
-    return int(result)
+    return dim
+
+
+def _moved_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[int]:
+    """Indices of the positive roots not orthogonal to the weight: the roots of
+    the nilpotent part of the parabolic split determined by the weight."""
+    if not rs.is_dominant_integral(coeffs):
+        raise ValueError("weight must be dominant integral")
+    return [k for k, coroot in enumerate(rs.positive_coroots) if _pairing(coeffs, coroot)]
 
 
 def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
     """Dimension of the affine cone over the highest weight orbit:
     one plus the number of positive roots not orthogonal to the weight."""
-    if not rs.is_dominant_integral(coeffs):
-        raise ValueError("weight must be dominant integral")
-    lam = rs.weight_from_coeffs(coeffs)
-    moved = sum(1 for alpha in rs.positive_roots if linalg.vec_dot(lam, alpha) != 0)
-    return 1 + moved
+    return 1 + len(_moved_roots(rs, coeffs))
 
 
 def duality_involution(rs: AbstractRootSystem) -> List[int]:
@@ -244,213 +240,76 @@ def is_self_dual(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Weight multiplicities (Freudenthal recursion).
+# Weights of V(lambda).
 # ---------------------------------------------------------------------------
 
-DEFAULT_DIMENSION_CAP = 600
 
+def dominant_weights(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[Weight]:
+    """The dominant weights of V(lambda), lambda first.
 
-class DimensionCapExceeded(RuntimeError):
-    def __init__(self, dim: int, cap: int):
-        super().__init__(f"representation dimension {dim} exceeds the cap {cap}")
-        self.dim = dim
-        self.cap = cap
-
-
-def _dominant_weights_below(rs: AbstractRootSystem, lam: Vector) -> List[Vector]:
-    """All dominant weights mu with lam - mu a nonnegative integer combination
-    of simple roots (saturation gives exactly the dominant weights of V)."""
-    simple = rs.simple_roots
-    lowest = _lowest_weight(rs, lam)
-    diff = [a - b for a, b in zip(lam, lowest)]
-    box = _root_coords(rs, diff)
-    if box is None or any(c < 0 or c.denominator != 1 for c in box):
-        raise AssertionError("weight minus lowest weight is not in the positive root lattice")
-    bounds = [int(c) for c in box]
-    out = []
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = list(lam)
-        for c, alpha in zip(combo, simple):
-            if c:
-                for i, x in enumerate(alpha):
-                    mu[i] -= c * x
-        if _is_dominant(rs, mu):
-            out.append(mu)
-    return out
-
-
-def _root_coords(rs: AbstractRootSystem, vec: Vector) -> Optional[Vector]:
-    simple = rs.simple_roots
-    gram = [[linalg.vec_dot(a, b) for b in simple] for a in simple]
-    rhs = [linalg.vec_dot(vec, a) for a in simple]
-    coords = linalg.solve(gram, rhs)
-    if coords is None:
-        return None
-    # verify vec is inside the span
-    recon = [Fraction(0)] * len(vec)
-    for c, alpha in zip(coords, simple):
-        for i, x in enumerate(alpha):
-            recon[i] += c * x
-    if recon != [Fraction(x) for x in vec]:
-        return None
-    return coords
-
-
-def _is_dominant(rs: AbstractRootSystem, mu: Vector) -> bool:
-    return all(linalg.vec_dot(mu, a) >= 0 for a in rs.simple_roots)
-
-
-def _dominant_representative(rs: AbstractRootSystem, mu: Vector) -> Tuple[Vector, ...]:
-    v = list(mu)
-    simple = rs.simple_roots
-    norms = [linalg.vec_dot(a, a) for a in simple]
-    while True:
-        for a, norm in zip(simple, norms):
-            pairing = linalg.vec_dot(v, a)
-            if pairing < 0:
-                coeff = 2 * pairing / norm
-                v = [x - coeff * y for x, y in zip(v, a)]
-                break
-        else:
-            return tuple(v)
-
-
-def _lowest_weight(rs: AbstractRootSystem, lam: Vector) -> Vector:
-    """Image of the highest weight under the longest Weyl element."""
-    v = list(lam)
-    simple = rs.simple_roots
-    norms = [linalg.vec_dot(a, a) for a in simple]
-    while True:
-        for a, norm in zip(simple, norms):
-            pairing = linalg.vec_dot(v, a)
-            if pairing > 0:
-                coeff = 2 * pairing / norm
-                v = [x - coeff * y for x, y in zip(v, a)]
-                break
-        else:
-            return v
-
-
-def _weyl_orbit(rs: AbstractRootSystem, mu: Vector) -> List[Tuple[Fraction, ...]]:
-    simple = rs.simple_roots
-    norms = [linalg.vec_dot(a, a) for a in simple]
-    seen = {tuple(mu)}
-    frontier = [tuple(mu)]
-    while frontier:
-        new = []
-        for w in frontier:
-            for a, norm in zip(simple, norms):
-                coeff = 2 * linalg.vec_dot(list(w), a) / norm
-                image = tuple(x - coeff * y for x, y in zip(w, a))
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return sorted(seen)
-
-
-def weight_multiplicities(
-    rs: AbstractRootSystem, coeffs: Sequence[int], cap: int = DEFAULT_DIMENSION_CAP
-) -> Dict[Tuple[Fraction, ...], int]:
-    """Full weight multiplicity table of the irreducible representation.
-
-    Freudenthal recursion on dominant weights, then Weyl orbit expansion.
-    Raises DimensionCapExceeded when the representation is over the cap.
+    Every dominant mu below lambda is reached from lambda by subtracting one
+    positive root at a time without leaving the dominant chamber (Stembridge,
+    "The partial order of dominant weights", Adv. Math. 1998).
     """
-    dim = weyl_dimension(rs, coeffs)
-    if dim > cap:
-        raise DimensionCapExceeded(dim, cap)
-    lam = rs.weight_from_coeffs(coeffs)
-    rho = rs.weyl_vector
-    lam_rho = [a + b for a, b in zip(lam, rho)]
-    c_lam = linalg.vec_dot(lam_rho, lam_rho)
+    if not rs.is_dominant_integral(coeffs):
+        raise ValueError("weight must be dominant integral")
+    lam = tuple(coeffs)
+    seen = {lam}
+    order = [lam]
+    for mu in order:
+        for root in rs.positive_roots_dynkin:
+            nu = tuple(m - r for m, r in zip(mu, root))
+            if min(nu) >= 0 and nu not in seen:
+                seen.add(nu)
+                order.append(nu)
+    return order
 
-    dominants = _dominant_weights_below(rs, lam)
-    # order by height of lam - mu so dependencies are already computed
-    def height(mu):
-        coords = _root_coords(rs, [a - b for a, b in zip(lam, mu)])
-        return sum(coords)
 
-    dominants.sort(key=height)
-    mult: Dict[Tuple[Fraction, ...], int] = {}
-    weight_set = set()
-    for mu in dominants:
-        for w in _weyl_orbit(rs, mu):
-            weight_set.add(w)
-
-    def lookup(w: Sequence[Fraction]) -> int:
-        key = tuple(w)
-        if key not in weight_set:
-            return 0
-        rep = _dominant_representative(rs, list(w))
-        return mult.get(rep, 0)
-
-    for mu in dominants:
-        if list(mu) == lam:
-            mult[tuple(mu)] = 1
-            continue
-        mu_rho = [a + b for a, b in zip(mu, rho)]
-        denom = c_lam - linalg.vec_dot(mu_rho, mu_rho)
-        total = Fraction(0)
-        for alpha in rs.positive_roots:
-            k = 1
-            while True:
-                shifted = [a + k * b for a, b in zip(mu, alpha)]
-                m = lookup(shifted)
-                if m == 0 and tuple(shifted) not in weight_set:
-                    break
-                if m:
-                    total += m * linalg.vec_dot(shifted, alpha)
-                k += 1
-        value = 2 * total / denom
-        if value.denominator != 1 or value <= 0:
-            raise AssertionError("Freudenthal recursion produced a non-positive multiplicity")
-        mult[tuple(mu)] = int(value)
-
-    table: Dict[Tuple[Fraction, ...], int] = {}
-    for mu in dominants:
-        m = mult[tuple(mu)]
-        for w in _weyl_orbit(rs, mu):
-            table[w] = m
-    return table
+def _orbit_size(rs: AbstractRootSystem, mu: Weight) -> int:
+    """Size of the Weyl orbit of a dominant weight.  Every orbit element is
+    reached from mu by reflections s_i applied where the i-th coordinate is
+    positive, each of which lowers the weight."""
+    seen = {mu}
+    frontier = [mu]
+    while frontier:
+        lower = []
+        for w in frontier:
+            for i, wi in enumerate(w):
+                if wi > 0:
+                    image = tuple(x - wi * c for x, c in zip(w, rs.cartan[i]))
+                    if image not in seen:
+                        seen.add(image)
+                        lower.append(image)
+        frontier = lower
+    return len(seen)
 
 
 def distinct_weight_count(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
-    """Number of distinct weights, via orbit sizes only (no multiplicities)."""
-    lam = rs.weight_from_coeffs(coeffs)
-    total = 0
-    for mu in _dominant_weights_below(rs, lam):
-        total += len(_weyl_orbit(rs, mu))
-    return total
+    """Number of distinct weights of V(lambda): the Weyl orbit sizes of its
+    dominant weights, summed."""
+    return sum(_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs))
 
 
-def is_multiplicity_free(
-    rs: AbstractRootSystem, coeffs: Sequence[int], cap: int = DEFAULT_DIMENSION_CAP
-) -> bool:
-    table = weight_multiplicities(rs, coeffs, cap=cap)
-    return all(m == 1 for m in table.values())
+def is_multiplicity_free(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
+    """Every weight has multiplicity one.  Multiplicities are at least one and
+    sum to dim V, so this holds exactly when there are dim V distinct weights."""
+    return distinct_weight_count(rs, coeffs) == weyl_dimension(rs, coeffs)
 
 
 # ---------------------------------------------------------------------------
-# Parabolic split and the angle audit.
+# The angle audit.
 # ---------------------------------------------------------------------------
-
-
-def nilradical_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[Vector]:
-    """Positive roots moved by the weight: the roots of the nilpotent part of
-    the parabolic split determined by the weight."""
-    lam = rs.weight_from_coeffs(coeffs)
-    return [a for a in rs.positive_roots if linalg.vec_dot(lam, a) != 0]
 
 
 def angle_audit(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
     """True when no two nilradical roots make an obtuse angle and exactly one
-    simple root is moved by the weight."""
-    moved = nilradical_roots(rs, coeffs)
-    for i in range(len(moved)):
-        for j in range(i + 1, len(moved)):
-            if linalg.vec_dot(moved[i], moved[j]) < 0:
+    simple root is moved by the weight.  (alpha, beta) has the sign of
+    <alpha, beta^vee>, the Dynkin coordinates of alpha against the
+    simple-coroot coordinates of beta^vee."""
+    moved = _moved_roots(rs, coeffs)
+    for i, a in enumerate(moved):
+        root = rs.positive_roots_dynkin[a]
+        for b in moved[i + 1:]:
+            if _pairing(root, rs.positive_coroots[b]) < 0:
                 return False
-    lam = rs.weight_from_coeffs(coeffs)
-    marked = sum(1 for a in rs.simple_roots if linalg.vec_dot(lam, a) != 0)
-    return marked == 1
+    return sum(1 for c in coeffs if c) == 1

@@ -24,7 +24,7 @@ from legquad.liealg import (
     root_decomposition,
 )
 from legquad.poly import Polynomial, euler_weighted_sum, parse_poly
-from legquad.rootdata import build_root_system, weight_multiplicities, weyl_dimension
+from legquad.rootdata import build_root_system, weyl_dimension
 from legquad.symplectic import (
     QuadraticForm,
     commutator,
@@ -34,6 +34,7 @@ from legquad.symplectic import (
     sp_membership,
     standard_form,
 )
+from rootdata_oracle import weight_multiplicities
 
 
 def _passed(line: str):
@@ -136,8 +137,8 @@ def test_criterion_3_classification_rerun():
         else:
             assert wb[0] == 1 and not any(wb[1:])   # natural representations
     elapsed = time.perf_counter() - started
-    assert elapsed < 300, f"classification took {elapsed:.1f}s"
-    _passed(f"3 (classification rerun, {elapsed:.1f} s < 5 min)")
+    assert elapsed < 30, f"classification took {elapsed:.1f}s"
+    _passed(f"3 (classification rerun, {elapsed:.1f} s < 30 s)")
 
 
 def test_criterion_4_legendrian_verdicts(entries):

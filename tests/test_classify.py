@@ -131,8 +131,15 @@ def test_pair_two_weight_filter():
 
 @pytest.mark.slow
 def test_accepted_set_stable_under_larger_dimension_cap(simple_scan):
-    bigger = enumerate_simple(8, 300, mult_cap=1000)
+    bigger = enumerate_simple(8, 300)
     assert accepted_simple(bigger) == accepted_simple(simple_scan)
+
+
+def test_scan_to_dimension_1000_leaves_nothing_undecided(simple_scan):
+    simple = enumerate_simple(8, 1000)
+    pairs = enumerate_semisimple_pairs(8, 1000)
+    assert {v.status for v in simple} | {v.status for v in pairs} == {"accepted", "rejected"}
+    assert accepted_simple(simple) == accepted_simple(simple_scan)
 
 
 def test_accepted_candidates_match_catalog_fixtures(simple_scan, entries, algebras):

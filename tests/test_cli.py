@@ -85,6 +85,19 @@ def test_algebra_subcommand(capsys, tmp_path):
     assert payload["result"]["root_count"] == 18
 
 
+def test_algebra_subcommand_names_the_missing_cartan(capsys, tmp_path):
+    code, out, _ = run(capsys, "catalog", "segre-3")
+    path = tmp_path / "segre3.txt"
+    path.write_text(out)
+    code, out, _ = run(capsys, "--json", "algebra", str(path))
+    payload = json.loads(out)
+    assert code == EXIT_OK
+    assert payload["result"]["semisimple"] is True
+    assert payload["result"]["cartan_rank"] is None
+    assert payload["result"]["root_count"] is None
+    assert payload["result"]["cartan_reason"].startswith("NotAdaptedError")
+
+
 def test_classify_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "classify", "--max-rank", "3", "--max-dim", "30")
     assert code == EXIT_OK

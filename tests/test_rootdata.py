@@ -3,16 +3,15 @@ import random
 import pytest
 
 from legquad.rootdata import (
-    DimensionCapExceeded,
     angle_audit,
     build_root_system,
     cone_orbit_dimension,
     distinct_weight_count,
     is_multiplicity_free,
     is_self_dual,
-    weight_multiplicities,
     weyl_dimension,
 )
+from rootdata_oracle import DimensionCapExceeded, weight_multiplicities
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,119 @@
+"""Differential tests: the integer Dynkin kernel of legquad.rootdata against
+the ambient Fraction realization and Freudenthal's formula in rootdata_oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+from legquad import linalg
+from legquad.rootdata import (
+    angle_audit,
+    build_root_system,
+    cone_orbit_dimension,
+    distinct_weight_count,
+    dominant_weights,
+    is_multiplicity_free,
+    weyl_dimension,
+)
+from rootdata_oracle import ambient, ambient_weyl_dimension, box_dominant_weights, weight_multiplicities
+
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+SMALL_TYPES = (
+    [("A", n) for n in range(1, 5)]
+    + [("B", n) for n in range(2, 5)]
+    + [("C", n) for n in range(2, 5)]
+    + [("D", 3), ("D", 4), ("F", 4), ("G", 2)]
+)
+
+
+def _ambient_vector(simple, coords):
+    out = [Fraction(0)] * len(simple[0])
+    for c, alpha in zip(coords, simple):
+        for i, x in enumerate(alpha):
+            out[i] += c * x
+    return out
+
+
+def _weights_up_to(rank, dim_of, max_dim):
+    """Every dominant weight whose representation has dimension at most
+    max_dim; the dimension grows in each coordinate, so the search stops
+    along a coordinate as soon as it passes the bound."""
+    found = []
+
+    def extend(prefix):
+        if len(prefix) == rank:
+            found.append(tuple(prefix))
+            return
+        k = 0
+        while dim_of(prefix + [k] + [0] * (rank - len(prefix) - 1)) <= max_dim:
+            extend(prefix + [k])
+            k += 1
+
+    extend([])
+    return found
+
+
+def test_cartan_matrix_matches_ambient_simple_roots():
+    for label, rank in ALL_TYPES:
+        rs = build_root_system(label, rank)
+        simple = ambient(rs).simple_roots
+        expected = [
+            tuple(int(2 * linalg.vec_dot(a, b) / linalg.vec_dot(b, b)) for b in simple)
+            for a in simple
+        ]
+        assert rs.cartan == expected, rs.type_label
+
+
+def test_positive_roots_map_onto_ambient_roots():
+    for label, rank in ALL_TYPES:
+        rs = build_root_system(label, rank)
+        amb = ambient(rs)
+        simple = amb.simple_roots
+        simple_coroots = [[2 * x / linalg.vec_dot(a, a) for x in a] for a in simple]
+        images = [_ambient_vector(simple, a) for a in rs.positive_roots]
+        assert sorted(map(tuple, images)) == sorted(map(tuple, amb.positive_roots)), rs.type_label
+        for image, dynkin, coroot in zip(images, rs.positive_roots_dynkin, rs.positive_coroots):
+            assert amb.dynkin_coords(image) == dynkin
+            norm = linalg.vec_dot(image, image)
+            assert _ambient_vector(simple_coroots, coroot) == [2 * x / norm for x in image]
+
+
+def test_parabolic_data_matches_ambient_roots():
+    """Cone dimension and angle audit at every fundamental weight."""
+    for label, rank in ALL_TYPES:
+        rs = build_root_system(label, rank)
+        amb = ambient(rs)
+        for i in range(rank):
+            coeffs = [0] * rank
+            coeffs[i] = 1
+            lam = amb.weight_from_coeffs(coeffs)
+            moved = [a for a in amb.positive_roots if linalg.vec_dot(lam, a) != 0]
+            assert cone_orbit_dimension(rs, coeffs) == 1 + len(moved)
+            obtuse = any(
+                linalg.vec_dot(a, b) < 0 for k, a in enumerate(moved) for b in moved[k + 1:]
+            )
+            assert angle_audit(rs, coeffs) == (not obtuse), (rs.type_label, coeffs)
+
+
+@pytest.mark.parametrize("label,rank", SMALL_TYPES)
+def test_weights_match_freudenthal(label, rank):
+    """Every dominant weight with dim V <= 50: the distinct-weight count, the
+    multiplicity-free test, the Weyl dimension and the dominant weights from
+    root subtraction all agree with the Freudenthal table and the box
+    enumeration."""
+    rs = build_root_system(label, rank)
+    weights = _weights_up_to(rank, lambda c: weyl_dimension(rs, c), 50)
+    assert len(weights) >= 2
+    for coeffs in weights:
+        table = weight_multiplicities(rs, coeffs)
+        dim = weyl_dimension(rs, coeffs)
+        assert dim == sum(table.values()) == ambient_weyl_dimension(rs, coeffs)
+        assert distinct_weight_count(rs, coeffs) == len(table)
+        assert is_multiplicity_free(rs, coeffs) == all(m == 1 for m in table.values())
+        assert sorted(dominant_weights(rs, coeffs)) == sorted(box_dominant_weights(rs, coeffs))
