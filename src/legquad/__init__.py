@@ -2,7 +2,7 @@
 
 Modules:
   poly        sparse rational polynomials and the text grammar
-  linalg      small exact matrix toolkit
+  linalg      exact linear algebra on one sparse elimination kernel
   symplectic  forms, the Poisson bracket, the quadric / sp dictionary
   groebner    Buchberger bases, normal forms, dimension
   legendrian  the verdict engine

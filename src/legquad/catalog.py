@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
-from .liealg import SpanSolver
-from .poly import Polynomial, grevlex_key, parse_poly, poly_from_pairs
+from .poly import Polynomial, grevlex_columns, grevlex_key, parse_poly, poly_from_pairs
 from .symplectic import SymplecticForm, standard_form
 
 _CHECKSUMS = {
@@ -277,16 +276,16 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
         images.append(Polynomial.variable(14, j).scale(c))
     substituted = [p.substitute(images) for p in gr_polys]
 
-    span_a = SpanSolver(grevlex_key)
+    columns = grevlex_columns(substituted + grl_polys)
+    span_a = linalg.Echelon()
     for p in substituted:
-        if not p.is_zero():
-            span_a.add_row(dict(p.terms))
-    span_b = SpanSolver(grevlex_key)
+        span_a.add({columns[m]: c for m, c in p.terms.items()})
+    span_b = linalg.Echelon()
     for p in grl_polys:
-        span_b.add_row(dict(p.terms))
+        span_b.add({columns[m]: c for m, c in p.terms.items()})
     same = (
         span_a.rank == span_b.rank == 21
-        and all(span_a.reduce(dict(p.terms))[0] is not None for p in grl_polys)
+        and all(span_a.contains({columns[m]: c for m, c in p.terms.items()}) for p in grl_polys)
     )
     if not same:
         raise DataIntegrityError("grl36.txt: substitution cross-check failed")
@@ -378,8 +377,9 @@ def spinor_s6() -> CatalogEntry:
         pf = _pfaffian_of(n_entry, comp[(i, j)], nv).scale((-1) ** (i + j + 1))
         gens.append(pf - y_poly * Polynomial.variable(nv, 1 + _SPIN_INDEX[(i, j)]))
 
-    span = SpanSolver(grevlex_key)
-    independent = sum(1 for g in gens if span.add_row(dict(g.terms)))
+    columns = grevlex_columns(gens)
+    span = linalg.Echelon()
+    independent = sum(1 for g in gens if span.add({columns[m]: c for m, c in g.terms.items()}))
     if independent != 66 or len(gens) != 66:
         raise DataIntegrityError(
             f"spinor relations span {independent} dimensions instead of 66; "

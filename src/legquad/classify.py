@@ -292,8 +292,7 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
                 verdict.reason = "a tensor factor is not self-dual"
                 verdicts.append(verdict)
                 continue
-            free_b = is_multiplicity_free(rs_b, wb)
-            if not free_b or distinct_weight_count(rs_b, wb) != dim_b:
+            if not is_multiplicity_free(rs_b, wb):
                 verdict.reason = "tensor product contains a multiple weight"
                 verdicts.append(verdict)
                 continue

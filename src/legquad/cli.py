@@ -25,13 +25,7 @@ from .groebner import (
     normal_form,
 )
 from .legendrian import VarietyPresentation, legendrian_verdict, rational_curve_check, tangent_point_check
-from .liealg import (
-    NotAdaptedError,
-    cartan_subalgebra,
-    close_and_present,
-    identify_algebra,
-    root_decomposition,
-)
+from .liealg import NotAdaptedError, close_and_present, identify_algebra, split_root_data
 from .poly import Polynomial, PolyParseError, parse_poly
 from .symplectic import SymplecticForm, poisson_bracket, standard_form
 from .classify import enumerate_semisimple_pairs, enumerate_simple
@@ -203,9 +197,8 @@ def _cmd_algebra(args) -> int:
     if semisimple:
         result["types"] = identify_algebra(algebra)
         try:
-            cd = cartan_subalgebra(algebra)
-            full = root_decomposition(algebra, cd)
-            result["cartan_rank"] = cd.rank
+            full = split_root_data(algebra)
+            result["cartan_rank"] = full.rank
             result["root_count"] = len(full.roots)
         except NotAdaptedError as exc:
             # a non-split real form: no rational Cartan subalgebra to report

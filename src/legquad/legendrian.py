@@ -264,18 +264,3 @@ def rational_curve_check(f1, f2, f3) -> bool:
     lhs = dn1 * (dd2 * d3 * dd3 * d2)
     rhs = (dn2 * n3 * dd3 * d2 - dn3 * n2 * dd2 * d3) * dd1
     return lhs == rhs
-
-
-def sample_rational_points(seed: int, count: int, dim: int, height: int = 8) -> List[List[Fraction]]:
-    """Deterministic pseudo-random rational points with small entries."""
-    import random
-
-    rng = random.Random(seed)
-    points = []
-    for _ in range(count):
-        pt = [
-            Fraction(rng.randint(-height, height), rng.randint(1, 4))
-            for _ in range(dim)
-        ]
-        points.append(pt)
-    return points

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .poly import Polynomial, grevlex_key
+from .poly import Polynomial, grevlex_columns
 from .symplectic import SymplecticForm
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -38,75 +38,6 @@ class NotClosedError(ValueError):
 
 class NotAdaptedError(ValueError):
     """The presentation basis does not split over the rationals."""
-
-
-class SpanSolver:
-    """Echelonized span with coefficient recovery against the original rows.
-
-    Rows are sparse dicts keyed by arbitrary orderable keys.  reduce() writes
-    a vector as a combination of the original rows plus a residual.
-    """
-
-    def __init__(self, key_order):
-        # key_order: monomial sort key; pivots are eliminated largest first.
-        self.key_order = key_order
-        self.rows: List[Dict] = []
-        self.combos: List[Dict[int, Fraction]] = []
-        self.pivots: Dict = {}
-        self.n_input = 0
-
-    def _leading(self, vec: Dict):
-        return max(vec, key=self.key_order)
-
-    def add_row(self, vec: Dict) -> bool:
-        """Insert one input row; returns False when dependent on earlier rows."""
-        combo = {self.n_input: Fraction(1)}
-        self.n_input += 1
-        residual, coeffs = self._eliminate(dict(vec))
-        if not residual:
-            return False
-        for idx, c in coeffs.items():
-            for orig, w in self.combos[idx].items():
-                combo[orig] = combo.get(orig, Fraction(0)) - c * w
-        lead = self._leading(residual)
-        scale = 1 / residual[lead]
-        residual = {k: v * scale for k, v in residual.items()}
-        combo = {k: v * scale for k, v in combo.items() if v * scale != 0}
-        self.pivots[lead] = len(self.rows)
-        self.rows.append(residual)
-        self.combos.append(combo)
-        return True
-
-    def _eliminate(self, work: Dict) -> Tuple[Dict, Dict[int, Fraction]]:
-        coeffs: Dict[int, Fraction] = {}
-        order = sorted(self.pivots, key=self.key_order, reverse=True)
-        for pivot in order:
-            if pivot in work:
-                idx = self.pivots[pivot]
-                factor = work[pivot]
-                coeffs[idx] = coeffs.get(idx, Fraction(0)) + factor
-                for k, v in self.rows[idx].items():
-                    s = work.get(k, Fraction(0)) - factor * v
-                    if s:
-                        work[k] = s
-                    else:
-                        work.pop(k, None)
-        return work, coeffs
-
-    def reduce(self, vec: Dict) -> Tuple[Optional[Vector], Dict]:
-        """Coefficients over the original input rows, or None with residual."""
-        residual, coeffs = self._eliminate(dict(vec))
-        combo = [Fraction(0)] * self.n_input
-        for idx, c in coeffs.items():
-            for orig, w in self.combos[idx].items():
-                combo[orig] += c * w
-        if residual:
-            return None, residual
-        return combo, {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def _gradient_entries(p: Polynomial):
@@ -147,6 +78,9 @@ class LieAlgebraPresentation:
         self.structure = structure
         self.dim = len(self.basis)
         self._sp_images: Optional[List[Matrix]] = None
+        self._killing: Optional[Matrix] = None
+        self._semisimple: Optional[bool] = None
+        self._root_data = None  # CartanData, or the NotAdaptedError it raised
 
     def bracket_coeffs(self, i: int, j: int) -> Dict[int, Fraction]:
         """[b_i, b_j] as a sparse coefficient vector over the basis."""
@@ -211,6 +145,15 @@ class LieAlgebraPresentation:
             self._sp_images = images
         return self._sp_images
 
+    def sp_image(self, vec: Sequence) -> Matrix:
+        """sp-image of the element with coordinates `vec`."""
+        images = self.sp_images()
+        out = linalg.zeros(self.form.dim, self.form.dim)
+        for i, c in enumerate(vec):
+            if c:
+                out = linalg.mat_add(out, linalg.mat_scale(images[i], c))
+        return out
+
     def element_polynomial(self, vec: Sequence) -> Polynomial:
         total = Polynomial.zero(self.form.dim)
         for i, c in enumerate(vec):
@@ -219,30 +162,35 @@ class LieAlgebraPresentation:
         return total
 
     def killing_matrix(self) -> Matrix:
-        """Trace form of the adjoint action, computed from structure constants."""
-        ads = []
-        for i in range(self.dim):
-            ad_i: Dict[int, Dict[int, Fraction]] = {}
-            for k in range(self.dim):
-                col = self.bracket_coeffs(i, k)
-                if col:
-                    ad_i[k] = col
-            ads.append(ad_i)
-        kappa = linalg.zeros(self.dim, self.dim)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                total = Fraction(0)
-                for k, col in ads[i].items():
-                    back = ads[j]
-                    for l, c in col.items():
-                        if l in back:
-                            total += c * back[l].get(k, Fraction(0))
-                kappa[i][j] = total
-                kappa[j][i] = total
-        return kappa
+        """Trace form tr(ad_i ad_j) of the adjoint action, built once.
+
+        With [b_i, b_k] = sum_l c(i,k,l) b_l, tr(ad_i ad_j) is the sum over
+        (k, l) of c(i,k,l) c(j,l,k); indexing the nonzero constants by (k, l)
+        makes that one outer product per index pair.  Callers share the
+        cached matrix and must not mutate it.
+        """
+        if self._killing is None:
+            by_pair: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
+            for (i, k), col in self.structure.items():
+                for l, c in col.items():
+                    by_pair.setdefault((k, l), []).append((i, c))
+                    by_pair.setdefault((i, l), []).append((k, -c))
+            kappa = linalg.zeros(self.dim, self.dim)
+            for (k, l), left in by_pair.items():
+                right = by_pair.get((l, k))
+                if right:
+                    for i, c in left:
+                        row = kappa[i]
+                        for j, d in right:
+                            row[j] += c * d
+            self._killing = kappa
+        return self._killing
 
     def is_semisimple(self) -> bool:
-        return linalg.det(self.killing_matrix()) != 0
+        """Cartan's criterion: the Killing form is nondegenerate."""
+        if self._semisimple is None:
+            self._semisimple = linalg.rank(self.killing_matrix()) == self.dim
+        return self._semisimple
 
     def verify_jacobi(self, max_triples: Optional[int] = None) -> bool:
         """Jacobi identity on basis triples; optionally a deterministic sample."""
@@ -280,17 +228,18 @@ def _unit(dim: int, i: int) -> Vector:
 
 
 def quadratic_part(generators: Sequence[Polynomial], nvars: int) -> List[Polynomial]:
-    """Canonical basis (row reduction) of the span of the degree-2 generators."""
-    solver = SpanSolver(grevlex_key)
-    kept = []
-    for g in generators:
-        if g.is_zero():
-            continue
-        if g.homogeneous_degree() == 2:
-            if solver.add_row(dict(g.terms)):
-                kept.append(g)
-    # Return the echelonized representatives for determinism.
-    return [Polynomial(nvars, row) for row in solver.rows]
+    """Echelon basis of the span of the degree-2 generators, leading
+    coefficients 1, in the order the generators contribute them."""
+    quadrics = [g for g in generators if not g.is_zero() and g.homogeneous_degree() == 2]
+    columns = grevlex_columns(quadrics)
+    monomials = list(columns)
+    span = linalg.Echelon()
+    for g in quadrics:
+        span.add({columns[m]: c for m, c in g.terms.items()})
+    return [
+        Polynomial(nvars, {monomials[j]: Fraction(x, row[lead]) for j, x in row.items()})
+        for lead, row in span.rows.items()
+    ]
 
 
 def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
@@ -302,11 +251,12 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
     if not basis:
         return LieAlgebraPresentation([], form, {})
     nvars = form.dim
-    solver = SpanSolver(grevlex_key)
+    columns = grevlex_columns(basis)
+    span = linalg.Echelon(track=True)
     for q in basis:
         if q.nvars != nvars:
             raise ValueError("quadric does not match the form dimension")
-        if not solver.add_row(dict(q.terms)):
+        if not span.add({columns[m]: c for m, c in q.terms.items()}):
             raise ValueError("quadrics must be linearly independent")
 
     dual = form.dual_matrix
@@ -328,12 +278,13 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
             br = _fast_bracket(grads[i], grads_by_var[j], dual_rows, nvars)
             if not br:
                 continue
-            coeffs, residual = solver.reduce(br)
+            # a monomial no basis quadric has already puts br outside the span
+            if any(m not in columns for m in br):
+                raise NotClosedError(i, j)
+            coeffs = span.coefficients({columns[m]: c for m, c in br.items()})
             if coeffs is None:
                 raise NotClosedError(i, j)
-            entry = {k: c for k, c in enumerate(coeffs) if c}
-            if entry:
-                structure[(i, j)] = entry
+            structure[(i, j)] = coeffs
     return LieAlgebraPresentation(basis, form, structure)
 
 
@@ -441,15 +392,8 @@ def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
 
 def _diagonal_subspace(algebra: LieAlgebraPresentation, within: List[Vector]) -> List[Vector]:
     """Sub-basis of `within` whose sp-images are diagonal."""
-    images = algebra.sp_images()
     dim2n = algebra.form.dim
-    rows = []
-    for v in within:
-        combined = linalg.zeros(dim2n, dim2n)
-        for i, c in enumerate(v):
-            if c:
-                combined = linalg.mat_add(combined, linalg.mat_scale(images[i], c))
-        rows.append(combined)
+    rows = [algebra.sp_image(v) for v in within]
     constraints = []
     for p in range(dim2n):
         for q in range(dim2n):
@@ -549,13 +493,9 @@ def _split_leftover(algebra, cartan, ad_mats, leftover):
     Candidate eigenvalues come from the diagonal sp-image entries of the
     torus: the adjoint eigenvalues on quadrics are sums of pairs of weights.
     """
-    images = algebra.sp_images()
     spaces = [[_unit(algebra.dim, j) for j in leftover]]
     for a, h in enumerate(cartan.cartan_vectors):
-        rho = linalg.zeros(algebra.form.dim, algebra.form.dim)
-        for i, c in enumerate(h):
-            if c:
-                rho = linalg.mat_add(rho, linalg.mat_scale(images[i], c))
+        rho = algebra.sp_image(h)
         weights = [rho[p][p] for p in range(algebra.form.dim)]
         candidates = sorted({wp + wq for wp in weights for wq in weights})
         new_spaces = []
@@ -579,7 +519,6 @@ def _split_leftover(algebra, cartan, ad_mats, leftover):
 def _split_by_eigenvalue(algebra, ad_h, space, candidates):
     if not space:
         return []
-    span_rows = [list(v) for v in space]
     pieces = []
     found = 0
     for lam in candidates:
@@ -852,17 +791,17 @@ def _split_seed(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]
 
 
 def _ideal_closure(algebra, seed_vec: Vector) -> List[Vector]:
-    solver = SpanSolver(lambda k: -k)
+    span = linalg.Echelon()
     vecs: List[Vector] = []
     queue: List[Vector] = []
-    if solver.add_row(_vec_to_dict(seed_vec)):
+    if span.add(_vec_to_dict(seed_vec)):
         vecs.append(list(seed_vec))
         queue.append(list(seed_vec))
     while queue:
         v = queue.pop()
         for i in range(algebra.dim):
             br = algebra.bracket_vectors(_unit(algebra.dim, i), v)
-            if br and solver.add_row(dict(br)):
+            if br and span.add(br):
                 w = inner_to_vec(br, algebra.dim)
                 vecs.append(w)
                 queue.append(w)
@@ -938,16 +877,14 @@ def _eigensplit_commutant(algebra, commutant_basis, ads) -> Optional[List[List[V
         return None
     # Each piece must be an ideal; otherwise the commutant was overestimated.
     for piece in pieces:
-        span = SpanSolver(lambda k: -k)
+        span = linalg.Echelon()
         for v in piece:
-            span.add_row(_vec_to_dict(v))
+            span.add(_vec_to_dict(v))
         for v in piece:
             for i in range(d):
                 br = algebra.bracket_vectors(_unit(d, i), v)
-                if br:
-                    coeffs, residual = span.reduce(dict(br))
-                    if coeffs is None:
-                        return None
+                if br and not span.contains(br):
+                    return None
     return pieces
 
 
@@ -1055,6 +992,20 @@ def subalgebra_presentation(algebra: LieAlgebraPresentation, vectors: List[Vecto
     return close_and_present(polys, algebra.form)
 
 
+def split_root_data(algebra: LieAlgebraPresentation) -> CartanData:
+    """Root decomposition over `cartan_subalgebra`, computed once per
+    presentation; a basis that does not split raises its NotAdaptedError
+    again on every call."""
+    if algebra._root_data is None:
+        try:
+            algebra._root_data = root_decomposition(algebra, cartan_subalgebra(algebra))
+        except NotAdaptedError as exc:
+            algebra._root_data = exc
+    if isinstance(algebra._root_data, NotAdaptedError):
+        raise algebra._root_data
+    return algebra._root_data
+
+
 def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
     """Simple-type labels of a semisimple quadric algebra.
 
@@ -1067,18 +1018,14 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
     if not algebra.is_semisimple():
         raise ValueError("algebra is not semisimple")
     try:
-        cd = cartan_subalgebra(algebra)
-        full = root_decomposition(algebra, cd)
-        return identify_type(full)
+        return identify_type(split_root_data(algebra))
     except NotAdaptedError:
         pass
     labels: List[str] = []
     for ideal in decompose_ideals(algebra):
         sub = subalgebra_presentation(algebra, ideal)
         try:
-            cd = cartan_subalgebra(sub)
-            full = root_decomposition(sub, cd)
-            labels.extend(identify_type(full))
+            labels.extend(identify_type(split_root_data(sub)))
             continue
         except NotAdaptedError:
             pass
@@ -1149,7 +1096,6 @@ def exp_orbit_points(
     import random
 
     rng = random.Random(seed)
-    images = algebra.sp_images()
     roots = cartan.root_spaces
     if not roots:
         raise ValueError("no root vectors to exponentiate")
@@ -1158,10 +1104,7 @@ def exp_orbit_points(
         vec = [Fraction(x) for x in base_point]
         for _ in range(rng.randint(1, 3)):
             _, eigvec = roots[rng.randrange(len(roots))]
-            rho = linalg.zeros(algebra.form.dim, algebra.form.dim)
-            for i, c in enumerate(eigvec):
-                if c:
-                    rho = linalg.mat_add(rho, linalg.mat_scale(images[i], c))
+            rho = algebra.sp_image(eigvec)
             t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             vec = exp_nilpotent_action(linalg.mat_scale(rho, t), vec)
         points.append(vec)

@@ -1,17 +1,24 @@
-"""Small exact linear algebra toolkit over the rationals.
+"""Exact linear algebra over the rationals, on one sparse elimination kernel.
 
-Matrices are lists of lists of Fractions.  Nothing here is tuned for large
-dense systems; the package only ever solves systems whose size is bounded by
-the fixture dimensions (at most a few hundred rows).
+Matrices are lists of lists of Fractions.  Every row elimination outside
+the Groebner reducer runs on `Echelon`: sparse rows of integers, kept
+fraction-free with their content divided out, which suits the sparse systems
+the package solves (the quadric spans of `liealg` and `catalog`, ad-matrices,
+commutant systems of a few hundred rows).  `rref` turns its rows into the canonical reduced row
+echelon form; `rank`, `nullspace`, `solve`, `inverse` and `row_space_basis`
+read their answers off that form.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+SparseRow = Dict[int, int]
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
@@ -64,47 +71,164 @@ def mat_eq_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def _integral(vec: Mapping) -> Tuple[SparseRow, int]:
+    """(den * vec as integers, den) for the least common denominator den."""
+    den = 1
+    for x in vec.values():
+        den = lcm(den, x.denominator)
+    return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
+
+
+def _eliminate(work: SparseRow, row: SparseRow, a: int, b: int) -> None:
+    """work <- a * work - b * row, in place, dropping zeros."""
+    if a != 1:
+        for k in work:
+            work[k] *= a
+    for k, v in row.items():
+        s = work.get(k, 0) - b * v
+        if s:
+            work[k] = s
+        else:
+            del work[k]
+
+
+def _primitive(work: SparseRow, combo: Optional[SparseRow]) -> None:
+    """Divide out the content, jointly with `combo`, and make the leading
+    (smallest-column) entry of `work` positive."""
+    parts = [work] if combo is None else [work, combo]
+    g = gcd(*(v for part in parts for v in part.values()))
+    if work[min(work)] < 0:
+        g = -g
+    if g != 1:
+        for part in parts:
+            for k in part:
+                part[k] //= g
+
+
+class Echelon:
+    """Sparse row echelon form over Q, fraction-free, with optional
+    coefficient recovery against the input rows.
+
+    Rows map column to integer.  Each stored row has its content divided
+    out (jointly with its coefficients, when they are tracked), a positive
+    leading entry, and no entry in the leading column of an earlier row.
+    `pivots` lists the leading columns in increasing order and is kept
+    sorted as rows are inserted.  With `track=True` each row also carries
+    its integer coefficients over the (denominator-cleared) input rows,
+    eliminated alongside it, so that `coefficients` can write a vector of
+    the span in terms of the inputs.
+    """
+
+    def __init__(self, track: bool = False):
+        self.pivots: List[int] = []
+        self.rows: Dict[int, SparseRow] = {}  # leading column -> row, in insertion order
+        self._combos: Optional[Dict[int, SparseRow]] = {} if track else None
+        self._denominators: List[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _clear(self, work: SparseRow, p: int, combo: Optional[SparseRow]) -> int:
+        """work <- a * work - b * (row of pivot p) with the least a > 0 that
+        clears column p; the same step on `combo`; returns a."""
+        row = self.rows[p]
+        g = gcd(row[p], work[p])
+        a, b = row[p] // g, work[p] // g
+        _eliminate(work, row, a, b)
+        if combo is not None:
+            _eliminate(combo, self._combos[p], a, b)
+        return a
+
+    def _reduce(self, work: SparseRow, combo: Optional[SparseRow]) -> int:
+        """Clear every pivot column of `work`; returns the product m of the
+        factors, so that work = m * (input) - (combination of stored rows)."""
+        m = 1
+        if not work:
+            return m
+        for p in self.pivots[bisect_left(self.pivots, min(work)):]:
+            if p in work:
+                m *= self._clear(work, p, combo)
+                if not work:
+                    break
+        return m
+
+    def add(self, vec: Mapping) -> bool:
+        """Insert a row (column -> rational); False when it lies in the span."""
+        work, den = _integral(vec)
+        combo = None
+        if self._combos is not None:
+            combo = {len(self._denominators): 1}
+            self._denominators.append(den)
+        self._reduce(work, combo)
+        if not work:
+            return False
+        _primitive(work, combo)
+        lead = min(work)
+        insort(self.pivots, lead)
+        self.rows[lead] = work
+        if combo is not None:
+            self._combos[lead] = combo
+        return True
+
+    def contains(self, vec: Mapping) -> bool:
+        work, _ = _integral(vec)
+        self._reduce(work, None)
+        return not work
+
+    def coefficients(self, vec: Mapping) -> Optional[Dict[int, Fraction]]:
+        """vec as a combination of the input rows (input index -> nonzero
+        coefficient), or None when vec is outside the span.  Needs track=True."""
+        work, den = _integral(vec)
+        combo: SparseRow = {}
+        m = self._reduce(work, combo)
+        if work:
+            return None
+        # m * den * vec = -sum_i combo[i] * (d_i * input_i)
+        return {
+            i: Fraction(-combo[i] * self._denominators[i], m * den) for i in sorted(combo)
+        }
+
+    def reduce_fully(self) -> None:
+        """Clear each pivot column in the rows above it too, so that every
+        row is its canonical reduced row echelon row times a positive integer.
+        Tracked coefficients are not carried along, so `coefficients` is
+        wrong afterwards."""
+        for p in reversed(self.pivots):
+            row = self.rows[p]
+            later = [q for q in row if q != p and q in self.rows]
+            for q in later:
+                self._clear(row, q, None)
+            if later:
+                _primitive(row, None)
+
+
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rref matrix, pivot column list).
+
+    The rows past the rank are zero, so the result has the shape of `a`.
+    """
+    cols = len(a[0]) if a else 0
+    ech = Echelon()
+    for row in a:
+        ech.add({j: Fraction(x) for j, x in enumerate(row) if x})
+    ech.reduce_fully()
+    zero = Fraction(0)
+    out = [
+        [Fraction(row[j], row[p]) if j in row else zero for j in range(cols)]
+        for p, row in sorted(ech.rows.items())
+    ]
+    out.extend([zero] * cols for _ in range(len(a) - len(out)))
+    return out, ech.pivots
 
 
 def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    _, pivots = rref(a)
-    return len(pivots)
+    return len(rref(a)[1])
 
 
 def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
     """Basis of the right kernel of `a` (vectors of length ncols)."""
     cols = ncols if ncols is not None else (len(a[0]) if a else 0)
-    if not a:
-        return [list(row) for row in identity(cols)]
     red, pivots = rref(a)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -134,41 +258,11 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [list(a[i]) + list(identity(n)[i]) for i in range(n)]
-    red, pivots = rref(aug)
+    eye = identity(n)
+    red, pivots = rref([list(a[i]) + eye[i] for i in range(n)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with sparse pivoting."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        best = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                weight = sum(1 for x in m[i] if x != 0)
-                if best is None or weight < best:
-                    best = weight
-                    pivot_row = i
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                factor = m[i][c] * inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def row_space_basis(a: Matrix) -> Matrix:

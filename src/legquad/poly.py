@@ -30,6 +30,13 @@ def grevlex_key(exps: Exponent):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def grevlex_columns(polys: Iterable["Polynomial"]) -> Dict[Exponent, int]:
+    """Column index of every monomial of `polys`, largest grevlex monomial
+    first, so that row echelon forms pivot on leading monomials."""
+    monomials = sorted({m for p in polys for m in p.terms}, key=grevlex_key, reverse=True)
+    return {m: col for col, m in enumerate(monomials)}
+
+
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 

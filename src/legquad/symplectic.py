@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import Matrix
@@ -57,14 +57,6 @@ class SymplecticForm:
     @property
     def dual_matrix(self) -> Matrix:
         return self._dual
-
-    def pair(self, u: Sequence, v: Sequence) -> Fraction:
-        """omega(u, v) for vectors in V."""
-        return linalg.vec_dot(u, linalg.mat_vec(self.matrix, v))
-
-    def dual_pair(self, alpha: Sequence, beta: Sequence) -> Fraction:
-        """omega'(alpha, beta) for covectors (gradients)."""
-        return linalg.vec_dot(alpha, linalg.mat_vec(self._dual, beta))
 
     def to_json(self) -> str:
         matrix = [[str(x) for x in row] for row in self.matrix]
@@ -277,23 +269,3 @@ def bracket_quadrics(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Poly
         qb = QuadraticForm.from_polynomial(g)
         return quadric_bracket_matrix(qa, qb, form).to_polynomial()
     return poisson_bracket(f, g, form)
-
-
-def isotropic_subspace(vectors: List[Sequence], form: SymplecticForm) -> bool:
-    """True when omega vanishes on every pair from `vectors`."""
-    vecs = [[Fraction(x) for x in v] for v in vectors]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if form.pair(vecs[i], vecs[j]) != 0:
-                return False
-    return True
-
-
-def dual_isotropic_subspace(covectors: List[Sequence], form: SymplecticForm) -> bool:
-    """True when omega' vanishes on every pair from `covectors`."""
-    vecs = [[Fraction(x) for x in v] for v in covectors]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if form.dual_pair(vecs[i], vecs[j]) != 0:
-                return False
-    return True

@@ -1,0 +1,72 @@
+"""Test oracle for legquad.linalg: dense Gaussian elimination on Fractions.
+
+This is the elimination the package used before its sparse integer kernel;
+it shares no code with `legquad.linalg.Echelon`, so the two routes are
+independent.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import List, Tuple
+
+Matrix = List[List[Fraction]]
+
+
+def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form; returns (rref matrix, pivot column list)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def det(a: Matrix) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination with sparse pivoting."""
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in a]
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = None
+        best = None
+        for i in range(c, n):
+            if m[i][c] != 0:
+                weight = sum(1 for x in m[i] if x != 0)
+                if best is None or weight < best:
+                    best = weight
+                    pivot_row = i
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            result = -result
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                factor = m[i][c] * inv
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return result

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from legquad import linalg
@@ -17,6 +19,8 @@ from legquad.liealg import (
 )
 from legquad.poly import parse_poly
 from legquad.symplectic import QuadraticForm, quadric_to_sp, standard_form
+
+from linalg_oracle import det
 
 
 def test_twisted_cubic_structure_constants(algebras):
@@ -174,7 +178,7 @@ def test_killing_form_counts(algebras):
         full = root_decomposition(L, cd)
         assert cd.rank == rank
         assert len(full.roots) + rank == dim
-        assert linalg.det(full.killing) != 0
+        assert det(full.killing) != 0
 
 
 def test_exp_nilpotent_examples(entries, algebras):
@@ -213,6 +217,7 @@ def test_exp_preserves_non_quadric_generators(entries):
     quadrics = [g for g in pres.generators if g.homogeneous_degree() == 2]
     algebra = close_and_present(quadrics, pres.form)
     assert algebra.dim == 3 and not algebra.is_semisimple()
+    assert det(algebra.killing_matrix()) == 0
     moved = 0
     for image in algebra.sp_images():
         power = image
@@ -314,3 +319,17 @@ def test_random_sp_conjugated_sl2_identifies():
     f = parse_poly("x1*x2", 4)
     L = close_and_present([h, e, f], form)
     assert identify_algebra(L) == ["A1"]
+
+
+@pytest.mark.parametrize("name", ["twisted-cubic", "segre-5", "gr36", "spinor-s6"])
+def test_cached_killing_matrix_is_the_trace_form_of_ad(algebras, name):
+    L = algebras[name]
+    ads = []
+    for i in range(L.dim):
+        ad = L.ad_matrix([1 if k == i else 0 for k in range(L.dim)])
+        ads.append({(k, l): x for k, row in enumerate(ad) for l, x in enumerate(row) if x})
+    dense = [[sum((x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items()), Fraction(0))
+              for j in range(L.dim)] for i in range(L.dim)]
+    assert L.killing_matrix() == dense
+    assert L.killing_matrix() is L.killing_matrix()
+    assert det(dense) != 0 and L.is_semisimple()

