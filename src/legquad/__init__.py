@@ -32,7 +32,6 @@ from .groebner import (
     buchberger,
     normal_form,
     krull_dimension,
-    linear_part,
 )
 from .legendrian import (
     VarietyPresentation,

@@ -19,6 +19,7 @@ from . import catalog
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
+    GroebnerBasis,
     IdealPresentation,
     buchberger,
     krull_dimension,
@@ -152,14 +153,21 @@ def _cmd_bracket(args) -> int:
     return EXIT_OK
 
 
+def _basis_or_report(args, pres: VarietyPresentation, command: str, t0: float) -> Optional[GroebnerBasis]:
+    """The reduced basis of the input ideal, or None once an exhausted budget is reported."""
+    try:
+        return buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
+    except BudgetExceeded as exc:
+        _report(args, command, {"file": args.file}, {"budget": exc.budget_name}, "undecided",
+                {"total": time.perf_counter() - t0})
+        return None
+
+
 def _cmd_gb(args) -> int:
     t0 = time.perf_counter()
     pres = _load_presentation(args)
-    try:
-        gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    except BudgetExceeded as exc:
-        _report(args, "gb", {"file": args.file}, {"budget": exc.budget_name}, "undecided",
-                {"total": time.perf_counter() - t0})
+    gb = _basis_or_report(args, pres, "gb", t0)
+    if gb is None:
         return EXIT_UNDECIDED
     result = {
         "size": len(gb),
@@ -174,11 +182,8 @@ def _cmd_nf(args) -> int:
     t0 = time.perf_counter()
     pres = _load_presentation(args)
     p = parse_poly(args.poly, pres.nvars)
-    try:
-        gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    except BudgetExceeded as exc:
-        _report(args, "nf", {"file": args.file}, {"budget": exc.budget_name}, "undecided",
-                {"total": time.perf_counter() - t0})
+    gb = _basis_or_report(args, pres, "nf", t0)
+    if gb is None:
         return EXIT_UNDECIDED
     r = normal_form(p, gb)
     result = {"normal_form": str(r), "in_ideal": r.is_zero()}

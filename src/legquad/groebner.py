@@ -6,8 +6,8 @@ criteria, monic reduction throughout.  Identical inputs always produce the
 identical reduced basis.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
-any mathematical answer; exceeding it raises BudgetExceeded, which callers
-convert into an explicit undecided status, never into a verdict.
+any mathematical answer; exceeding it raises BudgetExceeded, and callers
+report what needed the basis as undecided, never as a verdict.
 """
 
 from __future__ import annotations
@@ -262,25 +262,3 @@ def _max_independent(allowed: frozenset, supports: Tuple[frozenset, ...], memo: 
     memo[key] = best
     return best
 
-
-def krull_dimension_bruteforce(leading_monomials: Sequence[Exponent], nvars: int) -> int:
-    """Independent oracle: scan all variable subsets (feasible to ~20 vars)."""
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leading_monomials]
-    if any(not s for s in supports):
-        raise ImproperIdealError("ideal contains a constant")
-    best = 0
-    for mask in range(1 << nvars):
-        subset = frozenset(i for i in range(nvars) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if not any(s <= subset for s in supports):
-            best = len(subset)
-    return best
-
-
-def linear_part(gb: GroebnerBasis) -> List[Polynomial]:
-    """All degree-1 elements of the reduced basis.
-
-    Nonempty exactly when the variety lies in a hyperplane, i.e. is a cone.
-    """
-    return [g for g in gb.elements if g.degree() == 1]

@@ -5,7 +5,14 @@ out by an ideal I is legendrian exactly when I is closed under the Poisson
 bracket and every irreducible component of the affine cone has dimension n
 (half the ambient dimension).  Equidimensionality of components is not
 decidable without primary decomposition, so verdicts check the total cone
-dimension and carry an explicit flag for the unchecked part.
+dimension only.
+
+Closure is linear algebra.  The ideal is homogeneous, so a bracket of degree
+d lies in it exactly when it lies in the degree-d part I_d, the span of the
+generator multiples of degree d; `bracket_closure_check` tests that span
+membership, and `degeneracy_check` reads hyperplanes off I_1.  The Groebner
+basis is computed only for the cone dimension, so an exhausted budget leaves
+the dimension undecided but never hides a failed closure.
 """
 
 from __future__ import annotations
@@ -13,21 +20,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
-    GroebnerBasis,
     IdealPresentation,
     buchberger,
     krull_dimension,
-    linear_part,
-    normal_form,
 )
-from .poly import Polynomial
-from .symplectic import SymplecticForm, poisson_bracket
+from .poly import Exponent, Polynomial, grevlex_columns, monomial_mul
+from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 
 class PointNotOnCone(ValueError):
@@ -80,18 +84,16 @@ class VarietyPresentation:
 
 @dataclass
 class ClosureReport:
-    closed: Optional[bool]          # None when undecided
+    closed: bool
     checked_pairs: int
     failing_pairs: List[Tuple[int, int]] = field(default_factory=list)
-    unchecked_pairs: List[Tuple[int, int]] = field(default_factory=list)
-    budget_name: Optional[str] = None
 
 
 @dataclass
 class LegendrianVerdict:
-    bracket_closed: Optional[bool]
-    cone_dimension: Optional[int]   # None when undecided
-    degenerate: Optional[bool]
+    bracket_closed: bool
+    cone_dimension: Optional[int]   # None when the budget ran out
+    degenerate: bool
     verdict: str                    # "legendrian" | "not-legendrian" | "undecided"
     witnesses: List[str] = field(default_factory=list)
     budget_name: Optional[str] = None
@@ -107,78 +109,105 @@ class LegendrianVerdict:
         }
 
 
-def _groebner_of(v: VarietyPresentation, budget: int) -> GroebnerBasis:
-    return buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+def _monomials(nvars: int, degree: int) -> List[Exponent]:
+    supports = itertools.combinations_with_replacement(range(nvars), degree)
+    return [tuple(map(support.count, range(nvars))) for support in supports]
 
 
-def bracket_closure_check(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> ClosureReport:
-    """Reduce every pairwise generator bracket modulo the generated ideal.
+def _degree_part(v: VarietyPresentation, degree: int) -> Tuple[linalg.Echelon, Dict[Exponent, int]]:
+    """Echelon basis of I_d, the span of m * g over the generators g of
+    degree e <= d and the monomials m of degree d - e, with the column of
+    each monomial.  Columns run largest grevlex monomial first, so pivots
+    are leading monomials."""
+    multiples = [
+        Polynomial(v.nvars, {monomial_mul(gm, m): c for gm, c in g.terms.items()})
+        for g in v.generators
+        if g.degree() <= degree
+        for m in _monomials(v.nvars, degree - g.degree())
+    ]
+    columns = grevlex_columns(multiples)
+    span = linalg.Echelon()
+    for p in multiples:
+        span.add({columns[m]: c for m, c in p.terms.items()})
+    return span, columns
+
+
+def bracket_closure_check(v: VarietyPresentation) -> ClosureReport:
+    """Test every pairwise generator bracket for membership in the ideal.
 
     Closure of the generators is enough: the Leibniz rule propagates it to
-    the whole ideal.
+    the whole ideal.  A bracket of degree d is tested against I_d, built
+    once per degree; a bracket monomial that no row of I_d has fails at once.
     """
-    if not v.generators:
-        raise ValueError("no generators")
-    all_pairs = list(itertools.combinations(range(len(v.generators)), 2))
-    try:
-        gb = _groebner_of(v, budget)
-    except BudgetExceeded as exc:
-        return ClosureReport(
-            closed=None,
-            checked_pairs=0,
-            unchecked_pairs=all_pairs,
-            budget_name=exc.budget_name,
-        )
+    pairs = list(itertools.combinations(range(len(v.generators)), 2))
     failing = []
-    for i, j in all_pairs:
-        br = poisson_bracket(v.generators[i], v.generators[j], v.form)
-        if not normal_form(br, gb).is_zero():
-            failing.append((i, j))
-    return ClosureReport(closed=not failing, checked_pairs=len(all_pairs), failing_pairs=failing)
+    if not any(g.degree() == 0 for g in v.generators):  # the unit ideal holds every bracket
+        grads = [gradient_terms(g) for g in v.generators]
+        spans: Dict[int, Tuple[linalg.Echelon, Dict[Exponent, int]]] = {}
+        for i, j in pairs:
+            br = bracket_terms(grads[i], grads[j], v.form)
+            if not br:
+                continue
+            degree = sum(next(iter(br)))
+            if degree not in spans:
+                spans[degree] = _degree_part(v, degree)
+            span, columns = spans[degree]
+            if any(m not in columns for m in br):
+                failing.append((i, j))
+            elif not span.contains({columns[m]: c for m, c in br.items()}):
+                failing.append((i, j))
+    return ClosureReport(closed=not failing, checked_pairs=len(pairs), failing_pairs=failing)
 
 
-def degeneracy_check(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> Optional[Polynomial]:
-    """A degree-1 element of the reduced basis, when one exists."""
-    gb = _groebner_of(v, budget)
-    linear = linear_part(gb)
-    return linear[0] if linear else None
+def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
+    """A hyperplane containing the variety, when one exists: the monic
+    reduced row of I_1 with the smallest grevlex leading monomial, which is
+    the first degree-1 element of the reduced Groebner basis.  The unit ideal
+    gets None, as its reduced basis is {1}."""
+    if any(g.degree() == 0 for g in v.generators):
+        return None
+    span, columns = _degree_part(v, 1)
+    if not span.pivots:
+        return None
+    lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
+    row = span.rows[lead]
+    monomials = list(columns)
+    return Polynomial(v.nvars, {monomials[k]: Fraction(x, row[lead]) for k, x in row.items()})
 
 
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:
-    """Combine bracket closure, cone dimension and degeneracy into one verdict."""
+    """Combine bracket closure, cone dimension and degeneracy into one verdict.
+
+    `budget` caps the S-pairs of the Groebner basis, which only the cone
+    dimension needs.  When it runs out, a failed closure still decides the
+    verdict (not-legendrian); a closed ideal stays undecided.
+    """
     n = v.half_dim
+    closure = bracket_closure_check(v)
+    degenerate = degeneracy_check(v) is not None
+    witnesses = [
+        f"bracket of generators {i} and {j} is not in the ideal" for i, j in closure.failing_pairs
+    ]
+    dimension, budget_name = None, None
     try:
-        gb = _groebner_of(v, budget)
+        gb = buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+        dimension = krull_dimension(gb)
     except BudgetExceeded as exc:
-        return LegendrianVerdict(
-            bracket_closed=None,
-            cone_dimension=None,
-            degenerate=None,
-            verdict="undecided",
-            witnesses=["groebner basis not computed within budget"],
-            budget_name=exc.budget_name,
-        )
-
-    failing = []
-    for i, j in itertools.combinations(range(len(v.generators)), 2):
-        br = poisson_bracket(v.generators[i], v.generators[j], v.form)
-        if not normal_form(br, gb).is_zero():
-            failing.append((i, j))
-    closed = not failing
-
-    dimension = krull_dimension(gb)
-    degenerate = bool(linear_part(gb))
-
-    witnesses = [f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
-    if dimension != n:
+        budget_name = exc.budget_name
+        witnesses.append("groebner basis not computed within budget")
+    if dimension is not None and dimension != n:
         witnesses.append(f"cone dimension {dimension} differs from n = {n}")
-    verdict = "legendrian" if closed and dimension == n else "not-legendrian"
+    if closure.closed and dimension is None:
+        verdict = "undecided"
+    else:
+        verdict = "legendrian" if closure.closed and dimension == n else "not-legendrian"
     return LegendrianVerdict(
-        bracket_closed=closed,
+        bracket_closed=closure.closed,
         cone_dimension=dimension,
         degenerate=degenerate,
         verdict=verdict,
         witnesses=witnesses,
+        budget_name=budget_name,
     )
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Matrix, Vector
 from .poly import Polynomial, grevlex_columns
-from .symplectic import SymplecticForm
+from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
 
@@ -38,30 +38,6 @@ class NotClosedError(ValueError):
 
 class NotAdaptedError(ValueError):
     """The presentation basis does not split over the rationals."""
-
-
-def _gradient_entries(p: Polynomial):
-    """Sparse gradient of a quadric as (variable, monomial, coefficient)."""
-    entries = []
-    for i in range(p.nvars):
-        d = p.partial_derivative(i)
-        for m, c in d.terms.items():
-            entries.append((i, m, c))
-    return entries
-
-
-def _fast_bracket(grad_f, grad_g_by_var, dual_rows, nvars: int) -> Dict:
-    out: Dict = {}
-    for i, m1, c1 in grad_f:
-        for j, w in dual_rows[i]:
-            for m2, c2 in grad_g_by_var.get(j, ()):
-                key = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(key, Fraction(0)) + c1 * c2 * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
 
 
 class LieAlgebraPresentation:
@@ -259,23 +235,11 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
         if not span.add({columns[m]: c for m, c in q.terms.items()}):
             raise ValueError("quadrics must be linearly independent")
 
-    dual = form.dual_matrix
-    dual_rows = [
-        [(j, w) for j, w in enumerate(row) if w != 0]
-        for row in dual
-    ]
-    grads = [_gradient_entries(q) for q in basis]
-    grads_by_var = []
-    for entries in grads:
-        by_var: Dict[int, list] = {}
-        for i, m, c in entries:
-            by_var.setdefault(i, []).append((m, c))
-        grads_by_var.append(by_var)
-
+    grads = [gradient_terms(q) for q in basis]
     structure: StructureConstants = {}
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            br = _fast_bracket(grads[i], grads_by_var[j], dual_rows, nvars)
+            br = bracket_terms(grads[i], grads[j], form)
             if not br:
                 continue
             # a monomial no basis quadric has already puts br outside the span

@@ -8,17 +8,23 @@ for the standard block form it is J again.
 
 Forms are data, not globals: several fixtures use non-standard matrices, so
 every operation takes the form explicitly.
+
+`bracket_terms` is the one differential bracket kernel: it works on sparse
+gradients (`gradient_terms`), so callers that bracket the same generators
+many times build each gradient once.  `poisson_bracket` wraps it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix
-from .poly import Polynomial
+from .poly import Exponent, Polynomial
+
+GradientTerms = Dict[int, List[Tuple[Exponent, Fraction]]]
 
 
 class SymplecticForm:
@@ -30,7 +36,7 @@ class SymplecticForm:
     ideal-membership verdicts are unaffected by it.
     """
 
-    __slots__ = ("dim", "matrix", "_dual")
+    __slots__ = ("dim", "matrix", "_dual", "dual_rows")
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
         m = linalg.mat(matrix)
@@ -49,6 +55,8 @@ class SymplecticForm:
         self.dim = dim
         self.matrix = m
         self._dual = dual
+        # nonzero entries (j, w) of each dual-matrix row, for the bracket kernel
+        self.dual_rows = [[(j, w) for j, w in enumerate(row) if w] for row in dual]
 
     @property
     def half_dim(self) -> int:
@@ -123,6 +131,40 @@ def dual_form(form: SymplecticForm) -> SymplecticForm:
     return SymplecticForm(form.dual_matrix)
 
 
+def gradient_terms(p: Polynomial) -> GradientTerms:
+    """Sparse gradient: variable i -> the terms (monomial, coefficient) of
+    dp/dx_i, for every variable p involves."""
+    out: GradientTerms = {}
+    for m, c in p.terms.items():
+        for i, e in enumerate(m):
+            if e:
+                out.setdefault(i, []).append((m[:i] + (e - 1,) + m[i + 1 :], c * e))
+    return out
+
+
+def bracket_terms(
+    grad_f: GradientTerms, grad_g: GradientTerms, form: SymplecticForm
+) -> Dict[Exponent, Fraction]:
+    """Terms of [f, g] = sum over i, j of W_ij (df/dx_i)(dg/dx_j), W the dual
+    matrix, from the gradients of f and g."""
+    out: Dict[Exponent, Fraction] = {}
+    for i, df in grad_f.items():
+        for j, w in form.dual_rows[i]:
+            dg = grad_g.get(j)
+            if dg is None:
+                continue
+            for m1, c1 in df:
+                a = c1 * w
+                for m2, c2 in dg:
+                    key = tuple([x + y for x, y in zip(m1, m2)])
+                    s = out.get(key, 0) + a * c2
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+    return out
+
+
 def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polynomial:
     """[f, g](x) = omega'(df_x, dg_x), computed exactly.
 
@@ -131,19 +173,7 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     """
     if f.nvars != form.dim or g.nvars != form.dim:
         raise ValueError(f"polynomials must live on {form.dim} variables")
-    dual = form.dual_matrix
-    grad_f = f.gradient()
-    grad_g = g.gradient()
-    result = Polynomial.zero(form.dim)
-    for i in range(form.dim):
-        if grad_f[i].is_zero():
-            continue
-        for j in range(form.dim):
-            w = dual[i][j]
-            if w == 0 or grad_g[j].is_zero():
-                continue
-            result = result + (grad_f[i] * grad_g[j]).scale(w)
-    return result
+    return Polynomial(form.dim, bracket_terms(gradient_terms(f), gradient_terms(g), form))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +290,3 @@ def quadric_bracket_matrix(a: QuadraticForm, b: QuadraticForm, form: SymplecticF
 
 def commutator(a: SpElement, b: SpElement) -> SpElement:
     return SpElement(linalg.mat_sub(linalg.mat_mul(a.matrix, b.matrix), linalg.mat_mul(b.matrix, a.matrix)))
-
-
-def bracket_quadrics(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polynomial:
-    """Poisson bracket that routes degree-2 pairs through the matrix formula."""
-    if f.homogeneous_degree() == 2 and g.homogeneous_degree() == 2:
-        qa = QuadraticForm.from_polynomial(f)
-        qb = QuadraticForm.from_polynomial(g)
-        return quadric_bracket_matrix(qa, qb, form).to_polynomial()
-    return poisson_bracket(f, g, form)

@@ -14,7 +14,7 @@ import pytest
 
 from legquad import linalg
 from legquad.classify import accepted_pairs, accepted_simple, enumerate_semisimple_pairs, enumerate_simple
-from legquad.groebner import IdealPresentation, buchberger, krull_dimension, krull_dimension_bruteforce
+from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
 from legquad.liealg import (
     cartan_subalgebra,
@@ -34,6 +34,7 @@ from legquad.symplectic import (
     sp_membership,
     standard_form,
 )
+from groebner_oracle import krull_dimension_bruteforce
 from rootdata_oracle import weight_multiplicities
 
 

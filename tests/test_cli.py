@@ -44,6 +44,21 @@ def test_check_undecided_exit_code(capsys, tmp_path):
     assert code == EXIT_UNDECIDED
 
 
+def test_failed_closure_is_decided_under_any_budget(capsys, tmp_path):
+    # the budget bounds only the cone dimension; the span test still proves
+    # that the perturbed twisted cubic is not closed
+    code, out, _ = run(capsys, "catalog", "twisted-cubic")
+    assert "\nx2^2 - x1*x3\n" in out
+    path = tmp_path / "perturbed.txt"
+    path.write_text(out.replace("\nx2^2 - x1*x3\n", "\nx2^2 - x1*x3 + x0^2\n"))
+    code, out, _ = run(capsys, "--budget", "1", "--json", "check", str(path))
+    assert code == EXIT_NEGATIVE
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "not-legendrian"
+    assert result["budget"] == "groebner_pairs"
+    assert result["bracket_closed"] is False and result["dimension"] is None
+
+
 def test_curve_exit_codes(capsys):
     code, out, _ = run(capsys, "curve", "t", "t", "t")
     assert code == EXIT_NEGATIVE

@@ -11,11 +11,11 @@ from legquad.groebner import (
     buchberger,
     is_groebner_basis,
     krull_dimension,
-    krull_dimension_bruteforce,
-    linear_part,
     normal_form,
 )
 from legquad.poly import Polynomial, parse_poly
+
+from groebner_oracle import krull_dimension_bruteforce, linear_part
 
 
 def _cubic_ideal():

@@ -89,8 +89,7 @@ def test_budget_gives_undecided(entries):
     v = legendrian_verdict(pres, budget=1)
     assert v.verdict == "undecided"
     assert v.budget_name == "groebner_pairs"
-    report = bracket_closure_check(pres, budget=1)
-    assert report.closed is None and report.unchecked_pairs
+    assert v.bracket_closed is True
 
 
 def test_conormal_point_checks(entries):

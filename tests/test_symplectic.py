@@ -8,7 +8,6 @@ from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import (
     QuadraticForm,
     SymplecticForm,
-    bracket_quadrics,
     commutator,
     dual_form,
     poisson_bracket,
@@ -156,7 +155,6 @@ def test_two_bracket_routes_agree_randomized():
             via_matrix = quadric_bracket_matrix(qa, qb, form).to_polynomial()
             via_diff = poisson_bracket(qa.to_polynomial(), qb.to_polynomial(), form)
             assert via_matrix == via_diff
-            assert bracket_quadrics(qa.to_polynomial(), qb.to_polynomial(), form) == via_diff
 
 
 def test_sp_map_intertwines_brackets():
