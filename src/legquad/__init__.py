@@ -4,7 +4,7 @@ Modules:
   poly        sparse rational polynomials and the text grammar
   linalg      exact linear algebra on one sparse elimination kernel
   symplectic  forms, the Poisson bracket, the quadric / sp dictionary
-  groebner    Buchberger bases, normal forms, dimension
+  groebner    degree-by-degree Groebner bases and normal forms on the kernel, dimension
   legendrian  the verdict engine
   liealg      quadric Lie algebras, roots, Dynkin identification
   rootdata    integer root data, Weyl dimension, weights of V(lambda)

@@ -15,7 +15,6 @@ quadric, adapted form) is provided alongside it for every point-based check.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
-from .poly import Polynomial, grevlex_columns, grevlex_key, parse_poly, poly_from_pairs
+from .poly import Polynomial, grevlex_columns, monomials_of_degree, parse_poly, poly_from_pairs
 from .symplectic import SymplecticForm, standard_form
 
 _CHECKSUMS = {
@@ -489,7 +488,7 @@ def _xf_name(f: Polynomial) -> str:
 
 def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Polynomial]:
     """All homogeneous degree-d forms vanishing on the parametrized image."""
-    monos = _monomials_of_degree(nv, degree)
+    monos = monomials_of_degree(nv, degree)
     rows: Dict[Tuple[int, ...], List[Fraction]] = {}
     for col, mono in enumerate(monos):
         value = Polynomial.constant(par[0].nvars, 1)
@@ -503,17 +502,6 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     out = []
     for vec in kernel:
         out.append(poly_from_pairs(nv, [(monos[i], c) for i, c in enumerate(vec) if c]))
-    return out
-
-
-def _monomials_of_degree(nv: int, degree: int) -> List[Tuple[int, ...]]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nv), degree):
-        e = [0] * nv
-        for v in combo:
-            e[v] += 1
-        out.append(tuple(e))
-    out.sort(key=grevlex_key, reverse=True)
     return out
 
 

@@ -68,7 +68,10 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
         if not line:
             continue
         if line.startswith("n="):
-            n = int(line[2:])
+            try:
+                n = int(line[2:])
+            except ValueError:
+                raise InputError(f"line {lineno}: 'n=' needs an integer, got {line[2:]!r}") from None
         elif line.startswith("form="):
             form_spec = line[5:].strip()
         else:
@@ -137,6 +140,10 @@ def _parse_poly_or_index(token: str, pres: VarietyPresentation) -> Polynomial:
         index = int(token)
     except ValueError:
         return parse_poly(token, pres.nvars)
+    if not 0 <= index < len(pres.generators):
+        raise InputError(
+            f"generator index {index} out of range: the file has {len(pres.generators)} generators"
+        )
     return pres.generators[index]
 
 

@@ -1,9 +1,16 @@
-"""Buchberger-based ideal arithmetic: bases, normal forms, dimension.
+"""Groebner bases, normal forms and dimension, on the sparse elimination kernel.
 
-The basis computation is deliberately plain: normal pair selection (smallest
-lcm degree first, ties by pair index), the coprime-leading-monomial and chain
-criteria, monic reduction throughout.  Identical inputs always produce the
-identical reduced basis.
+Bases are built degree by degree, after Faugere's F4 (J. Pure Appl. Algebra
+139, 1999).  Each step takes the pending S-pairs of the smallest lcm degree,
+less those the coprime-leading-monomial and chain criteria drop, and the
+input generators of that degree.  The two halves of each pair and the
+generators become rows, and symbolic preprocessing adds one multiple of a
+basis element for every monomial met that a basis leading monomial divides.
+All rows go into one `linalg.Echelon`; each stored row whose leading
+monomial no basis leading monomial divides is a new basis element.  Normal
+forms, and the tails of the reduced basis, are remainders against the
+echelon form of the preprocessing multiples.  The result is the unique
+reduced, monic grevlex basis, so identical ideals give identical bases.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
 any mathematical answer; exceeding it raises BudgetExceeded, and callers
@@ -12,19 +19,21 @@ report what needed the basis as undecided, never as a verdict.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
+from .linalg import Echelon
 from .poly import (
     Exponent,
     Polynomial,
     grevlex_key,
     monomial_div,
-    monomial_divides,
     monomial_lcm,
     monomial_mul,
 )
+
+Terms = Dict[Exponent, Fraction]  # or int coefficients, as `Echelon` stores rows
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -59,12 +68,11 @@ class IdealPresentation:
 class GroebnerBasis:
     """Reduced, monic basis under the global grevlex order."""
 
-    __slots__ = ("elements", "nvars", "order")
+    __slots__ = ("elements", "nvars")
 
     def __init__(self, elements: Sequence[Polynomial], nvars: int):
         self.elements = list(elements)
         self.nvars = nvars
-        self.order = "grevlex"
 
     def leading_monomials(self) -> List[Exponent]:
         return [g.leading_monomial() for g in self.elements]
@@ -76,73 +84,71 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _reduce(p: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
-    """Full multivariate division remainder of p by the reducer list."""
-    if not reducers:
-        return p
-    lead = [(g.leading_monomial(), g) for g in reducers]
-    remainder: Dict[Exponent, Fraction] = {}
-    work = dict(p.terms)
-    while work:
-        m = max(work, key=grevlex_key)
-        c = work.pop(m)
-        for lm, g in lead:
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
-                factor = c / g.terms[lm]
-                for gm, gc in g.terms.items():
-                    key = monomial_mul(gm, shift)
-                    if key == m:
-                        continue
-                    s = work.get(key, 0) - factor * gc
-                    if s:
-                        work[key] = s
-                    else:
-                        work.pop(key, None)
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(p.nvars, remainder)
+def _multiple(g: Terms, shift: Exponent) -> Terms:
+    return {monomial_mul(m, shift): c for m, c in g.items()}
+
+
+def _divisors_in(t: Exponent, index: Dict[Exponent, int]) -> List[Tuple[int, Exponent]]:
+    """(position, leading monomial) of every entry of `index` that divides t,
+    found by looking up each divisor of t: at most 2^deg(t) lookups,
+    whatever the basis size."""
+    return [(index[d], d) for d in product(*[range(e + 1) for e in t]) if d in index]
+
+
+def _preprocess(
+    rows: List[Terms], met: Dict[Exponent, bool], basis: Sequence[Terms], index: Dict[Exponent, int]
+) -> None:
+    """Symbolic preprocessing.  For every monomial t of a row that `met` does
+    not hold yet, append the multiple (t / lm) * g of the earliest basis
+    element g whose leading monomial lm divides t, and record in `met`
+    whether one did.  Appended rows are scanned too, as the loop reaches them."""
+    for row in rows:
+        for t in row:
+            if t in met:
+                continue
+            hits = _divisors_in(t, index)
+            met[t] = bool(hits)
+            if hits:
+                k, lm = min(hits)
+                rows.append(_multiple(basis[k], monomial_div(t, lm)))
+
+
+def _echelon(rows: List[Terms], monomials) -> Tuple[Echelon, Dict[Exponent, int]]:
+    """The rows in one Echelon, with the column of each monomial.
+
+    Columns run largest grevlex monomial first, so pivots are leading
+    monomials.  Rows go in by leading column, so a row with a new leading
+    monomial is stored without elimination."""
+    column = {m: k for k, m in enumerate(sorted(monomials, key=grevlex_key, reverse=True))}
+    span = Echelon()
+    for vec in sorted(({column[t]: c for t, c in row.items()} for row in rows), key=min):
+        span.add(vec)
+    return span, column
+
+
+def _remainders(
+    polys: Sequence[Terms], basis: Sequence[Terms], lms: Sequence[Exponent]
+) -> List[Terms]:
+    """Normal forms modulo the basis: the remainder of each poly against one
+    Echelon of the preprocessing multiples of all of them.  No monomial of a
+    remainder is divisible by a basis leading monomial."""
+    rows = list(polys)
+    met: Dict[Exponent, bool] = {}
+    _preprocess(rows, met, basis, {lm: k for k, lm in enumerate(lms)})
+    span, column = _echelon(rows[len(polys):], met)
+    monomials = list(column)
+    return [
+        {monomials[k]: x for k, x in span.remainder({column[t]: c for t, c in p.items()}).items()}
+        for p in polys
+    ]
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of p modulo the basis; zero exactly when p is in the ideal."""
     if p.nvars != gb.nvars:
         raise ValueError("nvars mismatch")
-    return _reduce(p, gb.elements)
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = monomial_lcm(lf, lg)
-    mf = monomial_div(lcm, lf)
-    mg = monomial_div(lcm, lg)
-    sf = Polynomial(f.nvars, {monomial_mul(m, mf): c for m, c in f.terms.items()}).scale(
-        1 / f.terms[lf]
-    )
-    sg = Polynomial(g.nvars, {monomial_mul(m, mg): c for m, c in g.terms.items()}).scale(
-        1 / g.terms[lg]
-    )
-    return sf - sg
-
-
-def _interreduce(polys: List[Polynomial]) -> List[Polynomial]:
-    """Make the basis reduced: minimal leading monomials, tails reduced, monic."""
-    basis = [p.monic() for p in polys if not p.is_zero()]
-    basis.sort(key=lambda p: grevlex_key(p.leading_monomial()))
-    minimal: List[Polynomial] = []
-    for p in basis:
-        lm = p.leading_monomial()
-        if not any(monomial_divides(q.leading_monomial(), lm) for q in minimal):
-            minimal.append(p)
-    reduced: List[Polynomial] = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = _reduce(p, others)
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda p: grevlex_key(p.leading_monomial()))
-    return reduced
+    [r] = _remainders([p.terms], [g.terms for g in gb.elements], gb.leading_monomials())
+    return Polynomial(p.nvars, r)
 
 
 def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
@@ -152,75 +158,64 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
     output.  Raises BudgetExceeded when more than max_pairs S-pairs would
     have to be processed.
     """
-    basis: List[Polynomial] = []
-    for g in ideal.generators:
-        r = _reduce(g, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-    if not basis:
-        return GroebnerBasis([], ideal.nvars)
-
-    def lcm_of(i: int, j: int) -> Exponent:
-        return monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-
-    heap: List[Tuple[int, int, int]] = []
-    pending = set()
-
-    def push(i: int, j: int):
-        heapq.heappush(heap, (sum(lcm_of(i, j)), i, j))
-        pending.add((i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-
+    basis: List[Terms] = []  # integer coefficients, content divided out
+    lms: List[Exponent] = []
+    index: Dict[Exponent, int] = {}  # leading monomial -> position in basis
+    pending: Dict[Tuple[int, int], Exponent] = {}  # pair -> lcm of its leading monomials
+    inputs = sorted(ideal.generators, key=Polynomial.degree)
     processed = 0
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
-        processed += 1
-        if processed > max_pairs:
-            raise BudgetExceeded("groebner_pairs", max_pairs)
-        lf = basis[i].leading_monomial()
-        lg = basis[j].leading_monomial()
-        lcm = lcm_of(i, j)
-        # Buchberger's coprimality criterion.
-        if lcm == monomial_mul(lf, lg):
-            continue
-        # Chain criterion: a third element dividing the lcm whose pairs with
-        # both i and j have already been handled lets us drop this pair.
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+    while pending or inputs:
+        degree = min([sum(lcm) for lcm in pending.values()] + [g.degree() for g in inputs[:1]])
+        rows: List[Terms] = []
+        met: Dict[Exponent, bool] = {}
+        for i, j in sorted(pair for pair, lcm in pending.items() if sum(lcm) == degree):
+            lcm = pending.pop((i, j))
+            processed += 1
+            if processed > max_pairs:
+                raise BudgetExceeded("groebner_pairs", max_pairs)
+            # Buchberger's coprimality criterion.
+            if lcm == monomial_mul(lms[i], lms[j]):
                 continue
-            if monomial_divides(basis[k].leading_monomial(), lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
+            # Chain criterion: a third element dividing the lcm whose pairs
+            # with both i and j have already been handled lets us drop this
+            # pair.  The pairs taken earlier in this step count as handled:
+            # they are reduced in the same Echelon.
+            if any(
+                k != i and k != j
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k, _ in _divisors_in(lcm, index)
+            ):
+                continue
+            rows.append(_multiple(basis[i], monomial_div(lcm, lms[i])))
+            rows.append(_multiple(basis[j], monomial_div(lcm, lms[j])))
+            met[lcm] = True  # both halves lead there
+        while inputs and inputs[0].degree() == degree:
+            rows.append(inputs.pop(0).terms)
+        if not rows:
             continue
-        s = _s_polynomial(basis[i], basis[j])
-        r = _reduce(s, basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            new_index = len(basis) - 1
-            for k in range(new_index):
-                push(k, new_index)
+        _preprocess(rows, met, basis, index)
+        span, column = _echelon(rows, met)
+        monomials = list(column)
+        for lead, row in sorted(span.rows.items()):
+            lm = monomials[lead]
+            if met[lm]:  # a basis leading monomial divides it
+                continue
+            for k in range(len(basis)):
+                pending[(k, len(basis))] = monomial_lcm(lms[k], lm)
+            index[lm] = len(basis)
+            basis.append({monomials[k]: x for k, x in row.items()})
+            lms.append(lm)
 
-    return GroebnerBasis(_interreduce(basis), ideal.nvars)
-
-
-def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
-    """Brute-force oracle: every S-polynomial reduces to zero."""
-    polys = [p for p in polys if not p.is_zero()]
-    for j in range(len(polys)):
-        for i in range(j):
-            s = _s_polynomial(polys[i], polys[j])
-            if not _reduce(s, polys).is_zero():
-                return False
-    return True
+    keep = [k for k, lm in enumerate(lms) if len(_divisors_in(lm, index)) == 1]
+    tails = [{t: c for t, c in basis[k].items() if t != lms[k]} for k in keep]
+    reduced = []
+    for k, tail in zip(keep, _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep])):
+        lead = basis[k][lms[k]]
+        terms = {t: c / lead for t, c in tail.items()}
+        reduced.append(Polynomial(ideal.nvars, {lms[k]: 1, **terms}))
+    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+    return GroebnerBasis(reduced, ideal.nvars)
 
 
 def contains_constant(gb: GroebnerBasis) -> bool:

@@ -30,7 +30,7 @@ from .groebner import (
     buchberger,
     krull_dimension,
 )
-from .poly import Exponent, Polynomial, grevlex_columns, monomial_mul
+from .poly import Exponent, Polynomial, grevlex_columns, monomial_mul, monomials_of_degree
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 
@@ -109,11 +109,6 @@ class LegendrianVerdict:
         }
 
 
-def _monomials(nvars: int, degree: int) -> List[Exponent]:
-    supports = itertools.combinations_with_replacement(range(nvars), degree)
-    return [tuple(map(support.count, range(nvars))) for support in supports]
-
-
 def _degree_part(v: VarietyPresentation, degree: int) -> Tuple[linalg.Echelon, Dict[Exponent, int]]:
     """Echelon basis of I_d, the span of m * g over the generators g of
     degree e <= d and the monomials m of degree d - e, with the column of
@@ -123,7 +118,7 @@ def _degree_part(v: VarietyPresentation, degree: int) -> Tuple[linalg.Echelon, D
         Polynomial(v.nvars, {monomial_mul(gm, m): c for gm, c in g.terms.items()})
         for g in v.generators
         if g.degree() <= degree
-        for m in _monomials(v.nvars, degree - g.degree())
+        for m in monomials_of_degree(v.nvars, degree - g.degree())
     ]
     columns = grevlex_columns(multiples)
     span = linalg.Echelon()

@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals, on one sparse elimination kernel.
 
-Matrices are lists of lists of Fractions.  Every row elimination outside
-the Groebner reducer runs on `Echelon`: sparse rows of integers, kept
-fraction-free with their content divided out, which suits the sparse systems
-the package solves (the quadric spans of `liealg` and `catalog`, ad-matrices,
-commutant systems of a few hundred rows).  `rref` turns its rows into the canonical reduced row
-echelon form; `rank`, `nullspace`, `solve`, `inverse` and `row_space_basis`
-read their answers off that form.
+Matrices are lists of lists of Fractions.  Every row elimination in the
+package runs on `Echelon`: sparse rows of integers, kept fraction-free with
+their content divided out, which suits the sparse systems the package solves
+(the Groebner bases and normal forms of `groebner`, the quadric spans of
+`liealg` and `catalog`, ad-matrices, commutant systems of a few hundred
+rows).  `rref` turns its rows into the canonical reduced row echelon form;
+`rank`, `nullspace`, `solve`, `inverse` and `row_space_basis` read their
+answers off that form.
 """
 
 from __future__ import annotations
@@ -171,10 +172,15 @@ class Echelon:
             self._combos[lead] = combo
         return True
 
+    def remainder(self, vec: Mapping) -> Dict[int, Fraction]:
+        """vec minus a vector of the span, with no entry in a pivot column
+        (zero exactly when vec lies in the span)."""
+        work, den = _integral(vec)
+        m = self._reduce(work, None)
+        return {k: Fraction(x, m * den) for k, x in work.items()}
+
     def contains(self, vec: Mapping) -> bool:
-        work, _ = _integral(vec)
-        self._reduce(work, None)
-        return not work
+        return not self.remainder(vec)
 
     def coefficients(self, vec: Mapping) -> Optional[Dict[int, Fraction]]:
         """vec as a combination of the input rows (input index -> nonzero

@@ -12,7 +12,8 @@ x0 > x1 > ... ; it is fixed once here so that every downstream computation
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -37,13 +38,16 @@ def grevlex_columns(polys: Iterable["Polynomial"]) -> Dict[Exponent, int]:
     return {m: col for col, m in enumerate(monomials)}
 
 
+def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
+    """Every monomial of the given degree in nvars variables, largest
+    grevlex monomial first."""
+    supports = combinations_with_replacement(range(nvars), degree)
+    monomials = [tuple(map(support.count, range(nvars))) for support in supports]
+    return sorted(monomials, key=grevlex_key, reverse=True)
+
+
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a: Exponent, b: Exponent) -> bool:
-    """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
 
 
 def monomial_div(a: Exponent, b: Exponent) -> Exponent:

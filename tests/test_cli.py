@@ -141,6 +141,23 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_non_integer_header_names_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# a comment\nn=abc\nx0\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "line 2" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("index", ["5", "-1", "2"])
+def test_bracket_generator_index_out_of_range(capsys, tmp_path, index):
+    path = tmp_path / "two.txt"
+    path.write_text("n=2\nx0*x2\nx1*x3\n")
+    code, out, err = run(capsys, "bracket", str(path), "0", index)
+    assert code == EXIT_USAGE and out == ""
+    assert f"generator index {index} out of range" in err and "2 generators" in err
+
+
 def test_reports_roundtrip_json(capsys, tmp_path):
     path = tmp_path / "four.txt"
     path.write_text("n=2\nx0*x2\nx1*x3\n")

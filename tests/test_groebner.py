@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from legquad.groebner import (
     BudgetExceeded,
@@ -9,13 +10,19 @@ from legquad.groebner import (
     IdealPresentation,
     ImproperIdealError,
     buchberger,
-    is_groebner_basis,
     krull_dimension,
     normal_form,
 )
-from legquad.poly import Polynomial, parse_poly
+from legquad.poly import Polynomial, grevlex_key, parse_poly
 
-from groebner_oracle import krull_dimension_bruteforce, linear_part
+from groebner_oracle import (
+    division_buchberger,
+    division_remainder,
+    is_groebner_basis,
+    krull_dimension_bruteforce,
+    linear_part,
+    monomial_divides,
+)
 
 
 def _cubic_ideal():
@@ -124,8 +131,6 @@ def test_budget_raises_distinctly():
 def test_basis_is_reduced():
     gb = buchberger(_cubic_ideal())
     lms = gb.leading_monomials()
-    from legquad.poly import monomial_divides
-
     for i, lm in enumerate(lms):
         for j, other in enumerate(lms):
             if i != j:
@@ -142,3 +147,58 @@ def _random_poly(rng, nvars, max_deg):
             exps[rng.randrange(nvars)] += 1
         terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
     return Polynomial(nvars, terms)
+
+
+# -- the Echelon-based basis and normal forms against the division oracle
+#    and sympy ---------------------------------------------------------------
+
+
+def _random_ideal(rng):
+    nvars = rng.randint(2, 4)
+    degree = rng.randint(1, 3) if rng.random() < 0.5 else None  # None: inhomogeneous
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * nvars
+            for _ in range(degree if degree is not None else rng.randint(0, 3)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        gens.append(Polynomial(nvars, terms))
+    return IdealPresentation(gens, nvars)
+
+
+def _random_ideals():
+    rng = random.Random(2024)
+    unit = IdealPresentation([parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2)
+    return [unit] + [_random_ideal(rng) for _ in range(150)]
+
+
+def _sympy_basis(ideal):
+    xs = sympy.symbols(f"x0:{ideal.nvars}")
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, m))
+            for m, c in g.terms.items())
+        for g in ideal.generators
+    ]
+    out = []
+    for g in sympy.groebner(exprs, *xs, order="grevlex", domain="QQ").exprs:
+        terms = sympy.Poly(g, *xs).terms()
+        out.append(Polynomial(ideal.nvars, {m: Fraction(int(c.p), int(c.q)) for m, c in terms}).monic())
+    return sorted(out, key=lambda g: grevlex_key(g.leading_monomial()))
+
+
+def test_basis_matches_division_oracle_and_sympy():
+    for ideal in _random_ideals():
+        gb = [str(g) for g in buchberger(ideal)]
+        assert gb == [str(g) for g in division_buchberger(ideal)], ideal.generators
+        assert gb == [str(g) for g in _sympy_basis(ideal)], ideal.generators
+
+
+def test_normal_form_matches_division_oracle():
+    rng = random.Random(7)
+    for ideal in _random_ideals():
+        gb = buchberger(ideal)
+        for _ in range(5):
+            p = _random_poly(rng, ideal.nvars, 4)
+            assert normal_form(p, gb) == division_remainder(p, gb.elements)
