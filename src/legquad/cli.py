@@ -3,13 +3,16 @@
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
 mathematical negative (not legendrian, equation fails), 3 for a resource
 undecided, 1 for usage or parse errors.  A resource limit is never reported
-as a mathematical answer.
+as a mathematical answer.  When standard output is closed before the report
+is written (`legquad ... | head -c 10`), the command exits quietly with 141,
+the status a shell reports for a process that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_UNDECIDED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 DEFAULT_SEED = 20140601
 
@@ -360,7 +364,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stop the interpreter's own flush at exit from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InputError, PolyParseError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,9 @@ monomial no basis leading monomial divides is a new basis element.  Normal
 forms, and the tails of the reduced basis, are remainders against the
 echelon form of the preprocessing multiples.  The result is the unique
 reduced, monic grevlex basis, so identical ideals give identical bases.
+Inside the steps a monomial is its `poly.MonomialCodec` code: shifts are
+additions, the column order is the int order, and a divisibility test is
+one subtraction and one mask.  The basis is unpacked once, at the end.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
 any mathematical answer; exceeding it raises BudgetExceeded, and callers
@@ -20,20 +23,12 @@ report what needed the basis as undecided, never as a verdict.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import Echelon
-from .poly import (
-    Exponent,
-    Polynomial,
-    grevlex_key,
-    monomial_div,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Exponent, MonomialCodec, Polynomial, code_columns, grevlex_key
 
-Terms = Dict[Exponent, Fraction]  # or int coefficients, as `Echelon` stores rows
+Terms = Dict[int, Fraction]  # monomial code -> coefficient; or int, as `Echelon` stores rows
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -84,19 +79,9 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _multiple(g: Terms, shift: Exponent) -> Terms:
-    return {monomial_mul(m, shift): c for m, c in g.items()}
-
-
-def _divisors_in(t: Exponent, index: Dict[Exponent, int]) -> List[Tuple[int, Exponent]]:
-    """(position, leading monomial) of every entry of `index` that divides t,
-    found by looking up each divisor of t: at most 2^deg(t) lookups,
-    whatever the basis size."""
-    return [(index[d], d) for d in product(*[range(e + 1) for e in t]) if d in index]
-
-
 def _preprocess(
-    rows: List[Terms], met: Dict[Exponent, bool], basis: Sequence[Terms], index: Dict[Exponent, int]
+    rows: List[Terms], met: Dict[int, bool], basis: Sequence[Terms], lms: Sequence[int],
+    codec: MonomialCodec,
 ) -> None:
     """Symbolic preprocessing.  For every monomial t of a row that `met` does
     not hold yet, append the multiple (t / lm) * g of the earliest basis
@@ -106,20 +91,20 @@ def _preprocess(
         for t in row:
             if t in met:
                 continue
-            hits = _divisors_in(t, index)
+            hits = codec.dividing(t, lms)
             met[t] = bool(hits)
             if hits:
-                k, lm = min(hits)
-                rows.append(_multiple(basis[k], monomial_div(t, lm)))
+                shift = t - lms[hits[0]]
+                rows.append({m + shift: c for m, c in basis[hits[0]].items()})
 
 
-def _echelon(rows: List[Terms], monomials) -> Tuple[Echelon, Dict[Exponent, int]]:
+def _echelon(rows: List[Terms], monomials) -> Tuple[Echelon, Dict[int, int]]:
     """The rows in one Echelon, with the column of each monomial.
 
-    Columns run largest grevlex monomial first, so pivots are leading
-    monomials.  Rows go in by leading column, so a row with a new leading
-    monomial is stored without elimination."""
-    column = {m: k for k, m in enumerate(sorted(monomials, key=grevlex_key, reverse=True))}
+    Columns run largest grevlex monomial (largest code) first, so pivots are
+    leading monomials.  Rows go in by leading column, so a row with a new
+    leading monomial is stored without elimination."""
+    column = code_columns(monomials)
     span = Echelon()
     for vec in sorted(({column[t]: c for t, c in row.items()} for row in rows), key=min):
         span.add(vec)
@@ -127,14 +112,14 @@ def _echelon(rows: List[Terms], monomials) -> Tuple[Echelon, Dict[Exponent, int]
 
 
 def _remainders(
-    polys: Sequence[Terms], basis: Sequence[Terms], lms: Sequence[Exponent]
+    polys: Sequence[Terms], basis: Sequence[Terms], lms: Sequence[int], codec: MonomialCodec
 ) -> List[Terms]:
     """Normal forms modulo the basis: the remainder of each poly against one
     Echelon of the preprocessing multiples of all of them.  No monomial of a
     remainder is divisible by a basis leading monomial."""
     rows = list(polys)
-    met: Dict[Exponent, bool] = {}
-    _preprocess(rows, met, basis, {lm: k for k, lm in enumerate(lms)})
+    met: Dict[int, bool] = {}
+    _preprocess(rows, met, basis, lms, codec)
     span, column = _echelon(rows[len(polys):], met)
     monomials = list(column)
     return [
@@ -143,12 +128,19 @@ def _remainders(
     ]
 
 
+def _packed(p: Polynomial, codec: MonomialCodec) -> Terms:
+    return {codec.pack(m): c for m, c in p.terms.items()}
+
+
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of p modulo the basis; zero exactly when p is in the ideal."""
     if p.nvars != gb.nvars:
         raise ValueError("nvars mismatch")
-    [r] = _remainders([p.terms], [g.terms for g in gb.elements], gb.leading_monomials())
-    return Polynomial(p.nvars, r)
+    # preprocessing multiples have no monomial of higher degree than p's
+    codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in gb.elements]))
+    basis = [_packed(g, codec) for g in gb.elements]
+    [r] = _remainders([_packed(p, codec)], basis, [max(g) for g in basis], codec)
+    return Polynomial(p.nvars, {codec.unpack(m): c for m, c in r.items()})
 
 
 def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
@@ -156,25 +148,34 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
 
     Deterministic for a fixed generator list and idempotent on its own
     output.  Raises BudgetExceeded when more than max_pairs S-pairs would
-    have to be processed.
+    have to be processed.  No exponent of a step exceeds the step's degree,
+    so a step of higher degree than the codec holds first repacks the state
+    with a wider codec.
     """
+    codec = MonomialCodec(ideal.nvars, 0)
     basis: List[Terms] = []  # integer coefficients, content divided out
-    lms: List[Exponent] = []
-    index: Dict[Exponent, int] = {}  # leading monomial -> position in basis
-    pending: Dict[Tuple[int, int], Exponent] = {}  # pair -> lcm of its leading monomials
+    lms: List[int] = []
+    pending: Dict[Tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
     inputs = sorted(ideal.generators, key=Polynomial.degree)
     processed = 0
     while pending or inputs:
-        degree = min([sum(lcm) for lcm in pending.values()] + [g.degree() for g in inputs[:1]])
+        degree = min([codec.degree(lcm) for lcm in pending.values()]
+                     + [g.degree() for g in inputs[:1]])
+        if degree > codec.limit:
+            wider = MonomialCodec(ideal.nvars, degree)
+            basis = [{wider.pack(codec.unpack(m)): c for m, c in g.items()} for g in basis]
+            lms = [wider.pack(codec.unpack(lm)) for lm in lms]
+            pending = {pair: wider.pack(codec.unpack(lcm)) for pair, lcm in pending.items()}
+            codec = wider
         rows: List[Terms] = []
-        met: Dict[Exponent, bool] = {}
-        for i, j in sorted(pair for pair, lcm in pending.items() if sum(lcm) == degree):
+        met: Dict[int, bool] = {}
+        for i, j in sorted(pair for pair, lcm in pending.items() if codec.degree(lcm) == degree):
             lcm = pending.pop((i, j))
             processed += 1
             if processed > max_pairs:
                 raise BudgetExceeded("groebner_pairs", max_pairs)
             # Buchberger's coprimality criterion.
-            if lcm == monomial_mul(lms[i], lms[j]):
+            if lcm == lms[i] + lms[j]:
                 continue
             # Chain criterion: a third element dividing the lcm whose pairs
             # with both i and j have already been handled lets us drop this
@@ -184,17 +185,18 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
                 k != i and k != j
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
-                for k, _ in _divisors_in(lcm, index)
+                for k in codec.dividing(lcm, lms)
             ):
                 continue
-            rows.append(_multiple(basis[i], monomial_div(lcm, lms[i])))
-            rows.append(_multiple(basis[j], monomial_div(lcm, lms[j])))
+            for k in (i, j):
+                shift = lcm - lms[k]
+                rows.append({m + shift: c for m, c in basis[k].items()})
             met[lcm] = True  # both halves lead there
         while inputs and inputs[0].degree() == degree:
-            rows.append(inputs.pop(0).terms)
+            rows.append(_packed(inputs.pop(0), codec))
         if not rows:
             continue
-        _preprocess(rows, met, basis, index)
+        _preprocess(rows, met, basis, lms, codec)
         span, column = _echelon(rows, met)
         monomials = list(column)
         for lead, row in sorted(span.rows.items()):
@@ -202,18 +204,18 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
             if met[lm]:  # a basis leading monomial divides it
                 continue
             for k in range(len(basis)):
-                pending[(k, len(basis))] = monomial_lcm(lms[k], lm)
-            index[lm] = len(basis)
+                pending[(k, len(basis))] = codec.lcm(lms[k], lm)
             basis.append({monomials[k]: x for k, x in row.items()})
             lms.append(lm)
 
-    keep = [k for k, lm in enumerate(lms) if len(_divisors_in(lm, index)) == 1]
+    keep = [k for k, lm in enumerate(lms) if len(codec.dividing(lm, lms)) == 1]
     tails = [{t: c for t, c in basis[k].items() if t != lms[k]} for k in keep]
     reduced = []
-    for k, tail in zip(keep, _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep])):
+    remainders = _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep], codec)
+    for k, tail in zip(keep, remainders):
         lead = basis[k][lms[k]]
-        terms = {t: c / lead for t, c in tail.items()}
-        reduced.append(Polynomial(ideal.nvars, {lms[k]: 1, **terms}))
+        terms = {codec.unpack(t): c / lead for t, c in tail.items()}
+        reduced.append(Polynomial(ideal.nvars, {codec.unpack(lms[k]): 1, **terms}))
     reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return GroebnerBasis(reduced, ideal.nvars)
 

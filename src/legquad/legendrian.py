@@ -30,7 +30,7 @@ from .groebner import (
     buchberger,
     krull_dimension,
 )
-from .poly import Exponent, Polynomial, grevlex_columns, monomial_mul, monomials_of_degree
+from .poly import MonomialCodec, Polynomial, code_columns
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 
@@ -109,21 +109,23 @@ class LegendrianVerdict:
         }
 
 
-def _degree_part(v: VarietyPresentation, degree: int) -> Tuple[linalg.Echelon, Dict[Exponent, int]]:
+def _degree_part(
+    v: VarietyPresentation, degree: int, codec: MonomialCodec
+) -> Tuple[linalg.Echelon, Dict[int, int]]:
     """Echelon basis of I_d, the span of m * g over the generators g of
     degree e <= d and the monomials m of degree d - e, with the column of
-    each monomial.  Columns run largest grevlex monomial first, so pivots
-    are leading monomials."""
-    multiples = [
-        Polynomial(v.nvars, {monomial_mul(gm, m): c for gm, c in g.terms.items()})
-        for g in v.generators
-        if g.degree() <= degree
-        for m in monomials_of_degree(v.nvars, degree - g.degree())
-    ]
-    columns = grevlex_columns(multiples)
+    each monomial code.  Columns run largest grevlex monomial (largest
+    code) first, so pivots are leading monomials."""
+    multiples = []
+    for g in v.generators:
+        if g.degree() <= degree:
+            terms = [(codec.pack(m), c) for m, c in g.terms.items()]
+            shifts = itertools.combinations_with_replacement(codec.units, degree - g.degree())
+            multiples.extend({m + shift: c for m, c in terms} for shift in map(sum, shifts))
+    columns = code_columns(m for p in multiples for m in p)
     span = linalg.Echelon()
     for p in multiples:
-        span.add({columns[m]: c for m, c in p.terms.items()})
+        span.add({columns[m]: c for m, c in p.items()})
     return span, columns
 
 
@@ -133,19 +135,25 @@ def bracket_closure_check(v: VarietyPresentation) -> ClosureReport:
     Closure of the generators is enough: the Leibniz rule propagates it to
     the whole ideal.  A bracket of degree d is tested against I_d, built
     once per degree; a bracket monomial that no row of I_d has fails at once.
+    The brackets are integer multiples of the true ones, which is all a
+    span test needs.  Monomials are codes of a codec sized for twice the
+    largest generator degree, above every bracket degree, so a generator of
+    too high a degree raises ValueError.
     """
     pairs = list(itertools.combinations(range(len(v.generators)), 2))
     failing = []
-    if not any(g.degree() == 0 for g in v.generators):  # the unit ideal holds every bracket
-        grads = [gradient_terms(g) for g in v.generators]
-        spans: Dict[int, Tuple[linalg.Echelon, Dict[Exponent, int]]] = {}
+    # the unit ideal (a constant generator) holds every bracket
+    if pairs and not any(g.degree() == 0 for g in v.generators):
+        codec = MonomialCodec(v.nvars, 2 * max(g.degree() for g in v.generators))
+        grads = [gradient_terms(g, codec)[0] for g in v.generators]
+        spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
         for i, j in pairs:
             br = bracket_terms(grads[i], grads[j], v.form)
             if not br:
                 continue
-            degree = sum(next(iter(br)))
+            degree = codec.degree(next(iter(br)))
             if degree not in spans:
-                spans[degree] = _degree_part(v, degree)
+                spans[degree] = _degree_part(v, degree, codec)
             span, columns = spans[degree]
             if any(m not in columns for m in br):
                 failing.append((i, j))
@@ -161,13 +169,16 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     gets None, as its reduced basis is {1}."""
     if any(g.degree() == 0 for g in v.generators):
         return None
-    span, columns = _degree_part(v, 1)
+    codec = MonomialCodec(v.nvars, 1)
+    span, columns = _degree_part(v, 1, codec)
     if not span.pivots:
         return None
     lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
     row = span.rows[lead]
     monomials = list(columns)
-    return Polynomial(v.nvars, {monomials[k]: Fraction(x, row[lead]) for k, x in row.items()})
+    return Polynomial(
+        v.nvars, {codec.unpack(monomials[k]): Fraction(x, row[lead]) for k, x in row.items()}
+    )
 
 
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .poly import Polynomial, grevlex_columns
+from .poly import MonomialCodec, Polynomial, code_columns, grevlex_columns
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -221,31 +221,40 @@ def quadratic_part(generators: Sequence[Polynomial], nvars: int) -> List[Polynom
 def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
     """Verify bracket closure of the span and solve exact structure constants.
 
+    Brackets are integer vectors over packed monomial columns, d_i * d_j *
+    d_W times the true bracket for the denominators d_i, d_j of the two
+    gradients and d_W of the dual matrix; each structure constant is scaled
+    by 1 / (d_i * d_j * d_W) once, as `Echelon.coefficients` writes it.
     Raises NotClosedError naming the first offending pair otherwise.
     """
     basis = list(quadrics)
     if not basis:
         return LieAlgebraPresentation([], form, {})
     nvars = form.dim
-    columns = grevlex_columns(basis)
+    if any(q.nvars != nvars for q in basis):
+        raise ValueError("quadric does not match the form dimension")
+    codec = MonomialCodec(nvars, 2 * max(q.degree() for q in basis))
+    packed = [{codec.pack(m): c for m, c in q.terms.items()} for q in basis]
+    columns = code_columns(m for p in packed for m in p)
     span = linalg.Echelon(track=True)
-    for q in basis:
-        if q.nvars != nvars:
-            raise ValueError("quadric does not match the form dimension")
-        if not span.add({columns[m]: c for m, c in q.terms.items()}):
+    for p in packed:
+        if not span.add({columns[m]: c for m, c in p.items()}):
             raise ValueError("quadrics must be linearly independent")
 
-    grads = [gradient_terms(q) for q in basis]
+    grads = [gradient_terms(q, codec) for q in basis]
     structure: StructureConstants = {}
-    for i in range(len(basis)):
+    for i, (grad_i, den_i) in enumerate(grads):
         for j in range(i + 1, len(basis)):
-            br = bracket_terms(grads[i], grads[j], form)
+            grad_j, den_j = grads[j]
+            br = bracket_terms(grad_i, grad_j, form)
             if not br:
                 continue
             # a monomial no basis quadric has already puts br outside the span
             if any(m not in columns for m in br):
                 raise NotClosedError(i, j)
-            coeffs = span.coefficients({columns[m]: c for m, c in br.items()})
+            coeffs = span.coefficients(
+                {columns[m]: c for m, c in br.items()}, den=den_i * den_j * form.dual_den
+            )
             if coeffs is None:
                 raise NotClosedError(i, j)
             structure[(i, j)] = coeffs
@@ -785,47 +794,69 @@ def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vect
     d = algebra.dim
     if d > _COMMUTANT_DIM_CAP:
         return None
-    ads = [algebra.ad_matrix(_unit(d, i)) for i in range(d)]
     # Two generic elements usually pin the commutant; verify at the end.
     for attempt in (2, d):
-        picks = []
-        for s in range(attempt if attempt < d else d):
-            if attempt == d:
-                picks.append(ads[s])
-            else:
-                combo = linalg.zeros(d, d)
-                for i in range(d):
-                    combo = linalg.mat_add(combo, linalg.mat_scale(ads[i], (s + 1) * (i + 2) % 7 + 1))
-                picks.append(combo)
-        basis = _matrix_commutant(picks, d)
+        if attempt == d:
+            elements = [_unit(d, s) for s in range(d)]
+        else:
+            elements = [[(s + 1) * (i + 2) % 7 + 1 for i in range(d)] for s in range(min(attempt, d))]
+        basis = _matrix_commutant([_integer_ad(algebra, x) for x in elements], d)
         if len(basis) == 1:
             return None  # scalars only: simple
-        split = _eigensplit_commutant(algebra, basis, ads)
+        split = _eigensplit_commutant(algebra, basis)
         if split is not None:
             return split
     return None
 
 
-def _matrix_commutant(mats: List[Matrix], d: int) -> List[Matrix]:
-    rows = []
+def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Dict[Tuple[int, int], int]:
+    """A nonzero integer multiple of ad(x), as sparse entries (k, j) -> value,
+    read off the structure constants: [x, b_j] = sum_i x_i [b_i, b_j]."""
+    entries: Dict[Tuple[int, int], Fraction] = {}
+    for (i, j), col in algebra.structure.items():
+        for k, c in col.items():
+            if x[i]:
+                entries[(k, j)] = entries.get((k, j), 0) + x[i] * c
+            if x[j]:
+                entries[(k, i)] = entries.get((k, i), 0) - x[j] * c
+    den = math.lcm(*[v.denominator for v in entries.values()])
+    return {kj: v.numerator * (den // v.denominator) for kj, v in entries.items() if v}
+
+
+def _matrix_commutant(mats: List[Dict[Tuple[int, int], int]], d: int) -> List[Dict[int, Fraction]]:
+    """Canonical basis of the d x d matrices X with XM = MX for every sparse
+    M in `mats`, X flattened with X[p][r] at p * d + r.  Each entry (p, q)
+    of XM - MX is one sparse integer row of an Echelon; rows go in by
+    leading column, which keeps the fill-in down."""
+    rows: List[Dict[int, int]] = []
     for m in mats:
+        by_row: Dict[int, List[Tuple[int, int]]] = {}
+        by_col: Dict[int, List[Tuple[int, int]]] = {}
+        for (r, q), x in m.items():
+            by_row.setdefault(r, []).append((q, x))
+            by_col.setdefault(q, []).append((r, x))
         for p in range(d):
             for q in range(d):
-                row = [Fraction(0)] * (d * d)
-                for r in range(d):
-                    row[p * d + r] += m[r][q]
-                    row[r * d + q] -= m[p][r]
-                if any(row):
+                row: Dict[int, int] = {}
+                for r, x in by_col.get(q, ()):
+                    row[p * d + r] = row.get(p * d + r, 0) + x
+                for r, x in by_row.get(p, ()):
+                    row[r * d + q] = row.get(r * d + q, 0) - x
+                row = {k: x for k, x in row.items() if x}
+                if row:
                     rows.append(row)
-    kernel = linalg.nullspace(rows, d * d)
-    return [[vec[p * d : (p + 1) * d] for p in range(d)] for vec in kernel]
+    span = linalg.Echelon()
+    for row in sorted(rows, key=min):
+        span.add(row)
+    return span.kernel(d * d)
 
 
-def _eigensplit_commutant(algebra, commutant_basis, ads) -> Optional[List[List[Vector]]]:
+def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector]]]:
     d = algebra.dim
     t = linalg.zeros(d, d)
-    for k, m in enumerate(commutant_basis):
-        t = linalg.mat_add(t, linalg.mat_scale(m, k + 1))
+    for k, vec in enumerate(commutant_basis):
+        for index, x in vec.items():
+            t[index // d][index % d] += (k + 1) * x
     eigenvalues = _rational_eigenvalues(t)
     if eigenvalues is None or len(eigenvalues) < 2:
         return None

@@ -6,8 +6,9 @@ their content divided out, which suits the sparse systems the package solves
 (the Groebner bases and normal forms of `groebner`, the quadric spans of
 `liealg` and `catalog`, ad-matrices, commutant systems of a few hundred
 rows).  `rref` turns its rows into the canonical reduced row echelon form;
-`rank`, `nullspace`, `solve`, `inverse` and `row_space_basis` read their
-answers off that form.
+`rank`, `solve`, `inverse` and `row_space_basis` read their answers off
+that form, and `nullspace` reads the canonical kernel basis off
+`Echelon.kernel`.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def mat_eq_zero(a: Matrix) -> bool:
 
 
 def _integral(vec: Mapping) -> Tuple[SparseRow, int]:
-    """(den * vec as integers, den) for the least common denominator den."""
-    den = 1
-    for x in vec.values():
-        den = lcm(den, x.denominator)
+    """(den * vec as integers, den) for the least common denominator den;
+    vec holds Fractions or ints."""
+    den = lcm(*[x.denominator for x in vec.values()])
+    if den == 1:
+        return {k: x.numerator for k, x in vec.items() if x}, 1
     return {k: x.numerator * (den // x.denominator) for k, x in vec.items() if x}, den
 
 
@@ -182,15 +184,17 @@ class Echelon:
     def contains(self, vec: Mapping) -> bool:
         return not self.remainder(vec)
 
-    def coefficients(self, vec: Mapping) -> Optional[Dict[int, Fraction]]:
-        """vec as a combination of the input rows (input index -> nonzero
-        coefficient), or None when vec is outside the span.  Needs track=True."""
-        work, den = _integral(vec)
+    def coefficients(self, vec: Mapping, den: int = 1) -> Optional[Dict[int, Fraction]]:
+        """vec / den as a combination of the input rows (input index ->
+        nonzero coefficient), or None when it is outside the span.  Needs
+        track=True."""
+        work, d = _integral(vec)
+        den *= d
         combo: SparseRow = {}
         m = self._reduce(work, combo)
         if work:
             return None
-        # m * den * vec = -sum_i combo[i] * (d_i * input_i)
+        # m * den * (vec / den) = -sum_i combo[i] * (d_i * input_i)
         return {
             i: Fraction(-combo[i] * self._denominators[i], m * den) for i in sorted(combo)
         }
@@ -207,6 +211,23 @@ class Echelon:
                 self._clear(row, q, None)
             if later:
                 _primitive(row, None)
+
+    def kernel(self, ncols: int) -> List[Dict[int, Fraction]]:
+        """Canonical basis of the vectors of length ncols that every row
+        annihilates, one per free column f in increasing order: 1 at f, and
+        minus the reduced row's entry at f in each pivot column.  Runs
+        `reduce_fully` first."""
+        self.reduce_fully()
+        pivots = set(self.pivots)
+        free = [f for f in range(ncols) if f not in pivots]
+        basis: List[Dict[int, Fraction]] = [{f: Fraction(1)} for f in free]
+        position = {f: k for k, f in enumerate(free)}
+        for p, row in self.rows.items():
+            lead = row[p]
+            for f, x in row.items():
+                if f != p:
+                    basis[position[f]][p] = Fraction(-x, lead)
+        return basis
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
@@ -235,17 +256,11 @@ def rank(a: Matrix) -> int:
 def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
     """Basis of the right kernel of `a` (vectors of length ncols)."""
     cols = ncols if ncols is not None else (len(a[0]) if a else 0)
-    red, pivots = rref(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
+    ech = Echelon()
+    for row in a:
+        ech.add({j: Fraction(x) for j, x in enumerate(row) if x})
+    zero = Fraction(0)
+    return [[v.get(j, zero) for j in range(cols)] for v in ech.kernel(cols)]
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
@@ -290,4 +305,6 @@ def is_skew_symmetric(a: Matrix) -> bool:
         return False
     if any(a[i][i] != 0 for i in range(n)):
         return False
-    return all(a[i][j] == -a[j][i] for i in range(n) for j in range(i + 1, n))
+    return all(
+        a[i][j] == -a[j][i] for i in range(n) for j in range(i + 1, n) if a[i][j] or a[j][i]
+    )

@@ -6,13 +6,16 @@ polynomial carries the same length.  The zero polynomial stores no terms.
 
 The global monomial order is graded reverse lexicographic with
 x0 > x1 > ... ; it is fixed once here so that every downstream computation
-(Groebner bases in particular) is deterministic.
+(Groebner bases in particular) is deterministic.  The hot kernels (brackets,
+closure spans, structure constants, Groebner steps) key monomials by the
+ints of `MonomialCodec` instead, and convert back to tuples at their ends.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from struct import Struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -38,6 +41,12 @@ def grevlex_columns(polys: Iterable["Polynomial"]) -> Dict[Exponent, int]:
     return {m: col for col, m in enumerate(monomials)}
 
 
+def code_columns(codes: Iterable[int]) -> Dict[int, int]:
+    """Column index of every distinct monomial code, largest (grevlex
+    largest) first, as `grevlex_columns` gives for exponent tuples."""
+    return {m: k for k, m in enumerate(sorted(set(codes), reverse=True))}
+
+
 def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
     """Every monomial of the given degree in nvars variables, largest
     grevlex monomial first."""
@@ -50,13 +59,57 @@ def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def monomial_div(a: Exponent, b: Exponent) -> Exponent:
-    """Quotient a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+class MonomialCodec:
+    """Exponent vectors of `nvars` variables packed into one int each.
 
+    The code of e is P(e) = deg(e) * 2^(B*n) - sum_i e_i * 2^(B*i), with a
+    field of B bits per variable (Monagan and Pearce, CASC 2007).  P is
+    additive, so multiplying monomials adds their codes and dividing
+    subtracts them, and comparing codes as ints is the grevlex order of
+    `grevlex_key`.  B is 8 or 16, the least that holds `max_degree`, so
+    that `pack` and `unpack` are one bytes conversion each.  The top bit of
+    every field is a guard that stays clear, which `dividing` reads; `pack`
+    refuses an exponent that would reach it, so two exponent vectors never
+    share a code.  Sums of codes are not checked: callers size the codec
+    for the largest degree their products reach.
+    """
 
-def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    __slots__ = ("nvars", "limit", "units", "_shift", "_mask", "_guards", "_struct")
+
+    def __init__(self, nvars: int, max_degree: int):
+        bits = next((b for b in (8, 16) if max_degree < 1 << (b - 1)), None)
+        if bits is None:
+            raise ValueError(f"degree {max_degree} is too large to pack into a monomial code")
+        self.nvars = nvars
+        self.limit = (1 << (bits - 1)) - 1  # the largest exponent a field holds
+        self._shift = bits * nvars
+        self._mask = (1 << self._shift) - 1
+        self._guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
+        self._struct = Struct(f"<{nvars}{'B' if bits == 8 else 'H'}")
+        # the code of each variable
+        self.units = [(1 << self._shift) - (1 << bits * i) for i in range(nvars)]
+
+    def pack(self, exps: Exponent) -> int:
+        if exps and max(exps) > self.limit:
+            raise ValueError(f"exponent {max(exps)} is above {self.limit}, the field's largest")
+        return (sum(exps) << self._shift) - int.from_bytes(self._struct.pack(*exps), "little")
+
+    def unpack(self, code: int) -> Exponent:
+        return self._struct.unpack((-code & self._mask).to_bytes(self._struct.size, "little"))
+
+    def degree(self, code: int) -> int:
+        return -(-code >> self._shift)
+
+    def dividing(self, t: int, codes: Sequence[int]) -> List[int]:
+        """Positions, in order, of the codes that divide t.  The low B*n
+        bits of a - t are those of t's exponent fields minus a's, whatever
+        the degrees; a divides t when no field borrows, so that no guard
+        bit is set."""
+        guards = self._guards
+        return [k for k, a in enumerate(codes) if not (a - t) & guards]
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
 class Polynomial:

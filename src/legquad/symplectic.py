@@ -10,21 +10,27 @@ Forms are data, not globals: several fixtures use non-standard matrices, so
 every operation takes the form explicitly.
 
 `bracket_terms` is the one differential bracket kernel: it works on sparse
-gradients (`gradient_terms`), so callers that bracket the same generators
-many times build each gradient once.  `poisson_bracket` wraps it.
+integer gradients (`gradient_terms`) keyed by `poly.MonomialCodec` codes, so
+callers that bracket the same generators many times build each gradient
+once, and a product of monomials is one int addition.  Each generator's
+denominators are cleared once, in its gradient, and the dual matrix's once,
+in the form, so the kernel multiplies ints only; its result is the bracket
+times those denominators, which span tests never need to divide out.
+`poisson_bracket` wraps it and rescales once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix
-from .poly import Exponent, Polynomial
+from .poly import MonomialCodec, Polynomial
 
-GradientTerms = Dict[int, List[Tuple[Exponent, Fraction]]]
+GradientTerms = Dict[int, List[Tuple[int, int]]]  # variable -> (monomial code, integer coefficient)
 
 
 class SymplecticForm:
@@ -33,30 +39,39 @@ class SymplecticForm:
     `dual_matrix` may be supplied when a fixture's conventional bracket
     normalization differs from the computed dual by a nonzero scalar; the
     override is validated to be exactly such a multiple, so isotropy and
-    ideal-membership verdicts are unaffected by it.
+    ideal-membership verdicts are unaffected by it.  The bracket kernel
+    reads the dual matrix as integer rows (`dual_rows`) over one common
+    denominator (`dual_den`).
     """
 
-    __slots__ = ("dim", "matrix", "_dual", "dual_rows")
+    __slots__ = ("dim", "matrix", "_dual", "_scalar", "dual_rows", "dual_den")
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
-        m = linalg.mat(matrix)
+        m = _fractions(matrix)
         dim = len(m)
         if dim == 0 or dim % 2 != 0:
             raise ValueError(f"symplectic form needs a positive even dimension, got {dim}")
         if not linalg.is_skew_symmetric(m):
             raise ValueError("symplectic form matrix must be skew-symmetric")
-        computed = linalg.mat_scale(_inverse_or_fail(m), -1)
         if dual_matrix is None:
-            dual = computed
+            try:
+                dual = linalg.mat_scale(linalg.inverse(m), -1)
+            except ValueError:
+                raise ValueError("symplectic form matrix must be invertible") from None
+            scalar = Fraction(1)
         else:
-            dual = linalg.mat(dual_matrix)
-            if not _is_scalar_multiple(dual, computed):
-                raise ValueError("dual_matrix must be a nonzero scalar multiple of the computed dual")
+            dual = _fractions(dual_matrix)
+            scalar = _dual_scalar(m, dual)
+            if scalar is None:
+                raise ValueError("dual_matrix must be a nonzero scalar multiple of -J^{-1}")
         self.dim = dim
         self.matrix = m
         self._dual = dual
-        # nonzero entries (j, w) of each dual-matrix row, for the bracket kernel
-        self.dual_rows = [[(j, w) for j, w in enumerate(row) if w] for row in dual]
+        self._scalar = scalar  # dual = -scalar * J^{-1}
+        den = self.dual_den = lcm(*[w.denominator for row in dual for w in row])
+        self.dual_rows = [
+            [(j, w.numerator * (den // w.denominator)) for j, w in enumerate(row) if w] for row in dual
+        ]
 
     @property
     def half_dim(self) -> int:
@@ -68,8 +83,7 @@ class SymplecticForm:
 
     def to_json(self) -> str:
         matrix = [[str(x) for x in row] for row in self.matrix]
-        computed = linalg.mat_scale(_inverse_or_fail(self.matrix), -1)
-        if self._dual == computed:
+        if self._scalar == 1:  # the computed dual
             return json.dumps(matrix)
         dual = [[str(x) for x in row] for row in self._dual]
         return json.dumps({"matrix": matrix, "dual": dual})
@@ -77,11 +91,12 @@ class SymplecticForm:
     @staticmethod
     def from_json(text: str) -> "SymplecticForm":
         data = json.loads(text)
+        parsed: Dict[object, Fraction] = {}  # each distinct entry string is parsed once
         if isinstance(data, dict):
-            matrix = [[Fraction(x) for x in row] for row in data["matrix"]]
-            dual = [[Fraction(x) for x in row] for row in data["dual"]]
-            return SymplecticForm(matrix, dual_matrix=dual)
-        return SymplecticForm([[Fraction(x) for x in row] for row in data])
+            return SymplecticForm(
+                _parse_entries(data["matrix"], parsed), _parse_entries(data["dual"], parsed)
+            )
+        return SymplecticForm(_parse_entries(data, parsed))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymplecticForm) and self.matrix == other.matrix
@@ -90,29 +105,37 @@ class SymplecticForm:
         return f"SymplecticForm(dim={self.dim})"
 
 
-def _inverse_or_fail(m: Matrix) -> Matrix:
-    try:
-        return linalg.inverse(m)
-    except ValueError:
-        raise ValueError("symplectic form matrix must be invertible") from None
+def _fractions(rows: Sequence[Sequence]) -> Matrix:
+    """A fresh matrix of Fractions; entries that already are stay as they are."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
 
 
-def _is_scalar_multiple(a: Matrix, b: Matrix) -> bool:
+def _parse_entries(rows: Sequence[Sequence], parsed: Dict[object, Fraction]) -> Matrix:
+    for x in {x for row in rows for x in row}.difference(parsed):
+        parsed[x] = Fraction(x)
+    return [[parsed[x] for x in row] for row in rows]
+
+
+def _dual_scalar(matrix: Matrix, dual: Matrix) -> Optional[Fraction]:
+    """The scalar c with J * dual = -c * I when there is one and it is
+    nonzero, else None.  Such a c exists exactly when J is invertible and
+    dual = -c * J^{-1}, so no inverse is needed to validate a dual."""
+    n = len(matrix)
+    if len(dual) != n or any(len(row) != n for row in dual):
+        return None
+    dual_rows = [[(k, x) for k, x in enumerate(row) if x] for row in dual]
     scalar = None
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if y == 0:
-                if x != 0:
-                    return False
-                continue
-            s = x / y
-            if scalar is None:
-                if s == 0:
-                    return False
-                scalar = s
-            elif s != scalar:
-                return False
-    return scalar is not None
+    for i, row in enumerate(matrix):
+        product: Dict[int, Fraction] = {}
+        for j, a in enumerate(row):
+            if a:
+                for k, x in dual_rows[j]:
+                    product[k] = product.get(k, 0) + a * x
+        diagonal = -product.pop(i, 0)
+        if any(product.values()) or not diagonal or (scalar is not None and diagonal != scalar):
+            return None
+        scalar = diagonal
+    return scalar
 
 
 def standard_form(n: int) -> SymplecticForm:
@@ -131,23 +154,29 @@ def dual_form(form: SymplecticForm) -> SymplecticForm:
     return SymplecticForm(form.dual_matrix)
 
 
-def gradient_terms(p: Polynomial) -> GradientTerms:
-    """Sparse gradient: variable i -> the terms (monomial, coefficient) of
-    dp/dx_i, for every variable p involves."""
+def gradient_terms(p: Polynomial, codec: MonomialCodec) -> Tuple[GradientTerms, int]:
+    """Sparse gradient of den * p, for the least den > 0 that makes its
+    coefficients integers: variable i -> the terms (monomial code, integer
+    coefficient) of d(den * p)/dx_i, for every variable p involves; and den."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    units = codec.units
     out: GradientTerms = {}
     for m, c in p.terms.items():
+        code = codec.pack(m)
+        a = c.numerator * (den // c.denominator)
         for i, e in enumerate(m):
             if e:
-                out.setdefault(i, []).append((m[:i] + (e - 1,) + m[i + 1 :], c * e))
-    return out
+                out.setdefault(i, []).append((code - units[i], a * e))
+    return out, den
 
 
 def bracket_terms(
     grad_f: GradientTerms, grad_g: GradientTerms, form: SymplecticForm
-) -> Dict[Exponent, Fraction]:
-    """Terms of [f, g] = sum over i, j of W_ij (df/dx_i)(dg/dx_j), W the dual
-    matrix, from the gradients of f and g."""
-    out: Dict[Exponent, Fraction] = {}
+) -> Dict[int, int]:
+    """Terms (monomial code -> integer) of d_f * d_g * dual_den * [f, g], where
+    [f, g] = sum over i, j of W_ij (df/dx_i)(dg/dx_j) for the dual matrix W,
+    from the integer gradients of d_f * f and d_g * g."""
+    out: Dict[int, int] = {}
     for i, df in grad_f.items():
         for j, w in form.dual_rows[i]:
             dg = grad_g.get(j)
@@ -156,7 +185,7 @@ def bracket_terms(
             for m1, c1 in df:
                 a = c1 * w
                 for m2, c2 in dg:
-                    key = tuple([x + y for x, y in zip(m1, m2)])
+                    key = m1 + m2
                     s = out.get(key, 0) + a * c2
                     if s:
                         out[key] = s
@@ -173,7 +202,11 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     """
     if f.nvars != form.dim or g.nvars != form.dim:
         raise ValueError(f"polynomials must live on {form.dim} variables")
-    return Polynomial(form.dim, bracket_terms(gradient_terms(f), gradient_terms(g), form))
+    codec = MonomialCodec(form.dim, 2 * max(f.degree(), g.degree(), 0))
+    (grad_f, den_f), (grad_g, den_g) = gradient_terms(f, codec), gradient_terms(g, codec)
+    den = den_f * den_g * form.dual_den
+    terms = bracket_terms(grad_f, grad_g, form)
+    return Polynomial(form.dim, {codec.unpack(m): Fraction(c, den) for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,17 @@ from legquad.groebner import (
     IdealPresentation,
     ImproperIdealError,
 )
-from legquad.poly import (
-    Exponent,
-    Polynomial,
-    grevlex_key,
-    monomial_div,
-    monomial_lcm,
-    monomial_mul,
-)
+from legquad.poly import Exponent, Polynomial, grevlex_key, monomial_mul
 from legquad.symplectic import SymplecticForm
+
+
+def monomial_div(a: Exponent, b: Exponent) -> Exponent:
+    """Quotient a / b; caller guarantees divisibility."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a: Exponent, b: Exponent) -> Exponent:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def monomial_divides(a: Exponent, b: Exponent) -> bool:

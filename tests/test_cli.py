@@ -1,8 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from legquad.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main, parse_variety_file
+import legquad
+from legquad.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_UNDECIDED,
+    EXIT_USAGE,
+    main,
+    parse_variety_file,
+)
 
 
 def run(capsys, *argv):
@@ -172,3 +185,18 @@ def test_parse_variety_file_formats():
     assert pres.nvars == 4 and len(pres.generators) == 2
     with pytest.raises(Exception):
         parse_variety_file("form=standard\nx0\n")
+
+
+def test_closed_stdout_exits_quietly():
+    """The reader of the pipe is gone before the report is written, as in
+    `legquad --json classify ... | head -c 10`: no traceback, exit 141."""
+    env = dict(os.environ, PYTHONPATH=str(Path(legquad.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "legquad.cli", "--json", "classify", "--max-rank", "3",
+         "--max-dim", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the child can have imported legquad
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert err == b""

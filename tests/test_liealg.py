@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from legquad import linalg
+import liealg_oracle
+from legquad import catalog, linalg
 from legquad.liealg import (
     NotClosedError,
     block_view,
@@ -18,7 +19,7 @@ from legquad.liealg import (
     subalgebra_presentation,
 )
 from legquad.poly import parse_poly
-from legquad.symplectic import QuadraticForm, quadric_to_sp, standard_form
+from legquad.symplectic import QuadraticForm, SymplecticForm, quadric_to_sp, standard_form
 
 from linalg_oracle import det
 
@@ -169,6 +170,42 @@ def test_ideal_decomposition(algebras):
     for piece in pieces:
         sub = subalgebra_presentation(algebras["segre-4"], piece)
         assert sub.dim == 3 and sub.is_semisimple()
+
+
+@pytest.mark.parametrize("name", catalog.entry_names())
+def test_structure_constants_match_the_fraction_route(entries, algebras, name):
+    """Integer brackets on packed monomials, scaled once per constant,
+    against Fraction brackets on exponent tuples with no rescaling."""
+    pres = entries[name].presentation
+    algebra = algebras.get(name) or close_and_present(
+        [g for g in pres.generators if g.homogeneous_degree() == 2], pres.form
+    )
+    assert algebra.structure == liealg_oracle.structure_constants(algebra.basis, pres.form)
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "grl36"))
+def test_structure_constants_with_denominators_match_the_fraction_route(entries, name):
+    """Quadrics with denominators under a dual scaled by 1/3: each constant
+    is scaled by the three denominators of its bracket."""
+    pres = entries[name].presentation
+    third = linalg.mat_scale(pres.form.dual_matrix, Fraction(1, 3))
+    form = SymplecticForm(pres.form.matrix, dual_matrix=third)
+    quadrics = [
+        g.scale(Fraction(k % 5 + 1, k % 3 + 2))
+        for k, g in enumerate(g for g in pres.generators if g.homogeneous_degree() == 2)
+    ]
+    algebra = close_and_present(quadrics, form)
+    assert algebra.structure == liealg_oracle.structure_constants(quadrics, form)
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "segre-3", "segre-4", "segre-5",
+                                  "segre-split-3", "segre-split-4", "segre-split-5"))
+def test_ideal_structure_constants_match_the_fraction_route(entries, name):
+    pres = entries[name].presentation
+    algebra = close_and_present([g for g in pres.generators if g.homogeneous_degree() == 2], pres.form)
+    for piece in decompose_ideals(algebra):
+        sub = subalgebra_presentation(algebra, piece)
+        assert sub.structure == liealg_oracle.structure_constants(sub.basis, sub.form)
 
 
 def test_killing_form_counts(algebras):

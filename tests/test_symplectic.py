@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import groebner_oracle
 from legquad import linalg
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import (
@@ -60,6 +61,30 @@ def test_dual_form_examples():
 def test_dual_override_must_be_scalar_multiple():
     with pytest.raises(ValueError):
         SymplecticForm(CUBIC_FORM, dual_matrix=[[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 1]])
+
+
+def test_dual_override_rejects_a_diagonal_but_not_scalar_product():
+    # J * dual = diag(-2, -1, -2, -1): each pair rescaled on its own
+    dual = [[0, 0, 2, 0], [0, 0, 0, 1], [-2, 0, 0, 0], [0, -1, 0, 0]]
+    with pytest.raises(ValueError, match="scalar multiple"):
+        SymplecticForm(standard_form(2).matrix, dual_matrix=dual)
+
+
+def test_dual_override_rejects_a_singular_form():
+    """A supplied dual passes only when J * dual = -c * I with c != 0,
+    which no singular J allows."""
+    singular = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="scalar multiple"):
+        SymplecticForm(singular, dual_matrix=standard_form(2).matrix)
+    with pytest.raises(ValueError, match="scalar multiple"):
+        SymplecticForm([[0, 0], [0, 0]], dual_matrix=[[0, 1], [-1, 0]])
+
+
+def test_dual_override_rejects_a_form_that_is_not_skew():
+    # J * dual = -I holds here, so only the skew test can refuse it
+    symmetric = [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match="skew"):
+        SymplecticForm(symmetric, dual_matrix=[[0, -1], [-1, 0]])
 
 
 def test_twisted_cubic_bracket_table(cubic_form):
@@ -182,6 +207,17 @@ def test_form_json_roundtrip():
     assert again.dual_matrix == form.dual_matrix
     plain = standard_form(2)
     assert SymplecticForm.from_json(plain.to_json()).matrix == plain.matrix
+
+
+def test_integer_bracket_matches_gradient_products_under_a_scaled_dual():
+    """The packed integer kernel, with denominators in the generators and in
+    the dual, against the bracket as a sum of Fraction polynomial products."""
+    rng = random.Random(13)
+    form = SymplecticForm(CUBIC_FORM, dual_matrix=linalg.mat_scale(CUBIC_DUAL, Fraction(1, 3)))
+    assert form.dual_den == 3
+    for _ in range(60):
+        f, g = _random_poly(rng, 4, 4), _random_poly(rng, 4, 4)
+        assert poisson_bracket(f, g, form) == groebner_oracle.poisson_bracket(f, g, form)
 
 
 def _random_poly(rng, nvars, max_deg):
