@@ -32,12 +32,14 @@ from typing import List, Optional, Sequence, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
+    algebra_dimension,
     angle_audit,
     build_root_system,
     cone_orbit_dimension,
     distinct_weight_count,
     is_multiplicity_free,
     is_self_dual,
+    simple_types_up_to,
     weyl_dimension,
 )
 
@@ -70,25 +72,6 @@ class CandidateVerdict:
             "algebra_dim": self.algebra_dim,
             "angle_audit": self.angle_audit_passed,
         }
-
-
-def simple_types_up_to(max_rank: int) -> List[Tuple[str, int]]:
-    """One representative per isomorphism class: B2=C2 and D3=A3 are folded in."""
-    types: List[Tuple[str, int]] = []
-    types += [("A", n) for n in range(1, max_rank + 1)]
-    types += [("B", n) for n in range(2, max_rank + 1)]
-    types += [("C", n) for n in range(3, max_rank + 1)]
-    types += [("D", n) for n in range(4, max_rank + 1)]
-    types += [("E", n) for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        types.append(("F", 4))
-    if max_rank >= 2:
-        types.append(("G", 2))
-    return types
-
-
-def algebra_dimension(rs: AbstractRootSystem) -> int:
-    return rs.rank + 2 * len(rs.positive_roots)
 
 
 def quadric_space_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
@@ -277,7 +260,6 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
             dim_v = dim_a * dim_b
             if dim_v > max_dim:
                 continue
-            key = (f"{rs_a.type_label}x{rs_b.type_label}", (wa, wb))
             cone = cone_orbit_dimension(rs_a, wa) + cone_orbit_dimension(rs_b, wb) - 1
             verdict = PairVerdict(
                 (rs_a.type_label, rs_b.type_label), (wa, wb), dim_v, cone, status="rejected"
@@ -306,10 +288,7 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
                 continue
             verdict.status = "accepted"
             verdicts.append(verdict)
-    # Also record, for the report, pairs where NO factor has two weights:
-    # they are rejected wholesale by the two-weight lemma.  Keeping one line
-    # per factor pair would flood the output, so only the failures that
-    # reached the dimension test are listed.
+    # Pairs without a two-weight factor are all rejected; one line each would flood the report.
     verdicts.sort(key=lambda v: (v.factors, v.weights))
     return verdicts
 

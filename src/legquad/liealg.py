@@ -3,13 +3,14 @@
 Everything is exact.  The main pipeline: take the degree-2 part of a
 variety's ideal, verify the span is bracket-closed, solve for structure
 constants, find a torus of elements whose sp-images are diagonal, decompose
-into root spaces over the rationals and match the Dynkin graph.
+into root spaces over the rationals, read the Cartan integers off root
+strings and match each component against `rootdata`'s Cartan matrices.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those take a fallback
-path: split into minimal ideals and identify each factor by its dimension
-and rank, which determines the complex type except for the B/C collision in
-rank 3 and above, reported as a hard error if ever hit.
+path: split into minimal ideals and name each factor by the `rootdata` types
+of its rank whose algebra has its dimension.  That fails, naming the
+candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Matrix, Vector
 from .poly import MonomialCodec, Polynomial, code_columns, grevlex_columns
+from .rootdata import algebra_dimension, build_root_system, simple_types_up_to
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -273,13 +275,12 @@ class CartanData:
     cartan_vectors are coordinate vectors over the algebra basis; when every
     torus generator is itself a basis element, cartan_basis_indices lists
     them.  root_spaces pairs each root vector (eigenvalues against the torus
-    basis) with a coordinate eigenvector.
+    basis) with a coordinate eigenvector; the roots alone determine the type.
     """
 
     cartan_vectors: List[Vector]
     cartan_basis_indices: Optional[List[int]] = None
     root_spaces: List[Tuple[Vector, Vector]] = field(default_factory=list)  # (root, eigvec)
-    killing: Optional[Matrix] = None
 
     @property
     def rank(self) -> int:
@@ -445,18 +446,10 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
             f"(rank {r}, zero eigenspace {zero_count}, roots {len(root_spaces)})"
         )
 
-    killing = linalg.zeros(r, r)
-    for root, _ in root_spaces:
-        for a in range(r):
-            if root[a] == 0:
-                continue
-            for b in range(r):
-                killing[a][b] += root[a] * root[b]
     return CartanData(
         cartan.cartan_vectors,
         cartan_basis_indices=cartan.cartan_basis_indices,
         root_spaces=sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True),
-        killing=killing,
     )
 
 
@@ -535,182 +528,107 @@ def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-class NonCrystallographicError(ValueError):
-    """Cartan integers outside the crystallographic range: upstream bug."""
-
-
 def identify_type(cd: CartanData) -> List[str]:
-    """Simple-type labels of the semisimple algebra from its root data."""
-    roots = cd.roots
-    if not roots:
-        return []
-    if cd.killing is None:
-        raise ValueError("root_decomposition must run first")
-    gram_inv = linalg.inverse(cd.killing)
+    """Simple-type labels of the semisimple algebra from its root data.
 
-    def inner(a: Vector, b: Vector) -> Fraction:
-        return linalg.vec_dot(a, linalg.mat_vec(gram_inv, b))
+    The simple roots are the lex-positive roots that are not a sum of two
+    positive roots.  For simple alpha_a and alpha_b, alpha_a - alpha_b is not
+    a root, so the alpha_b-string through alpha_a starts at alpha_a and
+    <alpha_a, alpha_b^vee> = -q for the largest q with alpha_a + q alpha_b a
+    root.  Each connected component of that Cartan matrix is matched against
+    rootdata's Bourbaki Cartan matrices of its rank.
+    """
+    roots = {tuple(r) for r in cd.roots}
+    positive = [tuple(r) for r in cd.roots if next(x for x in r if x) > 0]
+    positive_set = set(positive)
+    simple = [
+        alpha for alpha in positive
+        if not any(tuple(x - y for x, y in zip(alpha, beta)) in positive_set for beta in positive)
+    ]
 
-    positive = [r for r in roots if _lex_positive(r)]
-    positive_set = {tuple(r) for r in positive}
-    simple = []
-    for alpha in positive:
-        decomposable = False
-        ta = tuple(alpha)
-        for beta in positive:
-            tb = tuple(beta)
-            if tb == ta:
-                continue
-            gamma = tuple(x - y for x, y in zip(alpha, beta))
-            if gamma in positive_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(alpha)
-    m = len(simple)
-    cartan_matrix = linalg.zeros(m, m)
-    for a in range(m):
-        for b in range(m):
-            num = 2 * inner(simple[a], simple[b])
-            den = inner(simple[b], simple[b])
-            val = num / den
-            if val.denominator != 1:
-                raise NonCrystallographicError(f"Cartan entry {val} is not an integer")
-            cartan_matrix[a][b] = val
-            if a == b and val != 2:
-                raise NonCrystallographicError("diagonal Cartan entry differs from 2")
-            if a != b and val > 0:
-                raise NonCrystallographicError("positive off-diagonal Cartan entry")
-    lengths = [inner(s, s) for s in simple]
-    return _labels_from_cartan_matrix(cartan_matrix, lengths)
+    def pairing(alpha, beta) -> int:
+        if alpha == beta:
+            return 2
+        q = 0
+        while tuple(x + (q + 1) * y for x, y in zip(alpha, beta)) in roots:
+            q += 1
+        return -q
 
-
-def _lex_positive(v: Vector) -> bool:
-    for x in v:
-        if x != 0:
-            return x > 0
-    return False
-
-
-def _labels_from_cartan_matrix(cartan: Matrix, lengths: List[Fraction]) -> List[str]:
-    m = len(cartan)
-    bond = {}
-    adj = {i: set() for i in range(m)}
-    for i in range(m):
-        for j in range(i + 1, m):
-            mult = int(cartan[i][j] * cartan[j][i])
-            if mult not in (0, 1, 2, 3):
-                raise NonCrystallographicError(f"bond multiplicity {mult}")
-            if mult:
-                adj[i].add(j)
-                adj[j].add(i)
-                bond[(i, j)] = bond[(j, i)] = mult
-    labels = []
-    seen = set()
-    for start in range(m):
-        if start in seen:
-            continue
-        component = _connected_component(adj, start)
-        seen |= component
-        labels.append(_label_component(sorted(component), adj, bond, lengths))
+    cartan = [[pairing(alpha, beta) for beta in simple] for alpha in simple]
+    labels = [
+        _match_component([[cartan[i][j] for j in nodes] for i in nodes])[0]
+        for nodes in _components(cartan)
+    ]
     return sorted(labels, key=lambda s: (s[0], int(s[1:])))
 
 
-def _connected_component(adj, start):
-    stack, seen = [start], {start}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
+def _components(cartan: List[List[int]]) -> List[List[int]]:
+    """Nodes of each connected component of the Dynkin graph, breadth first,
+    so that every node after the first is joined to an earlier one."""
+    seen = set()
+    out = []
+    for start in range(len(cartan)):
+        if start in seen:
+            continue
+        seen.add(start)
+        nodes = [start]
+        for i in nodes:
+            for j, x in enumerate(cartan[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    nodes.append(j)
+        out.append(nodes)
+    return out
 
 
-def _label_component(nodes, adj, bond, lengths) -> str:
-    m = len(nodes)
-    if m == 1:
-        return "A1"
-    edges = [(i, j) for i in nodes for j in adj[i] if i < j and j in nodes]
-    multiplicities = sorted(bond[e] for e in edges)
-    degrees = {i: len(adj[i] & set(nodes)) for i in nodes}
-    if 3 in multiplicities:
-        if m != 2:
-            raise NonCrystallographicError("triple bond in a component of rank > 2")
-        return "G2"
-    doubles = [e for e in edges if bond[e] == 2]
-    if len(doubles) > 1:
-        raise NonCrystallographicError("more than one double bond in a component")
-    if not doubles:
-        branch = [i for i in nodes if degrees[i] == 3]
-        if not branch:
-            return f"A{m}"
-        if len(branch) > 1 or any(degrees[i] > 3 for i in nodes):
-            raise NonCrystallographicError("unrecognized simply-laced branching")
-        arms = sorted(_arm_lengths(branch[0], nodes, adj))
-        if arms[0] == 1 and arms[1] == 1:
-            return f"D{m}"
-        if arms == [1, 2, 2]:
-            return "E6"
-        if arms == [1, 2, 3]:
-            return "E7"
-        if arms == [1, 2, 4]:
-            return "E8"
-        raise NonCrystallographicError(f"unrecognized branch arms {arms}")
-    if any(degrees[i] > 2 for i in nodes):
-        raise NonCrystallographicError("double bond with branching")
-    if m == 2:
-        return "B2"
-    u, v = doubles[0]
-    end_nodes = [i for i in nodes if degrees[i] == 1]
-    double_ends = [x for x in (u, v) if x in end_nodes]
-    if not double_ends:
-        if m == 4:
-            return "F4"
-        raise NonCrystallographicError("interior double bond in a chain of rank != 4")
-    end = double_ends[0]
-    other = v if end == u else u
-    return f"B{m}" if lengths[end] < lengths[other] else f"C{m}"
+def _match_component(cartan: List[List[int]]) -> Tuple[str, List[int]]:
+    """The type of a connected Cartan matrix, with the node bijection p that
+    carries it onto the Bourbaki matrix C: cartan[i][j] = C[p[i]][p[j]]."""
+    m = len(cartan)
+    for label, rank in simple_types_up_to(m):
+        if rank != m:
+            continue
+        target = build_root_system(label, rank).cartan
+        perm: List[int] = []
 
+        def extend() -> bool:
+            i = len(perm)
+            if i == m:
+                return True
+            for t in range(m):
+                if t not in perm and all(
+                    cartan[i][k] == target[t][p] and cartan[k][i] == target[p][t]
+                    for k, p in enumerate(perm)
+                ):
+                    perm.append(t)
+                    if extend():
+                        return True
+                    perm.pop()
+            return False
 
-def _arm_lengths(branch, nodes, adj):
-    arms = []
-    for first in adj[branch] & set(nodes):
-        length = 1
-        prev, cur = branch, first
-        while True:
-            nxt = [w for w in adj[cur] & set(nodes) if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+        if extend():
+            return f"{label}{rank}", perm
+    raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
 
 
 # ---------------------------------------------------------------------------
 # Ideal decomposition and the non-split fallback.
 # ---------------------------------------------------------------------------
 
-# (dimension, rank) -> complex simple type; B/C collide from rank 3 upward.
-_DIM_RANK_TABLE = {
-    (3, 1): "A1",
-    (8, 2): "A2",
-    (10, 2): "B2",
-    (14, 2): "G2",
-    (15, 3): "A3",
-    (21, 3): None,  # B3 and C3 share (21, 3); not decidable without splitting
-    (24, 4): "A4",
-    (28, 4): "D4",
-    (36, 4): None,  # B4 / C4
-    (52, 4): "F4",
-    (35, 5): "A5",
-    (45, 5): "D5",
-    (55, 5): None,
-    (78, 6): "E6",
-    (133, 7): "E7",
-    (248, 8): "E8",
-}
+
+def _type_of_dimension(dim: int, rank: int) -> str:
+    """The one simple type of this rank whose algebra has this dimension;
+    raises NotAdaptedError naming the candidates when there is not one."""
+    candidates = [
+        f"{label}{r}" for label, r in simple_types_up_to(rank)
+        if r == rank and algebra_dimension(build_root_system(label, r)) == dim
+    ]
+    if len(candidates) != 1:
+        raise NotAdaptedError(
+            f"non-split factor of dimension {dim} and rank {rank} matches "
+            f"{len(candidates)} simple types: {', '.join(candidates) or 'none'}"
+        )
+    return candidates[0]
 
 
 def decompose_ideals(algebra: LieAlgebraPresentation) -> List[List[Vector]]:
@@ -1005,8 +923,8 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
     """Simple-type labels of a semisimple quadric algebra.
 
     Runs the split root-space route when the basis admits a diagonal torus;
-    otherwise splits into minimal ideals and identifies non-split factors by
-    dimension and rank.
+    otherwise splits into minimal ideals and names each non-split factor by
+    the one simple type of its rank and dimension.
     """
     if algebra.dim == 0:
         return []
@@ -1021,19 +939,8 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
         sub = subalgebra_presentation(algebra, ideal)
         try:
             labels.extend(identify_type(split_root_data(sub)))
-            continue
         except NotAdaptedError:
-            pass
-        key = (sub.dim, _generic_rank(sub))
-        label = _DIM_RANK_TABLE.get(key)
-        if label is None and key in _DIM_RANK_TABLE:
-            raise NotAdaptedError(
-                f"non-split factor of dimension {key[0]} and rank {key[1]} is "
-                f"ambiguous between types B and C"
-            )
-        if label is None:
-            raise NotAdaptedError(f"no simple type of dimension {key[0]} and rank {key[1]}")
-        labels.append(label)
+            labels.append(_type_of_dimension(sub.dim, _generic_rank(sub)))
     return sorted(labels, key=lambda s: (s[0], int(s[1:])))
 
 

@@ -85,6 +85,25 @@ def build_root_system(label: str, rank: int) -> AbstractRootSystem:
     return AbstractRootSystem(label, rank)
 
 
+def simple_types_up_to(max_rank: int) -> List[Tuple[str, int]]:
+    """One representative per isomorphism class: B2=C2 and D3=A3 are folded in."""
+    types: List[Tuple[str, int]] = []
+    types += [("A", n) for n in range(1, max_rank + 1)]
+    types += [("B", n) for n in range(2, max_rank + 1)]
+    types += [("C", n) for n in range(3, max_rank + 1)]
+    types += [("D", n) for n in range(4, max_rank + 1)]
+    types += [("E", n) for n in (6, 7, 8) if n <= max_rank]
+    if max_rank >= 4:
+        types.append(("F", 4))
+    if max_rank >= 2:
+        types.append(("G", 2))
+    return types
+
+
+def algebra_dimension(rs: AbstractRootSystem) -> int:
+    return rs.rank + 2 * len(rs.positive_roots)
+
+
 def _cartan_matrix(label: str, rank: int) -> List[Weight]:
     """C[i][j] = <alpha_i, alpha_j^vee>, Bourbaki numbering.  A bond (i, j, a, b)
     sets C[i][j] = a and C[j][i] = b; in a multiple bond, i is the long node."""

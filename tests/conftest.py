@@ -12,7 +12,7 @@ def entries():
 
 @pytest.fixture(scope="session")
 def algebras(entries):
-    """Quadric Lie algebras of the six main fixtures, built once."""
+    """Quadric Lie algebras of the nine main fixtures, built once."""
     out = {}
     for name in ("twisted-cubic", "segre-3", "segre-4", "segre-5",
                  "segre-split-3", "gr36", "grl36", "spinor-s6", "e7"):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,11 @@ import pytest
 import liealg_oracle
 from legquad import catalog, linalg
 from legquad.liealg import (
+    CartanData,
+    NotAdaptedError,
     NotClosedError,
+    _match_component,
+    _type_of_dimension,
     block_view,
     cartan_subalgebra,
     close_and_present,
@@ -19,6 +24,7 @@ from legquad.liealg import (
     subalgebra_presentation,
 )
 from legquad.poly import parse_poly
+from legquad.rootdata import build_root_system, simple_types_up_to
 from legquad.symplectic import QuadraticForm, SymplecticForm, quadric_to_sp, standard_form
 
 from linalg_oracle import det
@@ -215,7 +221,8 @@ def test_killing_form_counts(algebras):
         full = root_decomposition(L, cd)
         assert cd.rank == rank
         assert len(full.roots) + rank == dim
-        assert det(full.killing) != 0
+        torus_form = [[sum(r[a] * r[b] for r in full.roots) for b in range(rank)] for a in range(rank)]
+        assert det(torus_form) != 0
 
 
 def test_exp_nilpotent_examples(entries, algebras):
@@ -370,3 +377,66 @@ def test_cached_killing_matrix_is_the_trace_form_of_ad(algebras, name):
     assert L.killing_matrix() == dense
     assert L.killing_matrix() is L.killing_matrix()
     assert det(dense) != 0 and L.is_semisimple()
+
+
+def _scrambled_root_data(systems, rng):
+    """Roots of the sum of `systems` with negatives, in simple-root
+    coordinates under a node permutation and a unimodular change of basis."""
+    n = sum(rs.rank for rs in systems)
+    roots, offset = [], 0
+    for rs in systems:
+        for alpha in rs.positive_roots:
+            v = [0] * n
+            v[offset:offset + rs.rank] = alpha
+            roots += [v, [-x for x in v]]
+        offset += rs.rank
+    order = list(range(n))
+    rng.shuffle(order)
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            k = rng.choice((-2, -1, 1, 2))
+            basis[i] = [x + k * y for x, y in zip(basis[i], basis[j])]
+    roots = [[sum(b * r[order[j]] for j, b in enumerate(row)) for row in basis] for r in roots]
+    return CartanData([[0] * n] * n, root_spaces=[(r, []) for r in roots])
+
+
+def test_identify_type_on_scrambled_root_data():
+    """Every type up to rank 8 and seeded sums of two types of rank <= 4."""
+    rng = random.Random(7)
+    for label, rank in simple_types_up_to(8):
+        rs = build_root_system(label, rank)
+        assert identify_type(_scrambled_root_data([rs], rng)) == [rs.type_label]
+    small = [build_root_system(label, rank) for label, rank in simple_types_up_to(4)]
+    for _ in range(30):
+        pair = rng.sample(small, 2) if rng.random() < 0.8 else [rng.choice(small)] * 2
+        expected = sorted((rs.type_label for rs in pair), key=lambda s: (s[0], int(s[1:])))
+        assert identify_type(_scrambled_root_data(pair, rng)) == expected
+
+
+def test_component_match_returns_the_node_bijection():
+    rng = random.Random(11)
+    for label, rank in simple_types_up_to(8):
+        target = build_root_system(label, rank).cartan
+        order = list(range(rank))
+        rng.shuffle(order)
+        cartan = [[target[a][b] for b in order] for a in order]
+        name, perm = _match_component(cartan)
+        assert name == f"{label}{rank}"
+        assert sorted(perm) == list(range(rank))
+        assert all(cartan[i][j] == target[perm[i]][perm[j]] for i in range(rank) for j in range(rank))
+
+
+def test_non_split_types_by_dimension_and_rank():
+    """The decided (dimension, rank) pairs keep their type; colliding ones
+    name every candidate, and (78, 6) is shared by B6, C6 and E6."""
+    decided = {(3, 1): "A1", (8, 2): "A2", (10, 2): "B2", (14, 2): "G2", (15, 3): "A3",
+               (24, 4): "A4", (28, 4): "D4", (52, 4): "F4", (35, 5): "A5", (45, 5): "D5",
+               (133, 7): "E7", (248, 8): "E8"}
+    for (dim, rank), label in decided.items():
+        assert _type_of_dimension(dim, rank) == label
+    for dim, rank, names in ((21, 3, "B3, C3"), (36, 4, "B4, C4"), (55, 5, "B5, C5"),
+                             (78, 6, "B6, C6, E6"), (12, 2, "none")):
+        with pytest.raises(NotAdaptedError, match=f"{names}$"):
+            _type_of_dimension(dim, rank)
