@@ -4,16 +4,23 @@ Bases are built degree by degree, after Faugere's F4 (J. Pure Appl. Algebra
 139, 1999).  Each step takes the pending S-pairs of the smallest lcm degree,
 less those the coprime-leading-monomial and chain criteria drop, and the
 input generators of that degree.  The two halves of each pair and the
-generators become rows, and symbolic preprocessing adds one multiple of a
-basis element for every monomial met that a basis leading monomial divides.
-All rows go into one `linalg.Echelon`; each stored row whose leading
-monomial no basis leading monomial divides is a new basis element.  Normal
-forms, and the tails of the reduced basis, are remainders against the
-echelon form of the preprocessing multiples.  The result is the unique
-reduced, monic grevlex basis, so identical ideals give identical bases.
-Inside the steps a monomial is its `poly.MonomialCodec` code: shifts are
-additions, the column order is the int order, and a divisibility test is
-one subtraction and one mask.  The basis is unpacked once, at the end.
+generators become rows, and symbolic preprocessing makes a reducer, one
+multiple of a basis element, for every monomial met that a basis leading
+monomial divides.  A reducer is a shifted basis row, already integer and
+primitive with a leading monomial of its own, so it goes into one
+`linalg.Echelon` by `adopt`, with no elimination; the other rows are then
+added in leading-monomial order.  Each stored row whose leading monomial no
+basis leading monomial divides is a new basis element.  The pivots of an
+echelon form depend only on the span, so the order of the rows moves no
+leading monomial, pending pair or budget count.  Normal forms, and the
+tails of the reduced basis, are remainders against the adopted reducers.
+The result is the unique reduced, monic grevlex basis, so identical ideals
+give identical bases.  Inside the steps a monomial is its
+`poly.MonomialCodec` code, and its column is the negated code, so the
+smallest column is the grevlex largest monomial and pivots are leading
+monomials: shifts are additions, lcms are word operations, and a
+divisibility test is one subtraction and one mask.  The basis is unpacked
+once, at the end.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
 any mathematical answer; exceeding it raises BudgetExceeded, and callers
@@ -22,13 +29,15 @@ report what needed the basis as undecided, never as a verdict.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from .linalg import Echelon
-from .poly import Exponent, MonomialCodec, Polynomial, code_columns, grevlex_key
+from .poly import Exponent, MonomialCodec, Polynomial, grevlex_key
 
-Terms = Dict[int, Fraction]  # monomial code -> coefficient; or int, as `Echelon` stores rows
+Terms = Dict[int, Fraction]  # column -> coefficient; or int, as `Echelon` stores rows
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -80,35 +89,39 @@ class GroebnerBasis:
 
 
 def _preprocess(
-    rows: List[Terms], met: Dict[int, bool], basis: Sequence[Terms], lms: Sequence[int],
+    rows: Sequence[Terms], met: Dict[int, bool], basis: Sequence[Terms], lms: Sequence[int],
     codec: MonomialCodec,
-) -> None:
-    """Symbolic preprocessing.  For every monomial t of a row that `met` does
-    not hold yet, append the multiple (t / lm) * g of the earliest basis
-    element g whose leading monomial lm divides t, and record in `met`
-    whether one did.  Appended rows are scanned too, as the loop reaches them."""
-    for row in rows:
+) -> List[Terms]:
+    """Symbolic preprocessing; returns the reducers.  For every column of a
+    row that `met` does not hold yet, with monomial u, make the reducer
+    (u / lm) * g of the earliest basis element g whose leading monomial lm
+    divides u, and record in `met` whether one did.  The reducers are
+    scanned too, as the loop reaches them.  Each is a shifted basis row, so
+    integer and primitive with a positive lead, and leads at a column of
+    its own."""
+    reducers: List[Terms] = []
+    for row in chain(rows, reducers):
         for t in row:
             if t in met:
                 continue
-            hits = codec.dividing(t, lms)
-            met[t] = bool(hits)
-            if hits:
-                shift = t - lms[hits[0]]
-                rows.append({m + shift: c for m, c in basis[hits[0]].items()})
+            k = codec.divisor(-t, lms)
+            met[t] = k is not None
+            if k is not None:
+                shift = -t - lms[k]
+                reducers.append({m - shift: c for m, c in basis[k].items()})
+    return reducers
 
 
-def _echelon(rows: List[Terms], monomials) -> Tuple[Echelon, Dict[int, int]]:
-    """The rows in one Echelon, with the column of each monomial.
-
-    Columns run largest grevlex monomial (largest code) first, so pivots are
-    leading monomials.  Rows go in by leading column, so a row with a new
-    leading monomial is stored without elimination."""
-    column = code_columns(monomials)
+def _echelon(reducers: Sequence[Terms], rows: Sequence[Terms] = ()) -> Echelon:
+    """The reducers adopted as they are, then the rows added by leading
+    column.  A column is a negated monomial code, so the smallest column
+    is the grevlex largest monomial and pivots are leading monomials."""
     span = Echelon()
-    for vec in sorted(({column[t]: c for t, c in row.items()} for row in rows), key=min):
-        span.add(vec)
-    return span, column
+    for row in reducers:
+        span.adopt(row)
+    for row in sorted(rows, key=min):
+        span.add(row)
+    return span
 
 
 def _remainders(
@@ -117,19 +130,13 @@ def _remainders(
     """Normal forms modulo the basis: the remainder of each poly against one
     Echelon of the preprocessing multiples of all of them.  No monomial of a
     remainder is divisible by a basis leading monomial."""
-    rows = list(polys)
-    met: Dict[int, bool] = {}
-    _preprocess(rows, met, basis, lms, codec)
-    span, column = _echelon(rows[len(polys):], met)
-    monomials = list(column)
-    return [
-        {monomials[k]: x for k, x in span.remainder({column[t]: c for t, c in p.items()}).items()}
-        for p in polys
-    ]
+    span = _echelon(_preprocess(polys, {}, basis, lms, codec))
+    return [span.remainder(p) for p in polys]
 
 
 def _packed(p: Polynomial, codec: MonomialCodec) -> Terms:
-    return {codec.pack(m): c for m, c in p.terms.items()}
+    """The terms of p on columns: negated monomial codes."""
+    return {-codec.pack(m): c for m, c in p.terms.items()}
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -138,9 +145,12 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise ValueError("nvars mismatch")
     # preprocessing multiples have no monomial of higher degree than p's
     codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in gb.elements]))
-    basis = [_packed(g, codec) for g in gb.elements]
-    [r] = _remainders([_packed(p, codec)], basis, [max(g) for g in basis], codec)
-    return Polynomial(p.nvars, {codec.unpack(m): c for m, c in r.items()})
+    basis = []
+    for g in gb.elements:  # monic, so den * g is primitive with a positive lead
+        den = math.lcm(*[c.denominator for c in g.terms.values()])
+        basis.append({t: c.numerator * (den // c.denominator) for t, c in _packed(g, codec).items()})
+    [r] = _remainders([_packed(p, codec)], basis, [-min(g) for g in basis], codec)
+    return Polynomial(p.nvars, {codec.unpack(-t): c for t, c in r.items()})
 
 
 def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
@@ -153,8 +163,8 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
     with a wider codec.
     """
     codec = MonomialCodec(ideal.nvars, 0)
-    basis: List[Terms] = []  # integer coefficients, content divided out
-    lms: List[int] = []
+    basis: List[Terms] = []  # integer rows on columns, content divided out
+    lms: List[int] = []  # codes of the leading monomials
     pending: Dict[Tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
     inputs = sorted(ideal.generators, key=Polynomial.degree)
     processed = 0
@@ -163,7 +173,7 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
                      + [g.degree() for g in inputs[:1]])
         if degree > codec.limit:
             wider = MonomialCodec(ideal.nvars, degree)
-            basis = [{wider.pack(codec.unpack(m)): c for m, c in g.items()} for g in basis]
+            basis = [{-wider.pack(codec.unpack(-t)): c for t, c in g.items()} for g in basis]
             lms = [wider.pack(codec.unpack(lm)) for lm in lms]
             pending = {pair: wider.pack(codec.unpack(lcm)) for pair, lcm in pending.items()}
             codec = wider
@@ -190,31 +200,29 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
                 continue
             for k in (i, j):
                 shift = lcm - lms[k]
-                rows.append({m + shift: c for m, c in basis[k].items()})
-            met[lcm] = True  # both halves lead there
+                rows.append({t - shift: c for t, c in basis[k].items()})
+            met[-lcm] = True  # both halves lead there
         while inputs and inputs[0].degree() == degree:
             rows.append(_packed(inputs.pop(0), codec))
         if not rows:
             continue
-        _preprocess(rows, met, basis, lms, codec)
-        span, column = _echelon(rows, met)
-        monomials = list(column)
-        for lead, row in sorted(span.rows.items()):
-            lm = monomials[lead]
-            if met[lm]:  # a basis leading monomial divides it
+        span = _echelon(_preprocess(rows, met, basis, lms, codec), rows)
+        for lead in span.pivots:
+            if met[lead]:  # a basis leading monomial divides it
                 continue
+            lm = -lead
             for k in range(len(basis)):
                 pending[(k, len(basis))] = codec.lcm(lms[k], lm)
-            basis.append({monomials[k]: x for k, x in row.items()})
+            basis.append(span.rows[lead])
             lms.append(lm)
 
     keep = [k for k, lm in enumerate(lms) if len(codec.dividing(lm, lms)) == 1]
-    tails = [{t: c for t, c in basis[k].items() if t != lms[k]} for k in keep]
+    tails = [{t: c for t, c in basis[k].items() if t != -lms[k]} for k in keep]
     reduced = []
     remainders = _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep], codec)
     for k, tail in zip(keep, remainders):
-        lead = basis[k][lms[k]]
-        terms = {codec.unpack(t): c / lead for t, c in tail.items()}
+        lead = basis[k][-lms[k]]
+        terms = {codec.unpack(-t): c / lead for t, c in tail.items()}
         reduced.append(Polynomial(ideal.nvars, {codec.unpack(lms[k]): 1, **terms}))
     reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
     return GroebnerBasis(reduced, ideal.nvars)

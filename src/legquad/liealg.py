@@ -936,7 +936,8 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
         pass
     labels: List[str] = []
     for ideal in decompose_ideals(algebra):
-        sub = subalgebra_presentation(algebra, ideal)
+        # a simple algebra is its own one ideal, and keeps its cached failure
+        sub = algebra if len(ideal) == algebra.dim else subalgebra_presentation(algebra, ideal)
         try:
             labels.extend(identify_type(split_root_data(sub)))
         except NotAdaptedError:

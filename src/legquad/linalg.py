@@ -114,12 +114,15 @@ class Echelon:
 
     Rows map column to integer.  Each stored row has its content divided
     out (jointly with its coefficients, when they are tracked), a positive
-    leading entry, and no entry in the leading column of an earlier row.
-    `pivots` lists the leading columns in increasing order and is kept
-    sorted as rows are inserted.  With `track=True` each row also carries
-    its integer coefficients over the (denominator-cleared) input rows,
-    eliminated alongside it, so that `coefficients` can write a vector of
-    the span in terms of the inputs.
+    leading entry, and a leading column of its own.  A row stored by `add`
+    has no entry in the leading column of an earlier row; `adopt` stores a
+    row that is already in that form as it is, and the elimination clears
+    pivot columns in increasing order, so the entries such a row keeps in
+    other pivot columns are cleared after it.  `pivots` lists the leading
+    columns in increasing order and is kept sorted as rows are inserted.
+    With `track=True` each row also carries its integer coefficients over
+    the (denominator-cleared) input rows, eliminated alongside it, so that
+    `coefficients` can write a vector of the span in terms of the inputs.
     """
 
     def __init__(self, track: bool = False):
@@ -173,6 +176,24 @@ class Echelon:
         if combo is not None:
             self._combos[lead] = combo
         return True
+
+    def adopt(self, row: SparseRow) -> None:
+        """Store a row that is already in stored form, with no elimination:
+        integer entries with content 1 and a positive leading entry.  Its
+        leading column must not be a pivot yet; its other entries may lie in
+        pivot columns.  `row` is kept, not copied."""
+        if not row or not all(type(x) is int and x for x in row.values()):
+            raise ValueError("an adopted row has nonzero integer entries")
+        lead = min(row)
+        if row[lead] <= 0 or gcd(*row.values()) != 1:
+            raise ValueError("an adopted row is primitive with a positive leading entry")
+        if lead in self.rows:
+            raise ValueError(f"column {lead} is already a pivot")
+        insort(self.pivots, lead)
+        self.rows[lead] = row
+        if self._combos is not None:
+            self._combos[lead] = {len(self._denominators): 1}
+            self._denominators.append(1)
 
     def remainder(self, vec: Mapping) -> Dict[int, Fraction]:
         """vec minus a vector of the span, with no entry in a pivot column

@@ -74,7 +74,7 @@ class MonomialCodec:
     for the largest degree their products reach.
     """
 
-    __slots__ = ("nvars", "limit", "units", "_shift", "_mask", "_guards", "_struct")
+    __slots__ = ("nvars", "limit", "units", "_bits", "_shift", "_mask", "_guards", "_struct")
 
     def __init__(self, nvars: int, max_degree: int):
         bits = next((b for b in (8, 16) if max_degree < 1 << (b - 1)), None)
@@ -82,6 +82,7 @@ class MonomialCodec:
             raise ValueError(f"degree {max_degree} is too large to pack into a monomial code")
         self.nvars = nvars
         self.limit = (1 << (bits - 1)) - 1  # the largest exponent a field holds
+        self._bits = bits
         self._shift = bits * nvars
         self._mask = (1 << self._shift) - 1
         self._guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
@@ -108,8 +109,24 @@ class MonomialCodec:
         guards = self._guards
         return [k for k, a in enumerate(codes) if not (a - t) & guards]
 
+    def divisor(self, t: int, codes: Sequence[int]) -> Optional[int]:
+        """Position of the first code that divides t, or None; the first
+        entry of `dividing`."""
+        guards = self._guards
+        return next((k for k, a in enumerate(codes) if not (a - t) & guards), None)
+
     def lcm(self, a: int, b: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+        """Code of the least common multiple, field by field on the packed
+        exponents.  With a's guard bits set, a field of (a | guards) - b
+        cannot borrow from the next, and keeps its guard bit exactly when
+        a's exponent is at least b's; those guard bits widen to a mask of
+        the fields where a's exponent is the larger."""
+        ea, eb = -a & self._mask, -b & self._mask
+        ahead = ((ea | self._guards) - eb) & self._guards
+        pick = ahead - (ahead >> (self._bits - 1))
+        exps = eb ^ ((ea ^ eb) & pick)
+        degree = sum(self._struct.unpack(exps.to_bytes(self._struct.size, "little")))
+        return (degree << self._shift) - exps
 
 
 class Polynomial:
@@ -376,44 +393,66 @@ class _Parser:
             self.error("expected an integer")
         return int(self.text[start : self.pos])
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self) -> Dict[Exponent, Fraction]:
+        """The terms of an expression, summed in one dict; a term that
+        cancels stays, as a zero, for the `Polynomial` to drop."""
+        terms: Dict[Exponent, Fraction] = {}
         sign = 1
         ch = self.peek()
         if ch in ("+", "-"):
             self.take()
             sign = -1 if ch == "-" else 1
-        result = self.parse_term().scale(sign)
+        self.parse_term(terms, sign)
         while True:
             ch = self.peek()
             if ch not in ("+", "-"):
                 break
             self.take()
-            term = self.parse_term()
-            result = result + (term.scale(-1) if ch == "-" else term)
-        return result
+            self.parse_term(terms, -1 if ch == "-" else 1)
+        return terms
 
-    def parse_term(self) -> Polynomial:
-        result = self.parse_factor()
-        while self.peek() == "*":
+    def parse_term(self, terms: Dict[Exponent, Fraction], sign: int) -> None:
+        """Add sign * term to `terms`.  Numbers multiply into one coefficient
+        and variables into one exponent vector; only parenthesised factors
+        are multiplied as polynomials."""
+        coeff = sign
+        exps = [0] * self.nvars
+        product: Optional[Polynomial] = None
+        while True:
+            factor = self.parse_factor(exps)
+            if isinstance(factor, Polynomial):
+                product = factor if product is None else product * factor
+            elif factor is not None:
+                coeff *= factor
+            if self.peek() != "*":
+                break
             self.take()
-            result = result * self.parse_factor()
-        return result
+        mono = tuple(exps)
+        if product is None:
+            terms[mono] = terms.get(mono, 0) + coeff
+            return
+        for m, c in product.terms.items():
+            key = monomial_mul(m, mono)
+            terms[key] = terms.get(key, 0) + c * coeff
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self, exps: List[int]):
+        """A number (int or Fraction), a parenthesised factor (Polynomial),
+        or None for a variable, whose power is added into `exps`."""
         ch = self.peek()
         if ch == "(":
             self.take()
-            inner = self.parse_expr()
+            inner = Polynomial(self.nvars, self.parse_expr())
             if self.peek() != ")":
                 self.error("expected ')'")
             self.take()
-            return self._maybe_power(inner)
+            return inner ** self._exponent()
         if ch in ("x", "y"):
             self.take()
             index = self.read_int()
             if index >= self.nvars:
                 self.error(f"variable index {index} out of range (nvars={self.nvars})")
-            return self._maybe_power(Polynomial.variable(self.nvars, index))
+            exps[index] += self._exponent()
+            return None
         if ch.isdigit():
             num = self.read_int()
             if self.peek() == "/":
@@ -421,15 +460,16 @@ class _Parser:
                 den = self.read_int()
                 if den == 0:
                     self.error("zero denominator")
-                return Polynomial.constant(self.nvars, Fraction(num, den))
-            return Polynomial.constant(self.nvars, num)
+                return Fraction(num, den)
+            return num
         self.error("expected a coefficient, variable or '('")
 
-    def _maybe_power(self, base: Polynomial) -> Polynomial:
+    def _exponent(self) -> int:
+        """The power after a variable or ')': the integer after '^', or 1."""
         if self.peek() == "^":
             self.take()
-            return base ** self.read_int()
-        return base
+            return self.read_int()
+        return 1
 
 
 def parse_poly(text: str, nvars: int) -> Polynomial:
@@ -438,11 +478,11 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
     parse(format(p)) == p for every polynomial p.
     """
     parser = _Parser(text, nvars)
-    result = parser.parse_expr()
+    terms = parser.parse_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input")
-    return result
+    return Polynomial(nvars, terms)
 
 
 def _format_monomial(exps: Exponent) -> str:

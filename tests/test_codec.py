@@ -2,7 +2,7 @@
 against exponent tuples, and the width guard in the kernels that use them."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groebner_oracle import division_buchberger, monomial_divides, monomial_lcm
@@ -18,7 +18,8 @@ def codec_and_exponents(draw, count=2):
     whose entries fit its fields."""
     nvars = draw(st.integers(1, 8))
     codec = MonomialCodec(nvars, draw(st.sampled_from([1, 2, 5, 126, 127, 128, 1000, 32767])))
-    entry = st.integers(0, codec.limit)
+    # the ends of a field, where a borrow or a guard bit would show, come often
+    entry = st.one_of(st.integers(0, codec.limit), st.sampled_from([0, 1, codec.limit - 1, codec.limit]))
     vectors = [tuple(draw(st.lists(entry, min_size=nvars, max_size=nvars))) for _ in range(count)]
     return codec, vectors
 
@@ -45,6 +46,8 @@ def test_int_order_is_grevlex(case):
 
 
 @given(codec_and_exponents(count=4))
+@example((MonomialCodec(3, 32767), [(32767, 0, 16384), (0, 32767, 16383), (1, 2, 3), (32766, 32767, 0)]))
+@example((MonomialCodec(2, 127), [(127, 0), (0, 127), (64, 63), (126, 127)]))
 def test_divisibility_and_lcm_agree_with_tuples(case):
     codec, vectors = case
     t = vectors[0]

@@ -128,6 +128,29 @@ def test_budget_raises_distinctly():
     assert err.value.budget_name == "groebner_pairs"
 
 
+# The fewest S-pairs under which each basis finishes.  For a homogeneous
+# ideal each step's leading monomials depend only on the ideal, not on how
+# the step's rows are reduced, so the pairs each step takes, and these
+# counts, stay as they are.  "grl36 + x3*x9" adds that monomial to the first
+# generator of grl36.
+PAIRS_NEEDED = {"twisted-cubic": 3, "segre-4": 36, "grl36": 231, "grl36 + x3*x9": 1431}
+
+
+@pytest.mark.parametrize("name", PAIRS_NEEDED)
+def test_pair_budget_needed_is_unchanged(entries, name):
+    base, _, extra = name.partition(" + ")
+    pres = entries[base].presentation
+    gens = list(pres.generators)
+    if extra:
+        gens[0] = gens[0] + parse_poly(extra, pres.nvars)
+    ideal = IdealPresentation(gens, pres.nvars)
+    needed = PAIRS_NEEDED[name]
+    assert buchberger(ideal, max_pairs=needed).elements
+    with pytest.raises(BudgetExceeded) as err:
+        buchberger(ideal, max_pairs=needed - 1)
+    assert err.value.budget_name == "groebner_pairs"
+
+
 def test_basis_is_reduced():
     gb = buchberger(_cubic_ideal())
     lms = gb.leading_monomials()

@@ -440,3 +440,23 @@ def test_non_split_types_by_dimension_and_rank():
                              (78, 6, "B6, C6, E6"), (12, 2, "none")):
         with pytest.raises(NotAdaptedError, match=f"{names}$"):
             _type_of_dimension(dim, rank)
+
+
+def test_simple_non_split_algebra_is_searched_once(monkeypatch):
+    """so(5) of a sum of squares is simple and has no split torus over Q: it
+    is its own one ideal, so identification reuses the algebra and its cached
+    failure instead of rebuilding it and searching for a torus again."""
+    from legquad import liealg
+
+    gens = [parse_poly(f"x{i}*x{5 + j} - x{j}*x{5 + i}", 10)
+            for i in range(5) for j in range(i + 1, 5)]
+    algebra = close_and_present(gens, standard_form(5))
+    calls = []
+
+    def counted(alg):
+        calls.append(alg)
+        return cartan_subalgebra(alg)
+
+    monkeypatch.setattr(liealg, "cartan_subalgebra", counted)
+    assert identify_algebra(algebra) == ["B2"]
+    assert calls == [algebra]

@@ -178,3 +178,53 @@ def test_span_membership_recovers_coefficients():
             vec[free[0]] = vec.get(free[0], Fraction(0)) + 1
             assert not span.contains(vec)
             assert span.coefficients(vec) is None
+
+
+def test_adopted_rows_keep_the_row_invariants():
+    """Rows already in stored form go in as they are, entries in other
+    pivot columns included, and the span is the one `add` builds."""
+    rng = random.Random(19)
+    for _ in range(40):
+        cols = rng.randint(2, 9)
+        rows = {}
+        for lead in rng.sample(range(cols), rng.randint(1, cols)):
+            row = {lead: rng.randint(1, 5)}
+            row.update({j: rng.randint(-6, 6) for j in range(lead + 1, cols) if rng.random() < 0.5})
+            row = {j: x for j, x in row.items() if x}
+            g = math.gcd(*row.values())
+            rows[lead] = {j: x // g for j, x in row.items()}
+        adopted, added = linalg.Echelon(), linalg.Echelon()
+        for lead, row in rows.items():
+            adopted.adopt(dict(row))
+            assert added.add(row)
+        assert adopted.pivots == added.pivots == sorted(rows)
+        for lead, row in adopted.rows.items():
+            assert row == rows[lead] and min(row) == lead
+        probe = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(cols)}
+        assert adopted.remainder(probe) == added.remainder(probe)
+        adopted.reduce_fully()
+        added.reduce_fully()
+        assert adopted.rows == added.rows
+
+
+def test_adopt_rejects_rows_not_in_stored_form():
+    span = linalg.Echelon()
+    span.adopt({1: 2, 3: -3})
+    with pytest.raises(ValueError, match="already a pivot"):
+        span.adopt({1: 1, 2: 5})
+    with pytest.raises(ValueError):
+        span.adopt({0: Fraction(1, 2), 4: 1})  # not integer
+    with pytest.raises(ValueError):
+        span.adopt({0: Fraction(1), 4: 1})  # a Fraction, though integral
+    with pytest.raises(ValueError):
+        span.adopt({0: 2, 4: 4})  # not primitive
+    with pytest.raises(ValueError):
+        span.adopt({0: -1, 4: 1})  # negative lead
+    with pytest.raises(ValueError):
+        span.adopt({0: 1, 4: 0})  # a stored zero
+    with pytest.raises(ValueError):
+        span.adopt({})
+    assert span.pivots == [1] and span.rows == {1: {1: 2, 3: -3}}
+    tracked = linalg.Echelon(track=True)
+    tracked.adopt({0: 1, 2: 3})
+    assert tracked.coefficients({0: 2, 2: 6}) == {0: 2}

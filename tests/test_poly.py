@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from legquad.poly import (
     Polynomial,
@@ -34,6 +37,32 @@ def test_parse_errors_carry_position():
         parse_poly("x7", 4)
     with pytest.raises(PolyParseError):
         parse_poly("x0 x1", 2)
+
+
+# Each message and position below is the grammar's contract; "2^3" is an
+# error because a number takes no power.
+PARSE_ERRORS = [
+    ("2^3", 2, "trailing input", 1),
+    ("x0 + @", 2, "expected a coefficient, variable or '('", 5),
+    ("x7", 4, "variable index 7 out of range (nvars=4)", 2),
+    ("(x0 + x1", 2, "expected ')'", 8),
+    ("1/0", 2, "zero denominator", 3),
+    ("x0^", 2, "expected an integer", 3),
+    ("x0 x1", 2, "trailing input", 3),
+    ("(x0)^2^3", 2, "trailing input", 6),
+    ("-", 2, "expected a coefficient, variable or '('", 1),
+    ("x0*", 2, "expected a coefficient, variable or '('", 3),
+    ("3/x0", 2, "expected an integer", 2),
+    ("y1^2 - ", 2, "expected a coefficient, variable or '('", 7),
+]
+
+
+@pytest.mark.parametrize("text, nvars, message, position", PARSE_ERRORS)
+def test_parse_error_messages_and_positions(text, nvars, message, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, nvars)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_print_parse_roundtrip():
@@ -121,3 +150,53 @@ def _random_homogeneous(rng, nvars, degree):
         terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
     p = Polynomial(nvars, terms)
     return p if p.terms else Polynomial(nvars, {(degree,) + (0,) * (nvars - 1): 1})
+
+
+@st.composite
+def polynomials(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 6)] * nvars)
+    coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return Polynomial(nvars, draw(st.dictionaries(exponents, coefficients, max_size=8)))
+
+
+@given(polynomials())
+def test_format_parse_roundtrip_property(p):
+    assert parse_poly(format_poly(p), p.nvars) == p
+
+
+def _random_text(rng, nvars, depth=0):
+    """A random expression of the grammar, with parentheses, powers, aliases
+    and fractions, spaced at random."""
+    def factor():
+        kind = rng.random()
+        if kind < 0.2 and depth < 2:
+            power = f"^{rng.randint(0, 3)}" if rng.random() < 0.4 else ""
+            return f"({_random_text(rng, nvars, depth + 1)}){power}"
+        if kind < 0.45:
+            num = str(rng.randint(0, 12))
+            return num + (f"/{rng.randint(1, 9)}" if rng.random() < 0.3 else "")
+        name = f"{rng.choice('xy')}{rng.randrange(nvars)}"
+        return name + (f"^{rng.randint(0, 4)}" if rng.random() < 0.3 else "")
+
+    def term():
+        return rng.choice(["*", " * ", "*  "]).join(factor() for _ in range(rng.randint(1, 3)))
+
+    text = rng.choice(["", "-", "+ "]) + term()
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice([" + ", "-", " - ", "+"]) + term()
+    return text
+
+
+def test_parse_matches_sympy_on_random_texts():
+    rng = random.Random(41)
+    nvars = 3
+    xs = sympy.symbols(f"x0:{nvars}")
+    names = {f"x{i}": x for i, x in enumerate(xs)}
+    for _ in range(200):
+        text = _random_text(rng, nvars)
+        p = parse_poly(text, nvars)
+        expr = sympy.parse_expr(text.replace("^", "**").replace("y", "x"), local_dict=names)
+        expected = {m: Fraction(int(c.p), int(c.q))
+                    for m, c in sympy.Poly(expr, *xs).terms() if c}
+        assert p.terms == expected, text
