@@ -63,9 +63,10 @@ def _read_source(path: str) -> str:
 def parse_variety_file(text: str, form_override: Optional[str] = None) -> VarietyPresentation:
     """Input format: 'n=<n>' header, optional 'form=<file|standard|json:...>',
     then one generator per line; '#' starts a comment.  A non-None
-    form_override wins over the header."""
+    form_override wins over the header.  Errors name the line they are on,
+    or `--form` when the override is at fault."""
     n = None
-    form_spec = "standard"
+    form_spec, form_origin = "standard", "the default form"
     gen_lines: List[tuple] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -77,28 +78,50 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
             except ValueError:
                 raise InputError(f"line {lineno}: 'n=' needs an integer, got {line[2:]!r}") from None
         elif line.startswith("form="):
-            form_spec = line[5:].strip()
+            form_spec, form_origin = line[5:].strip(), f"line {lineno}"
         else:
             gen_lines.append((lineno, line))
     if n is None or n < 1:
         raise InputError("missing or invalid 'n=<n>' header")
     if form_override:
-        form_spec = form_override
-    if form_spec == "standard":
-        form = standard_form(n)
-    elif form_spec.startswith("json:"):
-        form = SymplecticForm.from_json(form_spec[5:])
-    else:
-        form = SymplecticForm.from_json(_read_source(form_spec))
+        form_spec, form_origin = form_override, "--form"
+    form = _parse_form(form_spec, n, form_origin)
     if form.dim != 2 * n:
-        raise InputError(f"form dimension {form.dim} does not match n={n}")
+        raise InputError(f"{form_origin}: form dimension {form.dim} does not match n={n}")
     gens = []
     for lineno, line in gen_lines:
         try:
-            gens.append(parse_poly(line, 2 * n))
+            g = parse_poly(line, 2 * n)
         except PolyParseError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
+        if not g.is_homogeneous():
+            raise InputError(f"line {lineno}: generator {g} is not homogeneous")
+        gens.append(g)
     return VarietyPresentation("input", form, gens)
+
+
+def _parse_form(spec: str, n: int, origin: str) -> SymplecticForm:
+    """The form of a 'form=' value or a `--form` override; errors name
+    `origin`."""
+    if spec == "standard":
+        return standard_form(n)
+    if spec.startswith("json:"):
+        source = spec[5:]
+    else:
+        try:
+            source = _read_source(spec)
+        except OSError as exc:
+            raise InputError(f"{origin}: cannot read the form file {spec!r}: {exc.strerror}") from None
+    try:
+        return SymplecticForm.from_json(source)
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{origin}: the form is not valid JSON: {exc.msg} at character {exc.pos + 1}"
+        ) from None
+    except KeyError as exc:
+        raise InputError(f"{origin}: the form object has no {exc} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{origin}: bad form: {exc}") from None
 
 
 def _report(args, command: str, inputs: dict, result: dict, status: str, timings: dict) -> None:

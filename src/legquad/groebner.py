@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .linalg import Echelon
 from .poly import Exponent, MonomialCodec, Polynomial, grevlex_key
@@ -233,37 +233,58 @@ def contains_constant(gb: GroebnerBasis) -> bool:
 
 
 def krull_dimension(gb: GroebnerBasis) -> int:
-    """Dimension of the quotient ring, via maximal independent variable sets.
+    """Dimension of the quotient ring: the number of variables minus the size
+    of a smallest set of variables that meets the support of every leading
+    monomial.
 
-    The dimension equals the largest number of variables no leading monomial
-    is supported on, a standard consequence of the flat degeneration to the
-    leading-term ideal.
+    The complement of such a set is a largest set of variables no leading
+    monomial is supported on, and its size is the dimension, a standard
+    consequence of the flat degeneration to the leading-term ideal.
     """
     if contains_constant(gb):
         raise ImproperIdealError("ideal contains a constant")
-    supports = sorted(
-        {frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()},
-        key=lambda s: (len(s), sorted(s)),
-    )
-    return _max_independent(frozenset(range(gb.nvars)), tuple(supports), {})
+    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()}
+    return gb.nvars - _smallest_hitting_set(supports, gb.nvars)
 
 
-def _max_independent(allowed: frozenset, supports: Tuple[frozenset, ...], memo: dict) -> int:
-    """Largest subset of `allowed` containing no support set entirely."""
-    key = allowed
-    if key in memo:
-        return memo[key]
-    hit = None
-    for s in supports:
-        if s <= allowed:
-            hit = s
-            break
-    if hit is None:
-        memo[key] = len(allowed)
-        return len(allowed)
-    best = 0
-    for v in sorted(hit):
-        best = max(best, _max_independent(allowed - {v}, supports, memo))
-    memo[key] = best
+def _smallest_hitting_set(supports: Set[FrozenSet[int]], nvars: int) -> int:
+    """Size of a smallest set of variables meeting every support set, by a
+    depth-first branch and bound with no memo.
+
+    A support that contains another is dropped: meeting the smaller one
+    meets it.  Each node branches on the unmet support with the fewest
+    variables still open, taking its k-th open variable and closing the
+    ones before it, so no set is visited twice.  Unmet supports that are
+    pairwise disjoint in their open variables each need a variable of
+    their own, which bounds the size from below; a node whose bound
+    reaches the best size found is pruned.
+    """
+    minimal: List[FrozenSet[int]] = []
+    for s in sorted(supports, key=len):
+        if not any(t <= s for t in minimal):
+            minimal.append(s)
+    best = nvars  # every variable meets every (nonempty) support
+
+    def search(chosen: FrozenSet[int], closed: FrozenSet[int], size: int) -> None:
+        nonlocal best
+        unmet = [s - closed for s in minimal if not s & chosen]
+        if not unmet:
+            best = size
+            return
+        # a greedy packing of disjoint unmet supports bounds the rest
+        packed: Set[int] = set()
+        need = 0
+        for s in sorted(unmet, key=len):
+            if not s:
+                return  # an unmet support with every variable closed
+            if packed.isdisjoint(s):
+                packed |= s
+                need += 1
+        if size + need >= best:
+            return
+        options = sorted(min(unmet, key=len))
+        for k, v in enumerate(options):
+            search(chosen | {v}, closed | frozenset(options[:k]), size + 1)
+
+    search(frozenset(), frozenset(), 0)
     return best
-

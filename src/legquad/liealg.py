@@ -6,11 +6,21 @@ constants, find a torus of elements whose sp-images are diagonal, decompose
 into root spaces over the rationals, read the Cartan integers off root
 strings and match each component against `rootdata`'s Cartan matrices.
 
+The arithmetic runs on one sparse integer bracket table per presentation,
+built once from the structure constants over their common denominator D:
+brackets, ad-matrices (one builder, `_integer_ad`), the Killing form (an
+integer sum divided by D^2 once) and the root-space columns all read it,
+and the torus search reads the sparse sp-image entries of each quadric.
+Fractions appear at the API boundary only: `structure`, `bracket_coeffs`,
+`bracket_vectors`, `ad_matrix`, `killing_matrix`, `sp_images` and the roots.
+
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those take a fallback
 path: split into minimal ideals and name each factor by the `rootdata` types
 of its rank whose algebra has its dimension.  That fails, naming the
-candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.
+candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.  The
+splitting certifies a piece simple by the rank of its commutant system
+modulo a prime, and runs the exact elimination only when that fails.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix, Vector
@@ -28,6 +38,10 @@ from .rootdata import algebra_dimension, build_root_system, simple_types_up_to
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
+# table[i][j] lists (k, n) with [b_i, b_j] = sum (n / D) b_k
+BracketTable = List[Dict[int, List[Tuple[int, int]]]]
+SparseAd = Dict[Tuple[int, int], int]  # (k, j) -> integer entry
+SpEntries = Tuple[Dict[Tuple[int, int], int], int]  # ((p, q) -> integer entry, denominator)
 
 
 class NotClosedError(ValueError):
@@ -55,7 +69,10 @@ class LieAlgebraPresentation:
         self.form = form
         self.structure = structure
         self.dim = len(self.basis)
+        self._table: Optional[Tuple[BracketTable, int]] = None
+        self._sp_entries: Optional[List[SpEntries]] = None
         self._sp_images: Optional[List[Matrix]] = None
+        self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
         self._killing: Optional[Matrix] = None
         self._semisimple: Optional[bool] = None
         self._root_data = None  # CartanData, or the NotAdaptedError it raised
@@ -68,68 +85,99 @@ class LieAlgebraPresentation:
             return dict(self.structure.get((i, j), {}))
         return {k: -v for k, v in self.structure.get((j, i), {}).items()}
 
+    def bracket_table(self) -> Tuple[BracketTable, int]:
+        """(table, D), built once: table[i][j] lists the (k, n) with
+        [b_i, b_j] = sum (n / D) b_k, for every ordered pair with a nonzero
+        bracket, over the least common denominator D of the constants."""
+        if self._table is None:
+            den = math.lcm(*[c.denominator for col in self.structure.values() for c in col.values()])
+            table: BracketTable = [{} for _ in range(self.dim)]
+            for (i, j), col in self.structure.items():
+                if col:
+                    terms = [(k, c.numerator * (den // c.denominator)) for k, c in col.items()]
+                    table[i][j] = terms
+                    table[j][i] = [(k, -n) for k, n in terms]
+            self._table = (table, den)
+        return self._table
+
+    def bracket_ints(self, u: Mapping[int, int], v: Mapping[int, int]) -> Dict[int, int]:
+        """D * [u, v] for integer coordinate vectors u and v (index -> value),
+        nonzero entries only."""
+        table = self.bracket_table()[0]
+        out: Dict[int, int] = {}
+        for i, x in u.items():
+            row = table[i]
+            if len(v) <= len(row):
+                hits = [(y, row[j]) for j, y in v.items() if j in row]
+            else:
+                hits = [(v[j], terms) for j, terms in row.items() if j in v]
+            for y, terms in hits:
+                xy = x * y
+                for k, n in terms:
+                    out[k] = out.get(k, 0) + xy * n
+        return {k: s for k, s in out.items() if s}
+
     def bracket_vectors(self, u: Sequence, v: Sequence) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        ui = [(i, Fraction(x)) for i, x in enumerate(u) if x]
-        vj = [(j, Fraction(x)) for j, x in enumerate(v) if x]
-        for i, uc in ui:
-            for j, vc in vj:
-                if i == j:
-                    continue
-                for k, c in self.bracket_coeffs(i, j).items():
-                    s = out.get(k, Fraction(0)) + uc * vc * c
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
+        """[u, v] as a sparse coefficient vector over the basis."""
+        iu, du = _integral_vector(u)
+        iv, dv = _integral_vector(v)
+        scale = du * dv * self.bracket_table()[1]
+        return {k: Fraction(s, scale) for k, s in self.bracket_ints(iu, iv).items()}
 
     def ad_matrix(self, vec: Sequence) -> Matrix:
         """Matrix of ad(v) acting on basis coordinates."""
-        cols = []
-        for j in range(self.dim):
-            col = self.bracket_vectors(vec, _unit(self.dim, j))
-            cols.append(col)
+        entries, den = _integer_ad(self, vec)
         out = linalg.zeros(self.dim, self.dim)
-        for j, col in enumerate(cols):
-            for k, c in col.items():
-                out[k][j] = c
+        for (k, j), x in entries.items():
+            out[k][j] = Fraction(x, den)
         return out
 
-    def sp_images(self) -> List[Matrix]:
-        # Sparse build of 2 W A per basis quadric; the dual matrix and the
-        # quadric matrices are both sparse for every fixture.
-        if self._sp_images is None:
-            dim2n = self.form.dim
-            dual = self.form.dual_matrix
-            col_nonzeros = [
-                [(p, dual[p][r]) for p in range(dim2n) if dual[p][r] != 0]
-                for r in range(dim2n)
-            ]
-            images = []
+    def sp_entries(self) -> List[SpEntries]:
+        """(entries, den) for each basis quadric, built once: its sp-image
+        2 W A is entries / den, with entries sparse (p, q) -> nonzero
+        integer.  The dual matrix W and the quadric matrices A are both
+        sparse for every fixture."""
+        if self._sp_entries is None:
+            col_nonzeros: List[List[Tuple[int, int]]] = [[] for _ in range(self.form.dim)]
+            for p, row in enumerate(self.form.dual_rows):
+                for r, w in row:
+                    col_nonzeros[r].append((p, w))
+            out = []
             for b in self.basis:
-                image = linalg.zeros(dim2n, dim2n)
+                den = math.lcm(*[c.denominator for c in b.terms.values()])
+                image: Dict[Tuple[int, int], int] = {}
                 for exps, coeff in b.terms.items():
+                    c = coeff.numerator * (den // coeff.denominator)
                     support = [i for i, e in enumerate(exps) if e]
                     if len(support) == 1:
-                        entries = [(support[0], support[0], coeff)]
+                        entries = [(support[0], support[0], 2 * c)]  # 2 W A for A[r][r] = c
                     else:
                         r, q = support
-                        entries = [(r, q, coeff / 2), (q, r, coeff / 2)]
+                        entries = [(r, q, c), (q, r, c)]  # 2 W A for A[r][q] = A[q][r] = c / 2
                     for r, q, a in entries:
                         for p, w in col_nonzeros[r]:
-                            image[p][q] += 2 * w * a
-                images.append(image)
-            self._sp_images = images
+                            image[(p, q)] = image.get((p, q), 0) + w * a
+                out.append(({pq: x for pq, x in image.items() if x}, den * self.form.dual_den))
+            self._sp_entries = out
+        return self._sp_entries
+
+    def sp_images(self) -> List[Matrix]:
+        """The sp-image of each basis quadric as a dense matrix, built once."""
+        if self._sp_images is None:
+            self._sp_images = [
+                self._dense_sp({pq: Fraction(x, den) for pq, x in entries.items()})
+                for entries, den in self.sp_entries()
+            ]
         return self._sp_images
 
     def sp_image(self, vec: Sequence) -> Matrix:
         """sp-image of the element with coordinates `vec`."""
-        images = self.sp_images()
+        return self._dense_sp(_sp_combination(self, vec))
+
+    def _dense_sp(self, entries: Dict[Tuple[int, int], Fraction]) -> Matrix:
         out = linalg.zeros(self.form.dim, self.form.dim)
-        for i, c in enumerate(vec):
-            if c:
-                out = linalg.mat_add(out, linalg.mat_scale(images[i], c))
+        for (p, q), x in entries.items():
+            out[p][q] = x
         return out
 
     def element_polynomial(self, vec: Sequence) -> Polynomial:
@@ -139,35 +187,53 @@ class LieAlgebraPresentation:
                 total = total + self.basis[i].scale(c)
         return total
 
-    def killing_matrix(self) -> Matrix:
-        """Trace form tr(ad_i ad_j) of the adjoint action, built once.
+    def killing_rows(self) -> Dict[int, Dict[int, int]]:
+        """D^2 times the trace form tr(ad_i ad_j), as sparse integer rows,
+        built once.
 
         With [b_i, b_k] = sum_l c(i,k,l) b_l, tr(ad_i ad_j) is the sum over
-        (k, l) of c(i,k,l) c(j,l,k); indexing the nonzero constants by (k, l)
-        makes that one outer product per index pair.  Callers share the
-        cached matrix and must not mutate it.
+        (k, l) of c(i,k,l) c(j,l,k); indexing the table entries by (k, l)
+        makes that one outer product per index pair.
         """
-        if self._killing is None:
-            by_pair: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-            for (i, k), col in self.structure.items():
-                for l, c in col.items():
-                    by_pair.setdefault((k, l), []).append((i, c))
-                    by_pair.setdefault((i, l), []).append((k, -c))
-            kappa = linalg.zeros(self.dim, self.dim)
+        if self._killing_rows is None:
+            by_pair: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+            for i, row in enumerate(self.bracket_table()[0]):
+                for k, terms in row.items():
+                    for l, n in terms:
+                        by_pair.setdefault((k, l), []).append((i, n))
+            kappa: Dict[int, Dict[int, int]] = {}
             for (k, l), left in by_pair.items():
                 right = by_pair.get((l, k))
                 if right:
                     for i, c in left:
-                        row = kappa[i]
+                        row = kappa.setdefault(i, {})
                         for j, d in right:
-                            row[j] += c * d
+                            row[j] = row.get(j, 0) + c * d
+            self._killing_rows = {
+                i: nonzero for i, row in kappa.items() if (nonzero := {j: x for j, x in row.items() if x})
+            }
+        return self._killing_rows
+
+    def killing_matrix(self) -> Matrix:
+        """Trace form tr(ad_i ad_j) of the adjoint action, built once from
+        `killing_rows`.  Callers share the cached matrix and must not mutate
+        it."""
+        if self._killing is None:
+            den2 = self.bracket_table()[1] ** 2
+            kappa = linalg.zeros(self.dim, self.dim)
+            for i, row in self.killing_rows().items():
+                for j, x in row.items():
+                    kappa[i][j] = Fraction(x, den2)
             self._killing = kappa
         return self._killing
 
     def is_semisimple(self) -> bool:
         """Cartan's criterion: the Killing form is nondegenerate."""
         if self._semisimple is None:
-            self._semisimple = linalg.rank(self.killing_matrix()) == self.dim
+            span = linalg.Echelon()
+            for row in self.killing_rows().values():
+                span.add(row)
+            self._semisimple = span.rank == self.dim
         return self._semisimple
 
     def verify_jacobi(self, max_triples: Optional[int] = None) -> bool:
@@ -177,26 +243,44 @@ class LieAlgebraPresentation:
             step = max(1, len(triples) // max_triples)
             triples = triples[::step][:max_triples]
         for i, j, k in triples:
-            total: Dict[int, Fraction] = {}
+            total: Dict[int, int] = {}
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_coeffs(b, c)
-                outer = self.bracket_vectors(_unit(self.dim, a), inner_to_vec(inner, self.dim))
-                for l, v in outer.items():
-                    s = total.get(l, Fraction(0)) + v
-                    if s:
-                        total[l] = s
-                    else:
-                        total.pop(l, None)
-            if total:
+                for l, v in self.bracket_ints({a: 1}, self.bracket_ints({b: 1}, {c: 1})).items():
+                    total[l] = total.get(l, 0) + v
+            if any(total.values()):
                 return False
         return True
 
 
-def inner_to_vec(coeffs: Dict[int, Fraction], dim: int) -> Vector:
-    v = [Fraction(0)] * dim
-    for k, c in coeffs.items():
-        v[k] = c
-    return v
+def _integral_vector(vec: Sequence) -> Tuple[Dict[int, int], int]:
+    """(den * vec as sparse integers, index -> value, and den) for the least
+    common denominator den of the entries, ints or Fractions."""
+    den = math.lcm(*[x.denominator for x in vec if x])
+    return {i: x.numerator * (den // x.denominator) for i, x in enumerate(vec) if x}, den
+
+
+def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Tuple[SparseAd, int]:
+    """(entries, den) with ad(x) = entries / den, entries sparse (k, j) ->
+    integer: [x, b_j] = sum_i x_i [b_i, b_j], read off the bracket table."""
+    table, den = algebra.bracket_table()
+    ix, dx = _integral_vector(x)
+    entries: SparseAd = {}
+    for i, xi in ix.items():
+        for j, terms in table[i].items():
+            for k, n in terms:
+                entries[(k, j)] = entries.get((k, j), 0) + xi * n
+    return {kj: v for kj, v in entries.items() if v}, dx * den
+
+
+def _sp_combination(algebra: LieAlgebraPresentation, vec: Sequence) -> Dict[Tuple[int, int], Fraction]:
+    """Nonzero entries (p, q) -> value of the sp-image of sum_i vec_i b_i."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for c, (entries, den) in zip(vec, algebra.sp_entries()):
+        if c:
+            scale = Fraction(c) / den
+            for pq, x in entries.items():
+                out[pq] = out.get(pq, 0) + scale * x
+    return {pq: x for pq, x in out.items() if x}
 
 
 def _unit(dim: int, i: int) -> Vector:
@@ -292,11 +376,26 @@ class CartanData:
 
 
 def _diagonal_candidates(algebra: LieAlgebraPresentation) -> List[int]:
-    out = []
-    for idx, image in enumerate(algebra.sp_images()):
-        if all(image[p][q] == 0 for p in range(len(image)) for q in range(len(image)) if p != q):
-            out.append(idx)
-    return out
+    """Basis indices whose sp-images are diagonal."""
+    return [idx for idx, (entries, _) in enumerate(algebra.sp_entries()) if all(p == q for p, q in entries)]
+
+
+def _ad_kernel(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[Vector]:
+    """Basis of {v : [h, v] = 0 for all h in vectors}, the canonical kernel
+    of the stacked sparse ad-matrices."""
+    rows: List[Dict[int, int]] = []
+    for h in vectors:
+        by_row: Dict[int, Dict[int, int]] = {}
+        for (k, j), x in _integer_ad(algebra, h)[0].items():
+            by_row.setdefault(k, {})[j] = x
+        rows.extend(by_row.values())
+    return linalg.sparse_nullspace(rows, algebra.dim)
+
+
+def _commute(algebra: LieAlgebraPresentation, us: List[Vector], vs: List[Vector]) -> bool:
+    """Whether [u, v] = 0 for every u in us and v in vs."""
+    ivs = [_integral_vector(v)[0] for v in vs]
+    return all(not algebra.bracket_ints(_integral_vector(u)[0], iv) for u in us for iv in ivs)
 
 
 def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[Vector]:
@@ -310,17 +409,10 @@ def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List
         for a, h in enumerate(vectors):
             for i, x in enumerate(h):
                 generic[i] += (a + 1) * x
-        kernel = linalg.nullspace(algebra.ad_matrix(generic), algebra.dim)
-        if all(
-            not algebra.bracket_vectors(v, h) for v in kernel for h in vectors
-        ):
+        kernel = _ad_kernel(algebra, [generic])
+        if _commute(algebra, kernel, vectors):
             return kernel
-    rows: List[Vector] = []
-    for h in vectors:
-        ad_h = algebra.ad_matrix(h)
-        # [v, h] = -ad_h v; kernel rows of ad_h.
-        rows.extend(ad_h)
-    return linalg.nullspace(rows, algebra.dim)
+    return _ad_kernel(algebra, vectors)
 
 
 def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
@@ -365,38 +457,47 @@ def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
 
 
 def _diagonal_subspace(algebra: LieAlgebraPresentation, within: List[Vector]) -> List[Vector]:
-    """Sub-basis of `within` whose sp-images are diagonal."""
-    dim2n = algebra.form.dim
-    rows = [algebra.sp_image(v) for v in within]
-    constraints = []
-    for p in range(dim2n):
-        for q in range(dim2n):
-            if p == q:
-                continue
-            row = [rows[a][p][q] for a in range(len(within))]
-            if any(x != 0 for x in row):
-                constraints.append(row)
-    if not constraints:
-        coeff_basis = [list(r) for r in linalg.identity(len(within))]
-    else:
-        coeff_basis = linalg.nullspace(constraints, len(within))
-    out = []
-    for coeffs in coeff_basis:
-        vec = [Fraction(0)] * algebra.dim
-        for a, c in enumerate(coeffs):
-            if c:
-                for i, x in enumerate(within[a]):
-                    vec[i] += c * x
-        out.append(vec)
-    return out
+    """Sub-basis of `within` whose sp-images are diagonal: one constraint
+    row per off-diagonal entry (p, q) of the images."""
+    constraints: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for a, v in enumerate(within):
+        for (p, q), x in _sp_combination(algebra, v).items():
+            if p != q:
+                constraints.setdefault((p, q), {})[a] = x
+    return [_combine(within, coeffs) for coeffs in linalg.sparse_nullspace(constraints.values(), len(within))]
 
 
 def _is_abelian(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> bool:
-    for a in range(len(vectors)):
-        for b in range(a + 1, len(vectors)):
-            if algebra.bracket_vectors(vectors[a], vectors[b]):
-                return False
-    return True
+    ints = [_integral_vector(v)[0] for v in vectors]
+    return not any(algebra.bracket_ints(ints[a], ints[b])
+                   for a in range(len(ints)) for b in range(a + 1, len(ints)))
+
+
+AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
+
+
+def _ad_columns(algebra: LieAlgebraPresentation, h: Vector) -> AdColumns:
+    """`_integer_ad` of h grouped by column."""
+    entries, den = _integer_ad(algebra, h)
+    cols: Dict[int, List[Tuple[int, int]]] = {}
+    for (k, j), x in entries.items():
+        cols.setdefault(j, []).append((k, x))
+    return cols, den
+
+
+def _ad_apply(ad: AdColumns, vec: Vector) -> Vector:
+    """ad(h) vec as a dense vector, for ad = `_ad_columns` of h."""
+    cols, den = ad
+    ivec, dv = _integral_vector(vec)
+    acc: Dict[int, int] = {}
+    for j, y in ivec.items():
+        for k, x in cols.get(j, ()):
+            acc[k] = acc.get(k, 0) + x * y
+    out = [Fraction(0)] * len(vec)
+    for k, s in acc.items():
+        if s:
+            out[k] = Fraction(s, den * dv)
+    return out
 
 
 def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> CartanData:
@@ -406,7 +507,7 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     rational eigenvalues on the presentation basis.
     """
     r = cartan.rank
-    ad_mats = [algebra.ad_matrix(h) for h in cartan.cartan_vectors]
+    ads = [_ad_columns(algebra, h) for h in cartan.cartan_vectors]
 
     # Fast path: basis elements that are already joint eigenvectors.
     root_spaces: List[Tuple[Vector, Vector]] = []
@@ -414,26 +515,23 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     zero_count = 0
     for j in range(algebra.dim):
         root: Vector = []
-        ok = True
-        for ad_h in ad_mats:
-            col = [ad_h[k][j] for k in range(algebra.dim)]
-            support = [k for k, x in enumerate(col) if x]
-            if not support:
+        for cols, den in ads:
+            col = cols.get(j)
+            if not col:
                 root.append(Fraction(0))
-            elif support == [j]:
-                root.append(col[j])
+            elif len(col) == 1 and col[0][0] == j:
+                root.append(Fraction(col[0][1], den))
             else:
-                ok = False
+                leftover.append(j)
                 break
-        if not ok:
-            leftover.append(j)
-        elif any(root):
-            root_spaces.append((root, _unit(algebra.dim, j)))
         else:
-            zero_count += 1
+            if any(root):
+                root_spaces.append((root, _unit(algebra.dim, j)))
+            else:
+                zero_count += 1
 
     if leftover:
-        extra = _split_leftover(algebra, cartan, ad_mats, leftover)
+        extra = _split_leftover(algebra, cartan, ads, leftover)
         for root, vec in extra:
             if any(root):
                 root_spaces.append((root, vec))
@@ -453,28 +551,27 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     )
 
 
-def _split_leftover(algebra, cartan, ad_mats, leftover):
+def _split_leftover(algebra, cartan, ads, leftover):
     """Joint eigenvectors inside the span of the leftover basis indices.
 
     Candidate eigenvalues come from the diagonal sp-image entries of the
     torus: the adjoint eigenvalues on quadrics are sums of pairs of weights.
     """
     spaces = [[_unit(algebra.dim, j) for j in leftover]]
-    for a, h in enumerate(cartan.cartan_vectors):
-        rho = algebra.sp_image(h)
-        weights = [rho[p][p] for p in range(algebra.form.dim)]
+    for ad, h in zip(ads, cartan.cartan_vectors):
+        image = _sp_combination(algebra, h)
+        weights = [image.get((p, p), Fraction(0)) for p in range(algebra.form.dim)]
         candidates = sorted({wp + wq for wp in weights for wq in weights})
         new_spaces = []
         for space in spaces:
-            new_spaces.extend(_split_by_eigenvalue(algebra, ad_mats[a], space, candidates))
+            new_spaces.extend(_split_by_eigenvalue(ad, space, candidates))
         spaces = new_spaces
     out = []
     for space in spaces:
         for vec in space:
             root = []
-            for ad_h in ad_mats:
-                image = linalg.mat_vec(ad_h, vec)
-                lam = _eigen_ratio(image, vec)
+            for ad in ads:
+                lam = _eigen_ratio(_ad_apply(ad, vec), vec)
                 if lam is None:
                     raise NotAdaptedError("torus action is not rationally diagonalizable")
                 root.append(lam)
@@ -482,25 +579,22 @@ def _split_leftover(algebra, cartan, ad_mats, leftover):
     return out
 
 
-def _split_by_eigenvalue(algebra, ad_h, space, candidates):
+def _split_by_eigenvalue(ad: AdColumns, space: List[Vector], candidates: List[Fraction]):
     if not space:
         return []
+    images = [_ad_apply(ad, v) for v in space]
     pieces = []
     found = 0
     for lam in candidates:
-        shifted = []
-        for v in space:
-            image = linalg.mat_vec(ad_h, v)
-            shifted.append([x - lam * y for x, y in zip(image, v)])
-        kernel_coeffs = linalg.nullspace(linalg.transpose(shifted), len(space))
+        # coefficients c with sum_a c_a (ad(h) - lam) space[a] = 0
+        rows = []
+        for k in range(len(space[0])):
+            row = {a: x for a, (image, v) in enumerate(zip(images, space)) if (x := image[k] - lam * v[k])}
+            if row:
+                rows.append(row)
+        kernel_coeffs = linalg.sparse_nullspace(rows, len(space))
         if kernel_coeffs:
-            vecs = []
-            for coeffs in kernel_coeffs:
-                vec = [Fraction(0)] * algebra.dim
-                for a, c in enumerate(coeffs):
-                    for i, x in enumerate(space[a]):
-                        vec[i] += c * x
-                vecs.append(vec)
+            vecs = [_combine(space, coeffs) for coeffs in kernel_coeffs]
             pieces.append(vecs)
             found += len(vecs)
     if found != len(space):
@@ -531,15 +625,19 @@ def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
 def identify_type(cd: CartanData) -> List[str]:
     """Simple-type labels of the semisimple algebra from its root data.
 
-    The simple roots are the lex-positive roots that are not a sum of two
-    positive roots.  For simple alpha_a and alpha_b, alpha_a - alpha_b is not
-    a root, so the alpha_b-string through alpha_a starts at alpha_a and
+    The roots are scaled to integer tuples by their common denominator, which
+    keeps lex-positivity and root strings.  The simple roots are the
+    lex-positive roots that are not a sum of two positive roots.  For simple
+    alpha_a and alpha_b, alpha_a - alpha_b is not a root, so the
+    alpha_b-string through alpha_a starts at alpha_a and
     <alpha_a, alpha_b^vee> = -q for the largest q with alpha_a + q alpha_b a
     root.  Each connected component of that Cartan matrix is matched against
     rootdata's Bourbaki Cartan matrices of its rank.
     """
-    roots = {tuple(r) for r in cd.roots}
-    positive = [tuple(r) for r in cd.roots if next(x for x in r if x) > 0]
+    den = math.lcm(*[x.denominator for r in cd.roots for x in r])
+    scaled = [tuple(x.numerator * (den // x.denominator) for x in r) for r in cd.roots]
+    roots = set(scaled)
+    positive = [r for r in scaled if next(x for x in r if x) > 0]
     positive_set = set(positive)
     simple = [
         alpha for alpha in positive
@@ -668,38 +766,47 @@ def _combine(basis_vectors: List[Vector], coeffs: Vector) -> Vector:
 
 
 def _split_seed(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
-    """Split off the ideal generated by a single basis element, when proper."""
-    kappa = None
+    """Split off the ideal generated by a single basis element, when proper,
+    with its Killing complement."""
     for seed in range(algebra.dim):
-        ideal = _ideal_closure(algebra, _unit(algebra.dim, seed))
+        ideal = _ideal_closure(algebra, seed)
         if len(ideal) < algebra.dim:
-            if kappa is None:
-                kappa = algebra.killing_matrix()
-            rows = [linalg.mat_vec(kappa, v) for v in ideal]
-            complement = linalg.nullspace(rows, algebra.dim)
-            return [ideal, complement]
+            # the complement is the kernel of the rows kappa(v, .), v in the ideal
+            rows = []
+            for v in ideal:
+                iv = _integral_vector(v)[0]
+                row = {}
+                for i, krow in algebra.killing_rows().items():
+                    s = sum(x * iv[j] for j, x in krow.items() if j in iv)
+                    if s:
+                        row[i] = s
+                rows.append(row)
+            return [ideal, linalg.sparse_nullspace(rows, algebra.dim)]
     return None
 
 
-def _ideal_closure(algebra, seed_vec: Vector) -> List[Vector]:
+def _ideal_closure(algebra: LieAlgebraPresentation, seed: int) -> List[Vector]:
+    """Basis of the ideal generated by basis element `seed`."""
+    den = algebra.bracket_table()[1]
     span = linalg.Echelon()
-    vecs: List[Vector] = []
-    queue: List[Vector] = []
-    if span.add(_vec_to_dict(seed_vec)):
-        vecs.append(list(seed_vec))
-        queue.append(list(seed_vec))
+    span.add({seed: 1})
+    vecs: List[Vector] = [_unit(algebra.dim, seed)]
+    queue: List[Tuple[Dict[int, int], int]] = [({seed: 1}, 1)]  # (integer vector, its denominator)
     while queue:
-        v = queue.pop()
+        v, dv = queue.pop()
         for i in range(algebra.dim):
-            br = algebra.bracket_vectors(_unit(algebra.dim, i), v)
+            br = algebra.bracket_ints({i: 1}, v)
             if br and span.add(br):
-                w = inner_to_vec(br, algebra.dim)
+                w = [Fraction(0)] * algebra.dim
+                for k, x in br.items():
+                    w[k] = Fraction(x, den * dv)
                 vecs.append(w)
-                queue.append(w)
+                queue.append(_integral_vector(w))
     return vecs
 
 
 _COMMUTANT_DIM_CAP = 30
+_PRIME = 2**31 - 1
 
 
 def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
@@ -707,7 +814,11 @@ def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vect
 
     Operators commuting with the whole adjoint action preserve every ideal
     and act as scalars on absolutely simple factors, so the eigenspaces of a
-    generic one are unions of minimal ideals.
+    generic one are unions of minimal ideals.  The scalars always commute,
+    and the rank of the integer commutant system modulo a prime never
+    exceeds its rank over Q, so a kernel of dimension 1 modulo the prime
+    proves the commutant is the scalars and the algebra simple, with no
+    exact elimination.
     """
     d = algebra.dim
     if d > _COMMUTANT_DIM_CAP:
@@ -718,7 +829,10 @@ def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vect
             elements = [_unit(d, s) for s in range(d)]
         else:
             elements = [[(s + 1) * (i + 2) % 7 + 1 for i in range(d)] for s in range(min(attempt, d))]
-        basis = _matrix_commutant([_integer_ad(algebra, x) for x in elements], d)
+        rows = _commutant_rows([_integer_ad(algebra, x)[0] for x in elements], d)
+        if _scalars_only_mod_p(rows, d):
+            return None  # certified: scalars only, simple
+        basis = _matrix_commutant(rows, d)
         if len(basis) == 1:
             return None  # scalars only: simple
         split = _eigensplit_commutant(algebra, basis)
@@ -727,25 +841,11 @@ def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vect
     return None
 
 
-def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Dict[Tuple[int, int], int]:
-    """A nonzero integer multiple of ad(x), as sparse entries (k, j) -> value,
-    read off the structure constants: [x, b_j] = sum_i x_i [b_i, b_j]."""
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for (i, j), col in algebra.structure.items():
-        for k, c in col.items():
-            if x[i]:
-                entries[(k, j)] = entries.get((k, j), 0) + x[i] * c
-            if x[j]:
-                entries[(k, i)] = entries.get((k, i), 0) - x[j] * c
-    den = math.lcm(*[v.denominator for v in entries.values()])
-    return {kj: v.numerator * (den // v.denominator) for kj, v in entries.items() if v}
-
-
-def _matrix_commutant(mats: List[Dict[Tuple[int, int], int]], d: int) -> List[Dict[int, Fraction]]:
-    """Canonical basis of the d x d matrices X with XM = MX for every sparse
-    M in `mats`, X flattened with X[p][r] at p * d + r.  Each entry (p, q)
-    of XM - MX is one sparse integer row of an Echelon; rows go in by
-    leading column, which keeps the fill-in down."""
+def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
+    """The system XM = MX for every sparse integer M in `mats`, X a d x d
+    matrix flattened with X[p][r] at p * d + r: one sparse integer row per
+    entry (p, q) of XM - MX, sorted by leading column, which keeps the
+    fill-in of the elimination down."""
     rows: List[Dict[int, int]] = []
     for m in mats:
         by_row: Dict[int, List[Tuple[int, int]]] = {}
@@ -763,8 +863,23 @@ def _matrix_commutant(mats: List[Dict[Tuple[int, int], int]], d: int) -> List[Di
                 row = {k: x for k, x in row.items() if x}
                 if row:
                     rows.append(row)
+    rows.sort(key=min)
+    return rows
+
+
+def _scalars_only_mod_p(rows: List[Dict[int, int]], d: int) -> bool:
+    """Whether the commutant system has a kernel of dimension 1 modulo the
+    prime 2^31 - 1, which proves its kernel over Q is the scalars."""
+    span = linalg.EchelonMod(_PRIME)
+    # the scalars commute, so the rank is at most d^2 - 1: stop on reaching it
+    return any(span.add(row) and span.rank == d * d - 1 for row in rows)
+
+
+def _matrix_commutant(rows: List[Dict[int, int]], d: int) -> List[Dict[int, Fraction]]:
+    """Canonical basis of the kernel of the `_commutant_rows` system: the
+    flattened d x d matrices commuting with every matrix of the system."""
     span = linalg.Echelon()
-    for row in sorted(rows, key=min):
+    for row in rows:
         span.add(row)
     return span.kernel(d * d)
 
@@ -791,11 +906,12 @@ def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector
     # Each piece must be an ideal; otherwise the commutant was overestimated.
     for piece in pieces:
         span = linalg.Echelon()
-        for v in piece:
-            span.add(_vec_to_dict(v))
-        for v in piece:
+        ints = [_integral_vector(v)[0] for v in piece]
+        for iv in ints:
+            span.add(iv)
+        for iv in ints:
             for i in range(d):
-                br = algebra.bracket_vectors(_unit(d, i), v)
+                br = algebra.bracket_ints({i: 1}, iv)
                 if br and not span.contains(br):
                     return None
     return pieces
@@ -944,9 +1060,6 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
             labels.append(_type_of_dimension(sub.dim, _generic_rank(sub)))
     return sorted(labels, key=lambda s: (s[0], int(s[1:])))
 
-
-def _vec_to_dict(v: Sequence) -> Dict[int, Fraction]:
-    return {i: Fraction(x) for i, x in enumerate(v) if x}
 
 
 # ---------------------------------------------------------------------------

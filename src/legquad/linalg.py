@@ -7,8 +7,9 @@ their content divided out, which suits the sparse systems the package solves
 `liealg` and `catalog`, ad-matrices, commutant systems of a few hundred
 rows).  `rref` turns its rows into the canonical reduced row echelon form;
 `rank`, `solve`, `inverse` and `row_space_basis` read their answers off
-that form, and `nullspace` reads the canonical kernel basis off
-`Echelon.kernel`.
+that form, and `nullspace` and `sparse_nullspace` read the canonical kernel
+basis off `Echelon.kernel`.  `EchelonMod` is its counterpart over the
+integers modulo a prime, for rank bounds.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
@@ -251,6 +252,52 @@ class Echelon:
         return basis
 
 
+class EchelonMod:
+    """Sparse row echelon form over the field with `prime` elements, for
+    integer rows read modulo the prime.  Each stored row has entries in
+    [1, prime), leading entry 1 and a leading column of its own; a new row
+    is reduced against the stored rows in increasing pivot order, as
+    `Echelon` reduces.
+
+    Its rank never exceeds the rank over Q of the same integer rows, since a
+    nonzero minor modulo the prime is a nonzero integer minor: a kernel
+    modulo the prime bounds the kernel over Q from above.
+    """
+
+    def __init__(self, prime: int):
+        self.prime = prime
+        self.pivots: List[int] = []
+        self.rows: Dict[int, SparseRow] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def add(self, row: Mapping[int, int]) -> bool:
+        """Insert an integer row; False when it lies in the span modulo the
+        prime."""
+        prime = self.prime
+        work = dict(row)
+        if not work:
+            return False
+        # an entry is reduced modulo the prime when it is read as a factor
+        # and once at the end, not after every update
+        for p in self.pivots[bisect_left(self.pivots, min(work)):]:
+            f = work.get(p)
+            if f and (f := f % prime):
+                get = work.get
+                for k, x in self.rows[p].items():
+                    work[k] = get(k, 0) - f * x
+        work = {k: r for k, x in work.items() if (r := x % prime)}
+        if not work:
+            return False
+        lead = min(work)
+        inverse = pow(work[lead], -1, prime)
+        self.rows[lead] = {k: x * inverse % prime for k, x in work.items()}
+        insort(self.pivots, lead)
+        return True
+
+
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (rref matrix, pivot column list).
 
@@ -277,11 +324,17 @@ def rank(a: Matrix) -> int:
 def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
     """Basis of the right kernel of `a` (vectors of length ncols)."""
     cols = ncols if ncols is not None else (len(a[0]) if a else 0)
+    return sparse_nullspace(({j: x for j, x in enumerate(row) if x} for row in a), cols)
+
+
+def sparse_nullspace(rows: Iterable[Mapping], ncols: int) -> List[Vector]:
+    """`nullspace` of sparse rows (column -> integer or rational): the
+    canonical kernel basis as dense vectors of length ncols."""
     ech = Echelon()
-    for row in a:
-        ech.add({j: Fraction(x) for j, x in enumerate(row) if x})
+    for row in rows:
+        ech.add(row)
     zero = Fraction(0)
-    return [[v.get(j, zero) for j in range(cols)] for v in ech.kernel(cols)]
+    return [[v.get(j, zero) for j in range(ncols)] for v in ech.kernel(ncols)]
 
 
 def solve(a: Matrix, b: Sequence) -> Optional[Vector]:

@@ -1,18 +1,25 @@
-"""Test oracle for the structure constants of `legquad.liealg.close_and_present`.
+"""Test oracles for `legquad.liealg`.
 
-This is the route the package took before its brackets ran on packed integer
-monomials: gradients and brackets over Fractions keyed by exponent tuples,
-the dual matrix read as Fractions, and each bracket written over the basis by
-one tracked `linalg.Echelon` over grevlex columns, with no rescaling after.
+The structure constants of `close_and_present` take the route the package
+took before its brackets ran on packed integer monomials: gradients and
+brackets over Fractions keyed by exponent tuples, the dual matrix read as
+Fractions, and each bracket written over the basis by one tracked
+`linalg.Echelon` over grevlex columns, with no rescaling after.
+
+The brackets of vectors, ad-matrices, the Killing form, the diagonal test
+and the torus search below are dense Fraction routes, kept here as the
+independent side of the tests of the bracket table.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from legquad import linalg
-from legquad.liealg import StructureConstants
+from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, StructureConstants
+from legquad.linalg import Matrix, Vector
 from legquad.poly import Exponent, Polynomial, grevlex_columns
 from legquad.symplectic import SymplecticForm
 
@@ -60,3 +67,259 @@ def structure_constants(quadrics: Sequence[Polynomial], form: SymplecticForm) ->
                     span.coefficients({columns[m]: c for m, c in br.items()}) if inside else None
                 )
     return structure
+
+
+# ---------------------------------------------------------------------------
+# Dense Fraction routes of the adjoint action, the Killing form and the torus
+# search: the package's arithmetic before it read one sparse integer bracket
+# table.  Brackets read `bracket_coeffs` only, and sp-images come from
+# `symplectic.quadric_to_sp`, so neither shares the table or the sparse
+# sp-entries of `liealg`.
+# ---------------------------------------------------------------------------
+
+
+def unit(dim: int, i: int) -> Vector:
+    v = [Fraction(0)] * dim
+    v[i] = Fraction(1)
+    return v
+
+
+def bracket_vectors(algebra: LieAlgebraPresentation, u: Sequence, v: Sequence) -> Dict[int, Fraction]:
+    out: Dict[int, Fraction] = {}
+    ui = [(i, Fraction(x)) for i, x in enumerate(u) if x]
+    vj = [(j, Fraction(x)) for j, x in enumerate(v) if x]
+    for i, uc in ui:
+        for j, vc in vj:
+            if i == j:
+                continue
+            for k, c in algebra.bracket_coeffs(i, j).items():
+                s = out.get(k, Fraction(0)) + uc * vc * c
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def ad_matrix(algebra: LieAlgebraPresentation, vec: Sequence) -> Matrix:
+    """Matrix of ad(v) on basis coordinates, one dense bracket per column."""
+    out = linalg.zeros(algebra.dim, algebra.dim)
+    for j in range(algebra.dim):
+        for k, c in bracket_vectors(algebra, vec, unit(algebra.dim, j)).items():
+            out[k][j] = c
+    return out
+
+
+def killing_matrix(algebra: LieAlgebraPresentation) -> Matrix:
+    """tr(ad_i ad_j) over Fraction structure constants."""
+    by_pair: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
+    for (i, k), col in algebra.structure.items():
+        for l, c in col.items():
+            by_pair.setdefault((k, l), []).append((i, c))
+            by_pair.setdefault((i, l), []).append((k, -c))
+    kappa = linalg.zeros(algebra.dim, algebra.dim)
+    for (k, l), left in by_pair.items():
+        right = by_pair.get((l, k))
+        if right:
+            for i, c in left:
+                for j, d in right:
+                    kappa[i][j] += c * d
+    return kappa
+
+
+@functools.lru_cache(maxsize=4)
+def sp_images(algebra: LieAlgebraPresentation) -> List[Matrix]:
+    """2 W A for the dual matrix W and the dense symmetric matrix A of each
+    basis quadric (x^T A x), as `symplectic.quadric_to_sp` writes it, the
+    product taken along the nonzero entries of W and A."""
+    n = algebra.form.dim
+    nonzero = [[(r, w) for r, w in enumerate(row) if w] for row in algebra.form.dual_matrix]
+    out = []
+    for b in algebra.basis:
+        a = linalg.zeros(n, n)
+        for exps, c in b.terms.items():
+            r, q = [i for i, e in enumerate(exps) for _ in range(e)]
+            a[r][q] += c if r == q else c / 2
+            if r != q:
+                a[q][r] += c / 2
+        image = linalg.zeros(n, n)
+        for p in range(n):
+            for r, w in nonzero[p]:
+                for q, x in enumerate(a[r]):
+                    if x:
+                        image[p][q] += 2 * w * x
+        out.append(image)
+    return out
+
+
+def sp_image(algebra: LieAlgebraPresentation, vec: Sequence) -> Matrix:
+    out = linalg.zeros(algebra.form.dim, algebra.form.dim)
+    for c, image in zip(vec, sp_images(algebra)):
+        if c:
+            out = linalg.mat_add(out, linalg.mat_scale(image, c))
+    return out
+
+
+def diagonal_candidates(algebra: LieAlgebraPresentation) -> List[int]:
+    """Basis indices whose dense sp-images have no off-diagonal entry."""
+    out = []
+    for idx, image in enumerate(sp_images(algebra)):
+        if all(image[p][q] == 0 for p in range(len(image)) for q in range(len(image)) if p != q):
+            out.append(idx)
+    return out
+
+
+def cartan_data(algebra: LieAlgebraPresentation) -> CartanData:
+    """`liealg.root_decomposition(algebra, liealg.cartan_subalgebra(algebra))`
+    on the dense routes above; raises NotAdaptedError where it does."""
+    return _root_decomposition(algebra, _cartan_subalgebra(algebra))
+
+
+def _centralizer(algebra, vectors: List[Vector]) -> List[Vector]:
+    if not vectors:
+        return [list(r) for r in linalg.identity(algebra.dim)]
+    if len(vectors) > 1:
+        generic = [Fraction(0)] * algebra.dim
+        for a, h in enumerate(vectors):
+            for i, x in enumerate(h):
+                generic[i] += (a + 1) * x
+        kernel = linalg.nullspace(ad_matrix(algebra, generic), algebra.dim)
+        if all(not bracket_vectors(algebra, v, h) for v in kernel for h in vectors):
+            return kernel
+    rows: List[Vector] = []
+    for h in vectors:
+        rows.extend(ad_matrix(algebra, h))
+    return linalg.nullspace(rows, algebra.dim)
+
+
+def _cartan_subalgebra(algebra) -> CartanData:
+    if algebra.dim == 0:
+        return CartanData([])
+    candidates = diagonal_candidates(algebra)
+    if candidates:
+        vectors = [unit(algebra.dim, i) for i in candidates]
+        central = _centralizer(algebra, vectors)
+        if len(central) == len(vectors):
+            return CartanData(vectors, cartan_basis_indices=candidates)
+        widened = _diagonal_subspace(algebra, central)
+        central2 = _centralizer(algebra, widened)
+        if len(central2) == len(widened):
+            return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
+    for seed in (1, 3, 7):
+        generic = [Fraction((seed * (i + 1)) % (algebra.dim + 2) + 1) for i in range(algebra.dim)]
+        central = _centralizer(algebra, [generic])
+        if all(not bracket_vectors(algebra, central[a], central[b])
+               for a in range(len(central)) for b in range(a + 1, len(central))):
+            central2 = _centralizer(algebra, central)
+            if len(central2) == len(central):
+                return CartanData(central, cartan_basis_indices=_indices_if_units(central))
+    raise NotAdaptedError("no self-centralizing torus found; basis not adapted")
+
+
+def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
+    indices = []
+    for v in vectors:
+        support = [i for i, x in enumerate(v) if x]
+        if len(support) != 1 or v[support[0]] != 1:
+            return None
+        indices.append(support[0])
+    return indices
+
+
+def _span_combination(space: List[Vector], coeffs: Sequence) -> Vector:
+    vec = [Fraction(0)] * len(space[0])
+    for a, c in enumerate(coeffs):
+        for i, x in enumerate(space[a]):
+            vec[i] += c * x
+    return vec
+
+
+def _diagonal_subspace(algebra, within: List[Vector]) -> List[Vector]:
+    dim2n = algebra.form.dim
+    rows = [sp_image(algebra, v) for v in within]
+    constraints = []
+    for p in range(dim2n):
+        for q in range(dim2n):
+            row = [rows[a][p][q] for a in range(len(within))]
+            if p != q and any(x != 0 for x in row):
+                constraints.append(row)
+    if not constraints:
+        return [_span_combination(within, r) for r in linalg.identity(len(within))]
+    return [_span_combination(within, c) for c in linalg.nullspace(constraints, len(within))]
+
+
+def _root_decomposition(algebra, cartan: CartanData) -> CartanData:
+    ad_mats = [ad_matrix(algebra, h) for h in cartan.cartan_vectors]
+    root_spaces: List[Tuple[Vector, Vector]] = []
+    leftover: List[int] = []
+    zero_count = 0
+    for j in range(algebra.dim):
+        root: Vector = []
+        for ad_h in ad_mats:
+            support = [k for k in range(algebra.dim) if ad_h[k][j]]
+            if not support:
+                root.append(Fraction(0))
+            elif support == [j]:
+                root.append(ad_h[j][j])
+            else:
+                leftover.append(j)
+                break
+        else:
+            if any(root):
+                root_spaces.append((root, unit(algebra.dim, j)))
+            else:
+                zero_count += 1
+    if leftover:
+        spaces = [[unit(algebra.dim, j) for j in leftover]]
+        for ad_h, h in zip(ad_mats, cartan.cartan_vectors):
+            rho = sp_image(algebra, h)
+            weights = [rho[p][p] for p in range(algebra.form.dim)]
+            candidates = sorted({wp + wq for wp in weights for wq in weights})
+            spaces = [piece for space in spaces for piece in _split_by_eigenvalue(ad_h, space, candidates)]
+        for space in spaces:
+            for vec in space:
+                root = [_eigen_ratio(linalg.mat_vec(ad_h, vec), vec) for ad_h in ad_mats]
+                if None in root:
+                    raise NotAdaptedError("torus action is not rationally diagonalizable")
+                if any(root):
+                    root_spaces.append((root, vec))
+                else:
+                    zero_count += 1
+    if zero_count != cartan.rank or len(root_spaces) + cartan.rank != algebra.dim:
+        raise NotAdaptedError("root decomposition does not exhaust the algebra")
+    return CartanData(
+        cartan.cartan_vectors,
+        cartan_basis_indices=cartan.cartan_basis_indices,
+        root_spaces=sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True),
+    )
+
+
+def _split_by_eigenvalue(ad_h: Matrix, space: List[Vector], candidates: List[Fraction]) -> List[List[Vector]]:
+    if not space:
+        return []
+    pieces = []
+    found = 0
+    for lam in candidates:
+        shifted = [[x - lam * y for x, y in zip(linalg.mat_vec(ad_h, v), v)] for v in space]
+        kernel = linalg.nullspace(linalg.transpose(shifted), len(space))
+        if kernel:
+            pieces.append([_span_combination(space, c) for c in kernel])
+            found += len(kernel)
+    if found != len(space):
+        raise NotAdaptedError("torus action is not rationally diagonalizable")
+    return pieces
+
+
+def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
+    lam = None
+    for x, y in zip(image, vec):
+        if y == 0:
+            if x != 0:
+                return None
+            continue
+        ratio = Fraction(x) / Fraction(y)
+        if lam is None:
+            lam = ratio
+        elif ratio != lam:
+            return None
+    return lam if lam is not None else Fraction(0)

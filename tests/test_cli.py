@@ -162,6 +162,33 @@ def test_non_integer_header_names_its_line(capsys, tmp_path):
     assert "line 2" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize("text, override, message", [
+    ("n=2\nx0^2 + x1\n", None, "line 2: generator x0^2 + x1 is not homogeneous"),
+    ("n=2\n\n# generators\nx0*x2\nx1^3 - x0\n", None, "line 5: generator x1^3 - x0 is not homogeneous"),
+    ("n=2\nform=json:{bad\nx0*x2\n", None,
+     "line 2: the form is not valid JSON: Expecting property name enclosed in double quotes at character 2"),
+    ('n=1\n# one pair\nform=json:{"matrix": [["0", "1"], ["-1", "0"]]}\nx0*x1\n', None,
+     "line 3: the form object has no 'dual' entry"),
+    ("n=1\nform=json:[[0, 1], [1, 0]]\nx0*x1\n", None,
+     "line 2: bad form: symplectic form matrix must be skew-symmetric"),
+    ("n=2\nform=json:[[0, 1], [-1, 0]]\nx0*x2\n", None, "line 2: form dimension 2 does not match n=2"),
+    ("n=2\nx0*x2\n", "json:{bad",
+     "--form: the form is not valid JSON: Expecting property name enclosed in double quotes at character 2"),
+    ("n=2\nform=standard\nx0*x2\n", "no-such-form.json",
+     "--form: cannot read the form file 'no-such-form.json': No such file or directory"),
+    ("n=2\nform=no-such-form.json\nx0*x2\n", None,
+     "line 2: cannot read the form file 'no-such-form.json': No such file or directory"),
+    ("n=2\nform=standard\nx0*x2\n", 'json:{"matrix": [["0", "1"], ["-1", "0"]]}',
+     "--form: the form object has no 'dual' entry"),
+])
+def test_malformed_variety_files_name_the_line(capsys, tmp_path, text, override, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    argv = (["--form", override] if override else []) + ["algebra", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("index", ["5", "-1", "2"])
 def test_bracket_generator_index_out_of_range(capsys, tmp_path, index):
     path = tmp_path / "two.txt"
