@@ -11,6 +11,7 @@ the status a shell reports for a process that SIGPIPE ended.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -325,7 +326,10 @@ def _parse_xf_poly(text: str) -> Polynomial:
     return parse_poly(text, max(indices) + 1)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing does not change it, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="legquad",
         description="Exact verdicts and classification for legendrian varieties cut out by quadrics.",
@@ -381,9 +385,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("poly")
     p.add_argument("--implicit-degree", type=int, default=None)
     p.set_defaults(func=_cmd_xf)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -10,14 +10,28 @@ dimension only.
 Closure is linear algebra.  The ideal is homogeneous, so a bracket of degree
 d lies in it exactly when it lies in the degree-d part I_d, the span of the
 generator multiples of degree d; `bracket_closure_check` tests that span
-membership, and `degeneracy_check` reads hyperplanes off I_1.  The Groebner
-basis is computed only for the cone dimension, so an exhausted budget leaves
-the dimension undecided but never hides a failed closure.
+membership, and `degeneracy_check` reads hyperplanes off I_1.  When the
+generators are linearly independent quadrics, I_2 is their span, and the
+verdict reads closure from the one bracket pass that also gives the
+structure constants of their Lie algebra.
+
+The cone dimension has two certificates.  A closed quadric input first
+tries `kostant_certificate`: when the quadric algebra g is semisimple, a
+torus with diagonal sp-images gives every coordinate a weight, V is the
+irreducible V(lambda) and the generators span the quadrics of the closed
+orbit of G in P(V), Kostant's theorem makes the ideal that orbit's ideal,
+and the dimension comes from root data with no Groebner basis.  Every other
+input, and a closed one the certificate does not cover, takes a Groebner
+basis for the dimension, so an exhausted budget leaves the dimension
+undecided but never hides a failed closure.  Each verdict names the
+certificate that proved its dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +44,16 @@ from .groebner import (
     buchberger,
     krull_dimension,
 )
+from .liealg import (
+    DependentQuadricsError,
+    LieAlgebraPresentation,
+    NotAdaptedError,
+    NotClosedError,
+    close_and_present,
+    diagonal_weights,
+)
 from .poly import MonomialCodec, Polynomial, code_columns
+from .rootdata import AbstractRootSystem, build_root_system, cone_orbit_dimension, weyl_dimension
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 
@@ -90,6 +113,22 @@ class ClosureReport:
 
 
 @dataclass
+class KostantCertificate:
+    """The generators are the quadrics of the closed orbit X of G in
+    P(V(lambda)): the simple types of the quadric algebra, lambda in Bourbaki
+    Dynkin labels for each factor (in the same order), and the dimension of
+    the affine cone over X."""
+
+    types: List[str]
+    highest_weight: List[Tuple[int, ...]]
+    dimension: int
+
+
+class NotCertified(ValueError):
+    """A condition of the Kostant certificate fails; the message names it."""
+
+
+@dataclass
 class LegendrianVerdict:
     bracket_closed: bool
     cone_dimension: Optional[int]   # None when the budget ran out
@@ -97,16 +136,30 @@ class LegendrianVerdict:
     verdict: str                    # "legendrian" | "not-legendrian" | "undecided"
     witnesses: List[str] = field(default_factory=list)
     budget_name: Optional[str] = None
+    kostant: Optional[KostantCertificate] = None
+
+    @property
+    def certificate(self) -> Optional[str]:
+        """What proved the dimension: "kostant", "groebner", or None when
+        the budget ran out."""
+        if self.kostant is not None:
+            return "kostant"
+        return None if self.cone_dimension is None else "groebner"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "bracket_closed": self.bracket_closed,
             "dimension": self.cone_dimension,
             "degenerate": self.degenerate,
             "verdict": self.verdict,
             "witnesses": list(self.witnesses),
             "budget": self.budget_name,
+            "certificate": self.certificate,
         }
+        if self.kostant is not None:
+            out["type"] = list(self.kostant.types)
+            out["highest_weight"] = [list(lam) for lam in self.kostant.highest_weight]
+        return out
 
 
 def _degree_part(
@@ -181,26 +234,149 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     )
 
 
+def _closure_and_algebra(
+    v: VarietyPresentation,
+) -> Tuple[ClosureReport, Optional[LieAlgebraPresentation]]:
+    """The closure report, with the quadric algebra when the generators are
+    linearly independent quadrics that are closed under the bracket.
+
+    For such generators I_2 is their span, so `close_and_present`, which
+    brackets every pair against that span, gives the same failing pairs as
+    `bracket_closure_check` and the structure constants in the same pass.
+    Other inputs take `bracket_closure_check`.
+    """
+    gens = v.generators
+    if not gens or any(g.degree() != 2 for g in gens):
+        return bracket_closure_check(v), None
+    pairs = len(gens) * (len(gens) - 1) // 2
+    try:
+        algebra = close_and_present(gens, v.form)
+    except NotClosedError as exc:
+        return ClosureReport(closed=False, checked_pairs=pairs, failing_pairs=exc.pairs), None
+    except DependentQuadricsError:
+        return bracket_closure_check(v), None
+    return ClosureReport(closed=True, checked_pairs=pairs), algebra
+
+
+@functools.lru_cache(maxsize=None)
+def _root_system(label: str) -> AbstractRootSystem:
+    """The root system of a simple type label such as "E7", built once per
+    process; nothing changes it after construction."""
+    return build_root_system(label[0], int(label[1:]))
+
+
+def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation) -> KostantCertificate:
+    """Prove that the generators of `v`, which span the quadric algebra g,
+    generate the ideal of the closed orbit X of G in P(V), and give the
+    dimension of its cone; raise NotCertified naming the first condition
+    that fails.
+
+    By Kostant's theorem (Lichtenstein, Proc. AMS 84, 1982) the ideal of X
+    in P(V(lambda)) is generated by its quadrics, the complement of
+    V(2 lambda)* in S^2 V*.  The conditions:
+
+    1. g is semisimple.
+    2. A torus with diagonal sp-images splits g (`diagonal_weights`), so
+       each coordinate is a weight vector, and the simple roots are read in
+       the same scale.
+    3. Exactly one weight lambda has no weight at lambda + alpha_i for a
+       simple root alpha_i, and one coordinate has it.  The alpha_i-string
+       through lambda then runs down exactly <lambda, alpha_i^vee> steps, so
+       the string lengths are lambda's Dynkin labels, and the top coordinate
+       vector generates V(lambda).
+    4. The Weyl dimension of V(lambda), a product over the simple factors,
+       is N, so V = V(lambda).
+    5. No generator has the square of the top coordinate, so the generators
+       vanish at the highest weight vector; being G-stable, they vanish on X.
+    6. dim g = C(N + 1, 2) - dim V(2 lambda): the generators span all the
+       quadrics through X.
+
+    The ideal is then I(X), and the cone over X, a product of the factors'
+    orbits under the Segre map, has dimension
+    1 + sum (cone_orbit_dimension - 1).
+    """
+    if not algebra.is_semisimple():
+        raise NotCertified("condition 1: the quadric algebra is not semisimple")
+    try:
+        weights = diagonal_weights(algebra)
+    except NotAdaptedError as exc:
+        raise NotCertified(f"condition 2: {exc}") from None
+    coordinates = weights.coordinates
+    present = set(coordinates)
+    simple = [alpha for _, roots in weights.factors for alpha in roots]
+    tops = [mu for mu in present
+            if not any(tuple(m + a for m, a in zip(mu, alpha)) in present for alpha in simple)]
+    if len(tops) != 1 or coordinates.count(tops[0]) != 1:
+        raise NotCertified(
+            f"condition 3: {len(tops)} highest weights, on "
+            f"{sum(coordinates.count(mu) for mu in tops)} coordinates"
+        )
+    lam = tops[0]
+
+    def string_length(alpha) -> int:
+        p = 0
+        while tuple(m - (p + 1) * a for m, a in zip(lam, alpha)) in present:
+            p += 1
+        return p
+
+    factors = sorted(
+        ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in weights.factors),
+        key=lambda f: (f[0][0], int(f[0][1:]), f[1]),
+    )
+    systems = [_root_system(label) for label, _ in factors]
+    nvars = v.nvars
+    dim_v = math.prod(weyl_dimension(rs, labels) for rs, (_, labels) in zip(systems, factors))
+    if dim_v != nvars:
+        raise NotCertified(f"condition 4: V(lambda) has dimension {dim_v}, not {nvars}")
+    top = coordinates.index(lam)
+    square = tuple(2 * (k == top) for k in range(nvars))
+    if any(square in g.terms for g in v.generators):
+        raise NotCertified("condition 5: a generator does not vanish at the highest weight vector")
+    doubled = math.prod(
+        weyl_dimension(rs, [2 * x for x in labels]) for rs, (_, labels) in zip(systems, factors)
+    )
+    if algebra.dim != nvars * (nvars + 1) // 2 - doubled:
+        raise NotCertified(
+            f"condition 6: {algebra.dim} generators, but the orbit lies on "
+            f"{nvars * (nvars + 1) // 2 - doubled} quadrics"
+        )
+    return KostantCertificate(
+        types=[label for label, _ in factors],
+        highest_weight=[labels for _, labels in factors],
+        dimension=1 + sum(cone_orbit_dimension(rs, labels) - 1
+                          for rs, (_, labels) in zip(systems, factors)),
+    )
+
+
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:
     """Combine bracket closure, cone dimension and degeneracy into one verdict.
 
-    `budget` caps the S-pairs of the Groebner basis, which only the cone
-    dimension needs.  When it runs out, a failed closure still decides the
-    verdict (not-legendrian); a closed ideal stays undecided.
+    A closed input of independent quadrics first tries `kostant_certificate`,
+    which needs no Groebner basis.  Otherwise the cone dimension comes from
+    a Groebner basis whose S-pairs `budget` caps.  When it runs out, a
+    failed closure still decides the verdict (not-legendrian); a closed
+    ideal stays undecided.
     """
     n = v.half_dim
-    closure = bracket_closure_check(v)
+    closure, algebra = _closure_and_algebra(v)
     degenerate = degeneracy_check(v) is not None
     witnesses = [
         f"bracket of generators {i} and {j} is not in the ideal" for i, j in closure.failing_pairs
     ]
-    dimension, budget_name = None, None
-    try:
-        gb = buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
-        dimension = krull_dimension(gb)
-    except BudgetExceeded as exc:
-        budget_name = exc.budget_name
-        witnesses.append("groebner basis not computed within budget")
+    dimension, budget_name, kostant = None, None, None
+    if algebra is not None:
+        try:
+            kostant = kostant_certificate(v, algebra)
+            dimension = kostant.dimension
+        except NotCertified:
+            pass
+    if kostant is None:
+        try:
+            gb = buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+            dimension = krull_dimension(gb)
+        except BudgetExceeded as exc:
+            budget_name = exc.budget_name
+            witnesses.append("groebner basis not computed within budget")
     if dimension is not None and dimension != n:
         witnesses.append(f"cone dimension {dimension} differs from n = {n}")
     if closure.closed and dimension is None:
@@ -214,6 +390,7 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
         verdict=verdict,
         witnesses=witnesses,
         budget_name=budget_name,
+        kostant=kostant,
     )
 
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Matrix, Vector
 from .poly import MonomialCodec, Polynomial, code_columns, grevlex_columns
-from .rootdata import algebra_dimension, build_root_system, simple_types_up_to
+from .rootdata import _cartan_matrix, algebra_dimension, build_root_system, simple_types_up_to
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -45,11 +45,19 @@ SpEntries = Tuple[Dict[Tuple[int, int], int], int]  # ((p, q) -> integer entry, 
 
 
 class NotClosedError(ValueError):
-    """The quadric span is not closed under the Poisson bracket."""
+    """The quadric span is not closed under the Poisson bracket: `pairs`
+    lists every pair of basis elements whose bracket leaves it, in order,
+    and `pair` is the first."""
 
-    def __init__(self, i: int, j: int):
+    def __init__(self, pairs: Sequence[Tuple[int, int]]):
+        i, j = pairs[0]
         super().__init__(f"bracket of basis elements {i} and {j} leaves the span")
-        self.pair = (i, j)
+        self.pairs = list(pairs)
+        self.pair = self.pairs[0]
+
+
+class DependentQuadricsError(ValueError):
+    """The quadrics given as a basis are linearly dependent."""
 
 
 class NotAdaptedError(ValueError):
@@ -272,15 +280,25 @@ def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Tuple[SparseAd,
     return {kj: v for kj, v in entries.items() if v}, dx * den
 
 
+def _sp_integer(algebra: LieAlgebraPresentation, vec: Sequence) -> SpEntries:
+    """(entries, den) for the sp-image of sum_i vec_i b_i: it is entries /
+    den, with entries sparse (p, q) -> nonzero integer."""
+    ivec, dv = _integral_vector(vec)
+    images = algebra.sp_entries()
+    den = math.lcm(*[images[i][1] for i in ivec])
+    out: Dict[Tuple[int, int], int] = {}
+    for i, c in ivec.items():
+        entries, d = images[i]
+        scale = c * (den // d)
+        for pq, x in entries.items():
+            out[pq] = out.get(pq, 0) + scale * x
+    return {pq: x for pq, x in out.items() if x}, dv * den
+
+
 def _sp_combination(algebra: LieAlgebraPresentation, vec: Sequence) -> Dict[Tuple[int, int], Fraction]:
     """Nonzero entries (p, q) -> value of the sp-image of sum_i vec_i b_i."""
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for c, (entries, den) in zip(vec, algebra.sp_entries()):
-        if c:
-            scale = Fraction(c) / den
-            for pq, x in entries.items():
-                out[pq] = out.get(pq, 0) + scale * x
-    return {pq: x for pq, x in out.items() if x}
+    entries, den = _sp_integer(algebra, vec)
+    return {pq: Fraction(x, den) for pq, x in entries.items()}
 
 
 def _unit(dim: int, i: int) -> Vector:
@@ -311,7 +329,9 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
     d_W times the true bracket for the denominators d_i, d_j of the two
     gradients and d_W of the dual matrix; each structure constant is scaled
     by 1 / (d_i * d_j * d_W) once, as `Echelon.coefficients` writes it.
-    Raises NotClosedError naming the first offending pair otherwise.
+    Every pair is bracketed, so an open span raises NotClosedError listing
+    all the pairs whose bracket leaves it; dependent quadrics raise
+    DependentQuadricsError.
     """
     basis = list(quadrics)
     if not basis:
@@ -325,10 +345,11 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
     span = linalg.Echelon(track=True)
     for p in packed:
         if not span.add({columns[m]: c for m, c in p.items()}):
-            raise ValueError("quadrics must be linearly independent")
+            raise DependentQuadricsError("quadrics must be linearly independent")
 
     grads = [gradient_terms(q, codec) for q in basis]
     structure: StructureConstants = {}
+    failing: List[Tuple[int, int]] = []
     for i, (grad_i, den_i) in enumerate(grads):
         for j in range(i + 1, len(basis)):
             grad_j, den_j = grads[j]
@@ -336,14 +357,15 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
             if not br:
                 continue
             # a monomial no basis quadric has already puts br outside the span
-            if any(m not in columns for m in br):
-                raise NotClosedError(i, j)
-            coeffs = span.coefficients(
+            coeffs = None if any(m not in columns for m in br) else span.coefficients(
                 {columns[m]: c for m, c in br.items()}, den=den_i * den_j * form.dual_den
             )
             if coeffs is None:
-                raise NotClosedError(i, j)
-            structure[(i, j)] = coeffs
+                failing.append((i, j))
+            else:
+                structure[(i, j)] = coeffs
+    if failing:
+        raise NotClosedError(failing)
     return LieAlgebraPresentation(basis, form, structure)
 
 
@@ -418,24 +440,15 @@ def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List
 def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
     """A maximal torus of elements whose sp-images are diagonal.
 
-    Falls back to the centralizer of a deterministic generic element when no
-    diagonal candidates exist.  Raises NotAdaptedError when neither route
+    Falls back to the centralizer of a deterministic generic element when
+    `_diagonal_torus` finds none.  Raises NotAdaptedError when neither route
     produces a self-centralizing abelian subalgebra.
     """
     if algebra.dim == 0:
         return CartanData([])
-    candidates = _diagonal_candidates(algebra)
-    if candidates:
-        vectors = [_unit(algebra.dim, i) for i in candidates]
-        central = _centralizer(algebra, vectors)
-        if len(central) == len(vectors):
-            return CartanData(vectors, cartan_basis_indices=candidates)
-        # Widen within the centralizer: keep those with diagonal images.
-        widened = _diagonal_subspace(algebra, central)
-        central2 = _centralizer(algebra, widened)
-        if len(central2) == len(widened):
-            indices = _indices_if_units(widened)
-            return CartanData(widened, cartan_basis_indices=indices)
+    torus = _diagonal_torus(algebra)
+    if torus is not None:
+        return torus
     for seed in (1, 3, 7):
         generic = [Fraction((seed * (i + 1)) % (algebra.dim + 2) + 1) for i in range(algebra.dim)]
         central = _centralizer(algebra, [generic])
@@ -444,6 +457,25 @@ def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
             if len(central2) == len(central):
                 return CartanData(central, cartan_basis_indices=_indices_if_units(central))
     raise NotAdaptedError("no self-centralizing torus found; basis not adapted")
+
+
+def _diagonal_torus(algebra: LieAlgebraPresentation) -> Optional[CartanData]:
+    """A self-centralizing torus of elements whose sp-images are diagonal,
+    or None: the basis elements with diagonal images when they are one,
+    else the elements with diagonal images in their centralizer."""
+    candidates = _diagonal_candidates(algebra)
+    if not candidates:
+        return None
+    vectors = [_unit(algebra.dim, i) for i in candidates]
+    central = _centralizer(algebra, vectors)
+    if len(central) == len(vectors):
+        return CartanData(vectors, cartan_basis_indices=candidates)
+    # The candidates commute, so they lie in their centralizer; a wider
+    # torus needs more elements with diagonal images there.
+    widened = _diagonal_subspace(algebra, central)
+    if len(widened) > len(vectors) and len(_centralizer(algebra, widened)) == len(widened):
+        return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
+    return None
 
 
 def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
@@ -458,12 +490,15 @@ def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
 
 def _diagonal_subspace(algebra: LieAlgebraPresentation, within: List[Vector]) -> List[Vector]:
     """Sub-basis of `within` whose sp-images are diagonal: one constraint
-    row per off-diagonal entry (p, q) of the images."""
-    constraints: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for a, v in enumerate(within):
-        for (p, q), x in _sp_combination(algebra, v).items():
+    row per off-diagonal entry (p, q) of the images, in integers over the
+    least common denominator of the images."""
+    images = [_sp_integer(algebra, v) for v in within]
+    scale = math.lcm(*[den for _, den in images])
+    constraints: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for a, (entries, den) in enumerate(images):
+        for (p, q), x in entries.items():
             if p != q:
-                constraints.setdefault((p, q), {})[a] = x
+                constraints.setdefault((p, q), {})[a] = x * (scale // den)
     return [_combine(within, coeffs) for coeffs in linalg.sparse_nullspace(constraints.values(), len(within))]
 
 
@@ -623,7 +658,14 @@ def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
 
 
 def identify_type(cd: CartanData) -> List[str]:
-    """Simple-type labels of the semisimple algebra from its root data.
+    """Simple-type labels of the semisimple algebra from its root data, the
+    labels of `simple_factors` in type order."""
+    return sorted((label for label, _ in simple_factors(cd)), key=lambda s: (s[0], int(s[1:])))
+
+
+def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
+    """The simple factors of the root data: each type label with, for each
+    Bourbaki node in turn, the index in `cd.root_spaces` of its simple root.
 
     The roots are scaled to integer tuples by their common denominator, which
     keeps lex-positivity and root strings.  The simple roots are the
@@ -640,8 +682,8 @@ def identify_type(cd: CartanData) -> List[str]:
     positive = [r for r in scaled if next(x for x in r if x) > 0]
     positive_set = set(positive)
     simple = [
-        alpha for alpha in positive
-        if not any(tuple(x - y for x, y in zip(alpha, beta)) in positive_set for beta in positive)
+        index for index, alpha in enumerate(scaled) if alpha in positive_set
+        and not any(tuple(x - y for x, y in zip(alpha, beta)) in positive_set for beta in positive)
     ]
 
     def pairing(alpha, beta) -> int:
@@ -652,12 +694,15 @@ def identify_type(cd: CartanData) -> List[str]:
             q += 1
         return -q
 
-    cartan = [[pairing(alpha, beta) for beta in simple] for alpha in simple]
-    labels = [
-        _match_component([[cartan[i][j] for j in nodes] for i in nodes])[0]
-        for nodes in _components(cartan)
-    ]
-    return sorted(labels, key=lambda s: (s[0], int(s[1:])))
+    cartan = [[pairing(scaled[a], scaled[b]) for b in simple] for a in simple]
+    factors = []
+    for nodes in _components(cartan):
+        label, perm = _match_component([[cartan[i][j] for j in nodes] for i in nodes])
+        by_node = [0] * len(nodes)
+        for i, p in zip(nodes, perm):
+            by_node[p] = simple[i]
+        factors.append((label, by_node))
+    return factors
 
 
 def _components(cartan: List[List[int]]) -> List[List[int]]:
@@ -686,7 +731,7 @@ def _match_component(cartan: List[List[int]]) -> Tuple[str, List[int]]:
     for label, rank in simple_types_up_to(m):
         if rank != m:
             continue
-        target = build_root_system(label, rank).cartan
+        target = _cartan_matrix(label, rank)
         perm: List[int] = []
 
         def extend() -> bool:
@@ -1033,6 +1078,49 @@ def split_root_data(algebra: LieAlgebraPresentation) -> CartanData:
     if isinstance(algebra._root_data, NotAdaptedError):
         raise algebra._root_data
     return algebra._root_data
+
+
+Weight = Tuple[int, ...]
+
+
+@dataclass
+class DiagonalWeights:
+    """Weights of the coordinates under a torus with diagonal sp-images.
+
+    coordinates[k] is the weight of coordinate k; factors pairs each simple
+    factor's type label with its simple roots in the same scale, by Bourbaki
+    node."""
+
+    coordinates: List[Weight]
+    factors: List[Tuple[str, List[Weight]]]
+
+
+def diagonal_weights(algebra: LieAlgebraPresentation) -> DiagonalWeights:
+    """The coordinate weights and simple roots of a semisimple algebra under
+    the torus of `_diagonal_torus`, with no generic-element search.
+
+    Coordinate k has weight (d_1[k], ..., d_r[k]) for the integer diagonals
+    d_t of `_sp_integer` of the torus vectors, each a multiple of an
+    sp-image.  The sp-image E of a root vector satisfies
+    [M_h, E] = c alpha(h) E for one constant c of the whole algebra, so any
+    nonzero entry (p, q) of E gives the root in the weight scale,
+    w_p - w_q.  Raises NotAdaptedError when that branch finds no torus or
+    the torus does not split the algebra.
+    """
+    torus = _diagonal_torus(algebra)
+    if torus is None:
+        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
+    cd = root_decomposition(algebra, torus)
+    diagonals = [_sp_integer(algebra, h)[0] for h in cd.cartan_vectors]
+    coordinates = [tuple(d.get((k, k), 0) for d in diagonals) for k in range(algebra.form.dim)]
+    factors = []
+    for label, nodes in simple_factors(cd):
+        roots = []
+        for index in nodes:
+            p, q = next(iter(_sp_integer(algebra, cd.root_spaces[index][1])[0]))
+            roots.append(tuple(a - b for a, b in zip(coordinates[p], coordinates[q])))
+        factors.append((label, roots))
+    return DiagonalWeights(coordinates, factors)
 
 
 def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:

@@ -50,11 +50,61 @@ def test_check_negative_exit_code(capsys, tmp_path):
 
 
 def test_check_undecided_exit_code(capsys, tmp_path):
-    code, out, _ = run(capsys, "catalog", "grl36")
-    path = tmp_path / "grl.txt"
+    # segre-4 has no split torus over Q, so its dimension needs the basis
+    code, out, _ = run(capsys, "catalog", "segre-4")
+    path = tmp_path / "segre4.txt"
     path.write_text(out)
     code, _, _ = run(capsys, "--budget", "1", "check", str(path))
     assert code == EXIT_UNDECIDED
+
+
+def test_successive_calls_are_independent(capsys, tmp_path):
+    """The parser is built once per process; no option of one call reaches
+    the next."""
+    from legquad import cli
+
+    code, out, _ = run(capsys, "catalog", "segre-4")
+    segre = tmp_path / "segre4.txt"
+    segre.write_text(out)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("n=2\nx0*x2\nx1*x3\n")
+    paired = 'json:[["0", "1", "0", "0"], ["-1", "0", "0", "0"], ["0", "0", "0", "1"], ["0", "0", "-1", "0"]]'
+    calls = [
+        (["--budget", "1", "--json", "check", str(segre)], EXIT_UNDECIDED, "undecided", "groebner_pairs"),
+        (["--json", "check", str(segre)], EXIT_OK, "legendrian", None),
+        (["--form", paired, "--json", "check", str(lines)], EXIT_NEGATIVE, "not-legendrian", None),
+        (["--json", "check", str(lines)], EXIT_OK, "legendrian", None),
+    ]
+    for argv, want_code, verdict, budget in calls + calls[::-1]:
+        code, out, _ = run(capsys, *argv)
+        result = json.loads(out)["result"]
+        assert (code, result["verdict"], result["budget"]) == (want_code, verdict, budget), argv
+    code, out, _ = run(capsys, "catalog")
+    assert code == EXIT_OK and out.startswith("[catalog] status: ok")
+    assert cli._parser() is cli._parser()
+
+
+def test_catalog_e7_piped_to_check():
+    """`legquad catalog e7 | legquad check -`: the certificate decides it
+    with no Groebner basis."""
+    env = dict(os.environ, PYTHONPATH=str(Path(legquad.__file__).parents[1]))
+    command = [sys.executable, "-m", "legquad.cli"]
+    dump = subprocess.Popen(command + ["catalog", "e7"], stdout=subprocess.PIPE, env=env)
+    check = subprocess.Popen(command + ["--json", "check", "-"], stdin=dump.stdout,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    dump.stdout.close()  # the check process holds the only reading end
+    try:
+        out, err = check.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        # without the certificate the Groebner route would exhaust memory
+        check.kill()
+        dump.kill()
+        raise
+    assert dump.wait(timeout=30) == EXIT_OK
+    assert check.returncode == EXIT_OK and err == b""
+    result = json.loads(out)["result"]
+    assert result["verdict"] == "legendrian" and result["dimension"] == 28
+    assert result["certificate"] == "kostant" and result["type"] == ["E7"]
 
 
 def test_failed_closure_is_decided_under_any_budget(capsys, tmp_path):

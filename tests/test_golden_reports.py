@@ -1,8 +1,9 @@
 """The `result` objects of `check --json` and `algebra --json` on the catalog
 entries, pinned key for key and in key order against a stored fixture.
 
-`check` runs on the 15 entries whose verdict finishes (all but spinor-s6 and
-e7), `algebra` on all 17.  The fixture was written before the monomial codec
+`check` runs on the 15 entries whose verdict finished before the Kostant
+certificate (all but spinor-s6 and e7, which tests/test_kostant.py covers),
+`algebra` on all 17.  The fixture was written before the monomial codec
 went into the kernels, so a kernel change that alters any report fails here.
 To pin an intended change of the reports, rewrite it with
 

@@ -1,0 +1,325 @@
+"""The Kostant certificate of `legquad.legendrian` against Groebner bases,
+the classification scan and inputs built to fail each of its conditions.
+
+A closed input of independent quadrics is decided from its quadric algebra
+when the certificate holds; every other input falls back to the Groebner
+basis with its verdict unchanged.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import groebner_oracle
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
+from legquad.groebner import IdealPresentation, buchberger, krull_dimension
+from legquad.legendrian import (
+    KostantCertificate,
+    NotCertified,
+    VarietyPresentation,
+    _closure_and_algebra,
+    bracket_closure_check,
+    kostant_certificate,
+    legendrian_verdict,
+)
+from legquad.poly import Polynomial
+from legquad.rootdata import _cartan_matrix
+from legquad.symplectic import SymplecticForm
+from test_span_closure import _relabeled_perturbation
+
+# (type, highest weight) of each certified entry, and its cone dimension
+CERTIFIED = {
+    "twisted-cubic": (["A1"], [(3,)], 2),
+    "segre-split-3": (["A1", "A1"], [(1,), (2,)], 3),
+    "segre-split-4": (["A1", "A1", "A1"], [(1,), (1,), (1,)], 4),
+    "segre-split-5": (["A1", "B2"], [(1,), (1, 0)], 5),
+    "gr36": (["A5"], [(0, 0, 1, 0, 0)], 10),
+    "grl36": (["C3"], [(0, 0, 1)], 7),
+    "xf-cubic-2": (["A1", "A1"], [(1,), (2,)], 3),
+    "spinor-s6": (["D6"], [(0, 0, 0, 0, 0, 1)], 16),
+    "e7": (["E7"], [(0, 0, 0, 0, 0, 0, 1)], 28),
+}
+# the Groebner basis does not finish on these in test time
+BASIS_UNFINISHED = ("spinor-s6", "e7")
+SCALINGS = (-3, -2, -1, 1, 2, 3)
+
+
+def _groebner_dimension(pres: VarietyPresentation) -> int:
+    return krull_dimension(buchberger(IdealPresentation(pres.generators, pres.nvars)))
+
+
+def _relabeled(pres: VarietyPresentation, rng) -> VarietyPresentation:
+    """Permute the variables, the form and its dual carried along, scale each
+    generator by one of +-1, +-2, +-3 and shuffle them."""
+    nvars = pres.nvars
+    perm = list(range(nvars))
+    rng.shuffle(perm)
+
+    def permuted(m):
+        out = [[Fraction(0)] * nvars for _ in range(nvars)]
+        for a, b in itertools.product(range(nvars), repeat=2):
+            out[perm[a]][perm[b]] = m[a][b]
+        return out
+
+    gens = []
+    for g in pres.generators:
+        terms = {}
+        for exps, c in g.terms.items():
+            moved = [0] * nvars
+            for k, e in enumerate(exps):
+                moved[perm[k]] = e
+            terms[tuple(moved)] = c
+        gens.append(Polynomial(nvars, terms).scale(rng.choice(SCALINGS)))
+    rng.shuffle(gens)
+    form = SymplecticForm(permuted(pres.form.matrix), dual_matrix=permuted(pres.form.dual_matrix))
+    return VarietyPresentation(f"{pres.name}-relabeled", form, gens)
+
+
+def _sheared(pres: VarietyPresentation, a: int, b: int) -> VarietyPresentation:
+    """The same variety in the coordinates y = S x with y_a = x_a + x_b: a
+    generator q becomes q(S^-1 y) and the form S^-T J S^-1."""
+    nvars = pres.nvars
+    images = [Polynomial.variable(nvars, i) for i in range(nvars)]
+    images[a] = images[a] - Polynomial.variable(nvars, b)
+    inverse = [[Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)]
+    inverse[a][b] = Fraction(-1)
+    j = pres.form.matrix
+    matrix = [[sum(inverse[k][p] * j[k][l] * inverse[l][q] for k in range(nvars) for l in range(nvars))
+               for q in range(nvars)] for p in range(nvars)]
+    gens = [g.substitute(images) for g in pres.generators]
+    return VarietyPresentation(f"{pres.name}-sheared", SymplecticForm(matrix), gens)
+
+
+def _sl2_variety(*blocks: int, trivial_pairs: int = 0) -> VarietyPresentation:
+    """sl2 acting on V(k_1) + ... + V(k_m), each k odd, plus trivial_pairs
+    symplectic planes it fixes.  V(k) has basis v_0 ... v_k with
+    h v_j = (k - 2j) v_j, f v_j = v_(j+1), e v_j = j (k - j + 1) v_(j-1) and
+    the invariant form J[i][k - i] = (-1)^i; the generators are the
+    quadrics x^T J M x of M = h, e, f, whose sp-images are multiples of M."""
+    size = sum(k + 1 for k in blocks) + 2 * trivial_pairs
+    form = [[0] * size for _ in range(size)]
+    mats = [[[0] * size for _ in range(size)] for _ in range(3)]
+    h, e, f = mats
+    start = 0
+    for k in blocks:
+        for i in range(k + 1):
+            form[start + i][start + k - i] = (-1) ** i
+            h[start + i][start + i] = k - 2 * i
+            if i < k:
+                f[start + i + 1][start + i] = 1
+            if i > 0:
+                e[start + i - 1][start + i] = i * (k - i + 1)
+        start += k + 1
+    for p in range(start, size, 2):
+        form[p][p + 1], form[p + 1][p] = 1, -1
+    gens = []
+    for m in mats:
+        terms = {}
+        for i, j in itertools.product(range(size), repeat=2):
+            x = sum(form[i][l] * m[l][j] for l in range(size))
+            if x:
+                exps = [0] * size
+                exps[i] += 1
+                exps[j] += 1
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + Fraction(x)
+        gens.append(Polynomial(size, terms))
+    name = "+".join(f"V({k})" for k in blocks) + "+V(0)" * (2 * trivial_pairs)
+    return VarietyPresentation(name, SymplecticForm(form), gens)
+
+
+def _assert_falls_back(pres: VarietyPresentation):
+    """The verdict is the Groebner route's: span closure and the dimension of
+    the basis, with `groebner` as its certificate."""
+    verdict = legendrian_verdict(pres)
+    closure = bracket_closure_check(pres)
+    dimension = _groebner_dimension(pres)
+    assert verdict.certificate == "groebner" and verdict.kostant is None
+    assert verdict.bracket_closed == closure.closed
+    assert verdict.cone_dimension == dimension
+    legendrian = closure.closed and dimension == pres.half_dim
+    assert verdict.verdict == ("legendrian" if legendrian else "not-legendrian")
+    return verdict
+
+
+def _certificate_failure(pres: VarietyPresentation) -> str:
+    closure, algebra = _closure_and_algebra(pres)
+    assert closure.closed and algebra is not None
+    with pytest.raises(NotCertified) as err:
+        kostant_certificate(pres, algebra)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_entries(entries, name):
+    types, weights, dimension = CERTIFIED[name]
+    pres = entries[name].presentation
+    verdict = legendrian_verdict(pres, budget=1)
+    assert verdict.certificate == "kostant" and verdict.budget_name is None
+    assert verdict.kostant.types == types and verdict.kostant.highest_weight == weights
+    assert verdict.cone_dimension == dimension == pres.half_dim
+    assert verdict.verdict == "legendrian" and verdict.witnesses == []
+    report = verdict.to_dict()
+    assert list(report)[-3:] == ["certificate", "type", "highest_weight"]
+    assert report["highest_weight"] == [list(w) for w in weights]
+
+
+@pytest.mark.parametrize("name", sorted(set(CERTIFIED) - set(BASIS_UNFINISHED)))
+def test_certified_dimension_is_the_krull_dimension(entries, name):
+    """On the entry and on seeded relabelings: variable permutations with the
+    form carried along, and generator scalings by +-1, +-2, +-3."""
+    rng = random.Random(f"kostant:{name}")
+    base = entries[name].presentation
+    types, weights, _ = CERTIFIED[name]
+    for pres in [base] + [_relabeled(base, rng) for _ in range(3)]:
+        verdict = legendrian_verdict(pres)
+        assert verdict.certificate == "kostant", pres.name
+        assert (verdict.kostant.types, verdict.kostant.highest_weight) == (types, weights)
+        assert verdict.cone_dimension == _groebner_dimension(pres)
+
+
+@pytest.mark.parametrize("scale", (3, Fraction(-1, 2)))
+def test_certificate_is_invariant_under_scaling_the_form(entries, scale):
+    """Scaling the form scales the brackets, so the roots of the adjoint
+    action and the sp-image entries change scale apart; the weights and the
+    simple roots read from the sp-images keep one scale."""
+    for name, (types, weights, dimension) in CERTIFIED.items():
+        base = entries[name].presentation
+        form = SymplecticForm([[x * scale for x in row] for row in base.form.matrix],
+                              dual_matrix=[[x / scale for x in row] for row in base.form.dual_matrix])
+        verdict = legendrian_verdict(VarietyPresentation(name, form, base.generators))
+        assert verdict.certificate == "kostant", name
+        assert verdict.kostant == KostantCertificate(types, weights, dimension), name
+
+
+def _diagram_automorphisms(label: str):
+    cartan = _cartan_matrix(label[0], int(label[1:]))
+    rank = len(cartan)
+    return [p for p in itertools.permutations(range(rank))
+            if all(cartan[p[i]][p[j]] == cartan[i][j] for i in range(rank) for j in range(rank))]
+
+
+def test_certified_simple_types_are_accepted_by_the_scan():
+    """The scan keeps one highest weight per diagram automorphism orbit, so
+    the spinor variety's omega_6 stands for omega_5 too."""
+    accepted = {(v.type_label, v.weight) for v in enumerate_simple(7, 60) if v.status == "accepted"}
+    simple = [(t[0], w[0]) for t, w, _ in CERTIFIED.values() if len(t) == 1]
+    assert len(simple) == 5
+    for label, weight in simple:
+        images = {tuple(weight[p[i]] for i in range(len(weight))) for p in _diagram_automorphisms(label)}
+        assert any((label, image) in accepted for image in images), (label, weight)
+    assert ("D6", (0, 0, 0, 0, 1, 0)) not in accepted
+    assert ("D6", (0, 0, 0, 0, 0, 1)) in accepted
+
+
+def test_certified_two_factor_types_are_accepted_by_the_scan():
+    accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(2, 10)
+                if v.status == "accepted"}
+    for types, weights, _ in CERTIFIED.values():
+        if len(types) == 2:
+            assert (tuple(types), tuple(weights)) in accepted, types
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "segre-split-5", "grl36"))
+def test_dropped_generator_falls_back(entries, name):
+    base = entries[name].presentation
+    for k in range(len(base.generators)):
+        gens = base.generators[:k] + base.generators[k + 1:]
+        _assert_falls_back(VarietyPresentation(f"{name}-{k}", base.form, gens))
+
+
+@pytest.mark.parametrize("name, a, b", [("twisted-cubic", 0, 1), ("twisted-cubic", 2, 0),
+                                        ("segre-split-3", 1, 4), ("xf-cubic-2", 0, 5)])
+def test_non_diagonal_torus_falls_back(entries, name, a, b):
+    """A linear change of coordinates keeps the variety but leaves no torus
+    with diagonal sp-images in the generators."""
+    pres = _sheared(entries[name].presentation, a, b)
+    assert _certificate_failure(pres) == (
+        "condition 2: no self-centralizing torus with diagonal sp-images")
+    assert _assert_falls_back(pres).verdict == "legendrian"
+
+
+def test_certificate_runs_no_generic_torus_search(entries, monkeypatch):
+    """The generic-element search of `cartan_subalgebra` would double the
+    cost of the non-split entries, and its torus need not be diagonal."""
+    from legquad import liealg
+
+    def refused(algebra):
+        raise AssertionError("the generic torus search ran")
+
+    monkeypatch.setattr(liealg, "cartan_subalgebra", refused)
+    for name in ("segre-3", "segre-5", "grl36"):
+        legendrian_verdict(entries[name].presentation)
+    sheared = _sheared(entries["twisted-cubic"].presentation, 0, 1)
+    assert legendrian_verdict(sheared).certificate == "groebner"
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "segre-4", "grl36"))
+def test_perturbed_inputs_fall_back(entries, name):
+    """The perturbed relabelings of the span closure tests: one added
+    monomial, or an added generator of degree 1 or 3."""
+    rng = random.Random(f"closure:{name}")
+    for _ in range(5):
+        pres = _relabeled_perturbation(entries[name].presentation, rng)
+        verdict = _assert_falls_back(pres)
+        failing = bracket_closure_check(pres).failing_pairs
+        assert verdict.witnesses[:len(failing)] == [
+            f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
+
+
+def test_verdict_names_every_failing_pair_of_a_quadric_input(entries):
+    """The verdict reads closure from the structure-constant pass, which
+    brackets every pair instead of stopping at the first failure."""
+    base = entries["grl36"].presentation
+    gens = list(base.generators)
+    gens[0] = gens[0] + Polynomial(base.nvars, {tuple(int(i in (3, 9)) for i in range(14)): 1})
+    pres = VarietyPresentation("grl36-perturbed", base.form, gens)
+    failing = bracket_closure_check(pres).failing_pairs
+    assert len(failing) > 1
+    verdict = legendrian_verdict(pres)
+    assert verdict.witnesses[:len(failing)] == [
+        f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
+
+
+def test_dependent_generators_take_the_span_test(entries):
+    base = entries["twisted-cubic"].presentation
+    pres = VarietyPresentation("doubled", base.form, base.generators + [base.generators[0].scale(2)])
+    assert _closure_and_algebra(pres)[1] is None
+    assert _assert_falls_back(pres).verdict == "legendrian"
+
+
+@pytest.mark.parametrize("build, condition", [
+    (lambda entries: entries["four-lines"].presentation,
+     "condition 1: the quadric algebra is not semisimple"),
+    (lambda entries: entries["segre-3"].presentation,
+     "condition 2: no self-centralizing torus with diagonal sp-images"),
+    # two copies of the twisted cubic's representation under the diagonal sl2
+    (lambda entries: _sl2_variety(3, 3), "condition 3: 1 highest weights, on 2 coordinates"),
+    (lambda entries: _sl2_variety(1, trivial_pairs=1), "condition 3: 2 highest weights, on 3 coordinates"),
+    (lambda entries: _sl2_variety(3, 1), "condition 4: V(lambda) has dimension 4, not 6"),
+    (lambda entries: _sl2_variety(1),
+     "condition 5: a generator does not vanish at the highest weight vector"),
+    (lambda entries: _sl2_variety(5), "condition 6: 3 generators, but the orbit lies on 10 quadrics"),
+], ids=["not-semisimple", "non-split", "reducible", "two-highest", "too-small", "not-vanishing",
+        "too-few"])
+def test_each_condition_rejects_its_input(entries, build, condition):
+    """Each input fails exactly at the named condition, and the verdict is
+    the Groebner route's."""
+    pres = build(entries)
+    assert _certificate_failure(pres) == condition
+    _assert_falls_back(pres)
+
+
+def test_sl2_on_the_binary_cubics_is_the_twisted_cubic():
+    verdict = legendrian_verdict(_sl2_variety(3))
+    assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
+    assert (verdict.kostant.types, verdict.kostant.highest_weight) == (["A1"], [(3,)])
+
+
+def test_oracle_agrees_on_a_certified_entry(entries):
+    """The pair-at-a-time division Buchberger of the oracle gives the same
+    dimension as the certificate."""
+    pres = entries["segre-split-3"].presentation
+    gb = groebner_oracle.groebner_basis(pres, 20_000)
+    assert krull_dimension(gb) == legendrian_verdict(pres).cone_dimension == 3

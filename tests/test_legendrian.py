@@ -85,11 +85,18 @@ def test_degeneracy_detection(entries):
 
 
 def test_budget_gives_undecided(entries):
-    pres = entries["grl36"].presentation
+    # segre-4 has no split torus over Q, so its dimension needs the basis
+    pres = entries["segre-4"].presentation
     v = legendrian_verdict(pres, budget=1)
     assert v.verdict == "undecided"
     assert v.budget_name == "groebner_pairs"
     assert v.bracket_closed is True
+
+
+def test_certificate_decides_grl36_under_any_budget(entries):
+    v = legendrian_verdict(entries["grl36"].presentation, budget=1)
+    assert v.verdict == "legendrian" and v.certificate == "kostant"
+    assert v.cone_dimension == 7 and v.budget_name is None
 
 
 def test_conormal_point_checks(entries):
