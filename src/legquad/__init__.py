@@ -3,7 +3,7 @@
 Modules:
   poly        sparse rational polynomials and the text grammar
   linalg      exact linear algebra on one sparse elimination kernel
-  symplectic  forms, the Poisson bracket, the quadric / sp dictionary
+  symplectic  forms and the Poisson bracket
   groebner    degree-by-degree Groebner bases and normal forms on the kernel, dimension
   legendrian  the verdict engine
   liealg      quadric Lie algebras, roots, Dynkin identification
@@ -13,18 +13,8 @@ Modules:
   cli         the command-line interface
 """
 
-from .poly import Polynomial, parse_poly, format_poly, euler_weighted_sum
-from .symplectic import (
-    SymplecticForm,
-    QuadraticForm,
-    SpElement,
-    standard_form,
-    dual_form,
-    poisson_bracket,
-    quadric_to_sp,
-    quadric_bracket_matrix,
-    sp_membership,
-)
+from .poly import Polynomial, parse_poly, format_poly
+from .symplectic import SymplecticForm, standard_form, poisson_bracket
 from .groebner import (
     IdealPresentation,
     GroebnerBasis,
@@ -38,7 +28,6 @@ from .legendrian import (
     LegendrianVerdict,
     bracket_closure_check,
     legendrian_verdict,
-    conormal_point_check,
     tangent_point_check,
     rational_curve_check,
     degeneracy_check,
@@ -46,15 +35,11 @@ from .legendrian import (
 from .liealg import (
     LieAlgebraPresentation,
     CartanData,
-    BlockView,
     close_and_present,
-    quadratic_part,
     cartan_subalgebra,
     root_decomposition,
     identify_type,
     identify_algebra,
-    exp_nilpotent_action,
-    block_view,
 )
 from .rootdata import (
     AbstractRootSystem,

@@ -298,11 +298,3 @@ def _pair_quadric_count(rs_a, wa, dim_a, rs_b, wb, dim_b) -> int:
     sym2 = dim_v * (dim_v + 1) // 2
     doubled = weyl_dimension(rs_a, [2 * c for c in wa]) * weyl_dimension(rs_b, [2 * c for c in wb])
     return sym2 - doubled
-
-
-def accepted_simple(verdicts: Sequence[CandidateVerdict]) -> List[Tuple[str, Tuple[int, ...]]]:
-    return [(v.type_label, v.weight) for v in verdicts if v.status == "accepted"]
-
-
-def accepted_pairs(verdicts: Sequence[PairVerdict]) -> List[Tuple[Tuple[str, str], Tuple]]:
-    return [(v.factors, v.weights) for v in verdicts if v.status == "accepted"]

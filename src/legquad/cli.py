@@ -77,13 +77,15 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
             try:
                 n = int(line[2:])
             except ValueError:
-                raise InputError(f"line {lineno}: 'n=' needs an integer, got {line[2:]!r}") from None
+                n = None
+            if n is None or n < 1:
+                raise InputError(f"line {lineno}: 'n=' needs a positive integer, got {line[2:]!r}")
         elif line.startswith("form="):
             form_spec, form_origin = line[5:].strip(), f"line {lineno}"
         else:
             gen_lines.append((lineno, line))
-    if n is None or n < 1:
-        raise InputError("missing or invalid 'n=<n>' header")
+    if n is None:
+        raise InputError("missing 'n=<n>' header")
     if form_override:
         form_spec, form_origin = form_override, "--form"
     form = _parse_form(form_spec, n, form_origin)

@@ -57,10 +57,6 @@ from .rootdata import AbstractRootSystem, build_root_system, cone_orbit_dimensio
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 
-class PointNotOnCone(ValueError):
-    """The sample point fails to annihilate some generator."""
-
-
 class PointRankError(ValueError):
     """Gradient or tangent rank at the point differs from the expected n."""
 
@@ -299,8 +295,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
     try:
         weights = diagonal_weights(algebra)
-    except NotAdaptedError as exc:
-        raise NotCertified(f"condition 2: {exc}") from None
+    except NotAdaptedError:
+        raise NotCertified("condition 2: no self-centralizing torus with diagonal sp-images") from None
     coordinates = weights.coordinates
     present = set(coordinates)
     simple = [alpha for _, roots in weights.factors for alpha in roots]
@@ -392,33 +388,6 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
         budget_name=budget_name,
         kostant=kostant,
     )
-
-
-def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
-    """Conormal criterion at a single smooth rational point of the cone.
-
-    The gradients of the generators must span a rank-n space on which the
-    dual form vanishes identically.
-    """
-    pt = [Fraction(x) for x in point]
-    if all(x == 0 for x in pt):
-        raise PointNotOnCone("the origin is excluded")
-    for g in v.generators:
-        if g.evaluate(pt) != 0:
-            raise PointNotOnCone(f"generator {g} does not vanish at the point")
-    grads = [[d.evaluate(pt) for d in g.gradient()] for g in v.generators]
-    span = linalg.row_space_basis(grads)
-    if len(span) != v.half_dim:
-        raise PointRankError(
-            f"gradient rank {len(span)} at the point differs from n = {v.half_dim}"
-        )
-    dual = v.form.dual_matrix
-    for i in range(len(span)):
-        wi = linalg.mat_vec(dual, span[i])
-        for j in range(i + 1, len(span)):
-            if linalg.vec_dot(span[j], wi) != 0:
-                return False
-    return True
 
 
 def tangent_point_check(

@@ -8,11 +8,19 @@ strings and match each component against `rootdata`'s Cartan matrices.
 
 The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
-brackets, ad-matrices (one builder, `_integer_ad`), the Killing form (an
-integer sum divided by D^2 once) and the root-space columns all read it,
-and the torus search reads the sparse sp-image entries of each quadric.
-Fractions appear at the API boundary only: `structure`, `bracket_coeffs`,
-`bracket_vectors`, `ad_matrix`, `killing_matrix`, `sp_images` and the roots.
+brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
+`_integer_ad`), the Killing form (`killing_rows`, D^2 times the trace form)
+and the root-space columns all read it, and the torus search reads the
+sparse integer sp-image entries of each quadric (`sp_entries`).  Fractions
+appear at the API boundary only: `structure`, the torus and root vectors of
+`CartanData`, and the roots.  The dense Fraction routes of the same
+quantities, the exponentials of nilpotent sp-images and the block view of an
+sp element live in the tests (`tests/liealg_oracle.py`).
+
+There is one torus: the elements whose sp-images are diagonal
+(`cartan_subalgebra`).  It gives every coordinate a weight, and both the
+identification and the Kostant certificate of `legendrian` read the one
+root decomposition over it that `split_root_data` caches.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those take a fallback
@@ -25,7 +33,6 @@ modulo a prime, and runs the exact elimination only when that fails.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +40,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix, Vector
-from .poly import MonomialCodec, Polynomial, code_columns, grevlex_columns
+from .poly import MonomialCodec, Polynomial, code_columns
 from .rootdata import _cartan_matrix, algebra_dimension, build_root_system, simple_types_up_to
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
@@ -79,19 +86,9 @@ class LieAlgebraPresentation:
         self.dim = len(self.basis)
         self._table: Optional[Tuple[BracketTable, int]] = None
         self._sp_entries: Optional[List[SpEntries]] = None
-        self._sp_images: Optional[List[Matrix]] = None
         self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
-        self._killing: Optional[Matrix] = None
         self._semisimple: Optional[bool] = None
         self._root_data = None  # CartanData, or the NotAdaptedError it raised
-
-    def bracket_coeffs(self, i: int, j: int) -> Dict[int, Fraction]:
-        """[b_i, b_j] as a sparse coefficient vector over the basis."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.structure.get((i, j), {}))
-        return {k: -v for k, v in self.structure.get((j, i), {}).items()}
 
     def bracket_table(self) -> Tuple[BracketTable, int]:
         """(table, D), built once: table[i][j] lists the (k, n) with
@@ -125,21 +122,6 @@ class LieAlgebraPresentation:
                     out[k] = out.get(k, 0) + xy * n
         return {k: s for k, s in out.items() if s}
 
-    def bracket_vectors(self, u: Sequence, v: Sequence) -> Dict[int, Fraction]:
-        """[u, v] as a sparse coefficient vector over the basis."""
-        iu, du = _integral_vector(u)
-        iv, dv = _integral_vector(v)
-        scale = du * dv * self.bracket_table()[1]
-        return {k: Fraction(s, scale) for k, s in self.bracket_ints(iu, iv).items()}
-
-    def ad_matrix(self, vec: Sequence) -> Matrix:
-        """Matrix of ad(v) acting on basis coordinates."""
-        entries, den = _integer_ad(self, vec)
-        out = linalg.zeros(self.dim, self.dim)
-        for (k, j), x in entries.items():
-            out[k][j] = Fraction(x, den)
-        return out
-
     def sp_entries(self) -> List[SpEntries]:
         """(entries, den) for each basis quadric, built once: its sp-image
         2 W A is entries / den, with entries sparse (p, q) -> nonzero
@@ -168,25 +150,6 @@ class LieAlgebraPresentation:
                 out.append(({pq: x for pq, x in image.items() if x}, den * self.form.dual_den))
             self._sp_entries = out
         return self._sp_entries
-
-    def sp_images(self) -> List[Matrix]:
-        """The sp-image of each basis quadric as a dense matrix, built once."""
-        if self._sp_images is None:
-            self._sp_images = [
-                self._dense_sp({pq: Fraction(x, den) for pq, x in entries.items()})
-                for entries, den in self.sp_entries()
-            ]
-        return self._sp_images
-
-    def sp_image(self, vec: Sequence) -> Matrix:
-        """sp-image of the element with coordinates `vec`."""
-        return self._dense_sp(_sp_combination(self, vec))
-
-    def _dense_sp(self, entries: Dict[Tuple[int, int], Fraction]) -> Matrix:
-        out = linalg.zeros(self.form.dim, self.form.dim)
-        for (p, q), x in entries.items():
-            out[p][q] = x
-        return out
 
     def element_polynomial(self, vec: Sequence) -> Polynomial:
         total = Polynomial.zero(self.form.dim)
@@ -222,19 +185,6 @@ class LieAlgebraPresentation:
             }
         return self._killing_rows
 
-    def killing_matrix(self) -> Matrix:
-        """Trace form tr(ad_i ad_j) of the adjoint action, built once from
-        `killing_rows`.  Callers share the cached matrix and must not mutate
-        it."""
-        if self._killing is None:
-            den2 = self.bracket_table()[1] ** 2
-            kappa = linalg.zeros(self.dim, self.dim)
-            for i, row in self.killing_rows().items():
-                for j, x in row.items():
-                    kappa[i][j] = Fraction(x, den2)
-            self._killing = kappa
-        return self._killing
-
     def is_semisimple(self) -> bool:
         """Cartan's criterion: the Killing form is nondegenerate."""
         if self._semisimple is None:
@@ -243,22 +193,6 @@ class LieAlgebraPresentation:
                 span.add(row)
             self._semisimple = span.rank == self.dim
         return self._semisimple
-
-    def verify_jacobi(self, max_triples: Optional[int] = None) -> bool:
-        """Jacobi identity on basis triples; optionally a deterministic sample."""
-        triples = list(itertools.combinations(range(self.dim), 3))
-        if max_triples is not None and len(triples) > max_triples:
-            step = max(1, len(triples) // max_triples)
-            triples = triples[::step][:max_triples]
-        for i, j, k in triples:
-            total: Dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for l, v in self.bracket_ints({a: 1}, self.bracket_ints({b: 1}, {c: 1})).items():
-                    total[l] = total.get(l, 0) + v
-            if any(total.values()):
-                return False
-        return True
-
 
 def _integral_vector(vec: Sequence) -> Tuple[Dict[int, int], int]:
     """(den * vec as sparse integers, index -> value, and den) for the least
@@ -295,31 +229,10 @@ def _sp_integer(algebra: LieAlgebraPresentation, vec: Sequence) -> SpEntries:
     return {pq: x for pq, x in out.items() if x}, dv * den
 
 
-def _sp_combination(algebra: LieAlgebraPresentation, vec: Sequence) -> Dict[Tuple[int, int], Fraction]:
-    """Nonzero entries (p, q) -> value of the sp-image of sum_i vec_i b_i."""
-    entries, den = _sp_integer(algebra, vec)
-    return {pq: Fraction(x, den) for pq, x in entries.items()}
-
-
 def _unit(dim: int, i: int) -> Vector:
     v = [Fraction(0)] * dim
     v[i] = Fraction(1)
     return v
-
-
-def quadratic_part(generators: Sequence[Polynomial], nvars: int) -> List[Polynomial]:
-    """Echelon basis of the span of the degree-2 generators, leading
-    coefficients 1, in the order the generators contribute them."""
-    quadrics = [g for g in generators if not g.is_zero() and g.homogeneous_degree() == 2]
-    columns = grevlex_columns(quadrics)
-    monomials = list(columns)
-    span = linalg.Echelon()
-    for g in quadrics:
-        span.add({columns[m]: c for m, c in g.terms.items()})
-    return [
-        Polynomial(nvars, {monomials[j]: Fraction(x, row[lead]) for j, x in row.items()})
-        for lead, row in span.rows.items()
-    ]
 
 
 def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
@@ -414,16 +327,8 @@ def _ad_kernel(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[V
     return linalg.sparse_nullspace(rows, algebra.dim)
 
 
-def _commute(algebra: LieAlgebraPresentation, us: List[Vector], vs: List[Vector]) -> bool:
-    """Whether [u, v] = 0 for every u in us and v in vs."""
-    ivs = [_integral_vector(v)[0] for v in vs]
-    return all(not algebra.bracket_ints(_integral_vector(u)[0], iv) for u in us for iv in ivs)
-
-
 def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[Vector]:
     """Basis of {v : [v, h] = 0 for all h in vectors}."""
-    if not vectors:
-        return [list(r) for r in linalg.identity(algebra.dim)]
     if len(vectors) > 1:
         # One generic combination usually pins the joint centralizer; verify
         # and fall back to the stacked kernel when it does not.
@@ -432,50 +337,35 @@ def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List
             for i, x in enumerate(h):
                 generic[i] += (a + 1) * x
         kernel = _ad_kernel(algebra, [generic])
-        if _commute(algebra, kernel, vectors):
+        ivs = [_integral_vector(h)[0] for h in vectors]
+        if all(not algebra.bracket_ints(_integral_vector(v)[0], iv) for v in kernel for iv in ivs):
             return kernel
     return _ad_kernel(algebra, vectors)
 
 
 def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
-    """A maximal torus of elements whose sp-images are diagonal.
+    """A self-centralizing torus of elements whose sp-images are diagonal:
+    the basis elements with diagonal images when they are one, else the
+    elements with diagonal images in their centralizer.
 
-    Falls back to the centralizer of a deterministic generic element when
-    `_diagonal_torus` finds none.  Raises NotAdaptedError when neither route
-    produces a self-centralizing abelian subalgebra.
+    Such a torus acts on each quadric x_p x_q by a sum of two coordinate
+    weights, so `root_decomposition` splits the algebra over it.  Raises
+    NotAdaptedError when there is none.
     """
     if algebra.dim == 0:
         return CartanData([])
-    torus = _diagonal_torus(algebra)
-    if torus is not None:
-        return torus
-    for seed in (1, 3, 7):
-        generic = [Fraction((seed * (i + 1)) % (algebra.dim + 2) + 1) for i in range(algebra.dim)]
-        central = _centralizer(algebra, [generic])
-        if _is_abelian(algebra, central):
-            central2 = _centralizer(algebra, central)
-            if len(central2) == len(central):
-                return CartanData(central, cartan_basis_indices=_indices_if_units(central))
-    raise NotAdaptedError("no self-centralizing torus found; basis not adapted")
-
-
-def _diagonal_torus(algebra: LieAlgebraPresentation) -> Optional[CartanData]:
-    """A self-centralizing torus of elements whose sp-images are diagonal,
-    or None: the basis elements with diagonal images when they are one,
-    else the elements with diagonal images in their centralizer."""
     candidates = _diagonal_candidates(algebra)
-    if not candidates:
-        return None
-    vectors = [_unit(algebra.dim, i) for i in candidates]
-    central = _centralizer(algebra, vectors)
-    if len(central) == len(vectors):
-        return CartanData(vectors, cartan_basis_indices=candidates)
-    # The candidates commute, so they lie in their centralizer; a wider
-    # torus needs more elements with diagonal images there.
-    widened = _diagonal_subspace(algebra, central)
-    if len(widened) > len(vectors) and len(_centralizer(algebra, widened)) == len(widened):
-        return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
-    return None
+    if candidates:
+        vectors = [_unit(algebra.dim, i) for i in candidates]
+        central = _centralizer(algebra, vectors)
+        if len(central) == len(vectors):
+            return CartanData(vectors, cartan_basis_indices=candidates)
+        # The candidates commute, so they lie in their centralizer; a wider
+        # torus needs more elements with diagonal images there.
+        widened = _diagonal_subspace(algebra, central)
+        if len(widened) > len(vectors) and len(_centralizer(algebra, widened)) == len(widened):
+            return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
+    raise NotAdaptedError("torus action is not rationally diagonalizable")
 
 
 def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
@@ -500,12 +390,6 @@ def _diagonal_subspace(algebra: LieAlgebraPresentation, within: List[Vector]) ->
             if p != q:
                 constraints.setdefault((p, q), {})[a] = x * (scale // den)
     return [_combine(within, coeffs) for coeffs in linalg.sparse_nullspace(constraints.values(), len(within))]
-
-
-def _is_abelian(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> bool:
-    ints = [_integral_vector(v)[0] for v in vectors]
-    return not any(algebra.bracket_ints(ints[a], ints[b])
-                   for a in range(len(ints)) for b in range(a + 1, len(ints)))
 
 
 AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
@@ -587,34 +471,25 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
 
 
 def _split_leftover(algebra, cartan, ads, leftover):
-    """Joint eigenvectors inside the span of the leftover basis indices.
+    """Joint eigenvectors inside the span of the leftover basis indices,
+    each with its root.
 
-    Candidate eigenvalues come from the diagonal sp-image entries of the
-    torus: the adjoint eigenvalues on quadrics are sums of pairs of weights.
+    The torus has diagonal sp-images, so its eigenvalues on the quadrics are
+    sums of two of its coordinate weights; those sums are the candidates.
     """
-    spaces = [[_unit(algebra.dim, j) for j in leftover]]
+    spaces = [([], [_unit(algebra.dim, j) for j in leftover])]  # (root so far, basis)
     for ad, h in zip(ads, cartan.cartan_vectors):
-        image = _sp_combination(algebra, h)
-        weights = [image.get((p, p), Fraction(0)) for p in range(algebra.form.dim)]
+        image, den = _sp_integer(algebra, h)
+        weights = {Fraction(image.get((p, p), 0), den) for p in range(algebra.form.dim)}
         candidates = sorted({wp + wq for wp in weights for wq in weights})
-        new_spaces = []
-        for space in spaces:
-            new_spaces.extend(_split_by_eigenvalue(ad, space, candidates))
-        spaces = new_spaces
-    out = []
-    for space in spaces:
-        for vec in space:
-            root = []
-            for ad in ads:
-                lam = _eigen_ratio(_ad_apply(ad, vec), vec)
-                if lam is None:
-                    raise NotAdaptedError("torus action is not rationally diagonalizable")
-                root.append(lam)
-            out.append((root, vec))
-    return out
+        spaces = [(root + [lam], piece) for root, space in spaces
+                  for lam, piece in _split_by_eigenvalue(ad, space, candidates)]
+    return [(root, vec) for root, space in spaces for vec in space]
 
 
 def _split_by_eigenvalue(ad: AdColumns, space: List[Vector], candidates: List[Fraction]):
+    """(eigenvalue, eigenvectors) for each candidate eigenvalue of ad(h) on
+    the span of `space`; raises NotAdaptedError unless they span it."""
     if not space:
         return []
     images = [_ad_apply(ad, v) for v in space]
@@ -629,27 +504,11 @@ def _split_by_eigenvalue(ad: AdColumns, space: List[Vector], candidates: List[Fr
                 rows.append(row)
         kernel_coeffs = linalg.sparse_nullspace(rows, len(space))
         if kernel_coeffs:
-            vecs = [_combine(space, coeffs) for coeffs in kernel_coeffs]
-            pieces.append(vecs)
-            found += len(vecs)
-    if found != len(space):
-        raise NotAdaptedError("torus action is not rationally diagonalizable")
-    return pieces
-
-
-def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
-    lam = None
-    for x, y in zip(image, vec):
-        if y == 0:
-            if x != 0:
-                return None
-            continue
-        ratio = Fraction(x) / Fraction(y)
-        if lam is None:
-            lam = ratio
-        elif ratio != lam:
-            return None
-    return lam if lam is not None else Fraction(0)
+            pieces.append((lam, [_combine(space, coeffs) for coeffs in kernel_coeffs]))
+            found += len(kernel_coeffs)
+            if found == len(space):
+                return pieces
+    raise NotAdaptedError("torus action is not rationally diagonalizable")
 
 
 # ---------------------------------------------------------------------------
@@ -1097,20 +956,16 @@ class DiagonalWeights:
 
 def diagonal_weights(algebra: LieAlgebraPresentation) -> DiagonalWeights:
     """The coordinate weights and simple roots of a semisimple algebra under
-    the torus of `_diagonal_torus`, with no generic-element search.
+    its torus with diagonal sp-images, read off the cached `split_root_data`.
 
     Coordinate k has weight (d_1[k], ..., d_r[k]) for the integer diagonals
     d_t of `_sp_integer` of the torus vectors, each a multiple of an
     sp-image.  The sp-image E of a root vector satisfies
     [M_h, E] = c alpha(h) E for one constant c of the whole algebra, so any
     nonzero entry (p, q) of E gives the root in the weight scale,
-    w_p - w_q.  Raises NotAdaptedError when that branch finds no torus or
-    the torus does not split the algebra.
+    w_p - w_q.  Raises the NotAdaptedError of `split_root_data`.
     """
-    torus = _diagonal_torus(algebra)
-    if torus is None:
-        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
-    cd = root_decomposition(algebra, torus)
+    cd = split_root_data(algebra)
     diagonals = [_sp_integer(algebra, h)[0] for h in cd.cartan_vectors]
     coordinates = [tuple(d.get((k, k), 0) for d in diagonals) for k in range(algebra.form.dim)]
     factors = []
@@ -1147,121 +1002,3 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
         except NotAdaptedError:
             labels.append(_type_of_dimension(sub.dim, _generic_rank(sub)))
     return sorted(labels, key=lambda s: (s[0], int(s[1:])))
-
-
-
-# ---------------------------------------------------------------------------
-# Exponentials and the block form of sp elements.
-# ---------------------------------------------------------------------------
-
-
-def exp_nilpotent_action(matrix: Sequence[Sequence], vector: Sequence, budget: Optional[int] = None) -> Vector:
-    """Exact exp(M) v for nilpotent M; rejects non-nilpotent input.
-
-    The power series is summed up to the nilpotency index, so the result is
-    an exact rational vector.
-    """
-    m = linalg.mat(matrix)
-    dim = len(m)
-    limit = budget if budget is not None else dim
-    power = m
-    index = None
-    for k in range(1, limit + 1):
-        if linalg.mat_eq_zero(power):
-            index = k
-            break
-        power = linalg.mat_mul(power, m)
-    if index is None:
-        if not linalg.mat_eq_zero(power):
-            raise ValueError("matrix is not nilpotent within the budget")
-        index = limit + 1
-    out = [Fraction(x) for x in vector]
-    term = [Fraction(x) for x in vector]
-    factorial = 1
-    for k in range(1, index):
-        term = linalg.mat_vec(m, term)
-        factorial *= k
-        out = [a + b / factorial for a, b in zip(out, term)]
-    return out
-
-
-def exp_orbit_points(
-    algebra: LieAlgebraPresentation,
-    cartan: CartanData,
-    base_point: Sequence,
-    count: int,
-    seed: int,
-) -> List[Vector]:
-    """Deterministic sample of points in the orbit of the base point.
-
-    Root vectors act nilpotently, so products of their exact exponentials
-    map cone points to cone points.
-    """
-    import random
-
-    rng = random.Random(seed)
-    roots = cartan.root_spaces
-    if not roots:
-        raise ValueError("no root vectors to exponentiate")
-    points: List[Vector] = []
-    for _ in range(count):
-        vec = [Fraction(x) for x in base_point]
-        for _ in range(rng.randint(1, 3)):
-            _, eigvec = roots[rng.randrange(len(roots))]
-            rho = algebra.sp_image(eigvec)
-            t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            vec = exp_nilpotent_action(linalg.mat_scale(rho, t), vec)
-        points.append(vec)
-    return points
-
-
-@dataclass
-class BlockView:
-    """Named blocks of an sp element written in the standard block basis."""
-
-    lam0: Fraction
-    a1: Vector
-    a2: Vector
-    b: Vector
-    c: Vector
-    mu: Fraction
-    nu: Fraction
-    A: Matrix
-    B: Matrix
-    C: Matrix
-
-    def vanishes_at_base_point(self) -> bool:
-        """Block constraints of algebras whose quadrics vanish at the first
-        basis vector: mu = 0, b = 0 and nu = 0."""
-        return self.mu == 0 and all(x == 0 for x in self.b) and self.nu == 0
-
-
-def block_view(matrix: Sequence[Sequence], n: int) -> BlockView:
-    """Decompose a 2n x 2n sp matrix into the named blocks.
-
-    The splitting is (1, n-1 | 1, n-1) in both directions; membership in sp
-    for the standard form is verified via the block relations.
-    """
-    m = linalg.mat(matrix)
-    if len(m) != 2 * n:
-        raise ValueError("matrix size does not match n")
-    p_block = [row[:n] for row in m[:n]]
-    q_block = [row[n:] for row in m[:n]]
-    r_block = [row[:n] for row in m[n:]]
-    s_block = [row[n:] for row in m[n:]]
-    if not linalg.is_symmetric(q_block) or not linalg.is_symmetric(r_block):
-        raise ValueError("matrix is not in sp for the standard form")
-    if s_block != [[-p_block[j][i] for j in range(n)] for i in range(n)]:
-        raise ValueError("matrix is not in sp for the standard form")
-    return BlockView(
-        lam0=p_block[0][0],
-        a1=[p_block[i][0] for i in range(1, n)],
-        a2=[p_block[0][j] for j in range(1, n)],
-        b=[r_block[i][0] for i in range(1, n)],
-        c=[q_block[i][0] for i in range(1, n)],
-        mu=r_block[0][0],
-        nu=q_block[0][0],
-        A=[row[1:] for row in p_block[1:]],
-        B=[row[1:] for row in r_block[1:]],
-        C=[row[1:] for row in q_block[1:]],
-    )

@@ -6,10 +6,12 @@ their content divided out, which suits the sparse systems the package solves
 (the Groebner bases and normal forms of `groebner`, the quadric spans of
 `liealg` and `catalog`, ad-matrices, commutant systems of a few hundred
 rows).  `rref` turns its rows into the canonical reduced row echelon form;
-`rank`, `solve`, `inverse` and `row_space_basis` read their answers off
-that form, and `nullspace` and `sparse_nullspace` read the canonical kernel
-basis off `Echelon.kernel`.  `EchelonMod` is its counterpart over the
-integers modulo a prime, for rank bounds.
+`rank` and `inverse` read their answers off that form, and `nullspace` and
+`sparse_nullspace` read the canonical kernel basis off `Echelon.kernel`.
+`EchelonMod` is its counterpart over the integers modulo a prime, for rank
+bounds.  The dense helpers here are the ones the package calls; `solve`,
+`row_space_basis`, matrix sums and the symmetry test serve the tests only
+and live in `tests/linalg_oracle.py`.
 """
 
 from __future__ import annotations
@@ -60,18 +62,6 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 def mat_scale(a: Matrix, c) -> Matrix:
     f = Fraction(c)
     return [[x * f for x in row] for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_eq_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def _integral(vec: Mapping) -> Tuple[SparseRow, int]:
@@ -337,20 +327,6 @@ def sparse_nullspace(rows: Iterable[Mapping], ncols: int) -> List[Vector]:
     return [[v.get(j, zero) for j in range(ncols)] for v in ech.kernel(ncols)]
 
 
-def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
-    """One exact solution of a x = b, or None when inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][cols]
-    return x
-
-
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
     eye = identity(n)
@@ -358,19 +334,6 @@ def inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def row_space_basis(a: Matrix) -> Matrix:
-    """Canonical (RREF) basis of the row space, zero rows dropped."""
-    red, pivots = rref(a)
-    return [red[i] for i in range(len(pivots))]
-
-
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(len(row) == n for row in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
-    )
 
 
 def is_skew_symmetric(a: Matrix) -> bool:

@@ -339,19 +339,6 @@ class Polynomial:
         return format_poly(self)
 
 
-def euler_weighted_sum(p: Polynomial) -> Polynomial:
-    """Sum of x_i * dp/dx_i over all variables; input must be homogeneous.
-
-    For a homogeneous p this equals deg(p) * p, which the callers rely on.
-    """
-    if not p.is_homogeneous():
-        raise ValueError("euler_weighted_sum requires a homogeneous polynomial")
-    total = Polynomial.zero(p.nvars)
-    for i in range(p.nvars):
-        total = total + Polynomial.variable(p.nvars, i) * p.partial_derivative(i)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Parsing.  Grammar (whitespace insignificant):
 #   expr   := [sign] term (sign term)*

@@ -149,11 +149,6 @@ def standard_form(n: int) -> SymplecticForm:
     return SymplecticForm(m)
 
 
-def dual_form(form: SymplecticForm) -> SymplecticForm:
-    """The induced form on the dual space; equals the form itself for standard J."""
-    return SymplecticForm(form.dual_matrix)
-
-
 def gradient_terms(p: Polynomial, codec: MonomialCodec) -> Tuple[GradientTerms, int]:
     """Sparse gradient of den * p, for the least den > 0 that makes its
     coefficients integers: variable i -> the terms (monomial code, integer
@@ -207,119 +202,3 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     den = den_f * den_g * form.dual_den
     terms = bracket_terms(grad_f, grad_g, form)
     return Polynomial(form.dim, {codec.unpack(m): Fraction(c, den) for m, c in terms.items()})
-
-
-# ---------------------------------------------------------------------------
-# Quadrics as symmetric matrices and the dictionary with sp(V).
-# ---------------------------------------------------------------------------
-
-
-class QuadraticForm:
-    """Symmetric matrix A representing the quadric x^T A x."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Sequence[Sequence]):
-        m = linalg.mat(matrix)
-        if not linalg.is_symmetric(m):
-            raise ValueError("quadratic form matrix must be symmetric")
-        self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def to_polynomial(self) -> Polynomial:
-        n = self.dim
-        terms = {}
-        for i in range(n):
-            for j in range(i, n):
-                coeff = self.matrix[i][j] if i == j else 2 * self.matrix[i][j]
-                if coeff:
-                    exps = [0] * n
-                    exps[i] += 1
-                    exps[j] += 1
-                    terms[tuple(exps)] = coeff
-        return Polynomial(n, terms)
-
-    @staticmethod
-    def from_polynomial(p: Polynomial) -> "QuadraticForm":
-        if p.terms and p.homogeneous_degree() != 2:
-            raise ValueError("expected a homogeneous quadric")
-        n = p.nvars
-        m = linalg.zeros(n, n)
-        for exps, c in p.terms.items():
-            support = [i for i, e in enumerate(exps) if e]
-            if len(support) == 1:
-                i = support[0]
-                m[i][i] = c
-            else:
-                i, j = support
-                m[i][j] = c / 2
-                m[j][i] = c / 2
-        return QuadraticForm(m)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuadraticForm) and self.matrix == other.matrix
-
-    def __repr__(self) -> str:
-        return f"QuadraticForm(dim={self.dim})"
-
-
-class SpElement:
-    """Matrix M with M^T J + J M = 0 for the ambient form's matrix J."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Sequence[Sequence], form: Optional[SymplecticForm] = None):
-        self.matrix = linalg.mat(matrix)
-        if form is not None and not sp_membership(self.matrix, form):
-            raise ValueError("matrix does not lie in sp for the given form")
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"SpElement(dim={self.dim})"
-
-
-def sp_membership(m: Sequence[Sequence], form: SymplecticForm) -> bool:
-    """True iff M^T J + J M = 0 exactly."""
-    mm = linalg.mat(m)
-    if len(mm) != form.dim:
-        raise ValueError("dimension mismatch")
-    j = form.matrix
-    lhs = linalg.mat_add(linalg.mat_mul(linalg.transpose(mm), j), linalg.mat_mul(j, mm))
-    return linalg.mat_eq_zero(lhs)
-
-
-def quadric_to_sp(q: QuadraticForm, form: SymplecticForm) -> SpElement:
-    """Lie algebra isomorphism Sym^2 V* -> sp(V): A -> 2 W A with W the dual matrix.
-
-    For the standard block form this is multiplication by 2J.  The image
-    always satisfies the sp membership identity and the map intertwines the
-    quadric bracket with the matrix commutator.
-    """
-    if q.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    image = linalg.mat_scale(linalg.mat_mul(form.dual_matrix, q.matrix), 2)
-    return SpElement(image)
-
-
-def quadric_bracket_matrix(a: QuadraticForm, b: QuadraticForm, form: SymplecticForm) -> QuadraticForm:
-    """Bracket of two quadrics in matrix form: 2 (A W B - B W A).
-
-    Equal to the matrix of poisson_bracket of the two quadric polynomials;
-    the equality of the two routes is a test, not an assumption.
-    """
-    if a.dim != form.dim or b.dim != form.dim:
-        raise ValueError("dimension mismatch")
-    w = form.dual_matrix
-    awb = linalg.mat_mul(linalg.mat_mul(a.matrix, w), b.matrix)
-    bwa = linalg.mat_mul(linalg.mat_mul(b.matrix, w), a.matrix)
-    return QuadraticForm(linalg.mat_scale(linalg.mat_sub(awb, bwa), 2))
-
-
-def commutator(a: SpElement, b: SpElement) -> SpElement:
-    return SpElement(linalg.mat_sub(linalg.mat_mul(a.matrix, b.matrix), linalg.mat_mul(b.matrix, a.matrix)))

@@ -1,0 +1,45 @@
+"""Test oracle for legquad.legendrian: the conormal criterion at one point,
+on point evaluations and the dense elimination of `linalg_oracle`, sharing
+neither the bracket kernel nor the Groebner basis with `legendrian_verdict`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from legquad import linalg
+from legquad.legendrian import PointRankError, VarietyPresentation
+
+from linalg_oracle import row_space_basis
+
+
+class PointNotOnCone(ValueError):
+    """The sample point fails to annihilate some generator."""
+
+
+def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
+    """Conormal criterion at a single smooth rational point of the cone.
+
+    The gradients of the generators must span a rank-n space on which the
+    dual form vanishes identically.
+    """
+    pt = [Fraction(x) for x in point]
+    if all(x == 0 for x in pt):
+        raise PointNotOnCone("the origin is excluded")
+    for g in v.generators:
+        if g.evaluate(pt) != 0:
+            raise PointNotOnCone(f"generator {g} does not vanish at the point")
+    grads = [[d.evaluate(pt) for d in g.gradient()] for g in v.generators]
+    span = row_space_basis(grads)
+    if len(span) != v.half_dim:
+        raise PointRankError(
+            f"gradient rank {len(span)} at the point differs from n = {v.half_dim}"
+        )
+    dual = v.form.dual_matrix
+    for i in range(len(span)):
+        wi = linalg.mat_vec(dual, span[i])
+        for j in range(i + 1, len(span)):
+            if linalg.vec_dot(span[j], wi) != 0:
+                return False
+    return True

@@ -9,11 +9,18 @@ Fractions, and each bracket written over the basis by one tracked
 The brackets of vectors, ad-matrices, the Killing form, the diagonal test
 and the torus search below are dense Fraction routes, kept here as the
 independent side of the tests of the bracket table.
+
+The last sections hold routes only the tests take: the Jacobi identity on
+basis triples, the echelon basis of a generator list's quadrics, exact
+exponentials of nilpotent sp-images and the block view of an sp element.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +29,8 @@ from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, 
 from legquad.linalg import Matrix, Vector
 from legquad.poly import Exponent, Polynomial, grevlex_columns
 from legquad.symplectic import SymplecticForm
+
+from linalg_oracle import is_symmetric, mat_add, mat_eq_zero
 
 Gradient = Dict[int, List[Tuple[Exponent, Fraction]]]
 
@@ -72,9 +81,9 @@ def structure_constants(quadrics: Sequence[Polynomial], form: SymplecticForm) ->
 # ---------------------------------------------------------------------------
 # Dense Fraction routes of the adjoint action, the Killing form and the torus
 # search: the package's arithmetic before it read one sparse integer bracket
-# table.  Brackets read `bracket_coeffs` only, and sp-images come from
-# `symplectic.quadric_to_sp`, so neither shares the table or the sparse
-# sp-entries of `liealg`.
+# table.  Brackets read `bracket_coeffs` only, and sp-images are the 2 W A of
+# `symplectic_oracle.quadric_to_sp`, so neither shares the table or the
+# sparse sp-entries of `liealg`.
 # ---------------------------------------------------------------------------
 
 
@@ -82,6 +91,16 @@ def unit(dim: int, i: int) -> Vector:
     v = [Fraction(0)] * dim
     v[i] = Fraction(1)
     return v
+
+
+def bracket_coeffs(algebra: LieAlgebraPresentation, i: int, j: int) -> Dict[int, Fraction]:
+    """[b_i, b_j] as a sparse coefficient vector over the basis, read off
+    the Fraction structure constants."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(algebra.structure.get((i, j), {}))
+    return {k: -v for k, v in algebra.structure.get((j, i), {}).items()}
 
 
 def bracket_vectors(algebra: LieAlgebraPresentation, u: Sequence, v: Sequence) -> Dict[int, Fraction]:
@@ -92,7 +111,7 @@ def bracket_vectors(algebra: LieAlgebraPresentation, u: Sequence, v: Sequence) -
         for j, vc in vj:
             if i == j:
                 continue
-            for k, c in algebra.bracket_coeffs(i, j).items():
+            for k, c in bracket_coeffs(algebra, i, j).items():
                 s = out.get(k, Fraction(0)) + uc * vc * c
                 if s:
                     out[k] = s
@@ -130,7 +149,7 @@ def killing_matrix(algebra: LieAlgebraPresentation) -> Matrix:
 @functools.lru_cache(maxsize=4)
 def sp_images(algebra: LieAlgebraPresentation) -> List[Matrix]:
     """2 W A for the dual matrix W and the dense symmetric matrix A of each
-    basis quadric (x^T A x), as `symplectic.quadric_to_sp` writes it, the
+    basis quadric (x^T A x), as `symplectic_oracle.quadric_to_sp` writes it, the
     product taken along the nonzero entries of W and A."""
     n = algebra.form.dim
     nonzero = [[(r, w) for r, w in enumerate(row) if w] for row in algebra.form.dual_matrix]
@@ -156,7 +175,7 @@ def sp_image(algebra: LieAlgebraPresentation, vec: Sequence) -> Matrix:
     out = linalg.zeros(algebra.form.dim, algebra.form.dim)
     for c, image in zip(vec, sp_images(algebra)):
         if c:
-            out = linalg.mat_add(out, linalg.mat_scale(image, c))
+            out = mat_add(out, linalg.mat_scale(image, c))
     return out
 
 
@@ -323,3 +342,154 @@ def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
         elif ratio != lam:
             return None
     return lam if lam is not None else Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# The Jacobi identity, and the quadrics of a generator list.
+# ---------------------------------------------------------------------------
+
+
+def verify_jacobi(algebra: LieAlgebraPresentation, max_triples: Optional[int] = None) -> bool:
+    """Jacobi identity on basis triples; optionally a deterministic sample."""
+    triples = list(itertools.combinations(range(algebra.dim), 3))
+    if max_triples is not None and len(triples) > max_triples:
+        step = max(1, len(triples) // max_triples)
+        triples = triples[::step][:max_triples]
+    for i, j, k in triples:
+        total: Dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, v in algebra.bracket_ints({a: 1}, algebra.bracket_ints({b: 1}, {c: 1})).items():
+                total[l] = total.get(l, 0) + v
+        if any(total.values()):
+            return False
+    return True
+
+
+def quadratic_part(generators: Sequence[Polynomial], nvars: int) -> List[Polynomial]:
+    """Echelon basis of the span of the degree-2 generators, leading
+    coefficients 1, in the order the generators contribute them."""
+    quadrics = [g for g in generators if not g.is_zero() and g.homogeneous_degree() == 2]
+    columns = grevlex_columns(quadrics)
+    monomials = list(columns)
+    span = linalg.Echelon()
+    for g in quadrics:
+        span.add({columns[m]: c for m, c in g.terms.items()})
+    return [
+        Polynomial(nvars, {monomials[j]: Fraction(x, row[lead]) for j, x in row.items()})
+        for lead, row in span.rows.items()
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Exponentials and the block form of sp elements.
+# ---------------------------------------------------------------------------
+
+
+def exp_nilpotent_action(matrix: Sequence[Sequence], vector: Sequence, budget: Optional[int] = None) -> Vector:
+    """Exact exp(M) v for nilpotent M; rejects non-nilpotent input.
+
+    The power series is summed up to the nilpotency index, so the result is
+    an exact rational vector.
+    """
+    m = linalg.mat(matrix)
+    dim = len(m)
+    limit = budget if budget is not None else dim
+    power = m
+    index = None
+    for k in range(1, limit + 1):
+        if mat_eq_zero(power):
+            index = k
+            break
+        power = linalg.mat_mul(power, m)
+    if index is None:
+        if not mat_eq_zero(power):
+            raise ValueError("matrix is not nilpotent within the budget")
+        index = limit + 1
+    out = [Fraction(x) for x in vector]
+    term = [Fraction(x) for x in vector]
+    factorial = 1
+    for k in range(1, index):
+        term = linalg.mat_vec(m, term)
+        factorial *= k
+        out = [a + b / factorial for a, b in zip(out, term)]
+    return out
+
+
+def exp_orbit_points(
+    algebra: LieAlgebraPresentation,
+    cartan: CartanData,
+    base_point: Sequence,
+    count: int,
+    seed: int,
+) -> List[Vector]:
+    """Deterministic sample of points in the orbit of the base point.
+
+    Root vectors act nilpotently, so products of their exact exponentials
+    map cone points to cone points.
+    """
+    rng = random.Random(seed)
+    roots = cartan.root_spaces
+    if not roots:
+        raise ValueError("no root vectors to exponentiate")
+    points: List[Vector] = []
+    for _ in range(count):
+        vec = [Fraction(x) for x in base_point]
+        for _ in range(rng.randint(1, 3)):
+            _, eigvec = roots[rng.randrange(len(roots))]
+            rho = sp_image(algebra, eigvec)
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            vec = exp_nilpotent_action(linalg.mat_scale(rho, t), vec)
+        points.append(vec)
+    return points
+
+
+@dataclass
+class BlockView:
+    """Named blocks of an sp element written in the standard block basis."""
+
+    lam0: Fraction
+    a1: Vector
+    a2: Vector
+    b: Vector
+    c: Vector
+    mu: Fraction
+    nu: Fraction
+    A: Matrix
+    B: Matrix
+    C: Matrix
+
+    def vanishes_at_base_point(self) -> bool:
+        """Block constraints of algebras whose quadrics vanish at the first
+        basis vector: mu = 0, b = 0 and nu = 0."""
+        return self.mu == 0 and all(x == 0 for x in self.b) and self.nu == 0
+
+
+def block_view(matrix: Sequence[Sequence], n: int) -> BlockView:
+    """Decompose a 2n x 2n sp matrix into the named blocks.
+
+    The splitting is (1, n-1 | 1, n-1) in both directions; membership in sp
+    for the standard form is verified via the block relations.
+    """
+    m = linalg.mat(matrix)
+    if len(m) != 2 * n:
+        raise ValueError("matrix size does not match n")
+    p_block = [row[:n] for row in m[:n]]
+    q_block = [row[n:] for row in m[:n]]
+    r_block = [row[:n] for row in m[n:]]
+    s_block = [row[n:] for row in m[n:]]
+    if not is_symmetric(q_block) or not is_symmetric(r_block):
+        raise ValueError("matrix is not in sp for the standard form")
+    if s_block != [[-p_block[j][i] for j in range(n)] for i in range(n)]:
+        raise ValueError("matrix is not in sp for the standard form")
+    return BlockView(
+        lam0=p_block[0][0],
+        a1=[p_block[i][0] for i in range(1, n)],
+        a2=[p_block[0][j] for j in range(1, n)],
+        b=[r_block[i][0] for i in range(1, n)],
+        c=[q_block[i][0] for i in range(1, n)],
+        mu=r_block[0][0],
+        nu=q_block[0][0],
+        A=[row[1:] for row in p_block[1:]],
+        B=[row[1:] for row in r_block[1:]],
+        C=[row[1:] for row in q_block[1:]],
+    )

@@ -2,15 +2,18 @@
 
 This is the elimination the package used before its sparse integer kernel;
 it shares no code with `legquad.linalg.Echelon`, so the two routes are
-independent.
+independent.  `solve` and `row_space_basis` read their answers off this
+`rref`; they, the matrix sums and the symmetry test serve the tests and the
+other oracles only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
+Vector = List[Fraction]
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
@@ -70,3 +73,42 @@ def det(a: Matrix) -> Fraction:
                 factor = m[i][c] * inv
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
     return result
+
+
+def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
+    """One exact solution of a x = b, or None when inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [list(a[i]) + [Fraction(b[i])] for i in range(rows)]
+    red, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols]
+    return x
+
+
+def row_space_basis(a: Matrix) -> Matrix:
+    """Canonical (RREF) basis of the row space, zero rows dropped."""
+    red, pivots = rref(a)
+    return [red[i] for i in range(len(pivots))]
+
+
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a: Matrix, b: Matrix) -> Matrix:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_eq_zero(a: Matrix) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
+def is_symmetric(a: Matrix) -> bool:
+    n = len(a)
+    return all(len(row) == n for row in a) and all(
+        a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n)
+    )

@@ -19,6 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from legquad import linalg
 from legquad.linalg import Vector
 
+from linalg_oracle import solve
+
 DEFAULT_DIMENSION_CAP = 600
 
 
@@ -218,7 +220,7 @@ def _root_coords(rs: AmbientRootSystem, vec: Vector) -> Optional[Vector]:
     simple = rs.simple_roots
     gram = [[linalg.vec_dot(a, b) for b in simple] for a in simple]
     rhs = [linalg.vec_dot(vec, a) for a in simple]
-    coords = linalg.solve(gram, rhs)
+    coords = solve(gram, rhs)
     if coords is None:
         return None
     # verify vec is inside the span

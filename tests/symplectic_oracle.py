@@ -1,0 +1,134 @@
+"""Test oracle for legquad.symplectic: quadrics as symmetric matrices and
+the Lie algebra isomorphism with sp(V), in dense Fraction matrices.
+
+A quadric x^T A x goes to 2 W A for the dual matrix W, and the bracket of
+two quadrics to 2 (A W B - B W A).  Neither route shares the gradient
+bracket kernel of `legquad.symplectic`, so the tests check the package's
+brackets and sp-image entries against them.
+"""
+
+from __future__ import annotations
+
+from typing import Optional, Sequence
+
+from legquad import linalg
+from legquad.poly import Polynomial
+from legquad.symplectic import SymplecticForm
+
+from linalg_oracle import is_symmetric, mat_add, mat_eq_zero, mat_sub
+
+
+class QuadraticForm:
+    """Symmetric matrix A representing the quadric x^T A x."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Sequence[Sequence]):
+        m = linalg.mat(matrix)
+        if not is_symmetric(m):
+            raise ValueError("quadratic form matrix must be symmetric")
+        self.matrix = m
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
+    def to_polynomial(self) -> Polynomial:
+        n = self.dim
+        terms = {}
+        for i in range(n):
+            for j in range(i, n):
+                coeff = self.matrix[i][j] if i == j else 2 * self.matrix[i][j]
+                if coeff:
+                    exps = [0] * n
+                    exps[i] += 1
+                    exps[j] += 1
+                    terms[tuple(exps)] = coeff
+        return Polynomial(n, terms)
+
+    @staticmethod
+    def from_polynomial(p: Polynomial) -> "QuadraticForm":
+        if p.terms and p.homogeneous_degree() != 2:
+            raise ValueError("expected a homogeneous quadric")
+        n = p.nvars
+        m = linalg.zeros(n, n)
+        for exps, c in p.terms.items():
+            support = [i for i, e in enumerate(exps) if e]
+            if len(support) == 1:
+                i = support[0]
+                m[i][i] = c
+            else:
+                i, j = support
+                m[i][j] = c / 2
+                m[j][i] = c / 2
+        return QuadraticForm(m)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuadraticForm) and self.matrix == other.matrix
+
+    def __repr__(self) -> str:
+        return f"QuadraticForm(dim={self.dim})"
+
+
+class SpElement:
+    """Matrix M with M^T J + J M = 0 for the ambient form's matrix J."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Sequence[Sequence], form: Optional[SymplecticForm] = None):
+        self.matrix = linalg.mat(matrix)
+        if form is not None and not sp_membership(self.matrix, form):
+            raise ValueError("matrix does not lie in sp for the given form")
+
+    @property
+    def dim(self) -> int:
+        return len(self.matrix)
+
+    def __repr__(self) -> str:
+        return f"SpElement(dim={self.dim})"
+
+
+def dual_form(form: SymplecticForm) -> SymplecticForm:
+    """The induced form on the dual space; equals the form itself for standard J."""
+    return SymplecticForm(form.dual_matrix)
+
+
+def sp_membership(m: Sequence[Sequence], form: SymplecticForm) -> bool:
+    """True iff M^T J + J M = 0 exactly."""
+    mm = linalg.mat(m)
+    if len(mm) != form.dim:
+        raise ValueError("dimension mismatch")
+    j = form.matrix
+    lhs = mat_add(linalg.mat_mul(linalg.transpose(mm), j), linalg.mat_mul(j, mm))
+    return mat_eq_zero(lhs)
+
+
+def quadric_to_sp(q: QuadraticForm, form: SymplecticForm) -> SpElement:
+    """Lie algebra isomorphism Sym^2 V* -> sp(V): A -> 2 W A with W the dual matrix.
+
+    For the standard block form this is multiplication by 2J.  The image
+    always satisfies the sp membership identity and the map intertwines the
+    quadric bracket with the matrix commutator.
+    """
+    if q.dim != form.dim:
+        raise ValueError("dimension mismatch")
+    image = linalg.mat_scale(linalg.mat_mul(form.dual_matrix, q.matrix), 2)
+    return SpElement(image)
+
+
+def quadric_bracket_matrix(a: QuadraticForm, b: QuadraticForm, form: SymplecticForm) -> QuadraticForm:
+    """Bracket of two quadrics in matrix form: 2 (A W B - B W A).
+
+    Equal to the matrix of poisson_bracket of the two quadric polynomials;
+    the equality of the two routes is a test, not an assumption.
+    """
+    if a.dim != form.dim or b.dim != form.dim:
+        raise ValueError("dimension mismatch")
+    w = form.dual_matrix
+    awb = linalg.mat_mul(linalg.mat_mul(a.matrix, w), b.matrix)
+    bwa = linalg.mat_mul(linalg.mat_mul(b.matrix, w), a.matrix)
+    return QuadraticForm(linalg.mat_scale(mat_sub(awb, bwa), 2))
+
+
+def commutator(a: SpElement, b: SpElement) -> SpElement:
+    return SpElement(mat_sub(linalg.mat_mul(a.matrix, b.matrix), linalg.mat_mul(b.matrix, a.matrix)))

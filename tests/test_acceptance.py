@@ -10,32 +10,20 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from legquad import linalg
-from legquad.classify import accepted_pairs, accepted_simple, enumerate_semisimple_pairs, enumerate_simple
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
 from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
-from legquad.liealg import (
-    cartan_subalgebra,
-    close_and_present,
-    exp_orbit_points,
-    identify_algebra,
-    root_decomposition,
-)
-from legquad.poly import Polynomial, euler_weighted_sum, parse_poly
+from legquad.liealg import cartan_subalgebra, identify_algebra, root_decomposition
+from legquad.poly import Polynomial, parse_poly
 from legquad.rootdata import build_root_system, weyl_dimension
-from legquad.symplectic import (
-    QuadraticForm,
-    commutator,
-    poisson_bracket,
-    quadric_bracket_matrix,
-    quadric_to_sp,
-    sp_membership,
-    standard_form,
-)
+from legquad.symplectic import poisson_bracket, standard_form
+from classify_oracle import accepted_pairs, accepted_simple
 from groebner_oracle import krull_dimension_bruteforce
+from liealg_oracle import exp_orbit_points
+from poly_oracle import euler_weighted_sum
 from rootdata_oracle import weight_multiplicities
+from symplectic_oracle import commutator, quadric_bracket_matrix, quadric_to_sp, sp_membership
+from test_symplectic import _random_homog, _random_poly, _random_quadratic_form
 
 
 def _passed(line: str):
@@ -184,8 +172,8 @@ def test_criterion_5_property_suites():
         assert jac.is_zero()
 
     for _ in range(100):
-        qa = _random_symmetric(rng, 4)
-        qb = _random_symmetric(rng, 4)
+        qa = _random_quadratic_form(rng, 4)
+        qb = _random_quadratic_form(rng, 4)
         im_a = quadric_to_sp(qa, form)
         im_b = quadric_to_sp(qb, form)
         assert sp_membership(im_a.matrix, form)
@@ -194,7 +182,7 @@ def test_criterion_5_property_suites():
 
     for _ in range(100):
         degree = rng.randint(0, 5)
-        p = _random_homogeneous(rng, 4, degree)
+        p = _random_homog(rng, 4, degree)
         assert euler_weighted_sum(p) == p.scale(degree)
 
     systems = [build_root_system(l, r) for l, r in
@@ -218,8 +206,8 @@ def test_criterion_6_oracle_equivalence():
     rng = random.Random(90210)
     form = standard_form(3)
     for _ in range(50):
-        qa = _random_symmetric(rng, 6)
-        qb = _random_symmetric(rng, 6)
+        qa = _random_quadratic_form(rng, 6)
+        qb = _random_quadratic_form(rng, 6)
         via_matrix = quadric_bracket_matrix(qa, qb, form).to_polynomial()
         via_diff = poisson_bracket(qa.to_polynomial(), qb.to_polynomial(), form)
         assert via_matrix == via_diff
@@ -257,38 +245,3 @@ def test_criterion_7_orbit_consistency(entries, algebras):
             for g in entry.presentation.generators:
                 assert g.evaluate(pt) == 0, name
     _passed("7 (exp-orbit points satisfy every generator)")
-
-
-def _random_poly(rng, nvars, max_deg):
-    terms = {}
-    for _ in range(rng.randint(1, 5)):
-        exps = [0] * nvars
-        for _ in range(rng.randint(0, max_deg)):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-    return Polynomial(nvars, terms)
-
-
-def _random_homogeneous(rng, nvars, degree):
-    terms = {}
-    for _ in range(rng.randint(1, 5)):
-        exps = [0] * nvars
-        for _ in range(degree):
-            exps[rng.randrange(nvars)] += 1
-        terms[tuple(exps)] = Fraction(rng.randint(-6, 6))
-    p = Polynomial(nvars, terms)
-    if p.is_zero():
-        exps = [0] * nvars
-        exps[0] = degree
-        p = Polynomial(nvars, {tuple(exps): Fraction(1)})
-    return p
-
-
-def _random_symmetric(rng, n):
-    m = linalg.zeros(n, n)
-    for i in range(n):
-        for j in range(i, n):
-            v = Fraction(rng.randint(-5, 5), rng.randint(1, 2))
-            m[i][j] = v
-            m[j][i] = v
-    return QuadraticForm(m)

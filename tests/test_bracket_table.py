@@ -15,6 +15,7 @@ from legquad.liealg import (
     _commutant_rows,
     _diagonal_candidates,
     _integer_ad,
+    _integral_vector,
     _matrix_commutant,
     _scalars_only_mod_p,
     _split_commutant,
@@ -23,44 +24,22 @@ from legquad.liealg import (
     split_root_data,
     subalgebra_presentation,
 )
-from legquad.poly import Polynomial, parse_poly
-from legquad.symplectic import SymplecticForm, standard_form
+from legquad.poly import parse_poly
+from legquad.symplectic import standard_form
+from test_kostant import _relabeled
 
 FIXTURES = ("twisted-cubic", "segre-3", "segre-4", "segre-5", "segre-split-3",
             "gr36", "grl36", "spinor-s6", "e7")
 RELABELED = ("twisted-cubic", "segre-3", "segre-4", "segre-5", "segre-split-3", "gr36", "grl36")
-SCALINGS = (-3, -2, -1, 1, 2, 3)
 
 
 def relabeled_algebra(pres, rng):
-    """The quadric algebra after a seeded variable permutation (form and dual
+    """The quadric algebra of an all-quadric presentation after
+    `test_kostant._relabeled`: a seeded variable permutation (form and dual
     carried along), generator scalings by +-1, +-2, +-3 and a shuffled
     generator order."""
-    nvars = pres.form.dim
-    perm = list(range(nvars))
-    rng.shuffle(perm)
-
-    def permuted(m):
-        out = [[Fraction(0)] * nvars for _ in range(nvars)]
-        for a in range(nvars):
-            for b in range(nvars):
-                out[perm[a]][perm[b]] = m[a][b]
-        return out
-
-    form = SymplecticForm(permuted(pres.form.matrix), dual_matrix=permuted(pres.form.dual_matrix))
-    quadrics = []
-    for g in pres.generators:
-        if g.homogeneous_degree() == 2:
-            scale = rng.choice(SCALINGS)
-            terms = {}
-            for exps, c in g.terms.items():
-                moved = [0] * nvars
-                for k, e in enumerate(exps):
-                    moved[perm[k]] = e
-                terms[tuple(moved)] = c * scale
-            quadrics.append(Polynomial(nvars, terms))
-    rng.shuffle(quadrics)
-    return close_and_present(quadrics, form)
+    relabeled = _relabeled(pres, rng)
+    return close_and_present(relabeled.generators, relabeled.form)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +52,11 @@ def all_cases(entries, algebras):
             rng = random.Random(f"{name}:{seed}")
             out.append((f"{name}/{seed}", relabeled_algebra(entries[name].presentation, rng)))
     return out
+
+
+def nonzero(matrix):
+    """The nonzero entries of a dense matrix, (row, column) -> value."""
+    return {(i, j): x for i, row in enumerate(matrix) for j, x in enumerate(row) if x}
 
 
 def random_sparse(rng, dim):
@@ -94,17 +78,22 @@ def test_table_lists_each_bracket_and_its_antisymmetric_twin(all_cases):
         table, den = L.bracket_table()
         for i in range(L.dim):
             for j in range(L.dim):
-                expected = L.bracket_coeffs(i, j)
+                expected = liealg_oracle.bracket_coeffs(L, i, j)
                 got = {k: Fraction(n, den) for k, n in table[i].get(j, [])}
                 assert got == expected, (label, i, j)
 
 
 def test_brackets_of_random_sparse_vectors(all_cases):
+    """`bracket_ints` of the integer vectors du * u and dv * v is
+    D * du * dv * [u, v]."""
     rng = random.Random(5)
     for label, L in all_cases:
+        den = L.bracket_table()[1]
         for _ in range(20):
             u, v = random_sparse(rng, L.dim), random_sparse(rng, L.dim)
-            assert L.bracket_vectors(u, v) == liealg_oracle.bracket_vectors(L, u, v), label
+            (iu, du), (iv, dv) = _integral_vector(u), _integral_vector(v)
+            got = {k: Fraction(x, den * du * dv) for k, x in L.bracket_ints(iu, iv).items()}
+            assert got == liealg_oracle.bracket_vectors(L, u, v), label
 
 
 def test_ad_matrices_of_the_torus_and_of_random_elements(all_cases):
@@ -112,19 +101,24 @@ def test_ad_matrices_of_the_torus_and_of_random_elements(all_cases):
     for label, L in all_cases:
         torus = [liealg_oracle.unit(L.dim, i) for i in liealg_oracle.diagonal_candidates(L)]
         for vec in torus[:3] + [random_sparse(rng, L.dim)]:
-            assert L.ad_matrix(vec) == liealg_oracle.ad_matrix(L, vec), label
             entries, den = _integer_ad(L, vec)
             assert all(x for x in entries.values()) and den > 0
+            got = {kj: Fraction(x, den) for kj, x in entries.items()}
+            assert got == nonzero(liealg_oracle.ad_matrix(L, vec)), label
 
 
 def test_killing_form(all_cases):
+    """`killing_rows` is D^2 times the trace form."""
     for label, L in all_cases:
-        assert L.killing_matrix() == liealg_oracle.killing_matrix(L), label
+        den2 = L.bracket_table()[1] ** 2
+        got = {(i, j): Fraction(x, den2) for i, row in L.killing_rows().items() for j, x in row.items()}
+        assert got == nonzero(liealg_oracle.killing_matrix(L)), label
 
 
 def test_sp_images_and_diagonal_candidates(all_cases):
     for label, L in all_cases:
-        assert L.sp_images() == liealg_oracle.sp_images(L), label
+        images = [{pq: Fraction(x, den) for pq, x in entries.items()} for entries, den in L.sp_entries()]
+        assert images == [nonzero(image) for image in liealg_oracle.sp_images(L)], label
         assert _diagonal_candidates(L) == liealg_oracle.diagonal_candidates(L), label
 
 

@@ -6,9 +6,10 @@ import pytest
 from legquad import catalog
 from legquad.catalog import DataIntegrityError
 from legquad.legendrian import tangent_point_check
-from legquad.liealg import quadratic_part
 from legquad.poly import parse_poly
-from legquad.symplectic import dual_form, standard_form
+from legquad.symplectic import standard_form
+from liealg_oracle import quadratic_part
+from symplectic_oracle import dual_form
 
 EXPECTED_QUADRIC_COUNTS = {
     "twisted-cubic": 3,

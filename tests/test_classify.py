@@ -1,8 +1,7 @@
 import pytest
 
+from classify_oracle import accepted_pairs, accepted_simple
 from legquad.classify import (
-    accepted_pairs,
-    accepted_simple,
     enumerate_semisimple_pairs,
     enumerate_simple,
     quadric_space_dimension,

@@ -213,6 +213,7 @@ def test_non_integer_header_names_its_line(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("text, override, message", [
+    ("n=0\nx0\n", None, "line 1: 'n=' needs a positive integer, got '0'"),
     ("n=2\nx0^2 + x1\n", None, "line 2: generator x0^2 + x1 is not homogeneous"),
     ("n=2\n\n# generators\nx0*x2\nx1^3 - x0\n", None, "line 5: generator x1^3 - x0 is not homogeneous"),
     ("n=2\nform=json:{bad\nx0*x2\n", None,
@@ -237,6 +238,18 @@ def test_malformed_variety_files_name_the_line(capsys, tmp_path, text, override,
     argv = (["--form", override] if override else []) + ["algebra", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["gb"], ["nf", "x0"], ["bracket", "0", "0"]],
+                         ids=["check", "gb", "nf", "bracket"])
+def test_exponents_too_wide_for_a_monomial_code_exit_1(capsys, tmp_path, argv):
+    """No kernel allocates for an exponent that no packed monomial code
+    holds: each command refuses the file with exit 1."""
+    path = tmp_path / "wide.txt"
+    path.write_text("n=1\nx0^70000 - x1^70000\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == EXIT_USAGE and out == ""
+    assert "too large to pack" in err
 
 
 @pytest.mark.parametrize("index", ["5", "-1", "2"])

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from legquad.groebner import (
     BudgetExceeded,
@@ -13,7 +15,7 @@ from legquad.groebner import (
     krull_dimension,
     normal_form,
 )
-from legquad.poly import Polynomial, grevlex_key, parse_poly
+from legquad.poly import Polynomial, grevlex_key, monomials_of_degree, parse_poly
 
 from groebner_oracle import (
     division_buchberger,
@@ -88,7 +90,7 @@ def test_krull_dimension_of_e7_quadric_leading_monomials(entries):
     degree-2 part of its ideal, leave at most 37 variables free: a bound on
     the cone dimension from degree 2 alone.  The memoised subset recursion
     took 1.6 s and 265 MB on them."""
-    from legquad.liealg import quadratic_part
+    from liealg_oracle import quadratic_part
 
     pres = entries["e7"].presentation
     quadrics = quadratic_part(pres.generators, pres.form.dim)
@@ -254,3 +256,30 @@ def test_normal_form_matches_division_oracle():
         for _ in range(5):
             p = _random_poly(rng, ideal.nvars, 4)
             assert normal_form(p, gb) == division_remainder(p, gb.elements)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """One to three homogeneous generators in at most four variables, each
+    of degree at most 3 with up to three terms and small integer
+    coefficients."""
+    nvars = draw(st.integers(1, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        monomials = monomials_of_degree(nvars, draw(st.integers(1, 3)))
+        support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        gens.append(Polynomial(nvars, {m: draw(st.integers(-3, 3).filter(bool)) for m in support}))
+    return IdealPresentation(gens, nvars)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_ideals())
+def test_buchberger_returns_a_reduced_basis_unchanged(ideal):
+    """A reduced basis is its own reduced Groebner basis: element for
+    element, in the same order."""
+    try:
+        gb = buchberger(ideal, max_pairs=300)
+    except BudgetExceeded:
+        assume(False)
+    again = buchberger(IdealPresentation(gb.elements, ideal.nvars), max_pairs=300)
+    assert again.elements == gb.elements

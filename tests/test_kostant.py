@@ -27,7 +27,7 @@ from legquad.legendrian import (
 from legquad.poly import Polynomial
 from legquad.rootdata import _cartan_matrix
 from legquad.symplectic import SymplecticForm
-from test_span_closure import _relabeled_perturbation
+from test_span_closure import _permuted, _relabeled_perturbation
 
 # (type, highest weight) of each certified entry, and its cone dimension
 CERTIFIED = {
@@ -56,13 +56,6 @@ def _relabeled(pres: VarietyPresentation, rng) -> VarietyPresentation:
     nvars = pres.nvars
     perm = list(range(nvars))
     rng.shuffle(perm)
-
-    def permuted(m):
-        out = [[Fraction(0)] * nvars for _ in range(nvars)]
-        for a, b in itertools.product(range(nvars), repeat=2):
-            out[perm[a]][perm[b]] = m[a][b]
-        return out
-
     gens = []
     for g in pres.generators:
         terms = {}
@@ -73,7 +66,8 @@ def _relabeled(pres: VarietyPresentation, rng) -> VarietyPresentation:
             terms[tuple(moved)] = c
         gens.append(Polynomial(nvars, terms).scale(rng.choice(SCALINGS)))
     rng.shuffle(gens)
-    form = SymplecticForm(permuted(pres.form.matrix), dual_matrix=permuted(pres.form.dual_matrix))
+    form = SymplecticForm(_permuted(pres.form.matrix, perm),
+                          dual_matrix=_permuted(pres.form.dual_matrix, perm))
     return VarietyPresentation(f"{pres.name}-relabeled", form, gens)
 
 
@@ -240,19 +234,25 @@ def test_non_diagonal_torus_falls_back(entries, name, a, b):
     assert _assert_falls_back(pres).verdict == "legendrian"
 
 
-def test_certificate_runs_no_generic_torus_search(entries, monkeypatch):
-    """The generic-element search of `cartan_subalgebra` would double the
-    cost of the non-split entries, and its torus need not be diagonal."""
+def test_certificate_and_split_root_data_share_one_root_decomposition(entries, monkeypatch):
+    """The certificate reads its weights off the cached `split_root_data`,
+    so reading the root data again, as the `algebra` command does, costs no
+    second decomposition."""
     from legquad import liealg
 
-    def refused(algebra):
-        raise AssertionError("the generic torus search ran")
+    calls = []
+    original = liealg.root_decomposition
 
-    monkeypatch.setattr(liealg, "cartan_subalgebra", refused)
-    for name in ("segre-3", "segre-5", "grl36"):
-        legendrian_verdict(entries[name].presentation)
-    sheared = _sheared(entries["twisted-cubic"].presentation, 0, 1)
-    assert legendrian_verdict(sheared).certificate == "groebner"
+    def counted(algebra, cartan):
+        calls.append(algebra)
+        return original(algebra, cartan)
+
+    monkeypatch.setattr(liealg, "root_decomposition", counted)
+    pres = entries["grl36"].presentation
+    algebra = _closure_and_algebra(pres)[1]
+    kostant_certificate(pres, algebra)
+    liealg.split_root_data(algebra)
+    assert calls == [algebra]
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-4", "grl36"))

@@ -5,11 +5,9 @@ import pytest
 
 from legquad import catalog
 from legquad.legendrian import (
-    PointNotOnCone,
     PointRankError,
     VarietyPresentation,
     bracket_closure_check,
-    conormal_point_check,
     degeneracy_check,
     legendrian_verdict,
     rational_curve_check,
@@ -17,6 +15,7 @@ from legquad.legendrian import (
 )
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import standard_form
+from legendrian_oracle import PointNotOnCone, conormal_point_check
 
 
 def test_twisted_cubic_verdict(entries):

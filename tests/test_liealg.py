@@ -9,35 +9,35 @@ from legquad.liealg import (
     CartanData,
     NotAdaptedError,
     NotClosedError,
+    _integer_ad,
     _match_component,
     _type_of_dimension,
-    block_view,
     cartan_subalgebra,
     close_and_present,
     decompose_ideals,
-    exp_nilpotent_action,
-    exp_orbit_points,
     identify_algebra,
     identify_type,
-    quadratic_part,
     root_decomposition,
     subalgebra_presentation,
 )
 from legquad.poly import parse_poly
 from legquad.rootdata import build_root_system, simple_types_up_to
-from legquad.symplectic import QuadraticForm, SymplecticForm, quadric_to_sp, standard_form
+from legquad.symplectic import SymplecticForm, standard_form
 
-from linalg_oracle import det
+from liealg_oracle import block_view, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
+from linalg_oracle import det, mat_eq_zero
+from symplectic_oracle import QuadraticForm, quadric_to_sp
+from test_kostant import _sheared
 
 
 def test_twisted_cubic_structure_constants(algebras):
     L = algebras["twisted-cubic"]
     # basis order: f+, f-, h
     assert L.dim == 3
-    assert L.bracket_coeffs(0, 1) == {2: 1}     # [f+, f-] = h
-    assert L.bracket_coeffs(2, 0) == {0: 2}     # [h, f+] = 2 f+
-    assert L.bracket_coeffs(2, 1) == {1: -2}    # [h, f-] = -2 f-
-    assert L.verify_jacobi()
+    assert liealg_oracle.bracket_coeffs(L, 0, 1) == {2: 1}     # [f+, f-] = h
+    assert liealg_oracle.bracket_coeffs(L, 2, 0) == {0: 2}     # [h, f+] = 2 f+
+    assert liealg_oracle.bracket_coeffs(L, 2, 1) == {1: -2}    # [h, f-] = -2 f-
+    assert verify_jacobi(L)
     assert L.is_semisimple()
 
 
@@ -78,7 +78,7 @@ def test_segre_algebra_dimensions(algebras):
     assert algebras["segre-5"].dim == 13
     for name in ("segre-3", "segre-4", "segre-5"):
         assert algebras[name].is_semisimple()
-        assert algebras[name].verify_jacobi()
+        assert verify_jacobi(algebras[name])
 
 
 def test_segre_bracket_relations(entries):
@@ -261,13 +261,13 @@ def test_exp_preserves_non_quadric_generators(entries):
     quadrics = [g for g in pres.generators if g.homogeneous_degree() == 2]
     algebra = close_and_present(quadrics, pres.form)
     assert algebra.dim == 3 and not algebra.is_semisimple()
-    assert det(algebra.killing_matrix()) == 0
+    assert det(liealg_oracle.killing_matrix(algebra)) == 0
     moved = 0
-    for image in algebra.sp_images():
+    for image in liealg_oracle.sp_images(algebra):
         power = image
         for _ in range(pres.nvars):
             power = linalg.mat_mul(power, image)
-        if not linalg.mat_eq_zero(power):
+        if not mat_eq_zero(power):
             continue
         point = exp_nilpotent_action(image, entry.base_point)
         assert point != entry.base_point
@@ -287,7 +287,7 @@ def test_block_view_shapes(algebras, entries):
     assert all(x == 0 for x in bv.a1) and all(x == 0 for x in bv.a2)
     assert bv.vanishes_at_base_point()
     zero = block_view(linalg.zeros(8, 8), 4)
-    assert zero.lam0 == 0 and linalg.mat_eq_zero(zero.A)
+    assert zero.lam0 == 0 and mat_eq_zero(zero.A)
     with pytest.raises(ValueError):
         block_view(linalg.identity(4), 2)
 
@@ -301,7 +301,7 @@ def test_block_constraints_for_adapted_fixtures(algebras):
         if name == "twisted-cubic":
             continue  # nonstandard form; the block layout needs standard J
         rows = []
-        for image in L.sp_images():
+        for image in liealg_oracle.sp_images(L):
             bv = block_view(image, n)
             assert bv.vanishes_at_base_point(), name
             rows.append([bv.lam0] + [x for x in bv.a1])
@@ -309,10 +309,10 @@ def test_block_constraints_for_adapted_fixtures(algebras):
 
 
 def test_jacobi_on_structure_constants(algebras):
-    assert algebras["grl36"].verify_jacobi(max_triples=400)
-    assert algebras["gr36"].verify_jacobi(max_triples=400)
-    assert algebras["spinor-s6"].verify_jacobi(max_triples=200)
-    assert algebras["e7"].verify_jacobi(max_triples=100)
+    assert verify_jacobi(algebras["grl36"], max_triples=400)
+    assert verify_jacobi(algebras["gr36"], max_triples=400)
+    assert verify_jacobi(algebras["spinor-s6"], max_triples=200)
+    assert verify_jacobi(algebras["e7"], max_triples=100)
 
 
 def test_root_decomposition_handles_mixed_bases(entries):
@@ -329,28 +329,47 @@ def test_root_decomposition_handles_mixed_bases(entries):
     assert identify_type(full) == ["A1"]
 
 
+def _anisotropic_so(n):
+    """so(n) of the sum of squares x_0^2 + ... + x_(n-1)^2, spanned by the
+    x_i y_j - x_j y_i: it has no split torus over Q."""
+    gens = [parse_poly(f"x{i}*x{n + j} - x{j}*x{n + i}", 2 * n)
+            for i in range(n) for j in range(i + 1, n)]
+    return close_and_present(gens, standard_form(n))
+
+
 def test_anisotropic_factor_reports_not_adapted():
     """The orthogonal algebra of a sum of squares has no rational root
     decomposition; the error contract says so instead of guessing."""
-    from legquad.liealg import NotAdaptedError
-
-    gens = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            gens.append(parse_poly(f"x{i}*x{3 + j} - x{j}*x{3 + i}", 6))
-    L = close_and_present(gens, standard_form(3))
+    L = _anisotropic_so(3)
     assert L.is_semisimple()
-    cd = cartan_subalgebra(L)          # a non-split maximal torus exists
-    assert cd.rank == 1
-    with pytest.raises(NotAdaptedError):
-        root_decomposition(L, cd)
-    # the top-level identification still answers through the fallback
+    # no torus splits it (see the next test); the top-level identification
+    # still answers through the fallback
     assert identify_algebra(L) == ["A1"]
 
 
-def test_segre_requires_n_at_least_3():
-    from legquad import catalog
+@pytest.mark.parametrize("name", ["segre-3", "segre-5", "sheared-twisted-cubic", "so3", "so9"])
+def test_no_torus_with_diagonal_sp_images_is_not_adapted(entries, algebras, name):
+    """The torus with diagonal sp-images is the only one: where the basis
+    has none, `cartan_subalgebra` raises instead of searching further."""
+    if name.startswith("so"):
+        L = _anisotropic_so(int(name[2:]))
+    elif name.startswith("sheared"):
+        pres = _sheared(entries["twisted-cubic"].presentation, 0, 1)
+        L = close_and_present(pres.generators, pres.form)
+    else:
+        L = algebras[name]
+    with pytest.raises(NotAdaptedError, match="^torus action is not rationally diagonalizable$"):
+        cartan_subalgebra(L)
 
+
+def test_anisotropic_so9_names_both_candidates():
+    """so(9) of a sum of squares is simple of dimension 36 and rank 4, which
+    B4 and C4 share, so identification names both instead of guessing."""
+    with pytest.raises(NotAdaptedError, match="B4, C4$"):
+        identify_algebra(_anisotropic_so(9))
+
+
+def test_segre_requires_n_at_least_3():
     with pytest.raises(ValueError):
         catalog.segre_line_quadric(2)
 
@@ -367,15 +386,20 @@ def test_random_sp_conjugated_sl2_identifies():
 
 @pytest.mark.parametrize("name", ["twisted-cubic", "segre-5", "gr36", "spinor-s6"])
 def test_cached_killing_matrix_is_the_trace_form_of_ad(algebras, name):
+    """`killing_rows` is D^2 tr(ad_i ad_j), for the integer matrices D ad_i
+    of `_integer_ad`."""
     L = algebras[name]
+    den = L.bracket_table()[1]
     ads = []
     for i in range(L.dim):
-        ad = L.ad_matrix([1 if k == i else 0 for k in range(L.dim)])
-        ads.append({(k, l): x for k, row in enumerate(ad) for l, x in enumerate(row) if x})
-    dense = [[sum((x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items()), Fraction(0))
+        entries, d = _integer_ad(L, [1 if k == i else 0 for k in range(L.dim)])
+        assert d == den
+        ads.append(entries)
+    dense = [[sum(x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items())
               for j in range(L.dim)] for i in range(L.dim)]
-    assert L.killing_matrix() == dense
-    assert L.killing_matrix() is L.killing_matrix()
+    rows = L.killing_rows()
+    assert [[rows.get(i, {}).get(j, 0) for j in range(L.dim)] for i in range(L.dim)] == dense
+    assert L.killing_rows() is rows
     assert det(dense) != 0 and L.is_semisimple()
 
 
@@ -448,9 +472,7 @@ def test_simple_non_split_algebra_is_searched_once(monkeypatch):
     failure instead of rebuilding it and searching for a torus again."""
     from legquad import liealg
 
-    gens = [parse_poly(f"x{i}*x{5 + j} - x{j}*x{5 + i}", 10)
-            for i in range(5) for j in range(i + 1, 5)]
-    algebra = close_and_present(gens, standard_form(5))
+    algebra = _anisotropic_so(5)
     calls = []
 
     def counted(alg):

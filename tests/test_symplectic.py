@@ -6,16 +6,14 @@ import pytest
 import groebner_oracle
 from legquad import linalg
 from legquad.poly import Polynomial, parse_poly
-from legquad.symplectic import (
+from legquad.symplectic import SymplecticForm, poisson_bracket, standard_form
+from symplectic_oracle import (
     QuadraticForm,
-    SymplecticForm,
     commutator,
     dual_form,
-    poisson_bracket,
     quadric_bracket_matrix,
     quadric_to_sp,
     sp_membership,
-    standard_form,
 )
 
 CUBIC_FORM = [[0, 0, 0, -1], [0, 0, 3, 0], [0, -3, 0, 0], [1, 0, 0, 0]]
