@@ -26,7 +26,6 @@ from .groebner import (
 from .legendrian import (
     VarietyPresentation,
     LegendrianVerdict,
-    bracket_closure_check,
     legendrian_verdict,
     tangent_point_check,
     rational_curve_check,

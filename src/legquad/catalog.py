@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
-from .poly import Polynomial, grevlex_columns, monomials_of_degree, parse_poly, poly_from_pairs
+from .liealg import degree_part
+from .poly import MonomialCodec, Polynomial, monomials_of_degree, parse_poly, poly_from_pairs
 from .symplectic import SymplecticForm, standard_form
 
 _CHECKSUMS = {
@@ -266,27 +267,17 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
 
     name_to_idx = {n: i for i, n in enumerate(order)}
     inclusion = linalg.zeros(20, 14)
+    images = [Polynomial.zero(14)] * 20  # each Gr(3,6) coordinate as a form in the 14
     for nme, (c, j) in _GRL_SUBSTITUTION.items():
         inclusion[name_to_idx[nme]][j] = c
-    images = []
-    for k in range(20):
-        nz = [(j, inclusion[k][j]) for j in range(14) if inclusion[k][j] != 0]
-        j, c = nz[0]
-        images.append(Polynomial.variable(14, j).scale(c))
+        images[name_to_idx[nme]] = Polynomial.variable(14, j).scale(c)
     substituted = [p.substitute(images) for p in gr_polys]
 
-    columns = grevlex_columns(substituted + grl_polys)
-    span_a = linalg.Echelon()
-    for p in substituted:
-        span_a.add({columns[m]: c for m, c in p.terms.items()})
-    span_b = linalg.Echelon()
-    for p in grl_polys:
-        span_b.add({columns[m]: c for m, c in p.terms.items()})
-    same = (
-        span_a.rank == span_b.rank == 21
-        and all(span_a.contains({columns[m]: c for m, c in p.terms.items()}) for p in grl_polys)
-    )
-    if not same:
+    # two spans of rank 21 are one span when their sum has rank 21 too
+    codec = MonomialCodec(14, 2)
+    ranks = [degree_part(polys, 2, codec)[0].rank
+             for polys in (substituted, grl_polys, substituted + grl_polys)]
+    if ranks != [21, 21, 21]:
         raise DataIntegrityError("grl36.txt: substitution cross-check failed")
 
     wedge = linalg.zeros(20, 20)
@@ -376,9 +367,7 @@ def spinor_s6() -> CatalogEntry:
         pf = _pfaffian_of(n_entry, comp[(i, j)], nv).scale((-1) ** (i + j + 1))
         gens.append(pf - y_poly * Polynomial.variable(nv, 1 + _SPIN_INDEX[(i, j)]))
 
-    columns = grevlex_columns(gens)
-    span = linalg.Echelon()
-    independent = sum(1 for g in gens if span.add({columns[m]: c for m, c in g.terms.items()}))
+    independent = degree_part(gens, 2, MonomialCodec(nv, 2))[0].rank
     if independent != 66 or len(gens) != 66:
         raise DataIntegrityError(
             f"spinor relations span {independent} dimensions instead of 66; "

@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import catalog
 from .groebner import (
@@ -31,7 +31,7 @@ from .groebner import (
 )
 from .legendrian import VarietyPresentation, legendrian_verdict, rational_curve_check, tangent_point_check
 from .liealg import NotAdaptedError, close_and_present, identify_algebra, split_root_data
-from .poly import Polynomial, PolyParseError, parse_poly
+from .poly import Polynomial, PolyParseError, field_bits, parse_poly
 from .symplectic import SymplecticForm, poisson_bracket, standard_form
 from .classify import enumerate_semisimple_pairs, enumerate_simple
 
@@ -69,18 +69,22 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
     n = None
     form_spec, form_origin = "standard", "the default form"
     gen_lines: List[tuple] = []
+    headers: Dict[str, int] = {}  # 'n=' or 'form=' -> the line that has it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("n="):
+        key = "n=" if line.startswith("n=") else "form=" if line.startswith("form=") else None
+        if key and headers.setdefault(key, lineno) != lineno:
+            raise InputError(f"line {lineno}: a second {key!r} line; line {headers[key]} has the first")
+        if key == "n=":
             try:
                 n = int(line[2:])
             except ValueError:
                 n = None
             if n is None or n < 1:
                 raise InputError(f"line {lineno}: 'n=' needs a positive integer, got {line[2:]!r}")
-        elif line.startswith("form="):
+        elif key == "form=":
             form_spec, form_origin = line[5:].strip(), f"line {lineno}"
         else:
             gen_lines.append((lineno, line))
@@ -99,6 +103,13 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
             raise InputError(f"line {lineno}: {exc}") from None
         if not g.is_homogeneous():
             raise InputError(f"line {lineno}: generator {g} is not homogeneous")
+        degree = sum(next(iter(g.terms), ()))  # that of every term, as g is homogeneous
+        if g.terms and degree == 0:
+            raise InputError(f"line {lineno}: generator {g} is a nonzero constant, which cuts out nothing")
+        try:
+            field_bits(degree)
+        except ValueError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
         gens.append(g)
     return VarietyPresentation("input", form, gens)
 

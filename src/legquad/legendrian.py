@@ -7,13 +7,13 @@ bracket and every irreducible component of the affine cone has dimension n
 decidable without primary decomposition, so verdicts check the total cone
 dimension only.
 
-Closure is linear algebra.  The ideal is homogeneous, so a bracket of degree
-d lies in it exactly when it lies in the degree-d part I_d, the span of the
-generator multiples of degree d; `bracket_closure_check` tests that span
-membership, and `degeneracy_check` reads hyperplanes off I_1.  When the
-generators are linearly independent quadrics, I_2 is their span, and the
-verdict reads closure from the one bracket pass that also gives the
-structure constants of their Lie algebra.
+Closure is linear algebra, and every input takes the one bracket pass of
+`liealg.bracket_closure`: a bracket of degree d lies in the homogeneous
+ideal exactly when it lies in the degree-d part I_d, the span of the
+generator multiples of degree d (`liealg.degree_part`).  When the generators
+are linearly independent quadrics, I_2 is their span, and the same pass
+gives the structure constants of their Lie algebra.  `degeneracy_check`
+reads hyperplanes off I_1.
 
 The cone dimension has two certificates.  A closed quadric input first
 tries `kostant_certificate`: when the quadric algebra g is semisimple, a
@@ -30,11 +30,10 @@ certificate that proved its dimension.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .groebner import (
@@ -44,17 +43,10 @@ from .groebner import (
     buchberger,
     krull_dimension,
 )
-from .liealg import (
-    DependentQuadricsError,
-    LieAlgebraPresentation,
-    NotAdaptedError,
-    NotClosedError,
-    close_and_present,
-    diagonal_weights,
-)
-from .poly import MonomialCodec, Polynomial, code_columns
+from .liealg import LieAlgebraPresentation, NotAdaptedError, bracket_closure, degree_part, diagonal_weights
+from .poly import MonomialCodec, Polynomial
 from .rootdata import AbstractRootSystem, build_root_system, cone_orbit_dimension, weyl_dimension
-from .symplectic import SymplecticForm, bracket_terms, gradient_terms
+from .symplectic import SymplecticForm
 
 
 class PointRankError(ValueError):
@@ -99,13 +91,6 @@ class VarietyPresentation:
         if self.parametrization is None:
             raise ValueError(f"{self.name} has no parametrization")
         return self.parametrization[0].nvars
-
-
-@dataclass
-class ClosureReport:
-    closed: bool
-    checked_pairs: int
-    failing_pairs: List[Tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -158,59 +143,6 @@ class LegendrianVerdict:
         return out
 
 
-def _degree_part(
-    v: VarietyPresentation, degree: int, codec: MonomialCodec
-) -> Tuple[linalg.Echelon, Dict[int, int]]:
-    """Echelon basis of I_d, the span of m * g over the generators g of
-    degree e <= d and the monomials m of degree d - e, with the column of
-    each monomial code.  Columns run largest grevlex monomial (largest
-    code) first, so pivots are leading monomials."""
-    multiples = []
-    for g in v.generators:
-        if g.degree() <= degree:
-            terms = [(codec.pack(m), c) for m, c in g.terms.items()]
-            shifts = itertools.combinations_with_replacement(codec.units, degree - g.degree())
-            multiples.extend({m + shift: c for m, c in terms} for shift in map(sum, shifts))
-    columns = code_columns(m for p in multiples for m in p)
-    span = linalg.Echelon()
-    for p in multiples:
-        span.add({columns[m]: c for m, c in p.items()})
-    return span, columns
-
-
-def bracket_closure_check(v: VarietyPresentation) -> ClosureReport:
-    """Test every pairwise generator bracket for membership in the ideal.
-
-    Closure of the generators is enough: the Leibniz rule propagates it to
-    the whole ideal.  A bracket of degree d is tested against I_d, built
-    once per degree; a bracket monomial that no row of I_d has fails at once.
-    The brackets are integer multiples of the true ones, which is all a
-    span test needs.  Monomials are codes of a codec sized for twice the
-    largest generator degree, above every bracket degree, so a generator of
-    too high a degree raises ValueError.
-    """
-    pairs = list(itertools.combinations(range(len(v.generators)), 2))
-    failing = []
-    # the unit ideal (a constant generator) holds every bracket
-    if pairs and not any(g.degree() == 0 for g in v.generators):
-        codec = MonomialCodec(v.nvars, 2 * max(g.degree() for g in v.generators))
-        grads = [gradient_terms(g, codec)[0] for g in v.generators]
-        spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
-        for i, j in pairs:
-            br = bracket_terms(grads[i], grads[j], v.form)
-            if not br:
-                continue
-            degree = codec.degree(next(iter(br)))
-            if degree not in spans:
-                spans[degree] = _degree_part(v, degree, codec)
-            span, columns = spans[degree]
-            if any(m not in columns for m in br):
-                failing.append((i, j))
-            elif not span.contains({columns[m]: c for m, c in br.items()}):
-                failing.append((i, j))
-    return ClosureReport(closed=not failing, checked_pairs=len(pairs), failing_pairs=failing)
-
-
 def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     """A hyperplane containing the variety, when one exists: the monic
     reduced row of I_1 with the smallest grevlex leading monomial, which is
@@ -219,7 +151,7 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     if any(g.degree() == 0 for g in v.generators):
         return None
     codec = MonomialCodec(v.nvars, 1)
-    span, columns = _degree_part(v, 1, codec)
+    span, columns = degree_part(v.generators, 1, codec)
     if not span.pivots:
         return None
     lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
@@ -228,30 +160,6 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     return Polynomial(
         v.nvars, {codec.unpack(monomials[k]): Fraction(x, row[lead]) for k, x in row.items()}
     )
-
-
-def _closure_and_algebra(
-    v: VarietyPresentation,
-) -> Tuple[ClosureReport, Optional[LieAlgebraPresentation]]:
-    """The closure report, with the quadric algebra when the generators are
-    linearly independent quadrics that are closed under the bracket.
-
-    For such generators I_2 is their span, so `close_and_present`, which
-    brackets every pair against that span, gives the same failing pairs as
-    `bracket_closure_check` and the structure constants in the same pass.
-    Other inputs take `bracket_closure_check`.
-    """
-    gens = v.generators
-    if not gens or any(g.degree() != 2 for g in gens):
-        return bracket_closure_check(v), None
-    pairs = len(gens) * (len(gens) - 1) // 2
-    try:
-        algebra = close_and_present(gens, v.form)
-    except NotClosedError as exc:
-        return ClosureReport(closed=False, checked_pairs=pairs, failing_pairs=exc.pairs), None
-    except DependentQuadricsError:
-        return bracket_closure_check(v), None
-    return ClosureReport(closed=True, checked_pairs=pairs), algebra
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,15 +262,14 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     ideal stays undecided.
     """
     n = v.half_dim
-    closure, algebra = _closure_and_algebra(v)
+    failing, structure = bracket_closure(v.generators, v.form)
+    closed = not failing
     degenerate = degeneracy_check(v) is not None
-    witnesses = [
-        f"bracket of generators {i} and {j} is not in the ideal" for i, j in closure.failing_pairs
-    ]
+    witnesses = [f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
     dimension, budget_name, kostant = None, None, None
-    if algebra is not None:
+    if closed and structure is not None:
         try:
-            kostant = kostant_certificate(v, algebra)
+            kostant = kostant_certificate(v, LieAlgebraPresentation(v.generators, v.form, structure))
             dimension = kostant.dimension
         except NotCertified:
             pass
@@ -375,12 +282,12 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
             witnesses.append("groebner basis not computed within budget")
     if dimension is not None and dimension != n:
         witnesses.append(f"cone dimension {dimension} differs from n = {n}")
-    if closure.closed and dimension is None:
+    if closed and dimension is None:
         verdict = "undecided"
     else:
-        verdict = "legendrian" if closure.closed and dimension == n else "not-legendrian"
+        verdict = "legendrian" if closed and dimension == n else "not-legendrian"
     return LegendrianVerdict(
-        bracket_closed=closure.closed,
+        bracket_closed=closed,
         cone_dimension=dimension,
         degenerate=degenerate,
         verdict=verdict,

@@ -6,6 +6,14 @@ constants, find a torus of elements whose sp-images are diagonal, decompose
 into root spaces over the rationals, read the Cartan integers off root
 strings and match each component against `rootdata`'s Cartan matrices.
 
+Closure and structure constants are one bracket pass, `bracket_closure`,
+which is also the closure test of `legendrian` for generators of any
+degree: it brackets every pair of generators and tests each bracket for
+membership in the degree part of the ideal that `degree_part` builds; no
+other code in the package builds such spans.  For linearly independent
+quadrics the span is tracked, and the coefficients of each bracket over it
+are the structure constants.
+
 The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
 brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
@@ -33,13 +41,14 @@ modulo a prime, and runs the exact elimination only when that fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import Matrix, Vector
+from .linalg import Vector
 from .poly import MonomialCodec, Polynomial, code_columns
 from .rootdata import _cartan_matrix, algebra_dimension, build_root_system, simple_types_up_to
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
@@ -235,48 +244,99 @@ def _unit(dim: int, i: int) -> Vector:
     return v
 
 
-def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
-    """Verify bracket closure of the span and solve exact structure constants.
+def degree_part(
+    generators: Sequence[Polynomial], degree: int, codec: MonomialCodec, track: bool = False
+) -> Tuple[linalg.Echelon, Dict[int, int]]:
+    """Echelon basis of I_d, the span of m * g over the generators g of
+    degree e <= d and the monomials m of degree d - e, in that order, with
+    the column of each monomial code.  Columns run largest grevlex monomial
+    (largest code) first, so pivots are leading monomials.  With `track`,
+    `Echelon.coefficients` writes a vector of the span over the multiples."""
+    multiples = []
+    for g in generators:
+        if (e := g.degree()) <= degree:
+            terms = [(codec.pack(m), c) for m, c in g.terms.items()]
+            shifts = itertools.combinations_with_replacement(codec.units, degree - e)
+            multiples.extend({m + shift: c for m, c in terms} for shift in map(sum, shifts))
+    columns = code_columns(m for p in multiples for m in p)
+    span = linalg.Echelon(track=track)
+    for p in multiples:
+        span.add({columns[m]: c for m, c in p.items()})
+    return span, columns
 
+
+def bracket_closure(
+    generators: Sequence[Polynomial], form: SymplecticForm
+) -> Tuple[List[Tuple[int, int]], Optional[StructureConstants]]:
+    """Bracket every pair of generators and test it for membership in the
+    ideal they generate: (the failing pairs in order, the structure
+    constants).
+
+    Closure of the generators is enough: the Leibniz rule propagates it to
+    the whole ideal.  The ideal is homogeneous, so a bracket of degree d
+    lies in it exactly when it lies in I_d (`degree_part`), built once per
+    degree, for d = e_i + e_j - 2 with e_i, e_j the degrees of the
+    generators; a bracket monomial that no row of I_d has fails at once.
     Brackets are integer vectors over packed monomial columns, d_i * d_j *
     d_W times the true bracket for the denominators d_i, d_j of the two
-    gradients and d_W of the dual matrix; each structure constant is scaled
-    by 1 / (d_i * d_j * d_W) once, as `Echelon.coefficients` writes it.
-    Every pair is bracketed, so an open span raises NotClosedError listing
-    all the pairs whose bracket leaves it; dependent quadrics raise
-    DependentQuadricsError.
+    gradients and d_W of the dual matrix.  Monomials are codes of a codec
+    sized for twice the largest generator degree, above every bracket
+    degree, so a generator of too high a degree raises ValueError.
+
+    When the generators are linearly independent quadrics, I_2 is their
+    span, and the structure constants are the coefficients of each nonzero
+    bracket over it, scaled by 1 / (d_i * d_j * d_W) once, as
+    `Echelon.coefficients` writes them; otherwise the second value is None.
+    """
+    gens = list(generators)
+    if any(g.nvars != form.dim for g in gens):
+        raise ValueError("generator does not match the form dimension")
+    degrees = [g.degree() for g in gens]
+    quadrics = all(e == 2 for e in degrees)
+    # no pair to test, or a constant generator, whose unit ideal holds every bracket
+    if not quadrics and (len(gens) < 2 or 0 in degrees):
+        return [], None
+    codec = MonomialCodec(form.dim, 2 * max(degrees, default=2))
+    spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
+    structure: Optional[StructureConstants] = None
+    if quadrics:
+        spans[2] = degree_part(gens, 2, codec, track=True)
+        if spans[2][0].rank == len(gens):
+            structure = {}
+    grads = [gradient_terms(g, codec) for g in gens]
+    failing: List[Tuple[int, int]] = []
+    for (i, (grad_i, den_i)), (j, (grad_j, den_j)) in itertools.combinations(enumerate(grads), 2):
+        br = bracket_terms(grad_i, grad_j, form)
+        if not br:
+            continue
+        degree = degrees[i] + degrees[j] - 2
+        span, columns = spans.get(degree) or spans.setdefault(degree, degree_part(gens, degree, codec))
+        if any(m not in columns for m in br):
+            failing.append((i, j))
+            continue
+        row = {columns[m]: c for m, c in br.items()}
+        if structure is None:
+            if not span.contains(row):
+                failing.append((i, j))
+        elif (coeffs := span.coefficients(row, den=den_i * den_j * form.dual_den)) is None:
+            failing.append((i, j))
+        else:
+            structure[(i, j)] = coeffs
+    return failing, structure
+
+
+def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
+    """The Lie algebra of linearly independent quadrics whose span is closed
+    under the bracket, with the structure constants of `bracket_closure`.
+
+    Input that is not linearly independent quadrics raises
+    DependentQuadricsError, whether or not the span is closed; an open span
+    raises NotClosedError listing all the pairs whose bracket leaves it.
     """
     basis = list(quadrics)
-    if not basis:
-        return LieAlgebraPresentation([], form, {})
-    nvars = form.dim
-    if any(q.nvars != nvars for q in basis):
-        raise ValueError("quadric does not match the form dimension")
-    codec = MonomialCodec(nvars, 2 * max(q.degree() for q in basis))
-    packed = [{codec.pack(m): c for m, c in q.terms.items()} for q in basis]
-    columns = code_columns(m for p in packed for m in p)
-    span = linalg.Echelon(track=True)
-    for p in packed:
-        if not span.add({columns[m]: c for m, c in p.items()}):
-            raise DependentQuadricsError("quadrics must be linearly independent")
-
-    grads = [gradient_terms(q, codec) for q in basis]
-    structure: StructureConstants = {}
-    failing: List[Tuple[int, int]] = []
-    for i, (grad_i, den_i) in enumerate(grads):
-        for j in range(i + 1, len(basis)):
-            grad_j, den_j = grads[j]
-            br = bracket_terms(grad_i, grad_j, form)
-            if not br:
-                continue
-            # a monomial no basis quadric has already puts br outside the span
-            coeffs = None if any(m not in columns for m in br) else span.coefficients(
-                {columns[m]: c for m, c in br.items()}, den=den_i * den_j * form.dual_den
-            )
-            if coeffs is None:
-                failing.append((i, j))
-            else:
-                structure[(i, j)] = coeffs
+    failing, structure = bracket_closure(basis, form)
+    if structure is None:
+        raise DependentQuadricsError("quadrics must be linearly independent")
     if failing:
         raise NotClosedError(failing)
     return LieAlgebraPresentation(basis, form, structure)
@@ -789,23 +849,27 @@ def _matrix_commutant(rows: List[Dict[int, int]], d: int) -> List[Dict[int, Frac
 
 
 def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector]]]:
+    """The eigenspaces of sum_k (k + 1) X_k over the commutant basis, in
+    increasing eigenvalue order, when it has at least two rational
+    eigenvalues, its eigenspaces span the algebra and each is an ideal."""
     d = algebra.dim
-    t = linalg.zeros(d, d)
+    entries: Dict[int, Fraction] = {}
     for k, vec in enumerate(commutant_basis):
         for index, x in vec.items():
-            t[index // d][index % d] += (k + 1) * x
-    eigenvalues = _rational_eigenvalues(t)
+            entries[index] = entries.get(index, 0) + (k + 1) * x
+    den = math.lcm(*[x.denominator for x in entries.values()])
+    cols: Dict[int, List[Tuple[int, int]]] = {}
+    for index, x in entries.items():
+        if x:
+            cols.setdefault(index % d, []).append((index // d, x.numerator * (den // x.denominator)))
+    t: AdColumns = (cols, den)
+    eigenvalues = _rational_eigenvalues(t, d)
     if eigenvalues is None or len(eigenvalues) < 2:
         return None
-    pieces = []
-    total = 0
-    for lam in eigenvalues:
-        shifted = [[t[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-        kernel = linalg.nullspace(shifted, d)
-        if kernel:
-            pieces.append(kernel)
-            total += len(kernel)
-    if total != d:
+    try:
+        pieces = [piece for _, piece in
+                  _split_by_eigenvalue(t, [_unit(d, i) for i in range(d)], eigenvalues)]
+    except NotAdaptedError:
         return None
     # Each piece must be an ideal; otherwise the commutant was overestimated.
     for piece in pieces:
@@ -821,17 +885,17 @@ def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector
     return pieces
 
 
-def _rational_eigenvalues(t: Matrix) -> Optional[List[Fraction]]:
-    """Distinct rational eigenvalues of t via its Krylov minimal polynomial.
+def _rational_eigenvalues(t: AdColumns, d: int) -> Optional[List[Fraction]]:
+    """Distinct rational eigenvalues of the d x d matrix t via its Krylov
+    minimal polynomial.
 
     Returns None when the minimal polynomial does not split over the
     rationals (all roots are searched by the rational root theorem).
     """
-    d = len(t)
     v = [Fraction(i + 1) for i in range(d)]
     krylov = [v]
     for _ in range(d):
-        krylov.append(linalg.mat_vec(t, krylov[-1]))
+        krylov.append(_ad_apply(t, krylov[-1]))
         coeffs = linalg.nullspace(linalg.transpose(krylov), len(krylov))
         if coeffs:
             poly = coeffs[0]
@@ -839,25 +903,17 @@ def _rational_eigenvalues(t: Matrix) -> Optional[List[Fraction]]:
     else:
         return None
     # poly: sum poly[k] * t^k v = 0; normalize to integer coefficients.
-    lcm = 1
-    for c in poly:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly]
+    den = math.lcm(*[c.denominator for c in poly])
+    ints = [int(c * den) for c in poly]
     while ints and ints[-1] == 0:
         ints.pop()
     if len(ints) < 2:
         return None
     roots = _rational_roots(ints)
     # The minimal polynomial of a split semisimple operator is squarefree
-    # with all roots rational; demand full splitting.
-    residual = ints
-    for r in roots:
-        residual = _deflate(residual, r)
-        if residual is None:
-            return None
-    if len(residual) != 1:
-        return None
-    return sorted(set(roots))
+    # with all roots rational: demand as many distinct rational roots as
+    # its degree.
+    return roots if len(roots) == len(ints) - 1 else None
 
 
 def _rational_roots(ints: List[int]) -> List[Fraction]:
@@ -889,23 +945,6 @@ def _divisors(n: int) -> List[int]:
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-def _deflate(ints: List[int], root: Fraction) -> Optional[List[int]]:
-    """Divide the integer polynomial by (x - root); None when not a factor."""
-    coeffs = [Fraction(c) for c in ints]
-    out = []
-    carry = Fraction(0)
-    for c in reversed(coeffs):
-        carry = c + carry * root
-        out.append(carry)
-    if out[-1] != 0:
-        return None
-    quotient = list(reversed(out[:-1]))
-    lcm = 1
-    for c in quotient:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in quotient]
 
 
 def _generic_rank(algebra: LieAlgebraPresentation) -> int:

@@ -26,10 +26,6 @@ Vector = List[Fraction]
 SparseRow = Dict[int, int]
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(n: int, m: int) -> Matrix:
     return [[Fraction(0)] * m for _ in range(n)]
 

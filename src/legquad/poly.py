@@ -34,16 +34,9 @@ def grevlex_key(exps: Exponent):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def grevlex_columns(polys: Iterable["Polynomial"]) -> Dict[Exponent, int]:
-    """Column index of every monomial of `polys`, largest grevlex monomial
-    first, so that row echelon forms pivot on leading monomials."""
-    monomials = sorted({m for p in polys for m in p.terms}, key=grevlex_key, reverse=True)
-    return {m: col for col, m in enumerate(monomials)}
-
-
 def code_columns(codes: Iterable[int]) -> Dict[int, int]:
     """Column index of every distinct monomial code, largest (grevlex
-    largest) first, as `grevlex_columns` gives for exponent tuples."""
+    largest) first, so that row echelon forms pivot on leading monomials."""
     return {m: k for k, m in enumerate(sorted(set(codes), reverse=True))}
 
 
@@ -57,6 +50,14 @@ def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def field_bits(max_degree: int) -> int:
+    """Bits per variable of the `MonomialCodec` that holds exponents up to
+    `max_degree`: 8 or 16; ValueError when no codec holds them."""
+    if max_degree >= 1 << 15:
+        raise ValueError(f"degree {max_degree} is too large to pack into a monomial code")
+    return 8 if max_degree < 1 << 7 else 16
 
 
 class MonomialCodec:
@@ -77,9 +78,7 @@ class MonomialCodec:
     __slots__ = ("nvars", "limit", "units", "_bits", "_shift", "_mask", "_guards", "_struct")
 
     def __init__(self, nvars: int, max_degree: int):
-        bits = next((b for b in (8, 16) if max_degree < 1 << (b - 1)), None)
-        if bits is None:
-            raise ValueError(f"degree {max_degree} is too large to pack into a monomial code")
+        bits = field_bits(max_degree)
         self.nvars = nvars
         self.limit = (1 << (bits - 1)) - 1  # the largest exponent a field holds
         self._bits = bits
@@ -268,17 +267,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grevlex_key)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(1 / self.leading_coefficient())
-
-    def coefficient(self, exps: Exponent) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     # ----- calculus -------------------------------------------------------
 
     def partial_derivative(self, var: int) -> "Polynomial":
@@ -298,9 +286,6 @@ class Polynomial:
                 else:
                     out.pop(dm_t, None)
         return Polynomial(self.nvars, out)
-
-    def gradient(self) -> list:
-        return [self.partial_derivative(i) for i in range(self.nvars)]
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at a rational point; point length must equal nvars."""

@@ -44,7 +44,7 @@ class SymplecticForm:
     denominator (`dual_den`).
     """
 
-    __slots__ = ("dim", "matrix", "_dual", "_scalar", "dual_rows", "dual_den")
+    __slots__ = ("dim", "matrix", "dual_matrix", "_scalar", "dual_rows", "dual_den")
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
         m = _fractions(matrix)
@@ -66,7 +66,7 @@ class SymplecticForm:
                 raise ValueError("dual_matrix must be a nonzero scalar multiple of -J^{-1}")
         self.dim = dim
         self.matrix = m
-        self._dual = dual
+        self.dual_matrix = dual
         self._scalar = scalar  # dual = -scalar * J^{-1}
         den = self.dual_den = lcm(*[w.denominator for row in dual for w in row])
         self.dual_rows = [
@@ -77,15 +77,11 @@ class SymplecticForm:
     def half_dim(self) -> int:
         return self.dim // 2
 
-    @property
-    def dual_matrix(self) -> Matrix:
-        return self._dual
-
     def to_json(self) -> str:
         matrix = [[str(x) for x in row] for row in self.matrix]
         if self._scalar == 1:  # the computed dual
             return json.dumps(matrix)
-        dual = [[str(x) for x in row] for row in self._dual]
+        dual = [[str(x) for x in row] for row in self.dual_matrix]
         return json.dumps({"matrix": matrix, "dual": dual})
 
     @staticmethod

@@ -12,8 +12,8 @@ Bracket closure here is the test the package ran before it tested span
 membership in the degree-d parts of the ideal: every generator bracket,
 taken as a sum of gradient products, is reduced by division modulo the
 oracle's basis.  It shares neither the bracket kernel nor the span
-elimination with `legquad.legendrian.bracket_closure_check`, so the two
-routes are independent.  The hyperplanes of `linear_part` are the oracle for
+elimination with `legquad.liealg.bracket_closure`, so the two routes are
+independent.  The hyperplanes of `linear_part` are the oracle for
 `legquad.legendrian.degeneracy_check`, and `krull_dimension_bruteforce`
 scans every variable subset for `legquad.groebner.krull_dimension`.
 """
@@ -34,6 +34,8 @@ from legquad.groebner import (
 )
 from legquad.poly import Exponent, Polynomial, grevlex_key, monomial_mul
 from legquad.symplectic import SymplecticForm
+
+from poly_oracle import gradient, monic
 
 
 def monomial_div(a: Exponent, b: Exponent) -> Exponent:
@@ -95,7 +97,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _interreduce(polys: List[Polynomial]) -> List[Polynomial]:
     """Make the basis reduced: minimal leading monomials, tails reduced, monic."""
-    basis = [p.monic() for p in polys if not p.is_zero()]
+    basis = [monic(p) for p in polys if not p.is_zero()]
     basis.sort(key=lambda p: grevlex_key(p.leading_monomial()))
     minimal: List[Polynomial] = []
     for p in basis:
@@ -107,7 +109,7 @@ def _interreduce(polys: List[Polynomial]) -> List[Polynomial]:
         others = minimal[:i] + minimal[i + 1 :]
         r = division_remainder(p, others)
         if not r.is_zero():
-            reduced.append(r.monic())
+            reduced.append(monic(r))
     reduced.sort(key=lambda p: grevlex_key(p.leading_monomial()))
     return reduced
 
@@ -120,7 +122,7 @@ def division_buchberger(
     for g in ideal.generators:
         r = division_remainder(g, basis)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(monic(r))
     if not basis:
         return GroebnerBasis([], ideal.nvars)
 
@@ -168,7 +170,7 @@ def division_buchberger(
         s = s_polynomial(basis[i], basis[j])
         r = division_remainder(s, basis)
         if not r.is_zero():
-            basis.append(r.monic())
+            basis.append(monic(r))
             new_index = len(basis) - 1
             for k in range(new_index):
                 push(k, new_index)
@@ -190,8 +192,8 @@ def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
 def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polynomial:
     """sum over i, j of W_ij (df/dx_i)(dg/dx_j), as polynomial arithmetic."""
     dual = form.dual_matrix
-    grad_f = f.gradient()
-    grad_g = g.gradient()
+    grad_f = gradient(f)
+    grad_g = gradient(g)
     result = Polynomial.zero(form.dim)
     for i in range(form.dim):
         if grad_f[i].is_zero():

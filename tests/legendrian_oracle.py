@@ -12,6 +12,7 @@ from legquad import linalg
 from legquad.legendrian import PointRankError, VarietyPresentation
 
 from linalg_oracle import row_space_basis
+from poly_oracle import gradient
 
 
 class PointNotOnCone(ValueError):
@@ -30,7 +31,7 @@ def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
     for g in v.generators:
         if g.evaluate(pt) != 0:
             raise PointNotOnCone(f"generator {g} does not vanish at the point")
-    grads = [[d.evaluate(pt) for d in g.gradient()] for g in v.generators]
+    grads = [[d.evaluate(pt) for d in gradient(g)] for g in v.generators]
     span = row_space_basis(grads)
     if len(span) != v.half_dim:
         raise PointRankError(

@@ -27,12 +27,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from legquad import linalg
 from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, StructureConstants
 from legquad.linalg import Matrix, Vector
-from legquad.poly import Exponent, Polynomial, grevlex_columns
+from legquad.poly import Exponent, Polynomial, grevlex_key
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat_add, mat_eq_zero
+from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero
 
 Gradient = Dict[int, List[Tuple[Exponent, Fraction]]]
+
+
+def grevlex_columns(polys: Sequence[Polynomial]) -> Dict[Exponent, int]:
+    """Column index of every monomial of `polys`, largest grevlex monomial
+    first, so that row echelon forms pivot on leading monomials."""
+    monomials = sorted({m for p in polys for m in p.terms}, key=grevlex_key, reverse=True)
+    return {m: col for col, m in enumerate(monomials)}
 
 
 def gradient(p: Polynomial) -> Gradient:
@@ -391,7 +398,7 @@ def exp_nilpotent_action(matrix: Sequence[Sequence], vector: Sequence, budget: O
     The power series is summed up to the nilpotency index, so the result is
     an exact rational vector.
     """
-    m = linalg.mat(matrix)
+    m = mat(matrix)
     dim = len(m)
     limit = budget if budget is not None else dim
     power = m
@@ -470,7 +477,7 @@ def block_view(matrix: Sequence[Sequence], n: int) -> BlockView:
     The splitting is (1, n-1 | 1, n-1) in both directions; membership in sp
     for the standard form is verified via the block relations.
     """
-    m = linalg.mat(matrix)
+    m = mat(matrix)
     if len(m) != 2 * n:
         raise ValueError("matrix size does not match n")
     p_block = [row[:n] for row in m[:n]]

@@ -3,8 +3,8 @@
 This is the elimination the package used before its sparse integer kernel;
 it shares no code with `legquad.linalg.Echelon`, so the two routes are
 independent.  `solve` and `row_space_basis` read their answers off this
-`rref`; they, the matrix sums and the symmetry test serve the tests and the
-other oracles only.
+`rref`; they, `mat`, the matrix sums and the symmetry test serve the tests
+and the other oracles only.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+
+
+def mat(rows: Sequence[Sequence]) -> Matrix:
+    return [[Fraction(x) for x in row] for row in rows]
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:

@@ -1,9 +1,30 @@
 """Test oracle for legquad.poly: the Euler identity sum x_i dp/dx_i =
-deg(p) p, on `Polynomial` arithmetic alone."""
+deg(p) p, on `Polynomial` arithmetic alone, and the polynomial helpers only
+the tests and the other oracles call: coefficients, monic scaling and the
+gradient."""
 
 from __future__ import annotations
 
-from legquad.poly import Polynomial
+from fractions import Fraction
+from typing import List
+
+from legquad.poly import Exponent, Polynomial
+
+
+def coefficient(p: Polynomial, exps: Exponent) -> Fraction:
+    return p.terms.get(tuple(exps), Fraction(0))
+
+
+def leading_coefficient(p: Polynomial) -> Fraction:
+    return p.terms[p.leading_monomial()]
+
+
+def monic(p: Polynomial) -> Polynomial:
+    return p.scale(1 / leading_coefficient(p)) if p.terms else p
+
+
+def gradient(p: Polynomial) -> List[Polynomial]:
+    return [p.partial_derivative(i) for i in range(p.nvars)]
 
 
 def euler_weighted_sum(p: Polynomial) -> Polynomial:

@@ -15,7 +15,7 @@ from legquad import linalg
 from legquad.poly import Polynomial
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat_add, mat_eq_zero, mat_sub
+from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_sub
 
 
 class QuadraticForm:
@@ -24,7 +24,7 @@ class QuadraticForm:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Sequence[Sequence]):
-        m = linalg.mat(matrix)
+        m = mat(matrix)
         if not is_symmetric(m):
             raise ValueError("quadratic form matrix must be symmetric")
         self.matrix = m
@@ -76,7 +76,7 @@ class SpElement:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: Sequence[Sequence], form: Optional[SymplecticForm] = None):
-        self.matrix = linalg.mat(matrix)
+        self.matrix = mat(matrix)
         if form is not None and not sp_membership(self.matrix, form):
             raise ValueError("matrix does not lie in sp for the given form")
 
@@ -95,7 +95,7 @@ def dual_form(form: SymplecticForm) -> SymplecticForm:
 
 def sp_membership(m: Sequence[Sequence], form: SymplecticForm) -> bool:
     """True iff M^T J + J M = 0 exactly."""
-    mm = linalg.mat(m)
+    mm = mat(m)
     if len(mm) != form.dim:
         raise ValueError("dimension mismatch")
     j = form.matrix

@@ -19,15 +19,14 @@ from legquad.legendrian import (
     KostantCertificate,
     NotCertified,
     VarietyPresentation,
-    _closure_and_algebra,
-    bracket_closure_check,
     kostant_certificate,
     legendrian_verdict,
 )
+from legquad.liealg import DependentQuadricsError, bracket_closure, close_and_present
 from legquad.poly import Polynomial
 from legquad.rootdata import _cartan_matrix
 from legquad.symplectic import SymplecticForm
-from test_span_closure import _permuted, _relabeled_perturbation
+from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
 
 # (type, highest weight) of each certified entry, and its cone dimension
 CERTIFIED = {
@@ -48,6 +47,16 @@ SCALINGS = (-3, -2, -1, 1, 2, 3)
 
 def _groebner_dimension(pres: VarietyPresentation) -> int:
     return krull_dimension(buchberger(IdealPresentation(pres.generators, pres.nvars)))
+
+
+def _bracket_witnesses(verdict):
+    return [w for w in verdict.witnesses if w.startswith("bracket of generators")]
+
+
+def _oracle_failing_pairs(pres: VarietyPresentation):
+    """The failing generator pairs by division modulo the oracle's basis,
+    which shares no code with the closure pass of the verdict."""
+    return groebner_oracle.failing_pairs(pres, groebner_oracle.groebner_basis(pres, BUDGET))
 
 
 def _relabeled(pres: VarietyPresentation, rng) -> VarietyPresentation:
@@ -127,19 +136,18 @@ def _assert_falls_back(pres: VarietyPresentation):
     """The verdict is the Groebner route's: span closure and the dimension of
     the basis, with `groebner` as its certificate."""
     verdict = legendrian_verdict(pres)
-    closure = bracket_closure_check(pres)
+    closed = not bracket_closure(pres.generators, pres.form)[0]
     dimension = _groebner_dimension(pres)
     assert verdict.certificate == "groebner" and verdict.kostant is None
-    assert verdict.bracket_closed == closure.closed
+    assert verdict.bracket_closed == closed
     assert verdict.cone_dimension == dimension
-    legendrian = closure.closed and dimension == pres.half_dim
+    legendrian = closed and dimension == pres.half_dim
     assert verdict.verdict == ("legendrian" if legendrian else "not-legendrian")
     return verdict
 
 
 def _certificate_failure(pres: VarietyPresentation) -> str:
-    closure, algebra = _closure_and_algebra(pres)
-    assert closure.closed and algebra is not None
+    algebra = close_and_present(pres.generators, pres.form)
     with pytest.raises(NotCertified) as err:
         kostant_certificate(pres, algebra)
     return str(err.value)
@@ -249,7 +257,7 @@ def test_certificate_and_split_root_data_share_one_root_decomposition(entries, m
 
     monkeypatch.setattr(liealg, "root_decomposition", counted)
     pres = entries["grl36"].presentation
-    algebra = _closure_and_algebra(pres)[1]
+    algebra = close_and_present(pres.generators, pres.form)
     kostant_certificate(pres, algebra)
     liealg.split_root_data(algebra)
     assert calls == [algebra]
@@ -263,29 +271,30 @@ def test_perturbed_inputs_fall_back(entries, name):
     for _ in range(5):
         pres = _relabeled_perturbation(entries[name].presentation, rng)
         verdict = _assert_falls_back(pres)
-        failing = bracket_closure_check(pres).failing_pairs
-        assert verdict.witnesses[:len(failing)] == [
+        failing = _oracle_failing_pairs(pres)
+        assert _bracket_witnesses(verdict) == [
             f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
 
 
 def test_verdict_names_every_failing_pair_of_a_quadric_input(entries):
-    """The verdict reads closure from the structure-constant pass, which
-    brackets every pair instead of stopping at the first failure."""
+    """The closure pass brackets every pair instead of stopping at the
+    first failure, and the verdict names each failing pair."""
     base = entries["grl36"].presentation
     gens = list(base.generators)
     gens[0] = gens[0] + Polynomial(base.nvars, {tuple(int(i in (3, 9)) for i in range(14)): 1})
     pres = VarietyPresentation("grl36-perturbed", base.form, gens)
-    failing = bracket_closure_check(pres).failing_pairs
+    failing = _oracle_failing_pairs(pres)
     assert len(failing) > 1
     verdict = legendrian_verdict(pres)
-    assert verdict.witnesses[:len(failing)] == [
+    assert _bracket_witnesses(verdict) == [
         f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
 
 
 def test_dependent_generators_take_the_span_test(entries):
     base = entries["twisted-cubic"].presentation
     pres = VarietyPresentation("doubled", base.form, base.generators + [base.generators[0].scale(2)])
-    assert _closure_and_algebra(pres)[1] is None
+    with pytest.raises(DependentQuadricsError):
+        close_and_present(pres.generators, pres.form)
     assert _assert_falls_back(pres).verdict == "legendrian"
 
 

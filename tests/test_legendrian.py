@@ -7,12 +7,12 @@ from legquad import catalog
 from legquad.legendrian import (
     PointRankError,
     VarietyPresentation,
-    bracket_closure_check,
     degeneracy_check,
     legendrian_verdict,
     rational_curve_check,
     tangent_point_check,
 )
+from legquad.liealg import bracket_closure
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import standard_form
 from legendrian_oracle import PointNotOnCone, conormal_point_check
@@ -54,14 +54,12 @@ def test_perturbed_cubic_detects_failure(entries):
     assert v.verdict == "not-legendrian"
     assert v.bracket_closed is False
     assert v.witnesses
-    report = bracket_closure_check(pres)
-    assert report.closed is False and report.failing_pairs
+    assert bracket_closure(pres.generators, pres.form)[0]
 
 
 def test_complete_intersection_closure(entries):
     pres = entries["complete-intersection"].presentation
-    report = bracket_closure_check(pres)
-    assert report.closed and report.checked_pairs == 3
+    assert bracket_closure(pres.generators, pres.form)[0] == []
     v = legendrian_verdict(pres)
     assert v.verdict == "legendrian" and v.cone_dimension == 3
     assert degeneracy_check(pres) is None

@@ -1,10 +1,8 @@
-"""Every top-level function and class in `src/legquad` is reached by the
-program itself.  A helper that only the tests call belongs in a test
-oracle module, next to the tests that use it."""
+"""Every top-level function and class, and every method, in `src/legquad`
+is reached by the program itself.  A helper that only the tests call
+belongs in a test oracle module, next to the tests that use it."""
 
 import ast
-import io
-import tokenize
 from pathlib import Path
 
 import legquad
@@ -14,28 +12,87 @@ SRC = Path(legquad.__file__).parent
 ENTRY_POINTS = {"cli.py": {"main"}}
 
 
+def _bound_names(fn) -> set:
+    """The names a function or lambda binds in its own scope: its
+    parameters and every name it stores, leaving out the bodies of the
+    functions and classes nested in it (their names are bound, though)."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    pending = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        pending.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _references(tree) -> list:
+    """(name, line, whether an attribute) of every reference in a module:
+    an attribute `.name`, a name imported from another module, and a name
+    read where no enclosing function binds a local of that name.  Strings
+    and comments are no references."""
+    out = []
+
+    def visit(node, shadowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            shadowed = shadowed | _bound_names(node)
+        if isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in shadowed:
+            out.append((node.id, node.lineno, False))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno, False) for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _definitions(tree):
+    """(name, first line, last line, is a method) of each top-level function
+    and class, and of each non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item, True
+
+
 def test_every_top_level_definition_is_referenced_by_src():
-    """A name counts as referenced when a name token, leaving out strings
-    and comments, spells it in `src/legquad/*.py` outside the name's own
-    definition.  The re-exports of `__init__.py` do not count."""
-    definitions = {}  # name -> [(file, first line, last line)]
-    references = {}  # name -> [(file, line)]
+    """The top-level definitions and the methods of top-level classes.  A
+    top-level name counts as referenced when `src/legquad/*.py` reads,
+    imports or takes an attribute of that name outside its own definition; a
+    method, when an attribute `.name` spells it there.  A local variable
+    that shadows a top-level name is not a reference to it, and the
+    re-exports of `__init__.py` do not count."""
+    definitions = {}  # (name, is a method) -> [(file, first line, last line)]
+    references = {}  # name -> [(file, line, whether an attribute)]
     for path in sorted(SRC.glob("*.py")):
-        text = path.read_text()
-        for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                definitions.setdefault(node.name, []).append((path.name, first, node.end_lineno))
+        tree = ast.parse(path.read_text())
+        for node, method in _definitions(tree):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            definitions.setdefault((node.name, method), []).append((path.name, first, node.end_lineno))
         if path.name != "__init__.py":
-            for token in tokenize.generate_tokens(io.StringIO(text).readline):
-                if token.type == tokenize.NAME:
-                    references.setdefault(token.string, []).append((path.name, token.start[0]))
+            for name, line, attribute in _references(tree):
+                references.setdefault(name, []).append((path.name, line, attribute))
     unreferenced = sorted(
         f"{file}:{name}"
-        for name, places in definitions.items()
+        for (name, method), places in definitions.items()
         for file, _, _ in places
         if name not in ENTRY_POINTS.get(file, ())
         and all(any(rf == f and first <= line <= last for f, first, last in places)
-                for rf, line in references.get(name, []))
+                for rf, line, attribute in references.get(name, []) if attribute or not method)
     )
     assert unreferenced == []
