@@ -9,7 +9,7 @@ the highest weight orbit to be a legendrian variety cut out by quadrics:
   (iv)  all weights have multiplicity one; multiplicities are at least one
         and sum to dim V, so this is tested exactly as "V has dim V distinct
         weights", with the dominant weights found by subtracting positive
-        roots from lambda and each Weyl orbit enumerated in Dynkin coordinates,
+        roots from lambda and each Weyl orbit size a product over root heights,
   (v)   the quadrics through the orbit span a space of exactly dim(g):
         dim Sym^2 V - dim V(2 lambda) = dim g.
 
@@ -138,26 +138,15 @@ def enumerate_simple(max_rank: int, max_dim: int) -> List[CandidateVerdict]:
                 dim_v = weyl_dimension(rs, coeffs)
                 if dim_v > max_dim:
                     break
-                if dim_v < 2 * cone:
-                    verdicts.append(
-                        CandidateVerdict(
-                            rs.type_label, coeffs, dim_v, cone,
-                            status="rejected",
-                            reason="dimension below twice the orbit dimension; walking the edge",
-                        )
-                    )
-                    k += 1
-                    continue
-                if dim_v > 2 * cone:
-                    verdicts.append(
-                        CandidateVerdict(
-                            rs.type_label, coeffs, dim_v, cone,
-                            status="rejected",
-                            reason="dimension exceeds twice the orbit dimension; edge exhausted",
-                        )
-                    )
-                    break
-                verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
+                if dim_v == 2 * cone:
+                    verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
+                else:
+                    reason = ("dimension below twice the orbit dimension; walking the edge"
+                              if dim_v < 2 * cone else
+                              "dimension exceeds twice the orbit dimension; edge exhausted")
+                    verdicts.append(CandidateVerdict(rs.type_label, coeffs, dim_v, cone, "rejected", reason))
+                    if dim_v > 2 * cone:
+                        break
                 k += 1
     return verdicts
 

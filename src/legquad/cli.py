@@ -65,7 +65,8 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
     """Input format: 'n=<n>' header, optional 'form=<file|standard|json:...>',
     then one generator per line; '#' starts a comment.  A non-None
     form_override wins over the header.  Errors name the line they are on,
-    or `--form` when the override is at fault."""
+    or `--form` when the override is at fault.  The presentation's `lines`
+    gives the line of each generator, for the errors found later."""
     n = None
     form_spec, form_origin = "standard", "the default form"
     gen_lines: List[tuple] = []
@@ -95,7 +96,7 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
     form = _parse_form(form_spec, n, form_origin)
     if form.dim != 2 * n:
         raise InputError(f"{form_origin}: form dimension {form.dim} does not match n={n}")
-    gens = []
+    gens, lines = [], []
     for lineno, line in gen_lines:
         try:
             g = parse_poly(line, 2 * n)
@@ -103,15 +104,20 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
             raise InputError(f"line {lineno}: {exc}") from None
         if not g.is_homogeneous():
             raise InputError(f"line {lineno}: generator {g} is not homogeneous")
-        degree = sum(next(iter(g.terms), ()))  # that of every term, as g is homogeneous
-        if g.terms and degree == 0:
+        if not g.terms:
+            continue  # the zero polynomial cuts out nothing
+        degree = sum(next(iter(g.terms)))  # that of every term, as g is homogeneous
+        if degree == 0:
             raise InputError(f"line {lineno}: generator {g} is a nonzero constant, which cuts out nothing")
         try:
             field_bits(degree)
         except ValueError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
         gens.append(g)
-    return VarietyPresentation("input", form, gens)
+        lines.append(lineno)
+    pres = VarietyPresentation("input", form, gens)
+    pres.lines = lines
+    return pres
 
 
 def _parse_form(spec: str, n: int, origin: str) -> SymplecticForm:
@@ -166,7 +172,10 @@ def _print_text(payload: dict) -> None:
 def _cmd_check(args) -> int:
     t0 = time.perf_counter()
     pres = _load_presentation(args)
-    verdict = legendrian_verdict(pres, budget=args.budget)
+    try:
+        verdict = legendrian_verdict(pres, budget=args.budget)
+    except ValueError as exc:
+        raise _with_line(exc, pres, pres.generators) from None
     timings = {"total": time.perf_counter() - t0}
     result = verdict.to_dict()
     status = {"legendrian": "ok", "not-legendrian": "ok", "undecided": "undecided"}[verdict.verdict]
@@ -188,12 +197,27 @@ def _parse_poly_or_index(token: str, pres: VarietyPresentation) -> Polynomial:
     return pres.generators[index]
 
 
+def _with_line(exc: ValueError, pres: VarietyPresentation, operands) -> ValueError:
+    """A bracket's monomial-code error, led by the line of the first generator
+    among `operands` whose brackets no code holds; else `exc` itself."""
+    for line, g in zip(pres.lines, pres.generators):
+        if any(g is p for p in operands):
+            try:
+                field_bits(2 * g.degree())
+            except ValueError:
+                return InputError(f"line {line}: {exc}")
+    return exc
+
+
 def _cmd_bracket(args) -> int:
     t0 = time.perf_counter()
     pres = _load_presentation(args)
     f = _parse_poly_or_index(args.f, pres)
     g = _parse_poly_or_index(args.g, pres)
-    br = poisson_bracket(f, g, pres.form)
+    try:
+        br = poisson_bracket(f, g, pres.form)
+    except ValueError as exc:
+        raise _with_line(exc, pres, (f, g)) from None
     _report(
         args, "bracket", {"file": args.file, "f": str(f), "g": str(g)},
         {"bracket": str(br)}, "ok", {"total": time.perf_counter() - t0},

@@ -50,7 +50,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Vector
 from .poly import MonomialCodec, Polynomial, code_columns
-from .rootdata import _cartan_matrix, algebra_dimension, build_root_system, simple_types_up_to
+from .rootdata import _cartan_matrix, simple_types_up_to, type_dimension
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -681,10 +681,8 @@ def _match_component(cartan: List[List[int]]) -> Tuple[str, List[int]]:
 def _type_of_dimension(dim: int, rank: int) -> str:
     """The one simple type of this rank whose algebra has this dimension;
     raises NotAdaptedError naming the candidates when there is not one."""
-    candidates = [
-        f"{label}{r}" for label, r in simple_types_up_to(rank)
-        if r == rank and algebra_dimension(build_root_system(label, r)) == dim
-    ]
+    candidates = [f"{label}{r}" for label, r in simple_types_up_to(rank)
+                  if r == rank and type_dimension(label, r) == dim]
     if len(candidates) != 1:
         raise NotAdaptedError(
             f"non-split factor of dimension {dim} and rank {rank} matches "

@@ -2,13 +2,16 @@
 
 Each simple type carries its integer Cartan matrix in Bourbaki numbering,
 C[i][j] = <alpha_i, alpha_j^vee>, so row i holds the Dynkin coordinates of
-alpha_i.  Positive roots are generated by root strings from that matrix, so
-each construction is self-checking against the known root counts.  Weights are
-integer tuples of Dynkin coordinates: mu is dominant when no coordinate is
-negative, and the simple reflection s_i sends mu to mu - mu_i * C[i].
+alpha_i.  Positive roots are generated by root strings from that matrix, with
+their Dynkin coordinates carried along, so each construction is
+self-checking against the known root counts.  Weights are integer tuples of
+Dynkin coordinates: mu is dominant when no coordinate is negative.
 
-On top of this data: Weyl dimension formula, highest weight orbit (cone)
-dimension, duality involution, the dominant weights and the number of
+Each root system builds its integer tables once: root heights, coroot
+heights <rho, alpha^vee> with their product, and one column of coroot
+entries per simple coroot.  On top of them: Weyl dimension formula, highest
+weight orbit (cone) dimension, Weyl orbit sizes as products over root
+heights, duality involution, the dominant weights and the number of
 distinct weights of V(lambda), and the multiplicity-free test, all in exact
 integer arithmetic.
 """
@@ -16,7 +19,8 @@ integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import add, mul, sub
 from typing import List, Sequence, Tuple
 
 Weight = Tuple[int, ...]
@@ -33,11 +37,16 @@ _KNOWN_POSITIVE_COUNTS = {
 
 
 class AbstractRootSystem:
-    """Cartan matrix, positive roots and positive coroots of one simple type.
+    """Cartan matrix, positive roots and positive coroots of one simple type,
+    and the integer tables that every formula below reads.
 
     `positive_roots` are in simple-root coordinates, `positive_roots_dynkin`
     are the same roots in Dynkin coordinates, and `positive_coroots` are their
-    coroots in simple-coroot coordinates, all in the same order.
+    coroots in simple-coroot coordinates, all in the same order, as are
+    `heights` (ht alpha) and `coroot_heights` (<rho, alpha^vee>, as rho has
+    every Dynkin coordinate 1).  `coroot_columns[i]` holds the i-th entry of
+    every positive coroot, so <lambda, alpha^vee> over all positive roots is
+    the sum of lambda_i times column i.
     """
 
     def __init__(self, label: str, rank: int):
@@ -45,22 +54,17 @@ class AbstractRootSystem:
         self.rank = rank
         self.type_label = f"{label}{rank}"
         self.cartan = _cartan_matrix(label, rank)
-        self.positive_roots = _generate_positive_roots(self.cartan)
-        self._check_count()
-        self.positive_roots_dynkin = [_dynkin(self.cartan, a) for a in self.positive_roots]
+        self.positive_roots, self.positive_roots_dynkin = _generate_positive_roots(self.cartan)
+        if rank + 2 * len(self.positive_roots) != type_dimension(label, rank):
+            raise AssertionError(f"{self.type_label}: generated {len(self.positive_roots)} positive roots")
         lengths = _root_lengths(self.cartan)
         self.positive_coroots = [
             _coroot(a, d, lengths) for a, d in zip(self.positive_roots, self.positive_roots_dynkin)
         ]
-
-    def _check_count(self):
-        expected = _KNOWN_POSITIVE_COUNTS[self.label]
-        expected = expected(self.rank) if callable(expected) else expected[self.rank]
-        if len(self.positive_roots) != expected:
-            raise AssertionError(
-                f"{self.type_label}: generated {len(self.positive_roots)} positive roots, "
-                f"expected {expected}"
-            )
+        self.heights = [sum(a) for a in self.positive_roots]
+        self.coroot_heights = [sum(c) for c in self.positive_coroots]
+        self.coroot_height_product = prod(self.coroot_heights)
+        self.coroot_columns = list(zip(*self.positive_coroots))
 
     def is_dominant_integral(self, coeffs: Sequence[int]) -> bool:
         return len(coeffs) == self.rank and all(isinstance(c, int) and c >= 0 for c in coeffs)
@@ -87,21 +91,20 @@ def build_root_system(label: str, rank: int) -> AbstractRootSystem:
 
 def simple_types_up_to(max_rank: int) -> List[Tuple[str, int]]:
     """One representative per isomorphism class: B2=C2 and D3=A3 are folded in."""
-    types: List[Tuple[str, int]] = []
-    types += [("A", n) for n in range(1, max_rank + 1)]
-    types += [("B", n) for n in range(2, max_rank + 1)]
-    types += [("C", n) for n in range(3, max_rank + 1)]
-    types += [("D", n) for n in range(4, max_rank + 1)]
-    types += [("E", n) for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        types.append(("F", 4))
-    if max_rank >= 2:
-        types.append(("G", 2))
-    return types
+    classical = (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+    types = [(label, n) for label, low in classical for n in range(low, max_rank + 1)]
+    exceptional = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    return types + [(label, n) for label, n in exceptional if n <= max_rank]
+
+
+def type_dimension(label: str, rank: int) -> int:
+    """dim g of a simple type, rank + 2 |Phi+|, from the known root counts."""
+    count = _KNOWN_POSITIVE_COUNTS[label]
+    return rank + 2 * (count(rank) if callable(count) else count[rank])
 
 
 def algebra_dimension(rs: AbstractRootSystem) -> int:
-    return rs.rank + 2 * len(rs.positive_roots)
+    return type_dimension(rs.label, rs.rank)
 
 
 def _cartan_matrix(label: str, rank: int) -> List[Weight]:
@@ -127,41 +130,35 @@ def _cartan_matrix(label: str, rank: int) -> List[Weight]:
     return [tuple(row) for row in cartan]
 
 
-def _dynkin(cartan: Sequence[Weight], root: Weight) -> Weight:
-    """Dynkin coordinates of a vector given in simple-root coordinates."""
-    n = len(cartan)
-    return tuple(sum(root[i] * cartan[i][j] for i in range(n) if root[i]) for j in range(n))
-
-
-def _generate_positive_roots(cartan: Sequence[Weight]) -> List[Weight]:
-    """Positive roots in simple-root coordinates, height by height.
+def _generate_positive_roots(cartan: Sequence[Weight]) -> Tuple[List[Weight], List[Weight]]:
+    """Positive roots in simple-root coordinates, height by height, and the
+    same roots in Dynkin coordinates: beta + alpha_i adds row i of the
+    Cartan matrix to those of beta.
 
     The alpha_i-string through a root beta runs from beta - p alpha_i to
-    beta + q alpha_i with p - q = <beta, alpha_i^vee>; p is read off the roots
-    already found, and beta + alpha_i is a root exactly when q > 0.
+    beta + q alpha_i with p - q = <beta, alpha_i^vee>, and beta + alpha_i is a
+    root exactly when q > 0.  Each root keeps its p for every i: p is 0 for a
+    simple root, and one more than that of beta when beta + alpha_i is found.
     """
     n = len(cartan)
     layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots = set(layer)
+    dynkin = dict(zip(layer, cartan))
+    below = {beta: [0] * n for beta in layer}
     while layer:
         above = []
         for beta in layer:
-            pairings = _dynkin(cartan, beta)
+            pairings, p = dynkin[beta], below[beta]
             for i in range(n):
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in roots:
-                        break
-                    p += 1
-                if p > pairings[i]:
+                if p[i] > pairings[i]:
                     up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if up not in roots:
-                        roots.add(up)
+                    if up not in dynkin:
+                        dynkin[up] = tuple(map(add, pairings, cartan[i]))
+                        below[up] = [0] * n
                         above.append(up)
+                    below[up][i] = p[i] + 1
         layer = above
-    return sorted(roots, key=lambda a: (sum(a), a))
+    roots = sorted(dynkin, key=lambda a: (sum(a), a))
+    return roots, [dynkin[a] for a in roots]
 
 
 def _root_lengths(cartan: Sequence[Weight]) -> List[int]:
@@ -185,14 +182,11 @@ def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
     """Simple-coroot coordinates of alpha^vee = 2 alpha / (alpha, alpha), where
     alpha_i = (alpha_i, alpha_i) / 2 * alpha_i^vee and
     (alpha, alpha) = sum_i a_i (alpha_i, alpha_i) / 2 * <alpha, alpha_i^vee>."""
-    twice_norm = sum(a * d * p for a, d, p in zip(root, lengths, pairings))
-    coroot = []
-    for a, d in zip(root, lengths):
-        c, r = divmod(2 * a * d, twice_norm)
-        if r:
-            raise AssertionError("coroot coordinates did not come out integral")
-        coroot.append(c)
-    return tuple(coroot)
+    scaled = [a * d for a, d in zip(root, lengths)]
+    twice_norm = sum(map(mul, scaled, pairings))
+    if any(2 * x % twice_norm for x in scaled):
+        raise AssertionError("coroot coordinates did not come out integral")
+    return tuple(2 * x // twice_norm for x in scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +194,13 @@ def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def _pairing(coeffs: Sequence[int], coroot: Weight) -> int:
-    """<mu, alpha^vee> for mu in Dynkin coordinates."""
-    return sum(c * x for c, x in zip(coeffs, coroot))
+def _pairings(rs: AbstractRootSystem, coeffs: Sequence[int], start: Sequence[int]) -> Sequence[int]:
+    """start plus <lambda, alpha^vee> for every positive root at once: column i
+    of the coroot table times each nonzero coordinate lambda_i."""
+    for c, column in zip(coeffs, rs.coroot_columns):
+        if c:
+            start = [s + c * x for s, x in zip(start, column)]
+    return start
 
 
 def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
@@ -211,11 +209,7 @@ def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
     the positive roots, where rho has every Dynkin coordinate 1."""
     if not rs.is_dominant_integral(coeffs):
         raise ValueError("weight must be dominant integral")
-    numerator = denominator = 1
-    for coroot in rs.positive_coroots:
-        numerator *= _pairing(coeffs, coroot) + sum(coroot)
-        denominator *= sum(coroot)
-    dim, rest = divmod(numerator, denominator)
+    dim, rest = divmod(prod(_pairings(rs, coeffs, rs.coroot_heights)), rs.coroot_height_product)
     if rest:
         raise AssertionError("Weyl dimension did not come out integral")
     return dim
@@ -226,7 +220,7 @@ def _moved_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[int]:
     the nilpotent part of the parabolic split determined by the weight."""
     if not rs.is_dominant_integral(coeffs):
         raise ValueError("weight must be dominant integral")
-    return [k for k, coroot in enumerate(rs.positive_coroots) if _pairing(coeffs, coroot)]
+    return [k for k, p in enumerate(_pairings(rs, coeffs, [0] * len(rs.positive_roots))) if p]
 
 
 def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
@@ -277,7 +271,7 @@ def dominant_weights(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[Weig
     order = [lam]
     for mu in order:
         for root in rs.positive_roots_dynkin:
-            nu = tuple(m - r for m, r in zip(mu, root))
+            nu = tuple(map(sub, mu, root))
             if min(nu) >= 0 and nu not in seen:
                 seen.add(nu)
                 order.append(nu)
@@ -285,22 +279,16 @@ def dominant_weights(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[Weig
 
 
 def _orbit_size(rs: AbstractRootSystem, mu: Weight) -> int:
-    """Size of the Weyl orbit of a dominant weight.  Every orbit element is
-    reached from mu by reflections s_i applied where the i-th coordinate is
-    positive, each of which lowers the weight."""
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        lower = []
-        for w in frontier:
-            for i, wi in enumerate(w):
-                if wi > 0:
-                    image = tuple(x - wi * c for x, c in zip(w, rs.cartan[i]))
-                    if image not in seen:
-                        seen.add(image)
-                        lower.append(image)
-        frontier = lower
-    return len(seen)
+    """Size of the Weyl orbit of a dominant weight, |W| / |W_mu|.  Both orders
+    are products of (ht alpha + 1) / ht alpha over the positive roots of their
+    root system (Macdonald, Math. Ann. 199, 1972), and the roots of the
+    stabilizer W_mu are the roots mu does not move, so the orbit size is the
+    product over the roots that mu moves."""
+    moved = [rs.heights[k] for k in _moved_roots(rs, mu)]
+    size, rest = divmod(prod(h + 1 for h in moved), prod(moved))
+    if rest:
+        raise AssertionError("Weyl orbit size did not come out integral")
+    return size
 
 
 def distinct_weight_count(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
@@ -329,6 +317,6 @@ def angle_audit(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
     for i, a in enumerate(moved):
         root = rs.positive_roots_dynkin[a]
         for b in moved[i + 1:]:
-            if _pairing(root, rs.positive_coroots[b]) < 0:
+            if sum(map(mul, root, rs.positive_coroots[b])) < 0:
                 return False
     return sum(1 for c in coeffs if c) == 1

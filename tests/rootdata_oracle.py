@@ -1,12 +1,18 @@
-"""Test oracle for legquad.rootdata: the ambient Fraction realization of the
-simple root systems, with Freudenthal's multiplicity formula on top.
+"""Test oracles for legquad.rootdata.
 
-Standard realizations: A_n on the sum-zero hyperplane of Q^{n+1}; B, C, D in
-Q^n; G2 in Q^3; F4 in Q^4; E6, E7, E8 inside the usual even coordinate
-system of Q^8.  Roots are the reflection orbit of the simple roots.  Nothing
-here reads the integer Cartan data of legquad.rootdata, so the two routes
-are independent; the functions take a legquad root system only for its
-label and rank.
+The ambient Fraction realization of the simple root systems, with
+Freudenthal's multiplicity formula on top.  Standard realizations: A_n on
+the sum-zero hyperplane of Q^{n+1}; B, C, D in Q^n; G2 in Q^3; F4 in Q^4;
+E6, E7, E8 inside the usual even coordinate system of Q^8.  Roots are the
+reflection orbit of the simple roots.  Nothing in this part reads the
+integer Cartan data of legquad.rootdata, so the two routes are independent;
+its functions take a legquad root system only for its label and rank.
+
+The per-root integer routes that the root system's tables replaced, at the
+end: Dynkin coordinates as a matrix product, the Weyl dimension and the
+moved roots one coroot at a time, and Weyl orbit sizes by walking the orbit
+with simple reflections.  They read the Cartan matrix and the coroots of a
+legquad root system, not its tables.
 """
 
 from __future__ import annotations
@@ -343,3 +349,55 @@ def weight_multiplicities(
         for w in _weyl_orbit(amb, mu):
             table[w] = m
     return table
+
+
+# ---------------------------------------------------------------------------
+# The per-root integer routes.
+# ---------------------------------------------------------------------------
+
+
+def dynkin(cartan: Sequence[Sequence[int]], root: Sequence[int]) -> Tuple[int, ...]:
+    """Dynkin coordinates of a vector given in simple-root coordinates."""
+    n = len(cartan)
+    return tuple(sum(root[i] * cartan[i][j] for i in range(n)) for j in range(n))
+
+
+def _pairing(coeffs: Sequence[int], coroot: Sequence[int]) -> int:
+    return sum(c * x for c, x in zip(coeffs, coroot))
+
+
+def per_root_weyl_dimension(rs, coeffs: Sequence[int]) -> int:
+    """The Weyl product <lambda + rho, alpha^vee> / <rho, alpha^vee>, one
+    positive coroot at a time."""
+    numerator = denominator = 1
+    for coroot in rs.positive_coroots:
+        numerator *= _pairing(coeffs, coroot) + sum(coroot)
+        denominator *= sum(coroot)
+    dim, rest = divmod(numerator, denominator)
+    assert rest == 0
+    return dim
+
+
+def per_root_moved_roots(rs, coeffs: Sequence[int]) -> List[int]:
+    """Indices of the positive roots whose coroot pairs nonzero with lambda."""
+    return [k for k, coroot in enumerate(rs.positive_coroots) if _pairing(coeffs, coroot)]
+
+
+def reflection_orbit_size(rs, mu: Sequence[int]) -> int:
+    """Size of the Weyl orbit of a dominant weight.  Every orbit element is
+    reached from mu by reflections s_i applied where the i-th coordinate is
+    positive, each of which lowers the weight; s_i sends w to w - w_i C[i]."""
+    start = tuple(mu)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        lower = []
+        for w in frontier:
+            for i, wi in enumerate(w):
+                if wi > 0:
+                    image = tuple(x - wi * c for x, c in zip(w, rs.cartan[i]))
+                    if image not in seen:
+                        seen.add(image)
+                        lower.append(image)
+        frontier = lower
+    return len(seen)

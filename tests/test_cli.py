@@ -261,6 +261,24 @@ def test_exponents_too_wide_for_a_monomial_code_exit_1(capsys, tmp_path, argv):
         EXIT_USAGE, "", "error: line 2: degree 70000 is too large to pack into a monomial code\n")
 
 
+@pytest.mark.parametrize("argv, line, degree", [
+    (["check"], 4, 40000), (["bracket", "1", "0"], 4, 40000), (["bracket", "0", "2"], 5, 32768),
+    (["bracket", "2", "2"], 5, 32768),
+], ids=["check", "bracket-1-0", "bracket-0-2", "bracket-2-2"])
+def test_brackets_too_wide_for_a_monomial_code_name_the_line(capsys, tmp_path, argv, line, degree):
+    """A generator packs, but its brackets do not: `check` and `bracket`
+    exit 1 naming its line, while `gb` still answers."""
+    path = tmp_path / "wide.txt"
+    path.write_text("n=1\nx1^2\n# wide ones\nx0^20000\nx0^16384\n")
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (
+        EXIT_USAGE, "", f"error: line {line}: degree {degree} is too large to pack into a monomial code\n")
+    code, out, _ = run(capsys, "--json", "gb", str(path))
+    assert code == EXIT_OK and json.loads(out)["result"]["dimension"] == 0
+    code, out, _ = run(capsys, "bracket", str(path), "0", "0")
+    assert code == EXIT_OK
+
+
 @pytest.mark.parametrize("index", ["5", "-1", "2"])
 def test_bracket_generator_index_out_of_range(capsys, tmp_path, index):
     path = tmp_path / "two.txt"

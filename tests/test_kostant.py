@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groebner_oracle
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
@@ -86,11 +88,11 @@ def _sheared(pres: VarietyPresentation, a: int, b: int) -> VarietyPresentation:
     nvars = pres.nvars
     images = [Polynomial.variable(nvars, i) for i in range(nvars)]
     images[a] = images[a] - Polynomial.variable(nvars, b)
-    inverse = [[Fraction(int(i == j)) for j in range(nvars)] for i in range(nvars)]
-    inverse[a][b] = Fraction(-1)
-    j = pres.form.matrix
-    matrix = [[sum(inverse[k][p] * j[k][l] * inverse[l][q] for k in range(nvars) for l in range(nvars))
-               for q in range(nvars)] for p in range(nvars)]
+    # S^-1 = I - E_ab: J S^-1 takes column a from column b, and S^-T then row a from row b
+    matrix = [list(row) for row in pres.form.matrix]
+    for row in matrix:
+        row[b] -= row[a]
+    matrix[b] = [x - y for x, y in zip(matrix[b], matrix[a])]
     gens = [g.substitute(images) for g in pres.generators]
     return VarietyPresentation(f"{pres.name}-sheared", SymplecticForm(matrix), gens)
 
@@ -240,6 +242,34 @@ def test_non_diagonal_torus_falls_back(entries, name, a, b):
     assert _certificate_failure(pres) == (
         "condition 2: no self-centralizing torus with diagonal sp-images")
     assert _assert_falls_back(pres).verdict == "legendrian"
+
+
+SHEAR_ENTRIES = ("twisted-cubic", "segre-3", "segre-split-3", "segre-4", "four-lines",
+                 "linear-lagrangian", "complete-intersection", "xf-cubic-1", "xf-cubic-2", "grl36")
+
+
+def _verdict_fields(pres):
+    verdict = legendrian_verdict(pres)
+    return verdict.verdict, verdict.cone_dimension, verdict.degenerate, verdict.bracket_closed
+
+
+@pytest.fixture(scope="module")
+def unsheared(entries):
+    return {name: _verdict_fields(entries[name].presentation) for name in SHEAR_ENTRIES}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHEAR_ENTRIES), st.data())
+def test_shears_keep_the_verdict(entries, unsheared, name, data):
+    """One to three shears y_a = x_a + x_b are a change of coordinates: the
+    verdict, cone dimension, degeneracy and closure stay; the certificate
+    that proves them may change."""
+    pres = entries[name].presentation
+    nodes = st.integers(0, pres.nvars - 1)
+    for _ in range(data.draw(st.integers(1, 3), label="shears")):
+        a, b = data.draw(st.lists(nodes, min_size=2, max_size=2, unique=True), label="a, b")
+        pres = _sheared(pres, a, b)
+    assert _verdict_fields(pres) == unsheared[name]
 
 
 def test_certificate_and_split_root_data_share_one_root_decomposition(entries, monkeypatch):

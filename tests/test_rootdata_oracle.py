@@ -1,21 +1,34 @@
 """Differential tests: the integer Dynkin kernel of legquad.rootdata against
 the ambient Fraction realization and Freudenthal's formula in rootdata_oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from legquad import linalg
 from legquad.rootdata import (
+    _moved_roots,
+    _orbit_size,
     angle_audit,
     build_root_system,
     cone_orbit_dimension,
     distinct_weight_count,
     dominant_weights,
     is_multiplicity_free,
+    simple_types_up_to,
     weyl_dimension,
 )
-from rootdata_oracle import ambient, ambient_weyl_dimension, box_dominant_weights, weight_multiplicities
+from rootdata_oracle import (
+    ambient,
+    ambient_weyl_dimension,
+    box_dominant_weights,
+    dynkin,
+    per_root_moved_roots,
+    per_root_weyl_dimension,
+    reflection_orbit_size,
+    weight_multiplicities,
+)
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -117,3 +130,50 @@ def test_weights_match_freudenthal(label, rank):
         assert distinct_weight_count(rs, coeffs) == len(table)
         assert is_multiplicity_free(rs, coeffs) == all(m == 1 for m in table.values())
         assert sorted(dominant_weights(rs, coeffs)) == sorted(box_dominant_weights(rs, coeffs))
+
+
+def _seeded_weights(rs, count=12, max_dim=5000):
+    """The fundamental weights and seeded random dominant weights with
+    coordinates up to 2, each with dim V(lambda) <= max_dim by the per-root
+    Weyl product; at most `count` of them."""
+    rank = rs.rank
+    rng = random.Random(f"weights:{rs.type_label}")
+    draws = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    draws += [tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(rank)) for _ in range(40)]
+    found = []
+    for coeffs in draws:
+        if coeffs not in found and per_root_weyl_dimension(rs, coeffs) <= max_dim:
+            found.append(coeffs)
+    return found[:count]
+
+
+def test_positive_roots_dynkin_are_the_matrix_product():
+    for label, rank in ALL_TYPES:
+        rs = build_root_system(label, rank)
+        assert rs.positive_roots_dynkin == [dynkin(rs.cartan, a) for a in rs.positive_roots]
+        assert rs.heights == [sum(a) for a in rs.positive_roots]
+        assert rs.coroot_heights == [sum(c) for c in rs.positive_coroots]
+
+
+@pytest.mark.parametrize("label,rank", simple_types_up_to(8))
+def test_tables_match_the_per_root_routes(label, rank):
+    """For seeded weights lambda with dim V(lambda) <= 5000 and for 2 lambda,
+    which filter (v) reads: the Weyl dimension, the moved roots and the cone
+    dimension from the coroot table against one coroot at a time, and every
+    Weyl orbit size of the height product against the reflection walk while
+    dim V stays within the same bound."""
+    rs = build_root_system(label, rank)
+    weights = _seeded_weights(rs)
+    assert len(weights) >= 2
+    for lam in weights:
+        for coeffs in (lam, tuple(2 * c for c in lam)):
+            dim = per_root_weyl_dimension(rs, coeffs)
+            assert weyl_dimension(rs, coeffs) == dim, coeffs
+            moved = per_root_moved_roots(rs, coeffs)
+            assert _moved_roots(rs, coeffs) == moved, coeffs
+            assert cone_orbit_dimension(rs, coeffs) == 1 + len(moved), coeffs
+            if dim > 5000:
+                continue
+            sizes = [reflection_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs)]
+            assert [_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs)] == sizes, coeffs
+            assert distinct_weight_count(rs, coeffs) == sum(sizes), coeffs
