@@ -11,7 +11,8 @@ the highest weight orbit to be a legendrian variety cut out by quadrics:
         weights", with the dominant weights found by subtracting positive
         roots from lambda and each Weyl orbit size a product over root heights,
   (v)   the quadrics through the orbit span a space of exactly dim(g):
-        dim Sym^2 V - dim V(2 lambda) = dim g.
+        dim Sym^2 V - dim V(2 lambda) = dim g, read from `rootdata`'s
+        closed-orbit count, which the Kostant certificate also reads.
 
 Condition (v) is the quadric-count form of the requirement that the fixed
 algebra is the full quadratic part of the orbit's ideal; without it the scan
@@ -28,18 +29,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
-    algebra_dimension,
     angle_audit,
     build_root_system,
+    closed_orbit_cone_dimension,
+    closed_orbit_quadrics,
     cone_orbit_dimension,
     distinct_weight_count,
     is_multiplicity_free,
     is_self_dual,
     simple_types_up_to,
+    type_dimension,
     weyl_dimension,
 )
 
@@ -74,18 +77,6 @@ class CandidateVerdict:
         }
 
 
-def quadric_space_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
-    """dim of the space of quadrics vanishing on the closed orbit of V(lambda).
-
-    The square of the orbit spans the Cartan component V(2 lambda), so the
-    quadrics through the orbit are the complement of it inside Sym^2 V.
-    """
-    dim_v = weyl_dimension(rs, coeffs)
-    sym2 = dim_v * (dim_v + 1) // 2
-    doubled = [2 * c for c in coeffs]
-    return sym2 - weyl_dimension(rs, doubled)
-
-
 def _evaluate_candidate(
     rs: AbstractRootSystem, coeffs: Tuple[int, ...], dim_v: int, cone: int
 ) -> CandidateVerdict:
@@ -100,8 +91,8 @@ def _evaluate_candidate(
     if not verdict.multiplicity_free:
         verdict.reason = "representation contains a multiple weight"
         return verdict
-    verdict.quadric_count = quadric_space_dimension(rs, coeffs)
-    verdict.algebra_dim = algebra_dimension(rs)
+    verdict.quadric_count = closed_orbit_quadrics([(rs, coeffs)])
+    verdict.algebra_dim = type_dimension(rs.label, rs.rank)
     if verdict.quadric_count != verdict.algebra_dim:
         verdict.reason = (
             f"orbit lies on {verdict.quadric_count} quadrics but the algebra "
@@ -203,14 +194,15 @@ def _factor_representations(max_rank: int, max_dim: int):
     out = []
     for label, rank in simple_types_up_to(max_rank):
         rs = build_root_system(label, rank)
-        for coeffs in _dominant_weights_with_dim_cap(rs, max_dim):
+        for coeffs, dim in _dominant_weights_with_dim_cap(rs, max_dim):
             if is_canonical_weight(label, rank, coeffs):
-                out.append((rs, coeffs, weyl_dimension(rs, coeffs)))
+                out.append((rs, coeffs, dim))
     return out
 
 
 def _dominant_weights_with_dim_cap(rs: AbstractRootSystem, max_dim: int):
-    """Nonzero dominant weights whose representation dimension fits the cap.
+    """(weight, dim V(weight)) for the nonzero dominant weights whose
+    representation dimension fits the cap.
 
     The Weyl dimension is monotone in every coefficient, which bounds the
     search box coordinate-wise.
@@ -225,8 +217,9 @@ def _dominant_weights_with_dim_cap(rs: AbstractRootSystem, max_dim: int):
     for combo in itertools.product(*(range(b + 1) for b in bounds)):
         if not any(combo):
             continue
-        if weyl_dimension(rs, combo) <= max_dim:
-            yield tuple(combo)
+        dim = weyl_dimension(rs, combo)
+        if dim <= max_dim:
+            yield combo, dim
 
 
 def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]:
@@ -241,15 +234,15 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
         raise ValueError("bounds must be positive")
     factors = _factor_representations(max_rank, max_dim // 2)
     verdicts: List[PairVerdict] = []
-    for idx_a, (rs_a, wa, dim_a) in enumerate(factors):
-        n_weights_a = distinct_weight_count(rs_a, wa)
-        if n_weights_a != 2:
+    for rs_a, wa, dim_a in factors:
+        if distinct_weight_count(rs_a, wa) != 2:
             continue
         for rs_b, wb, dim_b in factors:
             dim_v = dim_a * dim_b
             if dim_v > max_dim:
                 continue
-            cone = cone_orbit_dimension(rs_a, wa) + cone_orbit_dimension(rs_b, wb) - 1
+            pair = [(rs_a, wa), (rs_b, wb)]
+            cone = closed_orbit_cone_dimension(pair)
             verdict = PairVerdict(
                 (rs_a.type_label, rs_b.type_label), (wa, wb), dim_v, cone, status="rejected"
             )
@@ -267,8 +260,8 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
                 verdict.reason = "tensor product contains a multiple weight"
                 verdicts.append(verdict)
                 continue
-            quadrics = _pair_quadric_count(rs_a, wa, dim_a, rs_b, wb, dim_b)
-            algebra = algebra_dimension(rs_a) + algebra_dimension(rs_b)
+            quadrics = closed_orbit_quadrics(pair)
+            algebra = type_dimension(rs_a.label, rs_a.rank) + type_dimension(rs_b.label, rs_b.rank)
             if quadrics != algebra:
                 verdict.reason = (
                     f"orbit lies on {quadrics} quadrics but the algebra has dimension {algebra}"
@@ -280,10 +273,3 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]
     # Pairs without a two-weight factor are all rejected; one line each would flood the report.
     verdicts.sort(key=lambda v: (v.factors, v.weights))
     return verdicts
-
-
-def _pair_quadric_count(rs_a, wa, dim_a, rs_b, wb, dim_b) -> int:
-    dim_v = dim_a * dim_b
-    sym2 = dim_v * (dim_v + 1) // 2
-    doubled = weyl_dimension(rs_a, [2 * c for c in wa]) * weyl_dimension(rs_b, [2 * c for c in wb])
-    return sym2 - doubled

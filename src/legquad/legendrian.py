@@ -20,16 +20,16 @@ tries `kostant_certificate`: when the quadric algebra g is semisimple, a
 torus with diagonal sp-images gives every coordinate a weight, V is the
 irreducible V(lambda) and the generators span the quadrics of the closed
 orbit of G in P(V), Kostant's theorem makes the ideal that orbit's ideal,
-and the dimension comes from root data with no Groebner basis.  Every other
-input, and a closed one the certificate does not cover, takes a Groebner
-basis for the dimension, so an exhausted budget leaves the dimension
-undecided but never hides a failed closure.  Each verdict names the
-certificate that proved its dimension.
+and the dimension comes from root data with no Groebner basis: conditions
+4 and 6 and the dimension read `rootdata`'s closed-orbit count, as the
+scan's filter (v) does.  Every other input, and a closed one the
+certificate does not cover, takes a Groebner basis for the dimension, so an
+exhausted budget leaves the dimension undecided but never hides a failed
+closure.  Each verdict names the certificate that proved its dimension.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +45,12 @@ from .groebner import (
 )
 from .liealg import LieAlgebraPresentation, NotAdaptedError, bracket_closure, degree_part, diagonal_weights
 from .poly import MonomialCodec, Polynomial
-from .rootdata import AbstractRootSystem, build_root_system, cone_orbit_dimension, weyl_dimension
+from .rootdata import (
+    build_root_system,
+    closed_orbit_cone_dimension,
+    closed_orbit_quadrics,
+    weyl_dimension,
+)
 from .symplectic import SymplecticForm
 
 
@@ -162,13 +167,6 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _root_system(label: str) -> AbstractRootSystem:
-    """The root system of a simple type label such as "E7", built once per
-    process; nothing changes it after construction."""
-    return build_root_system(label[0], int(label[1:]))
-
-
 def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation) -> KostantCertificate:
     """Prove that the generators of `v`, which span the quadric algebra g,
     generate the ideal of the closed orbit X of G in P(V), and give the
@@ -203,8 +201,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
     try:
         weights = diagonal_weights(algebra)
-    except NotAdaptedError:
-        raise NotCertified("condition 2: no self-centralizing torus with diagonal sp-images") from None
+    except NotAdaptedError as exc:
+        raise NotCertified(f"condition 2: {exc}") from None
     coordinates = weights.coordinates
     present = set(coordinates)
     simple = [alpha for _, roots in weights.factors for alpha in roots]
@@ -227,28 +225,24 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in weights.factors),
         key=lambda f: (f[0][0], int(f[0][1:]), f[1]),
     )
-    systems = [_root_system(label) for label, _ in factors]
+    orbit = [(build_root_system(label[0], int(label[1:])), labels) for label, labels in factors]
     nvars = v.nvars
-    dim_v = math.prod(weyl_dimension(rs, labels) for rs, (_, labels) in zip(systems, factors))
+    dim_v = math.prod(weyl_dimension(rs, labels) for rs, labels in orbit)
     if dim_v != nvars:
         raise NotCertified(f"condition 4: V(lambda) has dimension {dim_v}, not {nvars}")
     top = coordinates.index(lam)
     square = tuple(2 * (k == top) for k in range(nvars))
     if any(square in g.terms for g in v.generators):
         raise NotCertified("condition 5: a generator does not vanish at the highest weight vector")
-    doubled = math.prod(
-        weyl_dimension(rs, [2 * x for x in labels]) for rs, (_, labels) in zip(systems, factors)
-    )
-    if algebra.dim != nvars * (nvars + 1) // 2 - doubled:
+    quadrics = closed_orbit_quadrics(orbit)
+    if algebra.dim != quadrics:
         raise NotCertified(
-            f"condition 6: {algebra.dim} generators, but the orbit lies on "
-            f"{nvars * (nvars + 1) // 2 - doubled} quadrics"
+            f"condition 6: {algebra.dim} generators, but the orbit lies on {quadrics} quadrics"
         )
     return KostantCertificate(
         types=[label for label, _ in factors],
         highest_weight=[labels for _, labels in factors],
-        dimension=1 + sum(cone_orbit_dimension(rs, labels) - 1
-                          for rs, (_, labels) in zip(systems, factors)),
+        dimension=closed_orbit_cone_dimension(orbit),
     )
 
 

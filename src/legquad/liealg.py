@@ -425,7 +425,7 @@ def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
         widened = _diagonal_subspace(algebra, central)
         if len(widened) > len(vectors) and len(_centralizer(algebra, widened)) == len(widened):
             return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
-    raise NotAdaptedError("torus action is not rationally diagonalizable")
+    raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
 
 
 def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:

@@ -7,23 +7,25 @@ their Dynkin coordinates carried along, so each construction is
 self-checking against the known root counts.  Weights are integer tuples of
 Dynkin coordinates: mu is dominant when no coordinate is negative.
 
-Each root system builds its integer tables once: root heights, coroot
-heights <rho, alpha^vee> with their product, and one column of coroot
-entries per simple coroot.  On top of them: Weyl dimension formula, highest
-weight orbit (cone) dimension, Weyl orbit sizes as products over root
-heights, duality involution, the dominant weights and the number of
-distinct weights of V(lambda), and the multiplicity-free test, all in exact
-integer arithmetic.
+Each root system is built once per process, with its integer tables: root
+heights, coroot heights <rho, alpha^vee> with their product, and one column
+of coroot entries per simple coroot.  On top of them: Weyl dimension
+formula, orbit (cone) dimensions and the quadrics through the closed orbit
+of a tensor product, Weyl orbit sizes as products over root heights,
+duality involution, the dominant weights and the number of distinct weights
+of V(lambda), and the multiplicity-free test, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
 from typing import List, Sequence, Tuple
 
 Weight = Tuple[int, ...]
+Factor = Tuple["AbstractRootSystem", Sequence[int]]  # one tensor factor V(lambda)
 
 _KNOWN_POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -73,8 +75,10 @@ class AbstractRootSystem:
         return f"AbstractRootSystem({self.type_label})"
 
 
+@functools.lru_cache(maxsize=None)
 def build_root_system(label: str, rank: int) -> AbstractRootSystem:
-    """Validated constructor; supports A1.., B2.., C2.., D3.., E6-E8, F4, G2."""
+    """Validated constructor; supports A1.., B2.., C2.., D3.., E6-E8, F4, G2.
+    Built once per process: every caller shares the object, which no one changes."""
     valid = (
         (label == "A" and rank >= 1)
         or (label == "B" and rank >= 2)
@@ -101,10 +105,6 @@ def type_dimension(label: str, rank: int) -> int:
     """dim g of a simple type, rank + 2 |Phi+|, from the known root counts."""
     count = _KNOWN_POSITIVE_COUNTS[label]
     return rank + 2 * (count(rank) if callable(count) else count[rank])
-
-
-def algebra_dimension(rs: AbstractRootSystem) -> int:
-    return type_dimension(rs.label, rs.rank)
 
 
 def _cartan_matrix(label: str, rank: int) -> List[Weight]:
@@ -227,6 +227,24 @@ def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
     """Dimension of the affine cone over the highest weight orbit:
     one plus the number of positive roots not orthogonal to the weight."""
     return 1 + len(_moved_roots(rs, coeffs))
+
+
+def closed_orbit_quadrics(factors: Sequence[Factor]) -> int:
+    """Dimension of the space of quadrics through the closed orbit X in
+    P(V(lambda_1) (x) ... (x) V(lambda_k)), one factor (rs, lambda) each.
+    The square of X spans the Cartan component V(2 lambda_1) (x) ... of
+    Sym^2 V, so with N = prod dim V(lambda_i) this is
+    C(N + 1, 2) - prod dim V(2 lambda_i) (Lichtenstein, Proc. AMS 84, 1982)."""
+    n = prod(weyl_dimension(rs, coeffs) for rs, coeffs in factors)
+    doubled = prod(weyl_dimension(rs, [2 * c for c in coeffs]) for rs, coeffs in factors)
+    return n * (n + 1) // 2 - doubled
+
+
+def closed_orbit_cone_dimension(factors: Sequence[Factor]) -> int:
+    """Dimension of the affine cone over the closed orbit X in
+    V(lambda_1) (x) ... (x) V(lambda_k): X is the Segre product of the
+    factors' orbits, so 1 + sum (cone_i - 1)."""
+    return 1 + sum(cone_orbit_dimension(rs, coeffs) - 1 for rs, coeffs in factors)
 
 
 def duality_involution(rs: AbstractRootSystem) -> List[int]:

@@ -1,12 +1,10 @@
 import pytest
 
 from classify_oracle import accepted_pairs, accepted_simple
-from legquad.classify import (
-    enumerate_semisimple_pairs,
-    enumerate_simple,
-    quadric_space_dimension,
-)
-from legquad.rootdata import build_root_system
+from legquad import cli, legendrian, rootdata
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
+from legquad.legendrian import kostant_certificate
+from legquad.rootdata import build_root_system, closed_orbit_quadrics, simple_types_up_to
 
 EXPECTED_SIMPLE = [
     ("A1", (3,)),
@@ -80,12 +78,32 @@ def test_accepted_pass_angle_audit(simple_scan):
             assert v.angle_audit_passed
 
 
-def test_quadric_space_dimension_identities():
-    assert quadric_space_dimension(build_root_system("A", 1), [3]) == 3
-    assert quadric_space_dimension(build_root_system("C", 3), [0, 0, 1]) == 21
-    assert quadric_space_dimension(build_root_system("A", 5), [0, 0, 1, 0, 0]) == 35
-    assert quadric_space_dimension(build_root_system("D", 6), [0] * 5 + [1]) == 66
-    assert quadric_space_dimension(build_root_system("E", 7), [0] * 6 + [1]) == 133
+def test_each_type_is_built_once_per_process(monkeypatch, entries, algebras):
+    """One `classify` command builds each of the 31 types once for both
+    scans, and the Kostant certificate gets back the same E7 object."""
+    built = []
+    init = rootdata.AbstractRootSystem.__init__
+
+    def counting_init(self, label, rank):
+        built.append(self)
+        init(self, label, rank)
+
+    monkeypatch.setattr(rootdata.AbstractRootSystem, "__init__", counting_init)
+    build_root_system.cache_clear()
+    assert cli.main(["--json", "classify", "--max-rank", "8", "--max-dim", "100"]) == 0
+    assert sorted(rs.type_label for rs in built) == sorted(
+        f"{label}{rank}" for label, rank in simple_types_up_to(8))
+    orbits = []
+
+    def recording_quadrics(factors):
+        orbits.append(factors)
+        return closed_orbit_quadrics(factors)
+
+    monkeypatch.setattr(legendrian, "closed_orbit_quadrics", recording_quadrics)
+    kostant_certificate(entries["e7"].presentation, algebras["e7"])
+    [[(e7, _)]] = orbits
+    # no new build: the certificate's E7 is the one the scan built
+    assert len(built) == 31 and e7 is build_root_system("E", 7) and e7 in built
 
 
 def test_pair_accepted_family(pair_scan):

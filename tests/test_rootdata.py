@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from legquad.classify import enumerate_semisimple_pairs
 from legquad.rootdata import (
     angle_audit,
     build_root_system,
+    closed_orbit_cone_dimension,
+    closed_orbit_quadrics,
     cone_orbit_dimension,
     distinct_weight_count,
     is_multiplicity_free,
@@ -62,6 +65,33 @@ def test_cone_orbit_dimensions():
     assert cone_orbit_dimension(build_root_system("A", 1), [3]) == 2
     assert cone_orbit_dimension(build_root_system("C", 3), [0, 0, 1]) == 7
     assert cone_orbit_dimension(build_root_system("E", 7), [0] * 6 + [1]) == 28
+
+
+def test_closed_orbit_quadric_counts():
+    """C(N + 1, 2) - prod dim V(2 lambda_i): for the five simple orbits the
+    scan accepts, the quadrics number dim g."""
+    def quadrics(label, rank, coeffs):
+        return closed_orbit_quadrics([(build_root_system(label, rank), coeffs)])
+
+    assert quadrics("A", 1, [3]) == 3
+    assert quadrics("C", 3, [0, 0, 1]) == 21
+    assert quadrics("A", 5, [0, 0, 1, 0, 0]) == 35
+    assert quadrics("D", 6, [0] * 5 + [1]) == 66
+    assert quadrics("E", 7, [0] * 6 + [1]) == 133
+
+
+def test_closed_orbit_counts_of_two_factors():
+    a1, b2 = build_root_system("A", 1), build_root_system("B", 2)
+    # the line times the quadric in P^4: N = 10, 55 - 3 * 14 quadrics, dim sl2 + dim so5
+    line_times_quadric = [(a1, [1]), (b2, [1, 0])]
+    assert closed_orbit_quadrics(line_times_quadric) == 55 - 42 == 3 + 10
+    assert closed_orbit_cone_dimension(line_times_quadric) == 5
+    # the quadric surface in P^3: N = 4, 10 - 9 quadrics, cone 3, so N is not twice the cone
+    quadric_surface = [(a1, [1]), (a1, [1])]
+    assert closed_orbit_quadrics(quadric_surface) == 1
+    assert closed_orbit_cone_dimension(quadric_surface) == 3
+    [verdict] = enumerate_semisimple_pairs(1, 4)
+    assert (verdict.weights, verdict.dim_cone, verdict.status) == (((1,), (1,)), 3, "rejected")
 
 
 def test_self_duality_table():
