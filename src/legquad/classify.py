@@ -1,8 +1,10 @@
 """Rerun of the representation-theoretic classification scan.
 
-For every simple type and every weight along an edge of the Weyl chamber the
-enumerator walks k * omega_i upward and tests the necessary conditions for
-the highest weight orbit to be a legendrian variety cut out by quadrics:
+For every simple type up to the rank bound, the scan tests every nonzero
+dominant weight lambda under a derived dimension cap (one per diagram
+automorphism orbit), and every tensor product of such factors that the same
+bound allows, against the necessary conditions for the highest weight orbit
+to be a legendrian variety cut out by quadrics:
 
   (ii)  dim V equals twice the cone dimension of the orbit,
   (iii) V is self-dual,
@@ -20,16 +22,32 @@ would also accept orbits whose quadric algebra is strictly larger than the
 group being tested (the spin variety of so_11 equals that of so_12, and the
 seven-dimensional quadric orbit of g_2 equals that of so_7).
 
-Every filter is exact and uncapped, so no candidate is left undecided.
-Acceptance means "survives every filter"; sufficiency is settled by the
-explicit constructions in the catalog, not re-proved here.
+The caps follow from (ii).  The cone over the closed orbit has dimension
+1 + #(roots moved by lambda) <= 1 + |Phi+|, so every V(lambda) of dimension
+above 2 |Phi+| + 2 fails (ii), and the simple scan tests every weight under
+that cap.  A product of k >= 2 nontrivial factors of dimensions N_i, with
+cones c_i <= N_i (an orbit cone lies in its space), passes (ii) only if
+prod N_i = 2 (1 + sum (c_i - 1)) <= 2 (sum N_i - k + 1):
+
+  k = 2   (N_1 - 2)(N_2 - 2) <= 2.  Either one factor is A1(1), the only
+          two-dimensional irreducible, and then the other has
+          N_X = c_X + 1 <= |Phi_X+| + 2; or (N_1, N_2) is (3, 3) or (3, 4).
+  k >= 3  raising one N_i >= 2 by one raises the left side by at least
+          2^(k-1) >= 4 and the right side by 2, so only N_i = 2 for all i
+          can pass, where 2^k <= 2 (k + 1) leaves k = 3: A1(1)^(x)3.
+
+So up to the rank bound the scan is complete, and an optional `max_dim`
+only cuts it further.  Every filter is exact and uncapped, so no candidate
+is left undecided.  Acceptance means "survives every filter"; sufficiency
+is settled by the explicit constructions in the catalog, not re-proved here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from math import prod
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
@@ -38,13 +56,15 @@ from .rootdata import (
     closed_orbit_cone_dimension,
     closed_orbit_quadrics,
     cone_orbit_dimension,
-    distinct_weight_count,
     is_multiplicity_free,
     is_self_dual,
     simple_types_up_to,
     type_dimension,
     weyl_dimension,
 )
+
+# one tested factor V(lambda): its root system, lambda and dim V(lambda)
+_Factor = Tuple[AbstractRootSystem, Tuple[int, ...], int]
 
 
 @dataclass
@@ -107,45 +127,49 @@ def _evaluate_candidate(
     return verdict
 
 
-def enumerate_simple(max_rank: int, max_dim: int) -> List[CandidateVerdict]:
-    """Walk every Weyl chamber edge of every simple type up to the bounds.
-
-    The cone dimension is constant along an edge while the representation
-    dimension is strictly increasing in k, so each edge crosses the
-    twice-the-orbit threshold at most once.
-    """
-    if max_rank < 1 or max_dim < 1:
-        raise ValueError("bounds must be positive")
+def enumerate_simple(max_rank: int, max_dim: Optional[int] = None) -> List[CandidateVerdict]:
+    """Every canonical weight of every simple type up to `max_rank` under the
+    derived cap 2 |Phi+| + 2, and under `max_dim` when one is given."""
     verdicts: List[CandidateVerdict] = []
-    for label, rank in simple_types_up_to(max_rank):
-        rs = build_root_system(label, rank)
-        for edge in range(rank):
-            if not is_canonical_weight(label, rank, _edge_weight(rank, edge, 1)):
+    for rs in _root_systems(max_rank):
+        cap = 2 * len(rs.positive_roots) + 2
+        for coeffs, dim_v in _canonical_weights(rs, cap if max_dim is None else min(cap, max_dim)):
+            cone = cone_orbit_dimension(rs, coeffs)
+            if dim_v == 2 * cone:
+                verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
                 continue
-            cone = cone_orbit_dimension(rs, _edge_weight(rank, edge, 1))
-            k = 1
-            while True:
-                coeffs = _edge_weight(rank, edge, k)
-                dim_v = weyl_dimension(rs, coeffs)
-                if dim_v > max_dim:
-                    break
-                if dim_v == 2 * cone:
-                    verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
-                else:
-                    reason = ("dimension below twice the orbit dimension; walking the edge"
-                              if dim_v < 2 * cone else
-                              "dimension exceeds twice the orbit dimension; edge exhausted")
-                    verdicts.append(CandidateVerdict(rs.type_label, coeffs, dim_v, cone, "rejected", reason))
-                    if dim_v > 2 * cone:
-                        break
-                k += 1
+            side = "below" if dim_v < 2 * cone else "exceeds"
+            verdicts.append(CandidateVerdict(
+                rs.type_label, coeffs, dim_v, cone, "rejected",
+                f"dimension {side} twice the orbit dimension"))
     return verdicts
 
 
-def _edge_weight(rank: int, edge: int, k: int) -> Tuple[int, ...]:
-    coeffs = [0] * rank
-    coeffs[edge] = k
-    return tuple(coeffs)
+def _root_systems(max_rank: int) -> List[AbstractRootSystem]:
+    return [build_root_system(label, rank) for label, rank in simple_types_up_to(max_rank)]
+
+
+def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[Tuple[Tuple[int, ...], int]]:
+    """(lambda, dim V(lambda)) for the nonzero canonical dominant weights with
+    dim V(lambda) <= cap, in lexicographic order.
+
+    The Weyl dimension grows strictly in every coordinate, so the weights are
+    grown one coordinate at a time, and a prefix is raised only while it,
+    padded with zeros, is still under the cap.
+    """
+    layer = [((), 1)]
+    for i in range(rs.rank):
+        pad = (0,) * (rs.rank - i - 1)
+        grown = []
+        for prefix, prefix_dim in layer:
+            grown.append((prefix + (0,), prefix_dim))
+            for k in itertools.count(1):
+                dim = weyl_dimension(rs, prefix + (k,) + pad)
+                if dim > cap:
+                    break
+                grown.append((prefix + (k,), dim))
+        layer = grown
+    return [(w, dim) for w, dim in layer if any(w) and is_canonical_weight(rs.label, rs.rank, w)]
 
 
 def is_canonical_weight(label: str, rank: int, coeffs: Tuple[int, ...]) -> bool:
@@ -165,14 +189,15 @@ def is_canonical_weight(label: str, rank: int, coeffs: Tuple[int, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Semisimple (two-factor) scan.
+# Semisimple (tensor product) scan.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class PairVerdict:
-    factors: Tuple[str, str]
-    weights: Tuple[Tuple[int, ...], Tuple[int, ...]]
+    """One tensor product of k >= 2 factors; the name is from k = 2."""
+    factors: Tuple[str, ...]
+    weights: Tuple[Tuple[int, ...], ...]
     dim_v: int
     dim_cone: int
     status: str
@@ -189,87 +214,51 @@ class PairVerdict:
         }
 
 
-def _factor_representations(max_rank: int, max_dim: int):
-    """All (type, weight, dim) with dim at most max_dim, per simple factor."""
-    out = []
-    for label, rank in simple_types_up_to(max_rank):
-        rs = build_root_system(label, rank)
-        for coeffs, dim in _dominant_weights_with_dim_cap(rs, max_dim):
-            if is_canonical_weight(label, rank, coeffs):
-                out.append((rs, coeffs, dim))
-    return out
+def _products(max_rank: int) -> Iterator[Sequence[_Factor]]:
+    """The tensor products that the bound of the module docstring allows,
+    each factor drawn from its type's canonical weights."""
+    factors = [(rs, w, dim) for rs in _root_systems(max_rank)
+               for w, dim in _canonical_weights(rs, max(len(rs.positive_roots) + 2, 4))]
+    line, three, four = ([f for f in factors if f[2] == n] for n in (2, 3, 4))
+    yield from ((a, x) for a in line for x in factors if x[2] <= len(x[0].positive_roots) + 2)
+    yield from itertools.combinations_with_replacement(three, 2)
+    yield from itertools.product(three, four)
+    yield from itertools.combinations_with_replacement(line, 3)
 
 
-def _dominant_weights_with_dim_cap(rs: AbstractRootSystem, max_dim: int):
-    """(weight, dim V(weight)) for the nonzero dominant weights whose
-    representation dimension fits the cap.
-
-    The Weyl dimension is monotone in every coefficient, which bounds the
-    search box coordinate-wise.
+def enumerate_semisimple_pairs(max_rank: int, max_dim: Optional[int] = None) -> List[PairVerdict]:
+    """Every tensor product V(lambda_1) (x) ... (x) V(lambda_k) of k >= 2
+    canonical factors, of simple types up to `max_rank`, that the bound
+    allows: A1(1) (x) X with dim X <= |Phi_X+| + 2, the pairs of dimensions
+    (3, 3) and (3, 4), and A1(1)^(x)3; with dim V <= `max_dim` when one is
+    given.  A factor's automorphisms act on it alone, so each factor is
+    canonical on its own.
     """
-    rank = rs.rank
-    bounds = []
-    for i in range(rank):
-        k = 1
-        while weyl_dimension(rs, _edge_weight(rank, i, k)) <= max_dim:
-            k += 1
-        bounds.append(k - 1)
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        if not any(combo):
-            continue
-        dim = weyl_dimension(rs, combo)
-        if dim <= max_dim:
-            yield combo, dim
-
-
-def enumerate_semisimple_pairs(max_rank: int, max_dim: int) -> List[PairVerdict]:
-    """Two-factor tensor candidates g_a + g_b acting on W_a (x) W_b.
-
-    A semisimple-but-not-simple algebra forces one factor to act with
-    exactly two distinct weights; the survivors are the line-times-quadric
-    family.  Splittings with three or more simple factors are covered by the
-    orthogonal factor decomposing further (so_4), not enumerated separately.
-    """
-    if max_rank < 1 or max_dim < 1:
-        raise ValueError("bounds must be positive")
-    factors = _factor_representations(max_rank, max_dim // 2)
     verdicts: List[PairVerdict] = []
-    for rs_a, wa, dim_a in factors:
-        if distinct_weight_count(rs_a, wa) != 2:
+    for product in _products(max_rank):
+        dim_v = prod(dim for _, _, dim in product)
+        if max_dim is not None and dim_v > max_dim:
             continue
-        for rs_b, wb, dim_b in factors:
-            dim_v = dim_a * dim_b
-            if dim_v > max_dim:
-                continue
-            pair = [(rs_a, wa), (rs_b, wb)]
-            cone = closed_orbit_cone_dimension(pair)
-            verdict = PairVerdict(
-                (rs_a.type_label, rs_b.type_label), (wa, wb), dim_v, cone, status="rejected"
-            )
-            if dim_v != 2 * cone:
-                verdict.reason = (
-                    f"dimension {dim_v} differs from twice the product cone dimension {cone}"
-                )
-                verdicts.append(verdict)
-                continue
-            if not is_self_dual(rs_a, wa) or not is_self_dual(rs_b, wb):
-                verdict.reason = "a tensor factor is not self-dual"
-                verdicts.append(verdict)
-                continue
-            if not is_multiplicity_free(rs_b, wb):
-                verdict.reason = "tensor product contains a multiple weight"
-                verdicts.append(verdict)
-                continue
-            quadrics = closed_orbit_quadrics(pair)
-            algebra = type_dimension(rs_a.label, rs_a.rank) + type_dimension(rs_b.label, rs_b.rank)
+        factors = [(rs, w) for rs, w, _ in product]
+        cone = closed_orbit_cone_dimension(factors)
+        verdict = PairVerdict(
+            tuple(rs.type_label for rs, _ in factors), tuple(w for _, w in factors),
+            dim_v, cone, status="rejected",
+        )
+        verdicts.append(verdict)
+        if dim_v != 2 * cone:
+            verdict.reason = f"dimension {dim_v} differs from twice the product cone dimension {cone}"
+        elif not all(is_self_dual(rs, w) for rs, w in factors):
+            verdict.reason = "a tensor factor is not self-dual"
+        # the weights of the product are the tuples of factor weights
+        elif not all(is_multiplicity_free(rs, w) for rs, w in factors):
+            verdict.reason = "tensor product contains a multiple weight"
+        else:
+            quadrics = closed_orbit_quadrics(factors)
+            algebra = sum(type_dimension(rs.label, rs.rank) for rs, _ in factors)
             if quadrics != algebra:
-                verdict.reason = (
-                    f"orbit lies on {quadrics} quadrics but the algebra has dimension {algebra}"
-                )
-                verdicts.append(verdict)
-                continue
-            verdict.status = "accepted"
-            verdicts.append(verdict)
-    # Pairs without a two-weight factor are all rejected; one line each would flood the report.
+                verdict.reason = f"orbit lies on {quadrics} quadrics but the algebra has dimension {algebra}"
+            else:
+                verdict.status = "accepted"
     verdicts.sort(key=lambda v: (v.factors, v.weights))
     return verdicts

@@ -288,15 +288,21 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    for flag, value in (("--max-rank", args.max_rank), ("--max-dim", args.max_dim)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be a positive integer, got {value}")
     t0 = time.perf_counter()
     simple = enumerate_simple(args.max_rank, args.max_dim)
     t1 = time.perf_counter()
-    pairs = enumerate_semisimple_pairs(args.max_rank, args.max_dim)
+    products = enumerate_semisimple_pairs(args.max_rank, args.max_dim)
+    groups = {
+        "simple": simple,
+        "pairs": [v for v in products if len(v.factors) == 2],
+        "triples": [v for v in products if len(v.factors) == 3],
+    }
     result = {
-        "accepted_simple": [v.to_dict() for v in simple if v.status == "accepted"],
-        "accepted_pairs": [v.to_dict() for v in pairs if v.status == "accepted"],
-        "rejected_simple": [v.to_dict() for v in simple if v.status != "accepted"],
-        "rejected_pairs": [v.to_dict() for v in pairs if v.status != "accepted"],
+        f"{status}_{name}": [v.to_dict() for v in verdicts if (v.status == "accepted") == (status == "accepted")]
+        for status in ("accepted", "rejected") for name, verdicts in groups.items()
     }
     _report(
         args, "classify", {"max_rank": args.max_rank, "max_dim": args.max_dim},
@@ -405,7 +411,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="rerun the classification scan")
     p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--max-dim", type=int, default=100)
+    p.add_argument("--max-dim", type=int, default=None,
+                   help="an extra cap on dim V; the scan's own caps are derived")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("catalog", help="list catalog entries or dump one in check format")

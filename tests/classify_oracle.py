@@ -13,4 +13,6 @@ def accepted_simple(verdicts: Sequence[CandidateVerdict]) -> List[Tuple[str, Tup
 
 
 def accepted_pairs(verdicts: Sequence[PairVerdict]) -> List[Tuple[Tuple[str, str], Tuple]]:
-    return [(v.factors, v.weights) for v in verdicts if v.status == "accepted"]
+    """The accepted products of two factors; the product scan also lists the
+    one of three."""
+    return [(v.factors, v.weights) for v in verdicts if v.status == "accepted" and len(v.factors) == 2]

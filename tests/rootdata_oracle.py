@@ -378,6 +378,20 @@ def per_root_weyl_dimension(rs, coeffs: Sequence[int]) -> int:
     return dim
 
 
+def box_weights_under_cap(rs, cap: int) -> List[Tuple[int, ...]]:
+    """The nonzero dominant weights with dim V <= cap, by the per-root Weyl
+    product over a box: coordinate i runs up to the largest k with
+    dim V(k omega_i) <= cap, as the dimension grows in every coordinate."""
+    bounds = []
+    for i in range(rs.rank):
+        k = 0
+        while per_root_weyl_dimension(rs, [k + 1 if j == i else 0 for j in range(rs.rank)]) <= cap:
+            k += 1
+        bounds.append(k)
+    box = itertools.product(*(range(b + 1) for b in bounds))
+    return [w for w in box if any(w) and per_root_weyl_dimension(rs, w) <= cap]
+
+
 def per_root_moved_roots(rs, coeffs: Sequence[int]) -> List[int]:
     """Indices of the positive roots whose coroot pairs nonzero with lambda."""
     return [k for k, coroot in enumerate(rs.positive_coroots) if _pairing(coeffs, coroot)]

@@ -1,10 +1,21 @@
+import collections
+import itertools
+from math import prod
+
 import pytest
 
 from classify_oracle import accepted_pairs, accepted_simple
 from legquad import cli, legendrian, rootdata
-from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight
 from legquad.legendrian import kostant_certificate
-from legquad.rootdata import build_root_system, closed_orbit_quadrics, simple_types_up_to
+from legquad.rootdata import (
+    build_root_system,
+    closed_orbit_quadrics,
+    simple_types_up_to,
+    weyl_dimension,
+)
+from rootdata_oracle import box_weights_under_cap, per_root_moved_roots, per_root_weyl_dimension
+from test_kostant import _diagram_automorphisms
 
 EXPECTED_SIMPLE = [
     ("A1", (3,)),
@@ -23,6 +34,16 @@ def simple_scan():
 @pytest.fixture(scope="module")
 def pair_scan():
     return enumerate_semisimple_pairs(8, 100)
+
+
+@pytest.fixture(scope="module")
+def full_simple():
+    return enumerate_simple(8)
+
+
+@pytest.fixture(scope="module")
+def full_products():
+    return enumerate_semisimple_pairs(8)
 
 
 def test_simple_accepted_set(simple_scan):
@@ -51,17 +72,103 @@ def test_a3_middle_rejection_reason(simple_scan):
 
 
 def test_c_type_natural_edges_exhaust(simple_scan):
-    """k omega_1 of C_m: the projective space at k = 1 is under-dimensioned
-    and every further weight overshoots, so the edge dies on the walk.  (The
+    """k omega_1 of C_m: the projective space at k = 1 is under-dimensioned,
+    and V(2 omega_1), the adjoint, has dimension 2m^2 + m, above the derived
+    cap 2m^2 + 2, as is every further weight; so the edge ends at k = 1.  (The
     multiple-weight rejection of those weights is covered at the root-data
-    level; the walk's dimension cutoff fires first here.)"""
+    level.)"""
     for m in (3, 4, 5):
         edge = [v for v in simple_scan if v.type_label == f"C{m}"
                 and v.weight[0] > 0 and all(c == 0 for c in v.weight[1:])]
-        assert edge
-        assert all(v.status == "rejected" for v in edge)
+        assert [v.weight[0] for v in edge] == [1]
+        assert edge[0].status == "rejected" and "below twice" in edge[0].reason
         assert edge[0].dim_v == 2 * m and edge[0].dim_v < 2 * edge[0].dim_cone
-        assert "exceeds" in edge[-1].reason
+        rs = build_root_system("C", m)
+        assert weyl_dimension(rs, (2,) + (0,) * (m - 1)) > 2 * len(rs.positive_roots) + 2
+
+
+def _orbit(label: str, weight):
+    return frozenset(tuple(weight[p[i]] for i in range(len(weight))) for p in _diagram_automorphisms(label))
+
+
+def test_canonical_weight_keeps_one_weight_per_automorphism_orbit():
+    """Over the box of coordinates 0..2, for every type up to rank 8."""
+    for label, rank in simple_types_up_to(8):
+        type_label = f"{label}{rank}"
+        orbits = {_orbit(type_label, w) for w in itertools.product(range(3), repeat=rank)}
+        for orbit in orbits:
+            kept = [w for w in orbit if is_canonical_weight(label, rank, w)]
+            assert len(kept) == 1, (type_label, sorted(orbit))
+
+
+def test_simple_scan_tests_exactly_the_weights_under_the_derived_cap(full_simple):
+    """With no dimension cap given, the scan tests one weight of every
+    automorphism orbit of nonzero dominant weights with dim V <= 2 |Phi+| + 2,
+    and nothing else; the oracle finds them by a box search and the per-root
+    Weyl product.  A1 (3) sits on A1's cap of 4."""
+    tested = {}
+    for v in full_simple:
+        tested.setdefault(v.type_label, []).append(v.weight)
+    for label, rank in simple_types_up_to(8):
+        rs = build_root_system(label, rank)
+        want = {_orbit(rs.type_label, w) for w in box_weights_under_cap(rs, 2 * len(rs.positive_roots) + 2)}
+        got = tested.get(rs.type_label, [])
+        assert len(got) == len(want) and {_orbit(rs.type_label, w) for w in got} == want, rs.type_label
+    assert tested["A1"] == [(1,), (2,), (3,)]
+    assert len(full_simple) == 66
+    assert accepted_simple(full_simple) == EXPECTED_SIMPLE
+
+
+# one factor of the brute force: (type, weight), cone, dim V and |Phi+|
+_Factor = collections.namedtuple("_Factor", "key cone dim roots")
+
+
+def _allowed_shape(combo) -> bool:
+    """The products the dimension bound leaves: A1 (1) (x) X with
+    dim X <= |Phi_X+| + 2, dimensions (3, 3) and (3, 4), and A1 (1)^(x)3."""
+    dims = sorted(f.dim for f in combo)
+    if dims in ([3, 3], [3, 4], [2, 2, 2]):
+        return True
+    return len(dims) == 2 and dims[0] == 2 and all(f.dim <= f.roots + 2 for f in combo)
+
+
+def test_product_scan_tests_exactly_the_shapes_the_bound_allows(full_products):
+    """Every pair and triple of canonical factors from the simple scan's
+    lists up to rank 8, by brute force: the scan tests exactly the products
+    of the allowed shapes, once each, and every product with dim V equal to
+    twice its cone is among them.  A1 (1) (x) A1 (2) sits on A1's pair cap of
+    3, and the triple is the only product of three factors that passes."""
+    factors = []
+    for label, rank in simple_types_up_to(8):
+        rs = build_root_system(label, rank)
+        for w in box_weights_under_cap(rs, 2 * len(rs.positive_roots) + 2):
+            if is_canonical_weight(label, rank, w):
+                factors.append(_Factor((rs.type_label, w), 1 + len(per_root_moved_roots(rs, w)),
+                                       per_root_weyl_dimension(rs, w), len(rs.positive_roots)))
+    allowed, passing = set(), set()
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement(factors, k):
+            key = tuple(sorted(f.key for f in combo))
+            if _allowed_shape(combo):
+                allowed.add(key)
+            if prod(f.dim for f in combo) == 2 * (1 + sum(f.cone - 1 for f in combo)):
+                passing.add(key)
+    tested = [tuple(sorted(zip(v.factors, v.weights))) for v in full_products]
+    assert len(tested) == len(set(tested)) and set(tested) == allowed
+    assert passing <= allowed
+    assert (("A1", (1,)), ("A1", (2,))) in passing
+    assert [key for key in passing if len(key) == 3] == [(("A1", (1,)),) * 3]
+
+
+def test_the_one_triple_is_accepted(pair_scan, full_products):
+    """P1 x P1 x P1, the subadjoint variety of so_8, with or without the
+    extra cap."""
+    for scan in (pair_scan, full_products):
+        triples = [v for v in scan if len(v.factors) == 3]
+        assert [(v.factors, v.weights, v.status) for v in triples] == [
+            (("A1",) * 3, ((1,),) * 3, "accepted")]
+        assert triples[0].dim_v == 8 and triples[0].dim_cone == 4
+        assert accepted_pairs(scan) == accepted_pairs(pair_scan)
 
 
 def test_spin_rep_of_so11_rejected_by_quadric_count(simple_scan):
@@ -136,14 +243,6 @@ def test_pair_g2_vector_rejected_by_quadric_count(pair_scan):
     )
     assert row.status == "rejected"
     assert "quadrics" in row.reason
-
-
-def test_pair_two_weight_filter():
-    """No surviving pair has a first factor with three or more weights; in
-    particular no A2-by-A2 candidate ever reaches the dimension test."""
-    scan = enumerate_semisimple_pairs(3, 60)
-    assert all(v.factors[0] == "A1" and v.weights[0] == (1,) for v in scan)
-    assert not any(v.factors == ("A2", "A2") for v in scan)
 
 
 @pytest.mark.slow

@@ -189,6 +189,27 @@ def test_classify_subcommand(capsys):
     assert accepted == {("A1", (3,)), ("C3", (0, 0, 1))}
 
 
+def test_classify_without_a_dimension_cap(capsys):
+    """The derived caps bound the scan on their own; the report says no
+    extra cap was given, and the triple has keys of its own."""
+    code, out, _ = run(capsys, "--json", "classify", "--max-rank", "2")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["inputs"] == {"max_rank": 2, "max_dim": None}
+    result = payload["result"]
+    assert [row["factors"] for row in result["accepted_triples"]] == [["A1", "A1", "A1"]]
+    assert result["rejected_triples"] == []
+    assert all(len(row["factors"]) == 2 for key in ("accepted_pairs", "rejected_pairs") for row in result[key])
+
+
+@pytest.mark.parametrize("flag", ["--max-rank", "--max-dim"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_classify_bounds_must_be_positive(capsys, flag, value):
+    code, out, err = run(capsys, "classify", flag, value)
+    assert code == EXIT_USAGE and out == ""
+    assert f"{flag} must be a positive integer, got {value}" in err
+
+
 def test_xf_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "xf", "y0^3", "--implicit-degree", "2")
     assert code == EXIT_OK

@@ -2,8 +2,8 @@
 paper's rerun, pinned verdict for verdict and in order against a stored
 fixture.
 
-Every simple and every pair verdict is kept, one line each, with its key
-order.  A change to `rootdata` or to the scan filters that alters any
+Every simple, pair and triple verdict is kept, one line each, with its
+key order.  A change to `rootdata` or to the scan filters that alters any
 verdict, reason, dimension or the order of the lists fails here.  To pin an
 intended change of the scan, rewrite the fixture with
 
@@ -47,7 +47,7 @@ def test_scan_matches_the_fixture():
         for g, w in zip(got[key], want[key]):
             # json.dumps keeps key order, so this compares order as well as content
             assert json.dumps(g) == json.dumps(w), key
-    assert sum(len(v) for v in want.values()) == 252
+    assert sum(len(v) for v in want.values()) == 116
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:

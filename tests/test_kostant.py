@@ -6,6 +6,7 @@ when the certificate holds; every other input falls back to the Groebner
 basis with its verdict unchanged.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groebner_oracle
+from legquad import catalog
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
 from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import (
@@ -197,6 +199,7 @@ def test_certificate_is_invariant_under_scaling_the_form(entries, scale):
         assert verdict.kostant == KostantCertificate(types, weights, dimension), name
 
 
+@functools.lru_cache(maxsize=None)
 def _diagram_automorphisms(label: str):
     cartan = _cartan_matrix(label[0], int(label[1:]))
     rank = len(cartan)
@@ -204,10 +207,26 @@ def _diagram_automorphisms(label: str):
             if all(cartan[p[i]][p[j]] == cartan[i][j] for i in range(rank) for j in range(rank))]
 
 
-def test_certified_simple_types_are_accepted_by_the_scan():
+@pytest.fixture(scope="module")
+def scan_acceptances():
+    """(types, weights) of every acceptance of the rank-8 scan under its
+    derived caps: simple candidates, pairs and the triple."""
+    simple = [((v.type_label,), (v.weight,)) for v in enumerate_simple(8) if v.status == "accepted"]
+    products = [(v.factors, v.weights) for v in enumerate_semisimple_pairs(8) if v.status == "accepted"]
+    return simple + products
+
+
+def _orbit_key(types, weights):
+    """The factors up to order, each weight up to diagram automorphisms."""
+    return tuple(sorted(
+        (label, min(tuple(weight[p[i]] for i in range(len(weight))) for p in _diagram_automorphisms(label)))
+        for label, weight in zip(types, weights)))
+
+
+def test_certified_simple_types_are_accepted_by_the_scan(scan_acceptances):
     """The scan keeps one highest weight per diagram automorphism orbit, so
     the spinor variety's omega_6 stands for omega_5 too."""
-    accepted = {(v.type_label, v.weight) for v in enumerate_simple(7, 60) if v.status == "accepted"}
+    accepted = {(types[0], weights[0]) for types, weights in scan_acceptances if len(types) == 1}
     simple = [(t[0], w[0]) for t, w, _ in CERTIFIED.values() if len(t) == 1]
     assert len(simple) == 5
     for label, weight in simple:
@@ -217,12 +236,26 @@ def test_certified_simple_types_are_accepted_by_the_scan():
     assert ("D6", (0, 0, 0, 0, 0, 1)) in accepted
 
 
-def test_certified_two_factor_types_are_accepted_by_the_scan():
-    accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(2, 10)
-                if v.status == "accepted"}
-    for types, weights, _ in CERTIFIED.values():
-        if len(types) == 2:
-            assert (tuple(types), tuple(weights)) in accepted, types
+def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptances):
+    """The paper's list both ways at rank <= 8.  Every Kostant certificate of
+    a catalog entry, of one, two or three factors, names a scan acceptance;
+    and the constructions of the catalog, the line times each quadric
+    (n = 3..17) and the five simple entries, are certified as exactly the
+    scan's 20 acceptances, one each."""
+    accepted = [_orbit_key(types, weights) for types, weights in scan_acceptances]
+    assert len(accepted) == len(set(accepted)) == 20
+    for name, (types, weights, _) in CERTIFIED.items():
+        assert _orbit_key(types, weights) in accepted, name
+    constructions = [catalog.segre_line_quadric(n, split=True).presentation for n in range(3, 18)]
+    constructions += [entries[name].presentation
+                      for name in ("twisted-cubic", "gr36", "grl36", "spinor-s6", "e7")]
+    certified = []
+    for pres in constructions:
+        verdict = legendrian_verdict(pres)
+        assert verdict.certificate == "kostant", pres.name
+        certified.append(_orbit_key(verdict.kostant.types, verdict.kostant.highest_weight))
+    assert sorted(certified) == sorted(accepted)
+    assert _orbit_key(["A1"] * 3, [(1,)] * 3) in certified
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "segre-split-5", "grl36"))

@@ -166,14 +166,16 @@ def test_angle_audit():
 
 
 def test_edge_monotonicity():
-    """The dimension is strictly increasing along every chamber edge, which
-    is what makes the classification walk terminate soundly."""
+    """The dimension is strictly increasing in every coordinate, along every
+    chamber edge and from rho, which is what makes the scan's pruned
+    enumeration of the weights under a cap sound."""
     for label, rank in (("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)):
         rs = build_root_system(label, rank)
-        for edge in range(rank):
-            dims = []
-            for k in (1, 2, 3, 4):
-                coeffs = [0] * rank
-                coeffs[edge] = k
-                dims.append(weyl_dimension(rs, coeffs))
-            assert dims == sorted(set(dims))
+        for base in ((0,) * rank, (1,) * rank):
+            for edge in range(rank):
+                dims = []
+                for k in (0, 1, 2, 3, 4):
+                    coeffs = list(base)
+                    coeffs[edge] += k
+                    dims.append(weyl_dimension(rs, coeffs))
+                assert dims == sorted(set(dims))
