@@ -91,10 +91,7 @@ def twisted_cubic() -> CatalogEntry:
         parse_poly("x0*x1^2", 2),
         parse_poly("x1^3", 2),
     ]
-    pres = VarietyPresentation(
-        "twisted-cubic", form, gens, parametrization=par,
-        expected_algebra="A1", expected_dim=3,
-    )
+    pres = VarietyPresentation("twisted-cubic", form, gens, parametrization=par, expected_algebra="A1")
     return CatalogEntry(
         pres, "generated", _unit_point(4),
         "Veronese curve of degree 3; the nonstandard form matrix is the one "
@@ -129,10 +126,7 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
         form = standard_form(n)
         base = None
         label = _orthogonal_label(n)
-        pres = VarietyPresentation(
-            f"segre-{n}", form, gens + [gp, gm, h],
-            expected_algebra=label, expected_dim=n * (n - 1) // 2 + 3,
-        )
+        pres = VarietyPresentation(f"segre-{n}", form, gens + [gp, gm, h], expected_algebra=label)
         return CatalogEntry(
             pres, "generated", base,
             "line times the sum-of-squares quadric; the quadric has no "
@@ -152,8 +146,7 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
         mat[n + (n - 1 - k)][k] = Fraction(-1)
     form = SymplecticForm(mat)
     pres = VarietyPresentation(
-        f"segre-split-{n}", form, gens + [gp, gm, h],
-        expected_algebra=_orthogonal_label(n), expected_dim=n * (n - 1) // 2 + 3,
+        f"segre-split-{n}", form, gens + [gp, gm, h], expected_algebra=_orthogonal_label(n)
     )
     return CatalogEntry(
         pres, "generated", _unit_point(nv),
@@ -224,9 +217,7 @@ def grassmannian_36() -> CatalogEntry:
         mat[i][10 + i] = Fraction(s)
         mat[10 + i][i] = Fraction(-s)
     form = SymplecticForm(mat)
-    pres = VarietyPresentation(
-        "gr36", form, polys, expected_algebra="A5", expected_dim=35
-    )
+    pres = VarietyPresentation("gr36", form, polys, expected_algebra="A5")
     return CatalogEntry(
         pres, "transcribed", _unit_point(20),
         "Pluecker quadrics in the verbatim coordinate names of the data "
@@ -288,9 +279,7 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
         linalg.transpose(inclusion), linalg.mat_mul(wedge, inclusion)
     )
     form = SymplecticForm(restricted)
-    pres = VarietyPresentation(
-        "grl36", form, grl_polys, expected_algebra="C3", expected_dim=21
-    )
+    pres = VarietyPresentation("grl36", form, grl_polys, expected_algebra="C3")
     return CatalogEntry(
         pres, "transcribed", _unit_point(14),
         "reduction of the Gr(3,6) quadrics along six linear relations; "
@@ -388,8 +377,7 @@ def spinor_s6() -> CatalogEntry:
             raise DataIntegrityError("spinor generator fails on the parametrization")
 
     pres = VarietyPresentation(
-        "spinor-s6", standard_form(16), gens, parametrization=par,
-        expected_algebra="D6", expected_dim=66,
+        "spinor-s6", standard_form(16), gens, parametrization=par, expected_algebra="D6"
     )
     return CatalogEntry(
         pres, "generated", _unit_point(nv),
@@ -419,9 +407,7 @@ def e7_variety() -> CatalogEntry:
     polys = [parse_poly(l, 56) for l in lines]
     if len(polys) != 133:
         raise DataIntegrityError("e7.txt: expected 133 equations")
-    pres = VarietyPresentation(
-        "e7", standard_form(28), polys, expected_algebra="E7", expected_dim=133
-    )
+    pres = VarietyPresentation("e7", standard_form(28), polys, expected_algebra="E7")
     return CatalogEntry(
         pres, "transcribed", _unit_point(56),
         "x<i> pairs with x<28+i> under the standard block form, an "

@@ -68,7 +68,6 @@ class VarietyPresentation:
         generators: Sequence[Polynomial],
         parametrization: Optional[Sequence[Polynomial]] = None,
         expected_algebra: Optional[str] = None,
-        expected_dim: Optional[int] = None,
     ):
         self.name = name
         self.form = form
@@ -86,7 +85,6 @@ class VarietyPresentation:
                 raise ValueError("parametrization must have one component per ambient coordinate")
         self.parametrization = list(parametrization) if parametrization is not None else None
         self.expected_algebra = expected_algebra
-        self.expected_dim = expected_dim
 
     @property
     def half_dim(self) -> int:

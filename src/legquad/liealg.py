@@ -25,8 +25,10 @@ appear at the API boundary only: `structure`, the torus and root vectors of
 quantities, the exponentials of nilpotent sp-images and the block view of an
 sp element live in the tests (`tests/liealg_oracle.py`).
 
-There is one torus: the elements whose sp-images are diagonal
-(`cartan_subalgebra`).  It gives every coordinate a weight, and both the
+There is one torus: all the elements whose sp-images are diagonal, one
+kernel over the whole basis, so it does not depend on how the quadrics are
+written (`cartan_subalgebra`).  It gives every coordinate a weight, its
+centralizer is the weight-0 part of the quadrics, and both the
 identification and the Kostant certificate of `legendrian` read the one
 root decomposition over it that `split_root_data` caches.
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -58,6 +61,7 @@ StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
 BracketTable = List[Dict[int, List[Tuple[int, int]]]]
 SparseAd = Dict[Tuple[int, int], int]  # (k, j) -> integer entry
 SpEntries = Tuple[Dict[Tuple[int, int], int], int]  # ((p, q) -> integer entry, denominator)
+Weight = Tuple[int, ...]
 
 
 class NotClosedError(ValueError):
@@ -147,11 +151,10 @@ class LieAlgebraPresentation:
                 image: Dict[Tuple[int, int], int] = {}
                 for exps, coeff in b.terms.items():
                     c = coeff.numerator * (den // coeff.denominator)
-                    support = [i for i, e in enumerate(exps) if e]
-                    if len(support) == 1:
-                        entries = [(support[0], support[0], 2 * c)]  # 2 W A for A[r][r] = c
+                    r, q = _quadric_indices(exps)
+                    if r == q:
+                        entries = [(r, r, 2 * c)]  # 2 W A for A[r][r] = c
                     else:
-                        r, q = support
                         entries = [(r, q, c), (q, r, c)]  # 2 W A for A[r][q] = A[q][r] = c / 2
                     for r, q, a in entries:
                         for p, w in col_nonzeros[r]:
@@ -202,6 +205,15 @@ class LieAlgebraPresentation:
                 span.add(row)
             self._semisimple = span.rank == self.dim
         return self._semisimple
+
+
+def _quadric_indices(exps: Tuple[int, ...]) -> Tuple[int, int]:
+    """(p, q) with p <= q for the monomial x_p x_q, by the tuple's own search."""
+    if 2 in exps:
+        return (p := exps.index(2)), p
+    p = exps.index(1)
+    return p, exps.index(1, p + 1)
+
 
 def _integral_vector(vec: Sequence) -> Tuple[Dict[int, int], int]:
     """(den * vec as sparse integers, index -> value, and den) for the least
@@ -349,16 +361,12 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
 
 @dataclass
 class CartanData:
-    """A torus of the algebra together with its root decomposition.
-
-    cartan_vectors are coordinate vectors over the algebra basis; when every
-    torus generator is itself a basis element, cartan_basis_indices lists
-    them.  root_spaces pairs each root vector (eigenvalues against the torus
-    basis) with a coordinate eigenvector; the roots alone determine the type.
-    """
+    """A torus of the algebra, as coordinate vectors over the algebra basis,
+    with its root decomposition: root_spaces pairs each root vector
+    (eigenvalues against the torus basis) with a coordinate eigenvector; the
+    roots alone determine the type."""
 
     cartan_vectors: List[Vector]
-    cartan_basis_indices: Optional[List[int]] = None
     root_spaces: List[Tuple[Vector, Vector]] = field(default_factory=list)  # (root, eigvec)
 
     @property
@@ -370,86 +378,65 @@ class CartanData:
         return [r for r, _ in self.root_spaces]
 
 
-def _diagonal_candidates(algebra: LieAlgebraPresentation) -> List[int]:
-    """Basis indices whose sp-images are diagonal."""
-    return [idx for idx, (entries, _) in enumerate(algebra.sp_entries()) if all(p == q for p, q in entries)]
+def _diagonal_torus(algebra: LieAlgebraPresentation) -> List[Vector]:
+    """Canonical basis of the elements whose sp-images are diagonal: the
+    kernel, over the basis coordinates, of the off-diagonal image entries
+    over one denominator.  An element alone at an off-diagonal position among
+    those still in is forced out first; on every fixture no constraint is left."""
+    images = algebra.sp_entries()
+    live = list(range(algebra.dim))
+    while True:
+        held = Counter(pq for i in live for pq in images[i][0] if pq[0] != pq[1])
+        kept = [i for i in live if 1 not in map(held.__getitem__, images[i][0])]
+        if kept == live:
+            break
+        live = kept
+    scale = math.lcm(*[images[i][1] for i in live])
+    rows: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for a, i in enumerate(live):
+        entries, den = images[i]
+        for (p, q), x in entries.items():
+            if p != q:
+                rows.setdefault((p, q), {})[a] = x * (scale // den)
+    units = [_unit(algebra.dim, i) for i in live]
+    return [_combine(units, coeffs) for coeffs in linalg.sparse_nullspace(rows.values(), len(live))]
 
 
-def _ad_kernel(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[Vector]:
-    """Basis of {v : [h, v] = 0 for all h in vectors}, the canonical kernel
-    of the stacked sparse ad-matrices."""
-    rows: List[Dict[int, int]] = []
-    for h in vectors:
-        by_row: Dict[int, Dict[int, int]] = {}
-        for (k, j), x in _integer_ad(algebra, h)[0].items():
-            by_row.setdefault(k, {})[j] = x
-        rows.extend(by_row.values())
-    return linalg.sparse_nullspace(rows, algebra.dim)
-
-
-def _centralizer(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> List[Vector]:
-    """Basis of {v : [v, h] = 0 for all h in vectors}."""
-    if len(vectors) > 1:
-        # One generic combination usually pins the joint centralizer; verify
-        # and fall back to the stacked kernel when it does not.
-        generic = [Fraction(0)] * algebra.dim
-        for a, h in enumerate(vectors):
-            for i, x in enumerate(h):
-                generic[i] += (a + 1) * x
-        kernel = _ad_kernel(algebra, [generic])
-        ivs = [_integral_vector(h)[0] for h in vectors]
-        if all(not algebra.bracket_ints(_integral_vector(v)[0], iv) for v in kernel for iv in ivs):
-            return kernel
-    return _ad_kernel(algebra, vectors)
+def _coordinate_weights(algebra, torus: List[Vector]) -> Tuple[List[Weight], List[int]]:
+    """(weights, dens): coordinate k has weight (d_1[k], ..., d_r[k]) for
+    the integer diagonals d_t of `_sp_integer` of the torus vectors, whose
+    sp-images are d_t / dens[t]."""
+    images = [_sp_integer(algebra, h) for h in torus]
+    weights = [tuple(d.get((k, k), 0) for d, _ in images) for k in range(algebra.form.dim)]
+    return weights, [den for _, den in images]
 
 
 def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
-    """A self-centralizing torus of elements whose sp-images are diagonal:
-    the basis elements with diagonal images when they are one, else the
-    elements with diagonal images in their centralizer.
+    """The torus T of all the elements whose sp-images are diagonal
+    (`_diagonal_torus`), when it is self-centralizing.
 
-    Such a torus acts on each quadric x_p x_q by a sum of two coordinate
-    weights, so `root_decomposition` splits the algebra over it.  Raises
-    NotAdaptedError when there is none.
+    T gives coordinate p a weight w_p, the quadric x_p x_q has weight
+    w_p + w_q, and ad of a torus element multiplies it by that weight.  So
+    g is the sum of its weight projections, the centralizer of T is g's
+    projection onto weight 0, and T is self-centralizing exactly when the
+    weight-0 projections of the basis quadrics have rank dim T.  Then
+    `root_decomposition` splits the algebra over T.  Raises NotAdaptedError
+    otherwise.
     """
-    if algebra.dim == 0:
-        return CartanData([])
-    candidates = _diagonal_candidates(algebra)
-    if candidates:
-        vectors = [_unit(algebra.dim, i) for i in candidates]
-        central = _centralizer(algebra, vectors)
-        if len(central) == len(vectors):
-            return CartanData(vectors, cartan_basis_indices=candidates)
-        # The candidates commute, so they lie in their centralizer; a wider
-        # torus needs more elements with diagonal images there.
-        widened = _diagonal_subspace(algebra, central)
-        if len(widened) > len(vectors) and len(_centralizer(algebra, widened)) == len(widened):
-            return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
-    raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
-
-
-def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
-    indices = []
-    for v in vectors:
-        support = [i for i, x in enumerate(v) if x]
-        if len(support) != 1 or v[support[0]] != 1:
-            return None
-        indices.append(support[0])
-    return indices
-
-
-def _diagonal_subspace(algebra: LieAlgebraPresentation, within: List[Vector]) -> List[Vector]:
-    """Sub-basis of `within` whose sp-images are diagonal: one constraint
-    row per off-diagonal entry (p, q) of the images, in integers over the
-    least common denominator of the images."""
-    images = [_sp_integer(algebra, v) for v in within]
-    scale = math.lcm(*[den for _, den in images])
-    constraints: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a, (entries, den) in enumerate(images):
-        for (p, q), x in entries.items():
-            if p != q:
-                constraints.setdefault((p, q), {})[a] = x * (scale // den)
-    return [_combine(within, coeffs) for coeffs in linalg.sparse_nullspace(constraints.values(), len(within))]
+    torus = _diagonal_torus(algebra)
+    weights = _coordinate_weights(algebra, torus)[0]
+    opposite = [tuple(-x for x in w) for w in weights]
+    zero_part = linalg.Echelon()
+    for b in algebra.basis:
+        row = {}
+        for exps, c in b.terms.items():
+            p, q = _quadric_indices(exps)
+            if weights[p] == opposite[q]:
+                row[p * algebra.form.dim + q] = c
+        zero_part.add(row)
+    if zero_part.rank != len(torus):
+        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
+    return CartanData(torus)
 
 
 AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
@@ -485,13 +472,11 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     Raises NotAdaptedError when the torus does not act diagonalizably with
     rational eigenvalues on the presentation basis.
     """
-    r = cartan.rank
     ads = [_ad_columns(algebra, h) for h in cartan.cartan_vectors]
 
     # Fast path: basis elements that are already joint eigenvectors.
-    root_spaces: List[Tuple[Vector, Vector]] = []
+    roots: Dict[int, Vector] = {}
     leftover: List[int] = []
-    zero_count = 0
     for j in range(algebra.dim):
         root: Vector = []
         for cols, den in ads:
@@ -504,44 +489,40 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
                 leftover.append(j)
                 break
         else:
-            if any(root):
-                root_spaces.append((root, _unit(algebra.dim, j)))
-            else:
-                zero_count += 1
-
+            roots[j] = root
+    # The leftover span must be torus-stable: close it under the ad columns.
+    stack = list(leftover)
+    while stack:
+        j = stack.pop()
+        for cols, _ in ads:
+            for k, _ in cols.get(j, ()):
+                if k in roots:
+                    del roots[k]
+                    leftover.append(k)
+                    stack.append(k)
+    pairs = [(root, _unit(algebra.dim, j)) for j, root in roots.items()]
     if leftover:
-        extra = _split_leftover(algebra, cartan, ads, leftover)
-        for root, vec in extra:
-            if any(root):
-                root_spaces.append((root, vec))
-            else:
-                zero_count += 1
-
-    if zero_count != r or len(root_spaces) + r != algebra.dim:
+        pairs += _split_leftover(algebra, cartan, ads, sorted(leftover))
+    root_spaces = [(root, vec) for root, vec in pairs if any(root)]
+    zero_count = len(pairs) - len(root_spaces)
+    if zero_count != cartan.rank or len(root_spaces) + cartan.rank != algebra.dim:
         raise NotAdaptedError(
             f"root decomposition does not exhaust the algebra "
-            f"(rank {r}, zero eigenspace {zero_count}, roots {len(root_spaces)})"
+            f"(rank {cartan.rank}, zero eigenspace {zero_count}, roots {len(root_spaces)})"
         )
-
-    return CartanData(
-        cartan.cartan_vectors,
-        cartan_basis_indices=cartan.cartan_basis_indices,
-        root_spaces=sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True),
-    )
+    return CartanData(cartan.cartan_vectors, sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True))
 
 
 def _split_leftover(algebra, cartan, ads, leftover):
-    """Joint eigenvectors inside the span of the leftover basis indices,
-    each with its root.
-
-    The torus has diagonal sp-images, so its eigenvalues on the quadrics are
-    sums of two of its coordinate weights; those sums are the candidates.
-    """
+    """Joint eigenvectors inside the torus-stable span of the leftover basis
+    indices, each with its root.  The torus has diagonal sp-images, so its
+    eigenvalues on the quadrics are sums of two coordinate weights
+    (`_coordinate_weights`); those sums are the candidates."""
+    weights, dens = _coordinate_weights(algebra, cartan.cartan_vectors)
     spaces = [([], [_unit(algebra.dim, j) for j in leftover])]  # (root so far, basis)
-    for ad, h in zip(ads, cartan.cartan_vectors):
-        image, den = _sp_integer(algebra, h)
-        weights = {Fraction(image.get((p, p), 0), den) for p in range(algebra.form.dim)}
-        candidates = sorted({wp + wq for wp in weights for wq in weights})
+    for t, (ad, den) in enumerate(zip(ads, dens)):
+        diagonal = {w[t] for w in weights}
+        candidates = sorted({Fraction(a + b, den) for a in diagonal for b in diagonal})
         spaces = [(root + [lam], piece) for root, space in spaces
                   for lam, piece in _split_by_eigenvalue(ad, space, candidates)]
     return [(root, vec) for root, space in spaces for vec in space]
@@ -946,13 +927,16 @@ def _divisors(n: int) -> List[int]:
 
 
 def _generic_rank(algebra: LieAlgebraPresentation) -> int:
-    """Rank of the complexification: minimal centralizer dimension over a few
-    deterministic sample elements."""
+    """Rank of the complexification: minimal centralizer dimension, dim g
+    minus the rank of ad (of its columns), over a few deterministic sample
+    elements."""
     best = algebra.dim
     for seed in (1, 2, 5, 11):
         vec = [Fraction((seed * (3 * i + 1)) % 17 + 1) for i in range(algebra.dim)]
-        central = _centralizer(algebra, [vec])
-        best = min(best, len(central))
+        span = linalg.Echelon()
+        for col in _ad_columns(algebra, vec)[0].values():
+            span.add(dict(col))
+        best = min(best, algebra.dim - span.rank)
     return best
 
 
@@ -976,9 +960,6 @@ def split_root_data(algebra: LieAlgebraPresentation) -> CartanData:
     return algebra._root_data
 
 
-Weight = Tuple[int, ...]
-
-
 @dataclass
 class DiagonalWeights:
     """Weights of the coordinates under a torus with diagonal sp-images.
@@ -995,16 +976,14 @@ def diagonal_weights(algebra: LieAlgebraPresentation) -> DiagonalWeights:
     """The coordinate weights and simple roots of a semisimple algebra under
     its torus with diagonal sp-images, read off the cached `split_root_data`.
 
-    Coordinate k has weight (d_1[k], ..., d_r[k]) for the integer diagonals
-    d_t of `_sp_integer` of the torus vectors, each a multiple of an
-    sp-image.  The sp-image E of a root vector satisfies
+    The coordinate weights are `_coordinate_weights`, each a multiple of an
+    sp-image diagonal.  The sp-image E of a root vector satisfies
     [M_h, E] = c alpha(h) E for one constant c of the whole algebra, so any
     nonzero entry (p, q) of E gives the root in the weight scale,
     w_p - w_q.  Raises the NotAdaptedError of `split_root_data`.
     """
     cd = split_root_data(algebra)
-    diagonals = [_sp_integer(algebra, h)[0] for h in cd.cartan_vectors]
-    coordinates = [tuple(d.get((k, k), 0) for d in diagonals) for k in range(algebra.form.dim)]
+    coordinates = _coordinate_weights(algebra, cd.cartan_vectors)[0]
     factors = []
     for label, nodes in simple_factors(cd):
         roots = []

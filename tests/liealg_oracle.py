@@ -226,11 +226,11 @@ def _cartan_subalgebra(algebra) -> CartanData:
         vectors = [unit(algebra.dim, i) for i in candidates]
         central = _centralizer(algebra, vectors)
         if len(central) == len(vectors):
-            return CartanData(vectors, cartan_basis_indices=candidates)
+            return CartanData(vectors)
         widened = _diagonal_subspace(algebra, central)
         central2 = _centralizer(algebra, widened)
         if len(central2) == len(widened):
-            return CartanData(widened, cartan_basis_indices=_indices_if_units(widened))
+            return CartanData(widened)
     for seed in (1, 3, 7):
         generic = [Fraction((seed * (i + 1)) % (algebra.dim + 2) + 1) for i in range(algebra.dim)]
         central = _centralizer(algebra, [generic])
@@ -238,18 +238,8 @@ def _cartan_subalgebra(algebra) -> CartanData:
                for a in range(len(central)) for b in range(a + 1, len(central))):
             central2 = _centralizer(algebra, central)
             if len(central2) == len(central):
-                return CartanData(central, cartan_basis_indices=_indices_if_units(central))
+                return CartanData(central)
     raise NotAdaptedError("no self-centralizing torus found; basis not adapted")
-
-
-def _indices_if_units(vectors: List[Vector]) -> Optional[List[int]]:
-    indices = []
-    for v in vectors:
-        support = [i for i, x in enumerate(v) if x]
-        if len(support) != 1 or v[support[0]] != 1:
-            return None
-        indices.append(support[0])
-    return indices
 
 
 def _span_combination(space: List[Vector], coeffs: Sequence) -> Vector:
@@ -315,7 +305,6 @@ def _root_decomposition(algebra, cartan: CartanData) -> CartanData:
         raise NotAdaptedError("root decomposition does not exhaust the algebra")
     return CartanData(
         cartan.cartan_vectors,
-        cartan_basis_indices=cartan.cartan_basis_indices,
         root_spaces=sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True),
     )
 

@@ -9,11 +9,11 @@ from fractions import Fraction
 import pytest
 
 import liealg_oracle
-from legquad import liealg
+from legquad import liealg, linalg
 from legquad.liealg import (
     NotAdaptedError,
     _commutant_rows,
-    _diagonal_candidates,
+    _diagonal_torus,
     _integer_ad,
     _integral_vector,
     _matrix_commutant,
@@ -115,11 +115,42 @@ def test_killing_form(all_cases):
         assert got == nonzero(liealg_oracle.killing_matrix(L)), label
 
 
+def unit_indices(torus):
+    """The basis index of each unit vector among the torus vectors."""
+    return [v.index(1) for v in torus if [x for x in v if x] == [1]]
+
+
 def test_sp_images_and_diagonal_candidates(all_cases):
+    """The unit vectors of the torus are exactly the basis elements whose
+    dense sp-images are diagonal, and every torus vector has a diagonal
+    image."""
     for label, L in all_cases:
         images = [{pq: Fraction(x, den) for pq, x in entries.items()} for entries, den in L.sp_entries()]
         assert images == [nonzero(image) for image in liealg_oracle.sp_images(L)], label
-        assert _diagonal_candidates(L) == liealg_oracle.diagonal_candidates(L), label
+        torus = _diagonal_torus(L)
+        assert unit_indices(torus) == liealg_oracle.diagonal_candidates(L), label
+        for v in torus:
+            assert all(p == q for p, q in nonzero(liealg_oracle.sp_image(L, v))), label
+
+
+def test_torus_is_the_kernel_of_every_off_diagonal_entry(all_cases, entries):
+    """Dropping the elements alone at an off-diagonal position first gives
+    the canonical kernel of the whole system of dense sp-image entries, also
+    where a system is left: the twisted cubic with h + g0 in place of h, and
+    sp(4) with x0*x3 and x1*x2 only as their sum and difference."""
+    g0, g1, h = entries["twisted-cubic"].presentation.generators
+    names = [f"x{i}*x{j}" if i != j else f"x{i}^2" for i in range(4) for j in range(i, 4)]
+    e, f = parse_poly("x0*x3", 4), parse_poly("x1*x2", 4)
+    mixed = [parse_poly(t, 4) for t in names if t not in ("x0*x3", "x1*x2")] + [e + f, e - f]
+    extra = [("cubic h + g0", close_and_present([g0, g1, h + g0], entries["twisted-cubic"].presentation.form)),
+             ("sp4 mixed", close_and_present(mixed, standard_form(2)))]
+    for label, L in all_cases + extra:
+        images = liealg_oracle.sp_images(L)
+        n = L.form.dim
+        rows = [{i: image[p][q] for i, image in enumerate(images) if image[p][q]}
+                for p in range(n) for q in range(n) if p != q]
+        assert _diagonal_torus(L) == linalg.sparse_nullspace(rows, L.dim), label
+    assert [[int(x) for x in v] for v in _diagonal_torus(extra[0][1])] == [[-1, 0, 1]]
 
 
 def test_diagonal_test_sees_a_single_off_diagonal_entry():
@@ -127,8 +158,9 @@ def test_diagonal_test_sees_a_single_off_diagonal_entry():
     off-diagonal sp-image entry, and only the x_i * x_{2+i} are diagonal."""
     names = [f"x{i}*x{j}" if i != j else f"x{i}^2" for i in range(4) for j in range(i, 4)]
     L = close_and_present([parse_poly(t, 4) for t in names], standard_form(2))
-    assert [names[i] for i in _diagonal_candidates(L)] == ["x0*x2", "x1*x3"]
-    assert _diagonal_candidates(L) == liealg_oracle.diagonal_candidates(L)
+    torus = _diagonal_torus(L)
+    assert [names[i] for i in unit_indices(torus)] == ["x0*x2", "x1*x3"] and len(torus) == 2
+    assert unit_indices(torus) == liealg_oracle.diagonal_candidates(L)
     assert all(len(entries) == 1 for entries, _ in (L.sp_entries()[names.index(f"x{i}^2")] for i in range(4)))
 
 
@@ -142,7 +174,6 @@ def test_full_cartan_data(all_cases):
             continue
         got = split_root_data(L)
         assert got.cartan_vectors == expected.cartan_vectors, label
-        assert got.cartan_basis_indices == expected.cartan_basis_indices, label
         assert got.root_spaces == expected.root_spaces, label
 
 

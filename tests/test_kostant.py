@@ -26,7 +26,13 @@ from legquad.legendrian import (
     kostant_certificate,
     legendrian_verdict,
 )
-from legquad.liealg import DependentQuadricsError, bracket_closure, close_and_present
+from legquad.liealg import (
+    DependentQuadricsError,
+    bracket_closure,
+    close_and_present,
+    identify_algebra,
+    split_root_data,
+)
 from legquad.poly import Polynomial
 from legquad.rootdata import _cartan_matrix
 from legquad.symplectic import SymplecticForm
@@ -275,6 +281,39 @@ def test_non_diagonal_torus_falls_back(entries, name, a, b):
     assert _certificate_failure(pres) == (
         "condition 2: no self-centralizing torus with diagonal sp-images")
     assert _assert_falls_back(pres).verdict == "legendrian"
+
+
+@pytest.mark.parametrize("added", ((0,), (1,), (0, 1)), ids=["h+g0", "h+g1", "h+g0+g1"])
+def test_torus_generator_summed_with_root_vectors_is_certified(entries, added):
+    """The torus is every element with a diagonal sp-image, not only the
+    basis elements that have one: with h + g0, h + g1 or h + g0 + g1 in
+    place of h, no generator has a diagonal image, and the twisted cubic is
+    still A1 (3)."""
+    base = entries["twisted-cubic"].presentation
+    g0, g1, h = base.generators
+    for k in added:
+        h = h + base.generators[k]
+    verdict = legendrian_verdict(VarietyPresentation("twisted-cubic-rewritten", base.form, [g0, g1, h]))
+    assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
+    assert verdict.kostant == KostantCertificate(["A1"], [(3,)], 2)
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "segre-split-4", "segre-split-5", "grl36"))
+def test_certificate_does_not_depend_on_the_basis(entries, name):
+    """Seeded replacements of one generator by its sum with another span the
+    same algebra, so the Cartan rank, the types and the certificate stay."""
+    base = entries[name].presentation
+    algebra = close_and_present(base.generators, base.form)
+    expected = (split_root_data(algebra).rank, identify_algebra(algebra), legendrian_verdict(base).kostant)
+    rng = random.Random(f"basis:{name}")
+    for _ in range(4):
+        a, b = rng.sample(range(len(base.generators)), 2)
+        gens = list(base.generators)
+        gens[a] = gens[a] + gens[b]
+        algebra = close_and_present(gens, base.form)
+        verdict = legendrian_verdict(VarietyPresentation(f"{name}: {a} + {b}", base.form, gens))
+        assert verdict.certificate == "kostant", (a, b)
+        assert (split_root_data(algebra).rank, identify_algebra(algebra), verdict.kostant) == expected, (a, b)
 
 
 SHEAR_ENTRIES = ("twisted-cubic", "segre-3", "segre-split-3", "segre-4", "four-lines",

@@ -119,9 +119,9 @@ def test_segre_bracket_relations(entries):
 
 def test_cartan_subalgebras(algebras):
     cd = cartan_subalgebra(algebras["twisted-cubic"])
-    assert cd.cartan_basis_indices == [2]       # h is the third generator
+    assert cd.cartan_vectors == [[0, 0, 1]]     # h is the third generator
     cd = cartan_subalgebra(algebras["gr36"])
-    assert cd.cartan_basis_indices == [30, 31, 32, 33, 34]
+    assert cd.cartan_vectors == [[int(i == k) for i in range(35)] for k in range(30, 35)]
     cd = cartan_subalgebra(algebras["grl36"])
     assert cd.rank == 3
     cd = cartan_subalgebra(algebras["segre-split-3"])
@@ -323,7 +323,7 @@ def test_root_decomposition_handles_mixed_bases(entries):
     mixed = [f_plus + f_minus, f_plus - f_minus, h]
     L = close_and_present(mixed, cubic.form)
     cd = cartan_subalgebra(L)
-    assert cd.cartan_basis_indices == [2]
+    assert cd.cartan_vectors == [[0, 0, 1]]
     full = root_decomposition(L, cd)
     assert sorted(r[0] for r in full.roots) == [-2, 2]
     assert identify_type(full) == ["A1"]
