@@ -91,7 +91,7 @@ def twisted_cubic() -> CatalogEntry:
         parse_poly("x0*x1^2", 2),
         parse_poly("x1^3", 2),
     ]
-    pres = VarietyPresentation("twisted-cubic", form, gens, parametrization=par, expected_algebra="A1")
+    pres = VarietyPresentation("twisted-cubic", form, gens, parametrization=par)
     return CatalogEntry(
         pres, "generated", _unit_point(4),
         "Veronese curve of degree 3; the nonstandard form matrix is the one "
@@ -125,8 +125,7 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
         h = poly_from_pairs(nv, [(_pair(nv, k, n + k), 1) for k in range(n)])
         form = standard_form(n)
         base = None
-        label = _orthogonal_label(n)
-        pres = VarietyPresentation(f"segre-{n}", form, gens + [gp, gm, h], expected_algebra=label)
+        pres = VarietyPresentation(f"segre-{n}", form, gens + [gp, gm, h])
         return CatalogEntry(
             pres, "generated", base,
             "line times the sum-of-squares quadric; the quadric has no "
@@ -145,9 +144,7 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
         mat[k][n + (n - 1 - k)] = Fraction(1)
         mat[n + (n - 1 - k)][k] = Fraction(-1)
     form = SymplecticForm(mat)
-    pres = VarietyPresentation(
-        f"segre-split-{n}", form, gens + [gp, gm, h], expected_algebra=_orthogonal_label(n)
-    )
+    pres = VarietyPresentation(f"segre-split-{n}", form, gens + [gp, gm, h])
     return CatalogEntry(
         pres, "generated", _unit_point(nv),
         "line times the hyperbolic quadric; projectively equivalent to the "
@@ -166,14 +163,6 @@ def _pair(nv: int, a: int, b: int) -> Tuple[int, ...]:
     e[a] += 1
     e[b] += 1
     return tuple(e)
-
-
-def _orthogonal_label(n: int) -> str:
-    """Type of sl2 + so_n as a sum of simple factors."""
-    so = {3: ["A1"], 4: ["A1", "A1"], 5: ["B2"], 6: ["A3"]}.get(n)
-    if so is None:
-        so = [f"D{n // 2}"] if n % 2 == 0 else [f"B{(n - 1) // 2}"]
-    return "+".join(sorted(["A1"] + so))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +206,7 @@ def grassmannian_36() -> CatalogEntry:
         mat[i][10 + i] = Fraction(s)
         mat[10 + i][i] = Fraction(-s)
     form = SymplecticForm(mat)
-    pres = VarietyPresentation("gr36", form, polys, expected_algebra="A5")
+    pres = VarietyPresentation("gr36", form, polys)
     return CatalogEntry(
         pres, "transcribed", _unit_point(20),
         "Pluecker quadrics in the verbatim coordinate names of the data "
@@ -279,7 +268,7 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
         linalg.transpose(inclusion), linalg.mat_mul(wedge, inclusion)
     )
     form = SymplecticForm(restricted)
-    pres = VarietyPresentation("grl36", form, grl_polys, expected_algebra="C3")
+    pres = VarietyPresentation("grl36", form, grl_polys)
     return CatalogEntry(
         pres, "transcribed", _unit_point(14),
         "reduction of the Gr(3,6) quadrics along six linear relations; "
@@ -376,9 +365,7 @@ def spinor_s6() -> CatalogEntry:
         if not g.substitute(par).is_zero():
             raise DataIntegrityError("spinor generator fails on the parametrization")
 
-    pres = VarietyPresentation(
-        "spinor-s6", standard_form(16), gens, parametrization=par, expected_algebra="D6"
-    )
+    pres = VarietyPresentation("spinor-s6", standard_form(16), gens, parametrization=par)
     return CatalogEntry(
         pres, "generated", _unit_point(nv),
         "generated from the Pfaffian-adjugate relations of a skew 6x6 "
@@ -407,7 +394,7 @@ def e7_variety() -> CatalogEntry:
     polys = [parse_poly(l, 56) for l in lines]
     if len(polys) != 133:
         raise DataIntegrityError("e7.txt: expected 133 equations")
-    pres = VarietyPresentation("e7", standard_form(28), polys, expected_algebra="E7")
+    pres = VarietyPresentation("e7", standard_form(28), polys)
     return CatalogEntry(
         pres, "transcribed", _unit_point(56),
         "x<i> pairs with x<28+i> under the standard block form, an "

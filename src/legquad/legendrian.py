@@ -43,7 +43,14 @@ from .groebner import (
     buchberger,
     krull_dimension,
 )
-from .liealg import LieAlgebraPresentation, NotAdaptedError, bracket_closure, degree_part, diagonal_weights
+from .liealg import (
+    LieAlgebraPresentation,
+    NotAdaptedError,
+    bracket_closure,
+    degree_part,
+    simple_factors,
+    split_root_data,
+)
 from .poly import MonomialCodec, Polynomial
 from .rootdata import (
     build_root_system,
@@ -67,7 +74,6 @@ class VarietyPresentation:
         form: SymplecticForm,
         generators: Sequence[Polynomial],
         parametrization: Optional[Sequence[Polynomial]] = None,
-        expected_algebra: Optional[str] = None,
     ):
         self.name = name
         self.form = form
@@ -84,7 +90,6 @@ class VarietyPresentation:
             if len(comps) != self.nvars:
                 raise ValueError("parametrization must have one component per ambient coordinate")
         self.parametrization = list(parametrization) if parametrization is not None else None
-        self.expected_algebra = expected_algebra
 
     @property
     def half_dim(self) -> int:
@@ -176,9 +181,9 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
     V(2 lambda)* in S^2 V*.  The conditions:
 
     1. g is semisimple.
-    2. A torus with diagonal sp-images splits g (`diagonal_weights`), so
-       each coordinate is a weight vector, and the simple roots are read in
-       the same scale.
+    2. A torus with diagonal sp-images splits g (`split_root_data`), so
+       each coordinate is a weight vector, and a simple root of
+       `simple_factors` is root_t * dens_t in the same scale.
     3. Exactly one weight lambda has no weight at lambda + alpha_i for a
        simple root alpha_i, and one coordinate has it.  The alpha_i-string
        through lambda then runs down exactly <lambda, alpha_i^vee> steps, so
@@ -198,12 +203,16 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
     if not algebra.is_semisimple():
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
     try:
-        weights = diagonal_weights(algebra)
+        cd = split_root_data(algebra)
     except NotAdaptedError as exc:
         raise NotCertified(f"condition 2: {exc}") from None
-    coordinates = weights.coordinates
+    coordinates = cd.weights
     present = set(coordinates)
-    simple = [alpha for _, roots in weights.factors for alpha in roots]
+    simple_roots = [
+        (label, [tuple(int(x * d) for x, d in zip(cd.root_spaces[i][0], cd.dens)) for i in nodes])
+        for label, nodes in simple_factors(cd)
+    ]
+    simple = [alpha for _, roots in simple_roots for alpha in roots]
     tops = [mu for mu in present
             if not any(tuple(m + a for m, a in zip(mu, alpha)) in present for alpha in simple)]
     if len(tops) != 1 or coordinates.count(tops[0]) != 1:
@@ -220,7 +229,7 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         return p
 
     factors = sorted(
-        ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in weights.factors),
+        ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in simple_roots),
         key=lambda f: (f[0][0], int(f[0][1:]), f[1]),
     )
     orbit = [(build_root_system(label[0], int(label[1:])), labels) for label, labels in factors]

@@ -18,19 +18,23 @@ The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
 brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
 `_integer_ad`), the Killing form (`killing_rows`, D^2 times the trace form)
-and the root-space columns all read it, and the torus search reads the
-sparse integer sp-image entries of each quadric (`sp_entries`).  Fractions
-appear at the API boundary only: `structure`, the torus and root vectors of
-`CartanData`, and the roots.  The dense Fraction routes of the same
-quantities, the exponentials of nilpotent sp-images and the block view of an
-sp element live in the tests (`tests/liealg_oracle.py`).
+and the ideal closures all read it.  The torus search and the root
+decomposition read the terms of each quadric, their two indices found once
+(`quadric_terms`), and the sparse integer sp-image entries built from them
+(`sp_entries`).  Fractions appear at the API boundary only: `structure`,
+the torus and root vectors of `CartanData`, and the roots.  The dense
+Fraction routes of the same quantities, the exponentials of nilpotent
+sp-images and the block view of an sp element live in the tests
+(`tests/liealg_oracle.py`).
 
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
-written (`cartan_subalgebra`).  It gives every coordinate a weight, its
-centralizer is the weight-0 part of the quadrics, and both the
-identification and the Kostant certificate of `legendrian` read the one
-root decomposition over it that `split_root_data` caches.
+written (`cartan_subalgebra`).  It gives every coordinate a weight, and the
+quadric x_p x_q has weight w_p + w_q: its centralizer is the weight-0 part
+of the quadrics, and the root spaces are the quadrics' terms grouped by
+weight (`root_decomposition`).  Both the identification and the Kostant
+certificate of `legendrian` read the one root decomposition over it that
+`split_root_data` caches, with the coordinate weights it read.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those take a fallback
@@ -61,6 +65,7 @@ StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
 BracketTable = List[Dict[int, List[Tuple[int, int]]]]
 SparseAd = Dict[Tuple[int, int], int]  # (k, j) -> integer entry
 SpEntries = Tuple[Dict[Tuple[int, int], int], int]  # ((p, q) -> integer entry, denominator)
+QuadricTerms = List[Tuple[int, int, Fraction]]  # (p, q, c) for each term c x_p x_q, p <= q
 Weight = Tuple[int, ...]
 
 
@@ -98,6 +103,7 @@ class LieAlgebraPresentation:
         self.structure = structure
         self.dim = len(self.basis)
         self._table: Optional[Tuple[BracketTable, int]] = None
+        self._terms: Optional[List[QuadricTerms]] = None
         self._sp_entries: Optional[List[SpEntries]] = None
         self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
         self._semisimple: Optional[bool] = None
@@ -135,6 +141,13 @@ class LieAlgebraPresentation:
                     out[k] = out.get(k, 0) + xy * n
         return {k: s for k, s in out.items() if s}
 
+    def quadric_terms(self) -> List[QuadricTerms]:
+        """(p, q, c) for each term c x_p x_q of each basis quadric, p <= q,
+        with the indices found once."""
+        if self._terms is None:
+            self._terms = [[(*_quadric_indices(exps), c) for exps, c in b.terms.items()] for b in self.basis]
+        return self._terms
+
     def sp_entries(self) -> List[SpEntries]:
         """(entries, den) for each basis quadric, built once: its sp-image
         2 W A is entries / den, with entries sparse (p, q) -> nonzero
@@ -146,12 +159,11 @@ class LieAlgebraPresentation:
                 for r, w in row:
                     col_nonzeros[r].append((p, w))
             out = []
-            for b in self.basis:
-                den = math.lcm(*[c.denominator for c in b.terms.values()])
+            for terms in self.quadric_terms():
+                den = math.lcm(*[c.denominator for _, _, c in terms])
                 image: Dict[Tuple[int, int], int] = {}
-                for exps, coeff in b.terms.items():
+                for r, q, coeff in terms:
                     c = coeff.numerator * (den // coeff.denominator)
-                    r, q = _quadric_indices(exps)
                     if r == q:
                         entries = [(r, r, 2 * c)]  # 2 W A for A[r][r] = c
                     else:
@@ -364,10 +376,14 @@ class CartanData:
     """A torus of the algebra, as coordinate vectors over the algebra basis,
     with its root decomposition: root_spaces pairs each root vector
     (eigenvalues against the torus basis) with a coordinate eigenvector; the
-    roots alone determine the type."""
+    roots alone determine the type.  weights and dens are the coordinate
+    weights the decomposition read (`_coordinate_weights`): a root in the
+    weight scale is root_t * dens_t."""
 
     cartan_vectors: List[Vector]
     root_spaces: List[Tuple[Vector, Vector]] = field(default_factory=list)  # (root, eigvec)
+    weights: List[Weight] = field(default_factory=list)
+    dens: List[int] = field(default_factory=list)
 
     @property
     def rank(self) -> int:
@@ -405,8 +421,11 @@ def _diagonal_torus(algebra: LieAlgebraPresentation) -> List[Vector]:
 def _coordinate_weights(algebra, torus: List[Vector]) -> Tuple[List[Weight], List[int]]:
     """(weights, dens): coordinate k has weight (d_1[k], ..., d_r[k]) for
     the integer diagonals d_t of `_sp_integer` of the torus vectors, whose
-    sp-images are d_t / dens[t]."""
+    sp-images are d_t / dens[t].  Raises NotAdaptedError when an sp-image
+    is not diagonal."""
     images = [_sp_integer(algebra, h) for h in torus]
+    if any(p != q for d, _ in images for p, q in d):
+        raise NotAdaptedError("a torus vector's sp-image is not diagonal")
     weights = [tuple(d.get((k, k), 0) for d, _ in images) for k in range(algebra.form.dim)]
     return weights, [den for _, den in images]
 
@@ -427,129 +446,61 @@ def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
     weights = _coordinate_weights(algebra, torus)[0]
     opposite = [tuple(-x for x in w) for w in weights]
     zero_part = linalg.Echelon()
-    for b in algebra.basis:
-        row = {}
-        for exps, c in b.terms.items():
-            p, q = _quadric_indices(exps)
-            if weights[p] == opposite[q]:
-                row[p * algebra.form.dim + q] = c
-        zero_part.add(row)
+    for terms in algebra.quadric_terms():
+        zero_part.add({(p, q): c for p, q, c in terms if weights[p] == opposite[q]})
     if zero_part.rank != len(torus):
         raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
     return CartanData(torus)
 
 
-AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
-
-
-def _ad_columns(algebra: LieAlgebraPresentation, h: Vector) -> AdColumns:
-    """`_integer_ad` of h grouped by column."""
-    entries, den = _integer_ad(algebra, h)
-    cols: Dict[int, List[Tuple[int, int]]] = {}
-    for (k, j), x in entries.items():
-        cols.setdefault(j, []).append((k, x))
-    return cols, den
-
-
-def _ad_apply(ad: AdColumns, vec: Vector) -> Vector:
-    """ad(h) vec as a dense vector, for ad = `_ad_columns` of h."""
-    cols, den = ad
-    ivec, dv = _integral_vector(vec)
-    acc: Dict[int, int] = {}
-    for j, y in ivec.items():
-        for k, x in cols.get(j, ()):
-            acc[k] = acc.get(k, 0) + x * y
-    out = [Fraction(0)] * len(vec)
-    for k, s in acc.items():
-        if s:
-            out[k] = Fraction(s, den * dv)
-    return out
-
-
 def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> CartanData:
-    """Simultaneous ad-eigendecomposition over the rationals.
+    """The root spaces of a torus with diagonal sp-images.
 
-    Raises NotAdaptedError when the torus does not act diagonalizably with
-    rational eigenvalues on the presentation basis.
+    The torus gives coordinate p the weight w_p (`_coordinate_weights`), so
+    the quadric x_p x_q is a weight vector of weight mu = w_p + w_q, of root
+    -mu_t / dens_t in coordinate t.  A basis element of one weight is an
+    eigenvector unless another element mixes that weight with a second one.
+    The elements that touch a mixed weight span the sum of their weight
+    parts, since g is torus-stable; its vectors of weight mu are the
+    combinations whose parts of every other weight vanish, one kernel per
+    mixed weight.
+
+    Raises NotAdaptedError when a torus vector's sp-image is not diagonal,
+    or unless the eigenvectors found number dim g, dim T of them of weight 0.
     """
-    ads = [_ad_columns(algebra, h) for h in cartan.cartan_vectors]
-
-    # Fast path: basis elements that are already joint eigenvectors.
-    roots: Dict[int, Vector] = {}
+    weights, dens = _coordinate_weights(algebra, cartan.cartan_vectors)
+    parts: List[Dict[Weight, Dict[Tuple[int, int], Fraction]]] = []  # weight -> (p, q) -> coefficient
+    for terms in algebra.quadric_terms():
+        part: Dict[Weight, Dict[Tuple[int, int], Fraction]] = {}
+        for p, q, c in terms:
+            part.setdefault(tuple(a + b for a, b in zip(weights[p], weights[q])), {})[(p, q)] = c
+        parts.append(part)
+    mixed = {mu for part in parts if len(part) > 1 for mu in part}
+    pairs: List[Tuple[Weight, Vector]] = []
     leftover: List[int] = []
-    for j in range(algebra.dim):
-        root: Vector = []
-        for cols, den in ads:
-            col = cols.get(j)
-            if not col:
-                root.append(Fraction(0))
-            elif len(col) == 1 and col[0][0] == j:
-                root.append(Fraction(col[0][1], den))
-            else:
-                leftover.append(j)
-                break
+    for j, part in enumerate(parts):
+        if mixed.isdisjoint(part):
+            pairs.append((next(iter(part)), _unit(algebra.dim, j)))
         else:
-            roots[j] = root
-    # The leftover span must be torus-stable: close it under the ad columns.
-    stack = list(leftover)
-    while stack:
-        j = stack.pop()
-        for cols, _ in ads:
-            for k, _ in cols.get(j, ()):
-                if k in roots:
-                    del roots[k]
-                    leftover.append(k)
-                    stack.append(k)
-    pairs = [(root, _unit(algebra.dim, j)) for j, root in roots.items()]
-    if leftover:
-        pairs += _split_leftover(algebra, cartan, ads, sorted(leftover))
-    root_spaces = [(root, vec) for root, vec in pairs if any(root)]
+            leftover.append(j)
+    rows: Dict[Tuple[Weight, Tuple[int, int]], Dict[int, Fraction]] = {}  # (weight, (p, q)) -> position -> c
+    for a, j in enumerate(leftover):
+        for mu, part in parts[j].items():
+            for pq, c in part.items():
+                rows.setdefault((mu, pq), {})[a] = c
+    units = [_unit(algebra.dim, j) for j in leftover]
+    for mu in mixed:
+        kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], len(leftover))
+        pairs.extend((mu, _combine(units, coeffs)) for coeffs in kernel)
+    pairs.sort(key=lambda pair: pair[0])  # dens_t > 0: increasing weights are decreasing roots
+    root_spaces = [([Fraction(-x, d) for x, d in zip(mu, dens)], vec) for mu, vec in pairs if any(mu)]
     zero_count = len(pairs) - len(root_spaces)
     if zero_count != cartan.rank or len(root_spaces) + cartan.rank != algebra.dim:
         raise NotAdaptedError(
             f"root decomposition does not exhaust the algebra "
             f"(rank {cartan.rank}, zero eigenspace {zero_count}, roots {len(root_spaces)})"
         )
-    return CartanData(cartan.cartan_vectors, sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True))
-
-
-def _split_leftover(algebra, cartan, ads, leftover):
-    """Joint eigenvectors inside the torus-stable span of the leftover basis
-    indices, each with its root.  The torus has diagonal sp-images, so its
-    eigenvalues on the quadrics are sums of two coordinate weights
-    (`_coordinate_weights`); those sums are the candidates."""
-    weights, dens = _coordinate_weights(algebra, cartan.cartan_vectors)
-    spaces = [([], [_unit(algebra.dim, j) for j in leftover])]  # (root so far, basis)
-    for t, (ad, den) in enumerate(zip(ads, dens)):
-        diagonal = {w[t] for w in weights}
-        candidates = sorted({Fraction(a + b, den) for a in diagonal for b in diagonal})
-        spaces = [(root + [lam], piece) for root, space in spaces
-                  for lam, piece in _split_by_eigenvalue(ad, space, candidates)]
-    return [(root, vec) for root, space in spaces for vec in space]
-
-
-def _split_by_eigenvalue(ad: AdColumns, space: List[Vector], candidates: List[Fraction]):
-    """(eigenvalue, eigenvectors) for each candidate eigenvalue of ad(h) on
-    the span of `space`; raises NotAdaptedError unless they span it."""
-    if not space:
-        return []
-    images = [_ad_apply(ad, v) for v in space]
-    pieces = []
-    found = 0
-    for lam in candidates:
-        # coefficients c with sum_a c_a (ad(h) - lam) space[a] = 0
-        rows = []
-        for k in range(len(space[0])):
-            row = {a: x for a, (image, v) in enumerate(zip(images, space)) if (x := image[k] - lam * v[k])}
-            if row:
-                rows.append(row)
-        kernel_coeffs = linalg.sparse_nullspace(rows, len(space))
-        if kernel_coeffs:
-            pieces.append((lam, [_combine(space, coeffs) for coeffs in kernel_coeffs]))
-            found += len(kernel_coeffs)
-            if found == len(space):
-                return pieces
-    raise NotAdaptedError("torus action is not rationally diagonalizable")
+    return CartanData(cartan.cartan_vectors, root_spaces, weights, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +778,49 @@ def _matrix_commutant(rows: List[Dict[int, int]], d: int) -> List[Dict[int, Frac
     return span.kernel(d * d)
 
 
+AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
+
+
+def _ad_apply(t: AdColumns, vec: Vector) -> Vector:
+    """t vec as a dense vector, for the sparse integer columns of t over
+    their denominator."""
+    cols, den = t
+    ivec, dv = _integral_vector(vec)
+    acc: Dict[int, int] = {}
+    for j, y in ivec.items():
+        for k, x in cols.get(j, ()):
+            acc[k] = acc.get(k, 0) + x * y
+    out = [Fraction(0)] * len(vec)
+    for k, s in acc.items():
+        if s:
+            out[k] = Fraction(s, den * dv)
+    return out
+
+
+def _split_by_eigenvalue(t: AdColumns, space: List[Vector], candidates: List[Fraction]):
+    """(eigenvalue, eigenvectors) for each candidate eigenvalue of t on the
+    span of `space`; raises NotAdaptedError unless they span it."""
+    if not space:
+        return []
+    images = [_ad_apply(t, v) for v in space]
+    pieces = []
+    found = 0
+    for lam in candidates:
+        # coefficients c with sum_a c_a (t - lam) space[a] = 0
+        rows = []
+        for k in range(len(space[0])):
+            row = {a: x for a, (image, v) in enumerate(zip(images, space)) if (x := image[k] - lam * v[k])}
+            if row:
+                rows.append(row)
+        kernel_coeffs = linalg.sparse_nullspace(rows, len(space))
+        if kernel_coeffs:
+            pieces.append((lam, [_combine(space, coeffs) for coeffs in kernel_coeffs]))
+            found += len(kernel_coeffs)
+            if found == len(space):
+                return pieces
+    raise NotAdaptedError("torus action is not rationally diagonalizable")
+
+
 def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector]]]:
     """The eigenspaces of sum_k (k + 1) X_k over the commutant basis, in
     increasing eigenvalue order, when it has at least two rational
@@ -928,14 +922,14 @@ def _divisors(n: int) -> List[int]:
 
 def _generic_rank(algebra: LieAlgebraPresentation) -> int:
     """Rank of the complexification: minimal centralizer dimension, dim g
-    minus the rank of ad (of its columns), over a few deterministic sample
-    elements."""
+    minus the rank of ad (of its columns D [x, b_j], `bracket_ints`), over a
+    few deterministic sample elements."""
     best = algebra.dim
     for seed in (1, 2, 5, 11):
-        vec = [Fraction((seed * (3 * i + 1)) % 17 + 1) for i in range(algebra.dim)]
+        x = {i: (seed * (3 * i + 1)) % 17 + 1 for i in range(algebra.dim)}
         span = linalg.Echelon()
-        for col in _ad_columns(algebra, vec)[0].values():
-            span.add(dict(col))
+        for j in range(algebra.dim):
+            span.add(algebra.bracket_ints(x, {j: 1}))
         best = min(best, algebra.dim - span.rank)
     return best
 
@@ -958,40 +952,6 @@ def split_root_data(algebra: LieAlgebraPresentation) -> CartanData:
     if isinstance(algebra._root_data, NotAdaptedError):
         raise algebra._root_data
     return algebra._root_data
-
-
-@dataclass
-class DiagonalWeights:
-    """Weights of the coordinates under a torus with diagonal sp-images.
-
-    coordinates[k] is the weight of coordinate k; factors pairs each simple
-    factor's type label with its simple roots in the same scale, by Bourbaki
-    node."""
-
-    coordinates: List[Weight]
-    factors: List[Tuple[str, List[Weight]]]
-
-
-def diagonal_weights(algebra: LieAlgebraPresentation) -> DiagonalWeights:
-    """The coordinate weights and simple roots of a semisimple algebra under
-    its torus with diagonal sp-images, read off the cached `split_root_data`.
-
-    The coordinate weights are `_coordinate_weights`, each a multiple of an
-    sp-image diagonal.  The sp-image E of a root vector satisfies
-    [M_h, E] = c alpha(h) E for one constant c of the whole algebra, so any
-    nonzero entry (p, q) of E gives the root in the weight scale,
-    w_p - w_q.  Raises the NotAdaptedError of `split_root_data`.
-    """
-    cd = split_root_data(algebra)
-    coordinates = _coordinate_weights(algebra, cd.cartan_vectors)[0]
-    factors = []
-    for label, nodes in simple_factors(cd):
-        roots = []
-        for index in nodes:
-            p, q = next(iter(_sp_integer(algebra, cd.root_spaces[index][1])[0]))
-            roots.append(tuple(a - b for a, b in zip(coordinates[p], coordinates[q])))
-        factors.append((label, roots))
-    return DiagonalWeights(coordinates, factors)
 
 
 def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:

@@ -189,17 +189,3 @@ def test_dump_roundtrip(entries):
         assert pres.form.matrix == entry.presentation.form.matrix
         assert pres.form.dual_matrix == entry.presentation.form.dual_matrix
 
-
-def test_expected_algebra_labels(entries):
-    expectations = {
-        "twisted-cubic": "A1",
-        "segre-3": "A1+A1",
-        "segre-4": "A1+A1+A1",
-        "segre-5": "A1+B2",
-        "gr36": "A5",
-        "grl36": "C3",
-        "spinor-s6": "D6",
-        "e7": "E7",
-    }
-    for name, label in expectations.items():
-        assert entries[name].presentation.expected_algebra == label, name

@@ -362,6 +362,17 @@ def test_no_torus_with_diagonal_sp_images_is_not_adapted(entries, algebras, name
         cartan_subalgebra(L)
 
 
+def test_root_decomposition_needs_diagonal_sp_images(entries):
+    """The root spaces are read off the coordinate weights, so a torus
+    whose sp-images are not diagonal is refused: in the sheared twisted
+    cubic, h still spans a Cartan subalgebra, but y_0 = x_0 + x_1 mixes two
+    of its weights."""
+    pres = _sheared(entries["twisted-cubic"].presentation, 0, 1)
+    L = close_and_present(pres.generators, pres.form)
+    with pytest.raises(NotAdaptedError, match="^a torus vector's sp-image is not diagonal$"):
+        root_decomposition(L, CartanData([[0, 0, 1]]))
+
+
 def test_anisotropic_so9_names_both_candidates():
     """so(9) of a sum of squares is simple of dimension 36 and rank 4, which
     B4 and C4 share, so identification names both instead of guessing."""
