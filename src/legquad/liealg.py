@@ -17,8 +17,8 @@ are the structure constants.
 The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
 brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
-`_integer_ad`), the Killing form (`killing_rows`, D^2 times the trace form)
-and the ideal closures all read it.  The torus search and the root
+`_integer_ad`, which the centroid reads) and the Killing form (`killing_rows`,
+D^2 times the trace form) all read it.  The torus search and the root
 decomposition read the terms of each quadric, their two indices found once
 (`quadric_terms`), and the sparse integer sp-image entries built from them
 (`sp_entries`).  Fractions appear at the API boundary only: `structure`,
@@ -41,8 +41,11 @@ squares cut out quadrics without rational points).  Those take a fallback
 path: split into minimal ideals and name each factor by the `rootdata` types
 of its rank whose algebra has its dimension.  That fails, naming the
 candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.  The
-splitting certifies a piece simple by the rank of its commutant system
-modulo a prime, and runs the exact elimination only when that fails.
+split reads the centroid, the operators that commute with every ad, as one
+exact kernel: it is Q exactly on an absolutely simple piece, which proves
+the piece simple at every dimension, and its rational eigenspaces split the
+other pieces.  A piece that no centroid element splits, though its centroid
+is larger than Q, raises NotAdaptedError.
 """
 
 from __future__ import annotations
@@ -414,8 +417,15 @@ def _diagonal_torus(algebra: LieAlgebraPresentation) -> List[Vector]:
         for (p, q), x in entries.items():
             if p != q:
                 rows.setdefault((p, q), {})[a] = x * (scale // den)
-    units = [_unit(algebra.dim, i) for i in live]
-    return [_combine(units, coeffs) for coeffs in linalg.sparse_nullspace(rows.values(), len(live))]
+    return [_placed(coeffs, live, algebra.dim) for coeffs in linalg.sparse_nullspace(rows.values(), len(live))]
+
+
+def _placed(coeffs: Vector, indices: Sequence[int], dim: int) -> Vector:
+    """The vector of length dim with coeffs[a] at basis index indices[a]."""
+    out = [Fraction(0)] * dim
+    for i, c in zip(indices, coeffs):
+        out[i] = c
+    return out
 
 
 def _coordinate_weights(algebra, torus: List[Vector]) -> Tuple[List[Weight], List[int]]:
@@ -488,10 +498,9 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
         for mu, part in parts[j].items():
             for pq, c in part.items():
                 rows.setdefault((mu, pq), {})[a] = c
-    units = [_unit(algebra.dim, j) for j in leftover]
     for mu in mixed:
         kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], len(leftover))
-        pairs.extend((mu, _combine(units, coeffs)) for coeffs in kernel)
+        pairs.extend((mu, _placed(coeffs, leftover, algebra.dim)) for coeffs in kernel)
     pairs.sort(key=lambda pair: pair[0])  # dens_t > 0: increasing weights are decreasing roots
     root_spaces = [([Fraction(-x, d) for x, d in zip(mu, dens)], vec) for mu, vec in pairs if any(mu)]
     zero_count = len(pairs) - len(root_spaces)
@@ -624,28 +633,28 @@ def _type_of_dimension(dim: int, rank: int) -> str:
 
 
 def decompose_ideals(algebra: LieAlgebraPresentation) -> List[List[Vector]]:
-    """Minimal ideals of a semisimple algebra.
+    """Minimal ideals of a semisimple algebra, each proved absolutely
+    simple, as lists of coordinate vectors over the input basis.
 
-    Seed closures split factor-pure bases cheaply; the commutant of the
-    adjoint action handles bases whose elements straddle isomorphic factors.
-    Pieces are returned as lists of coordinate vectors over the input basis.
+    A piece is split by its centroid (`_split_centroid`) until the centroid
+    of every piece is the scalars.  Raises NotAdaptedError for a piece
+    whose centroid is larger but has no rational eigenspace split: its
+    centroid is then a field larger than Q, and the piece is simple over Q
+    but not absolutely simple.
     """
     if algebra.dim == 0:
         return []
-    pending: List[LieAlgebraPresentation] = [algebra]
-    lifts: List[Optional[List[Vector]]] = [None]  # piece basis in `algebra` coords
+    pending: List[Tuple[LieAlgebraPresentation, Optional[List[Vector]]]] = [(algebra, None)]
     result: List[List[Vector]] = []
     while pending:
-        sub = pending.pop()
-        lift = lifts.pop()
-        split = _split_seed(sub) or _split_commutant(sub)
+        sub, lift = pending.pop()  # lift: the piece's basis in `algebra` coordinates
+        split = _split_centroid(sub)
         if split is None:
             result.append(lift if lift is not None else [_unit(algebra.dim, i) for i in range(algebra.dim)])
             continue
         for piece in split:
             lifted = piece if lift is None else [_combine(lift, v) for v in piece]
-            pending.append(subalgebra_presentation(algebra, lifted))
-            lifts.append(lifted)
+            pending.append((subalgebra_presentation(algebra, lifted), lifted))
     result.sort(key=lambda s: (len(s), [tuple(v) for v in s]))
     return result
 
@@ -659,80 +668,48 @@ def _combine(basis_vectors: List[Vector], coeffs: Vector) -> Vector:
     return out
 
 
-def _split_seed(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
-    """Split off the ideal generated by a single basis element, when proper,
-    with its Killing complement."""
-    for seed in range(algebra.dim):
-        ideal = _ideal_closure(algebra, seed)
-        if len(ideal) < algebra.dim:
-            # the complement is the kernel of the rows kappa(v, .), v in the ideal
-            rows = []
-            for v in ideal:
-                iv = _integral_vector(v)[0]
-                row = {}
-                for i, krow in algebra.killing_rows().items():
-                    s = sum(x * iv[j] for j, x in krow.items() if j in iv)
-                    if s:
-                        row[i] = s
-                rows.append(row)
-            return [ideal, linalg.sparse_nullspace(rows, algebra.dim)]
-    return None
-
-
-def _ideal_closure(algebra: LieAlgebraPresentation, seed: int) -> List[Vector]:
-    """Basis of the ideal generated by basis element `seed`."""
-    den = algebra.bracket_table()[1]
+def _centroid(algebra: LieAlgebraPresentation) -> List[Dict[int, Fraction]]:
+    """Canonical basis of the centroid: the d x d matrices X, flattened
+    with X[p][r] at p * d + r, that commute with ad b_i for every basis
+    element b_i, the kernel of one `_commutant_rows` system.  The scalars
+    always commute, so the rows stop once their rank is d^2 - 1."""
+    d = algebra.dim
     span = linalg.Echelon()
-    span.add({seed: 1})
-    vecs: List[Vector] = [_unit(algebra.dim, seed)]
-    queue: List[Tuple[Dict[int, int], int]] = [({seed: 1}, 1)]  # (integer vector, its denominator)
-    while queue:
-        v, dv = queue.pop()
-        for i in range(algebra.dim):
-            br = algebra.bracket_ints({i: 1}, v)
-            if br and span.add(br):
-                w = [Fraction(0)] * algebra.dim
-                for k, x in br.items():
-                    w[k] = Fraction(x, den * dv)
-                vecs.append(w)
-                queue.append(_integral_vector(w))
-    return vecs
+    for row in _commutant_rows([_integer_ad(algebra, _unit(d, i))[0] for i in range(d)], d):
+        if span.add(row) and span.rank == d * d - 1:
+            break
+    return span.kernel(d * d)
 
 
-_COMMUTANT_DIM_CAP = 30
-_PRIME = 2**31 - 1
+def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
+    """None when the centroid is the scalars, which proves the algebra
+    absolutely simple; otherwise the rational eigenspaces, in increasing
+    eigenvalue order, of the first canonical centroid element with two or
+    more rational eigenvalues whose eigenspaces span the algebra.
 
-
-def _split_commutant(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
-    """Split along eigenspaces of a generic ad-commuting operator.
-
-    Operators commuting with the whole adjoint action preserve every ideal
-    and act as scalars on absolutely simple factors, so the eigenspaces of a
-    generic one are unions of minimal ideals.  The scalars always commute,
-    and the rank of the integer commutant system modulo a prime never
-    exceeds its rank over Q, so a kernel of dimension 1 modulo the prime
-    proves the commutant is the scalars and the algebra simple, with no
-    exact elimination.
+    A centroid element X commutes with every ad, so [a, Xb] = X[a, b] and
+    its eigenspaces are ideals.  The centroid of a semisimple algebra is the
+    sum of those of its simple factors, each a field acting on its factor,
+    and Q exactly on an absolutely simple one.  Raises NotAdaptedError when
+    no element splits.
     """
     d = algebra.dim
-    if d > _COMMUTANT_DIM_CAP:
+    centroid = _centroid(algebra)
+    if len(centroid) == 1:
         return None
-    # Two generic elements usually pin the commutant; verify at the end.
-    for attempt in (2, d):
-        if attempt == d:
-            elements = [_unit(d, s) for s in range(d)]
-        else:
-            elements = [[(s + 1) * (i + 2) % 7 + 1 for i in range(d)] for s in range(min(attempt, d))]
-        rows = _commutant_rows([_integer_ad(algebra, x)[0] for x in elements], d)
-        if _scalars_only_mod_p(rows, d):
-            return None  # certified: scalars only, simple
-        basis = _matrix_commutant(rows, d)
-        if len(basis) == 1:
-            return None  # scalars only: simple
-        split = _eigensplit_commutant(algebra, basis)
-        if split is not None:
-            return split
-    return None
+    for element in centroid:
+        den = math.lcm(*[x.denominator for x in element.values()])
+        cols: Dict[int, List[Tuple[int, int]]] = {}
+        for index, x in element.items():
+            cols.setdefault(index % d, []).append((index // d, x.numerator * (den // x.denominator)))
+        t: AdColumns = (cols, den)
+        eigenvalues = _rational_eigenvalues(t, d)
+        if len(eigenvalues or ()) > 1 and (pieces := _split_by_eigenvalue(t, d, eigenvalues)):
+            return pieces
+    raise NotAdaptedError(
+        f"a piece of dimension {d} has a centroid of dimension {len(centroid)} "
+        f"that no rational eigenspace splits"
+    )
 
 
 def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
@@ -761,23 +738,6 @@ def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
     return rows
 
 
-def _scalars_only_mod_p(rows: List[Dict[int, int]], d: int) -> bool:
-    """Whether the commutant system has a kernel of dimension 1 modulo the
-    prime 2^31 - 1, which proves its kernel over Q is the scalars."""
-    span = linalg.EchelonMod(_PRIME)
-    # the scalars commute, so the rank is at most d^2 - 1: stop on reaching it
-    return any(span.add(row) and span.rank == d * d - 1 for row in rows)
-
-
-def _matrix_commutant(rows: List[Dict[int, int]], d: int) -> List[Dict[int, Fraction]]:
-    """Canonical basis of the kernel of the `_commutant_rows` system: the
-    flattened d x d matrices commuting with every matrix of the system."""
-    span = linalg.Echelon()
-    for row in rows:
-        span.add(row)
-    return span.kernel(d * d)
-
-
 AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
 
 
@@ -797,65 +757,20 @@ def _ad_apply(t: AdColumns, vec: Vector) -> Vector:
     return out
 
 
-def _split_by_eigenvalue(t: AdColumns, space: List[Vector], candidates: List[Fraction]):
-    """(eigenvalue, eigenvectors) for each candidate eigenvalue of t on the
-    span of `space`; raises NotAdaptedError unless they span it."""
-    if not space:
-        return []
-    images = [_ad_apply(t, v) for v in space]
+def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> Optional[List[List[Vector]]]:
+    """The eigenspaces of the d x d matrix t for the given eigenvalues, each
+    the kernel of t - lam read off the sparse columns of t; None unless they
+    span Q^d."""
+    cols, den = t
     pieces = []
-    found = 0
-    for lam in candidates:
-        # coefficients c with sum_a c_a (t - lam) space[a] = 0
-        rows = []
-        for k in range(len(space[0])):
-            row = {a: x for a, (image, v) in enumerate(zip(images, space)) if (x := image[k] - lam * v[k])}
-            if row:
-                rows.append(row)
-        kernel_coeffs = linalg.sparse_nullspace(rows, len(space))
-        if kernel_coeffs:
-            pieces.append((lam, [_combine(space, coeffs) for coeffs in kernel_coeffs]))
-            found += len(kernel_coeffs)
-            if found == len(space):
-                return pieces
-    raise NotAdaptedError("torus action is not rationally diagonalizable")
-
-
-def _eigensplit_commutant(algebra, commutant_basis) -> Optional[List[List[Vector]]]:
-    """The eigenspaces of sum_k (k + 1) X_k over the commutant basis, in
-    increasing eigenvalue order, when it has at least two rational
-    eigenvalues, its eigenspaces span the algebra and each is an ideal."""
-    d = algebra.dim
-    entries: Dict[int, Fraction] = {}
-    for k, vec in enumerate(commutant_basis):
-        for index, x in vec.items():
-            entries[index] = entries.get(index, 0) + (k + 1) * x
-    den = math.lcm(*[x.denominator for x in entries.values()])
-    cols: Dict[int, List[Tuple[int, int]]] = {}
-    for index, x in entries.items():
-        if x:
-            cols.setdefault(index % d, []).append((index // d, x.numerator * (den // x.denominator)))
-    t: AdColumns = (cols, den)
-    eigenvalues = _rational_eigenvalues(t, d)
-    if eigenvalues is None or len(eigenvalues) < 2:
-        return None
-    try:
-        pieces = [piece for _, piece in
-                  _split_by_eigenvalue(t, [_unit(d, i) for i in range(d)], eigenvalues)]
-    except NotAdaptedError:
-        return None
-    # Each piece must be an ideal; otherwise the commutant was overestimated.
-    for piece in pieces:
-        span = linalg.Echelon()
-        ints = [_integral_vector(v)[0] for v in piece]
-        for iv in ints:
-            span.add(iv)
-        for iv in ints:
-            for i in range(d):
-                br = algebra.bracket_ints({i: 1}, iv)
-                if br and not span.contains(br):
-                    return None
-    return pieces
+    for lam in eigenvalues:
+        # den * lam.denominator * (t - lam), row by row
+        rows: List[Dict[int, int]] = [{k: -lam.numerator * den} for k in range(d)]
+        for j, entries in cols.items():
+            for k, x in entries:
+                rows[k][j] = rows[k].get(j, 0) + lam.denominator * x
+        pieces.append(linalg.sparse_nullspace(rows, d))
+    return pieces if sum(map(len, pieces)) == d else None
 
 
 def _rational_eigenvalues(t: AdColumns, d: int) -> Optional[List[Fraction]]:

@@ -4,12 +4,11 @@ Matrices are lists of lists of Fractions.  Every row elimination in the
 package runs on `Echelon`: sparse rows of integers, kept fraction-free with
 their content divided out, which suits the sparse systems the package solves
 (the Groebner bases and normal forms of `groebner`, the quadric spans of
-`liealg` and `catalog`, ad-matrices, commutant systems of a few hundred
-rows).  `rref` turns its rows into the canonical reduced row echelon form;
+`liealg` and `catalog`, ad-matrices, centroid systems of d^3 rows in d^2
+columns).  `rref` turns its rows into the canonical reduced row echelon form;
 `rank` and `inverse` read their answers off that form, and `nullspace` and
 `sparse_nullspace` read the canonical kernel basis off `Echelon.kernel`.
-`EchelonMod` is its counterpart over the integers modulo a prime, for rank
-bounds.  The dense helpers here are the ones the package calls; `solve`,
+The dense helpers here are the ones the package calls; `solve`,
 `row_space_basis`, matrix sums and the symmetry test serve the tests only
 and live in `tests/linalg_oracle.py`.
 """
@@ -236,52 +235,6 @@ class Echelon:
                 if f != p:
                     basis[position[f]][p] = Fraction(-x, lead)
         return basis
-
-
-class EchelonMod:
-    """Sparse row echelon form over the field with `prime` elements, for
-    integer rows read modulo the prime.  Each stored row has entries in
-    [1, prime), leading entry 1 and a leading column of its own; a new row
-    is reduced against the stored rows in increasing pivot order, as
-    `Echelon` reduces.
-
-    Its rank never exceeds the rank over Q of the same integer rows, since a
-    nonzero minor modulo the prime is a nonzero integer minor: a kernel
-    modulo the prime bounds the kernel over Q from above.
-    """
-
-    def __init__(self, prime: int):
-        self.prime = prime
-        self.pivots: List[int] = []
-        self.rows: Dict[int, SparseRow] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add(self, row: Mapping[int, int]) -> bool:
-        """Insert an integer row; False when it lies in the span modulo the
-        prime."""
-        prime = self.prime
-        work = dict(row)
-        if not work:
-            return False
-        # an entry is reduced modulo the prime when it is read as a factor
-        # and once at the end, not after every update
-        for p in self.pivots[bisect_left(self.pivots, min(work)):]:
-            f = work.get(p)
-            if f and (f := f % prime):
-                get = work.get
-                for k, x in self.rows[p].items():
-                    work[k] = get(k, 0) - f * x
-        work = {k: r for k, x in work.items() if (r := x % prime)}
-        if not work:
-            return False
-        lead = min(work)
-        inverse = pow(work[lead], -1, prime)
-        self.rows[lead] = {k: x * inverse % prime for k, x in work.items()}
-        insort(self.pivots, lead)
-        return True
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:

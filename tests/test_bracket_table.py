@@ -1,7 +1,7 @@
 """The sparse integer bracket table of `liealg` against the dense Fraction
 routes of `liealg_oracle`, on the quadric-algebra fixtures and on seeded
-relabelings of them, and the mod-p simplicity certificate of the ideal
-splitting against the exact commutant."""
+relabelings of them, and the centroid of the ideal splitting against
+sympy's nullity of the dense commutant system."""
 
 import random
 from fractions import Fraction
@@ -12,13 +12,11 @@ import liealg_oracle
 from legquad import liealg, linalg
 from legquad.liealg import (
     NotAdaptedError,
-    _commutant_rows,
+    _centroid,
     _diagonal_torus,
     _integer_ad,
     _integral_vector,
-    _matrix_commutant,
-    _scalars_only_mod_p,
-    _split_commutant,
+    _split_centroid,
     close_and_present,
     decompose_ideals,
     split_root_data,
@@ -194,70 +192,85 @@ def test_mixed_basis_cartan_data_matches():
 def visited_pieces(algebra, monkeypatch):
     """Every presentation `decompose_ideals` tries to split."""
     seen = []
-    original = liealg._split_seed
+    original = liealg._split_centroid
 
     def recording(sub):
         seen.append(sub)
         return original(sub)
 
-    monkeypatch.setattr(liealg, "_split_seed", recording)
+    monkeypatch.setattr(liealg, "_split_centroid", recording)
     decompose_ideals(algebra)
     monkeypatch.undo()
     return seen
 
 
-def generic_rows(algebra):
+def dense_commutant_nullity(algebra):
+    """sympy's nullity of the dense system X A = A X over the Fraction
+    ad-matrices A of every basis element (`liealg_oracle.ad_matrix`): the
+    unknown X[p][r] enters X A through row r of A, placed in row p, and A X
+    through column p of A, placed in column r."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
     d = algebra.dim
-    elements = [[(s + 1) * (i + 2) % 7 + 1 for i in range(d)] for s in range(2)]
-    return _commutant_rows([_integer_ad(algebra, x)[0] for x in elements], d)
+    rows = []
+    for i in range(d):
+        a = liealg_oracle.ad_matrix(algebra, liealg_oracle.unit(d, i))
+        columns = []
+        for p in range(d):
+            for r in range(d):
+                image = [[Fraction(0)] * d for _ in range(d)]
+                image[p] = list(a[r])
+                for k in range(d):
+                    image[k][r] -= a[k][p]
+                columns.append([x for line in image for x in line])
+        for e in range(d * d):
+            if row := {u: QQ(x.numerator, x.denominator) for u, col in enumerate(columns) if (x := col[e])}:
+                rows.append(row)
+    return d * d - DomainMatrix(dict(enumerate(rows)), (len(rows), d * d), QQ).rank()
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-3", "segre-4", "segre-5", "segre-split-3"))
 def test_certificate_holds_exactly_when_the_commutant_is_the_scalars(entries, algebras, monkeypatch, name):
     """On every piece the splitting visits, and on two relabelings, the
-    commutant system has a kernel of dimension 1 modulo the prime exactly
-    when the exact kernel is one vector."""
+    centroid has the dimension of sympy's kernel of the dense commutant
+    system, and is the scalars on some piece."""
     algebra = algebras[name]
     pieces = visited_pieces(algebra, monkeypatch)
     for seed in (1, 2):
         relabeled = relabeled_algebra(entries[name].presentation, random.Random(f"{name}:{seed}"))
         pieces += visited_pieces(relabeled, monkeypatch)
-    outcomes = set()
+    dims = set()
     for sub in pieces:
-        rows = generic_rows(sub)
-        certified = _scalars_only_mod_p(rows, sub.dim)
-        assert certified == (len(_matrix_commutant(rows, sub.dim)) == 1), name
-        outcomes.add(certified)
-    assert True in outcomes
+        dim = len(_centroid(sub))
+        assert dim == dense_commutant_nullity(sub), name
+        dims.add(dim)
+    assert 1 in dims
 
 
 def test_segre_4_piece_with_a_two_dimensional_commutant_splits(algebras):
-    """segre-4 = A1 + A1 + A1 splits first into a 3-dimensional and a
-    6-dimensional ideal; the latter has a commutant of dimension 2, so the
-    certificate must not claim it simple and the exact route splits it."""
+    """segre-4 = A1 + A1 + A1 has three 3-dimensional ideals.  The sum of
+    two of them, in the basis of the sums and differences of their basis
+    vectors, has a centroid of dimension 2, so it is not claimed simple and
+    its centroid splits it into the two ideals."""
     algebra = algebras["segre-4"]
-    pieces = liealg._split_seed(algebra) or _split_commutant(algebra)
-    six = [p for p in pieces if len(p) == 6]
-    assert len(six) == 1
-    sub = subalgebra_presentation(algebra, six[0])
-    rows = generic_rows(sub)
-    assert not _scalars_only_mod_p(rows, 6)
-    assert len(_matrix_commutant(rows, 6)) == 2
-    assert liealg._split_seed(sub) is None
-    split = _split_commutant(sub)
+    first, second, _ = decompose_ideals(algebra)
+    straddling = [[x + y for x, y in zip(u, v)] for u, v in zip(first, second)]
+    straddling += [[x - y for x, y in zip(u, v)] for u, v in zip(first, second)]
+    sub = subalgebra_presentation(algebra, straddling)
+    assert len(_centroid(sub)) == 2 == dense_commutant_nullity(sub)
+    split = _split_centroid(sub)
     assert split is not None and sorted(len(p) for p in split) == [3, 3]
+    for piece in split:
+        lifted = [[sum(c * x for c, x in zip(v, column)) for column in zip(*straddling)] for v in piece]
+        assert any(all(ideal.contains(_integral_vector(w)[0]) for w in lifted)
+                   for ideal in (_span(first), _span(second)))
 
 
-def test_certificate_proves_the_simple_pieces_simple(algebras, monkeypatch):
-    """The simple pieces of segre-5 (A1 and B2) are certified, so their
-    splitting never runs the exact commutant elimination."""
-    calls = []
-    original = liealg._matrix_commutant
+def _span(vectors):
+    span = linalg.Echelon()
+    for v in vectors:
+        span.add(_integral_vector(v)[0])
+    return span
 
-    def counted(rows, d):
-        calls.append(d)
-        return original(rows, d)
 
-    monkeypatch.setattr(liealg, "_matrix_commutant", counted)
-    assert len(decompose_ideals(algebras["segre-5"])) == 2
-    assert 10 not in calls and 3 not in calls

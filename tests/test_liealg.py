@@ -329,12 +329,20 @@ def test_root_decomposition_handles_mixed_bases(entries):
     assert identify_type(full) == ["A1"]
 
 
-def _anisotropic_so(n):
-    """so(n) of the sum of squares x_0^2 + ... + x_(n-1)^2, spanned by the
-    x_i y_j - x_j y_i: it has no split torus over Q."""
-    gens = [parse_poly(f"x{i}*x{n + j} - x{j}*x{n + i}", 2 * n)
-            for i in range(n) for j in range(i + 1, n)]
-    return close_and_present(gens, standard_form(n))
+def _so_quadrics(n, pairs, offset=0, weights=None):
+    """The quadrics w_i x_i y_j - w_j x_j y_i, i < j, on the coordinates
+    x_(offset + i) of `pairs` canonical pairs (y_k = x_(pairs + k)): they
+    span so(n) of w_0 x_0^2 + ... + w_(n-1) x_(n-1)^2, all w_i = 1 by
+    default."""
+    w = [f"{c}*" if c != 1 else "" for c in weights or [1] * n]
+    return [parse_poly(f"{w[i]}x{offset + i}*x{pairs + offset + j} - {w[j]}x{offset + j}*x{pairs + offset + i}",
+                       2 * pairs) for i in range(n) for j in range(i + 1, n)]
+
+
+def _anisotropic_so(n, weights=None):
+    """so(n) of the sum of squares x_0^2 + ... + x_(n-1)^2, or of the
+    weighted sum: it has no split torus over Q."""
+    return close_and_present(_so_quadrics(n, n, weights=weights), standard_form(n))
 
 
 def test_anisotropic_factor_reports_not_adapted():
@@ -378,6 +386,33 @@ def test_anisotropic_so9_names_both_candidates():
     B4 and C4 share, so identification names both instead of guessing."""
     with pytest.raises(NotAdaptedError, match="B4, C4$"):
         identify_algebra(_anisotropic_so(9))
+
+
+def test_anisotropic_so8_is_proved_simple():
+    """so(8) of a sum of squares, 28-dimensional, is proved absolutely
+    simple by its centroid and named by its dimension and rank."""
+    assert identify_algebra(_anisotropic_so(8)) == ["D4"]
+
+
+def test_straddling_basis_of_two_isomorphic_factors_splits():
+    """so(7) + so(7) on two disjoint sets of coordinates, in the basis of
+    the sums and differences a_k + b_k, a_k - b_k of matching elements: no
+    basis element lies in a factor, and the centroid splits it."""
+    a, b = _so_quadrics(7, 14), _so_quadrics(7, 14, offset=7)
+    L = close_and_present([x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)], standard_form(14))
+    assert [len(p) for p in decompose_ideals(L)] == [21, 21]
+
+
+def test_simple_factor_with_a_larger_centroid_is_not_adapted():
+    """so(4) of x0^2 + x1^2 + x2^2 + 2 x3^2 is simple over Q, but its
+    centroid is Q(sqrt 2), of dimension 2: it is not absolutely simple, so
+    it is refused instead of named by its dimension and rank."""
+    L = _anisotropic_so(4, weights=[1, 1, 1, 2])
+    assert L.is_semisimple()
+    with pytest.raises(NotAdaptedError, match="centroid of dimension 2 "):
+        decompose_ideals(L)
+    with pytest.raises(NotAdaptedError, match="centroid of dimension 2 "):
+        identify_algebra(L)
 
 
 def test_segre_requires_n_at_least_3():

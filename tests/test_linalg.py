@@ -231,30 +231,6 @@ def test_adopt_rejects_rows_not_in_stored_form():
     assert tracked.coefficients({0: 2, 2: 6}) == {0: 2}
 
 
-@pytest.mark.parametrize("prime", [2, 7, 2**31 - 1])
-def test_rank_modulo_a_prime_matches_sympy(prime):
-    """EchelonMod against sympy's rank over GF(p), on sparse integer rows
-    whose entries are often multiples of the small primes; the rank never
-    exceeds the exact rank of `Echelon`."""
-    from sympy import GF
-    from sympy.polys.matrices import DomainMatrix
-
-    rng = random.Random(prime)
-    field = GF(prime)
-    for _ in range(40):
-        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
-        entries = (-14, -7, -2, 1, 3, 7, 2**31 - 1)
-        rows = [{j: rng.choice(entries) for j in rng.sample(range(ncols), rng.randint(0, ncols))}
-                for _ in range(nrows)]
-        span, exact = linalg.EchelonMod(prime), linalg.Echelon()
-        for row in rows:
-            span.add(row)
-            exact.add(row)
-        dense = [[field(row.get(j, 0)) for j in range(ncols)] for row in rows]
-        assert span.rank == DomainMatrix(dense, (nrows, ncols), field).rank() <= exact.rank
-        assert all(row[p] == 1 and all(0 < x < prime for x in row.values()) for p, row in span.rows.items())
-
-
 def test_sparse_nullspace_matches_nullspace():
     rng = random.Random(12)
     for _ in range(30):
