@@ -354,13 +354,10 @@ def spinor_s6() -> CatalogEntry:
     # pure-spinor parametrization in the 15 entries of M
     par: List[Polynomial] = [Polynomial.constant(15, 1)]
     par += [Polynomial.variable(15, k) for k in range(15)]
-    par.append(_pfaffian_of(lambda i, j: _param_entry(i, j), list(range(6)), 15))
+    p_entry = lambda i, j: _skew_entry_poly(15, 0, i, j)
+    par.append(_pfaffian_of(p_entry, list(range(6)), 15))
     for (i, j) in _SPIN_PAIRS:
-        par.append(
-            _pfaffian_of(lambda a, b: _param_entry(a, b), comp[(i, j)], 15).scale(
-                (-1) ** (i + j)
-            )
-        )
+        par.append(_pfaffian_of(p_entry, comp[(i, j)], 15).scale((-1) ** (i + j)))
     for g in gens:
         if not g.substitute(par).is_zero():
             raise DataIntegrityError("spinor generator fails on the parametrization")
@@ -371,14 +368,6 @@ def spinor_s6() -> CatalogEntry:
         "generated from the Pfaffian-adjugate relations of a skew 6x6 "
         "matrix; all 66 relations verified against the pure-spinor chart.",
     )
-
-
-def _param_entry(i: int, j: int) -> Polynomial:
-    if i == j:
-        return Polynomial.zero(15)
-    if i < j:
-        return Polynomial.variable(15, _SPIN_INDEX[(i, j)])
-    return -Polynomial.variable(15, _SPIN_INDEX[(j, i)])
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .rootdata import (
     build_root_system,
     closed_orbit_cone_dimension,
     closed_orbit_quadrics,
+    type_key,
     weyl_dimension,
 )
 from .symplectic import SymplecticForm
@@ -182,8 +183,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
 
     1. g is semisimple.
     2. A torus with diagonal sp-images splits g (`split_root_data`), so
-       each coordinate is a weight vector, and a simple root of
-       `simple_factors` is root_t * dens_t in the same scale.
+       each coordinate is a weight vector, and the roots, simple roots of
+       `simple_factors` among them, are integer weights in the same scale.
     3. Exactly one weight lambda has no weight at lambda + alpha_i for a
        simple root alpha_i, and one coordinate has it.  The alpha_i-string
        through lambda then runs down exactly <lambda, alpha_i^vee> steps, so
@@ -209,7 +210,7 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
     coordinates = cd.weights
     present = set(coordinates)
     simple_roots = [
-        (label, [tuple(int(x * d) for x, d in zip(cd.root_spaces[i][0], cd.dens)) for i in nodes])
+        (label, [cd.root_spaces[i][0] for i in nodes])
         for label, nodes in simple_factors(cd)
     ]
     simple = [alpha for _, roots in simple_roots for alpha in roots]
@@ -230,7 +231,7 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
 
     factors = sorted(
         ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in simple_roots),
-        key=lambda f: (f[0][0], int(f[0][1:]), f[1]),
+        key=lambda f: (type_key(f[0]), f[1]),
     )
     orbit = [(build_root_system(label[0], int(label[1:])), labels) for label, labels in factors]
     nvars = v.nvars

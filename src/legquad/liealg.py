@@ -21,8 +21,9 @@ brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
 D^2 times the trace form) all read it.  The torus search and the root
 decomposition read the terms of each quadric, their two indices found once
 (`quadric_terms`), and the sparse integer sp-image entries built from them
-(`sp_entries`).  Fractions appear at the API boundary only: `structure`,
-the torus and root vectors of `CartanData`, and the roots.  The dense
+(`sp_entries`).  Fractions appear at the API boundary only: `structure`
+and the torus and root vectors of `CartanData`.  The roots are integer
+tuples in the scale of the integer coordinate weights.  The dense
 Fraction routes of the same quantities, the exponentials of nilpotent
 sp-images and the block view of an sp element live in the tests
 (`tests/liealg_oracle.py`).
@@ -30,11 +31,12 @@ sp-images and the block view of an sp element live in the tests
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
 written (`cartan_subalgebra`).  It gives every coordinate a weight, and the
-quadric x_p x_q has weight w_p + w_q: its centralizer is the weight-0 part
-of the quadrics, and the root spaces are the quadrics' terms grouped by
-weight (`root_decomposition`).  Both the identification and the Kostant
-certificate of `legendrian` read the one root decomposition over it that
-`split_root_data` caches, with the coordinate weights it read.
+quadric x_p x_q has weight w_p + w_q: the root spaces are the quadrics'
+terms grouped by weight, and the torus is self-centralizing exactly when
+the weight-0 vectors found number dim T (`root_decomposition`).  Both the
+identification and the Kostant certificate of `legendrian` read the one
+root decomposition over it that `split_root_data` caches, with the
+coordinate weights it read.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those take a fallback
@@ -60,7 +62,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import linalg
 from .linalg import Vector
 from .poly import MonomialCodec, Polynomial, code_columns
-from .rootdata import _cartan_matrix, simple_types_up_to, type_dimension
+from .rootdata import _cartan_matrix, simple_types_up_to, type_dimension, type_key
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -377,31 +379,51 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
 @dataclass
 class CartanData:
     """A torus of the algebra, as coordinate vectors over the algebra basis,
-    with its root decomposition: root_spaces pairs each root vector
-    (eigenvalues against the torus basis) with a coordinate eigenvector; the
-    roots alone determine the type.  weights and dens are the coordinate
-    weights the decomposition read (`_coordinate_weights`): a root in the
-    weight scale is root_t * dens_t."""
+    with its root decomposition: root_spaces pairs each root with a
+    coordinate eigenvector; the roots alone determine the type.  weights are
+    the integer coordinate weights the decomposition read
+    (`_coordinate_weights`), and each root is the integer tuple -mu for the
+    weight mu = w_p + w_q of its quadrics: ad h_t multiplies a root vector
+    by root_t / den_t, for the denominator den_t of h_t's sp-image."""
 
     cartan_vectors: List[Vector]
-    root_spaces: List[Tuple[Vector, Vector]] = field(default_factory=list)  # (root, eigvec)
+    root_spaces: List[Tuple[Weight, Vector]] = field(default_factory=list)  # (root, eigvec)
     weights: List[Weight] = field(default_factory=list)
-    dens: List[int] = field(default_factory=list)
 
     @property
     def rank(self) -> int:
         return len(self.cartan_vectors)
 
     @property
-    def roots(self) -> List[Vector]:
+    def roots(self) -> List[Weight]:
         return [r for r, _ in self.root_spaces]
 
 
-def _diagonal_torus(algebra: LieAlgebraPresentation) -> List[Vector]:
-    """Canonical basis of the elements whose sp-images are diagonal: the
-    kernel, over the basis coordinates, of the off-diagonal image entries
-    over one denominator.  An element alone at an off-diagonal position among
-    those still in is forced out first; on every fixture no constraint is left."""
+def _placed(coeffs: Vector, indices: Sequence[int], dim: int) -> Vector:
+    """The vector of length dim with coeffs[a] at basis index indices[a]."""
+    out = [Fraction(0)] * dim
+    for i, c in zip(indices, coeffs):
+        out[i] = c
+    return out
+
+
+def _coordinate_weights(algebra, torus: List[Vector]) -> List[Weight]:
+    """Coordinate k has weight (d_1[k], ..., d_r[k]) for the integer
+    diagonals d_t of `_sp_integer` of the torus vectors.  Raises
+    NotAdaptedError when an sp-image is not diagonal."""
+    images = [_sp_integer(algebra, h)[0] for h in torus]
+    if any(p != q for d in images for p, q in d):
+        raise NotAdaptedError("a torus vector's sp-image is not diagonal")
+    return [tuple(d.get((k, k), 0) for d in images) for k in range(algebra.form.dim)]
+
+
+def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
+    """The torus T of all the elements whose sp-images are diagonal, as
+    the canonical basis of one kernel: the off-diagonal entries of the
+    sp-images over one denominator, over the basis coordinates.  An element
+    alone at an off-diagonal position among those still in is forced out
+    first; on every fixture no constraint is left.  `root_decomposition`
+    tests whether T is self-centralizing."""
     images = algebra.sp_entries()
     live = list(range(algebra.dim))
     while True:
@@ -417,50 +439,8 @@ def _diagonal_torus(algebra: LieAlgebraPresentation) -> List[Vector]:
         for (p, q), x in entries.items():
             if p != q:
                 rows.setdefault((p, q), {})[a] = x * (scale // den)
-    return [_placed(coeffs, live, algebra.dim) for coeffs in linalg.sparse_nullspace(rows.values(), len(live))]
-
-
-def _placed(coeffs: Vector, indices: Sequence[int], dim: int) -> Vector:
-    """The vector of length dim with coeffs[a] at basis index indices[a]."""
-    out = [Fraction(0)] * dim
-    for i, c in zip(indices, coeffs):
-        out[i] = c
-    return out
-
-
-def _coordinate_weights(algebra, torus: List[Vector]) -> Tuple[List[Weight], List[int]]:
-    """(weights, dens): coordinate k has weight (d_1[k], ..., d_r[k]) for
-    the integer diagonals d_t of `_sp_integer` of the torus vectors, whose
-    sp-images are d_t / dens[t].  Raises NotAdaptedError when an sp-image
-    is not diagonal."""
-    images = [_sp_integer(algebra, h) for h in torus]
-    if any(p != q for d, _ in images for p, q in d):
-        raise NotAdaptedError("a torus vector's sp-image is not diagonal")
-    weights = [tuple(d.get((k, k), 0) for d, _ in images) for k in range(algebra.form.dim)]
-    return weights, [den for _, den in images]
-
-
-def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
-    """The torus T of all the elements whose sp-images are diagonal
-    (`_diagonal_torus`), when it is self-centralizing.
-
-    T gives coordinate p a weight w_p, the quadric x_p x_q has weight
-    w_p + w_q, and ad of a torus element multiplies it by that weight.  So
-    g is the sum of its weight projections, the centralizer of T is g's
-    projection onto weight 0, and T is self-centralizing exactly when the
-    weight-0 projections of the basis quadrics have rank dim T.  Then
-    `root_decomposition` splits the algebra over T.  Raises NotAdaptedError
-    otherwise.
-    """
-    torus = _diagonal_torus(algebra)
-    weights = _coordinate_weights(algebra, torus)[0]
-    opposite = [tuple(-x for x in w) for w in weights]
-    zero_part = linalg.Echelon()
-    for terms in algebra.quadric_terms():
-        zero_part.add({(p, q): c for p, q, c in terms if weights[p] == opposite[q]})
-    if zero_part.rank != len(torus):
-        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
-    return CartanData(torus)
+    kernel = linalg.sparse_nullspace(rows.values(), len(live))
+    return CartanData([_placed(coeffs, live, algebra.dim) for coeffs in kernel])
 
 
 def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> CartanData:
@@ -468,17 +448,18 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
 
     The torus gives coordinate p the weight w_p (`_coordinate_weights`), so
     the quadric x_p x_q is a weight vector of weight mu = w_p + w_q, of root
-    -mu_t / dens_t in coordinate t.  A basis element of one weight is an
-    eigenvector unless another element mixes that weight with a second one.
-    The elements that touch a mixed weight span the sum of their weight
-    parts, since g is torus-stable; its vectors of weight mu are the
-    combinations whose parts of every other weight vanish, one kernel per
-    mixed weight.
+    -mu.  A basis element of one weight is an eigenvector unless another
+    element mixes that weight with a second one.  The elements that touch a
+    mixed weight span the sum of their weight parts, since g is
+    torus-stable; its vectors of weight mu are the combinations whose parts
+    of every other weight vanish, one kernel per mixed weight.
 
-    Raises NotAdaptedError when a torus vector's sp-image is not diagonal,
-    or unless the eigenvectors found number dim g, dim T of them of weight 0.
+    So g is the sum of the weight vectors found, and those of weight 0 span
+    the centralizer of the torus.  Raises NotAdaptedError when a torus
+    vector's sp-image is not diagonal, or unless they number dim T: the
+    torus is then not self-centralizing.
     """
-    weights, dens = _coordinate_weights(algebra, cartan.cartan_vectors)
+    weights = _coordinate_weights(algebra, cartan.cartan_vectors)
     parts: List[Dict[Weight, Dict[Tuple[int, int], Fraction]]] = []  # weight -> (p, q) -> coefficient
     for terms in algebra.quadric_terms():
         part: Dict[Weight, Dict[Tuple[int, int], Fraction]] = {}
@@ -501,15 +482,11 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     for mu in mixed:
         kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], len(leftover))
         pairs.extend((mu, _placed(coeffs, leftover, algebra.dim)) for coeffs in kernel)
-    pairs.sort(key=lambda pair: pair[0])  # dens_t > 0: increasing weights are decreasing roots
-    root_spaces = [([Fraction(-x, d) for x, d in zip(mu, dens)], vec) for mu, vec in pairs if any(mu)]
-    zero_count = len(pairs) - len(root_spaces)
-    if zero_count != cartan.rank or len(root_spaces) + cartan.rank != algebra.dim:
-        raise NotAdaptedError(
-            f"root decomposition does not exhaust the algebra "
-            f"(rank {cartan.rank}, zero eigenspace {zero_count}, roots {len(root_spaces)})"
-        )
-    return CartanData(cartan.cartan_vectors, root_spaces, weights, dens)
+    pairs.sort(key=lambda pair: pair[0])  # increasing weights are decreasing roots
+    root_spaces = [(tuple(-x for x in mu), vec) for mu, vec in pairs if any(mu)]
+    if len(pairs) - len(root_spaces) != cartan.rank:
+        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
+    return CartanData(cartan.cartan_vectors, root_spaces, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -520,29 +497,28 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
 def identify_type(cd: CartanData) -> List[str]:
     """Simple-type labels of the semisimple algebra from its root data, the
     labels of `simple_factors` in type order."""
-    return sorted((label for label, _ in simple_factors(cd)), key=lambda s: (s[0], int(s[1:])))
+    return sorted((label for label, _ in simple_factors(cd)), key=type_key)
 
 
 def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
     """The simple factors of the root data: each type label with, for each
     Bourbaki node in turn, the index in `cd.root_spaces` of its simple root.
 
-    The roots are scaled to integer tuples by their common denominator, which
-    keeps lex-positivity and root strings.  The simple roots are the
-    lex-positive roots that are not a sum of two positive roots.  For simple
+    The roots are integer tuples in the coordinate-weight scale, a positive
+    scale on each coordinate of the ad eigenvalues, which keeps
+    lex-positivity, root strings and Cartan integers.  The simple roots are
+    the lex-positive roots that are not a sum of two positive roots.  For simple
     alpha_a and alpha_b, alpha_a - alpha_b is not a root, so the
     alpha_b-string through alpha_a starts at alpha_a and
     <alpha_a, alpha_b^vee> = -q for the largest q with alpha_a + q alpha_b a
     root.  Each connected component of that Cartan matrix is matched against
     rootdata's Bourbaki Cartan matrices of its rank.
     """
-    den = math.lcm(*[x.denominator for r in cd.roots for x in r])
-    scaled = [tuple(x.numerator * (den // x.denominator) for x in r) for r in cd.roots]
-    roots = set(scaled)
-    positive = [r for r in scaled if next(x for x in r if x) > 0]
-    positive_set = set(positive)
+    roots = cd.roots
+    positive = [r for r in roots if next(x for x in r if x) > 0]
+    positive_set, root_set = set(positive), set(roots)
     simple = [
-        index for index, alpha in enumerate(scaled) if alpha in positive_set
+        index for index, alpha in enumerate(roots) if alpha in positive_set
         and not any(tuple(x - y for x, y in zip(alpha, beta)) in positive_set for beta in positive)
     ]
 
@@ -550,11 +526,11 @@ def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
         if alpha == beta:
             return 2
         q = 0
-        while tuple(x + (q + 1) * y for x, y in zip(alpha, beta)) in roots:
+        while tuple(x + (q + 1) * y for x, y in zip(alpha, beta)) in root_set:
             q += 1
         return -q
 
-    cartan = [[pairing(scaled[a], scaled[b]) for b in simple] for a in simple]
+    cartan = [[pairing(roots[a], roots[b]) for b in simple] for a in simple]
     factors = []
     for nodes in _components(cartan):
         label, perm = _match_component([[cartan[i][j] for j in nodes] for i in nodes])
@@ -632,9 +608,10 @@ def _type_of_dimension(dim: int, rank: int) -> str:
     return candidates[0]
 
 
-def decompose_ideals(algebra: LieAlgebraPresentation) -> List[List[Vector]]:
+def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[Vector], LieAlgebraPresentation]]:
     """Minimal ideals of a semisimple algebra, each proved absolutely
-    simple, as lists of coordinate vectors over the input basis.
+    simple: (its basis as coordinate vectors over the input basis, its
+    presentation) for each, the algebra itself when it is simple.
 
     A piece is split by its centroid (`_split_centroid`) until the centroid
     of every piece is the scalars.  Raises NotAdaptedError for a piece
@@ -644,18 +621,19 @@ def decompose_ideals(algebra: LieAlgebraPresentation) -> List[List[Vector]]:
     """
     if algebra.dim == 0:
         return []
-    pending: List[Tuple[LieAlgebraPresentation, Optional[List[Vector]]]] = [(algebra, None)]
-    result: List[List[Vector]] = []
+    whole = [_unit(algebra.dim, i) for i in range(algebra.dim)]
+    pending: List[Tuple[List[Vector], LieAlgebraPresentation]] = [(whole, algebra)]
+    result: List[Tuple[List[Vector], LieAlgebraPresentation]] = []
     while pending:
-        sub, lift = pending.pop()  # lift: the piece's basis in `algebra` coordinates
+        lift, sub = pending.pop()  # lift: the piece's basis in `algebra` coordinates
         split = _split_centroid(sub)
         if split is None:
-            result.append(lift if lift is not None else [_unit(algebra.dim, i) for i in range(algebra.dim)])
+            result.append((lift, sub))
             continue
         for piece in split:
-            lifted = piece if lift is None else [_combine(lift, v) for v in piece]
-            pending.append((subalgebra_presentation(algebra, lifted), lifted))
-    result.sort(key=lambda s: (len(s), [tuple(v) for v in s]))
+            lifted = [_combine(lift, v) for v in piece]
+            pending.append((lifted, subalgebra_presentation(algebra, lifted)))
+    result.sort(key=lambda pair: (len(pair[0]), [tuple(v) for v in pair[0]]))
     return result
 
 
@@ -741,20 +719,17 @@ def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
 AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
 
 
-def _ad_apply(t: AdColumns, vec: Vector) -> Vector:
-    """t vec as a dense vector, for the sparse integer columns of t over
-    their denominator."""
+def _ad_apply(t: AdColumns, vec: Mapping[int, Fraction]) -> Dict[int, Fraction]:
+    """t vec, for the sparse integer columns of t over their denominator and
+    a sparse vector (index -> value), nonzero entries only."""
     cols, den = t
-    ivec, dv = _integral_vector(vec)
+    dv = math.lcm(*[y.denominator for y in vec.values()])
     acc: Dict[int, int] = {}
-    for j, y in ivec.items():
+    for j, y in vec.items():
+        y = y.numerator * (dv // y.denominator)
         for k, x in cols.get(j, ()):
             acc[k] = acc.get(k, 0) + x * y
-    out = [Fraction(0)] * len(vec)
-    for k, s in acc.items():
-        if s:
-            out[k] = Fraction(s, den * dv)
-    return out
+    return {k: Fraction(s, den * dv) for k, s in acc.items() if s}
 
 
 def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> Optional[List[List[Vector]]]:
@@ -775,28 +750,22 @@ def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> O
 
 def _rational_eigenvalues(t: AdColumns, d: int) -> Optional[List[Fraction]]:
     """Distinct rational eigenvalues of the d x d matrix t via its Krylov
-    minimal polynomial.
+    minimal polynomial: the vectors v, t v, t^2 v, ... go into one tracked
+    `linalg.Echelon` until one lies in the span of those before it, whose
+    coefficients give the relation.
 
     Returns None when the minimal polynomial does not split over the
     rationals (all roots are searched by the rational root theorem).
     """
-    v = [Fraction(i + 1) for i in range(d)]
-    krylov = [v]
-    for _ in range(d):
-        krylov.append(_ad_apply(t, krylov[-1]))
-        coeffs = linalg.nullspace(linalg.transpose(krylov), len(krylov))
-        if coeffs:
-            poly = coeffs[0]
-            break
-    else:
-        return None
-    # poly: sum poly[k] * t^k v = 0; normalize to integer coefficients.
+    span = linalg.Echelon(track=True)
+    v = {i: Fraction(i + 1) for i in range(d)}
+    while span.add(v):
+        v = _ad_apply(t, v)
+    # t^k v = sum relation[i] * t^i v for k = span.rank
+    relation = span.coefficients(v)
+    poly = [-relation.get(i, 0) for i in range(span.rank)] + [Fraction(1)]
     den = math.lcm(*[c.denominator for c in poly])
     ints = [int(c * den) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if len(ints) < 2:
-        return None
     roots = _rational_roots(ints)
     # The minimal polynomial of a split semisimple operator is squarefree
     # with all roots rational: demand as many distinct rational roots as
@@ -885,11 +854,10 @@ def identify_algebra(algebra: LieAlgebraPresentation) -> List[str]:
     except NotAdaptedError:
         pass
     labels: List[str] = []
-    for ideal in decompose_ideals(algebra):
-        # a simple algebra is its own one ideal, and keeps its cached failure
-        sub = algebra if len(ideal) == algebra.dim else subalgebra_presentation(algebra, ideal)
+    # a simple algebra is its own one ideal, and keeps its cached failure
+    for _, sub in decompose_ideals(algebra):
         try:
             labels.extend(identify_type(split_root_data(sub)))
         except NotAdaptedError:
             labels.append(_type_of_dimension(sub.dim, _generic_rank(sub)))
-    return sorted(labels, key=lambda s: (s[0], int(s[1:])))
+    return sorted(labels, key=type_key)

@@ -101,6 +101,11 @@ def simple_types_up_to(max_rank: int) -> List[Tuple[str, int]]:
     return types + [(label, n) for label, n in exceptional if n <= max_rank]
 
 
+def type_key(label: str) -> Tuple[str, int]:
+    """Sort key of a type label such as "B12": its letter, then its rank."""
+    return label[0], int(label[1:])
+
+
 def type_dimension(label: str, rank: int) -> int:
     """dim g of a simple type, rank + 2 |Phi+|, from the known root counts."""
     count = _KNOWN_POSITIVE_COUNTS[label]

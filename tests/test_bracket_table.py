@@ -13,10 +13,11 @@ from legquad import liealg, linalg
 from legquad.liealg import (
     NotAdaptedError,
     _centroid,
-    _diagonal_torus,
     _integer_ad,
     _integral_vector,
+    _sp_integer,
     _split_centroid,
+    cartan_subalgebra,
     close_and_present,
     decompose_ideals,
     split_root_data,
@@ -125,7 +126,7 @@ def test_sp_images_and_diagonal_candidates(all_cases):
     for label, L in all_cases:
         images = [{pq: Fraction(x, den) for pq, x in entries.items()} for entries, den in L.sp_entries()]
         assert images == [nonzero(image) for image in liealg_oracle.sp_images(L)], label
-        torus = _diagonal_torus(L)
+        torus = cartan_subalgebra(L).cartan_vectors
         assert unit_indices(torus) == liealg_oracle.diagonal_candidates(L), label
         for v in torus:
             assert all(p == q for p, q in nonzero(liealg_oracle.sp_image(L, v))), label
@@ -147,8 +148,8 @@ def test_torus_is_the_kernel_of_every_off_diagonal_entry(all_cases, entries):
         n = L.form.dim
         rows = [{i: image[p][q] for i, image in enumerate(images) if image[p][q]}
                 for p in range(n) for q in range(n) if p != q]
-        assert _diagonal_torus(L) == linalg.sparse_nullspace(rows, L.dim), label
-    assert [[int(x) for x in v] for v in _diagonal_torus(extra[0][1])] == [[-1, 0, 1]]
+        assert cartan_subalgebra(L).cartan_vectors == linalg.sparse_nullspace(rows, L.dim), label
+    assert [[int(x) for x in v] for v in cartan_subalgebra(extra[0][1]).cartan_vectors] == [[-1, 0, 1]]
 
 
 def test_diagonal_test_sees_a_single_off_diagonal_entry():
@@ -156,10 +157,18 @@ def test_diagonal_test_sees_a_single_off_diagonal_entry():
     off-diagonal sp-image entry, and only the x_i * x_{2+i} are diagonal."""
     names = [f"x{i}*x{j}" if i != j else f"x{i}^2" for i in range(4) for j in range(i, 4)]
     L = close_and_present([parse_poly(t, 4) for t in names], standard_form(2))
-    torus = _diagonal_torus(L)
+    torus = cartan_subalgebra(L).cartan_vectors
     assert [names[i] for i in unit_indices(torus)] == ["x0*x2", "x1*x3"] and len(torus) == 2
     assert unit_indices(torus) == liealg_oracle.diagonal_candidates(L)
     assert all(len(entries) == 1 for entries, _ in (L.sp_entries()[names.index(f"x{i}^2")] for i in range(4)))
+
+
+def in_weight_scale(L, expected):
+    """The oracle's root spaces, each root coordinate t, an ad eigenvalue,
+    times the denominator den_t of the sp-image of torus vector t
+    (`_sp_integer`): the integer roots of the coordinate-weight scale."""
+    dens = [_sp_integer(L, h)[1] for h in expected.cartan_vectors]
+    return [(tuple(x * d for x, d in zip(root, dens)), vec) for root, vec in expected.root_spaces]
 
 
 def test_full_cartan_data(all_cases):
@@ -172,7 +181,8 @@ def test_full_cartan_data(all_cases):
             continue
         got = split_root_data(L)
         assert got.cartan_vectors == expected.cartan_vectors, label
-        assert got.root_spaces == expected.root_spaces, label
+        assert got.root_spaces == in_weight_scale(L, expected), label
+        assert all(type(x) is int for root in got.roots for x in root), label
 
 
 def test_mixed_basis_cartan_data_matches():
@@ -184,7 +194,7 @@ def test_mixed_basis_cartan_data_matches():
     e, f = parse_poly("x0*x3", 4), parse_poly("x1*x2", 4)
     L = close_and_present(quadrics + [e + f, e - f], standard_form(2))
     got = split_root_data(L)
-    assert got.root_spaces == liealg_oracle.cartan_data(L).root_spaces
+    assert got.root_spaces == in_weight_scale(L, liealg_oracle.cartan_data(L))
     assert len(got.roots) == 8
     assert any(sum(1 for x in vec if x) > 1 for _, vec in got.root_spaces)
 
@@ -254,7 +264,7 @@ def test_segre_4_piece_with_a_two_dimensional_commutant_splits(algebras):
     vectors, has a centroid of dimension 2, so it is not claimed simple and
     its centroid splits it into the two ideals."""
     algebra = algebras["segre-4"]
-    first, second, _ = decompose_ideals(algebra)
+    (first, _), (second, _), _ = decompose_ideals(algebra)
     straddling = [[x + y for x, y in zip(u, v)] for u, v in zip(first, second)]
     straddling += [[x - y for x, y in zip(u, v)] for u, v in zip(first, second)]
     sub = subalgebra_presentation(algebra, straddling)

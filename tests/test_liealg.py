@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,12 @@ import liealg_oracle
 from legquad import catalog, linalg
 from legquad.liealg import (
     CartanData,
+    LieAlgebraPresentation,
     NotAdaptedError,
     NotClosedError,
     _integer_ad,
     _match_component,
+    _rational_eigenvalues,
     _type_of_dimension,
     cartan_subalgebra,
     close_and_present,
@@ -18,10 +21,11 @@ from legquad.liealg import (
     identify_algebra,
     identify_type,
     root_decomposition,
+    split_root_data,
     subalgebra_presentation,
 )
 from legquad.poly import parse_poly
-from legquad.rootdata import build_root_system, simple_types_up_to
+from legquad.rootdata import build_root_system, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
 from liealg_oracle import block_view, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
@@ -170,12 +174,12 @@ def test_identify_segre_4_and_5(algebras):
 
 def test_ideal_decomposition(algebras):
     pieces = decompose_ideals(algebras["segre-3"])
-    assert sorted(len(p) for p in pieces) == [3, 3]
+    assert sorted(len(p) for p, _ in pieces) == [3, 3]
     pieces = decompose_ideals(algebras["segre-4"])
-    assert sorted(len(p) for p in pieces) == [3, 3, 3]
-    for piece in pieces:
-        sub = subalgebra_presentation(algebras["segre-4"], piece)
+    assert sorted(len(p) for p, _ in pieces) == [3, 3, 3]
+    for piece, sub in pieces:
         assert sub.dim == 3 and sub.is_semisimple()
+        assert sub.basis == subalgebra_presentation(algebras["segre-4"], piece).basis
 
 
 @pytest.mark.parametrize("name", catalog.entry_names())
@@ -209,8 +213,7 @@ def test_structure_constants_with_denominators_match_the_fraction_route(entries,
 def test_ideal_structure_constants_match_the_fraction_route(entries, name):
     pres = entries[name].presentation
     algebra = close_and_present([g for g in pres.generators if g.homogeneous_degree() == 2], pres.form)
-    for piece in decompose_ideals(algebra):
-        sub = subalgebra_presentation(algebra, piece)
+    for _, sub in decompose_ideals(algebra):
         assert sub.structure == liealg_oracle.structure_constants(sub.basis, sub.form)
 
 
@@ -357,8 +360,9 @@ def test_anisotropic_factor_reports_not_adapted():
 
 @pytest.mark.parametrize("name", ["segre-3", "segre-5", "sheared-twisted-cubic", "so3", "so9"])
 def test_no_torus_with_diagonal_sp_images_is_not_adapted(entries, algebras, name):
-    """The torus with diagonal sp-images is the only one: where the basis
-    has none, `cartan_subalgebra` raises instead of searching further."""
+    """The torus with diagonal sp-images is the only one: where it is not
+    self-centralizing, the root decomposition raises instead of searching
+    further."""
     if name.startswith("so"):
         L = _anisotropic_so(int(name[2:]))
     elif name.startswith("sheared"):
@@ -367,7 +371,7 @@ def test_no_torus_with_diagonal_sp_images_is_not_adapted(entries, algebras, name
     else:
         L = algebras[name]
     with pytest.raises(NotAdaptedError, match="^no self-centralizing torus with diagonal sp-images$"):
-        cartan_subalgebra(L)
+        split_root_data(L)
 
 
 def test_root_decomposition_needs_diagonal_sp_images(entries):
@@ -400,7 +404,7 @@ def test_straddling_basis_of_two_isomorphic_factors_splits():
     basis element lies in a factor, and the centroid splits it."""
     a, b = _so_quadrics(7, 14), _so_quadrics(7, 14, offset=7)
     L = close_and_present([x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)], standard_form(14))
-    assert [len(p) for p in decompose_ideals(L)] == [21, 21]
+    assert [len(p) for p, _ in decompose_ideals(L)] == [21, 21]
 
 
 def test_simple_factor_with_a_larger_centroid_is_not_adapted():
@@ -451,7 +455,8 @@ def test_cached_killing_matrix_is_the_trace_form_of_ad(algebras, name):
 
 def _scrambled_root_data(systems, rng):
     """Roots of the sum of `systems` with negatives, in simple-root
-    coordinates under a node permutation and a unimodular change of basis."""
+    coordinates under a node permutation and a unimodular change of basis,
+    as the integer tuples of `CartanData`."""
     n = sum(rs.rank for rs in systems)
     roots, offset = [], 0
     for rs in systems:
@@ -469,7 +474,7 @@ def _scrambled_root_data(systems, rng):
             k = rng.choice((-2, -1, 1, 2))
             basis[i] = [x + k * y for x, y in zip(basis[i], basis[j])]
     roots = [[sum(b * r[order[j]] for j, b in enumerate(row)) for row in basis] for r in roots]
-    return CartanData([[0] * n] * n, root_spaces=[(r, []) for r in roots])
+    return CartanData([[0] * n] * n, root_spaces=[(tuple(r), []) for r in roots])
 
 
 def test_identify_type_on_scrambled_root_data():
@@ -481,7 +486,7 @@ def test_identify_type_on_scrambled_root_data():
     small = [build_root_system(label, rank) for label, rank in simple_types_up_to(4)]
     for _ in range(30):
         pair = rng.sample(small, 2) if rng.random() < 0.8 else [rng.choice(small)] * 2
-        expected = sorted((rs.type_label for rs in pair), key=lambda s: (s[0], int(s[1:])))
+        expected = sorted((rs.type_label for rs in pair), key=type_key)
         assert identify_type(_scrambled_root_data(pair, rng)) == expected
 
 
@@ -528,3 +533,62 @@ def test_simple_non_split_algebra_is_searched_once(monkeypatch):
     monkeypatch.setattr(liealg, "cartan_subalgebra", counted)
     assert identify_algebra(algebra) == ["B2"]
     assert calls == [algebra]
+
+
+def test_each_quantity_is_computed_once(algebras, monkeypatch):
+    """Identification presents each minimal ideal once: segre-4 splits into
+    three ideals, and `decompose_ideals` hands their presentations on, so
+    `subalgebra_presentation` runs 3 times, not once more per ideal.  The
+    root decomposition reads the coordinate weights once per presentation:
+    on segre-4 and its three ideals, and on e7."""
+    from legquad import liealg
+
+    calls = {"subalgebra_presentation": 0, "_coordinate_weights": 0}
+    for name in calls:
+        original = getattr(liealg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(liealg, name, counted)
+    fresh = {name: LieAlgebraPresentation(L.basis, L.form, L.structure)
+             for name, L in algebras.items() if name in ("segre-4", "e7")}
+    assert identify_algebra(fresh["segre-4"]) == ["A1", "A1", "A1"]
+    assert calls == {"subalgebra_presentation": 3, "_coordinate_weights": 4}
+    calls.update(dict.fromkeys(calls, 0))
+    split_root_data(fresh["e7"])
+    assert calls == {"subalgebra_presentation": 0, "_coordinate_weights": 1}
+
+
+def _columns(matrix):
+    """The sparse integer columns of a rational matrix over their common
+    denominator, as `_rational_eigenvalues` reads them."""
+    den = math.lcm(*[Fraction(x).denominator for row in matrix for x in row])
+    cols = {}
+    for k, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x:
+                cols.setdefault(j, []).append((k, int(Fraction(x) * den)))
+    return cols, den
+
+
+def test_rational_eigenvalues_against_sympy():
+    """Seeded P D P^-1 with repeated rational eigenvalues: the Krylov
+    minimal polynomial gives sympy's distinct eigenvalues.  A rotation has
+    none over Q and a nonzero nilpotent is not split semisimple: both
+    return None."""
+    from sympy import Matrix, Rational, diag
+
+    rng = random.Random(13)
+    for diagonal in ([2, 2, -1], [Rational(1, 2), 3, Rational(1, 2), 0, -4, 3], [5, 5, 5, -5]):
+        d = len(diagonal)
+        while (p := Matrix(d, d, lambda i, j: rng.randint(-3, 3))).det() == 0:
+            pass
+        m = p * diag(*diagonal) * p.inv()
+        rows = [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(d)]
+        expected = sorted(Fraction(int(x.p), int(x.q)) for x in m.eigenvals())
+        assert _rational_eigenvalues(_columns(rows), d) == expected, diagonal
+    assert _rational_eigenvalues(_columns([[0, -1], [1, 0]]), 2) is None
+    assert _rational_eigenvalues(_columns([[0, 1], [0, 0]]), 2) is None
+    assert _rational_eigenvalues(_columns([[1, -1, 1], [1, -1, 1], [0, 0, 0]]), 3) is None
