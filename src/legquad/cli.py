@@ -1,8 +1,14 @@
 """Command-line front door: parse inputs, dispatch, emit reports.
 
+Each command returns its answer (inputs, result, exit code) and reports
+nothing itself; `classify` adds its stage timings, and `catalog NAME` writes
+its dump and returns None.  `main` alone times the command, reports an
+exhausted Groebner budget, derives the status and prints the one report.
+
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
 mathematical negative (not legendrian, equation fails), 3 for a resource
-undecided, 1 for usage or parse errors.  A resource limit is never reported
+undecided, 1 for usage or parse errors.  A report's status is `undecided`
+exactly at exit 3 and `ok` otherwise, so a resource limit is never reported
 as a mathematical answer.  When standard output is closed before the report
 is written (`legquad ... | head -c 10`), the command exits quietly with 141,
 the status a shell reports for a process that SIGPIPE ended.
@@ -14,16 +20,17 @@ import argparse
 import functools
 import json
 import os
+import random
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import catalog
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
-    GroebnerBasis,
     IdealPresentation,
     buchberger,
     krull_dimension,
@@ -48,8 +55,14 @@ class InputError(ValueError):
     pass
 
 
+Answer = Tuple[dict, dict, int]  # what a command answers: its inputs, result and exit code
+
+
 def _load_presentation(args) -> VarietyPresentation:
-    text = _read_source(args.file)
+    try:
+        text = _read_source(args.file)
+    except OSError as exc:
+        raise InputError(f"cannot read the variety file {args.file!r}: {exc.strerror}") from None
     override = getattr(args, "form", None)
     return parse_variety_file(text, form_override=override)
 
@@ -144,9 +157,9 @@ def _parse_form(spec: str, n: int, origin: str) -> SymplecticForm:
         raise InputError(f"{origin}: bad form: {exc}") from None
 
 
-def _report(args, command: str, inputs: dict, result: dict, status: str, timings: dict) -> None:
+def _report(args, inputs: dict, result: dict, status: str, timings: dict) -> None:
     payload = {
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
         "timings": {k: round(v, 6) for k, v in timings.items()},
@@ -169,20 +182,14 @@ def _print_text(payload: dict) -> None:
             print(f"  {key}: {value}")
 
 
-def _cmd_check(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_check(args) -> Answer:
     pres = _load_presentation(args)
     try:
         verdict = legendrian_verdict(pres, budget=args.budget)
     except ValueError as exc:
         raise _with_line(exc, pres, pres.generators) from None
-    timings = {"total": time.perf_counter() - t0}
-    result = verdict.to_dict()
-    status = {"legendrian": "ok", "not-legendrian": "ok", "undecided": "undecided"}[verdict.verdict]
-    _report(args, "check", {"file": args.file, "n": pres.half_dim}, result, status, timings)
-    if verdict.verdict == "undecided":
-        return EXIT_UNDECIDED
-    return EXIT_OK if verdict.verdict == "legendrian" else EXIT_NEGATIVE
+    code = {"legendrian": EXIT_OK, "not-legendrian": EXIT_NEGATIVE, "undecided": EXIT_UNDECIDED}
+    return {"file": args.file, "n": pres.half_dim}, verdict.to_dict(), code[verdict.verdict]
 
 
 def _parse_poly_or_index(token: str, pres: VarietyPresentation) -> Polynomial:
@@ -209,8 +216,7 @@ def _with_line(exc: ValueError, pres: VarietyPresentation, operands) -> ValueErr
     return exc
 
 
-def _cmd_bracket(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bracket(args) -> Answer:
     pres = _load_presentation(args)
     f = _parse_poly_or_index(args.f, pres)
     g = _parse_poly_or_index(args.g, pres)
@@ -218,54 +224,25 @@ def _cmd_bracket(args) -> int:
         br = poisson_bracket(f, g, pres.form)
     except ValueError as exc:
         raise _with_line(exc, pres, (f, g)) from None
-    _report(
-        args, "bracket", {"file": args.file, "f": str(f), "g": str(g)},
-        {"bracket": str(br)}, "ok", {"total": time.perf_counter() - t0},
-    )
-    return EXIT_OK
+    return {"file": args.file, "f": str(f), "g": str(g)}, {"bracket": str(br)}, EXIT_OK
 
 
-def _basis_or_report(args, pres: VarietyPresentation, command: str, t0: float) -> Optional[GroebnerBasis]:
-    """The reduced basis of the input ideal, or None once an exhausted budget is reported."""
-    try:
-        return buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    except BudgetExceeded as exc:
-        _report(args, command, {"file": args.file}, {"budget": exc.budget_name}, "undecided",
-                {"total": time.perf_counter() - t0})
-        return None
-
-
-def _cmd_gb(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gb(args) -> Answer:
     pres = _load_presentation(args)
-    gb = _basis_or_report(args, pres, "gb", t0)
-    if gb is None:
-        return EXIT_UNDECIDED
-    result = {
-        "size": len(gb),
-        "dimension": krull_dimension(gb),
-        "elements": [str(g) for g in gb],
-    }
-    _report(args, "gb", {"file": args.file}, result, "ok", {"total": time.perf_counter() - t0})
-    return EXIT_OK
+    gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
+    result = {"size": len(gb), "dimension": krull_dimension(gb), "elements": [str(g) for g in gb]}
+    return {"file": args.file}, result, EXIT_OK
 
 
-def _cmd_nf(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_nf(args) -> Answer:
     pres = _load_presentation(args)
     p = parse_poly(args.poly, pres.nvars)
-    gb = _basis_or_report(args, pres, "nf", t0)
-    if gb is None:
-        return EXIT_UNDECIDED
+    gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
     r = normal_form(p, gb)
-    result = {"normal_form": str(r), "in_ideal": r.is_zero()}
-    _report(args, "nf", {"file": args.file, "poly": str(p)}, result, "ok",
-            {"total": time.perf_counter() - t0})
-    return EXIT_OK
+    return {"file": args.file, "poly": str(p)}, {"normal_form": str(r), "in_ideal": r.is_zero()}, EXIT_OK
 
 
-def _cmd_algebra(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_algebra(args) -> Answer:
     pres = _load_presentation(args)
     quadrics = [g for g in pres.generators if g.homogeneous_degree() == 2]
     algebra = close_and_present(quadrics, pres.form)
@@ -275,19 +252,15 @@ def _cmd_algebra(args) -> int:
         result["types"] = identify_algebra(algebra)
         try:
             full = split_root_data(algebra)
-            result["cartan_rank"] = full.rank
-            result["root_count"] = len(full.roots)
+            result.update(cartan_rank=full.rank, root_count=len(full.roots))
         except NotAdaptedError as exc:
             # a non-split real form: no rational Cartan subalgebra to report
-            result["cartan_rank"] = None
-            result["root_count"] = None
-            result["cartan_reason"] = f"NotAdaptedError: {exc}"
-    _report(args, "algebra", {"file": args.file}, result, "ok",
-            {"total": time.perf_counter() - t0})
-    return EXIT_OK
+            result.update(cartan_rank=None, root_count=None, cartan_reason=f"NotAdaptedError: {exc}")
+    return {"file": args.file}, result, EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
+    """An `Answer` and the timings of the simple and the product scan."""
     for flag, value in (("--max-rank", args.max_rank), ("--max-dim", args.max_dim)):
         if value is not None and value < 1:
             raise InputError(f"{flag} must be a positive integer, got {value}")
@@ -304,46 +277,31 @@ def _cmd_classify(args) -> int:
         f"{status}_{name}": [v.to_dict() for v in verdicts if (v.status == "accepted") == (status == "accepted")]
         for status in ("accepted", "rejected") for name, verdicts in groups.items()
     }
-    _report(
-        args, "classify", {"max_rank": args.max_rank, "max_dim": args.max_dim},
-        result, "ok",
-        {"simple": t1 - t0, "pairs": time.perf_counter() - t1},
-    )
-    return EXIT_OK
+    timings = {"simple": t1 - t0, "pairs": time.perf_counter() - t1}
+    return {"max_rank": args.max_rank, "max_dim": args.max_dim}, result, EXIT_OK, timings
 
 
-def _cmd_catalog(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_catalog(args) -> Optional[Answer]:
+    """The entry list, or None once the named entry is dumped."""
     if args.name is None:
-        result = {"entries": catalog.entry_names()}
-        _report(args, "catalog", {}, result, "ok", {"total": time.perf_counter() - t0})
-        return EXIT_OK
-    entry = catalog.get_entry(args.name)
-    sys.stdout.write(catalog.dump_entry(entry))
-    return EXIT_OK
+        return {}, {"entries": catalog.entry_names()}, EXIT_OK
+    if args.name not in catalog.entry_names():
+        raise InputError(f"unknown catalog entry {args.name!r}")
+    sys.stdout.write(catalog.dump_entry(catalog.get_entry(args.name)))
+    return None
 
 
-def _cmd_curve(args) -> int:
-    t0 = time.perf_counter()
-    polys = []
-    for text in (args.f1, args.f2, args.f3):
-        polys.append(parse_poly(text.replace("t", "x0"), 1))
+def _cmd_curve(args) -> Answer:
+    polys = [parse_poly(text.replace("t", "x0"), 1) for text in (args.f1, args.f2, args.f3)]
     holds = rational_curve_check(*polys)
-    _report(
-        args, "curve",
-        {"f1": str(polys[0]), "f2": str(polys[1]), "f3": str(polys[2])},
-        {"equation_holds": holds}, "ok", {"total": time.perf_counter() - t0},
-    )
-    return EXIT_OK if holds else EXIT_NEGATIVE
+    inputs = {"f1": str(polys[0]), "f2": str(polys[1]), "f3": str(polys[2])}
+    return inputs, {"equation_holds": holds}, EXIT_OK if holds else EXIT_NEGATIVE
 
 
-def _cmd_xf(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_xf(args) -> Answer:
     f = _parse_xf_poly(args.poly)
     entry = catalog.x_f(f, implicit_degree=args.implicit_degree)
     pres = entry.presentation
-    import random
-
     rng = random.Random(args.seed)
     points = [
         [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(f.nvars)]
@@ -356,13 +314,10 @@ def _cmd_xf(args) -> int:
         "generators": [str(g) for g in pres.generators],
         "tangent_checks_pass": tangent_ok,
     }
-    _report(args, "xf", {"poly": str(f)}, result, "ok", {"total": time.perf_counter() - t0})
-    return EXIT_OK if tangent_ok else EXIT_NEGATIVE
+    return {"poly": str(f)}, result, EXIT_OK if tangent_ok else EXIT_NEGATIVE
 
 
 def _parse_xf_poly(text: str) -> Polynomial:
-    import re
-
     indices = [int(m) for m in re.findall(r"[xy](\d+)", text)]
     if not indices:
         raise InputError("no variables found in the chart polynomial")
@@ -438,14 +393,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        if args.budget < 0:
+            raise InputError(f"--budget must be a non-negative integer, got {args.budget}")
+        t0 = time.perf_counter()
+        try:
+            answer = args.func(args)
+        except BudgetExceeded as exc:  # only `gb` and `nf` let it through
+            answer = {"file": args.file}, {"budget": exc.budget_name}, EXIT_UNDECIDED
+        code = EXIT_OK
+        if answer is not None:
+            inputs, result, code, *stages = answer
+            timings = stages[0] if stages else {"total": time.perf_counter() - t0}
+            _report(args, inputs, result, "undecided" if code == EXIT_UNDECIDED else "ok", timings)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
         # stop the interpreter's own flush at exit from failing again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (InputError, PolyParseError, FileNotFoundError, KeyError, ValueError) as exc:
+    except ValueError as exc:  # InputError, PolyParseError and the libraries' input errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -62,10 +62,6 @@ from .rootdata import (
 from .symplectic import SymplecticForm
 
 
-class PointRankError(ValueError):
-    """Gradient or tangent rank at the point differs from the expected n."""
-
-
 class VarietyPresentation:
     """A named variety: generators, symplectic form, optional parametrization."""
 
@@ -299,9 +295,7 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     )
 
 
-def tangent_point_check(
-    v: VarietyPresentation, params: Sequence, require_full_rank: bool = False
-) -> bool:
+def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     """Tangent criterion at a parametrized point: omega vanishes on the span
     of the position vector and all parametrization partials."""
     if v.parametrization is None:
@@ -311,8 +305,6 @@ def tangent_point_check(
     tangents = [position]
     for k in range(v.param_count()):
         tangents.append([comp.partial_derivative(k).evaluate(pvals) for comp in v.parametrization])
-    if require_full_rank and linalg.rank(tangents) != v.half_dim:
-        raise PointRankError("tangent space rank at the point differs from n")
     for i in range(len(tangents)):
         ji = linalg.mat_vec(v.form.matrix, tangents[i])
         for j in range(i + 1, len(tangents)):

@@ -6,7 +6,7 @@ their content divided out, which suits the sparse systems the package solves
 (the Groebner bases and normal forms of `groebner`, the quadric spans of
 `liealg` and `catalog`, ad-matrices, centroid systems of d^3 rows in d^2
 columns).  `rref` turns its rows into the canonical reduced row echelon form;
-`rank` and `inverse` read their answers off that form, and `nullspace` and
+`inverse` reads its answer off that form, and `nullspace` and
 `sparse_nullspace` read the canonical kernel basis off `Echelon.kernel`.
 The dense helpers here are the ones the package calls; `solve`,
 `row_space_basis`, matrix sums and the symmetry test serve the tests only
@@ -254,10 +254,6 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     ]
     out.extend([zero] * cols for _ in range(len(a) - len(out)))
     return out, ech.pivots
-
-
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
 
 
 def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:

@@ -9,10 +9,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from legquad import linalg
-from legquad.legendrian import PointRankError, VarietyPresentation
+from legquad.legendrian import VarietyPresentation
 
 from linalg_oracle import row_space_basis
 from poly_oracle import gradient
+
+
+class PointRankError(ValueError):
+    """The gradient rank at the point differs from the expected n."""
 
 
 class PointNotOnCone(ValueError):

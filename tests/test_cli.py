@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legquad
+from legquad import catalog
 from legquad.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_NEGATIVE,
@@ -230,6 +231,31 @@ def test_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("name, reason", [("missing.txt", "No such file or directory"),
+                                          (".", "Is a directory")], ids=["missing", "directory"])
+def test_unreadable_variety_file_exits_1(capsys, tmp_path, name, reason):
+    path = tmp_path / name
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: cannot read the variety file {str(path)!r}: {reason}\n")
+
+
+def test_unknown_catalog_name_exits_1(capsys):
+    code, out, err = run(capsys, "catalog", "nosuch")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: unknown catalog entry 'nosuch'\n")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["gb"], ["nf", "x0"]], ids=["check", "gb", "nf"])
+def test_negative_budget_exits_1(capsys, tmp_path, argv):
+    """A negative S-pair cap is malformed input, not a resource verdict;
+    a zero cap is a legal budget and gets a report."""
+    path = tmp_path / "cubic.txt"
+    path.write_text(catalog.dump_entry(catalog.get_entry("twisted-cubic")))
+    code, out, err = run(capsys, "--budget", "-3", argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: --budget must be a non-negative integer, got -3\n")
+    code, out, _ = run(capsys, "--json", "--budget", "0", argv[0], str(path), *argv[1:])
+    assert code != EXIT_USAGE and json.loads(out)["inputs"]["file"] == str(path)
+
+
 def test_non_integer_header_names_its_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# a comment\nn=abc\nx0\n")
@@ -316,6 +342,42 @@ def test_reports_roundtrip_json(capsys, tmp_path):
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
     assert {"command", "inputs", "result", "timings", "status", "seed"} <= set(payload)
+
+
+@pytest.mark.parametrize("argv, inputs, code", [
+    (["check", "{cubic}"], ["file", "n"], EXIT_OK),
+    (["check", "{plane}"], ["file", "n"], EXIT_NEGATIVE),
+    (["--budget", "1", "check", "{segre}"], ["file", "n"], EXIT_UNDECIDED),
+    (["bracket", "{cubic}", "0", "1"], ["file", "f", "g"], EXIT_OK),
+    (["gb", "{cubic}"], ["file"], EXIT_OK),
+    (["--budget", "1", "gb", "{cubic}"], ["file"], EXIT_UNDECIDED),
+    (["nf", "{cubic}", "x0^2"], ["file", "poly"], EXIT_OK),
+    (["--budget", "1", "nf", "{cubic}", "x0^2"], ["file"], EXIT_UNDECIDED),
+    (["algebra", "{cubic}"], ["file"], EXIT_OK),
+    (["classify", "--max-rank", "2", "--max-dim", "10"], ["max_rank", "max_dim"], EXIT_OK),
+    (["catalog"], [], EXIT_OK),
+    (["curve", "t", "t", "t"], ["f1", "f2", "f3"], EXIT_NEGATIVE),
+    (["xf", "y0^3"], ["poly"], EXIT_OK),
+], ids=["check", "check-negative", "check-budget", "bracket", "gb", "gb-budget", "nf", "nf-budget",
+        "algebra", "classify", "catalog", "curve", "xf"])
+def test_every_json_report_keeps_the_contract(capsys, tmp_path, argv, inputs, code):
+    """Every command's report has the same keys in the same order, the
+    inputs its command names, and status `undecided` exactly at exit 3."""
+    files = {"plane": "n=2\nx0\n"}
+    for key, name in (("cubic", "twisted-cubic"), ("segre", "segre-3")):
+        files[key] = catalog.dump_entry(catalog.get_entry(name))
+    for key, text in files.items():
+        (tmp_path / f"{key}.txt").write_text(text)
+    argv = [a.format(**{key: str(tmp_path / f"{key}.txt") for key in files}) for a in argv]
+    got, out, _ = run(capsys, "--json", *argv)
+    payload = json.loads(out)
+    assert got == code
+    assert list(payload) == ["command", "inputs", "result", "timings", "status", "seed"]
+    assert payload["command"] == next(a for a in argv if not a.startswith("-") and not a.isdigit())
+    assert list(payload["inputs"]) == inputs
+    assert list(payload["timings"]) == (["simple", "pairs"] if argv[0] == "classify" else ["total"])
+    assert (payload["status"] == "undecided") == (code == EXIT_UNDECIDED)
+    assert payload["status"] in ("ok", "undecided")
 
 
 def test_parse_variety_file_formats():

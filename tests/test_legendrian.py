@@ -5,7 +5,6 @@ import pytest
 
 from legquad import catalog
 from legquad.legendrian import (
-    PointRankError,
     VarietyPresentation,
     degeneracy_check,
     legendrian_verdict,
@@ -15,7 +14,7 @@ from legquad.legendrian import (
 from legquad.liealg import bracket_closure
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import standard_form
-from legendrian_oracle import PointNotOnCone, conormal_point_check
+from legendrian_oracle import PointNotOnCone, PointRankError, conormal_point_check
 
 
 def test_twisted_cubic_verdict(entries):

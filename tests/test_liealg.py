@@ -308,7 +308,7 @@ def test_block_constraints_for_adapted_fixtures(algebras):
             bv = block_view(image, n)
             assert bv.vanishes_at_base_point(), name
             rows.append([bv.lam0] + [x for x in bv.a1])
-        assert linalg.rank(rows) == n, name
+        assert len(linalg.rref(rows)[1]) == n, name
 
 
 def test_jacobi_on_structure_constants(algebras):

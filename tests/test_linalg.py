@@ -15,7 +15,7 @@ def test_rref_and_rank():
     m = linalg_oracle.mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     red, pivots = linalg.rref(m)
     assert pivots == [0, 1]
-    assert linalg.rank(m) == 2
+    assert len(linalg.rref(m)[1]) == 2
 
 
 def test_nullspace_orthogonal_to_rows():
@@ -26,7 +26,7 @@ def test_nullspace_orthogonal_to_rows():
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
         for v in linalg.nullspace(m, cols):
             assert all(linalg.vec_dot(row, v) == 0 for row in m)
-        assert linalg.rank(m) + len(linalg.nullspace(m, cols)) == cols
+        assert len(linalg.rref(m)[1]) + len(linalg.nullspace(m, cols)) == cols
 
 
 def test_solve_and_inverse():
@@ -104,7 +104,7 @@ def test_rref_rank_nullspace_match_oracle_and_sympy(seed):
         assert (red, pivots) == linalg_oracle.rref(m)
         sred, spivots = _sympy(m, cols).rref()
         assert pivots == list(spivots) and red == _from_sympy(sred)
-        assert linalg.rank(m) == _sympy(m, cols).rank() == len(pivots)
+        assert _sympy(m, cols).rank() == len(pivots)
         kernel = linalg.nullspace(m, cols)
         assert kernel == [[Fraction(int(x.p), int(x.q)) for x in v] for v in _sympy(m, cols).nullspace()]
         assert linalg_oracle.row_space_basis(m) == red[: len(pivots)]
@@ -133,7 +133,7 @@ def test_solve_and_inverse_match_sympy(seed):
 
 
 def test_kernel_edge_cases():
-    assert linalg.rref([]) == ([], []) and linalg.rank([]) == 0
+    assert linalg.rref([]) == ([], [])
     assert linalg.nullspace([], 2) == linalg.identity(2)
     zeros = linalg.zeros(3, 2)
     assert linalg.rref(zeros) == (zeros, [])
@@ -156,8 +156,8 @@ def test_span_membership_recovers_coefficients():
                   for row in _random_sparse(rng, rng.randint(1, 8), cols)]
         span = linalg.Echelon(track=True)
         kept = [i for i, row in enumerate(inputs) if span.add(row)]
-        assert span.rank == len(kept) == linalg.rank(
-            [[row.get(j, Fraction(0)) for j in range(cols)] for row in inputs])
+        assert span.rank == len(kept) == len(linalg.rref(
+            [[row.get(j, Fraction(0)) for j in range(cols)] for row in inputs])[1])
         plain = linalg.Echelon()
         assert [plain.add(row) for row in inputs] == [i in kept for i in range(len(inputs))]
         assert plain.pivots == span.pivots == sorted(span.pivots)
