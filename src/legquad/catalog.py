@@ -10,6 +10,10 @@ the complex complete intersection.
 The line-times-quadric family uses a sum-of-squares quadric, which has no
 rational points at all; a projectively equivalent split model (hyperbolic
 quadric, adapted form) is provided alongside it for every point-based check.
+Both models come from one partner map on the quadric's coordinates.  Every
+form that pairs coordinates (those models', the wedge pairing of Gr(3,6) and
+its restriction) is a `symplectic.pairing_form`; generated equations are
+parsed text, and the implicit equations of a chart are one sparse kernel.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .legendrian import VarietyPresentation
 from .liealg import degree_part
-from .poly import MonomialCodec, Polynomial, monomials_of_degree, parse_poly, poly_from_pairs
-from .symplectic import SymplecticForm, standard_form
+from .poly import MonomialCodec, Polynomial, monomials_of_degree, parse_poly
+from .symplectic import SymplecticForm, pairing_form, standard_form
 
 _CHECKSUMS = {
     "gr36.txt": "a959bd45a0b2278d942165cd3c77f317a906b1d704d844f807aa879ed6e25068",
@@ -107,62 +111,33 @@ def twisted_cubic() -> CatalogEntry:
 def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
     """Segre embedding of a line times an (n-2)-quadric in P^{2n-1}.
 
-    The default presentation uses the sum-of-squares quadric; `split=True`
-    switches to the hyperbolic quadric (and the matching form), which is the
-    same variety over an extension but has rational points and a rationally
-    split symmetry algebra.
+    Both models read one partner map p on 0..n-1: the identity for the
+    default sum-of-squares quadric, k -> n-1-k for the hyperbolic quadric of
+    `split=True`, which is the same variety over an extension but has
+    rational points and a rationally split symmetry algebra.  Besides the
+    2x2 minors, the generators are sum 1/2 x_{n+k} x_{n+p(k)},
+    -sum 1/2 x_k x_{p(k)} and sum x_k x_{n+p(k)}, and the form pairs k with
+    n+p(k); for p the identity it is `standard_form(n)`.
     """
     if n < 3:
         raise ValueError("the family needs n >= 3")
     nv = 2 * n
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gens.append(parse_poly(f"x{i}*x{n + j} - x{j}*x{n + i}", nv))
-    if not split:
-        gp = poly_from_pairs(nv, [(_sq(nv, n + k), Fraction(1, 2)) for k in range(n)])
-        gm = poly_from_pairs(nv, [(_sq(nv, k), Fraction(-1, 2)) for k in range(n)])
-        h = poly_from_pairs(nv, [(_pair(nv, k, n + k), 1) for k in range(n)])
-        form = standard_form(n)
-        base = None
-        pres = VarietyPresentation(f"segre-{n}", form, gens + [gp, gm, h])
-        return CatalogEntry(
-            pres, "generated", base,
+    p = [n - 1 - k if split else k for k in range(n)]
+    texts = [f"x{i}*x{n + j} - x{j}*x{n + i}" for i in range(n) for j in range(i + 1, n)]
+    texts.append(" + ".join(f"1/2*x{n + k}*x{n + p[k]}" for k in range(n)))
+    texts.append("".join(f" - 1/2*x{k}*x{p[k]}" for k in range(n)))
+    texts.append(" + ".join(f"x{k}*x{n + p[k]}" for k in range(n)))
+    form = pairing_form(nv, [(k, n + p[k], 1) for k in range(n)])
+    if split:
+        name, base, note = f"segre-split-{n}", _unit_point(nv), (
+            "line times the hyperbolic quadric; projectively equivalent to the "
+            "sum-of-squares model but rationally split, with base point e0.")
+    else:
+        name, base, note = f"segre-{n}", None, (
             "line times the sum-of-squares quadric; the quadric has no "
-            "rational points, so no base point is available over Q.",
-        )
-    # split quadric x^T P x with P the antidiagonal unit matrix
-    gp = poly_from_pairs(
-        nv, [(_pair(nv, n + k, n + (n - 1 - k)), Fraction(1, 2)) for k in range(n)]
-    )
-    gm = poly_from_pairs(
-        nv, [(_pair(nv, k, n - 1 - k), Fraction(-1, 2)) for k in range(n)]
-    )
-    h = poly_from_pairs(nv, [(_pair(nv, k, n + (n - 1 - k)), 1) for k in range(n)])
-    mat = linalg.zeros(nv, nv)
-    for k in range(n):
-        mat[k][n + (n - 1 - k)] = Fraction(1)
-        mat[n + (n - 1 - k)][k] = Fraction(-1)
-    form = SymplecticForm(mat)
-    pres = VarietyPresentation(f"segre-split-{n}", form, gens + [gp, gm, h])
-    return CatalogEntry(
-        pres, "generated", _unit_point(nv),
-        "line times the hyperbolic quadric; projectively equivalent to the "
-        "sum-of-squares model but rationally split, with base point e0.",
-    )
-
-
-def _sq(nv: int, k: int) -> Tuple[int, ...]:
-    e = [0] * nv
-    e[k] = 2
-    return tuple(e)
-
-
-def _pair(nv: int, a: int, b: int) -> Tuple[int, ...]:
-    e = [0] * nv
-    e[a] += 1
-    e[b] += 1
-    return tuple(e)
+            "rational points, so no base point is available over Q.")
+    pres = VarietyPresentation(name, form, [parse_poly(t, nv) for t in texts])
+    return CatalogEntry(pres, "generated", base, note)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +176,7 @@ def grassmannian_36() -> CatalogEntry:
     order, signs, polys = _load_gr36()
     if len(polys) != 35:
         raise DataIntegrityError("gr36.txt: expected 35 equations")
-    mat = linalg.zeros(20, 20)
-    for i, s in enumerate(signs):
-        mat[i][10 + i] = Fraction(s)
-        mat[10 + i][i] = Fraction(-s)
-    form = SymplecticForm(mat)
+    form = pairing_form(20, [(i, 10 + i, s) for i, s in enumerate(signs)])
     pres = VarietyPresentation("gr36", form, polys)
     return CatalogEntry(
         pres, "transcribed", _unit_point(20),
@@ -245,13 +216,10 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
     if len(grl_polys) != 21:
         raise DataIntegrityError("grl36.txt: expected 21 equations")
 
-    name_to_idx = {n: i for i, n in enumerate(order)}
-    inclusion = linalg.zeros(20, 14)
-    images = [Polynomial.zero(14)] * 20  # each Gr(3,6) coordinate as a form in the 14
-    for nme, (c, j) in _GRL_SUBSTITUTION.items():
-        inclusion[name_to_idx[nme]][j] = c
-        images[name_to_idx[nme]] = Polynomial.variable(14, j).scale(c)
-    substituted = [p.substitute(images) for p in gr_polys]
+    # each Gr(3,6) coordinate as (c, j), for its image c * y_j in the 14
+    image = [_GRL_SUBSTITUTION[name] for name in order]
+    forms = [Polynomial.variable(14, j).scale(c) for c, j in image]
+    substituted = [p.substitute(forms) for p in gr_polys]
 
     # two spans of rank 21 are one span when their sum has rank 21 too
     codec = MonomialCodec(14, 2)
@@ -260,14 +228,10 @@ def lagrangian_grassmannian_36() -> CatalogEntry:
     if ranks != [21, 21, 21]:
         raise DataIntegrityError("grl36.txt: substitution cross-check failed")
 
-    wedge = linalg.zeros(20, 20)
-    for i, s in enumerate(signs):
-        wedge[i][10 + i] = Fraction(s)
-        wedge[10 + i][i] = Fraction(-s)
-    restricted = linalg.mat_mul(
-        linalg.transpose(inclusion), linalg.mat_mul(wedge, inclusion)
-    )
-    form = SymplecticForm(restricted)
+    # the wedge pairing, s on (x_i, x_{10+i}), restricts to s c c' on (y_j, y_j')
+    form = pairing_form(14, [
+        (image[i][1], image[10 + i][1], s * image[i][0] * image[10 + i][0]) for i, s in enumerate(signs)
+    ])
     pres = VarietyPresentation("grl36", form, grl_polys)
     return CatalogEntry(
         pres, "transcribed", _unit_point(14),
@@ -440,20 +404,16 @@ def _xf_name(f: Polynomial) -> str:
 def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Polynomial]:
     """All homogeneous degree-d forms vanishing on the parametrized image."""
     monos = monomials_of_degree(nv, degree)
-    rows: Dict[Tuple[int, ...], List[Fraction]] = {}
+    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
     for col, mono in enumerate(monos):
         value = Polynomial.constant(par[0].nvars, 1)
         for var, e in enumerate(mono):
             for _ in range(e):
                 value = value * par[var]
         for pmono, coeff in value.terms.items():
-            rows.setdefault(pmono, [Fraction(0)] * len(monos))[col] = coeff
-    matrix = [rows[key] for key in sorted(rows)]
-    kernel = linalg.nullspace(matrix, len(monos))
-    out = []
-    for vec in kernel:
-        out.append(poly_from_pairs(nv, [(monos[i], c) for i, c in enumerate(vec) if c]))
-    return out
+            rows.setdefault(pmono, {})[col] = coeff
+    kernel = linalg.sparse_nullspace(rows.values(), len(monos))
+    return [Polynomial(nv, {monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel]
 
 
 # The five implicit equations attached to the plane-cubic chart built from
@@ -473,29 +433,25 @@ def x_f_cubic_fixture(which: int) -> CatalogEntry:
     The first is degenerate (a hyperplane section), the second is a
     line-times-line surface, the third carries the five listed equations.
     """
-    if which == 1:
-        entry = x_f(parse_poly("y0^3", 2), implicit_degree=2)
-    elif which == 2:
-        entry = x_f(parse_poly("y0^2*y1", 2), implicit_degree=2)
-    elif which == 3:
-        entry = x_f(parse_poly("y0*y1*(y0+y1)", 2))
-        gens = [parse_poly(t, 6) for t in _XF3_EQUATIONS]
-        for g in gens:
-            if not g.substitute(entry.presentation.parametrization).is_zero():
-                raise DataIntegrityError("listed cubic-chart equation fails on the chart")
-        entry = CatalogEntry(
-            VarietyPresentation(
-                "xf-cubic-3", entry.presentation.form, gens,
-                parametrization=entry.presentation.parametrization,
-            ),
-            "transcribed", entry.base_point,
-            "the five listed equations of the chart of y1 y2 (y1 + y2), "
-            "verified to vanish along the parametrization",
-        )
-        return entry
-    else:
+    charts = {1: "y0^3", 2: "y0^2*y1"}
+    if which in charts:
+        return x_f(parse_poly(charts[which], 2), implicit_degree=2)
+    if which != 3:
         raise ValueError("which must be 1, 2 or 3")
-    return entry
+    entry = x_f(parse_poly("y0*y1*(y0+y1)", 2))
+    gens = [parse_poly(t, 6) for t in _XF3_EQUATIONS]
+    for g in gens:
+        if not g.substitute(entry.presentation.parametrization).is_zero():
+            raise DataIntegrityError("listed cubic-chart equation fails on the chart")
+    return CatalogEntry(
+        VarietyPresentation(
+            "xf-cubic-3", entry.presentation.form, gens,
+            parametrization=entry.presentation.parametrization,
+        ),
+        "transcribed", entry.base_point,
+        "the five listed equations of the chart of y1 y2 (y1 + y2), "
+        "verified to vanish along the parametrization",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ its dump and returns None.  `main` alone times the command, reports an
 exhausted Groebner budget, derives the status and prints the one report.
 
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
-mathematical negative (not legendrian, equation fails), 3 for a resource
-undecided, 1 for usage or parse errors.  A report's status is `undecided`
-exactly at exit 3 and `ok` otherwise, so a resource limit is never reported
-as a mathematical answer.  When standard output is closed before the report
+mathematical negative (not legendrian, quadrics not closed, equation
+fails), 3 for a resource undecided, 1 for usage or parse errors.  A report's
+status is `undecided` exactly at exit 3 and `ok` otherwise, so a resource
+limit is never reported as a mathematical answer.  When standard output is closed before the report
 is written (`legquad ... | head -c 10`), the command exits quietly with 141,
 the status a shell reports for a process that SIGPIPE ended.
 """
@@ -37,7 +37,7 @@ from .groebner import (
     normal_form,
 )
 from .legendrian import VarietyPresentation, legendrian_verdict, rational_curve_check, tangent_point_check
-from .liealg import NotAdaptedError, close_and_present, identify_algebra, split_root_data
+from .liealg import NotAdaptedError, NotClosedError, close_and_present, identify_algebra, split_root_data
 from .poly import Polynomial, PolyParseError, field_bits, parse_poly
 from .symplectic import SymplecticForm, poisson_bracket, standard_form
 from .classify import enumerate_semisimple_pairs, enumerate_simple
@@ -243,9 +243,15 @@ def _cmd_nf(args) -> Answer:
 
 
 def _cmd_algebra(args) -> Answer:
+    """The quadric algebra; a span the bracket leaves is a negative answer
+    naming every failing pair of generators, by their index in the file."""
     pres = _load_presentation(args)
-    quadrics = [g for g in pres.generators if g.homogeneous_degree() == 2]
-    algebra = close_and_present(quadrics, pres.form)
+    index = [k for k, g in enumerate(pres.generators) if g.homogeneous_degree() == 2]
+    try:
+        algebra = close_and_present([pres.generators[k] for k in index], pres.form)
+    except NotClosedError as exc:
+        pairs = [[index[i], index[j]] for i, j in exc.pairs]
+        return {"file": args.file}, {"closed": False, "failing_pairs": pairs}, EXIT_NEGATIVE
     semisimple = algebra.is_semisimple()
     result = {"dim": algebra.dim, "semisimple": semisimple}
     if semisimple:

@@ -11,9 +11,8 @@ Closure is linear algebra, and every input takes the one bracket pass of
 `liealg.bracket_closure`: a bracket of degree d lies in the homogeneous
 ideal exactly when it lies in the degree-d part I_d, the span of the
 generator multiples of degree d (`liealg.degree_part`).  When the generators
-are linearly independent quadrics, I_2 is their span, and the same pass
-gives the structure constants of their Lie algebra.  `degeneracy_check`
-reads hyperplanes off I_1.
+are quadrics, I_2 is their span, and the same pass gives the Lie algebra of
+that span.  `degeneracy_check` reads hyperplanes off I_1.
 
 The cone dimension has two certificates.  A closed quadric input first
 tries `kostant_certificate`: when the quadric algebra g is semisimple, a
@@ -253,21 +252,21 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:
     """Combine bracket closure, cone dimension and degeneracy into one verdict.
 
-    A closed input of independent quadrics first tries `kostant_certificate`,
-    which needs no Groebner basis.  Otherwise the cone dimension comes from
-    a Groebner basis whose S-pairs `budget` caps.  When it runs out, a
-    failed closure still decides the verdict (not-legendrian); a closed
-    ideal stays undecided.
+    A closed quadric input first tries `kostant_certificate` on the algebra
+    of its span, which needs no Groebner basis.  Otherwise the cone
+    dimension comes from a Groebner basis whose S-pairs `budget` caps.  When
+    it runs out, a failed closure still decides the verdict
+    (not-legendrian); a closed ideal stays undecided.
     """
     n = v.half_dim
-    failing, structure = bracket_closure(v.generators, v.form)
+    failing, algebra = bracket_closure(v.generators, v.form)
     closed = not failing
     degenerate = degeneracy_check(v) is not None
     witnesses = [f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
     dimension, budget_name, kostant = None, None, None
-    if closed and structure is not None:
+    if algebra is not None:
         try:
-            kostant = kostant_certificate(v, LieAlgebraPresentation(v.generators, v.form, structure))
+            kostant = kostant_certificate(v, algebra)
             dimension = kostant.dimension
         except NotCertified:
             pass

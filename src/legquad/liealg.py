@@ -10,9 +10,10 @@ Closure and structure constants are one bracket pass, `bracket_closure`,
 which is also the closure test of `legendrian` for generators of any
 degree: it brackets every pair of generators and tests each bracket for
 membership in the degree part of the ideal that `degree_part` builds; no
-other code in the package builds such spans.  For linearly independent
-quadrics the span is tracked, and the coefficients of each bracket over it
-are the structure constants.
+other code in the package builds such spans.  For quadrics the span is
+tracked, and the coefficients of each bracket over it are the structure
+constants, on the basis of the quadrics that enlarge it, so repeated or
+dependent quadrics present their span.
 
 The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
@@ -76,18 +77,14 @@ Weight = Tuple[int, ...]
 
 class NotClosedError(ValueError):
     """The quadric span is not closed under the Poisson bracket: `pairs`
-    lists every pair of basis elements whose bracket leaves it, in order,
-    and `pair` is the first."""
+    lists every pair of the given quadrics whose bracket leaves it, in
+    order, and `pair` is the first."""
 
     def __init__(self, pairs: Sequence[Tuple[int, int]]):
         i, j = pairs[0]
-        super().__init__(f"bracket of basis elements {i} and {j} leaves the span")
+        super().__init__(f"bracket of quadrics {i} and {j} leaves their span")
         self.pairs = list(pairs)
         self.pair = self.pairs[0]
-
-
-class DependentQuadricsError(ValueError):
-    """The quadrics given as a basis are linearly dependent."""
 
 
 class NotAdaptedError(ValueError):
@@ -296,10 +293,10 @@ def degree_part(
 
 def bracket_closure(
     generators: Sequence[Polynomial], form: SymplecticForm
-) -> Tuple[List[Tuple[int, int]], Optional[StructureConstants]]:
+) -> Tuple[List[Tuple[int, int]], Optional[LieAlgebraPresentation]]:
     """Bracket every pair of generators and test it for membership in the
-    ideal they generate: (the failing pairs in order, the structure
-    constants).
+    ideal they generate: (the failing pairs in order, the Lie algebra of a
+    closed quadric span).
 
     Closure of the generators is enough: the Leibniz rule propagates it to
     the whole ideal.  The ideal is homogeneous, so a bracket of degree d
@@ -312,10 +309,12 @@ def bracket_closure(
     sized for twice the largest generator degree, above every bracket
     degree, so a generator of too high a degree raises ValueError.
 
-    When the generators are linearly independent quadrics, I_2 is their
-    span, and the structure constants are the coefficients of each nonzero
-    bracket over it, scaled by 1 / (d_i * d_j * d_W) once, as
-    `Echelon.coefficients` writes them; otherwise the second value is None.
+    When the generators are quadrics, I_2 is their span, with the basis of
+    the generators that enlarge it, in order (`Echelon.stored_inputs`), and
+    the structure constants are the coefficients of each nonzero bracket of
+    two basis elements over it, scaled by 1 / (d_i * d_j * d_W) once, as
+    `Echelon.coefficients` writes them over those generators.  The second
+    value is that algebra when the span is closed, and None otherwise.
     """
     gens = list(generators)
     if any(g.nvars != form.dim for g in gens):
@@ -327,11 +326,11 @@ def bracket_closure(
         return [], None
     codec = MonomialCodec(form.dim, 2 * max(degrees, default=2))
     spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
-    structure: Optional[StructureConstants] = None
+    position: Dict[int, int] = {}  # generator index -> basis index
     if quadrics:
         spans[2] = degree_part(gens, 2, codec, track=True)
-        if spans[2][0].rank == len(gens):
-            structure = {}
+        position = {i: k for k, i in enumerate(spans[2][0].stored_inputs)}
+    structure: StructureConstants = {}
     grads = [gradient_terms(g, codec) for g in gens]
     failing: List[Tuple[int, int]] = []
     for (i, (grad_i, den_i)), (j, (grad_j, den_j)) in itertools.combinations(enumerate(grads), 2):
@@ -344,31 +343,31 @@ def bracket_closure(
             failing.append((i, j))
             continue
         row = {columns[m]: c for m, c in br.items()}
-        if structure is None:
+        if i not in position or j not in position:
             if not span.contains(row):
                 failing.append((i, j))
         elif (coeffs := span.coefficients(row, den=den_i * den_j * form.dual_den)) is None:
             failing.append((i, j))
         else:
-            structure[(i, j)] = coeffs
-    return failing, structure
+            structure[(position[i], position[j])] = {position[k]: c for k, c in coeffs.items()}
+    if failing or not quadrics:
+        return failing, None
+    return failing, LieAlgebraPresentation([gens[i] for i in position], form, structure)
 
 
 def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
-    """The Lie algebra of linearly independent quadrics whose span is closed
-    under the bracket, with the structure constants of `bracket_closure`.
-
-    Input that is not linearly independent quadrics raises
-    DependentQuadricsError, whether or not the span is closed; an open span
-    raises NotClosedError listing all the pairs whose bracket leaves it.
+    """The Lie algebra of the span of quadrics closed under the bracket,
+    presented on the quadrics that enlarge the span, in order, with the
+    structure constants of `bracket_closure`.  An open span raises
+    NotClosedError listing all the pairs of `quadrics` whose bracket leaves
+    it; input that is not all quadrics raises ValueError.
     """
-    basis = list(quadrics)
-    failing, structure = bracket_closure(basis, form)
-    if structure is None:
-        raise DependentQuadricsError("quadrics must be linearly independent")
+    failing, algebra = bracket_closure(quadrics, form)
     if failing:
         raise NotClosedError(failing)
-    return LieAlgebraPresentation(basis, form, structure)
+    if algebra is None:
+        raise ValueError("close_and_present takes quadrics only")
+    return algebra
 
 
 # ---------------------------------------------------------------------------

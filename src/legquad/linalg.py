@@ -5,12 +5,12 @@ package runs on `Echelon`: sparse rows of integers, kept fraction-free with
 their content divided out, which suits the sparse systems the package solves
 (the Groebner bases and normal forms of `groebner`, the quadric spans of
 `liealg` and `catalog`, ad-matrices, centroid systems of d^3 rows in d^2
-columns).  `rref` turns its rows into the canonical reduced row echelon form;
-`inverse` reads its answer off that form, and `nullspace` and
-`sparse_nullspace` read the canonical kernel basis off `Echelon.kernel`.
-The dense helpers here are the ones the package calls; `solve`,
-`row_space_basis`, matrix sums and the symmetry test serve the tests only
-and live in `tests/linalg_oracle.py`.
+columns).  `rref` turns its rows into the canonical reduced row echelon form,
+and `inverse` reads its answer off that form; `sparse_nullspace` reads the
+canonical kernel basis of sparse rows off `Echelon.kernel`.  The dense
+helpers here are the ones the package calls; the dense `nullspace`, matrix
+products, transposes and sums, `solve`, `row_space_basis` and the symmetry
+test serve the tests only and live in `tests/linalg_oracle.py`.
 """
 
 from __future__ import annotations
@@ -34,15 +34,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         out[i][i] = Fraction(1)
     return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence) -> Vector:
@@ -120,6 +111,14 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def stored_inputs(self) -> List[int]:
+        """The indices of the inputs stored as rows, in input order: those
+        that enlarged the span, over which alone `coefficients` writes.
+        Needs track=True.  A stored row's combination holds its own input
+        and earlier stored ones only, so its largest index is its own."""
+        return sorted(max(combo) for combo in self._combos.values())
 
     def _clear(self, work: SparseRow, p: int, combo: Optional[SparseRow]) -> int:
         """work <- a * work - b * (row of pivot p) with the least a > 0 that
@@ -256,14 +255,8 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     return out, ech.pivots
 
 
-def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
-    """Basis of the right kernel of `a` (vectors of length ncols)."""
-    cols = ncols if ncols is not None else (len(a[0]) if a else 0)
-    return sparse_nullspace(({j: x for j, x in enumerate(row) if x} for row in a), cols)
-
-
 def sparse_nullspace(rows: Iterable[Mapping], ncols: int) -> List[Vector]:
-    """`nullspace` of sparse rows (column -> integer or rational): the
+    """The right kernel of sparse rows (column -> integer or rational): the
     canonical kernel basis as dense vectors of length ncols."""
     ech = Echelon()
     for row in rows:

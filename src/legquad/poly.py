@@ -487,11 +487,3 @@ def format_poly(p: Polynomial) -> str:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
 
-
-def poly_from_pairs(nvars: int, pairs: Iterable[Tuple[Sequence[int], object]]) -> Polynomial:
-    """Build a polynomial from (exponent tuple, coefficient) pairs."""
-    terms: Dict[Exponent, Fraction] = {}
-    for exps, coeff in pairs:
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(coeff)
-    return Polynomial(nvars, terms)

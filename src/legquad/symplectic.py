@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import Matrix
@@ -134,15 +134,21 @@ def _dual_scalar(matrix: Matrix, dual: Matrix) -> Optional[Fraction]:
     return scalar
 
 
+def pairing_form(nvars: int, pairs: Iterable[Tuple[int, int, object]]) -> SymplecticForm:
+    """The form on nvars coordinates whose matrix is the sum, over the
+    triples (a, b, s) of `pairs`, of s at (a, b) and -s at (b, a)."""
+    m = linalg.zeros(nvars, nvars)
+    for a, b, s in pairs:
+        m[a][b] += s
+        m[b][a] -= s
+    return SymplecticForm(m)
+
+
 def standard_form(n: int) -> SymplecticForm:
     """Block form [[0, Id_n], [-Id_n, 0]] on 2n coordinates."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = linalg.zeros(2 * n, 2 * n)
-    for i in range(n):
-        m[i][n + i] = Fraction(1)
-        m[n + i][i] = Fraction(-1)
-    return SymplecticForm(m)
+    return pairing_form(2 * n, ((i, n + i, 1) for i in range(n)))
 
 
 def gradient_terms(p: Polynomial, codec: MonomialCodec) -> Tuple[GradientTerms, int]:

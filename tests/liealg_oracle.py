@@ -30,7 +30,7 @@ from legquad.linalg import Matrix, Vector
 from legquad.poly import Exponent, Polynomial, grevlex_key
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero
+from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, transpose
 
 Gradient = Dict[int, List[Tuple[Exponent, Fraction]]]
 
@@ -201,6 +201,11 @@ def cartan_data(algebra: LieAlgebraPresentation) -> CartanData:
     return _root_decomposition(algebra, _cartan_subalgebra(algebra))
 
 
+def _nullspace(rows: Matrix, ncols: int) -> List[Vector]:
+    """The canonical kernel basis of dense rows, by the package's kernel."""
+    return linalg.sparse_nullspace((dict(enumerate(row)) for row in rows), ncols)
+
+
 def _centralizer(algebra, vectors: List[Vector]) -> List[Vector]:
     if not vectors:
         return [list(r) for r in linalg.identity(algebra.dim)]
@@ -209,13 +214,13 @@ def _centralizer(algebra, vectors: List[Vector]) -> List[Vector]:
         for a, h in enumerate(vectors):
             for i, x in enumerate(h):
                 generic[i] += (a + 1) * x
-        kernel = linalg.nullspace(ad_matrix(algebra, generic), algebra.dim)
+        kernel = _nullspace(ad_matrix(algebra, generic), algebra.dim)
         if all(not bracket_vectors(algebra, v, h) for v in kernel for h in vectors):
             return kernel
     rows: List[Vector] = []
     for h in vectors:
         rows.extend(ad_matrix(algebra, h))
-    return linalg.nullspace(rows, algebra.dim)
+    return _nullspace(rows, algebra.dim)
 
 
 def _cartan_subalgebra(algebra) -> CartanData:
@@ -261,7 +266,7 @@ def _diagonal_subspace(algebra, within: List[Vector]) -> List[Vector]:
                 constraints.append(row)
     if not constraints:
         return [_span_combination(within, r) for r in linalg.identity(len(within))]
-    return [_span_combination(within, c) for c in linalg.nullspace(constraints, len(within))]
+    return [_span_combination(within, c) for c in _nullspace(constraints, len(within))]
 
 
 def _root_decomposition(algebra, cartan: CartanData) -> CartanData:
@@ -316,7 +321,7 @@ def _split_by_eigenvalue(ad_h: Matrix, space: List[Vector], candidates: List[Fra
     found = 0
     for lam in candidates:
         shifted = [[x - lam * y for x, y in zip(linalg.mat_vec(ad_h, v), v)] for v in space]
-        kernel = linalg.nullspace(linalg.transpose(shifted), len(space))
+        kernel = _nullspace(transpose(shifted), len(space))
         if kernel:
             pieces.append([_span_combination(space, c) for c in kernel])
             found += len(kernel)
@@ -396,7 +401,7 @@ def exp_nilpotent_action(matrix: Sequence[Sequence], vector: Sequence, budget: O
         if mat_eq_zero(power):
             index = k
             break
-        power = linalg.mat_mul(power, m)
+        power = mat_mul(power, m)
     if index is None:
         if not mat_eq_zero(power):
             raise ValueError("matrix is not nilpotent within the budget")

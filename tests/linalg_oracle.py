@@ -2,9 +2,10 @@
 
 This is the elimination the package used before its sparse integer kernel;
 it shares no code with `legquad.linalg.Echelon`, so the two routes are
-independent.  `solve` and `row_space_basis` read their answers off this
-`rref`; they, `mat`, the matrix sums and the symmetry test serve the tests
-and the other oracles only.
+independent.  `solve`, `row_space_basis` and the canonical kernel basis
+`nullspace` read their answers off this `rref`; they, `mat`, the matrix
+product, transpose and sums and the symmetry test serve the tests and the
+other oracles only.
 """
 
 from __future__ import annotations
@@ -97,6 +98,32 @@ def row_space_basis(a: Matrix) -> Matrix:
     """Canonical (RREF) basis of the row space, zero rows dropped."""
     red, pivots = rref(a)
     return [red[i] for i in range(len(pivots))]
+
+
+def nullspace(a: Matrix, ncols: Optional[int] = None) -> List[Vector]:
+    """Canonical basis of the right kernel of `a` (vectors of length ncols),
+    one vector per free column f in increasing order: 1 at f, and minus the
+    RREF entry at f in each pivot column."""
+    cols = ncols if ncols is not None else (len(a[0]) if a else 0)
+    red, pivots = rref(a)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for r, p in enumerate(pivots):
+                v[p] = -red[r][f]
+            basis.append(v)
+    return basis
+
+
+def transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    bt = transpose(b)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

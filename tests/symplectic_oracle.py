@@ -15,7 +15,7 @@ from legquad import linalg
 from legquad.poly import Polynomial
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_sub
+from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_sub, transpose
 
 
 class QuadraticForm:
@@ -99,7 +99,7 @@ def sp_membership(m: Sequence[Sequence], form: SymplecticForm) -> bool:
     if len(mm) != form.dim:
         raise ValueError("dimension mismatch")
     j = form.matrix
-    lhs = mat_add(linalg.mat_mul(linalg.transpose(mm), j), linalg.mat_mul(j, mm))
+    lhs = mat_add(mat_mul(transpose(mm), j), mat_mul(j, mm))
     return mat_eq_zero(lhs)
 
 
@@ -112,7 +112,7 @@ def quadric_to_sp(q: QuadraticForm, form: SymplecticForm) -> SpElement:
     """
     if q.dim != form.dim:
         raise ValueError("dimension mismatch")
-    image = linalg.mat_scale(linalg.mat_mul(form.dual_matrix, q.matrix), 2)
+    image = linalg.mat_scale(mat_mul(form.dual_matrix, q.matrix), 2)
     return SpElement(image)
 
 
@@ -125,10 +125,10 @@ def quadric_bracket_matrix(a: QuadraticForm, b: QuadraticForm, form: SymplecticF
     if a.dim != form.dim or b.dim != form.dim:
         raise ValueError("dimension mismatch")
     w = form.dual_matrix
-    awb = linalg.mat_mul(linalg.mat_mul(a.matrix, w), b.matrix)
-    bwa = linalg.mat_mul(linalg.mat_mul(b.matrix, w), a.matrix)
+    awb = mat_mul(mat_mul(a.matrix, w), b.matrix)
+    bwa = mat_mul(mat_mul(b.matrix, w), a.matrix)
     return QuadraticForm(linalg.mat_scale(mat_sub(awb, bwa), 2))
 
 
 def commutator(a: SpElement, b: SpElement) -> SpElement:
-    return SpElement(mat_sub(linalg.mat_mul(a.matrix, b.matrix), linalg.mat_mul(b.matrix, a.matrix)))
+    return SpElement(mat_sub(mat_mul(a.matrix, b.matrix), mat_mul(b.matrix, a.matrix)))

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 from fractions import Fraction
 
@@ -189,3 +191,81 @@ def test_dump_roundtrip(entries):
         assert pres.form.matrix == entry.presentation.form.matrix
         assert pres.form.dual_matrix == entry.presentation.form.dual_matrix
 
+
+def _pinned_constructions():
+    """label -> builder of every construction the pins cover: the registry,
+    both line-times-quadric models for n = 3..17 and two implicit charts."""
+    out = {name: functools.partial(catalog.get_entry, name) for name in catalog.entry_names()}
+    for n in range(3, 18):
+        for split in (False, True):
+            out[f"segre_line_quadric({n}, split={split})"] = functools.partial(catalog.segre_line_quadric, n, split)
+    out["x_f(y0^3, 2)"] = lambda: catalog.x_f(parse_poly("y0^3", 2), implicit_degree=2)
+    out["x_f(y0^2*y1 + y1^3, 3)"] = lambda: catalog.x_f(parse_poly("y0^2*y1 + y1^3", 2), implicit_degree=3)
+    return out
+
+
+# sha256 of each construction's dump, name, generator terms in insertion
+# order, form and dual matrices, base point, parametrization terms, note,
+# source and checksum
+_PINS = {
+    'twisted-cubic': 'be0f16d8b39908222f4349e0267adc68286c2af163e320b0e653c5db0b3f7ff1',
+    'segre-3': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
+    'segre-4': '35e9419b860a9d9e9acc8835f51fb66c85b2b9a93815ececc62cf69efec38e27',
+    'segre-5': 'c44b0c4c56f6396a5a2db5065f7e75ed496ae4d9a50e41f45984b06cfd9bb66c',
+    'segre-split-3': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
+    'segre-split-4': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
+    'segre-split-5': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
+    'gr36': '548617675c17199be81cbfe2a04e2ec84c9beab784b87aba2733a3273a35c489',
+    'grl36': '6d8b7b6b725e1b0269b9c0933828a966295d400c90808b7fb16e5bc36a8aad77',
+    'spinor-s6': '23fcd1fe83f550dcf68d8be0b4ef28f269322d301372961bea2b823020b4855a',
+    'e7': '17ee75799925b64b2e221e1ed8c33c7e4f5e6ec57813c46fe220c78504815934',
+    'xf-cubic-1': '769b06e3746850c8e48a1f57332ad61834dafc01586441898718a2570ec919cb',
+    'xf-cubic-2': '2bbd2daa4831cfe3543e5d2df5c76d2afae3e66c0ce0d76a0c642f16e163336f',
+    'xf-cubic-3': '6dc22bdb8e2301e87a44fee8dd217a8bec1cacb5970ef7cce0d333eb7bc5727b',
+    'complete-intersection': 'bd08b9f71c36776f778674ea1fcd27b180688869ae12f3bd10b2550f289c3190',
+    'four-lines': 'aacc3ccc66784dc991bbc5fe270c471a571de5890bbe81a86241be6f06302cd2',
+    'linear-lagrangian': 'b6cf457f503897b1c83b60541e3062469503eb1c7acc758c2f7df89f9a353f3a',
+    'segre_line_quadric(3, split=False)': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
+    'segre_line_quadric(3, split=True)': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
+    'segre_line_quadric(4, split=False)': '35e9419b860a9d9e9acc8835f51fb66c85b2b9a93815ececc62cf69efec38e27',
+    'segre_line_quadric(4, split=True)': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
+    'segre_line_quadric(5, split=False)': 'c44b0c4c56f6396a5a2db5065f7e75ed496ae4d9a50e41f45984b06cfd9bb66c',
+    'segre_line_quadric(5, split=True)': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
+    'segre_line_quadric(6, split=False)': 'a55e75419db84501a37d8052655c1665cd0720fbf2999d178d4991b4b656cb4a',
+    'segre_line_quadric(6, split=True)': 'b1d18cb43b7c4b6f33d3f65e31cb4535093acad68470947a34b451dc03156975',
+    'segre_line_quadric(7, split=False)': '5414a3204d405d299b8772b4fc60d086fefc8a59eb7d5e054a0c57e83b0a2c28',
+    'segre_line_quadric(7, split=True)': '3807a21bf66620866a01a304f7cb35bd8a9bc390dd30282cec26632687f892c5',
+    'segre_line_quadric(8, split=False)': 'ca877ff0a23bcb80628a94e1a7501fd3e27f505479a61584e76fad0539993425',
+    'segre_line_quadric(8, split=True)': 'cd557a97659495e67af31e2ee7e077c13700f2a513993fbeb9aaf95522ff5a79',
+    'segre_line_quadric(9, split=False)': 'f674aec9a24c40af8230159dc7ed741a0ac9950be1458529ce6a375ea0e9de97',
+    'segre_line_quadric(9, split=True)': '35d0bf767ad02f2a0570cc5f75da2a6867d079b08b86f43d8eb238642784aff8',
+    'segre_line_quadric(10, split=False)': '70e7fad79e3ccbaa4090dbc335cb3eaf660cf56ee6eff713c354614f9c2b626c',
+    'segre_line_quadric(10, split=True)': '746426d491f4f5467aaf0233b629e78e3cc81a0f5b95acab8127dd21cf791089',
+    'segre_line_quadric(11, split=False)': '337e142759030d035eafa5fccd920d1e444f07aad3bf8ca88bf7deaf6aa7e5c3',
+    'segre_line_quadric(11, split=True)': '0c02fd2f1d61bd3d649ee74c99c49efc44823142ad642efb45ebe7cec1e9c066',
+    'segre_line_quadric(12, split=False)': '6bec4e5384d9a2f5b91781cc6e232e74c195c181c96cbf9c7aab4933619c457a',
+    'segre_line_quadric(12, split=True)': 'd07a37a5199a95f7625a370cff22efa346a31d9a6a109587fde943cec19a0bf2',
+    'segre_line_quadric(13, split=False)': '2611a61ea9f21335194e8ad64bf4c82a552de92644f3e9bfc4694301dc4e1004',
+    'segre_line_quadric(13, split=True)': 'eb23ff8bbfdecf394f3526b12e33bdfdfe29d0dfcd82a4848527f64f95c5f5a0',
+    'segre_line_quadric(14, split=False)': 'c70f6e5f55a25539708eed978a5c2e52a5ffb0e5a01df2570fe2ad1cb0f757fe',
+    'segre_line_quadric(14, split=True)': 'd009b0a16138eb0f5082b0e19d5c249442ef131f87ebbca459bed52cf275752e',
+    'segre_line_quadric(15, split=False)': '5ed9d6870169c31b8ee3f39618cfeaae1d1c2052eb2147ada8f90180b9a80382',
+    'segre_line_quadric(15, split=True)': 'c69ecf82da3f437528e3baa7f44afa598f125d0d240c4ae4a8d3266a0cbdf60a',
+    'segre_line_quadric(16, split=False)': '53efd7072fc7377aed588f0a777b85e35933cbec6fe03edc750b3d7d74912e9a',
+    'segre_line_quadric(16, split=True)': 'f89ea600f4468a21ea6ebc2b9e979a1c68ba118531cf24811504c15cfe83ade0',
+    'segre_line_quadric(17, split=False)': '844e0f0820d8c1e38c781a37207a21e24521f28368b70b613b9a3bb148b149d6',
+    'segre_line_quadric(17, split=True)': 'f7d250e5e2ae2ac33c8c4fbd6c64ab8d83de9cfd6ba47927853a4b6b6e361987',
+    'x_f(y0^3, 2)': '769b06e3746850c8e48a1f57332ad61834dafc01586441898718a2570ec919cb',
+    'x_f(y0^2*y1 + y1^3, 3)': '0ae06fbafd0cb9ab364f12ab8d492a566041e1577b750608533973c407725c9e',
+}
+
+
+@pytest.mark.parametrize("label", list(_PINS))
+def test_construction_is_pinned(label):
+    entry = _pinned_constructions()[label]()
+    pres = entry.presentation
+    terms = lambda polys: None if polys is None else [(p.nvars, list(p.terms.items())) for p in polys]
+    fields = [catalog.dump_entry(entry), entry.name, terms(pres.generators), pres.form.matrix,
+              pres.form.dual_matrix, entry.base_point, terms(pres.parametrization),
+              entry.provenance_note, entry.source, entry.checksum]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == _PINS[label]

@@ -182,6 +182,38 @@ def test_algebra_subcommand_names_the_missing_cartan(capsys, tmp_path):
     assert payload["result"]["cartan_reason"].startswith("NotAdaptedError")
 
 
+def _cubic_variant(first: str, extra: str = "") -> str:
+    """The twisted cubic's dump with `first` in place of its first generator
+    and `extra` appended."""
+    dump = catalog.dump_entry(catalog.get_entry("twisted-cubic"))
+    return dump.replace("x2^2 - x1*x3\n", first + "\n") + extra
+
+
+def test_algebra_on_an_open_span_is_a_negative_answer(capsys, tmp_path):
+    """Quadrics the bracket does not close are a mathematical negative, as
+    `check` calls them, with every failing pair of generators named."""
+    path = tmp_path / "open.txt"
+    path.write_text(_cubic_variant("x0^2 - x1*x3 + x2^2"))
+    code, out, err = run(capsys, "--json", "algebra", str(path))
+    payload = json.loads(out)
+    assert code == EXIT_NEGATIVE and err == "" and payload["status"] == "ok"
+    assert payload["result"] == {"closed": False, "failing_pairs": [[0, 2]]}
+    code, _, _ = run(capsys, "check", str(path))
+    assert code == EXIT_NEGATIVE
+    # a cubic generator in front: the pairs are indices of the file's generators
+    path.write_text(_cubic_variant("x0^3\nx0^2 - x1*x3 + x2^2"))
+    code, out, _ = run(capsys, "--json", "algebra", str(path))
+    assert code == EXIT_NEGATIVE and json.loads(out)["result"]["failing_pairs"] == [[1, 3]]
+
+
+def test_algebra_presents_the_span_of_repeated_generators(capsys, tmp_path):
+    path = tmp_path / "doubled.txt"
+    path.write_text(_cubic_variant("x2^2 - x1*x3", "x0*x3 - x1*x2\n2*x2^2 - 2*x1*x3\n"))
+    code, out, _ = run(capsys, "--json", "algebra", str(path))
+    result = json.loads(out)["result"]
+    assert code == EXIT_OK and result["dim"] == 3 and result["types"] == ["A1"]
+
+
 def test_classify_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "classify", "--max-rank", "3", "--max-dim", "30")
     assert code == EXIT_OK
@@ -354,16 +386,17 @@ def test_reports_roundtrip_json(capsys, tmp_path):
     (["nf", "{cubic}", "x0^2"], ["file", "poly"], EXIT_OK),
     (["--budget", "1", "nf", "{cubic}", "x0^2"], ["file"], EXIT_UNDECIDED),
     (["algebra", "{cubic}"], ["file"], EXIT_OK),
+    (["algebra", "{open}"], ["file"], EXIT_NEGATIVE),
     (["classify", "--max-rank", "2", "--max-dim", "10"], ["max_rank", "max_dim"], EXIT_OK),
     (["catalog"], [], EXIT_OK),
     (["curve", "t", "t", "t"], ["f1", "f2", "f3"], EXIT_NEGATIVE),
     (["xf", "y0^3"], ["poly"], EXIT_OK),
 ], ids=["check", "check-negative", "check-budget", "bracket", "gb", "gb-budget", "nf", "nf-budget",
-        "algebra", "classify", "catalog", "curve", "xf"])
+        "algebra", "algebra-open", "classify", "catalog", "curve", "xf"])
 def test_every_json_report_keeps_the_contract(capsys, tmp_path, argv, inputs, code):
     """Every command's report has the same keys in the same order, the
     inputs its command names, and status `undecided` exactly at exit 3."""
-    files = {"plane": "n=2\nx0\n"}
+    files = {"plane": "n=2\nx0\n", "open": _cubic_variant("x0^2 - x1*x3 + x2^2")}
     for key, name in (("cubic", "twisted-cubic"), ("segre", "segre-3")):
         files[key] = catalog.dump_entry(catalog.get_entry(name))
     for key, text in files.items():

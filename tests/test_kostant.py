@@ -1,9 +1,9 @@
 """The Kostant certificate of `legquad.legendrian` against Groebner bases,
 the classification scan and inputs built to fail each of its conditions.
 
-A closed input of independent quadrics is decided from its quadric algebra
-when the certificate holds; every other input falls back to the Groebner
-basis with its verdict unchanged.
+A closed quadric input is decided from the algebra of its span when the
+certificate holds; every other input falls back to the Groebner basis with
+its verdict unchanged.
 """
 
 import functools
@@ -27,7 +27,6 @@ from legquad.legendrian import (
     legendrian_verdict,
 )
 from legquad.liealg import (
-    DependentQuadricsError,
     bracket_closure,
     close_and_present,
     identify_algebra,
@@ -393,11 +392,19 @@ def test_verdict_names_every_failing_pair_of_a_quadric_input(entries):
 
 
 def test_dependent_generators_take_the_span_test(entries):
-    base = entries["twisted-cubic"].presentation
-    pres = VarietyPresentation("doubled", base.form, base.generators + [base.generators[0].scale(2)])
-    with pytest.raises(DependentQuadricsError):
-        close_and_present(pres.generators, pres.form)
-    assert _assert_falls_back(pres).verdict == "legendrian"
+    """A repeated generator, and a multiple of one, leave the span, its
+    algebra and the certificate as they are: the algebra is presented on
+    the generators that enlarge the span, in order."""
+    for name in ("twisted-cubic", "grl36", "e7"):
+        base = entries[name].presentation
+        types, weights, dimension = CERTIFIED[name]
+        for extra in (base.generators[-1], base.generators[0].scale(2)):
+            pres = VarietyPresentation(f"{name}-repeated", base.form, base.generators + [extra])
+            algebra = close_and_present(pres.generators, pres.form)
+            assert algebra.basis == base.generators and algebra.dim == len(base.generators), name
+            verdict = legendrian_verdict(pres)
+            assert verdict.verdict == "legendrian" and verdict.certificate == "kostant", name
+            assert verdict.kostant == KostantCertificate(types, weights, dimension), name
 
 
 @pytest.mark.parametrize("build, condition", [

@@ -29,7 +29,7 @@ from legquad.rootdata import build_root_system, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
 from liealg_oracle import block_view, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
-from linalg_oracle import det, mat_eq_zero
+from linalg_oracle import det, mat_eq_zero, mat_mul
 from symplectic_oracle import QuadraticForm, quadric_to_sp
 from test_kostant import _sheared
 
@@ -63,10 +63,15 @@ def test_close_and_present_rejects_open_span():
     assert err.value.pair == (0, 1)
 
 
-def test_close_and_present_rejects_dependent_input():
+def test_close_and_present_takes_the_span_of_dependent_input():
     form = standard_form(2)
-    with pytest.raises(ValueError):
-        close_and_present([parse_poly("x0^2", 4), parse_poly("2*x0^2", 4)], form)
+    quadrics = [parse_poly(t, 4) for t in ("x0^2", "2*x0^2", "x0*x2", "x0^2 + x0*x2", "x2^2")]
+    L = close_and_present(quadrics, form)
+    assert L.basis == [quadrics[0], quadrics[2], quadrics[4]]
+    assert L.structure == liealg_oracle.structure_constants(L.basis, form)
+    with pytest.raises(NotClosedError) as err:
+        close_and_present(quadrics[:2] + [parse_poly("x1*x2", 4)], form)
+    assert err.value.pairs == [(0, 2), (1, 2)]
 
 
 def test_single_quadric_is_abelian():
@@ -269,7 +274,7 @@ def test_exp_preserves_non_quadric_generators(entries):
     for image in liealg_oracle.sp_images(algebra):
         power = image
         for _ in range(pres.nvars):
-            power = linalg.mat_mul(power, image)
+            power = mat_mul(power, image)
         if not mat_eq_zero(power):
             continue
         point = exp_nilpotent_action(image, entry.base_point)

@@ -1,13 +1,19 @@
 """Every top-level function and class, and every method, in `src/legquad`
 is reached by the program itself.  A helper that only the tests call
-belongs in a test oracle module, next to the tests that use it."""
+belongs in a test oracle module, next to the tests that use it.  And every
+Python name the README's prose names is defined in `src/legquad` or the
+tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import legquad
+from legquad import catalog, cli
 
 SRC = Path(legquad.__file__).parent
+TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
 # reached from outside the package: the console script of pyproject.toml
 ENTRY_POINTS = {"cli.py": {"main"}}
 
@@ -96,3 +102,41 @@ def test_every_top_level_definition_is_referenced_by_src():
                 for rf, line, attribute in references.get(name, []) if attribute or not method)
     )
     assert unreferenced == []
+
+
+# README words that name no Python definition: the package itself, report
+# statuses, a report key and the standard library's Fraction
+README_WORDS = {"legquad", "ok", "undecided", "type", "fractions.Fraction"}
+
+
+def _defined_names() -> set:
+    """Every name a module of `src/legquad` or of the tests binds, at any
+    depth: modules, functions, classes, parameters, assigned names and
+    assigned attributes."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        names.add(path.stem)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+    return names
+
+
+def test_every_name_in_the_readme_prose_is_defined():
+    """Each backticked Python name, dotted or not, in the README outside its
+    code blocks is defined in `src/legquad` or the tests, component by
+    component; subcommand and catalog names count as defined."""
+    subcommands = next(a for a in cli._parser()._actions if a.dest == "command").choices
+    names = _defined_names() | set(subcommands) | set(catalog.entry_names()) | README_WORDS
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    undefined = [
+        word for word in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", prose)
+        if word not in names and not all(part in names for part in word.split("."))
+    ]
+    assert undefined == []
