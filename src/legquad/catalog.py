@@ -412,8 +412,8 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
                 value = value * par[var]
         for pmono, coeff in value.terms.items():
             rows.setdefault(pmono, {})[col] = coeff
-    kernel = linalg.sparse_nullspace(rows.values(), len(monos))
-    return [Polynomial(nv, {monos[i]: c for i, c in enumerate(vec) if c}) for vec in kernel]
+    kernel = linalg.sparse_nullspace(rows.values(), range(len(monos)))
+    return [Polynomial(nv, {monos[i]: c for i, c in vec.items()}) for vec in kernel]
 
 
 # The five implicit equations attached to the plane-cubic chart built from

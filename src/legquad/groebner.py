@@ -29,12 +29,11 @@ report what needed the basis as undecided, never as a verdict.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from .linalg import Echelon
+from .linalg import Echelon, integral
 from .poly import Exponent, MonomialCodec, Polynomial, grevlex_key
 
 Terms = Dict[int, Fraction]  # column -> coefficient; or int, as `Echelon` stores rows
@@ -147,8 +146,7 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in gb.elements]))
     basis = []
     for g in gb.elements:  # monic, so den * g is primitive with a positive lead
-        den = math.lcm(*[c.denominator for c in g.terms.values()])
-        basis.append({t: c.numerator * (den // c.denominator) for t, c in _packed(g, codec).items()})
+        basis.append(integral(_packed(g, codec))[0])
     [r] = _remainders([_packed(p, codec)], basis, [-min(g) for g in basis], codec)
     return Polynomial(p.nvars, {codec.unpack(-t): c for t, c in r.items()})
 

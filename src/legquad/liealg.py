@@ -22,12 +22,13 @@ brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
 D^2 times the trace form) all read it.  The torus search and the root
 decomposition read the terms of each quadric, their two indices found once
 (`quadric_terms`), and the sparse integer sp-image entries built from them
-(`sp_entries`).  Fractions appear at the API boundary only: `structure`
-and the torus and root vectors of `CartanData`.  The roots are integer
-tuples in the scale of the integer coordinate weights.  The dense
-Fraction routes of the same quantities, the exponentials of nilpotent
-sp-images and the block view of an sp element live in the tests
-(`tests/liealg_oracle.py`).
+(`sp_entries`).  An element is one sparse coordinate vector over the basis
+(`linalg.SparseVector`), from the kernels that find it to `CartanData` and
+the ideal bases of `decompose_ideals`; Fractions appear at the API boundary
+only: `structure` and those vectors.  The roots are integer tuples in the
+scale of the integer coordinate weights.  The dense Fraction routes of the
+same quantities, the exponentials of nilpotent sp-images and the block view
+of an sp element live in the tests (`tests/liealg_oracle.py`).
 
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
@@ -61,7 +62,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import Vector
+from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial, code_columns
 from .rootdata import _cartan_matrix, simple_types_up_to, type_dimension, type_key
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
@@ -177,12 +178,13 @@ class LieAlgebraPresentation:
             self._sp_entries = out
         return self._sp_entries
 
-    def element_polynomial(self, vec: Sequence) -> Polynomial:
-        total = Polynomial.zero(self.form.dim)
-        for i, c in enumerate(vec):
-            if c:
-                total = total + self.basis[i].scale(c)
-        return total
+    def element_polynomial(self, vec: Mapping[int, Fraction]) -> Polynomial:
+        """sum_i vec_i b_i for a sparse coordinate vector, in one terms dict."""
+        terms: Dict[Tuple[int, ...], Fraction] = {}
+        for i, c in vec.items():
+            for m, x in self.basis[i].terms.items():
+                terms[m] = terms.get(m, 0) + c * x
+        return Polynomial(self.form.dim, terms)
 
     def killing_rows(self) -> Dict[int, Dict[int, int]]:
         """D^2 times the trace form tr(ad_i ad_j), as sparse integer rows,
@@ -229,18 +231,11 @@ def _quadric_indices(exps: Tuple[int, ...]) -> Tuple[int, int]:
     return p, exps.index(1, p + 1)
 
 
-def _integral_vector(vec: Sequence) -> Tuple[Dict[int, int], int]:
-    """(den * vec as sparse integers, index -> value, and den) for the least
-    common denominator den of the entries, ints or Fractions."""
-    den = math.lcm(*[x.denominator for x in vec if x])
-    return {i: x.numerator * (den // x.denominator) for i, x in enumerate(vec) if x}, den
-
-
-def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Tuple[SparseAd, int]:
+def _integer_ad(algebra: LieAlgebraPresentation, x: Mapping[int, Fraction]) -> Tuple[SparseAd, int]:
     """(entries, den) with ad(x) = entries / den, entries sparse (k, j) ->
     integer: [x, b_j] = sum_i x_i [b_i, b_j], read off the bracket table."""
     table, den = algebra.bracket_table()
-    ix, dx = _integral_vector(x)
+    ix, dx = linalg.integral(x)
     entries: SparseAd = {}
     for i, xi in ix.items():
         for j, terms in table[i].items():
@@ -249,10 +244,10 @@ def _integer_ad(algebra: LieAlgebraPresentation, x: Sequence) -> Tuple[SparseAd,
     return {kj: v for kj, v in entries.items() if v}, dx * den
 
 
-def _sp_integer(algebra: LieAlgebraPresentation, vec: Sequence) -> SpEntries:
+def _sp_integer(algebra: LieAlgebraPresentation, vec: Mapping[int, Fraction]) -> SpEntries:
     """(entries, den) for the sp-image of sum_i vec_i b_i: it is entries /
     den, with entries sparse (p, q) -> nonzero integer."""
-    ivec, dv = _integral_vector(vec)
+    ivec, dv = linalg.integral(vec)
     images = algebra.sp_entries()
     den = math.lcm(*[images[i][1] for i in ivec])
     out: Dict[Tuple[int, int], int] = {}
@@ -262,12 +257,6 @@ def _sp_integer(algebra: LieAlgebraPresentation, vec: Sequence) -> SpEntries:
         for pq, x in entries.items():
             out[pq] = out.get(pq, 0) + scale * x
     return {pq: x for pq, x in out.items() if x}, dv * den
-
-
-def _unit(dim: int, i: int) -> Vector:
-    v = [Fraction(0)] * dim
-    v[i] = Fraction(1)
-    return v
 
 
 def degree_part(
@@ -377,16 +366,16 @@ def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> L
 
 @dataclass
 class CartanData:
-    """A torus of the algebra, as coordinate vectors over the algebra basis,
-    with its root decomposition: root_spaces pairs each root with a
-    coordinate eigenvector; the roots alone determine the type.  weights are
-    the integer coordinate weights the decomposition read
+    """A torus of the algebra, as sparse coordinate vectors over the algebra
+    basis, with its root decomposition: root_spaces pairs each root with a
+    sparse coordinate eigenvector; the roots alone determine the type.
+    weights are the integer coordinate weights the decomposition read
     (`_coordinate_weights`), and each root is the integer tuple -mu for the
     weight mu = w_p + w_q of its quadrics: ad h_t multiplies a root vector
     by root_t / den_t, for the denominator den_t of h_t's sp-image."""
 
-    cartan_vectors: List[Vector]
-    root_spaces: List[Tuple[Weight, Vector]] = field(default_factory=list)  # (root, eigvec)
+    cartan_vectors: List[SparseVector]
+    root_spaces: List[Tuple[Weight, SparseVector]] = field(default_factory=list)  # (root, eigvec)
     weights: List[Weight] = field(default_factory=list)
 
     @property
@@ -398,15 +387,7 @@ class CartanData:
         return [r for r, _ in self.root_spaces]
 
 
-def _placed(coeffs: Vector, indices: Sequence[int], dim: int) -> Vector:
-    """The vector of length dim with coeffs[a] at basis index indices[a]."""
-    out = [Fraction(0)] * dim
-    for i, c in zip(indices, coeffs):
-        out[i] = c
-    return out
-
-
-def _coordinate_weights(algebra, torus: List[Vector]) -> List[Weight]:
+def _coordinate_weights(algebra, torus: List[SparseVector]) -> List[Weight]:
     """Coordinate k has weight (d_1[k], ..., d_r[k]) for the integer
     diagonals d_t of `_sp_integer` of the torus vectors.  Raises
     NotAdaptedError when an sp-image is not diagonal."""
@@ -433,13 +414,12 @@ def cartan_subalgebra(algebra: LieAlgebraPresentation) -> CartanData:
         live = kept
     scale = math.lcm(*[images[i][1] for i in live])
     rows: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for a, i in enumerate(live):
+    for i in live:
         entries, den = images[i]
         for (p, q), x in entries.items():
             if p != q:
-                rows.setdefault((p, q), {})[a] = x * (scale // den)
-    kernel = linalg.sparse_nullspace(rows.values(), len(live))
-    return CartanData([_placed(coeffs, live, algebra.dim) for coeffs in kernel])
+                rows.setdefault((p, q), {})[i] = x * (scale // den)
+    return CartanData(linalg.sparse_nullspace(rows.values(), live))
 
 
 def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> CartanData:
@@ -466,21 +446,21 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
             part.setdefault(tuple(a + b for a, b in zip(weights[p], weights[q])), {})[(p, q)] = c
         parts.append(part)
     mixed = {mu for part in parts if len(part) > 1 for mu in part}
-    pairs: List[Tuple[Weight, Vector]] = []
+    pairs: List[Tuple[Weight, SparseVector]] = []
     leftover: List[int] = []
     for j, part in enumerate(parts):
         if mixed.isdisjoint(part):
-            pairs.append((next(iter(part)), _unit(algebra.dim, j)))
+            pairs.append((next(iter(part)), {j: Fraction(1)}))
         else:
             leftover.append(j)
-    rows: Dict[Tuple[Weight, Tuple[int, int]], Dict[int, Fraction]] = {}  # (weight, (p, q)) -> position -> c
-    for a, j in enumerate(leftover):
+    rows: Dict[Tuple[Weight, Tuple[int, int]], Dict[int, Fraction]] = {}  # (weight, (p, q)) -> j -> c
+    for j in leftover:
         for mu, part in parts[j].items():
             for pq, c in part.items():
-                rows.setdefault((mu, pq), {})[a] = c
+                rows.setdefault((mu, pq), {})[j] = c
     for mu in mixed:
-        kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], len(leftover))
-        pairs.extend((mu, _placed(coeffs, leftover, algebra.dim)) for coeffs in kernel)
+        kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], leftover)
+        pairs.extend((mu, vec) for vec in kernel)
     pairs.sort(key=lambda pair: pair[0])  # increasing weights are decreasing roots
     root_spaces = [(tuple(-x for x in mu), vec) for mu, vec in pairs if any(mu)]
     if len(pairs) - len(root_spaces) != cartan.rank:
@@ -607,10 +587,11 @@ def _type_of_dimension(dim: int, rank: int) -> str:
     return candidates[0]
 
 
-def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[Vector], LieAlgebraPresentation]]:
+def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[SparseVector], LieAlgebraPresentation]]:
     """Minimal ideals of a semisimple algebra, each proved absolutely
-    simple: (its basis as coordinate vectors over the input basis, its
-    presentation) for each, the algebra itself when it is simple.
+    simple: (its basis as sparse coordinate vectors over the input basis,
+    its presentation) for each, the algebra itself when it is simple, by
+    dimension and then by basis vectors (`_dense_order`).
 
     A piece is split by its centroid (`_split_centroid`) until the centroid
     of every piece is the scalars.  Raises NotAdaptedError for a piece
@@ -620,9 +601,9 @@ def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[Vector]
     """
     if algebra.dim == 0:
         return []
-    whole = [_unit(algebra.dim, i) for i in range(algebra.dim)]
-    pending: List[Tuple[List[Vector], LieAlgebraPresentation]] = [(whole, algebra)]
-    result: List[Tuple[List[Vector], LieAlgebraPresentation]] = []
+    whole = [{i: Fraction(1)} for i in range(algebra.dim)]
+    pending: List[Tuple[List[SparseVector], LieAlgebraPresentation]] = [(whole, algebra)]
+    result: List[Tuple[List[SparseVector], LieAlgebraPresentation]] = []
     while pending:
         lift, sub = pending.pop()  # lift: the piece's basis in `algebra` coordinates
         split = _split_centroid(sub)
@@ -632,37 +613,44 @@ def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[Vector]
         for piece in split:
             lifted = [_combine(lift, v) for v in piece]
             pending.append((lifted, subalgebra_presentation(algebra, lifted)))
-    result.sort(key=lambda pair: (len(pair[0]), [tuple(v) for v in pair[0]]))
+    result.sort(key=lambda pair: (len(pair[0]), [_dense_order(v) for v in pair[0]]))
     return result
 
 
-def _combine(basis_vectors: List[Vector], coeffs: Vector) -> Vector:
-    out = [Fraction(0)] * len(basis_vectors[0])
-    for c, v in zip(coeffs, basis_vectors):
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return out
+def _dense_order(vec: SparseVector) -> List[Tuple]:
+    """A key that orders sparse vectors as their dense coordinate lists: at
+    the first index where those differ, a negative entry ranks below zero
+    and a positive one above it, whatever follows."""
+    return [(0, i, x) if x < 0 else (2, -i, x) for i, x in sorted(vec.items())] + [(1,)]
 
 
-def _centroid(algebra: LieAlgebraPresentation) -> List[Dict[int, Fraction]]:
+def _combine(vectors: List[SparseVector], coeffs: Mapping[int, Fraction]) -> SparseVector:
+    """sum_a coeffs[a] vectors[a], nonzero entries only."""
+    out: Dict[int, Fraction] = {}
+    for a, c in coeffs.items():
+        for i, x in vectors[a].items():
+            out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in out.items() if x}
+
+
+def _centroid(algebra: LieAlgebraPresentation) -> List[SparseVector]:
     """Canonical basis of the centroid: the d x d matrices X, flattened
     with X[p][r] at p * d + r, that commute with ad b_i for every basis
     element b_i, the kernel of one `_commutant_rows` system.  The scalars
     always commute, so the rows stop once their rank is d^2 - 1."""
     d = algebra.dim
     span = linalg.Echelon()
-    for row in _commutant_rows([_integer_ad(algebra, _unit(d, i))[0] for i in range(d)], d):
+    for row in _commutant_rows([_integer_ad(algebra, {i: 1})[0] for i in range(d)], d):
         if span.add(row) and span.rank == d * d - 1:
             break
-    return span.kernel(d * d)
+    return span.kernel(range(d * d))
 
 
-def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[Vector]]]:
+def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[SparseVector]]]:
     """None when the centroid is the scalars, which proves the algebra
     absolutely simple; otherwise the rational eigenspaces, in increasing
-    eigenvalue order, of the first canonical centroid element with two or
-    more rational eigenvalues whose eigenspaces span the algebra.
+    eigenvalue order, of the first canonical centroid element that is
+    diagonalizable over Q with two or more eigenvalues.
 
     A centroid element X commutes with every ad, so [a, Xb] = X[a, b] and
     its eigenspaces are ideals.  The centroid of a semisimple algebra is the
@@ -675,14 +663,14 @@ def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[Vecto
     if len(centroid) == 1:
         return None
     for element in centroid:
-        den = math.lcm(*[x.denominator for x in element.values()])
+        ints, den = linalg.integral(element)
         cols: Dict[int, List[Tuple[int, int]]] = {}
-        for index, x in element.items():
-            cols.setdefault(index % d, []).append((index // d, x.numerator * (den // x.denominator)))
+        for index, x in ints.items():
+            cols.setdefault(index % d, []).append((index // d, x))
         t: AdColumns = (cols, den)
         eigenvalues = _rational_eigenvalues(t, d)
-        if len(eigenvalues or ()) > 1 and (pieces := _split_by_eigenvalue(t, d, eigenvalues)):
-            return pieces
+        if len(eigenvalues or ()) > 1:
+            return _split_by_eigenvalue(t, d, eigenvalues)
     raise NotAdaptedError(
         f"a piece of dimension {d} has a centroid of dimension {len(centroid)} "
         f"that no rational eigenspace splits"
@@ -718,23 +706,24 @@ def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
 AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
 
 
-def _ad_apply(t: AdColumns, vec: Mapping[int, Fraction]) -> Dict[int, Fraction]:
-    """t vec, for the sparse integer columns of t over their denominator and
-    a sparse vector (index -> value), nonzero entries only."""
+def _ad_apply(t: AdColumns, m: Mapping[int, Fraction], d: int) -> Dict[int, Fraction]:
+    """t m, for the sparse integer columns of t over their denominator and a
+    d x d matrix m flattened column by column, m[j][c] at c * d + j."""
     cols, den = t
-    dv = math.lcm(*[y.denominator for y in vec.values()])
+    im, dm = linalg.integral(m)
     acc: Dict[int, int] = {}
-    for j, y in vec.items():
-        y = y.numerator * (dv // y.denominator)
+    for index, y in im.items():
+        j = index % d
         for k, x in cols.get(j, ()):
-            acc[k] = acc.get(k, 0) + x * y
-    return {k: Fraction(s, den * dv) for k, s in acc.items() if s}
+            acc[index - j + k] = acc.get(index - j + k, 0) + x * y
+    return {k: Fraction(s, den * dm) for k, s in acc.items() if s}
 
 
-def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> Optional[List[List[Vector]]]:
+def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> List[List[SparseVector]]:
     """The eigenspaces of the d x d matrix t for the given eigenvalues, each
-    the kernel of t - lam read off the sparse columns of t; None unless they
-    span Q^d."""
+    the kernel of t - lam read off the sparse columns of t.  The eigenvalues
+    are the distinct roots of t's minimal polynomial, so t is diagonalizable
+    and the eigenspaces span Q^d."""
     cols, den = t
     pieces = []
     for lam in eigenvalues:
@@ -743,24 +732,26 @@ def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> O
         for j, entries in cols.items():
             for k, x in entries:
                 rows[k][j] = rows[k].get(j, 0) + lam.denominator * x
-        pieces.append(linalg.sparse_nullspace(rows, d))
-    return pieces if sum(map(len, pieces)) == d else None
+        pieces.append(linalg.sparse_nullspace(rows, range(d)))
+    assert sum(map(len, pieces)) == d, "the eigenspaces of a diagonalizable matrix span"
+    return pieces
 
 
 def _rational_eigenvalues(t: AdColumns, d: int) -> Optional[List[Fraction]]:
-    """Distinct rational eigenvalues of the d x d matrix t via its Krylov
-    minimal polynomial: the vectors v, t v, t^2 v, ... go into one tracked
+    """Distinct rational eigenvalues of the d x d matrix t via its minimal
+    polynomial: the flattened matrices I, t, t^2, ... go into one tracked
     `linalg.Echelon` until one lies in the span of those before it, whose
-    coefficients give the relation.
+    coefficients give the relation.  (The powers of t on one vector miss the
+    eigenvalues of the eigenspaces it has no part in.)
 
     Returns None when the minimal polynomial does not split over the
     rationals (all roots are searched by the rational root theorem).
     """
     span = linalg.Echelon(track=True)
-    v = {i: Fraction(i + 1) for i in range(d)}
+    v = {c * d + c: Fraction(1) for c in range(d)}
     while span.add(v):
-        v = _ad_apply(t, v)
-    # t^k v = sum relation[i] * t^i v for k = span.rank
+        v = _ad_apply(t, v, d)
+    # t^k = sum relation[i] * t^i for k = span.rank
     relation = span.coefficients(v)
     poly = [-relation.get(i, 0) for i in range(span.rank)] + [Fraction(1)]
     den = math.lcm(*[c.denominator for c in poly])
@@ -817,8 +808,8 @@ def _generic_rank(algebra: LieAlgebraPresentation) -> int:
     return best
 
 
-def subalgebra_presentation(algebra: LieAlgebraPresentation, vectors: List[Vector]) -> LieAlgebraPresentation:
-    """Presentation of the subalgebra spanned by coordinate vectors."""
+def subalgebra_presentation(algebra: LieAlgebraPresentation, vectors: List[SparseVector]) -> LieAlgebraPresentation:
+    """Presentation of the subalgebra spanned by sparse coordinate vectors."""
     polys = [algebra.element_polynomial(v) for v in vectors]
     return close_and_present(polys, algebra.form)
 

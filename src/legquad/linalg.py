@@ -1,16 +1,19 @@
 """Exact linear algebra over the rationals, on one sparse elimination kernel.
 
-Matrices are lists of lists of Fractions.  Every row elimination in the
-package runs on `Echelon`: sparse rows of integers, kept fraction-free with
-their content divided out, which suits the sparse systems the package solves
-(the Groebner bases and normal forms of `groebner`, the quadric spans of
-`liealg` and `catalog`, ad-matrices, centroid systems of d^3 rows in d^2
-columns).  `rref` turns its rows into the canonical reduced row echelon form,
-and `inverse` reads its answer off that form; `sparse_nullspace` reads the
-canonical kernel basis of sparse rows off `Echelon.kernel`.  The dense
-helpers here are the ones the package calls; the dense `nullspace`, matrix
-products, transposes and sums, `solve`, `row_space_basis` and the symmetry
-test serve the tests only and live in `tests/linalg_oracle.py`.
+A coordinate vector is a sparse dict, index -> nonzero Fraction
+(`SparseVector`); `integral` scales one to integers.  Every row elimination
+in the package runs on `Echelon`: sparse rows of integers, kept
+fraction-free with their content divided out, which suits the sparse
+systems the package solves (the Groebner bases and normal forms of
+`groebner`, the quadric spans of `liealg` and `catalog`, ad-matrices,
+centroid systems of d^3 rows in d^2 columns); `Echelon.kernel` and
+`sparse_nullspace` give canonical kernel bases of sparse vectors.  Dense
+matrices, lists of lists of Fractions, are left for the symplectic form
+only: `rref` and `inverse` read the canonical RREF off `Echelon`, and
+`mat_vec` and `vec_dot` pair the form with tangent vectors.  The dense
+`nullspace`, matrix products, transposes and sums, `solve`,
+`row_space_basis` and the symmetry test are test oracles
+(`tests/linalg_oracle.py`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Matrix = List[List[Fraction]]
 Vector = List[Fraction]
+SparseVector = Dict[int, Fraction]  # index -> nonzero value
 SparseRow = Dict[int, int]
 
 
@@ -50,9 +54,9 @@ def mat_scale(a: Matrix, c) -> Matrix:
     return [[x * f for x in row] for row in a]
 
 
-def _integral(vec: Mapping) -> Tuple[SparseRow, int]:
-    """(den * vec as integers, den) for the least common denominator den;
-    vec holds Fractions or ints."""
+def integral(vec: Mapping) -> Tuple[SparseRow, int]:
+    """(den * vec as integers, nonzero entries only, and den) for the least
+    common denominator den of vec's entries, Fractions or ints."""
     den = lcm(*[x.denominator for x in vec.values()])
     if den == 1:
         return {k: x.numerator for k, x in vec.items() if x}, 1
@@ -146,7 +150,7 @@ class Echelon:
 
     def add(self, vec: Mapping) -> bool:
         """Insert a row (column -> rational); False when it lies in the span."""
-        work, den = _integral(vec)
+        work, den = integral(vec)
         combo = None
         if self._combos is not None:
             combo = {len(self._denominators): 1}
@@ -183,7 +187,7 @@ class Echelon:
     def remainder(self, vec: Mapping) -> Dict[int, Fraction]:
         """vec minus a vector of the span, with no entry in a pivot column
         (zero exactly when vec lies in the span)."""
-        work, den = _integral(vec)
+        work, den = integral(vec)
         m = self._reduce(work, None)
         return {k: Fraction(x, m * den) for k, x in work.items()}
 
@@ -194,7 +198,7 @@ class Echelon:
         """vec / den as a combination of the input rows (input index ->
         nonzero coefficient), or None when it is outside the span.  Needs
         track=True."""
-        work, d = _integral(vec)
+        work, d = integral(vec)
         den *= d
         combo: SparseRow = {}
         m = self._reduce(work, combo)
@@ -218,22 +222,22 @@ class Echelon:
             if later:
                 _primitive(row, None)
 
-    def kernel(self, ncols: int) -> List[Dict[int, Fraction]]:
-        """Canonical basis of the vectors of length ncols that every row
-        annihilates, one per free column f in increasing order: 1 at f, and
-        minus the reduced row's entry at f in each pivot column.  Runs
-        `reduce_fully` first."""
+    def kernel(self, columns: Iterable[int]) -> List[SparseVector]:
+        """Canonical basis of the vectors over `columns`, which hold every
+        row entry, that every row annihilates: one per free column f, in the
+        order given, with minus the reduced row's entry at f in each pivot
+        column and 1 at f, in increasing column order, since a row's entries
+        follow its pivot.  Runs `reduce_fully` first."""
         self.reduce_fully()
-        pivots = set(self.pivots)
-        free = [f for f in range(ncols) if f not in pivots]
-        basis: List[Dict[int, Fraction]] = [{f: Fraction(1)} for f in free]
-        position = {f: k for k, f in enumerate(free)}
-        for p, row in self.rows.items():
-            lead = row[p]
+        basis: Dict[int, SparseVector] = {f: {} for f in columns if f not in self.rows}
+        for p in self.pivots:
+            row = self.rows[p]
             for f, x in row.items():
                 if f != p:
-                    basis[position[f]][p] = Fraction(-x, lead)
-        return basis
+                    basis[f][p] = Fraction(-x, row[p])
+        for f, vec in basis.items():
+            vec[f] = Fraction(1)
+        return list(basis.values())
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
@@ -255,14 +259,14 @@ def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
     return out, ech.pivots
 
 
-def sparse_nullspace(rows: Iterable[Mapping], ncols: int) -> List[Vector]:
-    """The right kernel of sparse rows (column -> integer or rational): the
-    canonical kernel basis as dense vectors of length ncols."""
+def sparse_nullspace(rows: Iterable[Mapping], columns: Iterable[int]) -> List[SparseVector]:
+    """The right kernel of sparse rows (column -> integer or rational) over
+    `columns`, which hold every entry of every row: `Echelon.kernel`'s
+    canonical basis."""
     ech = Echelon()
     for row in rows:
         ech.add(row)
-    zero = Fraction(0)
-    return [[v.get(j, zero) for j in range(ncols)] for v in ech.kernel(ncols)]
+    return ech.kernel(columns)
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -155,12 +155,11 @@ def gradient_terms(p: Polynomial, codec: MonomialCodec) -> Tuple[GradientTerms, 
     """Sparse gradient of den * p, for the least den > 0 that makes its
     coefficients integers: variable i -> the terms (monomial code, integer
     coefficient) of d(den * p)/dx_i, for every variable p involves; and den."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
+    ints, den = linalg.integral(p.terms)
     units = codec.units
     out: GradientTerms = {}
-    for m, c in p.terms.items():
+    for m, a in ints.items():
         code = codec.pack(m)
-        a = c.numerator * (den // c.denominator)
         for i, e in enumerate(m):
             if e:
                 out.setdefault(i, []).append((code - units[i], a * e))

@@ -22,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from legquad import linalg
 from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, StructureConstants
@@ -98,6 +98,13 @@ def unit(dim: int, i: int) -> Vector:
     v = [Fraction(0)] * dim
     v[i] = Fraction(1)
     return v
+
+
+def dense(vec: Mapping[int, Fraction], dim: int) -> Vector:
+    """The dense coordinate list of a sparse vector of the package (index
+    -> nonzero value): the one bridge from its vectors to the dense routes
+    here."""
+    return [Fraction(vec.get(i, 0)) for i in range(dim)]
 
 
 def bracket_coeffs(algebra: LieAlgebraPresentation, i: int, j: int) -> Dict[int, Fraction]:
@@ -203,7 +210,8 @@ def cartan_data(algebra: LieAlgebraPresentation) -> CartanData:
 
 def _nullspace(rows: Matrix, ncols: int) -> List[Vector]:
     """The canonical kernel basis of dense rows, by the package's kernel."""
-    return linalg.sparse_nullspace((dict(enumerate(row)) for row in rows), ncols)
+    kernel = linalg.sparse_nullspace((dict(enumerate(row)) for row in rows), range(ncols))
+    return [dense(v, ncols) for v in kernel]
 
 
 def _centralizer(algebra, vectors: List[Vector]) -> List[Vector]:
@@ -437,7 +445,7 @@ def exp_orbit_points(
         vec = [Fraction(x) for x in base_point]
         for _ in range(rng.randint(1, 3)):
             _, eigvec = roots[rng.randrange(len(roots))]
-            rho = sp_image(algebra, eigvec)
+            rho = sp_image(algebra, dense(eigvec, algebra.dim))
             t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             vec = exp_nilpotent_action(linalg.mat_scale(rho, t), vec)
         points.append(vec)

@@ -214,6 +214,20 @@ def test_algebra_presents_the_span_of_repeated_generators(capsys, tmp_path):
     assert code == EXIT_OK and result["dim"] == 3 and result["types"] == ["A1"]
 
 
+def test_algebra_splits_a_basis_that_hides_a_factor(capsys, tmp_path):
+    """so(3) + so(3) of a sum of squares, in a basis where a fixed Krylov
+    start vector lies in one factor, still splits into its two ideals."""
+    from test_liealg import krylov_hiding_basis
+
+    path = tmp_path / "hidden.txt"
+    path.write_text("n=6\n" + "".join(f"{q}\n" for q in krylov_hiding_basis()))
+    code, out, err = run(capsys, "--json", "algebra", str(path))
+    assert code == EXIT_OK, err
+    payload = json.loads(out)
+    assert payload["status"] == "ok"
+    assert payload["result"]["dim"] == 6 and payload["result"]["types"] == ["A1", "A1"]
+
+
 def test_classify_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "classify", "--max-rank", "3", "--max-dim", "30")
     assert code == EXIT_OK

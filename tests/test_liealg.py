@@ -11,6 +11,7 @@ from legquad.liealg import (
     LieAlgebraPresentation,
     NotAdaptedError,
     NotClosedError,
+    _dense_order,
     _integer_ad,
     _match_component,
     _rational_eigenvalues,
@@ -28,7 +29,7 @@ from legquad.poly import parse_poly
 from legquad.rootdata import build_root_system, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
-from liealg_oracle import block_view, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
+from liealg_oracle import block_view, dense, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
 from linalg_oracle import det, mat_eq_zero, mat_mul
 from symplectic_oracle import QuadraticForm, quadric_to_sp
 from test_kostant import _sheared
@@ -128,9 +129,9 @@ def test_segre_bracket_relations(entries):
 
 def test_cartan_subalgebras(algebras):
     cd = cartan_subalgebra(algebras["twisted-cubic"])
-    assert cd.cartan_vectors == [[0, 0, 1]]     # h is the third generator
+    assert [dense(h, 3) for h in cd.cartan_vectors] == [[0, 0, 1]]     # h is the third generator
     cd = cartan_subalgebra(algebras["gr36"])
-    assert cd.cartan_vectors == [[int(i == k) for i in range(35)] for k in range(30, 35)]
+    assert [dense(h, 35) for h in cd.cartan_vectors] == [[int(i == k) for i in range(35)] for k in range(30, 35)]
     cd = cartan_subalgebra(algebras["grl36"])
     assert cd.rank == 3
     cd = cartan_subalgebra(algebras["segre-split-3"])
@@ -331,7 +332,7 @@ def test_root_decomposition_handles_mixed_bases(entries):
     mixed = [f_plus + f_minus, f_plus - f_minus, h]
     L = close_and_present(mixed, cubic.form)
     cd = cartan_subalgebra(L)
-    assert cd.cartan_vectors == [[0, 0, 1]]
+    assert [dense(h, 3) for h in cd.cartan_vectors] == [[0, 0, 1]]
     full = root_decomposition(L, cd)
     assert sorted(r[0] for r in full.roots) == [-2, 2]
     assert identify_type(full) == ["A1"]
@@ -387,7 +388,7 @@ def test_root_decomposition_needs_diagonal_sp_images(entries):
     pres = _sheared(entries["twisted-cubic"].presentation, 0, 1)
     L = close_and_present(pres.generators, pres.form)
     with pytest.raises(NotAdaptedError, match="^a torus vector's sp-image is not diagonal$"):
-        root_decomposition(L, CartanData([[0, 0, 1]]))
+        root_decomposition(L, CartanData([{2: Fraction(1)}]))
 
 
 def test_anisotropic_so9_names_both_candidates():
@@ -410,6 +411,61 @@ def test_straddling_basis_of_two_isomorphic_factors_splits():
     a, b = _so_quadrics(7, 14), _so_quadrics(7, 14, offset=7)
     L = close_and_present([x + y for x, y in zip(a, b)] + [x - y for x, y in zip(a, b)], standard_form(14))
     assert [len(p) for p, _ in decompose_ideals(L)] == [21, 21]
+
+
+def krylov_hiding_basis():
+    """Anisotropic so(3) + so(3), the factors a and c on the standard form
+    with n = 6, in the basis a0 + 2 c0, a1 - c0, a2, c1, c2 and
+    a0 - (4 c1 + 5 c2) / 6, in which sum_k k b_k = 7 a0 + 2 a1 + 3 a2 lies
+    in the first factor: powers of a centroid element applied to the vector
+    (1, 2, ..., 6) never see the second factor's eigenvalue."""
+    a, c = _so_quadrics(3, 6), _so_quadrics(3, 6, offset=3)
+    return [a[0] + c[0].scale(2), a[1] - c[0], a[2], c[1], c[2],
+            a[0] - (c[1].scale(4) + c[2].scale(5)).scale(Fraction(1, 6))]
+
+
+def test_centroid_eigenvalues_come_from_the_whole_minimal_polynomial():
+    """Each centroid element's eigenvalues are the roots of its own minimal
+    polynomial, so a basis that hides one factor from a fixed start vector
+    still splits into its two ideals."""
+    basis = krylov_hiding_basis()
+    L = close_and_present(basis, standard_form(6))
+    assert L.basis == basis and L.is_semisimple()
+    assert [len(p) for p, _ in decompose_ideals(L)] == [3, 3]
+    assert identify_algebra(L) == ["A1", "A1"]
+
+
+def test_vectors_over_the_basis_are_sparse(entries, algebras):
+    """Every torus and root vector of `CartanData` and every ideal basis
+    vector of `decompose_ideals` maps basis indices below dim to nonzero
+    Fractions."""
+    cubic = entries["twisted-cubic"].presentation
+    f_plus, f_minus, h = cubic.generators
+    cases = [algebras[name] for name in ("twisted-cubic", "segre-3", "segre-4", "segre-split-3", "grl36")]
+    cases += [close_and_present([f_plus + f_minus, f_plus - f_minus, h], cubic.form),
+              close_and_present(krylov_hiding_basis(), standard_form(6))]
+    for L in cases:
+        vectors = [v for basis, _ in decompose_ideals(L) for v in basis]
+        try:
+            cd = split_root_data(L)
+            vectors += cd.cartan_vectors + [v for _, v in cd.root_spaces]
+        except NotAdaptedError:
+            pass
+        for v in vectors:
+            assert v and all(type(i) is int and 0 <= i < L.dim for i in v)
+            assert all(type(x) is Fraction and x for x in v.values())
+
+
+def test_ideals_keep_the_order_of_their_dense_bases():
+    """`decompose_ideals` sorts sparse vectors by `_dense_order`, which
+    orders them as their dense coordinate lists compare."""
+    rng = random.Random(3)
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        vecs = [{i: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+                 for i in range(dim) if rng.random() < 0.5} for _ in range(6)]
+        by_key = sorted(vecs, key=_dense_order)
+        assert [dense(v, dim) for v in by_key] == sorted(dense(v, dim) for v in vecs)
 
 
 def test_simple_factor_with_a_larger_centroid_is_not_adapted():
@@ -447,7 +503,7 @@ def test_cached_killing_matrix_is_the_trace_form_of_ad(algebras, name):
     den = L.bracket_table()[1]
     ads = []
     for i in range(L.dim):
-        entries, d = _integer_ad(L, [1 if k == i else 0 for k in range(L.dim)])
+        entries, d = _integer_ad(L, {i: 1})
         assert d == den
         ads.append(entries)
     dense = [[sum(x * ads[j].get((l, k), 0) for (k, l), x in ads[i].items())
@@ -479,7 +535,7 @@ def _scrambled_root_data(systems, rng):
             k = rng.choice((-2, -1, 1, 2))
             basis[i] = [x + k * y for x, y in zip(basis[i], basis[j])]
     roots = [[sum(b * r[order[j]] for j, b in enumerate(row)) for row in basis] for r in roots]
-    return CartanData([[0] * n] * n, root_spaces=[(tuple(r), []) for r in roots])
+    return CartanData([{}] * n, root_spaces=[(tuple(r), {}) for r in roots])
 
 
 def test_identify_type_on_scrambled_root_data():

@@ -24,9 +24,9 @@ def test_nullspace_orthogonal_to_rows():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 6)
         m = [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
-        kernel = linalg.sparse_nullspace(map(dict, map(enumerate, m)), cols)
+        kernel = linalg.sparse_nullspace(map(dict, map(enumerate, m)), range(cols))
         for v in kernel:
-            assert all(linalg.vec_dot(row, v) == 0 for row in m)
+            assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in m)
         assert len(linalg.rref(m)[1]) + len(kernel) == cols
 
 
@@ -106,9 +106,10 @@ def test_rref_rank_nullspace_match_oracle_and_sympy(seed):
         sred, spivots = _sympy(m, cols).rref()
         assert pivots == list(spivots) and red == _from_sympy(sred)
         assert _sympy(m, cols).rank() == len(pivots)
-        kernel = linalg.sparse_nullspace(map(dict, map(enumerate, m)), cols)
-        assert kernel == linalg_oracle.nullspace(m, cols)
-        assert kernel == [[Fraction(int(x.p), int(x.q)) for x in v] for v in _sympy(m, cols).nullspace()]
+        kernel = linalg.sparse_nullspace(map(dict, map(enumerate, m)), range(cols))
+        assert_in_column_order(kernel)
+        assert kernel == _sparse(linalg_oracle.nullspace(m, cols))
+        assert kernel == _sparse([[Fraction(int(x.p), int(x.q)) for x in v] for v in _sympy(m, cols).nullspace()])
         assert linalg_oracle.row_space_basis(m) == red[: len(pivots)]
 
 
@@ -136,10 +137,12 @@ def test_solve_and_inverse_match_sympy(seed):
 
 def test_kernel_edge_cases():
     assert linalg.rref([]) == ([], [])
-    assert linalg.sparse_nullspace([], 2) == linalg_oracle.nullspace([], 2) == linalg.identity(2)
+    assert linalg.sparse_nullspace([], range(2)) == [{0: 1}, {1: 1}] == _sparse(linalg_oracle.nullspace([], 2))
+    assert linalg_oracle.nullspace([], 2) == linalg.identity(2)
     zeros = linalg.zeros(3, 2)
     assert linalg.rref(zeros) == (zeros, [])
-    assert linalg.sparse_nullspace([{}] * 3, 2) == linalg_oracle.nullspace(zeros) == linalg.identity(2)
+    assert linalg.sparse_nullspace([{}] * 3, range(2)) == [{0: 1}, {1: 1}] == _sparse(linalg_oracle.nullspace(zeros))
+    assert linalg_oracle.nullspace(zeros) == linalg.identity(2)
     assert linalg_oracle.row_space_basis(zeros) == []
     dup = linalg_oracle.mat([[Fraction(1, 2), Fraction(-2, 3)]] * 3)
     assert linalg.rref(dup) == (linalg_oracle.mat([[1, Fraction(-4, 3)], [0, 0], [0, 0]]), [0])
@@ -240,5 +243,45 @@ def test_sparse_nullspace_matches_nullspace():
         cols = rng.randint(1, 7)
         m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
              for _ in range(rng.randint(0, 5))]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
-        assert linalg.sparse_nullspace(sparse, cols) == linalg_oracle.nullspace(m, cols)
+        sparse = _sparse(m)
+        kernel = linalg.sparse_nullspace(sparse, range(cols))
+        assert_in_column_order(kernel)
+        assert kernel == _sparse(linalg_oracle.nullspace(m, cols))
+
+
+def test_kernel_over_a_column_subset_in_the_given_order():
+    """Rows whose entries lie in a strict subset of the columns, listed out
+    of order: the kernel over that subset is the oracle's canonical kernel of
+    the submatrix on those columns in increasing order, one vector per free
+    column in the order given, each with its entries in increasing column
+    order."""
+    rng = random.Random(31)
+    for _ in range(40):
+        universe = rng.randint(3, 12)
+        columns = rng.sample(range(universe), rng.randint(1, universe - 1))
+        if columns == sorted(columns) and len(columns) > 1:
+            columns.reverse()
+        ordered = sorted(columns)
+        sub = _random_sparse(rng, rng.randint(0, 6), len(ordered))
+        rows = [{ordered[k]: x for k, x in enumerate(row) if x} for row in sub]
+        span = linalg.Echelon()
+        for row in rows:
+            span.add(row)
+        kernel = span.kernel(columns)
+        assert_in_column_order(kernel)
+        # the oracle's vector of free column f ends with its 1 at f
+        by_free = {max(v): v for v in ({ordered[k]: x for k, x in enumerate(v) if x}
+                                       for v in linalg_oracle.nullspace(sub, len(ordered)))}
+        assert [max(v) for v in kernel] == [f for f in columns if f in by_free]
+        assert kernel == [by_free[f] for f in columns if f in by_free]
+        assert all(set(v) <= set(columns) for v in kernel)
+
+
+def _sparse(m):
+    """The rows of a dense matrix as sparse rows, nonzero entries only."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+def assert_in_column_order(kernel):
+    for v in kernel:
+        assert list(v) == sorted(v) and all(type(x) is Fraction and x for x in v.values())
