@@ -230,7 +230,8 @@ def _cmd_bracket(args) -> Answer:
 def _cmd_gb(args) -> Answer:
     pres = _load_presentation(args)
     gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    result = {"size": len(gb), "dimension": krull_dimension(gb), "elements": [str(g) for g in gb]}
+    dimension = krull_dimension(gb.leading_monomials(), gb.nvars)
+    result = {"size": len(gb), "dimension": dimension, "elements": [str(g) for g in gb]}
     return {"file": args.file}, result, EXIT_OK
 
 

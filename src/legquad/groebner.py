@@ -3,7 +3,9 @@
 Bases are built degree by degree, after Faugere's F4 (J. Pure Appl. Algebra
 139, 1999).  Each step takes the pending S-pairs of the smallest lcm degree,
 less those the coprime-leading-monomial and chain criteria drop, and the
-input generators of that degree.  The two halves of each pair and the
+input generators of that degree.  Each step groups the pending pairs by
+lcm degree in one pass and sorts only its own group, and the chain
+criterion stops at its first witness.  The two halves of each pair and the
 generators become rows, and symbolic preprocessing makes a reducer, one
 multiple of a basis element, for every monomial met that a basis leading
 monomial divides.  A reducer is a shifted basis row, already integer and
@@ -15,7 +17,11 @@ echelon form depend only on the span, so the order of the rows moves no
 leading monomial, pending pair or budget count.  Normal forms, and the
 tails of the reduced basis, are remainders against the adopted reducers.
 The result is the unique reduced, monic grevlex basis, so identical ideals
-give identical bases.  Inside the steps a monomial is its
+give identical bases.  The dimension reads the initial ideal alone: its
+minimal generators are the leading monomials of the steps' elements that
+no other element's leading monomial divides, which are exactly the reduced
+basis's, and `initial_ideal` returns them with no interreduction.  Inside
+the steps a monomial is its
 `poly.MonomialCodec` code, and its column is the negated code, so the
 smallest column is the grevlex largest monomial and pivots are leading
 monomials: shifts are additions, lcms are word operations, and a
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .linalg import Echelon, integral
 from .poly import Exponent, MonomialCodec, Polynomial, grevlex_key
@@ -151,14 +157,20 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return Polynomial(p.nvars, {codec.unpack(-t): c for t, c in r.items()})
 
 
-def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under grevlex.
+def _f4(
+    ideal: IdealPresentation, max_pairs: int
+) -> Tuple[MonomialCodec, List[Terms], List[int], List[int]]:
+    """The F4 steps of the ideal's grevlex basis.  Returns the codec, the
+    basis rows on its columns (integer, content divided out), the codes of
+    their leading monomials, and `keep`: the positions, in order, of the
+    elements whose leading monomial no other element's divides.  Those
+    leading monomials are the minimal generators of the initial ideal, and
+    the reduced basis leads at exactly them.
 
-    Deterministic for a fixed generator list and idempotent on its own
-    output.  Raises BudgetExceeded when more than max_pairs S-pairs would
-    have to be processed.  No exponent of a step exceeds the step's degree,
-    so a step of higher degree than the codec holds first repacks the state
-    with a wider codec.
+    Raises BudgetExceeded when more than max_pairs S-pairs would have to be
+    processed.  No exponent of a step exceeds the step's degree, so a step
+    of higher degree than the codec holds first repacks the state with a
+    wider codec.
     """
     codec = MonomialCodec(ideal.nvars, 0)
     basis: List[Terms] = []  # integer rows on columns, content divided out
@@ -167,8 +179,10 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
     inputs = sorted(ideal.generators, key=Polynomial.degree)
     processed = 0
     while pending or inputs:
-        degree = min([codec.degree(lcm) for lcm in pending.values()]
-                     + [g.degree() for g in inputs[:1]])
+        by_degree: Dict[int, List[Tuple[int, int]]] = {}
+        for pair, lcm in pending.items():
+            by_degree.setdefault(codec.degree(lcm), []).append(pair)
+        degree = min([*by_degree] + [g.degree() for g in inputs[:1]])
         if degree > codec.limit:
             wider = MonomialCodec(ideal.nvars, degree)
             basis = [{-wider.pack(codec.unpack(-t)): c for t, c in g.items()} for g in basis]
@@ -177,7 +191,7 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
             codec = wider
         rows: List[Terms] = []
         met: Dict[int, bool] = {}
-        for i, j in sorted(pair for pair, lcm in pending.items() if codec.degree(lcm) == degree):
+        for i, j in sorted(by_degree.pop(degree, ())):
             lcm = pending.pop((i, j))
             processed += 1
             if processed > max_pairs:
@@ -213,8 +227,20 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
                 pending[(k, len(basis))] = codec.lcm(lms[k], lm)
             basis.append(span.rows[lead])
             lms.append(lm)
+    keep = [k for k, lm in enumerate(lms) if not any(j != k for j in codec.dividing(lm, lms))]
+    return codec, basis, lms, keep
 
-    keep = [k for k, lm in enumerate(lms) if len(codec.dividing(lm, lms)) == 1]
+
+def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal under grevlex: the F4 steps, then
+    each minimal element's tail reduced against the others and the element
+    made monic.
+
+    Deterministic for a fixed generator list and idempotent on its own
+    output.  Raises BudgetExceeded when more than max_pairs S-pairs would
+    have to be processed.
+    """
+    codec, basis, lms, keep = _f4(ideal, max_pairs)
     tails = [{t: c for t, c in basis[k].items() if t != -lms[k]} for k in keep]
     reduced = []
     remainders = _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep], codec)
@@ -226,23 +252,32 @@ def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -
     return GroebnerBasis(reduced, ideal.nvars)
 
 
-def contains_constant(gb: GroebnerBasis) -> bool:
-    return any(g.degree() == 0 for g in gb.elements)
+def initial_ideal(
+    ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET
+) -> List[Exponent]:
+    """Minimal generators of the ideal's grevlex initial ideal, in
+    increasing grevlex order: the leading monomials of `buchberger`'s
+    reduced basis, read off the same F4 steps with no interreduction.
+    Raises BudgetExceeded at the same pair count as `buchberger`."""
+    codec, _, lms, keep = _f4(ideal, max_pairs)
+    return [codec.unpack(lms[k]) for k in sorted(keep, key=lms.__getitem__)]
 
 
-def krull_dimension(gb: GroebnerBasis) -> int:
-    """Dimension of the quotient ring: the number of variables minus the size
-    of a smallest set of variables that meets the support of every leading
+def krull_dimension(monomials: Iterable[Exponent], nvars: int) -> int:
+    """Dimension of the quotient ring by an ideal in `nvars` variables
+    whose initial ideal the monomials generate, such as the leading
+    monomials of a Groebner basis: the number of variables minus the size
+    of a smallest set of variables that meets the support of every
     monomial.
 
     The complement of such a set is a largest set of variables no leading
     monomial is supported on, and its size is the dimension, a standard
     consequence of the flat degeneration to the leading-term ideal.
     """
-    if contains_constant(gb):
+    supports = {frozenset(i for i, e in enumerate(m) if e) for m in monomials}
+    if frozenset() in supports:
         raise ImproperIdealError("ideal contains a constant")
-    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials()}
-    return gb.nvars - _smallest_hitting_set(supports, gb.nvars)
+    return nvars - _smallest_hitting_set(supports, nvars)
 
 
 def _smallest_hitting_set(supports: Set[FrozenSet[int]], nvars: int) -> int:

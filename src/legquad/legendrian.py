@@ -22,9 +22,11 @@ orbit of G in P(V), Kostant's theorem makes the ideal that orbit's ideal,
 and the dimension comes from root data with no Groebner basis: conditions
 4 and 6 and the dimension read `rootdata`'s closed-orbit count, as the
 scan's filter (v) does.  Every other input, and a closed one the
-certificate does not cover, takes a Groebner basis for the dimension, so an
-exhausted budget leaves the dimension undecided but never hides a failed
-closure.  Each verdict names the certificate that proved its dimension.
+certificate does not cover, takes its dimension from the grevlex initial
+ideal (`groebner.initial_ideal`: the F4 steps of a Groebner basis, with no
+interreduction), so an exhausted budget leaves the dimension undecided but
+never hides a failed closure.  Each verdict names the certificate that
+proved its dimension.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
     IdealPresentation,
-    buchberger,
+    initial_ideal,
     krull_dimension,
 )
 from .liealg import (
@@ -254,7 +256,7 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
 
     A closed quadric input first tries `kostant_certificate` on the algebra
     of its span, which needs no Groebner basis.  Otherwise the cone
-    dimension comes from a Groebner basis whose S-pairs `budget` caps.  When
+    dimension comes from the initial ideal, whose S-pairs `budget` caps.  When
     it runs out, a failed closure still decides the verdict
     (not-legendrian); a closed ideal stays undecided.
     """
@@ -272,8 +274,8 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
             pass
     if kostant is None:
         try:
-            gb = buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
-            dimension = krull_dimension(gb)
+            leads = initial_ideal(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+            dimension = krull_dimension(leads, v.nvars)
         except BudgetExceeded as exc:
             budget_name = exc.budget_name
             witnesses.append("groebner basis not computed within budget")

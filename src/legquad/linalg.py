@@ -18,8 +18,9 @@ only: `rref` and `inverse` read the canonical RREF off `Echelon`, and
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -104,6 +105,21 @@ class Echelon:
     With `track=True` each row also carries its integer coefficients over
     the (denominator-cleared) input rows, eliminated alongside it, so that
     `coefficients` can write a vector of the span in terms of the inputs.
+
+    The elimination takes a row's pivot columns off a heap: it starts with
+    the row's own, and each elimination pushes the pivot columns it adds,
+    so a row on a tall system of short rows, such as a Groebner step after
+    its reducers are adopted, touches only the pivots it meets.  Walking
+    every pivot from the row's lead on instead, as the package once did,
+    clears the same columns in the same order and stores the same rows.
+    On a 2-vCPU Xeon host the walk took 9.4 s to check the segre-4 ideal
+    with two products of three of its quadrics added, whose closure test
+    spans its parts of degree 2, 6 and 10, against 0.83-0.93 s on the heap
+    (best of five in-process passes).  Walking the pivots for rows with at
+    most four pivots after their lead per entry, and taking the heap for
+    the rest, measured no faster on the `catalog` benchmark (seed 47,
+    ten alternating 35 s runs of each: median pass 1.101 s against 1.102 s,
+    the heap alone faster in 5 of the 10), so the heap serves every row.
     """
 
     def __init__(self, track: bool = False):
@@ -136,16 +152,20 @@ class Echelon:
         return a
 
     def _reduce(self, work: SparseRow, combo: Optional[SparseRow]) -> int:
-        """Clear every pivot column of `work`; returns the product m of the
-        factors, so that work = m * (input) - (combination of stored rows)."""
+        """Clear every pivot column of `work`, in increasing order, off the
+        heap of the class docstring; returns the product m of the factors,
+        so that work = m * (input) - (combination of stored rows)."""
         m = 1
-        if not work:
-            return m
-        for p in self.pivots[bisect_left(self.pivots, min(work)):]:
-            if p in work:
+        rows = self.rows
+        heap = [k for k in work if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            if p in work:  # a pushed column may have cancelled since
+                added = [k for k in rows[p] if k not in work and k in rows]
                 m *= self._clear(work, p, combo)
-                if not work:
-                    break
+                for k in added:
+                    heappush(heap, k)
         return m
 
     def add(self, vec: Mapping) -> bool:

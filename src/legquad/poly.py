@@ -100,13 +100,13 @@ class MonomialCodec:
     def degree(self, code: int) -> int:
         return -(-code >> self._shift)
 
-    def dividing(self, t: int, codes: Sequence[int]) -> List[int]:
-        """Positions, in order, of the codes that divide t.  The low B*n
-        bits of a - t are those of t's exponent fields minus a's, whatever
-        the degrees; a divides t when no field borrows, so that no guard
-        bit is set."""
+    def dividing(self, t: int, codes: Sequence[int]) -> Iterator[int]:
+        """Positions, in order and lazily, of the codes that divide t.  The
+        low B*n bits of a - t are those of t's exponent fields minus a's,
+        whatever the degrees; a divides t when no field borrows, so that no
+        guard bit is set."""
         guards = self._guards
-        return [k for k, a in enumerate(codes) if not (a - t) & guards]
+        return (k for k, a in enumerate(codes) if not (a - t) & guards)
 
     def divisor(self, t: int, codes: Sequence[int]) -> Optional[int]:
         """Position of the first code that divides t, or None; the first

@@ -55,7 +55,7 @@ def test_divisibility_and_lcm_agree_with_tuples(case):
     # a divisor of t too, so that both answers occur often
     vectors.append(tuple(x // 2 for x in t))
     codes = [codec.pack(a) for a in vectors]
-    assert codec.dividing(codec.pack(t), codes) == [
+    assert list(codec.dividing(codec.pack(t), codes)) == [
         k for k, a in enumerate(vectors) if monomial_divides(a, t)
     ]
     for a in vectors:

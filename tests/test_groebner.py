@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from legquad.groebner import (
     BudgetExceeded,
-    GroebnerBasis,
     IdealPresentation,
     ImproperIdealError,
     buchberger,
+    initial_ideal,
     krull_dimension,
     normal_form,
 )
@@ -79,11 +79,10 @@ def test_determinism():
 
 
 def test_krull_dimension_examples():
-    assert krull_dimension(buchberger(_cubic_ideal())) == 2
-    zero_ideal = GroebnerBasis([], 5)
-    assert krull_dimension(zero_ideal) == 5
+    assert krull_dimension(buchberger(_cubic_ideal()).leading_monomials(), 4) == 2
+    assert krull_dimension([], 5) == 5
     four = buchberger(IdealPresentation([parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)], 4))
-    assert krull_dimension(four) == 2
+    assert krull_dimension(four.leading_monomials(), 4) == 2
 
 
 def test_krull_dimension_of_e7_quadric_leading_monomials(entries):
@@ -96,7 +95,8 @@ def test_krull_dimension_of_e7_quadric_leading_monomials(entries):
     pres = entries["e7"].presentation
     quadrics = quadratic_part(pres.generators, pres.form.dim)
     assert len(quadrics) == 133
-    assert krull_dimension(GroebnerBasis(quadrics, pres.form.dim)) == 37
+    leads = [g.leading_monomial() for g in quadrics]
+    assert krull_dimension(leads, pres.form.dim) == 37
 
 
 def test_krull_matches_bruteforce_on_random_supports():
@@ -111,14 +111,13 @@ def test_krull_matches_bruteforce_on_random_supports():
             for _ in range(rng.randint(1, 4)):
                 exps[rng.randrange(nvars)] += 1
             monomials.append(tuple(exps))
-        gb = GroebnerBasis([Polynomial(nvars, {m: Fraction(1)}) for m in monomials], nvars)
-        assert krull_dimension(gb) == krull_dimension_bruteforce(monomials, nvars)
+        assert krull_dimension(monomials, nvars) == krull_dimension_bruteforce(monomials, nvars)
 
 
 def test_improper_ideal_flagged():
     gb = buchberger(IdealPresentation([parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2))
     with pytest.raises(ImproperIdealError):
-        krull_dimension(gb)
+        krull_dimension(gb.leading_monomials(), 2)
 
 
 def test_krull_matches_bruteforce_on_random_monomial_ideals():
@@ -135,7 +134,7 @@ def test_krull_matches_bruteforce_on_random_monomial_ideals():
         if not gens:
             continue
         gb = buchberger(IdealPresentation(gens, nvars))
-        fast = krull_dimension(gb)
+        fast = krull_dimension(gb.leading_monomials(), nvars)
         slow = krull_dimension_bruteforce(gb.leading_monomials(), nvars)
         assert fast == slow
 
@@ -177,10 +176,78 @@ def test_pair_budget_needed_is_unchanged(entries, name):
         gens[0] = gens[0] + parse_poly(extra, pres.nvars)
     ideal = IdealPresentation(gens, pres.nvars)
     needed = PAIRS_NEEDED[name]
-    assert buchberger(ideal, max_pairs=needed).elements
-    with pytest.raises(BudgetExceeded) as err:
-        buchberger(ideal, max_pairs=needed - 1)
-    assert err.value.budget_name == "groebner_pairs"
+    for route in (buchberger, initial_ideal):
+        assert route(ideal, max_pairs=needed)
+        with pytest.raises(BudgetExceeded) as err:
+            route(ideal, max_pairs=needed - 1)
+        assert err.value.budget_name == "groebner_pairs"
+
+
+# The catalog entries whose `check` takes its dimension from a basis, and
+# seeded perturbed relabelings of others, named (entry, seed), with the
+# fewest S-pairs under which each basis finishes, found by bisection on
+# `buchberger` when these cases were written.
+INITIAL_IDEAL_PAIRS = {
+    ("segre-3", None): 15,
+    ("segre-4", None): 36,
+    ("segre-5", None): 78,
+    ("xf-cubic-1", None): 6,
+    ("xf-cubic-3", None): 15,
+    ("complete-intersection", None): 15,
+    ("four-lines", None): 1,
+    ("linear-lagrangian", None): 1,
+    ("grl36", 0): 465,
+    ("grl36", 1): 1378,
+    ("segre-5", 0): 253,
+    ("segre-4", 0): 120,
+    ("twisted-cubic", 0): 15,
+}
+
+
+def _perturbed_relabeling(pres, rng):
+    """The generators under a seeded variable permutation, each scaled by a
+    seeded nonzero integer, in shuffled order, with one seeded degree-2
+    monomial added to one of them."""
+    nvars = pres.nvars
+    perm = list(range(nvars))
+    rng.shuffle(perm)
+    gens = []
+    for g in pres.generators:
+        scale = rng.choice((-3, -2, -1, 1, 2, 3))
+        terms = {}
+        for e, c in g.terms.items():
+            moved = [0] * nvars
+            for k, x in enumerate(e):
+                moved[perm[k]] = x
+            terms[tuple(moved)] = c * scale
+        gens.append(Polynomial(nvars, terms))
+    rng.shuffle(gens)
+    mono = [0] * nvars
+    mono[rng.randrange(nvars)] += 1
+    mono[rng.randrange(nvars)] += 1
+    k = rng.randrange(len(gens))
+    gens[k] = gens[k] + Polynomial(nvars, {tuple(mono): rng.choice((-2, -1, 1, 2))})
+    return gens
+
+
+@pytest.mark.parametrize("name, seed", INITIAL_IDEAL_PAIRS)
+def test_initial_ideal_is_the_reduced_basis_leads(entries, name, seed):
+    """The dimension route reads the minimal leading monomials off the F4
+    steps with no interreduction: they are those of the reduced basis,
+    pairwise non-dividing, and both routes finish at the same pair budget
+    and run out one pair below it."""
+    pres = entries[name].presentation
+    gens = pres.generators
+    if seed is not None:
+        gens = _perturbed_relabeling(pres, random.Random(f"{name}:{seed}"))
+    ideal = IdealPresentation(gens, pres.nvars)
+    needed = INITIAL_IDEAL_PAIRS[name, seed]
+    leads = initial_ideal(ideal, max_pairs=needed)
+    assert leads == buchberger(ideal, max_pairs=needed).leading_monomials()
+    assert not any(a != b and monomial_divides(a, b) for a in leads for b in leads)
+    for route in (buchberger, initial_ideal):
+        with pytest.raises(BudgetExceeded):
+            route(ideal, max_pairs=needed - 1)
 
 
 def test_basis_is_reduced():
@@ -248,6 +315,16 @@ def test_basis_matches_division_oracle_and_sympy():
         gb = [str(g) for g in buchberger(ideal)]
         assert gb == [str(g) for g in division_buchberger(ideal)], ideal.generators
         assert gb == [str(g) for g in _sympy_basis(ideal)], ideal.generators
+
+
+def test_initial_ideal_matches_the_basis_on_random_ideals():
+    """On inhomogeneous ideals a later element's leading monomial can divide
+    an earlier one's, so the minimal ones must be picked out: they are the
+    leading monomials of the reduced basis, in the same order, here from
+    the pair-at-a-time oracle."""
+    for ideal in _random_ideals():
+        leads = division_buchberger(ideal).leading_monomials()
+        assert initial_ideal(ideal) == leads, ideal.generators
 
 
 def test_normal_form_matches_division_oracle():

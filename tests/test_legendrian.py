@@ -70,6 +70,19 @@ def test_segre_verdicts(entries):
         assert v.verdict == "legendrian", name
 
 
+def test_segre_4_with_two_sextic_products_is_legendrian(entries):
+    """Products of three segre-4 quadrics leave the ideal as it is, but the
+    closure pass spans its parts of degree 2, 6 and 10: tall sparse systems
+    whose rows meet few of their many pivots, which `Echelon._reduce` takes
+    off a heap."""
+    pres = entries["segre-4"].presentation
+    g = pres.generators
+    gens = list(g) + [g[0] * g[1] * g[2], g[3] * g[4] * g[0]]
+    v = legendrian_verdict(VarietyPresentation("segre-4 + sextics", pres.form, gens))
+    assert v.verdict == "legendrian" and v.certificate == "groebner"
+    assert v.bracket_closed and v.cone_dimension == 4
+
+
 def test_degeneracy_detection(entries):
     hyper = degeneracy_check(entries["xf-cubic-1"].presentation)
     assert hyper is not None and hyper.degree() == 1

@@ -1,9 +1,12 @@
+import bisect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legquad import linalg
 
@@ -212,6 +215,58 @@ def test_adopted_rows_keep_the_row_invariants():
         adopted.reduce_fully()
         added.reduce_fully()
         assert adopted.rows == added.rows
+
+
+@st.composite
+def sparse_systems(draw):
+    """Rows in stored form to adopt, each with a lead of its own, then rows
+    to add: a few small nonzero integers each, in up to 24 columns."""
+    ncols = draw(st.integers(2, 24))
+    rows = st.dictionaries(
+        st.integers(0, ncols - 1), st.integers(-4, 4).filter(bool), min_size=1, max_size=4
+    )
+    adopted = {}
+    for row in draw(st.lists(rows, max_size=14)):
+        lead = min(row)
+        g = math.gcd(*row.values()) if row[lead] > 0 else -math.gcd(*row.values())
+        if lead not in adopted:
+            adopted[lead] = {j: x // g for j, x in row.items()}
+    return list(adopted.values()), draw(st.lists(rows, min_size=1, max_size=20))
+
+
+class _WalkEchelon(linalg.Echelon):
+    """The elimination the heap replaced: walk every pivot from the row's
+    lead on and clear each one the row holds."""
+
+    def _reduce(self, work, combo):
+        m = 1
+        for p in self.pivots[bisect.bisect_left(self.pivots, min(work, default=0)):]:
+            if p in work:
+                m *= self._clear(work, p, combo)
+        return m
+
+
+def _eliminations(echelon, adopted, added):
+    """Adopt, then add; what is stored, in insertion order, and every
+    coefficient and remainder read back."""
+    span = echelon(track=True)
+    for row in adopted:
+        span.adopt(dict(row))
+    enlarged = [span.add(row) for row in added]
+    probes = added + [{j: x + 1 for j, x in row.items()} for row in added]
+    read = [(span.coefficients(v), span.remainder(v)) for v in probes]
+    return enlarged, list(span.rows.items()), span.pivots, read
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems())
+def test_heap_and_walk_store_the_same_rows(system):
+    """The heap and the pivot walk clear the same columns in the same
+    order, so they store identical rows and recover identical
+    coefficients."""
+    adopted, added = system
+    heap = _eliminations(linalg.Echelon, adopted, added)
+    assert heap == _eliminations(_WalkEchelon, adopted, added)
 
 
 def test_adopt_rejects_rows_not_in_stored_form():
