@@ -1,25 +1,23 @@
 """Executable fixtures: every example variety, ready for the verdict engine.
 
-Three entries ship as transcribed data files (the Grassmannian Gr(3,6), its
-Lagrangian cousin and the 56-variable exceptional variety); their files are
-checksum-pinned.  Everything else is generated from closed formulas: the
-twisted cubic, the line-times-quadric family, the spinor variety from its
-Pfaffian relations, the X_f family from a cubic's partial derivatives and
-the complex complete intersection.
+Gr(3,6), its Lagrangian cousin and the spinor variety are the charts X_f of
+cubic norms, one table row each, built by `x_f`.  The 56-variable
+exceptional variety ships as a transcribed, checksum-pinned data file.  The
+rest is generated from closed formulas: the twisted cubic, the
+line-times-quadric family, the plane-cubic charts and the complex complete
+intersection.
 
 The line-times-quadric family uses a sum-of-squares quadric, which has no
 rational points at all; a projectively equivalent split model (hyperbolic
 quadric, adapted form) is provided alongside it for every point-based check.
-Both models come from one partner map on the quadric's coordinates.  Every
-form that pairs coordinates (those models', the wedge pairing of Gr(3,6) and
-its restriction) is a `symplectic.pairing_form`; generated equations are
-parsed text, and the implicit equations of a chart are one sparse kernel.
+Both models come from one partner map on the quadric's coordinates, and
+their forms are `symplectic.pairing_form`s; generated equations are parsed
+text, and the implicit equations of a chart are one sparse kernel.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -27,13 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
-from .liealg import degree_part
-from .poly import MonomialCodec, Polynomial, monomials_of_degree, parse_poly
+from .poly import Polynomial, monomials_of_degree, parse_poly
 from .symplectic import SymplecticForm, pairing_form, standard_form
 
 _CHECKSUMS = {
-    "gr36.txt": "a959bd45a0b2278d942165cd3c77f317a906b1d704d844f807aa879ed6e25068",
-    "grl36.txt": "b9e281e00a9805980e3f5c384db8c7035d08363066d325e21ef8d88458983a1b",
     "e7.txt": "68c0b55536e3d3e86a130e171b9730bf5eb9bf316f0c6c4d33f2f23f7cc8ac2b",
 }
 
@@ -141,197 +136,32 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# Grassmannian Gr(3,6).
+# The paper's list: charts of cubic norms.
 # ---------------------------------------------------------------------------
 
-
-def _load_gr36() -> Tuple[List[str], List[int], List[Polynomial]]:
-    lines = _read_data("gr36.txt")
-    order: List[str] = []
-    signs: List[int] = []
-    eqs = []
-    for line in lines:
-        if line.startswith("# canonical-order:"):
-            order = line.split(":")[1].split()
-        elif line.startswith("# pairing-signs:"):
-            signs = [int(s) for s in line.split(":")[1].split()]
-        elif line.startswith("#") or not line.strip():
-            continue
-        else:
-            eqs.append(line.strip())
-    name_to_idx = {n: i for i, n in enumerate(order)}
-
-    def convert(eq: str) -> str:
-        s = re.sub(r"x<(\d{3})>", lambda m: f"x{name_to_idx[m.group(1)]}", eq)
-        s = re.sub(r"(\d)\s+(?=x\d)", r"\1*", s)
-        s = re.sub(r"(x\d+)\s+(?=x\d)", r"\1*", s)
-        return s
-
-    polys = [parse_poly(convert(e), 20) for e in eqs]
-    return order, signs, polys
-
-
-def grassmannian_36() -> CatalogEntry:
-    """Grassmannian of 3-planes in a 6-space under the wedge-square pairing."""
-    order, signs, polys = _load_gr36()
-    if len(polys) != 35:
-        raise DataIntegrityError("gr36.txt: expected 35 equations")
-    form = pairing_form(20, [(i, 10 + i, s) for i, s in enumerate(signs)])
-    pres = VarietyPresentation("gr36", form, polys)
-    return CatalogEntry(
-        pres, "transcribed", _unit_point(20),
-        "Pluecker quadrics in the verbatim coordinate names of the data "
-        "file; the base point is the x123 unit vector.",
-        checksum=_CHECKSUMS["gr36.txt"],
-    )
-
-
-# Linear substitution from the wedge coordinates of Gr(3,6) to the 14
-# coordinates of the Lagrangian Grassmannian: name -> (coefficient, y index).
-_GRL_SUBSTITUTION: Dict[str, Tuple[Fraction, int]] = {
-    "123": (Fraction(1), 0), "126": (Fraction(1), 1), "135": (Fraction(1), 2),
-    "243": (Fraction(1), 3), "124": (Fraction(1), 4), "263": (Fraction(-1), 4),
-    "125": (Fraction(1), 5), "136": (Fraction(-1), 5), "134": (Fraction(1), 6),
-    "235": (Fraction(-1), 6), "456": (Fraction(1), 7), "354": (Fraction(1), 8),
-    "264": (Fraction(1), 9), "156": (Fraction(1), 10),
-    "365": (Fraction(1, 2), 11), "145": (Fraction(-1, 2), 11),
-    "346": (Fraction(1, 2), 12), "245": (Fraction(-1, 2), 12),
-    "256": (Fraction(1, 2), 13), "146": (Fraction(-1, 2), 13),
+# Entry name -> (variety, number of chart parameters, cubic norm f); each
+# entry is X_f, the closure of the chart built by `x_f` below.
+_CUBIC_NORMS = {
+    # det of the generic matrix (y0 y1 y2 / y3 y4 y5 / y6 y7 y8)
+    "gr36": ("Gr(3,6)", 9,
+             "y0*y4*y8 + y1*y5*y6 + y2*y3*y7 - y2*y4*y6 - y1*y3*y8 - y0*y5*y7"),
+    # det of the symmetric matrix (y0 y3 y4 / y3 y1 y5 / y4 y5 y2)
+    "grl36": ("Gr_L(3,6)", 6, "y0*y1*y2 + 2*y3*y4*y5 - y0*y5^2 - y1*y4^2 - y2*y3^2"),
+    # Pfaffian of the skew 6x6 matrix whose upper entries are y0..y14 row by row
+    "spinor-s6": ("the spinor variety S_6", 15,
+                  "y0*y9*y14 - y0*y10*y13 + y0*y11*y12 - y1*y6*y14 + y1*y7*y13"
+                  " - y1*y8*y12 + y2*y5*y14 - y2*y7*y11 + y2*y8*y10 - y3*y5*y13"
+                  " + y3*y6*y11 - y3*y8*y9 + y4*y5*y12 - y4*y6*y10 + y4*y7*y9"),
 }
 
 
-def lagrangian_grassmannian_36() -> CatalogEntry:
-    """Lagrangian 3-planes in a 6-space: 21 transcribed quadrics in P^13.
-
-    Construction cross-checks that substituting the defining linear
-    relations into the 35 Gr(3,6) quadrics reproduces exactly the
-    transcribed span, and derives the symplectic form by restricting the
-    wedge pairing; the restriction comes out as the standard block form.
-    """
-    order, signs, gr_polys = _load_gr36()
-    lines = [
-        l.strip() for l in _read_data("grl36.txt") if l.strip() and not l.startswith("#")
-    ]
-    grl_polys = [parse_poly(l, 14) for l in lines]
-    if len(grl_polys) != 21:
-        raise DataIntegrityError("grl36.txt: expected 21 equations")
-
-    # each Gr(3,6) coordinate as (c, j), for its image c * y_j in the 14
-    image = [_GRL_SUBSTITUTION[name] for name in order]
-    forms = [Polynomial.variable(14, j).scale(c) for c, j in image]
-    substituted = [p.substitute(forms) for p in gr_polys]
-
-    # two spans of rank 21 are one span when their sum has rank 21 too
-    codec = MonomialCodec(14, 2)
-    ranks = [degree_part(polys, 2, codec)[0].rank
-             for polys in (substituted, grl_polys, substituted + grl_polys)]
-    if ranks != [21, 21, 21]:
-        raise DataIntegrityError("grl36.txt: substitution cross-check failed")
-
-    # the wedge pairing, s on (x_i, x_{10+i}), restricts to s c c' on (y_j, y_j')
-    form = pairing_form(14, [
-        (image[i][1], image[10 + i][1], s * image[i][0] * image[10 + i][0]) for i, s in enumerate(signs)
-    ])
-    pres = VarietyPresentation("grl36", form, grl_polys)
-    return CatalogEntry(
-        pres, "transcribed", _unit_point(14),
-        "reduction of the Gr(3,6) quadrics along six linear relations; "
-        "cross-checked against the substituted span at construction time.",
-        checksum=_CHECKSUMS["grl36.txt"],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Spinor variety.
-# ---------------------------------------------------------------------------
-
-_SPIN_PAIRS = [(a, b) for a in range(6) for b in range(a + 1, 6)]
-_SPIN_INDEX = {p: k for k, p in enumerate(_SPIN_PAIRS)}
-
-
-def _skew_entry_poly(nv: int, base: int, i: int, j: int) -> Polynomial:
-    """Entry (i, j) of the skew matrix whose upper entries are the variables
-    base .. base+14 in pair order."""
-    if i == j:
-        return Polynomial.zero(nv)
-    if i < j:
-        return Polynomial.variable(nv, base + _SPIN_INDEX[(i, j)])
-    return -Polynomial.variable(nv, base + _SPIN_INDEX[(j, i)])
-
-
-def _pfaffian_of(entries, rows: List[int], nv: int) -> Polynomial:
-    """Pfaffian of the skew submatrix on `rows`, entries given by a callable."""
-    k = len(rows)
-    if k == 0:
-        return Polynomial.constant(nv, 1)
-    if k % 2:
-        return Polynomial.zero(nv)
-    a = rows[0]
-    total = Polynomial.zero(nv)
-    for t, b in enumerate(rows[1:], start=1):
-        rest = [r for r in rows if r not in (a, b)]
-        total = total + entries(a, b).scale((-1) ** (t - 1)) * _pfaffian_of(entries, rest, nv)
-    return total
-
-
-def spinor_s6() -> CatalogEntry:
-    """The 15-dimensional spinor variety in P^31, generated from Pfaffians.
-
-    Coordinates: x, the 15 entries of a skew matrix M, the 15 entries of a
-    skew matrix N and y, symplectically paired as (x, y) and entrywise
-    (M, N).  Generators: the 36 entries of MN - xy Id, the 15 relations
-    expressing x N as the 4x4 Pfaffian adjugate of M and the 15 mirror
-    relations expressing y M through N.  Sign conventions are fixed by
-    requiring all relations to vanish on the pure-spinor parametrization,
-    and verified here; a convention failure raises instead of mis-generating.
-    """
-    nv = 32
-    x_poly = Polynomial.variable(nv, 0)
-    y_poly = Polynomial.variable(nv, 16)
-    m_entry = lambda i, j: _skew_entry_poly(nv, 1, i, j)
-    n_entry = lambda i, j: _skew_entry_poly(nv, 17, i, j)
-
-    gens: List[Polynomial] = []
-    for i in range(6):
-        for k in range(6):
-            s = Polynomial.zero(nv)
-            for j in range(6):
-                s = s + m_entry(i, j) * n_entry(j, k)
-            if i == k:
-                s = s - x_poly * y_poly
-            gens.append(s)
-    comp = {p: [r for r in range(6) if r not in p] for p in _SPIN_PAIRS}
-    for (i, j) in _SPIN_PAIRS:
-        pf = _pfaffian_of(m_entry, comp[(i, j)], nv).scale((-1) ** (i + j))
-        gens.append(pf - x_poly * Polynomial.variable(nv, 17 + _SPIN_INDEX[(i, j)]))
-    for (i, j) in _SPIN_PAIRS:
-        # the mirror adjugate carries the opposite parity twist
-        pf = _pfaffian_of(n_entry, comp[(i, j)], nv).scale((-1) ** (i + j + 1))
-        gens.append(pf - y_poly * Polynomial.variable(nv, 1 + _SPIN_INDEX[(i, j)]))
-
-    independent = degree_part(gens, 2, MonomialCodec(nv, 2))[0].rank
-    if independent != 66 or len(gens) != 66:
-        raise DataIntegrityError(
-            f"spinor relations span {independent} dimensions instead of 66; "
-            "Pfaffian sign convention failure"
-        )
-    # pure-spinor parametrization in the 15 entries of M
-    par: List[Polynomial] = [Polynomial.constant(15, 1)]
-    par += [Polynomial.variable(15, k) for k in range(15)]
-    p_entry = lambda i, j: _skew_entry_poly(15, 0, i, j)
-    par.append(_pfaffian_of(p_entry, list(range(6)), 15))
-    for (i, j) in _SPIN_PAIRS:
-        par.append(_pfaffian_of(p_entry, comp[(i, j)], 15).scale((-1) ** (i + j)))
-    for g in gens:
-        if not g.substitute(par).is_zero():
-            raise DataIntegrityError("spinor generator fails on the parametrization")
-
-    pres = VarietyPresentation("spinor-s6", standard_form(16), gens, parametrization=par)
-    return CatalogEntry(
-        pres, "generated", _unit_point(nv),
-        "generated from the Pfaffian-adjugate relations of a skew 6x6 "
-        "matrix; all 66 relations verified against the pure-spinor chart.",
-    )
+def _cubic_norm_entry(name: str) -> CatalogEntry:
+    """The quadrics of X_f for the cubic norm f of `name`."""
+    variety, m, norm = _CUBIC_NORMS[name]
+    entry = x_f(parse_poly(norm, m), implicit_degree=2)
+    entry.presentation.name = name
+    entry.provenance_note = f"{variety} as the {entry.provenance_note}"
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +236,10 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     monos = monomials_of_degree(nv, degree)
     rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
     for col, mono in enumerate(monos):
-        value = Polynomial.constant(par[0].nvars, 1)
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                value = value * par[var]
+        factors = [par[var] for var, e in enumerate(mono) for _ in range(e)]
+        value = factors[0]
+        for factor in factors[1:]:
+            value = value * factor
         for pmono, coeff in value.terms.items():
             rows.setdefault(pmono, {})[col] = coeff
     kernel = linalg.sparse_nullspace(rows.values(), range(len(monos)))
@@ -512,9 +342,9 @@ _BUILDERS = {
     "segre-split-3": lambda: segre_line_quadric(3, split=True),
     "segre-split-4": lambda: segre_line_quadric(4, split=True),
     "segre-split-5": lambda: segre_line_quadric(5, split=True),
-    "gr36": grassmannian_36,
-    "grl36": lagrangian_grassmannian_36,
-    "spinor-s6": spinor_s6,
+    "gr36": lambda: _cubic_norm_entry("gr36"),
+    "grl36": lambda: _cubic_norm_entry("grl36"),
+    "spinor-s6": lambda: _cubic_norm_entry("spinor-s6"),
     "e7": e7_variety,
     "xf-cubic-1": lambda: x_f_cubic_fixture(1),
     "xf-cubic-2": lambda: x_f_cubic_fixture(2),

@@ -266,11 +266,16 @@ def _cmd_algebra(args) -> Answer:
     return {"file": args.file}, result, EXIT_OK
 
 
-def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
-    """An `Answer` and the timings of the simple and the product scan."""
-    for flag, value in (("--max-rank", args.max_rank), ("--max-dim", args.max_dim)):
+def _require_positive(*flags: Tuple[str, Optional[int]]) -> None:
+    """Reject the first (flag, value) given a value below 1; None is unset."""
+    for flag, value in flags:
         if value is not None and value < 1:
             raise InputError(f"{flag} must be a positive integer, got {value}")
+
+
+def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
+    """An `Answer` and the timings of the simple and the product scan."""
+    _require_positive(("--max-rank", args.max_rank), ("--max-dim", args.max_dim))
     t0 = time.perf_counter()
     simple = enumerate_simple(args.max_rank, args.max_dim)
     t1 = time.perf_counter()
@@ -306,6 +311,7 @@ def _cmd_curve(args) -> Answer:
 
 
 def _cmd_xf(args) -> Answer:
+    _require_positive(("--implicit-degree", args.implicit_degree))
     f = _parse_xf_poly(args.poly)
     entry = catalog.x_f(f, implicit_degree=args.implicit_degree)
     pres = entry.presentation

@@ -1,5 +1,6 @@
 import pytest
 
+import transcription_oracle
 from legquad import catalog
 from legquad.liealg import close_and_present
 
@@ -20,3 +21,11 @@ def algebras(entries):
         quadrics = [g for g in pres.generators if g.homogeneous_degree() == 2]
         out[name] = close_and_present(quadrics, pres.form)
     return out
+
+
+@pytest.fixture(scope="session")
+def recorded_entries(entries):
+    """The catalog entries with gr36 and grl36 in the transcribed
+    coordinates that pinned bases, pair budgets and torus vectors were
+    recorded in."""
+    return {**entries, "gr36": transcription_oracle.gr36(), "grl36": transcription_oracle.grl36()}

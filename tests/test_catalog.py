@@ -48,11 +48,11 @@ def test_base_points_annihilate_generators(entries):
 
 
 def test_transcribed_entries_carry_checksums(entries):
-    for name in ("gr36", "grl36", "e7"):
-        assert entries[name].checksum
-    assert entries["twisted-cubic"].checksum is None
-    assert entries["twisted-cubic"].source == "generated"
+    assert entries["e7"].checksum == catalog._CHECKSUMS["e7.txt"]
     assert entries["e7"].source == "transcribed"
+    for name in ("twisted-cubic", "gr36", "grl36", "spinor-s6"):
+        assert entries[name].checksum is None
+        assert entries[name].source == "generated"
 
 
 def test_checksum_table_guards_loads():
@@ -109,33 +109,28 @@ def test_split_segre_matches_its_form(entries):
             assert m[k][n + (n - 1 - k)] == 1
 
 
-def test_gr36_pairing_structure(entries):
-    form = entries["gr36"].presentation.form
-    signs = [form.matrix[i][10 + i] for i in range(10)]
-    assert signs == [1, 1, 1, 1, 1, 1, 1, -1, -1, -1]
-    assert all(form.matrix[i][j] == 0 for i in range(10) for j in range(10))
-
-
-def test_grl36_form_is_standard(entries):
-    assert entries["grl36"].presentation.form.matrix == standard_form(7).matrix
-
-
-def test_grl36_first_listed_quadric(entries):
-    first = entries["grl36"].presentation.generators[0]
-    assert first == parse_poly("4*y3*y7 - 4*y8*y9 - y12^2", 14)
-    base = entries["grl36"].base_point
-    assert first.evaluate(base) == 0
+def test_cubic_norm_entries_are_their_charts(entries):
+    """gr36, grl36 and spinor-s6 are X_f of the determinant, the symmetric
+    determinant and the Pfaffian: 9, 6 and 15 chart parameters, the
+    standard form, and every generator vanishing along the chart."""
+    for name, params in (("gr36", 9), ("grl36", 6), ("spinor-s6", 15)):
+        pres = entries[name].presentation
+        assert pres.param_count() == params and pres.nvars == 2 * params + 2, name
+        assert pres.form.matrix == standard_form(params + 1).matrix, name
+        for g in pres.generators:
+            assert g.substitute(pres.parametrization).is_zero(), name
 
 
 def test_spinor_point_with_one_matrix_entry(entries):
-    """x = 1, one M entry set, everything else forced to zero."""
+    """The chart point of a skew matrix with one upper entry 1: its
+    Pfaffian and every 4x4 sub-Pfaffian vanish, so only x0 and x1 are set."""
     pres = entries["spinor-s6"].presentation
     pt = [Fraction(0)] * 32
-    pt[0] = Fraction(1)           # x
-    pt[1] = Fraction(1)           # m_01
+    pt[0] = Fraction(1)
+    pt[1] = Fraction(1)           # the entry (0, 1)
     for g in pres.generators:
         assert g.evaluate(pt) == 0
-    # a generic pure-spinor point: all m entries 1
+    # a generic pure-spinor point: all matrix entries 1
     chart_pt = [comp.evaluate([Fraction(1)] * 15) for comp in pres.parametrization]
     for g in pres.generators:
         assert g.evaluate(chart_pt) == 0
@@ -215,9 +210,9 @@ _PINS = {
     'segre-split-3': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
     'segre-split-4': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
     'segre-split-5': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
-    'gr36': '548617675c17199be81cbfe2a04e2ec84c9beab784b87aba2733a3273a35c489',
-    'grl36': '6d8b7b6b725e1b0269b9c0933828a966295d400c90808b7fb16e5bc36a8aad77',
-    'spinor-s6': '23fcd1fe83f550dcf68d8be0b4ef28f269322d301372961bea2b823020b4855a',
+    'gr36': '64623aa02d139a91c7d589bb67bf0d88a8853d61fef3a94304ed4713dda74381',
+    'grl36': 'ad26181c7d9396487e14307eb71b6b8ee93a04b0b4dff110ee59693f92371cbc',
+    'spinor-s6': 'df3c6ee513f6246ac85993e96851ef8291adf75c3da30478ca2815b0d512eb3b',
     'e7': '17ee75799925b64b2e221e1ed8c33c7e4f5e6ec57813c46fe220c78504815934',
     'xf-cubic-1': '769b06e3746850c8e48a1f57332ad61834dafc01586441898718a2570ec919cb',
     'xf-cubic-2': '2bbd2daa4831cfe3543e5d2df5c76d2afae3e66c0ce0d76a0c642f16e163336f',

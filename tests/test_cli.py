@@ -257,6 +257,13 @@ def test_classify_bounds_must_be_positive(capsys, flag, value):
     assert f"{flag} must be a positive integer, got {value}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_xf_implicit_degree_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "xf", "y0^3", "--implicit-degree", value)
+    assert code == EXIT_USAGE and out == ""
+    assert f"--implicit-degree must be a positive integer, got {value}" in err
+
+
 def test_xf_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "xf", "y0^3", "--implicit-degree", "2")
     assert code == EXIT_OK

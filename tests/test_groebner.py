@@ -163,14 +163,14 @@ def test_budget_raises_distinctly():
 # ideal each step's leading monomials depend only on the ideal, not on how
 # the step's rows are reduced, so the pairs each step takes, and these
 # counts, stay as they are.  "grl36 + x3*x9" adds that monomial to the first
-# generator of grl36.
+# generator of grl36, which is read in its transcribed coordinates.
 PAIRS_NEEDED = {"twisted-cubic": 3, "segre-4": 36, "grl36": 231, "grl36 + x3*x9": 1431}
 
 
 @pytest.mark.parametrize("name", PAIRS_NEEDED)
-def test_pair_budget_needed_is_unchanged(entries, name):
+def test_pair_budget_needed_is_unchanged(recorded_entries, name):
     base, _, extra = name.partition(" + ")
-    pres = entries[base].presentation
+    pres = recorded_entries[base].presentation
     gens = list(pres.generators)
     if extra:
         gens[0] = gens[0] + parse_poly(extra, pres.nvars)
@@ -186,7 +186,8 @@ def test_pair_budget_needed_is_unchanged(entries, name):
 # The catalog entries whose `check` takes its dimension from a basis, and
 # seeded perturbed relabelings of others, named (entry, seed), with the
 # fewest S-pairs under which each basis finishes, found by bisection on
-# `buchberger` when these cases were written.
+# `buchberger` when these cases were written, grl36 in its transcribed
+# coordinates.
 INITIAL_IDEAL_PAIRS = {
     ("segre-3", None): 15,
     ("segre-4", None): 36,
@@ -231,12 +232,12 @@ def _perturbed_relabeling(pres, rng):
 
 
 @pytest.mark.parametrize("name, seed", INITIAL_IDEAL_PAIRS)
-def test_initial_ideal_is_the_reduced_basis_leads(entries, name, seed):
+def test_initial_ideal_is_the_reduced_basis_leads(recorded_entries, name, seed):
     """The dimension route reads the minimal leading monomials off the F4
     steps with no interreduction: they are those of the reduced basis,
     pairwise non-dividing, and both routes finish at the same pair budget
     and run out one pair below it."""
-    pres = entries[name].presentation
+    pres = recorded_entries[name].presentation
     gens = pres.generators
     if seed is not None:
         gens = _perturbed_relabeling(pres, random.Random(f"{name}:{seed}"))

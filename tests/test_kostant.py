@@ -32,7 +32,7 @@ from legquad.liealg import (
     identify_algebra,
     split_root_data,
 )
-from legquad.poly import Polynomial
+from legquad.poly import Polynomial, parse_poly
 from legquad.rootdata import _cartan_matrix
 from legquad.symplectic import SymplecticForm
 from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
@@ -262,6 +262,23 @@ def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptan
         certified.append(_orbit_key(verdict.kostant.types, verdict.kostant.highest_weight))
     assert sorted(certified) == sorted(accepted)
     assert _orbit_key(["A1"] * 3, [(1,)] * 3) in certified
+
+
+@pytest.mark.parametrize("m, label", [(19, "B9"), (20, "D10")])
+def test_line_times_quadric_charts_past_rank_8_are_scan_acceptances(m, label):
+    """The round trip past the rank of the scan above: X_f of y0 q, for q a
+    split quadric in m - 2 variables, is the line times the quadric of
+    so(m), certified as A1 x so(m) on (1), omega_1, which the product scan
+    at rank 10 accepts."""
+    k = m - 2
+    terms = [f"y{i}*y{k + 1 - i}" for i in range(1, k // 2 + 1)] + [f"y{k // 2 + 1}^2"] * (k % 2)
+    entry = catalog.x_f(parse_poly("y0*(" + " + ".join(terms) + ")", m - 1), implicit_degree=2)
+    verdict = legendrian_verdict(entry.presentation)
+    omega1 = (1,) + (0,) * (int(label[1:]) - 1)
+    assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
+    assert verdict.kostant == KostantCertificate(["A1", label], [(1,), omega1], m)
+    accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(10) if v.status == "accepted"}
+    assert (("A1", label), ((1,), omega1)) in accepted
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "segre-split-5", "grl36"))
