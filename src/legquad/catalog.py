@@ -1,40 +1,39 @@
 """Executable fixtures: every example variety, ready for the verdict engine.
 
-Gr(3,6), its Lagrangian cousin and the spinor variety are the charts X_f of
-cubic norms, one table row each, built by `x_f`.  The 56-variable
-exceptional variety ships as a transcribed, checksum-pinned data file.  The
-rest is generated from closed formulas: the twisted cubic, the
-line-times-quadric family, the plane-cubic charts and the complex complete
-intersection.
+Outside the line-times-quadric family, the paper's list is the subadjoint
+varieties: the twisted cubic, Gr(3,6), its Lagrangian cousin, the spinor
+variety and the 56-variable E7 variety.  Each is the chart X_f of a cubic
+Jordan norm f (Landsberg and Manivel, J. Algebra 239, 2001; Mukai 1998),
+one table row each, built by `x_f` and listed by torus weight.  The rest
+is generated from closed formulas: the line-times-quadric family, the
+plane-cubic charts and the complex complete intersection.
 
 The line-times-quadric family uses a sum-of-squares quadric, which has no
 rational points at all; a projectively equivalent split model (hyperbolic
 quadric, adapted form) is provided alongside it for every point-based check.
 Both models come from one partner map on the quadric's coordinates, and
 their forms are `symplectic.pairing_form`s; generated equations are parsed
-text, and the implicit equations of a chart are one sparse kernel.
+text, and the implicit equations of a chart are one sparse kernel per image
+degree of integer monomial products.
 """
 
 from __future__ import annotations
 
-import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
+from itertools import chain, combinations_with_replacement
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
-from .poly import Polynomial, monomials_of_degree, parse_poly
-from .symplectic import SymplecticForm, pairing_form, standard_form
-
-_CHECKSUMS = {
-    "e7.txt": "68c0b55536e3d3e86a130e171b9730bf5eb9bf316f0c6c4d33f2f23f7cc8ac2b",
-}
+from .poly import MonomialCodec, Polynomial, parse_poly
+from .symplectic import pairing_form, standard_form
 
 
 class DataIntegrityError(RuntimeError):
-    """A bundled data file does not match its pinned checksum."""
+    """A listed equation does not vanish on its chart."""
 
 
 @dataclass
@@ -43,59 +42,10 @@ class CatalogEntry:
     source: str                      # "generated" | "transcribed"
     base_point: Optional[List[Fraction]]
     provenance_note: str
-    checksum: Optional[str] = None
 
     @property
     def name(self) -> str:
         return self.presentation.name
-
-
-def _read_data(filename: str) -> List[str]:
-    blob = resources.files("legquad.data").joinpath(filename).read_bytes()
-    digest = hashlib.sha256(blob).hexdigest()
-    if digest != _CHECKSUMS[filename]:
-        raise DataIntegrityError(f"{filename}: checksum mismatch ({digest})")
-    return blob.decode().splitlines()
-
-
-def _unit_point(nvars: int, index: int = 0) -> List[Fraction]:
-    pt = [Fraction(0)] * nvars
-    pt[index] = Fraction(1)
-    return pt
-
-
-# ---------------------------------------------------------------------------
-# Twisted cubic.
-# ---------------------------------------------------------------------------
-
-# The skew form making the cubic legendrian, and the matrix of the induced
-# dual form under the bracket normalization that makes the structure
-# constants integral; the two differ by the scalar -3.
-_CUBIC_FORM = [[0, 0, 0, -1], [0, 0, 3, 0], [0, -3, 0, 0], [1, 0, 0, 0]]
-_CUBIC_DUAL = [[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 0]]
-
-
-def twisted_cubic() -> CatalogEntry:
-    """Degree-3 rational normal curve in P^3, cut out by three quadrics."""
-    form = SymplecticForm(_CUBIC_FORM, dual_matrix=_CUBIC_DUAL)
-    gens = [
-        parse_poly("x2^2 - x1*x3", 4),
-        parse_poly("x0*x2 - x1^2", 4),
-        parse_poly("x0*x3 - x1*x2", 4),
-    ]
-    # (lambda, mu) -> (lambda^3, lambda^2 mu, lambda mu^2, mu^3)
-    par = [
-        parse_poly("x0^3", 2),
-        parse_poly("x0^2*x1", 2),
-        parse_poly("x0*x1^2", 2),
-        parse_poly("x1^3", 2),
-    ]
-    pres = VarietyPresentation("twisted-cubic", form, gens, parametrization=par)
-    return CatalogEntry(
-        pres, "generated", _unit_point(4),
-        "Veronese curve of degree 3; the nonstandard form matrix is the one "
-        "making all tangent spaces isotropic, unique up to scale.",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +74,7 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
     texts.append(" + ".join(f"x{k}*x{n + p[k]}" for k in range(n)))
     form = pairing_form(nv, [(k, n + p[k], 1) for k in range(n)])
     if split:
-        name, base, note = f"segre-split-{n}", _unit_point(nv), (
+        name, base, note = f"segre-split-{n}", [Fraction(int(k == 0)) for k in range(nv)], (
             "line times the hyperbolic quadric; projectively equivalent to the "
             "sum-of-squares model but rationally split, with base point e0.")
     else:
@@ -139,12 +89,24 @@ def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
 # The paper's list: charts of cubic norms.
 # ---------------------------------------------------------------------------
 
+def _det3(first: int) -> str:
+    """The determinant of the generic 3x3 matrix on y<first>, ..., y<first+8>,
+    row by row."""
+    a, b, c, d, e, f, g, h, i = (f"y{first + k}" for k in range(9))
+    return f"{a}*{e}*{i} + {b}*{f}*{g} + {c}*{d}*{h} - {c}*{e}*{g} - {b}*{d}*{i} - {a}*{f}*{h}"
+
+
+# tr(ABC) for the generic 3x3 matrices A, B, C on y0..y8, y9..y17, y18..y26
+_TRACE_ABC = " + ".join(
+    f"y{3 * i + j}*y{9 + 3 * j + k}*y{18 + 3 * k + i}" for i in range(3) for j in range(3) for k in range(3)
+)
+
 # Entry name -> (variety, number of chart parameters, cubic norm f); each
 # entry is X_f, the closure of the chart built by `x_f` below.
 _CUBIC_NORMS = {
+    "twisted-cubic": ("the twisted cubic", 1, "y0^3"),
     # det of the generic matrix (y0 y1 y2 / y3 y4 y5 / y6 y7 y8)
-    "gr36": ("Gr(3,6)", 9,
-             "y0*y4*y8 + y1*y5*y6 + y2*y3*y7 - y2*y4*y6 - y1*y3*y8 - y0*y5*y7"),
+    "gr36": ("Gr(3,6)", 9, _det3(0)),
     # det of the symmetric matrix (y0 y3 y4 / y3 y1 y5 / y4 y5 y2)
     "grl36": ("Gr_L(3,6)", 6, "y0*y1*y2 + 2*y3*y4*y5 - y0*y5^2 - y1*y4^2 - y2*y3^2"),
     # Pfaffian of the skew 6x6 matrix whose upper entries are y0..y14 row by row
@@ -152,38 +114,45 @@ _CUBIC_NORMS = {
                   "y0*y9*y14 - y0*y10*y13 + y0*y11*y12 - y1*y6*y14 + y1*y7*y13"
                   " - y1*y8*y12 + y2*y5*y14 - y2*y7*y11 + y2*y8*y10 - y3*y5*y13"
                   " + y3*y6*y11 - y3*y8*y9 + y4*y5*y12 - y4*y6*y10 + y4*y7*y9"),
+    # the norm of the 27-dimensional Jordan algebra as three 3x3 matrices
+    "e7": ("the 27-dimensional E7 variety", 27,
+           f"{_det3(0)} + {_det3(9)} + {_det3(18)} - ({_TRACE_ABC})"),
 }
 
 
+def _torus_order(f: Polynomial) -> List[int]:
+    """The chart variables sorted by one generic weight of the torus that
+    scales f: the weights on which f's monomials all agree are one
+    `sparse_nullspace` of the differences of their exponent vectors, and
+    the kernel basis, combined with the powers of 3 as coefficients, gives
+    the weight; ties keep the chart order."""
+    exps = list(f.terms)
+    rows = [{i: a - b for i, (a, b) in enumerate(zip(e, exps[0])) if a != b} for e in exps[1:]]
+    basis = linalg.sparse_nullspace(rows, range(f.nvars))
+    weight = [sum(3 ** t * vec.get(i, 0) for t, vec in enumerate(basis)) for i in range(f.nvars)]
+    return sorted(range(f.nvars), key=weight.__getitem__)
+
+
 def _cubic_norm_entry(name: str) -> CatalogEntry:
-    """The quadrics of X_f for the cubic norm f of `name`."""
+    """X_f for the cubic norm f of `name`, cut out by the quadrics of its
+    chart, with the chart coordinates (1, y, f, -df) of `x_f` listed as 1,
+    the y's sorted by torus weight, their -df partners in mirrored order,
+    and f, so that the form pairs x<i> with x<N-1-i>.  In this order the
+    reduced grevlex basis of each table entry is its quadrics."""
     variety, m, norm = _CUBIC_NORMS[name]
-    entry = x_f(parse_poly(norm, m), implicit_degree=2)
-    entry.presentation.name = name
-    entry.provenance_note = f"{variety} as the {entry.provenance_note}"
-    return entry
-
-
-# ---------------------------------------------------------------------------
-# The 56-variable exceptional variety.
-# ---------------------------------------------------------------------------
-
-
-def e7_variety() -> CatalogEntry:
-    """27-dimensional exceptional legendrian variety: 133 quadrics in P^55."""
-    lines = [
-        l.strip() for l in _read_data("e7.txt") if l.strip() and not l.startswith("#")
-    ]
-    polys = [parse_poly(l, 56) for l in lines]
-    if len(polys) != 133:
-        raise DataIntegrityError("e7.txt: expected 133 equations")
-    pres = VarietyPresentation("e7", standard_form(28), polys)
+    f = parse_poly(norm, m)
+    chart = _chart(f)
+    order = _torus_order(f)
+    coords = [0] + [1 + i for i in order] + [m + 2 + i for i in reversed(order)] + [m + 1]
+    nv = len(coords)
+    relist = itemgetter(*coords)
+    gens = [Polynomial(nv, {relist(e): x for e, x in g.terms.items()}) for g in _implicit_forms(chart, nv, 2)]
+    form = pairing_form(nv, [(i, nv - 1 - i, 1) for i in range(nv // 2)])
+    par = [chart[c] for c in coords]
     return CatalogEntry(
-        pres, "transcribed", _unit_point(56),
-        "x<i> pairs with x<28+i> under the standard block form, an "
-        "assumption read off the equation shapes and validated by bracket "
-        "closure of the quadric span.",
-        checksum=_CHECKSUMS["e7.txt"],
+        VarietyPresentation(name, form, gens, parametrization=par), "generated", _chart_point(par),
+        f"{variety} as the {_chart_note(f)}, in the coordinates 1, y by torus "
+        f"weight, -df mirrored, f, so that x<i> pairs with x<{nv - 1}-i>",
     )
 
 
@@ -202,48 +171,119 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
     attach all forms of degree <= implicit_degree vanishing on the image
     (exact linear algebra); by default the entry is parametrization-only.
     """
-    k = f.homogeneous_degree()
-    if k is None:
-        raise ValueError("f must be homogeneous")
-    m = f.nvars          # number of chart parameters, n - 1
-    n = m + 1
-    nv = 2 * n
-    par: List[Polynomial] = [Polynomial.constant(m, 1)]
-    par += [Polynomial.variable(m, i) for i in range(m)]
-    par.append(f.scale(k - 2))
-    for i in range(m):
-        par.append(-f.partial_derivative(i))
+    par = _chart(f)
+    n = f.nvars + 1
     gens: List[Polynomial] = []
     if implicit_degree is not None:
         for d in range(1, implicit_degree + 1):
-            gens.extend(_implicit_forms(par, nv, d))
-    pres = VarietyPresentation(
-        _xf_name(f), standard_form(n), gens, parametrization=par
-    )
-    base = [comp.evaluate([Fraction(1)] * m) for comp in par]
-    return CatalogEntry(
-        pres, "generated", base,
-        f"chart built from the degree-{k} polynomial {f}",
-    )
+            gens.extend(_implicit_forms(par, 2 * n, d))
+    pres = VarietyPresentation(_xf_name(f), standard_form(n), gens, parametrization=par)
+    return CatalogEntry(pres, "generated", _chart_point(par), _chart_note(f))
+
+
+def _chart(f: Polynomial) -> List[Polynomial]:
+    """The components 1, y, (k-2) f and -df of the chart of f, in order."""
+    k = f.homogeneous_degree()
+    if k is None:
+        raise ValueError("f must be homogeneous")
+    m = f.nvars
+    return ([Polynomial.constant(m, 1)] + [Polynomial.variable(m, i) for i in range(m)]
+            + [f.scale(k - 2)] + [-f.partial_derivative(i) for i in range(m)])
+
+
+def _chart_point(par: Sequence[Polynomial]) -> List[Fraction]:
+    """The chart point at y = (1, ..., 1): each component's coefficient sum."""
+    return [sum(comp.terms.values(), Fraction(0)) for comp in par]
+
+
+def _chart_note(f: Polynomial) -> str:
+    return f"chart built from the degree-{f.homogeneous_degree()} polynomial {chart_text(f)}"
+
+
+def chart_text(f: Polynomial) -> str:
+    """f in the text grammar with its chart variables named y0, y1, ...,
+    apart from the ambient coordinates x0, x1, ... of the chart's variety."""
+    return str(f).replace("x", "y")
 
 
 def _xf_name(f: Polynomial) -> str:
-    return "xf-" + str(f).replace(" ", "").replace("*", ".")
+    return "xf-" + chart_text(f).replace(" ", "").replace("*", ".")
+
+
+Image = Dict[int, int]  # monomial code -> nonzero integer coefficient
+
+
+def _times(a: Image, b: Image) -> Image:
+    """The product of two polynomials over one `MonomialCodec`."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:  # a shift, under which no two terms meet
+        (c, x), = a.items()
+        return {c + d: x * y for d, y in b.items()}
+    out: Image = {}
+    for c, x in a.items():
+        for d, y in b.items():
+            out[c + d] = out.get(c + d, 0) + x * y
+    return {c: x for c, x in out.items() if x}
 
 
 def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Polynomial]:
-    """All homogeneous degree-d forms vanishing on the parametrized image."""
-    monos = monomials_of_degree(nv, degree)
-    rows: Dict[Tuple[int, ...], Dict[int, Fraction]] = {}
-    for col, mono in enumerate(monos):
-        factors = [par[var] for var, e in enumerate(mono) for _ in range(e)]
-        value = factors[0]
-        for factor in factors[1:]:
-            value = value * factor
-        for pmono, coeff in value.terms.items():
-            rows.setdefault(pmono, {})[col] = coeff
-    kernel = linalg.sparse_nullspace(rows.values(), range(len(monos)))
-    return [Polynomial(nv, {monos[i]: c for i, c in vec.items()}) for vec in kernel]
+    """All homogeneous degree-d forms vanishing on the parametrized image of
+    homogeneous components: the canonical kernel basis of the map from the
+    degree-d monomials, largest grevlex first, to their images, one form per
+    free monomial in that order (`linalg.Echelon.kernel`).
+
+    Each component is integer terms over one codec times 1/den, and a
+    monomial's image is the product of its components, so column c holds
+    den_c times its image and the kernel is scaled back by den_p / den_c.
+    Columns of different image degree share no row, so each image degree
+    is one tracked `Echelon` over its columns in order: a column in the
+    span of the earlier ones is free, and its coefficients over them are
+    its kernel vector.  A column that alone holds an image monomial is
+    forced to zero and left out; one of zero image is free, its own form.
+    """
+    codec = MonomialCodec(par[0].nvars, max(degree * max(p.degree() for p in par), 1))
+    ambient = MonomialCodec(nv, degree)
+    comps: List[Tuple[Image, int]] = []
+    for p in par:
+        ints, den = linalg.integral(p.terms) if p.terms else ({}, 1)
+        comps.append(({codec.pack(e): x for e, x in ints.items()}, den))
+    # monomial, as a sorted tuple of its variables -> (its ambient code, image, den)
+    prefixes: Dict[Tuple[int, ...], Tuple[int, Image, int]] = {(): (0, {0: 1}, 1)}
+
+    def product(support: Tuple[int, ...]) -> Tuple[int, Image, int]:
+        head = support[:-1]
+        if head not in prefixes:
+            prefixes[head] = product(head)
+        code, image, den = prefixes[head]
+        terms, d = comps[support[-1]]
+        return code + ambient.units[support[-1]], _times(image, terms), den * d
+
+    # a column is minus its monomial's code, so that columns increase down grevlex
+    blocks: Dict[int, Dict[int, Image]] = {}
+    dens: Dict[int, int] = {}
+    forms: Dict[int, Dict[int, Fraction]] = {}
+    for support in combinations_with_replacement(range(nv), degree):
+        code, image, dens[-code] = product(support)
+        if image:
+            blocks.setdefault(codec.degree(next(iter(image))), {})[-code] = image
+        else:
+            forms[-code] = {-code: Fraction(1)}
+    for block in blocks.values():
+        holders = Counter(chain.from_iterable(block.values()))
+        ech = linalg.Echelon(track=True)
+        kept: List[int] = []
+        for col in sorted(block):
+            image = block[col]
+            if min(map(holders.__getitem__, image)) == 1:
+                continue
+            kept.append(col)
+            if not ech.add(image):
+                form = {kept[i]: Fraction(-x.numerator * dens[kept[i]], x.denominator * dens[col])
+                        for i, x in ech.coefficients(image).items()}
+                form[col] = Fraction(1)
+                forms[col] = form
+    return [Polynomial(nv, {ambient.unpack(-c): x for c, x in forms[col].items()}) for col in sorted(forms)]
 
 
 # The five implicit equations attached to the plane-cubic chart built from
@@ -265,7 +305,9 @@ def x_f_cubic_fixture(which: int) -> CatalogEntry:
     """
     charts = {1: "y0^3", 2: "y0^2*y1"}
     if which in charts:
-        return x_f(parse_poly(charts[which], 2), implicit_degree=2)
+        entry = x_f(parse_poly(charts[which], 2), implicit_degree=2)
+        entry.presentation.name = f"xf-cubic-{which}"
+        return entry
     if which != 3:
         raise ValueError("which must be 1, 2 or 3")
     entry = x_f(parse_poly("y0*y1*(y0+y1)", 2))
@@ -335,7 +377,7 @@ def linear_lagrangian() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 _BUILDERS = {
-    "twisted-cubic": twisted_cubic,
+    "twisted-cubic": lambda: _cubic_norm_entry("twisted-cubic"),
     "segre-3": lambda: segre_line_quadric(3),
     "segre-4": lambda: segre_line_quadric(4),
     "segre-5": lambda: segre_line_quadric(5),
@@ -345,7 +387,7 @@ _BUILDERS = {
     "gr36": lambda: _cubic_norm_entry("gr36"),
     "grl36": lambda: _cubic_norm_entry("grl36"),
     "spinor-s6": lambda: _cubic_norm_entry("spinor-s6"),
-    "e7": e7_variety,
+    "e7": lambda: _cubic_norm_entry("e7"),
     "xf-cubic-1": lambda: x_f_cubic_fixture(1),
     "xf-cubic-2": lambda: x_f_cubic_fixture(2),
     "xf-cubic-3": lambda: x_f_cubic_fixture(3),

@@ -327,7 +327,7 @@ def _cmd_xf(args) -> Answer:
         "generators": [str(g) for g in pres.generators],
         "tangent_checks_pass": tangent_ok,
     }
-    return {"poly": str(f)}, result, EXIT_OK if tangent_ok else EXIT_NEGATIVE
+    return {"poly": catalog.chart_text(f)}, result, EXIT_OK if tangent_ok else EXIT_NEGATIVE
 
 
 def _parse_xf_poly(text: str) -> Polynomial:

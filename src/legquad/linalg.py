@@ -51,8 +51,10 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
-    f = Fraction(c)
-    return [[x * f for x in row] for row in a]
+    """c times a, as Fractions; the zero entries, most of a form's, share one
+    zero rather than each costing a product."""
+    f, zero = Fraction(c), Fraction(0)
+    return [[x * f if x else zero for x in row] for row in a]
 
 
 def integral(vec: Mapping) -> Tuple[SparseRow, int]:

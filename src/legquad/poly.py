@@ -14,7 +14,6 @@ ints of `MonomialCodec` instead, and convert back to tuples at their ends.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from struct import Struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,14 +37,6 @@ def code_columns(codes: Iterable[int]) -> Dict[int, int]:
     """Column index of every distinct monomial code, largest (grevlex
     largest) first, so that row echelon forms pivot on leading monomials."""
     return {m: k for k, m in enumerate(sorted(set(codes), reverse=True))}
-
-
-def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
-    """Every monomial of the given degree in nvars variables, largest
-    grevlex monomial first."""
-    supports = combinations_with_replacement(range(nvars), degree)
-    monomials = [tuple(map(support.count, range(nvars))) for support in supports]
-    return sorted(monomials, key=grevlex_key, reverse=True)
 
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:
@@ -222,8 +213,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

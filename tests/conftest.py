@@ -25,7 +25,9 @@ def algebras(entries):
 
 @pytest.fixture(scope="session")
 def recorded_entries(entries):
-    """The catalog entries with gr36 and grl36 in the transcribed
-    coordinates that pinned bases, pair budgets and torus vectors were
-    recorded in."""
-    return {**entries, "gr36": transcription_oracle.gr36(), "grl36": transcription_oracle.grl36()}
+    """The catalog entries with the twisted cubic, gr36, grl36 and e7 in the
+    transcribed or hand-written coordinates that pinned bases, pair budgets,
+    bracket tables and torus vectors were recorded in."""
+    oracle = transcription_oracle
+    return {**entries, "twisted-cubic": oracle.twisted_cubic(), "gr36": oracle.gr36(),
+            "grl36": oracle.grl36(), "e7": oracle.e7()}

@@ -1,14 +1,15 @@
 """Test oracle for legquad.poly: the Euler identity sum x_i dp/dx_i =
 deg(p) p, on `Polynomial` arithmetic alone, and the polynomial helpers only
-the tests and the other oracles call: coefficients, monic scaling and the
-gradient."""
+the tests and the other oracles call: coefficients, monic scaling, the
+gradient and the monomials of one degree."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import List
 
-from legquad.poly import Exponent, Polynomial
+from legquad.poly import Exponent, Polynomial, grevlex_key
 
 
 def coefficient(p: Polynomial, exps: Exponent) -> Fraction:
@@ -25,6 +26,14 @@ def monic(p: Polynomial) -> Polynomial:
 
 def gradient(p: Polynomial) -> List[Polynomial]:
     return [p.partial_derivative(i) for i in range(p.nvars)]
+
+
+def monomials_of_degree(nvars: int, degree: int) -> List[Exponent]:
+    """Every monomial of the given degree in nvars variables, largest
+    grevlex monomial first."""
+    supports = combinations_with_replacement(range(nvars), degree)
+    monomials = [tuple(map(support.count, range(nvars))) for support in supports]
+    return sorted(monomials, key=grevlex_key, reverse=True)
 
 
 def euler_weighted_sum(p: Polynomial) -> Polynomial:

@@ -30,9 +30,9 @@ def _passed(line: str):
     print(f"\nACCEPTANCE {line}: PASS")
 
 
-def test_criterion_1_bracket_tables(entries):
+def test_criterion_1_bracket_tables(entries, recorded_entries):
     started = time.perf_counter()
-    cubic = entries["twisted-cubic"].presentation
+    cubic = recorded_entries["twisted-cubic"].presentation
     f_plus, f_minus, h = cubic.generators
     assert poisson_bracket(f_plus, f_minus, cubic.form) == h
     assert poisson_bracket(h, f_plus, cubic.form) == f_plus.scale(2)

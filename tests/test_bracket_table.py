@@ -130,16 +130,17 @@ def test_sp_images_and_diagonal_candidates(all_cases):
             assert all(p == q for p, q in nonzero(liealg_oracle.sp_image(L, dense(v, L.dim)))), label
 
 
-def test_torus_is_the_kernel_of_every_off_diagonal_entry(all_cases, entries):
+def test_torus_is_the_kernel_of_every_off_diagonal_entry(all_cases, recorded_entries):
     """Dropping the elements alone at an off-diagonal position first gives
     the canonical kernel of the whole system of dense sp-image entries, also
     where a system is left: the twisted cubic with h + g0 in place of h, and
     sp(4) with x0*x3 and x1*x2 only as their sum and difference."""
-    g0, g1, h = entries["twisted-cubic"].presentation.generators
+    cubic = recorded_entries["twisted-cubic"].presentation
+    g0, g1, h = cubic.generators
     names = [f"x{i}*x{j}" if i != j else f"x{i}^2" for i in range(4) for j in range(i, 4)]
     e, f = parse_poly("x0*x3", 4), parse_poly("x1*x2", 4)
     mixed = [parse_poly(t, 4) for t in names if t not in ("x0*x3", "x1*x2")] + [e + f, e - f]
-    extra = [("cubic h + g0", close_and_present([g0, g1, h + g0], entries["twisted-cubic"].presentation.form)),
+    extra = [("cubic h + g0", close_and_present([g0, g1, h + g0], cubic.form)),
              ("sp4 mixed", close_and_present(mixed, standard_form(2)))]
     for label, L in all_cases + extra:
         images = liealg_oracle.sp_images(L)

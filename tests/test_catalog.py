@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import catalog_oracle
 from legquad import catalog
-from legquad.catalog import DataIntegrityError
+from legquad.groebner import IdealPresentation, buchberger
 from legquad.legendrian import tangent_point_check
-from legquad.poly import parse_poly
-from legquad.symplectic import standard_form
+from legquad.liealg import degree_part
+from legquad.poly import MonomialCodec, Polynomial, parse_poly
+from legquad.symplectic import pairing_form, standard_form
 from liealg_oracle import quadratic_part
-from symplectic_oracle import dual_form
+from poly_oracle import monomials_of_degree
 
 EXPECTED_QUADRIC_COUNTS = {
     "twisted-cubic": 3,
@@ -47,32 +49,24 @@ def test_base_points_annihilate_generators(entries):
             assert g.evaluate(entry.base_point) == 0, name
 
 
-def test_transcribed_entries_carry_checksums(entries):
-    assert entries["e7"].checksum == catalog._CHECKSUMS["e7.txt"]
-    assert entries["e7"].source == "transcribed"
-    for name in ("twisted-cubic", "gr36", "grl36", "spinor-s6"):
-        assert entries[name].checksum is None
-        assert entries[name].source == "generated"
-
-
-def test_checksum_table_guards_loads():
-    saved = catalog._CHECKSUMS["e7.txt"]
-    catalog._CHECKSUMS["e7.txt"] = "0" * 64
-    try:
-        with pytest.raises(DataIntegrityError):
-            catalog.e7_variety()
-    finally:
-        catalog._CHECKSUMS["e7.txt"] = saved
+def test_entry_names_are_their_keys(entries):
+    """Every registry key builds an entry of that name, and its dump opens
+    with the key."""
+    for name in catalog.entry_names():
+        assert entries[name].name == name
+        assert catalog.dump_entry(entries[name]).startswith(f"# {name}: ")
 
 
 def test_twisted_cubic_entry(entries):
+    """X_f of y0^3: the chart y -> (1, y, -3 y^2, y^3), under the form that
+    pairs x0 with x3 and x1 with x2, generated with no transcribed data."""
     entry = entries["twisted-cubic"]
     pres = entry.presentation
-    assert pres.form.matrix == [[0, 0, 0, -1], [0, 0, 3, 0], [0, -3, 0, 0], [1, 0, 0, 0]]
-    assert dual_form(pres.form).matrix == [[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 0]]
-    # the parametrized point (1, 2) lies on all three quadrics
-    pt = [c.evaluate([1, 2]) for c in pres.parametrization]
-    assert pt == [1, 2, 4, 8]
+    assert entry.source == "generated"
+    assert pres.form.matrix == pairing_form(4, [(0, 3, 1), (1, 2, 1)]).matrix
+    # the chart point at y = 2 lies on all three quadrics
+    pt = [c.evaluate([2]) for c in pres.parametrization]
+    assert pt == [1, 2, -12, 8]
     for g in pres.generators:
         assert g.evaluate(pt) == 0
 
@@ -110,15 +104,46 @@ def test_split_segre_matches_its_form(entries):
 
 
 def test_cubic_norm_entries_are_their_charts(entries):
-    """gr36, grl36 and spinor-s6 are X_f of the determinant, the symmetric
-    determinant and the Pfaffian: 9, 6 and 15 chart parameters, the
-    standard form, and every generator vanishing along the chart."""
-    for name, params in (("gr36", 9), ("grl36", 6), ("spinor-s6", 15)):
-        pres = entries[name].presentation
-        assert pres.param_count() == params and pres.nvars == 2 * params + 2, name
-        assert pres.form.matrix == standard_form(params + 1).matrix, name
+    """Each row is X_f of its cubic norm f, cut out by the quadrics of its
+    chart, in the coordinates 1, the chart variables, their -df partners
+    mirrored, and f: x<i> pairs with x<N-1-i>, every generator vanishes
+    along the chart, and the chart point at y = (1, ..., 1) is the base
+    point."""
+    assert list(catalog._CUBIC_NORMS) == ["twisted-cubic", "gr36", "grl36", "spinor-s6", "e7"]
+    for name, (_, params, norm) in catalog._CUBIC_NORMS.items():
+        entry = entries[name]
+        pres = entry.presentation
+        f = parse_poly(norm, params)
+        nv = 2 * params + 2
+        assert pres.param_count() == params and pres.nvars == nv, name
+        assert pres.form.matrix == pairing_form(nv, [(i, nv - 1 - i, 1) for i in range(nv // 2)]).matrix
+        par = pres.parametrization
+        assert par[0] == Polynomial.constant(params, 1) and par[-1] == f, name
+        chart_vars = [next(i for i, e in enumerate(next(iter(p.terms))) if e) for p in par[1:params + 1]]
+        assert sorted(chart_vars) == list(range(params)), name
+        for j, i in enumerate(chart_vars, start=1):
+            assert par[j] == Polynomial.variable(params, i), name
+            assert par[nv - 1 - j] == -f.partial_derivative(i), name
         for g in pres.generators:
-            assert g.substitute(pres.parametrization).is_zero(), name
+            assert g.homogeneous_degree() == 2 and g.substitute(par).is_zero(), name
+        assert entry.base_point == [comp.evaluate([1] * params) for comp in par], name
+
+
+def test_reduced_basis_of_each_row_is_its_quadrics(entries):
+    """Listed by torus weight, each row's ideal has a quadratic reduced
+    grevlex basis: `buchberger`, within the C(q, 2) S-pairs of q quadrics,
+    returns q quadrics spanning the entry's own (3, 35, 21, 66 and 133).
+    In the chart order of `x_f`, e7's basis runs past 20000 pairs."""
+    sizes = {}
+    for name in catalog._CUBIC_NORMS:
+        pres = entries[name].presentation
+        count = len(pres.generators)
+        basis = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=count * (count - 1) // 2)
+        assert len(basis) == count and all(g.homogeneous_degree() == 2 for g in basis), name
+        codec = MonomialCodec(pres.nvars, 2)
+        assert degree_part(list(basis) + pres.generators, 2, codec)[0].rank == count, name
+        sizes[name] = count
+    assert sizes == {"twisted-cubic": 3, "gr36": 35, "grl36": 21, "spinor-s6": 66, "e7": 133}
 
 
 def test_spinor_point_with_one_matrix_entry(entries):
@@ -138,8 +163,9 @@ def test_spinor_point_with_one_matrix_entry(entries):
 
 def test_e7_entry_shape(entries):
     pres = entries["e7"].presentation
-    assert pres.nvars == 56
-    assert pres.form.matrix == standard_form(28).matrix
+    assert pres.nvars == 56 and pres.param_count() == 27
+    assert pres.form.matrix == pairing_form(56, [(i, 55 - i, 1) for i in range(28)]).matrix
+    assert len(pres.generators) == 133
     assert all(g.homogeneous_degree() == 2 for g in pres.generators)
 
 
@@ -167,6 +193,51 @@ def test_xf_small_chart_is_twisted_cubic():
     from legquad.legendrian import legendrian_verdict
 
     assert legendrian_verdict(pres).verdict == "legendrian"
+
+
+def test_xf_keeps_the_chart_order_and_names_chart_variables_y():
+    """`x_f` and the plane-cubic fixtures list the chart as it is built,
+    (1, y, (k-2) f, -df) under the standard form, and write f in its own
+    variables y0, y1, ... in their names and notes."""
+    f = parse_poly("y0^2*y1 + y1^3", 2)
+    entry = catalog.x_f(f)
+    pres = entry.presentation
+    assert pres.form.matrix == standard_form(3).matrix
+    assert pres.parametrization == [Polynomial.constant(2, 1), Polynomial.variable(2, 0), Polynomial.variable(2, 1),
+                                    f, -f.partial_derivative(0), -f.partial_derivative(1)]
+    assert entry.name == "xf-y0^2.y1+y1^3"
+    assert entry.provenance_note == "chart built from the degree-3 polynomial y0^2*y1 + y1^3"
+    assert catalog.get_entry("xf-cubic-2").provenance_note == "chart built from the degree-3 polynomial y0^2*y1"
+    assert "polynomial -y2*y4*y6 + y1*y5*y6" in catalog.get_entry("gr36").provenance_note
+
+
+def _random_chart_polynomial(rng: random.Random, rational: bool) -> Polynomial:
+    """A homogeneous polynomial of degree 2 to 4 in 1 to 3 variables with
+    one to four seeded terms, integer or rational."""
+    nvars, degree = rng.randint(1, 3), rng.randint(2, 4)
+    monos = monomials_of_degree(nvars, degree)
+    terms = {}
+    for mono in rng.sample(monos, rng.randint(1, min(4, len(monos)))):
+        terms[mono] = Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3)) if rational else 1)
+    return Polynomial(nvars, terms)
+
+
+def test_implicit_forms_match_the_product_kernel():
+    """`_implicit_forms` against the `Polynomial`-product kernel of
+    `catalog_oracle`, term for term and in order, at implicit degrees 1 to 3,
+    on seeded random charts with integer and rational coefficients.  The
+    quadratic charts and y0^3 in two variables have a zero component
+    ((k-2) f and -df/dy1), whose monomials are free columns of zero image."""
+    rng = random.Random(27)
+    charts = [_random_chart_polynomial(rng, rational=bool(k % 2)) for k in range(40)]
+    charts.append(parse_poly("y0^3", 2))
+    assert any(p.homogeneous_degree() == 2 for p in charts)
+    terms = lambda polys: [(p.nvars, list(p.terms.items())) for p in polys]
+    for f in charts:
+        par = catalog.x_f(f).presentation.parametrization
+        for degree in (1, 2, 3):
+            want = catalog_oracle.implicit_forms(par, len(par), degree)
+            assert terms(catalog._implicit_forms(par, len(par), degree)) == terms(want), (f, degree)
 
 
 def test_xf_rejects_inhomogeneous():
@@ -201,21 +272,21 @@ def _pinned_constructions():
 
 # sha256 of each construction's dump, name, generator terms in insertion
 # order, form and dual matrices, base point, parametrization terms, note,
-# source and checksum
+# source, and None where entries once carried a data file checksum
 _PINS = {
-    'twisted-cubic': 'be0f16d8b39908222f4349e0267adc68286c2af163e320b0e653c5db0b3f7ff1',
+    'twisted-cubic': 'b0dcb458ce76d1dde3157348417c61099ba8c1621549aa7b874324ca1a4c0334',
     'segre-3': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
     'segre-4': '35e9419b860a9d9e9acc8835f51fb66c85b2b9a93815ececc62cf69efec38e27',
     'segre-5': 'c44b0c4c56f6396a5a2db5065f7e75ed496ae4d9a50e41f45984b06cfd9bb66c',
     'segre-split-3': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
     'segre-split-4': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
     'segre-split-5': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
-    'gr36': '64623aa02d139a91c7d589bb67bf0d88a8853d61fef3a94304ed4713dda74381',
-    'grl36': 'ad26181c7d9396487e14307eb71b6b8ee93a04b0b4dff110ee59693f92371cbc',
-    'spinor-s6': 'df3c6ee513f6246ac85993e96851ef8291adf75c3da30478ca2815b0d512eb3b',
-    'e7': '17ee75799925b64b2e221e1ed8c33c7e4f5e6ec57813c46fe220c78504815934',
-    'xf-cubic-1': '769b06e3746850c8e48a1f57332ad61834dafc01586441898718a2570ec919cb',
-    'xf-cubic-2': '2bbd2daa4831cfe3543e5d2df5c76d2afae3e66c0ce0d76a0c642f16e163336f',
+    'gr36': 'f24e024c3c9ab9fff91fc3e1120e41c310a6ad63e006ea8366cb74909426602e',
+    'grl36': '48cbf81493a80d49d8b95123da42a1f202313eee5f52baea81268ce8693be2ee',
+    'spinor-s6': 'c7084283b8685307b65059c4ab11de3f4483374cad6e25fe591e34d5453316c2',
+    'e7': 'a0d1c22b05f22408961a72738a35d424588ef6dc9b815d261277c804ef979ba7',
+    'xf-cubic-1': '8dfe56ddcb462a693c22644b55c6f220131913e142992842641477555e10b33d',
+    'xf-cubic-2': '15f021d5c986ed36801814d04e58a642931e99f5edf176684320ec023e61b36f',
     'xf-cubic-3': '6dc22bdb8e2301e87a44fee8dd217a8bec1cacb5970ef7cce0d333eb7bc5727b',
     'complete-intersection': 'bd08b9f71c36776f778674ea1fcd27b180688869ae12f3bd10b2550f289c3190',
     'four-lines': 'aacc3ccc66784dc991bbc5fe270c471a571de5890bbe81a86241be6f06302cd2',
@@ -250,8 +321,8 @@ _PINS = {
     'segre_line_quadric(16, split=True)': 'f89ea600f4468a21ea6ebc2b9e979a1c68ba118531cf24811504c15cfe83ade0',
     'segre_line_quadric(17, split=False)': '844e0f0820d8c1e38c781a37207a21e24521f28368b70b613b9a3bb148b149d6',
     'segre_line_quadric(17, split=True)': 'f7d250e5e2ae2ac33c8c4fbd6c64ab8d83de9cfd6ba47927853a4b6b6e361987',
-    'x_f(y0^3, 2)': '769b06e3746850c8e48a1f57332ad61834dafc01586441898718a2570ec919cb',
-    'x_f(y0^2*y1 + y1^3, 3)': '0ae06fbafd0cb9ab364f12ab8d492a566041e1577b750608533973c407725c9e',
+    'x_f(y0^3, 2)': '256c8d25d5e54028188f30403ebac6a51dbc94260a45fb7bec2e2d23afa0233a',
+    'x_f(y0^2*y1 + y1^3, 3)': 'ced1ffdb631d42a4d71ccaf21faacc307f829c0a4967f80cd88a0107ea7b8164',
 }
 
 
@@ -262,5 +333,5 @@ def test_construction_is_pinned(label):
     terms = lambda polys: None if polys is None else [(p.nvars, list(p.terms.items())) for p in polys]
     fields = [catalog.dump_entry(entry), entry.name, terms(pres.generators), pres.form.matrix,
               pres.form.dual_matrix, entry.base_point, terms(pres.parametrization),
-              entry.provenance_note, entry.source, entry.checksum]
+              entry.provenance_note, entry.source, None]
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == _PINS[label]

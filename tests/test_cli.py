@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import legquad
+import transcription_oracle
 from legquad import catalog
 from legquad.cli import (
     EXIT_BROKEN_PIPE,
@@ -22,6 +23,11 @@ from legquad.cli import (
     main,
     parse_variety_file,
 )
+
+
+# The twisted cubic under its hand-written form and rescaled dual, the
+# coordinates these tests' generators and brackets are written in
+_CUBIC_DUMP = catalog.dump_entry(transcription_oracle.twisted_cubic())
 
 
 def run(capsys, *argv):
@@ -113,10 +119,23 @@ def test_catalog_e7_piped_to_check():
     assert result["certificate"] == "kostant" and result["type"] == ["E7"]
 
 
+def test_catalog_e7_piped_to_gb():
+    """`legquad catalog e7 | legquad gb -` finishes at the default budget:
+    listed by torus weight, e7's reduced basis is its 133 quadrics."""
+    env = dict(os.environ, PYTHONPATH=str(Path(legquad.__file__).parents[1]))
+    command = [sys.executable, "-m", "legquad.cli"]
+    dump = subprocess.run(command + ["catalog", "e7"], capture_output=True, env=env, timeout=30)
+    gb = subprocess.run(command + ["--json", "gb", "-"], input=dump.stdout, capture_output=True,
+                        env=env, timeout=60)
+    assert dump.returncode == gb.returncode == EXIT_OK and gb.stderr == b""
+    result = json.loads(gb.stdout)["result"]
+    assert result["size"] == 133 and result["dimension"] == 28
+
+
 def test_failed_closure_is_decided_under_any_budget(capsys, tmp_path):
     # the budget bounds only the cone dimension; the span test still proves
     # that the perturbed twisted cubic is not closed
-    code, out, _ = run(capsys, "catalog", "twisted-cubic")
+    out = _CUBIC_DUMP
     assert "\nx2^2 - x1*x3\n" in out
     path = tmp_path / "perturbed.txt"
     path.write_text(out.replace("\nx2^2 - x1*x3\n", "\nx2^2 - x1*x3 + x0^2\n"))
@@ -136,9 +155,8 @@ def test_curve_exit_codes(capsys):
 
 
 def test_bracket_subcommand(capsys, tmp_path):
-    code, out, _ = run(capsys, "catalog", "twisted-cubic")
     path = tmp_path / "cubic.txt"
-    path.write_text(out)
+    path.write_text(_CUBIC_DUMP)
     code, out, _ = run(capsys, "--json", "bracket", str(path), "0", "1")
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -183,10 +201,9 @@ def test_algebra_subcommand_names_the_missing_cartan(capsys, tmp_path):
 
 
 def _cubic_variant(first: str, extra: str = "") -> str:
-    """The twisted cubic's dump with `first` in place of its first generator
-    and `extra` appended."""
-    dump = catalog.dump_entry(catalog.get_entry("twisted-cubic"))
-    return dump.replace("x2^2 - x1*x3\n", first + "\n") + extra
+    """The hand-written twisted cubic's dump with `first` in place of its
+    first generator and `extra` appended."""
+    return _CUBIC_DUMP.replace("x2^2 - x1*x3\n", first + "\n") + extra
 
 
 def test_algebra_on_an_open_span_is_a_negative_answer(capsys, tmp_path):
@@ -270,6 +287,8 @@ def test_xf_subcommand(capsys):
     payload = json.loads(out)
     assert payload["result"]["tangent_checks_pass"] is True
     assert len(payload["result"]["generators"]) == 3
+    # the chart polynomial keeps its own variable names, apart from the x's
+    assert payload["inputs"]["poly"] == "y0^3" and payload["result"]["name"] == "xf-y0^3"
 
 
 def test_usage_errors(capsys, tmp_path):

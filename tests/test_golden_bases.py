@@ -1,8 +1,8 @@
 """The `result` objects of `gb --json` on the catalog entries whose basis
 finishes in test time (all but spinor-s6 and e7), pinned element for element
-and in key order against a stored fixture.  gr36 and grl36 are read in
-the transcribed coordinates of `transcription_oracle`, which the fixture
-was written in.
+and in key order against a stored fixture.  The twisted cubic, gr36 and
+grl36 are read in the hand-written and transcribed coordinates of
+`transcription_oracle`, which the fixture was written in.
 
 The reduced grevlex basis of an ideal is unique, so any change to the
 Groebner kernel that alters an element, the basis order or the dimension
@@ -24,7 +24,8 @@ from legquad import catalog, cli
 
 FIXTURE = Path(__file__).parent / "data" / "golden_bases.json"
 UNFINISHED = ("spinor-s6", "e7")
-TRANSCRIBED = {"gr36": transcription_oracle.gr36, "grl36": transcription_oracle.grl36}
+TRANSCRIBED = {"twisted-cubic": transcription_oracle.twisted_cubic, "gr36": transcription_oracle.gr36,
+               "grl36": transcription_oracle.grl36}
 
 
 def _result(name: str, directory: Path) -> dict:

@@ -15,7 +15,7 @@ from legquad.groebner import (
     krull_dimension,
     normal_form,
 )
-from legquad.poly import Polynomial, grevlex_key, monomials_of_degree, parse_poly
+from legquad.poly import Polynomial, grevlex_key, parse_poly
 
 from groebner_oracle import (
     division_buchberger,
@@ -25,7 +25,7 @@ from groebner_oracle import (
     linear_part,
     monomial_divides,
 )
-from poly_oracle import leading_coefficient, monic
+from poly_oracle import leading_coefficient, monic, monomials_of_degree
 
 
 def _cubic_ideal():
@@ -85,14 +85,14 @@ def test_krull_dimension_examples():
     assert krull_dimension(four.leading_monomials(), 4) == 2
 
 
-def test_krull_dimension_of_e7_quadric_leading_monomials(entries):
-    """The 133 leading monomials of e7's quadrics, an echelon basis of the
-    degree-2 part of its ideal, leave at most 37 variables free: a bound on
-    the cone dimension from degree 2 alone.  The memoised subset recursion
-    took 1.6 s and 265 MB on them."""
+def test_krull_dimension_of_e7_quadric_leading_monomials(recorded_entries):
+    """The 133 leading monomials of e7's transcribed quadrics, an echelon
+    basis of the degree-2 part of its ideal, leave at most 37 variables
+    free: a bound on the cone dimension from degree 2 alone.  The memoised
+    subset recursion took 1.6 s and 265 MB on them."""
     from liealg_oracle import quadratic_part
 
-    pres = entries["e7"].presentation
+    pres = recorded_entries["e7"].presentation
     quadrics = quadratic_part(pres.generators, pres.form.dim)
     assert len(quadrics) == 133
     leads = [g.leading_monomial() for g in quadrics]

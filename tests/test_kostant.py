@@ -246,22 +246,24 @@ def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptan
     """The paper's list both ways at rank <= 8.  Every Kostant certificate of
     a catalog entry, of one, two or three factors, names a scan acceptance;
     and the constructions of the catalog, the line times each quadric
-    (n = 3..17) and the five simple entries, are certified as exactly the
-    scan's 20 acceptances, one each."""
+    (n = 3..17) and the X_f of each cubic norm row, are certified as exactly
+    the scan's 20 acceptances, one each; the rows' types and weights are
+    the scan's five simple acceptances as it writes them."""
     accepted = [_orbit_key(types, weights) for types, weights in scan_acceptances]
     assert len(accepted) == len(set(accepted)) == 20
     for name, (types, weights, _) in CERTIFIED.items():
         assert _orbit_key(types, weights) in accepted, name
-    constructions = [catalog.segre_line_quadric(n, split=True).presentation for n in range(3, 18)]
-    constructions += [entries[name].presentation
-                      for name in ("twisted-cubic", "gr36", "grl36", "spinor-s6", "e7")]
-    certified = []
-    for pres in constructions:
-        verdict = legendrian_verdict(pres)
-        assert verdict.certificate == "kostant", pres.name
-        certified.append(_orbit_key(verdict.kostant.types, verdict.kostant.highest_weight))
+    rows = [entries[name].presentation for name in catalog._CUBIC_NORMS]
+    constructions = [catalog.segre_line_quadric(n, split=True).presentation for n in range(3, 18)] + rows
+    verdicts = [legendrian_verdict(pres) for pres in constructions]
+    assert [v.certificate for v in verdicts] == ["kostant"] * len(constructions)
+    certified = [_orbit_key(v.kostant.types, v.kostant.highest_weight) for v in verdicts]
     assert sorted(certified) == sorted(accepted)
     assert _orbit_key(["A1"] * 3, [(1,)] * 3) in certified
+    simple = sorted((types[0], weights[0]) for types, weights in scan_acceptances if len(types) == 1)
+    row_certificates = [v.kostant for v in verdicts[-len(rows):]]
+    assert all(len(c.types) == 1 for c in row_certificates)
+    assert sorted((c.types[0], c.highest_weight[0]) for c in row_certificates) == simple
 
 
 @pytest.mark.parametrize("m, label", [(19, "B9"), (20, "D10")])

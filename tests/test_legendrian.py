@@ -108,8 +108,8 @@ def test_certificate_decides_grl36_under_any_budget(entries):
     assert v.cone_dimension == 7 and v.budget_name is None
 
 
-def test_conormal_point_checks(entries):
-    tc = entries["twisted-cubic"].presentation
+def test_conormal_point_checks(recorded_entries):
+    tc = recorded_entries["twisted-cubic"].presentation
     assert conormal_point_check(tc, [1, 1, 1, 1])
     assert conormal_point_check(tc, [1, 0, 0, 0])
     with pytest.raises(PointNotOnCone):
@@ -139,8 +139,8 @@ def test_conormal_rank_error():
         conormal_point_check(pres, [0, 0, 0, 1])
 
 
-def test_tangent_point_checks(entries):
-    tc = entries["twisted-cubic"].presentation
+def test_tangent_point_checks(entries, recorded_entries):
+    tc = recorded_entries["twisted-cubic"].presentation
     for pt in ([1, 2], [1, 0], [2, 3], [1, -1]):
         assert tangent_point_check(tc, pt)
     cubic2 = catalog.x_f(parse_poly("y0^3", 1))
@@ -226,7 +226,7 @@ def test_generator_scaling_never_changes_verdicts(entries):
         assert scaled.degenerate == reference.degenerate
 
 
-def test_verdict_agrees_with_conormal_at_sample_points(entries):
+def test_verdict_agrees_with_conormal_at_sample_points(recorded_entries):
     """Bracket-closure plus dimension must match the pointwise conormal
     criterion wherever both apply."""
     cases = {
@@ -236,10 +236,10 @@ def test_verdict_agrees_with_conormal_at_sample_points(entries):
             [1, 1, 1, 1, 1, 1],
             [1, 2, Fraction(1, 2), 1, Fraction(1, 2), 2],
         ],
-        "grl36": [entries["grl36"].base_point],
+        "grl36": [recorded_entries["grl36"].base_point],
     }
     for name, points in cases.items():
-        pres = entries[name].presentation
+        pres = recorded_entries[name].presentation
         verdict = legendrian_verdict(pres)
         assert verdict.verdict == "legendrian"
         for pt in points:

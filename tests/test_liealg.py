@@ -35,8 +35,14 @@ from symplectic_oracle import QuadraticForm, quadric_to_sp
 from test_kostant import _sheared
 
 
-def test_twisted_cubic_structure_constants(algebras):
-    L = algebras["twisted-cubic"]
+def _recorded_algebra(recorded_entries, name):
+    """The quadric algebra of an entry in the coordinates of `recorded_entries`."""
+    pres = recorded_entries[name].presentation
+    return close_and_present(pres.generators, pres.form)
+
+
+def test_twisted_cubic_structure_constants(recorded_entries):
+    L = _recorded_algebra(recorded_entries, "twisted-cubic")
     # basis order: f+, f-, h
     assert L.dim == 3
     assert liealg_oracle.bracket_coeffs(L, 0, 1) == {2: 1}     # [f+, f-] = h
@@ -128,7 +134,7 @@ def test_segre_bracket_relations(entries):
 
 
 def test_cartan_subalgebras(algebras, recorded_entries):
-    cd = cartan_subalgebra(algebras["twisted-cubic"])
+    cd = cartan_subalgebra(_recorded_algebra(recorded_entries, "twisted-cubic"))
     assert [dense(h, 3) for h in cd.cartan_vectors] == [[0, 0, 1]]     # h is the third generator
     # the last five transcribed Pluecker quadrics span the torus
     gr = recorded_entries["gr36"].presentation
@@ -236,12 +242,12 @@ def test_killing_form_counts(algebras):
         assert det(torus_form) != 0
 
 
-def test_exp_nilpotent_examples(entries, algebras):
+def test_exp_nilpotent_examples(recorded_entries):
     # zero matrix: identity action
     v = exp_nilpotent_action(linalg.zeros(4, 4), [1, 2, 3, 4])
     assert v == [1, 2, 3, 4]
     # twisted cubic: exponentiating the lowering quadric sweeps the curve
-    tc = entries["twisted-cubic"]
+    tc = recorded_entries["twisted-cubic"]
     f_minus = tc.presentation.generators[1]
     rho = quadric_to_sp(QuadraticForm.from_polynomial(f_minus), tc.presentation.form)
     pt = exp_nilpotent_action(rho.matrix, tc.base_point)
@@ -303,14 +309,14 @@ def test_block_view_shapes(algebras, entries):
         block_view(linalg.identity(4), 2)
 
 
-def test_block_constraints_for_adapted_fixtures(algebras):
+def test_block_constraints_for_adapted_fixtures(recorded_entries):
     """Algebras of varieties through the first basis vector: every element's
-    block view has mu = 0, b = 0, nu = 0, and (lam0, a1) fills n dimensions."""
-    for name in ("twisted-cubic", "grl36", "e7"):
-        L = algebras[name]
+    block view has mu = 0, b = 0, nu = 0, and (lam0, a1) fills n dimensions.
+    The block layout needs the standard form, which grl36 and the
+    transcribed e7 carry; the twisted cubic's form is not standard."""
+    for name in ("grl36", "e7"):
+        L = _recorded_algebra(recorded_entries, name)
         n = L.form.dim // 2
-        if name == "twisted-cubic":
-            continue  # nonstandard form; the block layout needs standard J
         rows = []
         for image in liealg_oracle.sp_images(L):
             bv = block_view(image, n)
@@ -326,10 +332,10 @@ def test_jacobi_on_structure_constants(algebras):
     assert verify_jacobi(algebras["e7"], max_triples=100)
 
 
-def test_root_decomposition_handles_mixed_bases(entries):
+def test_root_decomposition_handles_mixed_bases(recorded_entries):
     """A basis whose elements are not ad-eigenvectors still decomposes: the
     eigenvectors are recovered inside the leftover span."""
-    cubic = entries["twisted-cubic"].presentation
+    cubic = recorded_entries["twisted-cubic"].presentation
     f_plus, f_minus, h = cubic.generators
     mixed = [f_plus + f_minus, f_plus - f_minus, h]
     L = close_and_present(mixed, cubic.form)

@@ -1,6 +1,6 @@
-"""The transcribed Gr(3,6) and Gr_L(3,6) lists of `transcription_oracle`
+"""The transcribed and hand-written models of `transcription_oracle`
 against their pins, against each other and against the catalog's X_f
-builds; and the data files the package ships against its checksum table.
+builds; and the package against shipping data files.
 """
 
 import hashlib
@@ -10,14 +10,15 @@ import pytest
 
 import legquad
 import transcription_oracle
-from legquad import catalog
 from legquad.legendrian import legendrian_verdict
 from legquad.liealg import degree_part
 from legquad.poly import MonomialCodec, parse_poly
 from legquad.symplectic import standard_form
+from symplectic_oracle import dual_form
 
 
 def test_transcriptions_match_their_pins():
+    assert set(transcription_oracle.PINS) == {"gr36.txt", "grl36.txt", "e7.txt"}
     for filename, pin in transcription_oracle.PINS.items():
         blob = (transcription_oracle.DATA / filename).read_bytes()
         assert hashlib.sha256(blob).hexdigest() == pin, filename
@@ -49,20 +50,35 @@ def test_grl36_first_listed_quadric(recorded_entries):
     assert first.evaluate(recorded_entries["grl36"].base_point) == 0
 
 
-@pytest.mark.parametrize("name", ("gr36", "grl36"))
+def test_twisted_cubic_hand_model(recorded_entries):
+    """The hand-written form, its dual rescaled by -3, and the parametrized
+    point (1, 2) on all three quadrics."""
+    pres = recorded_entries["twisted-cubic"].presentation
+    assert pres.form.matrix == [[0, 0, 0, -1], [0, 0, 3, 0], [0, -3, 0, 0], [1, 0, 0, 0]]
+    assert dual_form(pres.form).matrix == [[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 0]]
+    pt = [c.evaluate([1, 2]) for c in pres.parametrization]
+    assert pt == [1, 2, 4, 8]
+    for g in pres.generators:
+        assert g.evaluate(pt) == 0
+
+
+@pytest.mark.parametrize("name", ("twisted-cubic", "gr36", "grl36", "e7"))
 def test_transcriptions_certify_like_their_charts(entries, recorded_entries, name):
     """By Kostant's theorem the quadrics of a certificate cut out the closed
     orbit in P(V(lambda)), so equal types, lambda and dimension make the
-    transcription the catalog's X_f up to a linear change of coordinates."""
-    chart = legendrian_verdict(entries[name].presentation)
-    listed = legendrian_verdict(recorded_entries[name].presentation)
+    transcription the catalog's X_f up to a linear change of coordinates.
+    The certificate needs no basis, so a pair budget of 1 stops a model it
+    does not certify at once."""
+    chart = legendrian_verdict(entries[name].presentation, budget=1)
+    listed = legendrian_verdict(recorded_entries[name].presentation, budget=1)
     assert chart.certificate == listed.certificate == "kostant"
     assert listed.kostant == chart.kostant
     assert len(recorded_entries[name].presentation.generators) == len(entries[name].presentation.generators)
 
 
-def test_shipped_data_files_are_the_checksummed_ones():
-    """No data file ships without a checksum, and no checksum names a file
-    that is gone."""
-    data = Path(legquad.__file__).parent / "data"
-    assert {p.name for p in data.glob("*.txt")} == set(catalog._CHECKSUMS)
+def test_the_package_ships_no_data_files():
+    """Every catalog entry is generated; the transcriptions are test data."""
+    package = Path(legquad.__file__).parent
+    shipped = [p.name for p in package.rglob("*") if p.is_file() and p.suffix != ".py" and "__pycache__" not in p.parts]
+    assert shipped == []
+    assert "package-data" not in (package.parents[1] / "pyproject.toml").read_text()

@@ -1,13 +1,16 @@
-"""Test oracles: the transcribed equations of Gr(3,6) and Gr_L(3,6).
+"""Test oracles: the transcribed and hand-written models of the paper's list.
 
-The catalog builds both varieties as charts X_f of cubic norms.  The lists
-here are the Pluecker quadrics of Gr(3,6) in wedge coordinates, as written
-in the source table, and the 21 quadrics of Gr_L(3,6) obtained from them by
-six linear relations.  They are the same varieties in other coordinates, so
-the tests whose pinned bases, pair budgets and torus vectors were recorded
-in these coordinates read their input here.
+The catalog builds the twisted cubic, Gr(3,6), Gr_L(3,6) and the E7 variety
+as charts X_f of cubic norms.  The models here are the twisted cubic with
+its hand-written form and rescaled dual, the Pluecker quadrics of Gr(3,6)
+in wedge coordinates, as written in the source table, the 21 quadrics of
+Gr_L(3,6) obtained from them by six linear relations, and the 133 quadrics
+of the E7 variety as transcribed from their source table.  They are the
+same varieties in other coordinates, so the tests whose pinned bases, pair
+budgets, bracket tables and torus vectors were recorded in these
+coordinates read their input here.
 
-Each file is sha256-pinned.  `grl36` derives its form by restricting the
+Each data file is sha256-pinned.  `grl36` derives its form by restricting the
 wedge pairing of Gr(3,6) along the substitution, and `substituted_gr36`
 is the substitution itself, for the test that it reproduces the Gr_L(3,6)
 span.  The header of grl36.txt, kept byte for byte under its pin, still
@@ -25,12 +28,13 @@ from typing import Dict, List, Tuple
 from legquad.catalog import CatalogEntry
 from legquad.legendrian import VarietyPresentation
 from legquad.poly import Polynomial, parse_poly
-from legquad.symplectic import SymplecticForm, pairing_form
+from legquad.symplectic import SymplecticForm, pairing_form, standard_form
 
 DATA = Path(__file__).parent / "data"
 PINS = {
     "gr36.txt": "a959bd45a0b2278d942165cd3c77f317a906b1d704d844f807aa879ed6e25068",
     "grl36.txt": "b9e281e00a9805980e3f5c384db8c7035d08363066d325e21ef8d88458983a1b",
+    "e7.txt": "68c0b55536e3d3e86a130e171b9730bf5eb9bf316f0c6c4d33f2f23f7cc8ac2b",
 }
 
 # Linear substitution from the wedge coordinates of Gr(3,6) to the 14
@@ -91,7 +95,6 @@ def gr36() -> CatalogEntry:
         VarietyPresentation("gr36", form, polys), "transcribed", _unit_point(20),
         "Pluecker quadrics in the verbatim coordinate names of the data "
         "file; the base point is the x123 unit vector.",
-        checksum=PINS["gr36.txt"],
     )
 
 
@@ -117,5 +120,38 @@ def grl36() -> CatalogEntry:
         VarietyPresentation("grl36", substituted_gr36()[1], polys), "transcribed", _unit_point(14),
         "reduction of the Gr(3,6) quadrics along six linear relations; "
         "the base point is the y0 unit vector.",
-        checksum=PINS["grl36.txt"],
+    )
+
+
+# The skew form making the cubic legendrian, and the matrix of the induced
+# dual form under the bracket normalization that makes the structure
+# constants integral; the two differ by the scalar -3.
+CUBIC_FORM = [[0, 0, 0, -1], [0, 0, 3, 0], [0, -3, 0, 0], [1, 0, 0, 0]]
+CUBIC_DUAL = [[0, 0, 0, 3], [0, 0, -1, 0], [0, 1, 0, 0], [-3, 0, 0, 0]]
+
+
+def twisted_cubic() -> CatalogEntry:
+    """The degree-3 rational normal curve in P^3, cut out by three quadrics,
+    under the hand-written form and its rescaled dual."""
+    gens = [parse_poly(t, 4) for t in ("x2^2 - x1*x3", "x0*x2 - x1^2", "x0*x3 - x1*x2")]
+    # (lambda, mu) -> (lambda^3, lambda^2 mu, lambda mu^2, mu^3)
+    par = [parse_poly(t, 2) for t in ("x0^3", "x0^2*x1", "x0*x1^2", "x1^3")]
+    pres = VarietyPresentation("twisted-cubic", SymplecticForm(CUBIC_FORM, dual_matrix=CUBIC_DUAL),
+                               gens, parametrization=par)
+    return CatalogEntry(
+        pres, "generated", _unit_point(4),
+        "Veronese curve of degree 3; the nonstandard form matrix is the one "
+        "making all tangent spaces isotropic, unique up to scale.",
+    )
+
+
+def e7() -> CatalogEntry:
+    """The E7 variety as the 133 transcribed quadrics, x<i> paired with x<28+i>."""
+    polys = [parse_poly(l.strip(), 56) for l in read("e7.txt") if l.strip() and not l.startswith("#")]
+    assert len(polys) == 133
+    return CatalogEntry(
+        VarietyPresentation("e7", standard_form(28), polys), "transcribed", _unit_point(56),
+        "x<i> pairs with x<28+i> under the standard block form, an "
+        "assumption read off the equation shapes and validated by bracket "
+        "closure of the quadric span.",
     )
