@@ -413,7 +413,7 @@ def dump_entry(entry: CatalogEntry) -> str:
     pres = entry.presentation
     lines = [f"# {entry.name}: {entry.provenance_note}"]
     lines.append(f"n={pres.half_dim}")
-    if pres.form.matrix == standard_form(pres.half_dim).matrix:
+    if pres.form == standard_form(pres.half_dim):
         lines.append("form=standard")
     else:
         lines.append("form=json:" + pres.form.to_json())

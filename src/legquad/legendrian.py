@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import linalg
+from .classify import is_canonical_weight
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
@@ -49,6 +49,7 @@ from .liealg import (
     NotAdaptedError,
     bracket_closure,
     degree_part,
+    diagram_automorphisms,
     simple_factors,
     split_root_data,
 )
@@ -84,10 +85,10 @@ class VarietyPresentation:
                 raise ValueError(f"generator {g} is not homogeneous")
         self.generators = gens
         if parametrization is not None:
-            comps = list(parametrization)
-            if len(comps) != self.nvars:
+            parametrization = list(parametrization)
+            if len(parametrization) != self.nvars:
                 raise ValueError("parametrization must have one component per ambient coordinate")
-        self.parametrization = list(parametrization) if parametrization is not None else None
+        self.parametrization = parametrization
 
     @property
     def half_dim(self) -> int:
@@ -196,7 +197,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
 
     The ideal is then I(X), and the cone over X, a product of the factors'
     orbits under the Segre map, has dimension
-    1 + sum (cone_orbit_dimension - 1).
+    1 + sum (cone_orbit_dimension - 1).  Each factor's lambda is reported as
+    the scan writes it (`_scan_weight`).
     """
     if not algebra.is_semisimple():
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
@@ -227,7 +229,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         return p
 
     factors = sorted(
-        ((label, tuple(string_length(alpha) for alpha in roots)) for label, roots in simple_roots),
+        ((label, _scan_weight(label, tuple(string_length(alpha) for alpha in roots)))
+         for label, roots in simple_roots),
         key=lambda f: (type_key(f[0]), f[1]),
     )
     orbit = [(build_root_system(label[0], int(label[1:])), labels) for label, labels in factors]
@@ -249,6 +252,15 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         highest_weight=[labels for _, labels in factors],
         dimension=closed_orbit_cone_dimension(orbit),
     )
+
+
+def _scan_weight(label: str, labels: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The image of a factor's Dynkin labels under its diagram automorphisms
+    that the scan lists (`classify.is_canonical_weight`): the simple roots
+    are matched to Bourbaki nodes only up to those automorphisms."""
+    kind, rank = type_key(label)
+    images = (tuple(labels[p] for p in sigma) for sigma in diagram_automorphisms(label))
+    return next(image for image in images if is_canonical_weight(kind, rank, image))
 
 
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:
@@ -298,7 +310,8 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
 
 def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     """Tangent criterion at a parametrized point: omega vanishes on the span
-    of the position vector and all parametrization partials."""
+    of the position vector and all parametrization partials.  Each pairing
+    reads only the nonzero entries of the form's rows."""
     if v.parametrization is None:
         raise ValueError(f"{v.name} has no parametrization")
     pvals = [Fraction(x) for x in params]
@@ -306,10 +319,11 @@ def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     tangents = [position]
     for k in range(v.param_count()):
         tangents.append([comp.partial_derivative(k).evaluate(pvals) for comp in v.parametrization])
-    for i in range(len(tangents)):
-        ji = linalg.mat_vec(v.form.matrix, tangents[i])
-        for j in range(i + 1, len(tangents)):
-            if linalg.vec_dot(tangents[j], ji) != 0:
+    rows = v.form.rows
+    for i, u in enumerate(tangents):
+        ju = [(a, y) for a, row in enumerate(rows) if (y := sum(x * u[b] for b, x in row.items()))]
+        for w in tangents[i + 1:]:
+            if sum(w[a] * y for a, y in ju):  # omega(w, u)
                 return False
     return True
 

@@ -59,7 +59,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import SparseVector
@@ -544,29 +544,42 @@ def _match_component(cartan: List[List[int]]) -> Tuple[str, List[int]]:
     carries it onto the Bourbaki matrix C: cartan[i][j] = C[p[i]][p[j]]."""
     m = len(cartan)
     for label, rank in simple_types_up_to(m):
-        if rank != m:
-            continue
-        target = _cartan_matrix(label, rank)
-        perm: List[int] = []
-
-        def extend() -> bool:
-            i = len(perm)
-            if i == m:
-                return True
-            for t in range(m):
-                if t not in perm and all(
-                    cartan[i][k] == target[t][p] and cartan[k][i] == target[p][t]
-                    for k, p in enumerate(perm)
-                ):
-                    perm.append(t)
-                    if extend():
-                        return True
-                    perm.pop()
-            return False
-
-        if extend():
-            return f"{label}{rank}", perm
+        if rank == m:
+            for perm in _node_bijections(cartan, _cartan_matrix(label, rank)):  # the first one
+                return f"{label}{rank}", perm
     raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
+
+
+def _node_bijections(cartan: List[List[int]], target: List[List[int]]) -> Iterator[List[int]]:
+    """Every node bijection p with cartan[i][j] = target[p[i]][p[j]], depth
+    first, node i taking the smallest target node that still fits."""
+    m = len(cartan)
+    perm: List[int] = []
+
+    def extend() -> Iterator[List[int]]:
+        i = len(perm)
+        if i == m:
+            yield list(perm)
+            return
+        for t in range(m):
+            if t not in perm and all(
+                cartan[i][k] == target[t][p] and cartan[k][i] == target[p][t]
+                for k, p in enumerate(perm)
+            ):
+                perm.append(t)
+                yield from extend()
+                perm.pop()
+
+    return extend()
+
+
+def diagram_automorphisms(label: str) -> Iterator[List[int]]:
+    """The automorphisms of the Dynkin diagram of a simple type such as
+    "D6": the node bijections of its Bourbaki Cartan matrix onto itself,
+    found as they are needed, the identity first."""
+    kind, rank = type_key(label)
+    cartan = _cartan_matrix(kind, rank)
+    return _node_bijections(cartan, cartan)
 
 
 # ---------------------------------------------------------------------------

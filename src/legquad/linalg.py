@@ -7,13 +7,11 @@ fraction-free with their content divided out, which suits the sparse
 systems the package solves (the Groebner bases and normal forms of
 `groebner`, the quadric spans of `liealg` and `catalog`, ad-matrices,
 centroid systems of d^3 rows in d^2 columns); `Echelon.kernel` and
-`sparse_nullspace` give canonical kernel bases of sparse vectors.  Dense
-matrices, lists of lists of Fractions, are left for the symplectic form
-only: `rref` and `inverse` read the canonical RREF off `Echelon`, and
-`mat_vec` and `vec_dot` pair the form with tangent vectors.  The dense
-`nullspace`, matrix products, transposes and sums, `solve`,
-`row_space_basis` and the symmetry test are test oracles
-(`tests/linalg_oracle.py`).
+`sparse_nullspace` give canonical kernel bases of sparse vectors, and a
+tracked `Echelon` writes a vector over its input rows, which gives the
+symplectic form its dual.  The package keeps no dense matrix: the dense
+elimination, inverse, matrix products and the predicates on dense matrices
+are test oracles (`tests/linalg_oracle.py`).
 """
 
 from __future__ import annotations
@@ -22,39 +20,10 @@ from bisect import insort
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-Matrix = List[List[Fraction]]
-Vector = List[Fraction]
 SparseVector = Dict[int, Fraction]  # index -> nonzero value
 SparseRow = Dict[int, int]
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
-
-
-def identity(n: int) -> Matrix:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def mat_vec(a: Matrix, v: Sequence) -> Vector:
-    vv = [Fraction(x) for x in v]
-    return [sum((x * y for x, y in zip(row, vv)), Fraction(0)) for row in a]
-
-
-def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    """c times a, as Fractions; the zero entries, most of a form's, share one
-    zero rather than each costing a product."""
-    f, zero = Fraction(c), Fraction(0)
-    return [[x * f if x else zero for x in row] for row in a]
 
 
 def integral(vec: Mapping) -> Tuple[SparseRow, int]:
@@ -262,25 +231,6 @@ class Echelon:
         return list(basis.values())
 
 
-def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref matrix, pivot column list).
-
-    The rows past the rank are zero, so the result has the shape of `a`.
-    """
-    cols = len(a[0]) if a else 0
-    ech = Echelon()
-    for row in a:
-        ech.add({j: Fraction(x) for j, x in enumerate(row) if x})
-    ech.reduce_fully()
-    zero = Fraction(0)
-    out = [
-        [Fraction(row[j], row[p]) if j in row else zero for j in range(cols)]
-        for p, row in sorted(ech.rows.items())
-    ]
-    out.extend([zero] * cols for _ in range(len(a) - len(out)))
-    return out, ech.pivots
-
-
 def sparse_nullspace(rows: Iterable[Mapping], columns: Iterable[int]) -> List[SparseVector]:
     """The right kernel of sparse rows (column -> integer or rational) over
     `columns`, which hold every entry of every row: `Echelon.kernel`'s
@@ -289,23 +239,3 @@ def sparse_nullspace(rows: Iterable[Mapping], columns: Iterable[int]) -> List[Sp
     for row in rows:
         ech.add(row)
     return ech.kernel(columns)
-
-
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    eye = identity(n)
-    red, pivots = rref([list(a[i]) + eye[i] for i in range(n)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def is_skew_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        return False
-    if any(a[i][i] != 0 for i in range(n)):
-        return False
-    return all(
-        a[i][j] == -a[j][i] for i in range(n) for j in range(i + 1, n) if a[i][j] or a[j][i]
-    )

@@ -283,7 +283,7 @@ class Polynomial:
         """Exact value at a rational point; point length must equal nvars."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        pt = [Fraction(x) for x in point]
+        pt = [x if type(x) is Fraction else Fraction(x) for x in point]
         total = Fraction(0)
         for m, c in self.terms.items():
             value = c

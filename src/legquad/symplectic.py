@@ -7,7 +7,10 @@ matrix convention omega(v, w) = v^T J w that pullback has matrix -J^{-1}, so
 for the standard block form it is J again.
 
 Forms are data, not globals: several fixtures use non-standard matrices, so
-every operation takes the form explicitly.
+every operation takes the form explicitly.  A form is stored once, as the
+sparse rows of J and the integer rows of its dual; the tangent check reads
+the first and the bracket the second, and the dense matrices are only
+read back, for JSON and for the tests.
 
 `bracket_terms` is the one differential bracket kernel: it works on sparse
 integer gradients (`gradient_terms`) keyed by `poly.MonomialCodec` codes, so
@@ -27,55 +30,72 @@ from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .linalg import Matrix
+from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial
 
 GradientTerms = Dict[int, List[Tuple[int, int]]]  # variable -> (monomial code, integer coefficient)
 
 
 class SymplecticForm:
-    """Even-dimensional nondegenerate skew form given by its matrix.
+    """Even-dimensional nondegenerate skew form given by its matrix J.
+
+    The form is stored once, sparse: `rows[i]` maps each column j with
+    J_ij != 0 to that entry, a Fraction.  The bracket kernel reads the dual
+    matrix, -J^{-1}, as integer rows (`dual_rows`, pairs (column, integer)
+    in column order) over one common denominator (`dual_den`).  Row i of
+    J^{-1} is the combination of J's rows that gives the i-th unit vector,
+    which one tracked `linalg.Echelon` over those rows writes down.
 
     `dual_matrix` may be supplied when a fixture's conventional bracket
     normalization differs from the computed dual by a nonzero scalar; the
     override is validated to be exactly such a multiple, so isotropy and
-    ideal-membership verdicts are unaffected by it.  The bracket kernel
-    reads the dual matrix as integer rows (`dual_rows`) over one common
-    denominator (`dual_den`).
+    ideal-membership verdicts are unaffected by it.  `matrix` and
+    `dual_matrix` read the form and its dual back as fresh dense lists of
+    Fractions.
     """
 
-    __slots__ = ("dim", "matrix", "dual_matrix", "_scalar", "dual_rows", "dual_den")
+    __slots__ = ("dim", "rows", "_scalar", "dual_rows", "dual_den")
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
-        m = _fractions(matrix)
-        dim = len(m)
+        self._set_rows(*_sparse_rows(matrix), dual_matrix)
+
+    def _set_rows(self, rows: List[SparseVector], square: bool, dual_matrix: Optional[Sequence[Sequence]]):
+        """Check and store the rows of J, nonzero entries only, `square` when
+        J has one column per row; then compute or check the dual."""
+        dim = len(rows)
         if dim == 0 or dim % 2 != 0:
             raise ValueError(f"symplectic form needs a positive even dimension, got {dim}")
-        if not linalg.is_skew_symmetric(m):
+        if not square or not _is_skew(rows):
             raise ValueError("symplectic form matrix must be skew-symmetric")
         if dual_matrix is None:
-            try:
-                dual = linalg.mat_scale(linalg.inverse(m), -1)
-            except ValueError:
-                raise ValueError("symplectic form matrix must be invertible") from None
+            span = linalg.Echelon(track=True)
+            if not all(span.add(row) for row in rows):
+                raise ValueError("symplectic form matrix must be invertible")
+            dual = [{j: -x for j, x in span.coefficients({i: 1}).items()} for i in range(dim)]
             scalar = Fraction(1)
         else:
-            dual = _fractions(dual_matrix)
-            scalar = _dual_scalar(m, dual)
+            dual, dual_square = _sparse_rows(dual_matrix)
+            scalar = _dual_scalar(rows, dual) if dual_square and len(dual) == dim else None
             if scalar is None:
                 raise ValueError("dual_matrix must be a nonzero scalar multiple of -J^{-1}")
         self.dim = dim
-        self.matrix = m
-        self.dual_matrix = dual
+        self.rows = rows
         self._scalar = scalar  # dual = -scalar * J^{-1}
-        den = self.dual_den = lcm(*[w.denominator for row in dual for w in row])
-        self.dual_rows = [
-            [(j, w.numerator * (den // w.denominator)) for j, w in enumerate(row) if w] for row in dual
-        ]
+        den = self.dual_den = lcm(*[w.denominator for row in dual for w in row.values()])
+        self.dual_rows = [[(j, w.numerator * (den // w.denominator)) for j, w in row.items()] for row in dual]
 
     @property
     def half_dim(self) -> int:
         return self.dim // 2
+
+    @property
+    def matrix(self) -> List[List[Fraction]]:
+        return _dense(self.rows, self.dim)
+
+    @property
+    def dual_matrix(self) -> List[List[Fraction]]:
+        den = self.dual_den
+        return _dense([{j: Fraction(w, den) for j, w in row} for row in self.dual_rows], self.dim)
 
     def to_json(self) -> str:
         matrix = [[str(x) for x in row] for row in self.matrix]
@@ -95,38 +115,52 @@ class SymplecticForm:
         return SymplecticForm(_parse_entries(data, parsed))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticForm) and self.matrix == other.matrix
+        return isinstance(other, SymplecticForm) and self.rows == other.rows
 
     def __repr__(self) -> str:
         return f"SymplecticForm(dim={self.dim})"
 
 
-def _fractions(rows: Sequence[Sequence]) -> Matrix:
-    """A fresh matrix of Fractions; entries that already are stay as they are."""
-    return [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
+def _sparse_rows(matrix: Sequence[Sequence]) -> Tuple[List[SparseVector], bool]:
+    """The nonzero entries of each row as Fractions (entries that already
+    are stay as they are), and whether every row has as many entries as the
+    matrix has rows."""
+    rows, widths = [], set()
+    for row in matrix:
+        entries = [x if type(x) is Fraction else Fraction(x) for x in row]
+        widths.add(len(entries))
+        rows.append({j: x for j, x in enumerate(entries) if x})
+    return rows, widths <= {len(rows)}
 
 
-def _parse_entries(rows: Sequence[Sequence], parsed: Dict[object, Fraction]) -> Matrix:
+def _is_skew(rows: List[SparseVector]) -> bool:
+    """Whether J_ji = -J_ij for every nonzero entry J_ij of a square matrix;
+    a nonzero diagonal entry fails, as it is not its own negative."""
+    return all(rows[j].get(i) == -x for i, row in enumerate(rows) for j, x in row.items())
+
+
+def _dense(rows: List[SparseVector], dim: int) -> List[List[Fraction]]:
+    zero = Fraction(0)
+    return [[row.get(j, zero) for j in range(dim)] for row in rows]
+
+
+def _parse_entries(rows: Sequence[Sequence], parsed: Dict[object, Fraction]) -> List[List[Fraction]]:
     for x in {x for row in rows for x in row}.difference(parsed):
         parsed[x] = Fraction(x)
     return [[parsed[x] for x in row] for row in rows]
 
 
-def _dual_scalar(matrix: Matrix, dual: Matrix) -> Optional[Fraction]:
+def _dual_scalar(rows: List[SparseVector], dual: List[SparseVector]) -> Optional[Fraction]:
     """The scalar c with J * dual = -c * I when there is one and it is
-    nonzero, else None.  Such a c exists exactly when J is invertible and
+    nonzero, else None, for the sparse rows of two square matrices of one
+    size.  Such a c exists exactly when J is invertible and
     dual = -c * J^{-1}, so no inverse is needed to validate a dual."""
-    n = len(matrix)
-    if len(dual) != n or any(len(row) != n for row in dual):
-        return None
-    dual_rows = [[(k, x) for k, x in enumerate(row) if x] for row in dual]
     scalar = None
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(rows):
         product: Dict[int, Fraction] = {}
-        for j, a in enumerate(row):
-            if a:
-                for k, x in dual_rows[j]:
-                    product[k] = product.get(k, 0) + a * x
+        for j, a in row.items():
+            for k, x in dual[j].items():
+                product[k] = product.get(k, 0) + a * x
         diagonal = -product.pop(i, 0)
         if any(product.values()) or not diagonal or (scalar is not None and diagonal != scalar):
             return None
@@ -137,11 +171,14 @@ def _dual_scalar(matrix: Matrix, dual: Matrix) -> Optional[Fraction]:
 def pairing_form(nvars: int, pairs: Iterable[Tuple[int, int, object]]) -> SymplecticForm:
     """The form on nvars coordinates whose matrix is the sum, over the
     triples (a, b, s) of `pairs`, of s at (a, b) and -s at (b, a)."""
-    m = linalg.zeros(nvars, nvars)
+    rows: List[SparseVector] = [{} for _ in range(nvars)]
     for a, b, s in pairs:
-        m[a][b] += s
-        m[b][a] -= s
-    return SymplecticForm(m)
+        s = Fraction(s)
+        rows[a][b] = rows[a].get(b, 0) + s
+        rows[b][a] = rows[b].get(a, 0) - s
+    form = SymplecticForm.__new__(SymplecticForm)  # the rows are read as they are, with no dense matrix
+    form._set_rows([{j: x for j, x in row.items() if x} for row in rows], True, None)
+    return form
 
 
 def standard_form(n: int) -> SymplecticForm:

@@ -8,10 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from legquad import linalg
 from legquad.legendrian import VarietyPresentation
 
-from linalg_oracle import row_space_basis
+from linalg_oracle import mat_vec, row_space_basis, vec_dot
 from poly_oracle import gradient
 
 
@@ -43,8 +42,8 @@ def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
         )
     dual = v.form.dual_matrix
     for i in range(len(span)):
-        wi = linalg.mat_vec(dual, span[i])
+        wi = mat_vec(dual, span[i])
         for j in range(i + 1, len(span)):
-            if linalg.vec_dot(span[j], wi) != 0:
+            if vec_dot(span[j], wi) != 0:
                 return False
     return True

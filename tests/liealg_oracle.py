@@ -26,11 +26,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from legquad import linalg
 from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, StructureConstants
-from legquad.linalg import Matrix, Vector
 from legquad.poly import Exponent, Polynomial, grevlex_key
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, transpose
+from linalg_oracle import (
+    Matrix, Vector, identity, is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_scale, mat_vec,
+    transpose, zeros,
+)
 
 Gradient = Dict[int, List[Tuple[Exponent, Fraction]]]
 
@@ -53,8 +55,9 @@ def gradient(p: Polynomial) -> Gradient:
 
 def bracket(grad_f: Gradient, grad_g: Gradient, form: SymplecticForm) -> Dict[Exponent, Fraction]:
     out: Dict[Exponent, Fraction] = {}
+    dual = form.dual_matrix
     for i, df in grad_f.items():
-        for j, w in enumerate(form.dual_matrix[i]):
+        for j, w in enumerate(dual[i]):
             dg = grad_g.get(j)
             if not w or dg is None:
                 continue
@@ -136,7 +139,7 @@ def bracket_vectors(algebra: LieAlgebraPresentation, u: Sequence, v: Sequence) -
 
 def ad_matrix(algebra: LieAlgebraPresentation, vec: Sequence) -> Matrix:
     """Matrix of ad(v) on basis coordinates, one dense bracket per column."""
-    out = linalg.zeros(algebra.dim, algebra.dim)
+    out = zeros(algebra.dim, algebra.dim)
     for j in range(algebra.dim):
         for k, c in bracket_vectors(algebra, vec, unit(algebra.dim, j)).items():
             out[k][j] = c
@@ -150,7 +153,7 @@ def killing_matrix(algebra: LieAlgebraPresentation) -> Matrix:
         for l, c in col.items():
             by_pair.setdefault((k, l), []).append((i, c))
             by_pair.setdefault((i, l), []).append((k, -c))
-    kappa = linalg.zeros(algebra.dim, algebra.dim)
+    kappa = zeros(algebra.dim, algebra.dim)
     for (k, l), left in by_pair.items():
         right = by_pair.get((l, k))
         if right:
@@ -169,13 +172,13 @@ def sp_images(algebra: LieAlgebraPresentation) -> List[Matrix]:
     nonzero = [[(r, w) for r, w in enumerate(row) if w] for row in algebra.form.dual_matrix]
     out = []
     for b in algebra.basis:
-        a = linalg.zeros(n, n)
+        a = zeros(n, n)
         for exps, c in b.terms.items():
             r, q = [i for i, e in enumerate(exps) for _ in range(e)]
             a[r][q] += c if r == q else c / 2
             if r != q:
                 a[q][r] += c / 2
-        image = linalg.zeros(n, n)
+        image = zeros(n, n)
         for p in range(n):
             for r, w in nonzero[p]:
                 for q, x in enumerate(a[r]):
@@ -186,10 +189,10 @@ def sp_images(algebra: LieAlgebraPresentation) -> List[Matrix]:
 
 
 def sp_image(algebra: LieAlgebraPresentation, vec: Sequence) -> Matrix:
-    out = linalg.zeros(algebra.form.dim, algebra.form.dim)
+    out = zeros(algebra.form.dim, algebra.form.dim)
     for c, image in zip(vec, sp_images(algebra)):
         if c:
-            out = mat_add(out, linalg.mat_scale(image, c))
+            out = mat_add(out, mat_scale(image, c))
     return out
 
 
@@ -216,7 +219,7 @@ def _nullspace(rows: Matrix, ncols: int) -> List[Vector]:
 
 def _centralizer(algebra, vectors: List[Vector]) -> List[Vector]:
     if not vectors:
-        return [list(r) for r in linalg.identity(algebra.dim)]
+        return [list(r) for r in identity(algebra.dim)]
     if len(vectors) > 1:
         generic = [Fraction(0)] * algebra.dim
         for a, h in enumerate(vectors):
@@ -273,7 +276,7 @@ def _diagonal_subspace(algebra, within: List[Vector]) -> List[Vector]:
             if p != q and any(x != 0 for x in row):
                 constraints.append(row)
     if not constraints:
-        return [_span_combination(within, r) for r in linalg.identity(len(within))]
+        return [_span_combination(within, r) for r in identity(len(within))]
     return [_span_combination(within, c) for c in _nullspace(constraints, len(within))]
 
 
@@ -307,7 +310,7 @@ def _root_decomposition(algebra, cartan: CartanData) -> CartanData:
             spaces = [piece for space in spaces for piece in _split_by_eigenvalue(ad_h, space, candidates)]
         for space in spaces:
             for vec in space:
-                root = [_eigen_ratio(linalg.mat_vec(ad_h, vec), vec) for ad_h in ad_mats]
+                root = [_eigen_ratio(mat_vec(ad_h, vec), vec) for ad_h in ad_mats]
                 if None in root:
                     raise NotAdaptedError("torus action is not rationally diagonalizable")
                 if any(root):
@@ -328,7 +331,7 @@ def _split_by_eigenvalue(ad_h: Matrix, space: List[Vector], candidates: List[Fra
     pieces = []
     found = 0
     for lam in candidates:
-        shifted = [[x - lam * y for x, y in zip(linalg.mat_vec(ad_h, v), v)] for v in space]
+        shifted = [[x - lam * y for x, y in zip(mat_vec(ad_h, v), v)] for v in space]
         kernel = _nullspace(transpose(shifted), len(space))
         if kernel:
             pieces.append([_span_combination(space, c) for c in kernel])
@@ -418,7 +421,7 @@ def exp_nilpotent_action(matrix: Sequence[Sequence], vector: Sequence, budget: O
     term = [Fraction(x) for x in vector]
     factorial = 1
     for k in range(1, index):
-        term = linalg.mat_vec(m, term)
+        term = mat_vec(m, term)
         factorial *= k
         out = [a + b / factorial for a, b in zip(out, term)]
     return out
@@ -447,7 +450,7 @@ def exp_orbit_points(
             _, eigvec = roots[rng.randrange(len(roots))]
             rho = sp_image(algebra, dense(eigvec, algebra.dim))
             t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-            vec = exp_nilpotent_action(linalg.mat_scale(rho, t), vec)
+            vec = exp_nilpotent_action(mat_scale(rho, t), vec)
         points.append(vec)
     return points
 

@@ -2,10 +2,11 @@
 
 This is the elimination the package used before its sparse integer kernel;
 it shares no code with `legquad.linalg.Echelon`, so the two routes are
-independent.  `solve`, `row_space_basis` and the canonical kernel basis
-`nullspace` read their answers off this `rref`; they, `mat`, the matrix
-product, transpose and sums and the symmetry test serve the tests and the
-other oracles only.
+independent.  `solve`, `row_space_basis`, `inverse` and the canonical
+kernel basis `nullspace` read their answers off this `rref`; they, `mat`,
+`zeros`, `identity`, the matrix-vector, matrix and dot products, transpose,
+sums and scaling and the symmetry test serve the tests and the other
+oracles only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,31 @@ Vector = List[Fraction]
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def zeros(n: int, m: int) -> Matrix:
+    return [[Fraction(0)] * m for _ in range(n)]
+
+
+def identity(n: int) -> Matrix:
+    out = zeros(n, n)
+    for i in range(n):
+        out[i][i] = Fraction(1)
+    return out
+
+
+def mat_vec(a: Matrix, v: Sequence) -> Vector:
+    vv = [Fraction(x) for x in v]
+    return [sum((x * y for x, y in zip(row, vv)), Fraction(0)) for row in a]
+
+
+def vec_dot(u: Sequence, v: Sequence) -> Fraction:
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+
+
+def mat_scale(a: Matrix, c) -> Matrix:
+    f = Fraction(c)
+    return [[x * f for x in row] for row in a]
 
 
 def rref(a: Matrix) -> Tuple[Matrix, List[int]]:
@@ -92,6 +118,16 @@ def solve(a: Matrix, b: Sequence) -> Optional[Vector]:
     for r, c in enumerate(pivots):
         x[c] = red[r][cols]
     return x
+
+
+def inverse(a: Matrix) -> Matrix:
+    """The inverse, read off the RREF of [a | I]; ValueError when singular."""
+    n = len(a)
+    eye = identity(n)
+    red, pivots = rref([list(a[i]) + eye[i] for i in range(n)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def row_space_basis(a: Matrix) -> Matrix:

@@ -22,10 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from legquad import linalg
-from legquad.linalg import Vector
-
-from linalg_oracle import solve
+from linalg_oracle import Vector, inverse, solve, vec_dot
 
 DEFAULT_DIMENSION_CAP = 600
 
@@ -51,7 +48,7 @@ class AmbientRootSystem:
         # a root is positive when it pairs positively with the sum of the
         # fundamental weights, which is regular dominant
         regular = [sum(col) for col in zip(*self.fundamental_weights)]
-        self.positive_roots = [list(r) for r in self.roots if linalg.vec_dot(list(r), regular) > 0]
+        self.positive_roots = [list(r) for r in self.roots if vec_dot(list(r), regular) > 0]
         self.weyl_vector = _half_sum(self.positive_roots)
 
     def weight_from_coeffs(self, coeffs: Sequence[int]) -> Vector:
@@ -69,7 +66,7 @@ class AmbientRootSystem:
         """<mu, alpha_i^vee> for each simple root, as integers."""
         out = []
         for a in self.simple_roots:
-            value = 2 * linalg.vec_dot(mu, a) / linalg.vec_dot(a, a)
+            value = 2 * vec_dot(mu, a) / vec_dot(a, a)
             assert value.denominator == 1
             out.append(int(value))
         return tuple(out)
@@ -133,14 +130,14 @@ def _simple_roots(label: str, rank: int) -> List[Vector]:
 
 def _reflection_orbit(simple: List[Vector], start: Sequence[Vector]) -> List[Tuple[Fraction, ...]]:
     """Closure of the start vectors under the simple reflections."""
-    norms = [linalg.vec_dot(a, a) for a in simple]
+    norms = [vec_dot(a, a) for a in simple]
     seen = {tuple(v) for v in start}
     frontier = list(seen)
     while frontier:
         new = []
         for w in frontier:
             for a, norm in zip(simple, norms):
-                coeff = 2 * linalg.vec_dot(list(w), a) / norm
+                coeff = 2 * vec_dot(list(w), a) / norm
                 image = tuple(x - coeff * y for x, y in zip(w, a))
                 if image not in seen:
                     seen.add(image)
@@ -153,10 +150,10 @@ def _fundamental_weights(simple: List[Vector]) -> List[Vector]:
     """Dual basis to the coroots inside the span of the simple roots."""
     m = len(simple)
     coroot_pairings = [
-        [2 * linalg.vec_dot(simple[i], simple[j]) / linalg.vec_dot(simple[j], simple[j]) for j in range(m)]
+        [2 * vec_dot(simple[i], simple[j]) / vec_dot(simple[j], simple[j]) for j in range(m)]
         for i in range(m)
     ]
-    inv = linalg.inverse(coroot_pairings)
+    inv = inverse(coroot_pairings)
     weights = []
     for i in range(m):
         w = [Fraction(0)] * len(simple[0])
@@ -183,7 +180,7 @@ def ambient_weyl_dimension(rs, coeffs: Sequence[int]) -> int:
     lam_rho = [a + b for a, b in zip(lam, rho)]
     result = Fraction(1)
     for alpha in amb.positive_roots:
-        result *= linalg.vec_dot(lam_rho, alpha) / linalg.vec_dot(rho, alpha)
+        result *= vec_dot(lam_rho, alpha) / vec_dot(rho, alpha)
     assert result.denominator == 1
     return int(result)
 
@@ -224,8 +221,8 @@ def box_dominant_weights(rs, coeffs: Sequence[int]) -> List[Tuple[int, ...]]:
 
 def _root_coords(rs: AmbientRootSystem, vec: Vector) -> Optional[Vector]:
     simple = rs.simple_roots
-    gram = [[linalg.vec_dot(a, b) for b in simple] for a in simple]
-    rhs = [linalg.vec_dot(vec, a) for a in simple]
+    gram = [[vec_dot(a, b) for b in simple] for a in simple]
+    rhs = [vec_dot(vec, a) for a in simple]
     coords = solve(gram, rhs)
     if coords is None:
         return None
@@ -240,16 +237,16 @@ def _root_coords(rs: AmbientRootSystem, vec: Vector) -> Optional[Vector]:
 
 
 def _is_dominant(rs: AmbientRootSystem, mu: Vector) -> bool:
-    return all(linalg.vec_dot(mu, a) >= 0 for a in rs.simple_roots)
+    return all(vec_dot(mu, a) >= 0 for a in rs.simple_roots)
 
 
 def _dominant_representative(rs: AmbientRootSystem, mu: Vector) -> Tuple[Fraction, ...]:
     v = list(mu)
     simple = rs.simple_roots
-    norms = [linalg.vec_dot(a, a) for a in simple]
+    norms = [vec_dot(a, a) for a in simple]
     while True:
         for a, norm in zip(simple, norms):
-            pairing = linalg.vec_dot(v, a)
+            pairing = vec_dot(v, a)
             if pairing < 0:
                 coeff = 2 * pairing / norm
                 v = [x - coeff * y for x, y in zip(v, a)]
@@ -262,10 +259,10 @@ def _lowest_weight(rs: AmbientRootSystem, lam: Vector) -> Vector:
     """Image of the highest weight under the longest Weyl element."""
     v = list(lam)
     simple = rs.simple_roots
-    norms = [linalg.vec_dot(a, a) for a in simple]
+    norms = [vec_dot(a, a) for a in simple]
     while True:
         for a, norm in zip(simple, norms):
-            pairing = linalg.vec_dot(v, a)
+            pairing = vec_dot(v, a)
             if pairing > 0:
                 coeff = 2 * pairing / norm
                 v = [x - coeff * y for x, y in zip(v, a)]
@@ -299,7 +296,7 @@ def weight_multiplicities(
     lam = amb.weight_from_coeffs(coeffs)
     rho = amb.weyl_vector
     lam_rho = [a + b for a, b in zip(lam, rho)]
-    c_lam = linalg.vec_dot(lam_rho, lam_rho)
+    c_lam = vec_dot(lam_rho, lam_rho)
 
     dominants = _dominant_weights_below(amb, lam)
     # order by height of lam - mu so dependencies are already computed
@@ -326,7 +323,7 @@ def weight_multiplicities(
             mult[tuple(mu)] = 1
             continue
         mu_rho = [a + b for a, b in zip(mu, rho)]
-        denom = c_lam - linalg.vec_dot(mu_rho, mu_rho)
+        denom = c_lam - vec_dot(mu_rho, mu_rho)
         total = Fraction(0)
         for alpha in amb.positive_roots:
             k = 1
@@ -336,7 +333,7 @@ def weight_multiplicities(
                 if m == 0 and tuple(shifted) not in weight_set:
                     break
                 if m:
-                    total += m * linalg.vec_dot(shifted, alpha)
+                    total += m * vec_dot(shifted, alpha)
                 k += 1
         value = 2 * total / denom
         if value.denominator != 1 or value <= 0:

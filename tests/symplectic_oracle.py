@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from legquad import linalg
 from legquad.poly import Polynomial
 from legquad.symplectic import SymplecticForm
 
-from linalg_oracle import is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_sub, transpose
+from linalg_oracle import (
+    is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_scale, mat_sub, transpose, zeros,
+)
 
 
 class QuadraticForm:
@@ -51,7 +52,7 @@ class QuadraticForm:
         if p.terms and p.homogeneous_degree() != 2:
             raise ValueError("expected a homogeneous quadric")
         n = p.nvars
-        m = linalg.zeros(n, n)
+        m = zeros(n, n)
         for exps, c in p.terms.items():
             support = [i for i, e in enumerate(exps) if e]
             if len(support) == 1:
@@ -112,7 +113,7 @@ def quadric_to_sp(q: QuadraticForm, form: SymplecticForm) -> SpElement:
     """
     if q.dim != form.dim:
         raise ValueError("dimension mismatch")
-    image = linalg.mat_scale(mat_mul(form.dual_matrix, q.matrix), 2)
+    image = mat_scale(mat_mul(form.dual_matrix, q.matrix), 2)
     return SpElement(image)
 
 
@@ -127,7 +128,7 @@ def quadric_bracket_matrix(a: QuadraticForm, b: QuadraticForm, form: SymplecticF
     w = form.dual_matrix
     awb = mat_mul(mat_mul(a.matrix, w), b.matrix)
     bwa = mat_mul(mat_mul(b.matrix, w), a.matrix)
-    return QuadraticForm(linalg.mat_scale(mat_sub(awb, bwa), 2))
+    return QuadraticForm(mat_scale(mat_sub(awb, bwa), 2))
 
 
 def commutator(a: SpElement, b: SpElement) -> SpElement:

@@ -29,11 +29,12 @@ from legquad.legendrian import (
 from legquad.liealg import (
     bracket_closure,
     close_and_present,
+    diagram_automorphisms,
     identify_algebra,
     split_root_data,
 )
 from legquad.poly import Polynomial, parse_poly
-from legquad.rootdata import _cartan_matrix
+from legquad.rootdata import _cartan_matrix, simple_types_up_to
 from legquad.symplectic import SymplecticForm
 from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
 
@@ -264,6 +265,25 @@ def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptan
     row_certificates = [v.kostant for v in verdicts[-len(rows):]]
     assert all(len(c.types) == 1 for c in row_certificates)
     assert sorted((c.types[0], c.highest_weight[0]) for c in row_certificates) == simple
+
+
+def test_diagram_automorphisms_are_the_permutations_that_keep_the_cartan_matrix():
+    for kind, rank in simple_types_up_to(8):
+        label = f"{kind}{rank}"
+        assert sorted(map(tuple, diagram_automorphisms(label))) == _diagram_automorphisms(label), label
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4, 7, 9])
+def test_highest_weight_is_the_one_the_scan_lists(entries, seed):
+    """The simple roots are matched to Bourbaki nodes up to a diagram
+    automorphism that the order of the generators picks, so the labels read
+    off them are lambda up to one too.  Under these shuffles of
+    spinor-s6's generators they read D6 (0, 0, 0, 0, 1, 0), which the scan
+    never lists; the certificate reports the scan's (0, 0, 0, 0, 0, 1)."""
+    base = entries["spinor-s6"].presentation
+    gens = random.Random(seed).sample(base.generators, 66)
+    verdict = legendrian_verdict(VarietyPresentation(f"spinor-s6-{seed}", base.form, gens))
+    assert verdict.kostant == KostantCertificate(["D6"], [(0, 0, 0, 0, 0, 1)], 16)
 
 
 @pytest.mark.parametrize("m, label", [(19, "B9"), (20, "D10")])

@@ -13,7 +13,7 @@ from legquad.legendrian import (
 )
 from legquad.liealg import bracket_closure
 from legquad.poly import Polynomial, parse_poly
-from legquad.symplectic import standard_form
+from legquad.symplectic import pairing_form, standard_form
 from legendrian_oracle import PointNotOnCone, PointRankError, conormal_point_check
 
 
@@ -158,6 +158,25 @@ def test_tangent_checks_for_general_charts():
             for _ in range(5):
                 pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nparams)]
                 assert tangent_point_check(entry.presentation, pt)
+
+
+@pytest.mark.parametrize("flipped", [0, 13, 27])
+def test_tangent_check_fails_under_e7_form_with_one_pair_flipped(entries, flipped):
+    """The tangent check reads every nonzero entry of the form: e7's chart
+    passes under its own pairing of x_i with x_(55-i), rebuilt here, and
+    fails at the same two points once one pair changes sign."""
+    pres = entries["e7"].presentation
+    nvars, nparams = pres.nvars, pres.param_count()
+    pairs = [(i, nvars - 1 - i, 1) for i in range(nvars // 2)]
+    true_form = pairing_form(nvars, pairs)
+    assert true_form == pres.form
+    pairs[flipped] = (flipped, nvars - 1 - flipped, -1)
+    wrong = VarietyPresentation("e7-flipped", pairing_form(nvars, pairs), pres.generators,
+                                parametrization=pres.parametrization)
+    other = [Fraction(k + 2, 3) if k % 2 else -k - 1 for k in range(nparams)]
+    for pt in ([1] * nparams, other):
+        assert tangent_point_check(pres, pt)
+        assert not tangent_point_check(wrong, pt)
 
 
 def test_tangent_requires_parametrization(entries):

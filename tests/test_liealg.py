@@ -30,7 +30,7 @@ from legquad.rootdata import build_root_system, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
 from liealg_oracle import block_view, dense, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
-from linalg_oracle import det, mat_eq_zero, mat_mul
+from linalg_oracle import det, identity, mat_eq_zero, mat_mul, mat_scale, rref, zeros
 from symplectic_oracle import QuadraticForm, quadric_to_sp
 from test_kostant import _sheared
 
@@ -212,7 +212,7 @@ def test_structure_constants_with_denominators_match_the_fraction_route(entries,
     """Quadrics with denominators under a dual scaled by 1/3: each constant
     is scaled by the three denominators of its bracket."""
     pres = entries[name].presentation
-    third = linalg.mat_scale(pres.form.dual_matrix, Fraction(1, 3))
+    third = mat_scale(pres.form.dual_matrix, Fraction(1, 3))
     form = SymplecticForm(pres.form.matrix, dual_matrix=third)
     quadrics = [
         g.scale(Fraction(k % 5 + 1, k % 3 + 2))
@@ -244,7 +244,7 @@ def test_killing_form_counts(algebras):
 
 def test_exp_nilpotent_examples(recorded_entries):
     # zero matrix: identity action
-    v = exp_nilpotent_action(linalg.zeros(4, 4), [1, 2, 3, 4])
+    v = exp_nilpotent_action(zeros(4, 4), [1, 2, 3, 4])
     assert v == [1, 2, 3, 4]
     # twisted cubic: exponentiating the lowering quadric sweeps the curve
     tc = recorded_entries["twisted-cubic"]
@@ -255,7 +255,7 @@ def test_exp_nilpotent_examples(recorded_entries):
     for g in tc.presentation.generators:
         assert g.evaluate(pt) == 0
     with pytest.raises(ValueError):
-        exp_nilpotent_action(linalg.identity(4), [1, 0, 0, 0])
+        exp_nilpotent_action(identity(4), [1, 0, 0, 0])
 
 
 def test_exp_orbit_stays_on_varieties(entries, algebras):
@@ -303,10 +303,10 @@ def test_block_view_shapes(algebras, entries):
     assert bv.lam0 == 1
     assert all(x == 0 for x in bv.a1) and all(x == 0 for x in bv.a2)
     assert bv.vanishes_at_base_point()
-    zero = block_view(linalg.zeros(8, 8), 4)
+    zero = block_view(zeros(8, 8), 4)
     assert zero.lam0 == 0 and mat_eq_zero(zero.A)
     with pytest.raises(ValueError):
-        block_view(linalg.identity(4), 2)
+        block_view(identity(4), 2)
 
 
 def test_block_constraints_for_adapted_fixtures(recorded_entries):
@@ -322,7 +322,7 @@ def test_block_constraints_for_adapted_fixtures(recorded_entries):
             bv = block_view(image, n)
             assert bv.vanishes_at_base_point(), name
             rows.append([bv.lam0] + [x for x in bv.a1])
-        assert len(linalg.rref(rows)[1]) == n, name
+        assert len(rref(rows)[1]) == n, name
 
 
 def test_jacobi_on_structure_constants(algebras):

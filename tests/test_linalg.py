@@ -14,11 +14,28 @@ import linalg_oracle
 from linalg_oracle import det
 
 
+def _rref(a):
+    """The canonical RREF of a dense matrix read off `linalg.Echelon`, with
+    the shape of `a` (zero rows past the rank), and its pivot columns."""
+    cols = len(a[0]) if a else 0
+    ech = linalg.Echelon()
+    for row in a:
+        ech.add({j: Fraction(x) for j, x in enumerate(row) if x})
+    ech.reduce_fully()
+    zero = Fraction(0)
+    out = [
+        [Fraction(row[j], row[p]) if j in row else zero for j in range(cols)]
+        for p, row in sorted(ech.rows.items())
+    ]
+    out.extend([zero] * cols for _ in range(len(a) - len(out)))
+    return out, ech.pivots
+
+
 def test_rref_and_rank():
     m = linalg_oracle.mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    red, pivots = linalg.rref(m)
+    red, pivots = _rref(m)
     assert pivots == [0, 1]
-    assert len(linalg.rref(m)[1]) == 2
+    assert red == linalg_oracle.mat([[1, 0, 1], [0, 1, 1], [0, 0, 0]])
 
 
 def test_nullspace_orthogonal_to_rows():
@@ -30,15 +47,15 @@ def test_nullspace_orthogonal_to_rows():
         kernel = linalg.sparse_nullspace(map(dict, map(enumerate, m)), range(cols))
         for v in kernel:
             assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in m)
-        assert len(linalg.rref(m)[1]) + len(kernel) == cols
+        assert len(_rref(m)[1]) + len(kernel) == cols
 
 
 def test_solve_and_inverse():
     m = linalg_oracle.mat([[2, 1], [1, 1]])
     x = linalg_oracle.solve(m, [3, 2])
     assert x == [1, 1]
-    inv = linalg.inverse(m)
-    assert linalg_oracle.mat_mul(m, inv) == linalg.identity(2)
+    inv = linalg_oracle.inverse(m)
+    assert linalg_oracle.mat_mul(m, inv) == linalg_oracle.identity(2)
     assert linalg_oracle.solve(linalg_oracle.mat([[1, 1], [1, 1]]), [0, 1]) is None
 
 
@@ -64,8 +81,6 @@ def test_det_matches_cofactor_on_small_random():
 def test_symmetry_predicates():
     assert linalg_oracle.is_symmetric([[1, 2], [2, 3]])
     assert not linalg_oracle.is_symmetric([[1, 2], [0, 3]])
-    assert linalg.is_skew_symmetric([[0, 5], [-5, 0]])
-    assert not linalg.is_skew_symmetric([[1, 0], [0, 0]])
 
 
 # -- the sparse kernel against the dense oracle and sympy ---------------------
@@ -104,7 +119,7 @@ def test_rref_rank_nullspace_match_oracle_and_sympy(seed):
     for _ in range(15):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         m = _random_sparse(rng, rows, cols)
-        red, pivots = linalg.rref(m)
+        red, pivots = _rref(m)
         assert (red, pivots) == linalg_oracle.rref(m)
         sred, spivots = _sympy(m, cols).rref()
         assert pivots == list(spivots) and red == _from_sympy(sred)
@@ -125,35 +140,35 @@ def test_solve_and_inverse_match_sympy(seed):
         b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
         sm = _sympy(m, n)
         if sm.rank() == n:
-            assert linalg.inverse(m) == _from_sympy(sm.inv())
+            assert linalg_oracle.inverse(m) == _from_sympy(sm.inv())
             expected = [Fraction(int(x.p), int(x.q)) for x in sm.LUsolve(sympy.Matrix(b))]
             assert linalg_oracle.solve(m, b) == expected
         else:
             with pytest.raises(ValueError):
-                linalg.inverse(m)
+                linalg_oracle.inverse(m)
             x = linalg_oracle.solve(m, b)
             consistent = sm.rank() == sm.row_join(_sympy([[v] for v in b], 1)).rank()
             assert (x is not None) == consistent
             if x is not None:
-                assert linalg.mat_vec(m, x) == b
+                assert linalg_oracle.mat_vec(m, x) == b
 
 
 def test_kernel_edge_cases():
-    assert linalg.rref([]) == ([], [])
+    assert _rref([]) == ([], [])
     assert linalg.sparse_nullspace([], range(2)) == [{0: 1}, {1: 1}] == _sparse(linalg_oracle.nullspace([], 2))
-    assert linalg_oracle.nullspace([], 2) == linalg.identity(2)
-    zeros = linalg.zeros(3, 2)
-    assert linalg.rref(zeros) == (zeros, [])
+    assert linalg_oracle.nullspace([], 2) == linalg_oracle.identity(2)
+    zeros = linalg_oracle.zeros(3, 2)
+    assert _rref(zeros) == (zeros, []) == linalg_oracle.rref(zeros)
     assert linalg.sparse_nullspace([{}] * 3, range(2)) == [{0: 1}, {1: 1}] == _sparse(linalg_oracle.nullspace(zeros))
-    assert linalg_oracle.nullspace(zeros) == linalg.identity(2)
+    assert linalg_oracle.nullspace(zeros) == linalg_oracle.identity(2)
     assert linalg_oracle.row_space_basis(zeros) == []
     dup = linalg_oracle.mat([[Fraction(1, 2), Fraction(-2, 3)]] * 3)
-    assert linalg.rref(dup) == (linalg_oracle.mat([[1, Fraction(-4, 3)], [0, 0], [0, 0]]), [0])
+    assert _rref(dup) == (linalg_oracle.mat([[1, Fraction(-4, 3)], [0, 0], [0, 0]]), [0])
     assert linalg_oracle.solve(dup, [Fraction(1, 2), Fraction(1, 2), 1]) is None
     assert linalg_oracle.solve(dup, [1, 1, 1]) == [2, 0]
-    assert linalg.inverse([]) == [] and linalg_oracle.solve([], []) == []
+    assert linalg_oracle.inverse([]) == [] and linalg_oracle.solve([], []) == []
     with pytest.raises(ValueError):
-        linalg.inverse(dup[:2])
+        linalg_oracle.inverse(dup[:2])
 
 
 def test_span_membership_recovers_coefficients():
@@ -165,7 +180,7 @@ def test_span_membership_recovers_coefficients():
         span = linalg.Echelon(track=True)
         kept = [i for i, row in enumerate(inputs) if span.add(row)]
         assert span.stored_inputs == kept
-        assert span.rank == len(kept) == len(linalg.rref(
+        assert span.rank == len(kept) == len(_rref(
             [[row.get(j, Fraction(0)) for j in range(cols)] for row in inputs])[1])
         plain = linalg.Echelon()
         assert [plain.add(row) for row in inputs] == [i in kept for i in range(len(inputs))]

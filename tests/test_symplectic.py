@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 import groebner_oracle
-from legquad import linalg
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import SymplecticForm, poisson_bracket, standard_form
+
+from linalg_oracle import identity, mat_scale, zeros
 from symplectic_oracle import (
     QuadraticForm,
     commutator,
@@ -43,6 +45,66 @@ def test_form_validation():
         SymplecticForm([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])  # odd dimension
 
 
+def _random_skew(rng, n):
+    """A random n x n skew matrix of small rationals in which some row has
+    two or more nonzero entries, so that it is no pairing of coordinates."""
+    while True:
+        m = zeros(n, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.6:
+                    m[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    m[j][i] = -m[i][j]
+        if any(sum(1 for x in row if x) > 1 for row in m):
+            return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_matrix_matches_sympy(seed):
+    """The dual read off one tracked elimination over J's rows is sympy's
+    -J^{-1}, and its integer rows over `dual_den` are that matrix; a
+    singular skew J is refused."""
+    rng = random.Random(200 + seed)
+    checked = 0
+    for _ in range(12):
+        n = rng.choice((4, 6, 8))
+        m = _random_skew(rng, n)
+        sm = sympy.Matrix(n, n, [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
+        if sm.rank() < n:
+            with pytest.raises(ValueError, match="must be invertible"):
+                SymplecticForm(m)
+            continue
+        form = SymplecticForm(m)
+        expected = [[-Fraction(int(x.p), int(x.q)) for x in sm.inv().row(i)] for i in range(n)]
+        assert form.dual_matrix == expected
+        assert form.matrix == m
+        assert form.dual_rows == [
+            [(j, x * form.dual_den) for j, x in enumerate(row) if x] for row in expected
+        ]
+        checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("matrix, dual, error, message", [
+    ([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], None, ValueError,
+     "symplectic form matrix must be invertible"),
+    ([[0, 1, 2, 3], [-1, 0, 2, 4], [-2, -2, 0, 2], [-3, -4, -2, 0]], None, ValueError,
+     "symplectic form matrix must be invertible"),
+    ([[0, 1], [-1]], None, ValueError, "symplectic form matrix must be skew-symmetric"),
+    ([[0, 1, 0], [-1, 0]], None, ValueError, "symplectic form matrix must be skew-symmetric"),
+    ([[0, 1], [1, 0]], None, ValueError, "symplectic form matrix must be skew-symmetric"),
+    ([[1, 1], [-1, 0]], None, ValueError, "symplectic form matrix must be skew-symmetric"),
+    ([[0, "x"], [-1, 0]], None, ValueError, "Invalid literal for Fraction: 'x'"),
+    ([[0, None], [-1, 0]], None, TypeError, "argument should be a string or a Rational instance"),
+    ([[0, 1], [-1, 0]], [[0, 1], [-1]], ValueError, "dual_matrix must be a nonzero scalar multiple"),
+    ([[0, 1], [-1, 0]], [[0, "y"], [-1, 0]], ValueError, "Invalid literal for Fraction: 'y'"),
+    ([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], None, ValueError, "positive even dimension, got 3"),
+])
+def test_malformed_forms_keep_their_messages(matrix, dual, error, message):
+    with pytest.raises(error, match=message):
+        SymplecticForm(matrix, dual)
+
+
 def test_dual_form_examples():
     for n in (1, 2, 3):
         j = standard_form(n)
@@ -53,7 +115,7 @@ def test_dual_form_examples():
     # used by its catalog entry is the (-3)-multiple of that
     plain = SymplecticForm(CUBIC_FORM)
     computed = dual_form(plain).matrix
-    assert linalg.mat_scale(computed, -3) == CUBIC_DUAL
+    assert mat_scale(computed, -3) == CUBIC_DUAL
 
 
 def test_dual_override_must_be_scalar_multiple():
@@ -141,14 +203,14 @@ def test_quadric_to_sp_example():
     j1 = standard_form(1)
     q = QuadraticForm([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     assert quadric_to_sp(q, j1).matrix == [[1, 0], [0, -1]]
-    zero = QuadraticForm(linalg.zeros(2, 2))
-    assert quadric_to_sp(zero, j1).matrix == linalg.zeros(2, 2)
+    zero = QuadraticForm(zeros(2, 2))
+    assert quadric_to_sp(zero, j1).matrix == zeros(2, 2)
 
 
 def test_sp_membership_examples():
     j1 = standard_form(1)
     assert sp_membership(j1.matrix, j1)
-    assert not sp_membership(linalg.identity(2), j1)
+    assert not sp_membership(identity(2), j1)
 
 
 def test_quadric_to_sp_lands_in_sp_randomized():
@@ -211,7 +273,7 @@ def test_integer_bracket_matches_gradient_products_under_a_scaled_dual():
     """The packed integer kernel, with denominators in the generators and in
     the dual, against the bracket as a sum of Fraction polynomial products."""
     rng = random.Random(13)
-    form = SymplecticForm(CUBIC_FORM, dual_matrix=linalg.mat_scale(CUBIC_DUAL, Fraction(1, 3)))
+    form = SymplecticForm(CUBIC_FORM, dual_matrix=mat_scale(CUBIC_DUAL, Fraction(1, 3)))
     assert form.dual_den == 3
     for _ in range(60):
         f, g = _random_poly(rng, 4, 4), _random_poly(rng, 4, 4)
@@ -244,7 +306,7 @@ def _random_homog(rng, nvars, degree):
 
 
 def _random_quadratic_form(rng, n):
-    m = linalg.zeros(n, n)
+    m = zeros(n, n)
     for i in range(n):
         for j in range(i, n):
             v = Fraction(rng.randint(-5, 5), rng.randint(1, 2))

@@ -38,10 +38,10 @@ def test_substituting_into_gr36_gives_the_grl36_span(recorded_entries):
 
 
 def test_gr36_pairing_structure(recorded_entries):
-    form = recorded_entries["gr36"].presentation.form
-    signs = [form.matrix[i][10 + i] for i in range(10)]
+    matrix = recorded_entries["gr36"].presentation.form.matrix
+    signs = [matrix[i][10 + i] for i in range(10)]
     assert signs == [1, 1, 1, 1, 1, 1, 1, -1, -1, -1]
-    assert all(form.matrix[i][j] == 0 for i in range(10) for j in range(10))
+    assert all(matrix[i][j] == 0 for i in range(10) for j in range(10))
 
 
 def test_grl36_first_listed_quadric(recorded_entries):
