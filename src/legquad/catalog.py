@@ -1,19 +1,17 @@
 """Executable fixtures: every example variety, ready for the verdict engine.
 
-Outside the line-times-quadric family, the paper's list is the subadjoint
-varieties: the twisted cubic, Gr(3,6), its Lagrangian cousin, the spinor
-variety and the 56-variable E7 variety.  Each is the chart X_f of a cubic
-Jordan norm f (Landsberg and Manivel, J. Algebra 239, 2001; Mukai 1998),
-one table row each, built by `x_f` and listed by torus weight.  The rest
-is generated from closed formulas: the line-times-quadric family, the
-plane-cubic charts and the complex complete intersection.
-
-The line-times-quadric family uses a sum-of-squares quadric, which has no
-rational points at all; a projectively equivalent split model (hyperbolic
-quadric, adapted form) is provided alongside it for every point-based check.
-Both models come from one partner map on the quadric's coordinates, and
-their forms are `symplectic.pairing_form`s; generated equations are parsed
-text, and the implicit equations of a chart are one sparse kernel per image
+The paper's list is the subadjoint varieties and the line times a quadric.
+The subadjoint ones, the twisted cubic, Gr(3,6), its Lagrangian cousin,
+the spinor variety and the 56-variable E7 variety, are each the chart X_f
+of a cubic Jordan norm f (Landsberg and Manivel, J. Algebra 239, 2001;
+Mukai 1998), one table row each; the line times the split quadric of so(m)
+is X_f of y0 q for a split quadric q.  All are built by `x_f` and listed
+by torus weight.  The sum-of-squares model of the line times a quadric has
+no rational point, so it is no X_f; it is written out under the standard
+form.  The rest is generated from closed formulas, the plane-cubic charts
+and the complex complete intersection, apart from the five listed
+equations of one plane-cubic chart.  Generated equations are parsed text,
+and the implicit equations of a chart are one sparse kernel per image
 degree of integer monomial products.
 """
 
@@ -53,36 +51,22 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def segre_line_quadric(n: int, split: bool = False) -> CatalogEntry:
-    """Segre embedding of a line times an (n-2)-quadric in P^{2n-1}.
-
-    Both models read one partner map p on 0..n-1: the identity for the
-    default sum-of-squares quadric, k -> n-1-k for the hyperbolic quadric of
-    `split=True`, which is the same variety over an extension but has
-    rational points and a rationally split symmetry algebra.  Besides the
-    2x2 minors, the generators are sum 1/2 x_{n+k} x_{n+p(k)},
-    -sum 1/2 x_k x_{p(k)} and sum x_k x_{n+p(k)}, and the form pairs k with
-    n+p(k); for p the identity it is `standard_form(n)`.
-    """
+def segre_line_quadric(n: int) -> CatalogEntry:
+    """Segre embedding of a line times the sum-of-squares (n-2)-quadric in
+    P^{2n-1}, under `standard_form(n)`: the 2x2 minors, sum 1/2 x_{n+k}^2,
+    -sum 1/2 x_k^2 and sum x_k x_{n+k}.  The quadric has no rational point,
+    so neither has the variety; `line_times_quadric` is its split model."""
     if n < 3:
         raise ValueError("the family needs n >= 3")
     nv = 2 * n
-    p = [n - 1 - k if split else k for k in range(n)]
     texts = [f"x{i}*x{n + j} - x{j}*x{n + i}" for i in range(n) for j in range(i + 1, n)]
-    texts.append(" + ".join(f"1/2*x{n + k}*x{n + p[k]}" for k in range(n)))
-    texts.append("".join(f" - 1/2*x{k}*x{p[k]}" for k in range(n)))
-    texts.append(" + ".join(f"x{k}*x{n + p[k]}" for k in range(n)))
-    form = pairing_form(nv, [(k, n + p[k], 1) for k in range(n)])
-    if split:
-        name, base, note = f"segre-split-{n}", [Fraction(int(k == 0)) for k in range(nv)], (
-            "line times the hyperbolic quadric; projectively equivalent to the "
-            "sum-of-squares model but rationally split, with base point e0.")
-    else:
-        name, base, note = f"segre-{n}", None, (
-            "line times the sum-of-squares quadric; the quadric has no "
-            "rational points, so no base point is available over Q.")
-    pres = VarietyPresentation(name, form, [parse_poly(t, nv) for t in texts])
-    return CatalogEntry(pres, "generated", base, note)
+    texts.append(" + ".join(f"1/2*x{n + k}^2" for k in range(n)))
+    texts.append("".join(f" - 1/2*x{k}^2" for k in range(n)))
+    texts.append(" + ".join(f"x{k}*x{n + k}" for k in range(n)))
+    pres = VarietyPresentation(f"segre-{n}", standard_form(n), [parse_poly(t, nv) for t in texts])
+    return CatalogEntry(pres, "generated", None, (
+        "line times the sum-of-squares quadric; the quadric has no "
+        "rational points, so no base point is available over Q."))
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +117,14 @@ def _torus_order(f: Polynomial) -> List[int]:
     return sorted(range(f.nvars), key=weight.__getitem__)
 
 
-def _cubic_norm_entry(name: str) -> CatalogEntry:
-    """X_f for the cubic norm f of `name`, cut out by the quadrics of its
-    chart, with the chart coordinates (1, y, f, -df) of `x_f` listed as 1,
-    the y's sorted by torus weight, their -df partners in mirrored order,
+def _cubic_norm_entry(name: str, variety: str, m: int, cubic: str) -> CatalogEntry:
+    """X_f for the cubic f in m chart variables, cut out by the quadrics of
+    its chart, with the chart coordinates (1, y, f, -df) of `x_f` listed as
+    1, the y's sorted by torus weight, their -df partners in mirrored order,
     and f, so that the form pairs x<i> with x<N-1-i>.  In this order the
-    reduced grevlex basis of each table entry is its quadrics."""
-    variety, m, norm = _CUBIC_NORMS[name]
-    f = parse_poly(norm, m)
+    reduced grevlex basis of each table entry, and of `line_times_quadric(m)`
+    for m <= 12, is its quadrics."""
+    f = parse_poly(cubic, m)
     chart = _chart(f)
     order = _torus_order(f)
     coords = [0] + [1 + i for i in order] + [m + 2 + i for i in reversed(order)] + [m + 1]
@@ -154,6 +138,17 @@ def _cubic_norm_entry(name: str) -> CatalogEntry:
         f"{variety} as the {_chart_note(f)}, in the coordinates 1, y by torus "
         f"weight, -df mirrored, f, so that x<i> pairs with x<{nv - 1}-i>",
     )
+
+
+def line_times_quadric(m: int) -> CatalogEntry:
+    """The line times the split quadric of so(m), in P^{2m-1}: X_f of y0 q
+    for q = y1 y<m-2> + y2 y<m-3> + ..., plus y<(m-1)/2>^2 when m is odd,
+    listed by torus weight like the cubic-norm rows."""
+    if m < 3:
+        raise ValueError("the family needs m >= 3")
+    q = [f"y{i}*y{m - 1 - i}" for i in range(1, m // 2)] + [f"y{(m - 1) // 2}^2"] * (m % 2)
+    return _cubic_norm_entry(f"segre-split-{m}", f"the line times the split quadric of so({m})", m - 1,
+                             f"y0*({' + '.join(q)})")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +180,7 @@ def _chart(f: Polynomial) -> List[Polynomial]:
     """The components 1, y, (k-2) f and -df of the chart of f, in order."""
     k = f.homogeneous_degree()
     if k is None:
-        raise ValueError("f must be homogeneous")
+        raise ValueError("the chart polynomial is zero" if f.is_zero() else "f must be homogeneous")
     m = f.nvars
     return ([Polynomial.constant(m, 1)] + [Polynomial.variable(m, i) for i in range(m)]
             + [f.scale(k - 2)] + [-f.partial_derivative(i) for i in range(m)])
@@ -377,17 +372,17 @@ def linear_lagrangian() -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 _BUILDERS = {
-    "twisted-cubic": lambda: _cubic_norm_entry("twisted-cubic"),
+    "twisted-cubic": lambda: _cubic_norm_entry("twisted-cubic", *_CUBIC_NORMS["twisted-cubic"]),
     "segre-3": lambda: segre_line_quadric(3),
     "segre-4": lambda: segre_line_quadric(4),
     "segre-5": lambda: segre_line_quadric(5),
-    "segre-split-3": lambda: segre_line_quadric(3, split=True),
-    "segre-split-4": lambda: segre_line_quadric(4, split=True),
-    "segre-split-5": lambda: segre_line_quadric(5, split=True),
-    "gr36": lambda: _cubic_norm_entry("gr36"),
-    "grl36": lambda: _cubic_norm_entry("grl36"),
-    "spinor-s6": lambda: _cubic_norm_entry("spinor-s6"),
-    "e7": lambda: _cubic_norm_entry("e7"),
+    "segre-split-3": lambda: line_times_quadric(3),
+    "segre-split-4": lambda: line_times_quadric(4),
+    "segre-split-5": lambda: line_times_quadric(5),
+    "gr36": lambda: _cubic_norm_entry("gr36", *_CUBIC_NORMS["gr36"]),
+    "grl36": lambda: _cubic_norm_entry("grl36", *_CUBIC_NORMS["grl36"]),
+    "spinor-s6": lambda: _cubic_norm_entry("spinor-s6", *_CUBIC_NORMS["spinor-s6"]),
+    "e7": lambda: _cubic_norm_entry("e7", *_CUBIC_NORMS["e7"]),
     "xf-cubic-1": lambda: x_f_cubic_fixture(1),
     "xf-cubic-2": lambda: x_f_cubic_fixture(2),
     "xf-cubic-3": lambda: x_f_cubic_fixture(3),

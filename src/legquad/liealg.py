@@ -17,18 +17,19 @@ dependent quadrics present their span.
 
 The arithmetic runs on one sparse integer bracket table per presentation,
 built once from the structure constants over their common denominator D:
-brackets (`bracket_ints`, D times the bracket), ad-matrices (one builder,
-`_integer_ad`, which the centroid reads) and the Killing form (`killing_rows`,
-D^2 times the trace form) all read it.  The torus search and the root
-decomposition read the terms of each quadric, their two indices found once
-(`quadric_terms`), and the sparse integer sp-image entries built from them
-(`sp_entries`).  An element is one sparse coordinate vector over the basis
-(`linalg.SparseVector`), from the kernels that find it to `CartanData` and
-the ideal bases of `decompose_ideals`; Fractions appear at the API boundary
-only: `structure` and those vectors.  The roots are integer tuples in the
-scale of the integer coordinate weights.  The dense Fraction routes of the
-same quantities, the exponentials of nilpotent sp-images and the block view
-of an sp element live in the tests (`tests/liealg_oracle.py`).
+ad-matrices (one builder, `_integer_ad`, which the centroid and the generic
+rank read) and the Killing form (`killing_rows`, D^2 times the trace form)
+both read it.  The torus search and the root decomposition read the terms
+of each quadric, their two indices found once (`quadric_terms`), and the
+sparse integer sp-image entries built from them (`sp_entries`).  An element
+is one sparse coordinate vector over the basis (`linalg.SparseVector`), from
+the kernels that find it to `CartanData` and the ideal bases of
+`decompose_ideals`; Fractions appear at the API boundary only: `structure`
+and those vectors.  The roots are integer tuples in the scale of the
+integer coordinate weights.  The dense Fraction routes of the same
+quantities, the integer bracket of two vectors (`bracket_ints`), the
+exponentials of nilpotent sp-images and the block view of an sp element
+live in the tests (`tests/liealg_oracle.py`).
 
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
@@ -126,23 +127,6 @@ class LieAlgebraPresentation:
                     table[j][i] = [(k, -n) for k, n in terms]
             self._table = (table, den)
         return self._table
-
-    def bracket_ints(self, u: Mapping[int, int], v: Mapping[int, int]) -> Dict[int, int]:
-        """D * [u, v] for integer coordinate vectors u and v (index -> value),
-        nonzero entries only."""
-        table = self.bracket_table()[0]
-        out: Dict[int, int] = {}
-        for i, x in u.items():
-            row = table[i]
-            if len(v) <= len(row):
-                hits = [(y, row[j]) for j, y in v.items() if j in row]
-            else:
-                hits = [(v[j], terms) for j, terms in row.items() if j in v]
-            for y, terms in hits:
-                xy = x * y
-                for k, n in terms:
-                    out[k] = out.get(k, 0) + xy * n
-        return {k: s for k, s in out.items() if s}
 
     def quadric_terms(self) -> List[QuadricTerms]:
         """(p, q, c) for each term c x_p x_q of each basis quadric, p <= q,
@@ -809,14 +793,17 @@ def _divisors(n: int) -> List[int]:
 
 def _generic_rank(algebra: LieAlgebraPresentation) -> int:
     """Rank of the complexification: minimal centralizer dimension, dim g
-    minus the rank of ad (of its columns D [x, b_j], `bracket_ints`), over a
-    few deterministic sample elements."""
+    minus the rank of ad x (`_integer_ad`), over a few deterministic sample
+    elements x."""
     best = algebra.dim
     for seed in (1, 2, 5, 11):
         x = {i: (seed * (3 * i + 1)) % 17 + 1 for i in range(algebra.dim)}
+        rows: Dict[int, Dict[int, int]] = {}
+        for (k, j), v in _integer_ad(algebra, x)[0].items():
+            rows.setdefault(k, {})[j] = v
         span = linalg.Echelon()
-        for j in range(algebra.dim):
-            span.add(algebra.bracket_ints(x, {j: 1}))
+        for row in rows.values():
+            span.add(row)
         best = min(best, algebra.dim - span.rank)
     return best
 

@@ -25,9 +25,11 @@ def algebras(entries):
 
 @pytest.fixture(scope="session")
 def recorded_entries(entries):
-    """The catalog entries with the twisted cubic, gr36, grl36 and e7 in the
-    transcribed or hand-written coordinates that pinned bases, pair budgets,
-    bracket tables and torus vectors were recorded in."""
+    """The catalog entries with the twisted cubic, gr36, grl36, e7 and
+    segre-split-3/4/5 in the transcribed or hand-written coordinates that
+    pinned bases, pair budgets, bracket tables and torus vectors were
+    recorded in."""
     oracle = transcription_oracle
     return {**entries, "twisted-cubic": oracle.twisted_cubic(), "gr36": oracle.gr36(),
-            "grl36": oracle.grl36(), "e7": oracle.e7()}
+            "grl36": oracle.grl36(), "e7": oracle.e7(),
+            **{f"segre-split-{n}": oracle.segre_split(n) for n in (3, 4, 5)}}

@@ -361,6 +361,18 @@ def _eigen_ratio(image: Vector, vec: Vector) -> Optional[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def bracket_ints(algebra: LieAlgebraPresentation, u: Mapping[int, int], v: Mapping[int, int]) -> Dict[int, int]:
+    """D * [u, v] for integer coordinate vectors u and v (index -> value),
+    nonzero entries only, read off the bracket table."""
+    table = algebra.bracket_table()[0]
+    out: Dict[int, int] = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            for k, n in table[i].get(j, ()):
+                out[k] = out.get(k, 0) + x * y * n
+    return {k: s for k, s in out.items() if s}
+
+
 def verify_jacobi(algebra: LieAlgebraPresentation, max_triples: Optional[int] = None) -> bool:
     """Jacobi identity on basis triples; optionally a deterministic sample."""
     triples = list(itertools.combinations(range(algebra.dim), 3))
@@ -370,7 +382,7 @@ def verify_jacobi(algebra: LieAlgebraPresentation, max_triples: Optional[int] = 
     for i, j, k in triples:
         total: Dict[int, int] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, v in algebra.bracket_ints({a: 1}, algebra.bracket_ints({b: 1}, {c: 1})).items():
+            for l, v in bracket_ints(algebra, {a: 1}, bracket_ints(algebra, {b: 1}, {c: 1})).items():
                 total[l] = total.get(l, 0) + v
         if any(total.values()):
             return False

@@ -93,14 +93,14 @@ def test_segre_generator_layout(entries):
 
 
 def test_split_segre_matches_its_form(entries):
-    for n in (3, 4, 5):
-        entry = entries[f"segre-split-{n}"]
-        pres = entry.presentation
-        assert pres.form.dim == 2 * n
-        # hyperbolic pairing: the form couples k with n + (n-1-k)
-        m = pres.form.matrix
-        for k in range(n):
-            assert m[k][n + (n - 1 - k)] == 1
+    """segre-split-m is `line_times_quadric(m)`: X_f of y0 q for the split
+    quadric q of so(m) in m - 2 variables, listed by torus weight, so its
+    form pairs x<i> with x<2m-1-i>."""
+    q = {3: "y1^2", 4: "y1*y2", 5: "y1*y3 + y2^2"}
+    for m in (3, 4, 5):
+        pres = entries[f"segre-split-{m}"].presentation
+        assert pres.form.matrix == pairing_form(2 * m, [(i, 2 * m - 1 - i, 1) for i in range(m)]).matrix
+        assert pres.parametrization[-1] == parse_poly(f"y0*({q[m]})", m - 1)
 
 
 def test_cubic_norm_entries_are_their_charts(entries):
@@ -132,18 +132,22 @@ def test_cubic_norm_entries_are_their_charts(entries):
 def test_reduced_basis_of_each_row_is_its_quadrics(entries):
     """Listed by torus weight, each row's ideal has a quadratic reduced
     grevlex basis: `buchberger`, within the C(q, 2) S-pairs of q quadrics,
-    returns q quadrics spanning the entry's own (3, 35, 21, 66 and 133).
+    returns q quadrics spanning the entry's own (3, 35, 21, 66 and 133, and
+    m(m-1)/2 + 3 for the line times the split quadric of so(m), m = 3..12).
     In the chart order of `x_f`, e7's basis runs past 20000 pairs."""
+    builds = {name: entries[name] for name in catalog._CUBIC_NORMS}
+    builds.update((f"line_times_quadric({m})", catalog.line_times_quadric(m)) for m in range(3, 13))
     sizes = {}
-    for name in catalog._CUBIC_NORMS:
-        pres = entries[name].presentation
+    for name, entry in builds.items():
+        pres = entry.presentation
         count = len(pres.generators)
         basis = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=count * (count - 1) // 2)
         assert len(basis) == count and all(g.homogeneous_degree() == 2 for g in basis), name
         codec = MonomialCodec(pres.nvars, 2)
         assert degree_part(list(basis) + pres.generators, 2, codec)[0].rank == count, name
         sizes[name] = count
-    assert sizes == {"twisted-cubic": 3, "gr36": 35, "grl36": 21, "spinor-s6": 66, "e7": 133}
+    assert sizes == {"twisted-cubic": 3, "gr36": 35, "grl36": 21, "spinor-s6": 66, "e7": 133,
+                     **{f"line_times_quadric({m})": m * (m - 1) // 2 + 3 for m in range(3, 13)}}
 
 
 def test_spinor_point_with_one_matrix_entry(entries):
@@ -241,8 +245,10 @@ def test_implicit_forms_match_the_product_kernel():
 
 
 def test_xf_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="f must be homogeneous"):
         catalog.x_f(parse_poly("y0^2 + y0", 1))
+    with pytest.raises(ValueError, match="the chart polynomial is zero"):
+        catalog.x_f(Polynomial.zero(2))
 
 
 def test_dump_roundtrip(entries):
@@ -260,11 +266,15 @@ def test_dump_roundtrip(entries):
 
 def _pinned_constructions():
     """label -> builder of every construction the pins cover: the registry,
-    both line-times-quadric models for n = 3..17 and two implicit charts."""
+    both line-times-quadric models for n = 3..17 and two implicit charts.
+    The family keeps the labels its pins were first recorded under, so each
+    pin keeps its test id: `split=False` labels the sum-of-squares model
+    `segre_line_quadric(n)`, and `split=True` the split model
+    `line_times_quadric(n)`."""
     out = {name: functools.partial(catalog.get_entry, name) for name in catalog.entry_names()}
     for n in range(3, 18):
-        for split in (False, True):
-            out[f"segre_line_quadric({n}, split={split})"] = functools.partial(catalog.segre_line_quadric, n, split)
+        out[f"segre_line_quadric({n}, split=False)"] = functools.partial(catalog.segre_line_quadric, n)
+        out[f"segre_line_quadric({n}, split=True)"] = functools.partial(catalog.line_times_quadric, n)
     out["x_f(y0^3, 2)"] = lambda: catalog.x_f(parse_poly("y0^3", 2), implicit_degree=2)
     out["x_f(y0^2*y1 + y1^3, 3)"] = lambda: catalog.x_f(parse_poly("y0^2*y1 + y1^3", 2), implicit_degree=3)
     return out
@@ -278,9 +288,9 @@ _PINS = {
     'segre-3': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
     'segre-4': '35e9419b860a9d9e9acc8835f51fb66c85b2b9a93815ececc62cf69efec38e27',
     'segre-5': 'c44b0c4c56f6396a5a2db5065f7e75ed496ae4d9a50e41f45984b06cfd9bb66c',
-    'segre-split-3': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
-    'segre-split-4': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
-    'segre-split-5': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
+    'segre-split-3': '8f8ae7b3c10ef0b397c85b44386654d9bd29f77326c536cbb9859e1ce11387db',
+    'segre-split-4': '5f0673d59f1cc725382567825e68d7c16e9a628f3401c0e9d910a664c28a6018',
+    'segre-split-5': 'ebaaddfa6308f9afd43c034021d48acfc1054cf559c6574e777aa5b5eb7d066d',
     'gr36': 'f24e024c3c9ab9fff91fc3e1120e41c310a6ad63e006ea8366cb74909426602e',
     'grl36': '48cbf81493a80d49d8b95123da42a1f202313eee5f52baea81268ce8693be2ee',
     'spinor-s6': 'c7084283b8685307b65059c4ab11de3f4483374cad6e25fe591e34d5453316c2',
@@ -292,35 +302,35 @@ _PINS = {
     'four-lines': 'aacc3ccc66784dc991bbc5fe270c471a571de5890bbe81a86241be6f06302cd2',
     'linear-lagrangian': 'b6cf457f503897b1c83b60541e3062469503eb1c7acc758c2f7df89f9a353f3a',
     'segre_line_quadric(3, split=False)': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
-    'segre_line_quadric(3, split=True)': '83b788488aabdbfc0507239f23fa048067d1ba4f53c918f8a47b7a298fbde677',
+    'segre_line_quadric(3, split=True)': '8f8ae7b3c10ef0b397c85b44386654d9bd29f77326c536cbb9859e1ce11387db',
     'segre_line_quadric(4, split=False)': '35e9419b860a9d9e9acc8835f51fb66c85b2b9a93815ececc62cf69efec38e27',
-    'segre_line_quadric(4, split=True)': '38b5436c4ef8523e5cb7985685878d9e2b5c4ed136483962ca4bc36966a3419d',
+    'segre_line_quadric(4, split=True)': '5f0673d59f1cc725382567825e68d7c16e9a628f3401c0e9d910a664c28a6018',
     'segre_line_quadric(5, split=False)': 'c44b0c4c56f6396a5a2db5065f7e75ed496ae4d9a50e41f45984b06cfd9bb66c',
-    'segre_line_quadric(5, split=True)': '5a23c017eced79948ee84cd565f79a6ddea38b6b151f0fc38da85dd47ea6fe4f',
+    'segre_line_quadric(5, split=True)': 'ebaaddfa6308f9afd43c034021d48acfc1054cf559c6574e777aa5b5eb7d066d',
     'segre_line_quadric(6, split=False)': 'a55e75419db84501a37d8052655c1665cd0720fbf2999d178d4991b4b656cb4a',
-    'segre_line_quadric(6, split=True)': 'b1d18cb43b7c4b6f33d3f65e31cb4535093acad68470947a34b451dc03156975',
+    'segre_line_quadric(6, split=True)': 'c171ab196dcdd3f5a7b6eee0642190c76d2ea7351f9a2558b8dc84faa8f8746a',
     'segre_line_quadric(7, split=False)': '5414a3204d405d299b8772b4fc60d086fefc8a59eb7d5e054a0c57e83b0a2c28',
-    'segre_line_quadric(7, split=True)': '3807a21bf66620866a01a304f7cb35bd8a9bc390dd30282cec26632687f892c5',
+    'segre_line_quadric(7, split=True)': 'b4329bc06fc2541527954f40c7dda775f77e0e85dfe351496502552bc504263f',
     'segre_line_quadric(8, split=False)': 'ca877ff0a23bcb80628a94e1a7501fd3e27f505479a61584e76fad0539993425',
-    'segre_line_quadric(8, split=True)': 'cd557a97659495e67af31e2ee7e077c13700f2a513993fbeb9aaf95522ff5a79',
+    'segre_line_quadric(8, split=True)': '08a128177ea567bf08b7378756d3dc0443b9b1ae064d8e7cb7c2dcbe807245d1',
     'segre_line_quadric(9, split=False)': 'f674aec9a24c40af8230159dc7ed741a0ac9950be1458529ce6a375ea0e9de97',
-    'segre_line_quadric(9, split=True)': '35d0bf767ad02f2a0570cc5f75da2a6867d079b08b86f43d8eb238642784aff8',
+    'segre_line_quadric(9, split=True)': '505e86ae7029076e6d91439de2a7018a5911ffa92da37ad5bc11d0b033ef1982',
     'segre_line_quadric(10, split=False)': '70e7fad79e3ccbaa4090dbc335cb3eaf660cf56ee6eff713c354614f9c2b626c',
-    'segre_line_quadric(10, split=True)': '746426d491f4f5467aaf0233b629e78e3cc81a0f5b95acab8127dd21cf791089',
+    'segre_line_quadric(10, split=True)': '2051f71c44d31536dd0d5a8a9235970311b00d805b1c3194a66482701e7ca7d5',
     'segre_line_quadric(11, split=False)': '337e142759030d035eafa5fccd920d1e444f07aad3bf8ca88bf7deaf6aa7e5c3',
-    'segre_line_quadric(11, split=True)': '0c02fd2f1d61bd3d649ee74c99c49efc44823142ad642efb45ebe7cec1e9c066',
+    'segre_line_quadric(11, split=True)': '678a2f60e9340d78ebb287bbe6ae2d2f9a800696a1f07d63e7c437d1e6227ccf',
     'segre_line_quadric(12, split=False)': '6bec4e5384d9a2f5b91781cc6e232e74c195c181c96cbf9c7aab4933619c457a',
-    'segre_line_quadric(12, split=True)': 'd07a37a5199a95f7625a370cff22efa346a31d9a6a109587fde943cec19a0bf2',
+    'segre_line_quadric(12, split=True)': '2c37855ff5e135645e9fc00a182b01a2dd7438a6f4196aa0508ddd6e5352fad8',
     'segre_line_quadric(13, split=False)': '2611a61ea9f21335194e8ad64bf4c82a552de92644f3e9bfc4694301dc4e1004',
-    'segre_line_quadric(13, split=True)': 'eb23ff8bbfdecf394f3526b12e33bdfdfe29d0dfcd82a4848527f64f95c5f5a0',
+    'segre_line_quadric(13, split=True)': '0041de91897c8d783b9005a0d201de2da9c960a5df212125d543939692fe8f88',
     'segre_line_quadric(14, split=False)': 'c70f6e5f55a25539708eed978a5c2e52a5ffb0e5a01df2570fe2ad1cb0f757fe',
-    'segre_line_quadric(14, split=True)': 'd009b0a16138eb0f5082b0e19d5c249442ef131f87ebbca459bed52cf275752e',
+    'segre_line_quadric(14, split=True)': 'f9e8f7c9878f230babbca2c245d47b0ee165850092fa101de88598efc97f000c',
     'segre_line_quadric(15, split=False)': '5ed9d6870169c31b8ee3f39618cfeaae1d1c2052eb2147ada8f90180b9a80382',
-    'segre_line_quadric(15, split=True)': 'c69ecf82da3f437528e3baa7f44afa598f125d0d240c4ae4a8d3266a0cbdf60a',
+    'segre_line_quadric(15, split=True)': '7a9fb5256515f55caa7dc8b7fefc9cd3e314ef3ed272441902e9dce728ef9d1d',
     'segre_line_quadric(16, split=False)': '53efd7072fc7377aed588f0a777b85e35933cbec6fe03edc750b3d7d74912e9a',
-    'segre_line_quadric(16, split=True)': 'f89ea600f4468a21ea6ebc2b9e979a1c68ba118531cf24811504c15cfe83ade0',
+    'segre_line_quadric(16, split=True)': 'f2a3c6a03f6c603920b81dd2199708e095802056d386ded872a77956eed55038',
     'segre_line_quadric(17, split=False)': '844e0f0820d8c1e38c781a37207a21e24521f28368b70b613b9a3bb148b149d6',
-    'segre_line_quadric(17, split=True)': 'f7d250e5e2ae2ac33c8c4fbd6c64ab8d83de9cfd6ba47927853a4b6b6e361987',
+    'segre_line_quadric(17, split=True)': '990b7401b55b801c5433f1b3fce24110543b6efe1e41c1a57c279ae878853535',
     'x_f(y0^3, 2)': '256c8d25d5e54028188f30403ebac6a51dbc94260a45fb7bec2e2d23afa0233a',
     'x_f(y0^2*y1 + y1^3, 3)': 'ced1ffdb631d42a4d71ccaf21faacc307f829c0a4967f80cd88a0107ea7b8164',
 }

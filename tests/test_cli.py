@@ -281,6 +281,12 @@ def test_xf_implicit_degree_must_be_positive(capsys, value):
     assert f"--implicit-degree must be a positive integer, got {value}" in err
 
 
+def test_xf_names_a_zero_chart_polynomial(capsys):
+    code, out, err = run(capsys, "xf", "0*y0")
+    assert code == EXIT_USAGE and out == ""
+    assert "the chart polynomial is zero" in err and "homogeneous" not in err
+
+
 def test_xf_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "xf", "y0^3", "--implicit-degree", "2")
     assert code == EXIT_OK

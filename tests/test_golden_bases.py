@@ -1,8 +1,8 @@
 """The `result` objects of `gb --json` on the catalog entries whose basis
 finishes in test time (all but spinor-s6 and e7), pinned element for element
-and in key order against a stored fixture.  The twisted cubic, gr36 and
-grl36 are read in the hand-written and transcribed coordinates of
-`transcription_oracle`, which the fixture was written in.
+and in key order against a stored fixture.  The twisted cubic, gr36, grl36
+and segre-split-3/4/5 are read in the hand-written and transcribed
+coordinates of `transcription_oracle`, which the fixture was written in.
 
 The reduced grevlex basis of an ideal is unique, so any change to the
 Groebner kernel that alters an element, the basis order or the dimension
@@ -12,6 +12,7 @@ fails here.  To pin an intended change, rewrite the fixture with
 """
 
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -25,7 +26,8 @@ from legquad import catalog, cli
 FIXTURE = Path(__file__).parent / "data" / "golden_bases.json"
 UNFINISHED = ("spinor-s6", "e7")
 TRANSCRIBED = {"twisted-cubic": transcription_oracle.twisted_cubic, "gr36": transcription_oracle.gr36,
-               "grl36": transcription_oracle.grl36}
+               "grl36": transcription_oracle.grl36,
+               **{f"segre-split-{n}": functools.partial(transcription_oracle.segre_split, n) for n in (3, 4, 5)}}
 
 
 def _result(name: str, directory: Path) -> dict:

@@ -33,7 +33,7 @@ from legquad.liealg import (
     identify_algebra,
     split_root_data,
 )
-from legquad.poly import Polynomial, parse_poly
+from legquad.poly import Polynomial
 from legquad.rootdata import _cartan_matrix, simple_types_up_to
 from legquad.symplectic import SymplecticForm
 from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
@@ -246,16 +246,17 @@ def test_certified_simple_types_are_accepted_by_the_scan(scan_acceptances):
 def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptances):
     """The paper's list both ways at rank <= 8.  Every Kostant certificate of
     a catalog entry, of one, two or three factors, names a scan acceptance;
-    and the constructions of the catalog, the line times each quadric
-    (n = 3..17) and the X_f of each cubic norm row, are certified as exactly
-    the scan's 20 acceptances, one each; the rows' types and weights are
-    the scan's five simple acceptances as it writes them."""
+    and the constructions of the catalog, the line times each split quadric
+    (`line_times_quadric(m)`, m = 3..17) and the X_f of each cubic norm row,
+    are certified as exactly the scan's 20 acceptances, one each; the rows'
+    types and weights are the scan's five simple acceptances as it writes
+    them."""
     accepted = [_orbit_key(types, weights) for types, weights in scan_acceptances]
     assert len(accepted) == len(set(accepted)) == 20
     for name, (types, weights, _) in CERTIFIED.items():
         assert _orbit_key(types, weights) in accepted, name
     rows = [entries[name].presentation for name in catalog._CUBIC_NORMS]
-    constructions = [catalog.segre_line_quadric(n, split=True).presentation for n in range(3, 18)] + rows
+    constructions = [catalog.line_times_quadric(m).presentation for m in range(3, 18)] + rows
     verdicts = [legendrian_verdict(pres) for pres in constructions]
     assert [v.certificate for v in verdicts] == ["kostant"] * len(constructions)
     certified = [_orbit_key(v.kostant.types, v.kostant.highest_weight) for v in verdicts]
@@ -292,10 +293,7 @@ def test_line_times_quadric_charts_past_rank_8_are_scan_acceptances(m, label):
     split quadric in m - 2 variables, is the line times the quadric of
     so(m), certified as A1 x so(m) on (1), omega_1, which the product scan
     at rank 10 accepts."""
-    k = m - 2
-    terms = [f"y{i}*y{k + 1 - i}" for i in range(1, k // 2 + 1)] + [f"y{k // 2 + 1}^2"] * (k % 2)
-    entry = catalog.x_f(parse_poly("y0*(" + " + ".join(terms) + ")", m - 1), implicit_degree=2)
-    verdict = legendrian_verdict(entry.presentation)
+    verdict = legendrian_verdict(catalog.line_times_quadric(m).presentation)
     omega1 = (1,) + (0,) * (int(label[1:]) - 1)
     assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
     assert verdict.kostant == KostantCertificate(["A1", label], [(1,), omega1], m)

@@ -10,6 +10,7 @@ import pytest
 
 import legquad
 import transcription_oracle
+from legquad import catalog
 from legquad.legendrian import legendrian_verdict
 from legquad.liealg import degree_part
 from legquad.poly import MonomialCodec, parse_poly
@@ -74,6 +75,20 @@ def test_transcriptions_certify_like_their_charts(entries, recorded_entries, nam
     assert chart.certificate == listed.certificate == "kostant"
     assert listed.kostant == chart.kostant
     assert len(recorded_entries[name].presentation.generators) == len(entries[name].presentation.generators)
+
+
+def test_hand_written_split_model_certifies_like_line_times_quadric():
+    """The line times the hyperbolic quadric, written out as 2x2 minors and
+    three quadric-form generators, and X_f of y0 q have the same quadric
+    count and the same certificate for m = 3..17, so they are one variety
+    up to a linear change of coordinates."""
+    for m in range(3, 18):
+        built = catalog.line_times_quadric(m).presentation
+        recorded = transcription_oracle.segre_split(m).presentation
+        chart, listed = legendrian_verdict(built, budget=1), legendrian_verdict(recorded, budget=1)
+        assert chart.certificate == listed.certificate == "kostant", m
+        assert listed.kostant == chart.kostant, m
+        assert len(recorded.generators) == len(built.generators) == m * (m - 1) // 2 + 3, m
 
 
 def test_the_package_ships_no_data_files():

@@ -1,14 +1,16 @@
 """Test oracles: the transcribed and hand-written models of the paper's list.
 
-The catalog builds the twisted cubic, Gr(3,6), Gr_L(3,6) and the E7 variety
-as charts X_f of cubic norms.  The models here are the twisted cubic with
-its hand-written form and rescaled dual, the Pluecker quadrics of Gr(3,6)
-in wedge coordinates, as written in the source table, the 21 quadrics of
-Gr_L(3,6) obtained from them by six linear relations, and the 133 quadrics
-of the E7 variety as transcribed from their source table.  They are the
-same varieties in other coordinates, so the tests whose pinned bases, pair
-budgets, bracket tables and torus vectors were recorded in these
-coordinates read their input here.
+The catalog builds the twisted cubic, Gr(3,6), Gr_L(3,6), the E7 variety
+and the line times a split quadric as charts X_f of cubics.  The models
+here are the twisted cubic with its hand-written form and rescaled dual,
+the Pluecker quadrics of Gr(3,6) in wedge coordinates, as written in the
+source table, the 21 quadrics of Gr_L(3,6) obtained from them by six linear
+relations, the 133 quadrics of the E7 variety as transcribed from their
+source table, and the line times the hyperbolic quadric written out as 2x2
+minors and three quadric-form generators.  They are the same varieties
+in other coordinates, so the tests whose pinned bases, pair budgets,
+bracket tables and torus vectors were recorded in these coordinates read
+their input here.
 
 Each data file is sha256-pinned.  `grl36` derives its form by restricting the
 wedge pairing of Gr(3,6) along the substitution, and `substituted_gr36`
@@ -154,4 +156,22 @@ def e7() -> CatalogEntry:
         "x<i> pairs with x<28+i> under the standard block form, an "
         "assumption read off the equation shapes and validated by bracket "
         "closure of the quadric span.",
+    )
+
+
+def segre_split(n: int) -> CatalogEntry:
+    """The line times the hyperbolic quadric sum x_k x_{n-1-k} in P^{2n-1}:
+    the 2x2 minors, sum 1/2 x_{n+k} x_{2n-1-k}, -sum 1/2 x_k x_{n-1-k} and
+    sum x_k x_{2n-1-k}, under the form pairing x_k with x_{2n-1-k}."""
+    nv = 2 * n
+    texts = [f"x{i}*x{n + j} - x{j}*x{n + i}" for i in range(n) for j in range(i + 1, n)]
+    texts.append(" + ".join(f"1/2*x{n + k}*x{nv - 1 - k}" for k in range(n)))
+    texts.append("".join(f" - 1/2*x{k}*x{n - 1 - k}" for k in range(n)))
+    texts.append(" + ".join(f"x{k}*x{nv - 1 - k}" for k in range(n)))
+    form = pairing_form(nv, [(k, nv - 1 - k, 1) for k in range(n)])
+    return CatalogEntry(
+        VarietyPresentation(f"segre-split-{n}", form, [parse_poly(t, nv) for t in texts]), "generated",
+        _unit_point(nv),
+        "line times the hyperbolic quadric; projectively equivalent to the "
+        "sum-of-squares model but rationally split, with base point e0.",
     )
