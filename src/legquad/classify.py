@@ -40,6 +40,13 @@ So up to the rank bound the scan is complete, and an optional `max_dim`
 only cuts it further.  Every filter is exact and uncapped, so no candidate
 is left undecided.  Acceptance means "survives every filter"; sufficiency
 is settled by the explicit constructions in the catalog, not re-proved here.
+
+Each type's weights are grown one coordinate at a time, and each carries its
+pairing vector p = <lambda + rho, alpha^vee> over the positive roots: raising
+lambda_i by one adds column i of the coroot table to p.  dim V, the cone
+dimension and the quadric count of (v) are read off p by `rootdata`.  A
+weight, or a tensor factor, reaches the filters as (lambda, dim V, p, cone),
+and no filter recomputes p or the cone.
 """
 
 from __future__ import annotations
@@ -47,24 +54,36 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator, List, Optional, Sequence, Tuple
+from operator import add
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
+    Pairings,
+    Weight,
     angle_audit,
     build_root_system,
-    closed_orbit_cone_dimension,
-    closed_orbit_quadrics,
-    cone_orbit_dimension,
-    is_multiplicity_free,
+    distinct_weight_count,
     is_self_dual,
+    pairing_cone_dimension,
+    pairing_dimension,
+    product_quadrics,
+    rho_pairings,
+    segre_cone_dimension,
     simple_types_up_to,
     type_dimension,
-    weyl_dimension,
 )
 
-# one tested factor V(lambda): its root system, lambda and dim V(lambda)
-_Factor = Tuple[AbstractRootSystem, Tuple[int, ...], int]
+
+class _Factor(NamedTuple):
+    """One tested weight or tensor factor V(lambda), as the growth loop made
+    it: lambda, dim V(lambda), the pairing vector p and the cone dimension
+    read off p."""
+    rs: AbstractRootSystem
+    weight: Weight
+    dim: int
+    p: Pairings
+    cone: int
 
 
 @dataclass
@@ -97,21 +116,20 @@ class CandidateVerdict:
         }
 
 
-def _evaluate_candidate(
-    rs: AbstractRootSystem, coeffs: Tuple[int, ...], dim_v: int, cone: int
-) -> CandidateVerdict:
+def _evaluate_candidate(f: _Factor) -> CandidateVerdict:
     """Filters (iii)-(v) plus the angle audit, for a candidate with dim V equal
     to twice the cone dimension."""
+    rs, coeffs, dim_v, p, cone = f
     verdict = CandidateVerdict(rs.type_label, coeffs, dim_v, cone, status="rejected")
     verdict.self_dual = is_self_dual(rs, coeffs)
     if not verdict.self_dual:
         verdict.reason = "representation is not self-dual"
         return verdict
-    verdict.multiplicity_free = is_multiplicity_free(rs, coeffs)
+    verdict.multiplicity_free = distinct_weight_count(rs, coeffs) == dim_v
     if not verdict.multiplicity_free:
         verdict.reason = "representation contains a multiple weight"
         return verdict
-    verdict.quadric_count = closed_orbit_quadrics([(rs, coeffs)])
+    verdict.quadric_count = product_quadrics([(rs, p)])
     verdict.algebra_dim = type_dimension(rs.label, rs.rank)
     if verdict.quadric_count != verdict.algebra_dim:
         verdict.reason = (
@@ -133,14 +151,13 @@ def enumerate_simple(max_rank: int, max_dim: Optional[int] = None) -> List[Candi
     verdicts: List[CandidateVerdict] = []
     for rs in _root_systems(max_rank):
         cap = 2 * len(rs.positive_roots) + 2
-        for coeffs, dim_v in _canonical_weights(rs, cap if max_dim is None else min(cap, max_dim)):
-            cone = cone_orbit_dimension(rs, coeffs)
-            if dim_v == 2 * cone:
-                verdicts.append(_evaluate_candidate(rs, coeffs, dim_v, cone))
+        for f in _canonical_weights(rs, cap if max_dim is None else min(cap, max_dim)):
+            if f.dim == 2 * f.cone:
+                verdicts.append(_evaluate_candidate(f))
                 continue
-            side = "below" if dim_v < 2 * cone else "exceeds"
+            side = "below" if f.dim < 2 * f.cone else "exceeds"
             verdicts.append(CandidateVerdict(
-                rs.type_label, coeffs, dim_v, cone, "rejected",
+                rs.type_label, f.weight, f.dim, f.cone, "rejected",
                 f"dimension {side} twice the orbit dimension"))
     return verdicts
 
@@ -149,27 +166,31 @@ def _root_systems(max_rank: int) -> List[AbstractRootSystem]:
     return [build_root_system(label, rank) for label, rank in simple_types_up_to(max_rank)]
 
 
-def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[Tuple[Tuple[int, ...], int]]:
-    """(lambda, dim V(lambda)) for the nonzero canonical dominant weights with
-    dim V(lambda) <= cap, in lexicographic order.
+def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[_Factor]:
+    """The nonzero canonical dominant weights with dim V(lambda) <= cap, in
+    lexicographic order, each with its dimension, pairing vector and cone
+    dimension.
 
     The Weyl dimension grows strictly in every coordinate, so the weights are
     grown one coordinate at a time, and a prefix is raised only while it,
-    padded with zeros, is still under the cap.
+    padded with zeros, is still under the cap.  The padded prefix has the
+    prefix's own p, and raising its coordinate i by one adds column i of the
+    coroot table, so each probe costs one vector sum and one product.
     """
-    layer = [((), 1)]
-    for i in range(rs.rank):
-        pad = (0,) * (rs.rank - i - 1)
+    layer = [((), 1, rho_pairings(rs, (0,) * rs.rank))]
+    for column in rs.coroot_columns:
         grown = []
-        for prefix, prefix_dim in layer:
-            grown.append((prefix + (0,), prefix_dim))
+        for prefix, dim, p in layer:
+            grown.append((prefix + (0,), dim, p))
             for k in itertools.count(1):
-                dim = weyl_dimension(rs, prefix + (k,) + pad)
+                p = tuple(map(add, p, column))
+                dim = pairing_dimension(rs, p)
                 if dim > cap:
                     break
-                grown.append((prefix + (k,), dim))
+                grown.append((prefix + (k,), dim, p))
         layer = grown
-    return [(w, dim) for w, dim in layer if any(w) and is_canonical_weight(rs.label, rs.rank, w)]
+    return [_Factor(rs, w, dim, p, pairing_cone_dimension(rs, p)) for w, dim, p in layer
+            if any(w) and is_canonical_weight(rs.label, rs.rank, w)]
 
 
 def is_canonical_weight(label: str, rank: int, coeffs: Tuple[int, ...]) -> bool:
@@ -214,13 +235,17 @@ class PairVerdict:
         }
 
 
-def _products(max_rank: int) -> Iterator[Sequence[_Factor]]:
+def _products(max_rank: int, max_dim: Optional[int]) -> Iterator[Sequence[_Factor]]:
     """The tensor products that the bound of the module docstring allows,
-    each factor drawn from its type's canonical weights."""
-    factors = [(rs, w, dim) for rs in _root_systems(max_rank)
-               for w, dim in _canonical_weights(rs, max(len(rs.positive_roots) + 2, 4))]
-    line, three, four = ([f for f in factors if f[2] == n] for n in (2, 3, 4))
-    yield from ((a, x) for a in line for x in factors if x[2] <= len(x[0].positive_roots) + 2)
+    each factor drawn from its type's canonical weights.  Every factor of a
+    product has dimension at least 2, so under `max_dim` no factor of a
+    tested product is above max_dim // 2."""
+    factors = []
+    for rs in _root_systems(max_rank):
+        cap = max(len(rs.positive_roots) + 2, 4)
+        factors += _canonical_weights(rs, cap if max_dim is None else min(cap, max_dim // 2))
+    line, three, four = ([f for f in factors if f.dim == n] for n in (2, 3, 4))
+    yield from ((a, x) for a in line for x in factors if x.dim <= len(x.rs.positive_roots) + 2)
     yield from itertools.combinations_with_replacement(three, 2)
     yield from itertools.product(three, four)
     yield from itertools.combinations_with_replacement(line, 3)
@@ -235,27 +260,26 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: Optional[int] = None) -> 
     canonical on its own.
     """
     verdicts: List[PairVerdict] = []
-    for product in _products(max_rank):
-        dim_v = prod(dim for _, _, dim in product)
+    for product in _products(max_rank, max_dim):
+        dim_v = prod(f.dim for f in product)
         if max_dim is not None and dim_v > max_dim:
             continue
-        factors = [(rs, w) for rs, w, _ in product]
-        cone = closed_orbit_cone_dimension(factors)
+        cone = segre_cone_dimension(f.cone for f in product)
         verdict = PairVerdict(
-            tuple(rs.type_label for rs, _ in factors), tuple(w for _, w in factors),
+            tuple(f.rs.type_label for f in product), tuple(f.weight for f in product),
             dim_v, cone, status="rejected",
         )
         verdicts.append(verdict)
         if dim_v != 2 * cone:
             verdict.reason = f"dimension {dim_v} differs from twice the product cone dimension {cone}"
-        elif not all(is_self_dual(rs, w) for rs, w in factors):
+        elif not all(is_self_dual(f.rs, f.weight) for f in product):
             verdict.reason = "a tensor factor is not self-dual"
         # the weights of the product are the tuples of factor weights
-        elif not all(is_multiplicity_free(rs, w) for rs, w in factors):
+        elif not all(distinct_weight_count(f.rs, f.weight) == f.dim for f in product):
             verdict.reason = "tensor product contains a multiple weight"
         else:
-            quadrics = closed_orbit_quadrics(factors)
-            algebra = sum(type_dimension(rs.label, rs.rank) for rs, _ in factors)
+            quadrics = product_quadrics([(f.rs, f.p) for f in product])
+            algebra = sum(type_dimension(f.rs.label, f.rs.rank) for f in product)
             if quadrics != algebra:
                 verdict.reason = f"orbit lies on {quadrics} quadrics but the algebra has dimension {algebra}"
             else:

@@ -53,6 +53,7 @@ from .liealg import (
     simple_factors,
     split_root_data,
 )
+from .linalg import integral
 from .poly import MonomialCodec, Polynomial
 from .rootdata import (
     build_root_system,
@@ -310,8 +311,10 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
 
 def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     """Tangent criterion at a parametrized point: omega vanishes on the span
-    of the position vector and all parametrization partials.  Each pairing
-    reads only the nonzero entries of the form's rows."""
+    of the position vector and all parametrization partials.  The form and
+    each tangent vector are scaled to integers once, which leaves every
+    pairing's sign, so the pairings multiply ints and read only the nonzero
+    entries of the form's rows."""
     if v.parametrization is None:
         raise ValueError(f"{v.name} has no parametrization")
     pvals = [Fraction(x) for x in params]
@@ -319,11 +322,15 @@ def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     tangents = [position]
     for k in range(v.param_count()):
         tangents.append([comp.partial_derivative(k).evaluate(pvals) for comp in v.parametrization])
-    rows = v.form.rows
+    tangents = [integral(dict(enumerate(u)))[0] for u in tangents]
+    entries, _ = integral({(a, b): x for a, row in enumerate(v.form.rows) for b, x in row.items()})
+    rows: List[List[Tuple[int, int]]] = [[] for _ in v.form.rows]
+    for (a, b), x in entries.items():
+        rows[a].append((b, x))
     for i, u in enumerate(tangents):
-        ju = [(a, y) for a, row in enumerate(rows) if (y := sum(x * u[b] for b, x in row.items()))]
+        ju = [(a, y) for a, row in enumerate(rows) if (y := sum(x * u.get(b, 0) for b, x in row))]
         for w in tangents[i + 1:]:
-            if sum(w[a] * y for a, y in ju):  # omega(w, u)
+            if sum(w.get(a, 0) * y for a, y in ju):  # omega(w, u), up to a positive scale
                 return False
     return True
 

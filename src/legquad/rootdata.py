@@ -9,11 +9,17 @@ Dynkin coordinates: mu is dominant when no coordinate is negative.
 
 Each root system is built once per process, with its integer tables: root
 heights, coroot heights <rho, alpha^vee> with their product, and one column
-of coroot entries per simple coroot.  On top of them: Weyl dimension
-formula, orbit (cone) dimensions and the quadrics through the closed orbit
-of a tensor product, Weyl orbit sizes as products over root heights,
-duality involution, the dominant weights and the number of distinct weights
-of V(lambda), and the multiplicity-free test, all in exact integer arithmetic.
+of coroot entries per simple coroot.  A weight lambda enters the formulas
+through its pairing vector p = <lambda + rho, alpha^vee> over the positive
+roots (`rho_pairings`), the coroot heights plus lambda_i times column i, so a
+caller that raises lambda_i by one carries p along by adding column i.  On p
+rest the Weyl dimension formula, the orbit (cone) dimension and the quadrics
+through the closed orbit of a tensor product, each written once on p, with
+`weyl_dimension`, `cone_orbit_dimension` and `closed_orbit_quadrics` taking
+lambda itself.  Also here: Weyl orbit sizes as products over root heights,
+duality involution, and the dominant weights and the number of distinct
+weights of V(lambda), which the scan's multiplicity-free test compares with
+dim V, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,10 +28,12 @@ import functools
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Factor = Tuple["AbstractRootSystem", Sequence[int]]  # one tensor factor V(lambda)
+Pairings = Tuple[int, ...]  # <lambda + rho, alpha^vee> over the positive roots, in root order
+Paired = Tuple["AbstractRootSystem", Pairings]  # one tensor factor V(lambda) as (rs, p)
 
 _KNOWN_POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -195,61 +203,96 @@ def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# Dimension, orbit and duality.
+# Dimension, orbit and duality, on the pairing vector.
 # ---------------------------------------------------------------------------
 
 
-def _pairings(rs: AbstractRootSystem, coeffs: Sequence[int], start: Sequence[int]) -> Sequence[int]:
-    """start plus <lambda, alpha^vee> for every positive root at once: column i
-    of the coroot table times each nonzero coordinate lambda_i."""
-    for c, column in zip(coeffs, rs.coroot_columns):
-        if c:
-            start = [s + c * x for s, x in zip(start, column)]
-    return start
-
-
-def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
-    """Dimension of the irreducible representation with the given highest
-    weight: the product of <lambda + rho, alpha^vee> / <rho, alpha^vee> over
-    the positive roots, where rho has every Dynkin coordinate 1."""
+def rho_pairings(rs: AbstractRootSystem, coeffs: Sequence[int]) -> Pairings:
+    """The pairing vector p of lambda: <lambda + rho, alpha^vee> for every
+    positive root, in root order.  It starts at the coroot heights
+    h = <rho, alpha^vee> and adds column i of the coroot table lambda_i times,
+    so raising lambda_i by one adds column i once.  The dimension, orbit and
+    quadric formulas below read lambda through p."""
     if not rs.is_dominant_integral(coeffs):
         raise ValueError("weight must be dominant integral")
-    dim, rest = divmod(prod(_pairings(rs, coeffs, rs.coroot_heights)), rs.coroot_height_product)
+    p = rs.coroot_heights
+    for c, column in zip(coeffs, rs.coroot_columns):
+        if c:
+            p = [s + c * x for s, x in zip(p, column)]
+    return tuple(p)
+
+
+def pairing_dimension(rs: AbstractRootSystem, p: Pairings) -> int:
+    """Weyl dimension formula: dim V(lambda) is the product of
+    <lambda + rho, alpha^vee> / <rho, alpha^vee> over the positive roots,
+    where rho has every Dynkin coordinate 1."""
+    dim, rest = divmod(prod(p), rs.coroot_height_product)
     if rest:
         raise AssertionError("Weyl dimension did not come out integral")
     return dim
 
 
-def _moved_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[int]:
-    """Indices of the positive roots not orthogonal to the weight: the roots of
-    the nilpotent part of the parabolic split determined by the weight."""
-    if not rs.is_dominant_integral(coeffs):
-        raise ValueError("weight must be dominant integral")
-    return [k for k, p in enumerate(_pairings(rs, coeffs, [0] * len(rs.positive_roots))) if p]
+def _moved(rs: AbstractRootSystem, p: Pairings) -> List[int]:
+    """Indices of the positive roots not orthogonal to lambda, those with
+    <lambda, alpha^vee> = p - h nonzero: the roots of the nilpotent part of the
+    parabolic split determined by the weight."""
+    return [k for k, (x, h) in enumerate(zip(p, rs.coroot_heights)) if x != h]
 
 
-def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
+def pairing_cone_dimension(rs: AbstractRootSystem, p: Pairings) -> int:
     """Dimension of the affine cone over the highest weight orbit:
     one plus the number of positive roots not orthogonal to the weight."""
-    return 1 + len(_moved_roots(rs, coeffs))
+    return 1 + len(_moved(rs, p))
 
 
-def closed_orbit_quadrics(factors: Sequence[Factor]) -> int:
+def segre_cone_dimension(cones: Iterable[int]) -> int:
+    """Dimension of the affine cone over the closed orbit X in
+    V(lambda_1) (x) ... (x) V(lambda_k), from the factors' cone dimensions:
+    X is the Segre product of the factors' orbits, so 1 + sum (cone_i - 1)."""
+    return 1 + sum(c - 1 for c in cones)
+
+
+def product_quadrics(paired: Sequence[Paired]) -> int:
     """Dimension of the space of quadrics through the closed orbit X in
-    P(V(lambda_1) (x) ... (x) V(lambda_k)), one factor (rs, lambda) each.
+    P(V(lambda_1) (x) ... (x) V(lambda_k)), one factor (rs, p) each.
     The square of X spans the Cartan component V(2 lambda_1) (x) ... of
     Sym^2 V, so with N = prod dim V(lambda_i) this is
-    C(N + 1, 2) - prod dim V(2 lambda_i) (Lichtenstein, Proc. AMS 84, 1982)."""
-    n = prod(weyl_dimension(rs, coeffs) for rs, coeffs in factors)
-    doubled = prod(weyl_dimension(rs, [2 * c for c in coeffs]) for rs, coeffs in factors)
+    C(N + 1, 2) - prod dim V(2 lambda_i) (Lichtenstein, Proc. AMS 84, 1982).
+    The pairing vector of 2 lambda is <2 lambda + rho, alpha^vee> = 2p - h."""
+    n = prod(pairing_dimension(rs, p) for rs, p in paired)
+    doubled = prod(
+        pairing_dimension(rs, [2 * x - h for x, h in zip(p, rs.coroot_heights)]) for rs, p in paired
+    )
     return n * (n + 1) // 2 - doubled
 
 
+def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
+    """Dimension of the irreducible representation with the given highest
+    weight, by `pairing_dimension`."""
+    return pairing_dimension(rs, rho_pairings(rs, coeffs))
+
+
+def _moved_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[int]:
+    """`_moved` of lambda itself."""
+    return _moved(rs, rho_pairings(rs, coeffs))
+
+
+def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
+    """Dimension of the affine cone over the highest weight orbit, by
+    `pairing_cone_dimension`."""
+    return pairing_cone_dimension(rs, rho_pairings(rs, coeffs))
+
+
+def closed_orbit_quadrics(factors: Sequence[Factor]) -> int:
+    """Quadrics through the closed orbit in P(V(lambda_1) (x) ... (x)
+    V(lambda_k)), one factor (rs, lambda) each, by `product_quadrics`."""
+    return product_quadrics([(rs, rho_pairings(rs, coeffs)) for rs, coeffs in factors])
+
+
 def closed_orbit_cone_dimension(factors: Sequence[Factor]) -> int:
-    """Dimension of the affine cone over the closed orbit X in
-    V(lambda_1) (x) ... (x) V(lambda_k): X is the Segre product of the
-    factors' orbits, so 1 + sum (cone_i - 1)."""
-    return 1 + sum(cone_orbit_dimension(rs, coeffs) - 1 for rs, coeffs in factors)
+    """Cone dimension of the closed orbit in V(lambda_1) (x) ... (x)
+    V(lambda_k), one factor (rs, lambda) each, by `segre_cone_dimension`."""
+    return segre_cone_dimension(cone_orbit_dimension(rs, coeffs) for rs, coeffs in factors)
 
 
 def duality_involution(rs: AbstractRootSystem) -> List[int]:
@@ -318,12 +361,6 @@ def distinct_weight_count(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
     """Number of distinct weights of V(lambda): the Weyl orbit sizes of its
     dominant weights, summed."""
     return sum(_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs))
-
-
-def is_multiplicity_free(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
-    """Every weight has multiplicity one.  Multiplicities are at least one and
-    sum to dim V, so this holds exactly when there are dim V distinct weights."""
-    return distinct_weight_count(rs, coeffs) == weyl_dimension(rs, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 from math import prod
 
@@ -8,10 +9,13 @@ from classify_oracle import accepted_pairs, accepted_simple
 from legquad import cli, legendrian, rootdata
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight
 from legquad.legendrian import kostant_certificate
+from legquad.liealg import diagram_automorphisms
 from legquad.rootdata import (
     build_root_system,
     closed_orbit_quadrics,
+    cone_orbit_dimension,
     simple_types_up_to,
+    type_key,
     weyl_dimension,
 )
 from rootdata_oracle import box_weights_under_cap, per_root_moved_roots, per_root_weyl_dimension
@@ -37,8 +41,8 @@ def pair_scan():
 
 
 @pytest.fixture(scope="module")
-def full_simple():
-    return enumerate_simple(8)
+def simple_12():
+    return enumerate_simple(12)
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +91,18 @@ def test_c_type_natural_edges_exhaust(simple_scan):
         assert weyl_dimension(rs, (2,) + (0,) * (m - 1)) > 2 * len(rs.positive_roots) + 2
 
 
+@functools.lru_cache(maxsize=None)
+def _automorphisms(label: str):
+    """The tests' permutation search up to rank 8; above it, where that
+    search has rank! permutations to try, `liealg.diagram_automorphisms`,
+    which matches it at every type up to rank 8 (test_kostant)."""
+    if type_key(label)[1] <= 8:
+        return _diagram_automorphisms(label)
+    return list(diagram_automorphisms(label))
+
+
 def _orbit(label: str, weight):
-    return frozenset(tuple(weight[p[i]] for i in range(len(weight))) for p in _diagram_automorphisms(label))
+    return frozenset(tuple(weight[p[i]] for i in range(len(weight))) for p in _automorphisms(label))
 
 
 def test_canonical_weight_keeps_one_weight_per_automorphism_orbit():
@@ -101,22 +115,55 @@ def test_canonical_weight_keeps_one_weight_per_automorphism_orbit():
             assert len(kept) == 1, (type_label, sorted(orbit))
 
 
-def test_simple_scan_tests_exactly_the_weights_under_the_derived_cap(full_simple):
+def test_simple_scan_tests_exactly_the_weights_under_the_derived_cap(simple_12):
     """With no dimension cap given, the scan tests one weight of every
     automorphism orbit of nonzero dominant weights with dim V <= 2 |Phi+| + 2,
-    and nothing else; the oracle finds them by a box search and the per-root
-    Weyl product.  A1 (3) sits on A1's cap of 4."""
+    and nothing else, for every type up to rank 12; the oracle finds them by a
+    box search and the per-root Weyl product.  Every candidate's dim V, cone
+    dimension and, where filter (v) ran, quadric count, all read off the
+    pairing vector the growth loop carried, match the per-root routes and the
+    functions that start from lambda.  A1 (3) sits on A1's cap of 4."""
     tested = {}
-    for v in full_simple:
+    for v in simple_12:
         tested.setdefault(v.type_label, []).append(v.weight)
-    for label, rank in simple_types_up_to(8):
+        rs = build_root_system(v.type_label[0], int(v.type_label[1:]))
+        assert v.dim_v == per_root_weyl_dimension(rs, v.weight), (v.type_label, v.weight)
+        cone = 1 + len(per_root_moved_roots(rs, v.weight))
+        assert v.dim_cone == cone == cone_orbit_dimension(rs, v.weight), (v.type_label, v.weight)
+        if v.quadric_count is not None:
+            doubled = per_root_weyl_dimension(rs, [2 * c for c in v.weight])
+            assert v.quadric_count == v.dim_v * (v.dim_v + 1) // 2 - doubled
+            assert v.quadric_count == closed_orbit_quadrics([(rs, v.weight)])
+    for label, rank in simple_types_up_to(12):
         rs = build_root_system(label, rank)
         want = {_orbit(rs.type_label, w) for w in box_weights_under_cap(rs, 2 * len(rs.positive_roots) + 2)}
         got = tested.get(rs.type_label, [])
         assert len(got) == len(want) and {_orbit(rs.type_label, w) for w in got} == want, rs.type_label
     assert tested["A1"] == [(1,), (2,), (3,)]
-    assert len(full_simple) == 66
-    assert accepted_simple(full_simple) == EXPECTED_SIMPLE
+    assert len(simple_12) == 94
+    assert sum(1 for v in simple_12 if v.quadric_count is not None) > 5
+    assert enumerate_simple(8) == [v for v in simple_12 if int(v.type_label[1:]) <= 8]
+    assert len(enumerate_simple(8)) == 66
+    assert accepted_simple(simple_12) == EXPECTED_SIMPLE
+
+
+def test_scan_at_rank_16_with_no_dimension_cap():
+    """122 simple verdicts with the five of rank 8 accepted, and 92 products
+    with 31 accepted: sl2 (x) so_m for m = 3, 5..33 and 6, 8..32, and the
+    triple."""
+    simple = enumerate_simple(16)
+    assert len(simple) == 122
+    assert accepted_simple(simple) == EXPECTED_SIMPLE
+    products = enumerate_semisimple_pairs(16)
+    assert len(products) == 92
+    expected = {("A1", "A1"): ((1,), (2,)), ("A1", "A3"): ((1,), (0, 1, 0))}
+    for rank in range(2, 17):
+        expected[("A1", f"B{rank}")] = ((1,), (1,) + (0,) * (rank - 1))
+    for rank in range(4, 17):
+        expected[("A1", f"D{rank}")] = ((1,), (1,) + (0,) * (rank - 1))
+    expected[("A1",) * 3] = ((1,),) * 3
+    accepted = {v.factors: v.weights for v in products if v.status == "accepted"}
+    assert len(accepted) == 31 and accepted == expected
 
 
 # one factor of the brute force: (type, weight), cone, dim V and |Phi+|

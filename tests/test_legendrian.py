@@ -179,6 +179,29 @@ def test_tangent_check_fails_under_e7_form_with_one_pair_flipped(entries, flippe
         assert not tangent_point_check(wrong, pt)
 
 
+@pytest.mark.parametrize("flipped", [0, 13, 27])
+def test_tangent_check_fails_under_a_fractional_form_with_one_pair_flipped(entries, flipped):
+    """Scaling coordinate i of e7's chart by s_i and the pairing of x_i with
+    x_(55-i) by 1 / (s_i s_(55-i)) keeps every tangent space isotropic.  With
+    s_i of several denominators the form's rows have different denominators
+    and the tangent vectors are not integral; the scaled chart still passes
+    at two points, and fails at both once one pair changes sign."""
+    pres = entries["e7"].presentation
+    nvars, nparams = pres.nvars, pres.param_count()
+    scales = [Fraction(i % 5 + 1, i % 7 + 2) for i in range(nvars)]
+    par = [comp.scale(s) for comp, s in zip(pres.parametrization, scales)]
+    pairs = [(i, nvars - 1 - i, 1 / (scales[i] * scales[nvars - 1 - i])) for i in range(nvars // 2)]
+    scaled = VarietyPresentation("e7-scaled", pairing_form(nvars, pairs), [], parametrization=par)
+    assert len({x.denominator for row in scaled.form.rows for x in row.values()}) > 2
+    a, b, s = pairs[flipped]
+    pairs[flipped] = (a, b, -s)
+    wrong = VarietyPresentation("e7-scaled-flipped", pairing_form(nvars, pairs), [], parametrization=par)
+    other = [Fraction(k + 2, 3) if k % 2 else -k - 1 for k in range(nparams)]
+    for pt in ([1] * nparams, other):
+        assert tangent_point_check(scaled, pt)
+        assert not tangent_point_check(wrong, pt)
+
+
 def test_tangent_requires_parametrization(entries):
     with pytest.raises(ValueError):
         tangent_point_check(entries["four-lines"].presentation, [1])

@@ -10,7 +10,6 @@ from legquad.rootdata import (
     closed_orbit_quadrics,
     cone_orbit_dimension,
     distinct_weight_count,
-    is_multiplicity_free,
     is_self_dual,
     weyl_dimension,
 )
@@ -153,9 +152,10 @@ def test_distinct_weight_counts():
 
 
 def test_minuscule_reps_multiplicity_free():
-    assert is_multiplicity_free(build_root_system("D", 6), [0] * 5 + [1])
-    assert is_multiplicity_free(build_root_system("B", 5), [0, 0, 0, 0, 1])
-    assert is_multiplicity_free(build_root_system("E", 7), [0] * 6 + [1])
+    """dim V distinct weights, the scan's multiplicity-free test."""
+    for label, rank, coeffs in (("D", 6, [0] * 5 + [1]), ("B", 5, [0, 0, 0, 0, 1]), ("E", 7, [0] * 6 + [1])):
+        rs = build_root_system(label, rank)
+        assert distinct_weight_count(rs, coeffs) == weyl_dimension(rs, coeffs)
 
 
 def test_angle_audit():

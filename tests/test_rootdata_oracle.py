@@ -14,7 +14,6 @@ from legquad.rootdata import (
     cone_orbit_dimension,
     distinct_weight_count,
     dominant_weights,
-    is_multiplicity_free,
     simple_types_up_to,
     weyl_dimension,
 )
@@ -129,7 +128,7 @@ def test_weights_match_freudenthal(label, rank):
         dim = weyl_dimension(rs, coeffs)
         assert dim == sum(table.values()) == ambient_weyl_dimension(rs, coeffs)
         assert distinct_weight_count(rs, coeffs) == len(table)
-        assert is_multiplicity_free(rs, coeffs) == all(m == 1 for m in table.values())
+        assert (distinct_weight_count(rs, coeffs) == dim) == all(m == 1 for m in table.values())
         assert sorted(dominant_weights(rs, coeffs)) == sorted(box_dominant_weights(rs, coeffs))
 
 
