@@ -9,7 +9,7 @@ Modules:
   liealg      quadric Lie algebras, roots, Dynkin identification
   rootdata    integer root data, Weyl dimension, weights of V(lambda)
   classify    the classification scan
-  catalog     example varieties, generated and transcribed
+  catalog     example varieties, all generated
   cli         the command-line interface
 """
 

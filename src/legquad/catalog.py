@@ -9,14 +9,14 @@ is X_f of y0 q for a split quadric q.  All are built by `x_f` and listed
 by torus weight.  The sum-of-squares model of the line times a quadric has
 no rational point, so it is no X_f; it is written out under the standard
 form.  The rest is generated from closed formulas, the plane-cubic charts
-and the complex complete intersection, apart from the five listed
-equations of one plane-cubic chart.  Generated equations are parsed text,
-and the implicit equations of a chart are one sparse kernel per image
-degree of integer monomial products.
+and the complex complete intersection; no entry carries transcribed data.
+Generated equations are parsed text, and the implicit equations of a chart
+are one sparse kernel per image degree of integer monomial products.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,18 +26,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .legendrian import VarietyPresentation
+from .liealg import degree_part
 from .poly import MonomialCodec, Polynomial, parse_poly
 from .symplectic import pairing_form, standard_form
-
-
-class DataIntegrityError(RuntimeError):
-    """A listed equation does not vanish on its chart."""
 
 
 @dataclass
 class CatalogEntry:
     presentation: VarietyPresentation
-    source: str                      # "generated" | "transcribed"
     base_point: Optional[List[Fraction]]
     provenance_note: str
 
@@ -64,7 +60,7 @@ def segre_line_quadric(n: int) -> CatalogEntry:
     texts.append("".join(f" - 1/2*x{k}^2" for k in range(n)))
     texts.append(" + ".join(f"x{k}*x{n + k}" for k in range(n)))
     pres = VarietyPresentation(f"segre-{n}", standard_form(n), [parse_poly(t, nv) for t in texts])
-    return CatalogEntry(pres, "generated", None, (
+    return CatalogEntry(pres, None, (
         "line times the sum-of-squares quadric; the quadric has no "
         "rational points, so no base point is available over Q."))
 
@@ -134,7 +130,7 @@ def _cubic_norm_entry(name: str, variety: str, m: int, cubic: str) -> CatalogEnt
     form = pairing_form(nv, [(i, nv - 1 - i, 1) for i in range(nv // 2)])
     par = [chart[c] for c in coords]
     return CatalogEntry(
-        VarietyPresentation(name, form, gens, parametrization=par), "generated", _chart_point(par),
+        VarietyPresentation(name, form, gens, parametrization=par), _chart_point(par),
         f"{variety} as the {_chart_note(f)}, in the coordinates 1, y by torus "
         f"weight, -df mirrored, f, so that x<i> pairs with x<{nv - 1}-i>",
     )
@@ -163,17 +159,27 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
         y -> (1 : y : (k-2) f(y) : -df(y))
 
     with the standard form on 2n coordinates.  Pass implicit_degree to also
-    attach all forms of degree <= implicit_degree vanishing on the image
-    (exact linear algebra); by default the entry is parametrization-only.
+    attach generators of the ideal of the image up to that degree (exact
+    linear algebra); by default the entry is parametrization-only.  Degrees
+    1 and 2 keep every form of `_implicit_forms`, so the quadrics span I_2.
+    Above that a form is kept only outside the span of the multiples of the
+    generators kept below its degree: `liealg.degree_part` spans those
+    multiples and then the forms, in order, and `Echelon.stored_inputs`
+    names the forms that enlarged it.
     """
     par = _chart(f)
-    n = f.nvars + 1
+    nv = 2 * (f.nvars + 1)
     gens: List[Polynomial] = []
-    if implicit_degree is not None:
-        for d in range(1, implicit_degree + 1):
-            gens.extend(_implicit_forms(par, 2 * n, d))
-    pres = VarietyPresentation(_xf_name(f), standard_form(n), gens, parametrization=par)
-    return CatalogEntry(pres, "generated", _chart_point(par), _chart_note(f))
+    for d in range(1, (implicit_degree or 0) + 1):
+        forms = _implicit_forms(par, nv, d)
+        if d > 2 and forms:
+            # a generator of degree e gives one multiple per monomial of degree d - e
+            lower = sum(math.comb(nv + d - e - 1, d - e) for e in map(Polynomial.degree, gens))
+            span, _ = degree_part(gens + forms, d, MonomialCodec(nv, d), track=True)
+            forms = [forms[i - lower] for i in span.stored_inputs if i >= lower]
+        gens.extend(forms)
+    pres = VarietyPresentation(_xf_name(f), standard_form(nv // 2), gens, parametrization=par)
+    return CatalogEntry(pres, _chart_point(par), _chart_note(f))
 
 
 def _chart(f: Polynomial) -> List[Polynomial]:
@@ -281,44 +287,19 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     return [Polynomial(nv, {ambient.unpack(-c): x for c, x in forms[col].items()}) for col in sorted(forms)]
 
 
-# The five implicit equations attached to the plane-cubic chart built from
-# y1 y2 (y1 + y2): three quadrics and two cubics.
-_XF3_EQUATIONS = [
-    "x0*x5 + x1^2 + 2*x1*x2",
-    "x0*x4 + 2*x1*x2 + x2^2",
-    "3*x0*x3 + x1*x4 + x2*x5",
-    "x1*x4^2 - 2*x1*x4*x5 + 9*x2^2*x3 - 5*x2*x4*x5 + 4*x2*x5^2",
-    "x1*x3*x4 - 2*x1*x3*x5 + 2*x2*x3*x4 - x2*x3*x5 - x4^2*x5 + x4*x5^2",
-]
-
-
 def x_f_cubic_fixture(which: int) -> CatalogEntry:
-    """The three plane-cubic charts: y1^3, y1^2 y2 and y1 y2 (y1 + y2).
-
-    The first is degenerate (a hyperplane section), the second is a
-    line-times-line surface, the third carries the five listed equations.
-    """
-    charts = {1: "y0^3", 2: "y0^2*y1"}
-    if which in charts:
-        entry = x_f(parse_poly(charts[which], 2), implicit_degree=2)
-        entry.presentation.name = f"xf-cubic-{which}"
-        return entry
-    if which != 3:
+    """The three plane-cubic charts, `x_f` of y0^3, y0^2 y1 and
+    y0 y1 (y0 + y1) in two variables: a degenerate chart (a hyperplane
+    section) and a line-times-line surface, both cut out by forms of degree
+    at most 2, and a chart whose ideal needs two cubics beside its three
+    quadrics."""
+    charts = {1: ("y0^3", 2), 2: ("y0^2*y1", 2), 3: ("y0*y1*(y0+y1)", 3)}
+    if which not in charts:
         raise ValueError("which must be 1, 2 or 3")
-    entry = x_f(parse_poly("y0*y1*(y0+y1)", 2))
-    gens = [parse_poly(t, 6) for t in _XF3_EQUATIONS]
-    for g in gens:
-        if not g.substitute(entry.presentation.parametrization).is_zero():
-            raise DataIntegrityError("listed cubic-chart equation fails on the chart")
-    return CatalogEntry(
-        VarietyPresentation(
-            "xf-cubic-3", entry.presentation.form, gens,
-            parametrization=entry.presentation.parametrization,
-        ),
-        "transcribed", entry.base_point,
-        "the five listed equations of the chart of y1 y2 (y1 + y2), "
-        "verified to vanish along the parametrization",
-    )
+    text, degree = charts[which]
+    entry = x_f(parse_poly(text, 2), implicit_degree=degree)
+    entry.presentation.name = f"xf-cubic-{which}"
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +321,7 @@ def complete_intersection_complex() -> CatalogEntry:
     ]
     pres = VarietyPresentation("complete-intersection", standard_form(3), gens)
     return CatalogEntry(
-        pres, "generated", [Fraction(1)] * 6,
+        pres, [Fraction(1)] * 6,
         "u_k = x_k, v_k = x_{3+k}; singular exactly along six lines "
         "(pairs of opposite coordinate planes), smooth elsewhere.",
     )
@@ -351,7 +332,7 @@ def four_lines() -> CatalogEntry:
     gens = [parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)]
     pres = VarietyPresentation("four-lines", standard_form(2), gens)
     return CatalogEntry(
-        pres, "generated", [Fraction(1), Fraction(1), Fraction(0), Fraction(0)],
+        pres, [Fraction(1), Fraction(1), Fraction(0), Fraction(0)],
         "two monomial quadrics cutting four lines; reducible but legendrian.",
     )
 
@@ -361,7 +342,7 @@ def linear_lagrangian() -> CatalogEntry:
     gens = [parse_poly("x2", 4), parse_poly("x3", 4)]
     pres = VarietyPresentation("linear-lagrangian", standard_form(2), gens)
     return CatalogEntry(
-        pres, "generated", [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
+        pres, [Fraction(1), Fraction(0), Fraction(0), Fraction(0)],
         "a linear subvariety; legendrian exactly because its span is "
         "isotropic of half dimension.",
     )

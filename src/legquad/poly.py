@@ -293,20 +293,6 @@ class Polynomial:
             total += value
         return total
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose: replace x_i by images[i] (all over a common ring)."""
-        if len(images) != self.nvars:
-            raise ValueError("one image polynomial per variable is required")
-        target_nvars = images[0].nvars
-        result = Polynomial.zero(target_nvars)
-        for m, c in self.terms.items():
-            term = Polynomial.constant(target_nvars, c)
-            for img, e in zip(images, m):
-                for _ in range(e):
-                    term = term * img
-            result = result + term
-        return result
-
     # ----- text form -------------------------------------------------------
 
     def __repr__(self) -> str:

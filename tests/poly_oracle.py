@@ -1,13 +1,13 @@
 """Test oracle for legquad.poly: the Euler identity sum x_i dp/dx_i =
 deg(p) p, on `Polynomial` arithmetic alone, and the polynomial helpers only
 the tests and the other oracles call: coefficients, monic scaling, the
-gradient and the monomials of one degree."""
+gradient, the monomials of one degree and substitution."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import List
+from typing import List, Sequence
 
 from legquad.poly import Exponent, Polynomial, grevlex_key
 
@@ -47,3 +47,18 @@ def euler_weighted_sum(p: Polynomial) -> Polynomial:
     for i in range(p.nvars):
         total = total + Polynomial.variable(p.nvars, i) * p.partial_derivative(i)
     return total
+
+
+def substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
+    """Compose: replace x_i by images[i] (all over a common ring)."""
+    if len(images) != p.nvars:
+        raise ValueError("one image polynomial per variable is required")
+    target_nvars = images[0].nvars
+    result = Polynomial.zero(target_nvars)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(target_nvars, c)
+        for img, e in zip(images, m):
+            for _ in range(e):
+                term = term * img
+        result = result + term
+    return result

@@ -8,12 +8,12 @@ import pytest
 import catalog_oracle
 from legquad import catalog
 from legquad.groebner import IdealPresentation, buchberger
-from legquad.legendrian import tangent_point_check
+from legquad.legendrian import legendrian_verdict, tangent_point_check
 from legquad.liealg import degree_part
 from legquad.poly import MonomialCodec, Polynomial, parse_poly
 from legquad.symplectic import pairing_form, standard_form
 from liealg_oracle import quadratic_part
-from poly_oracle import monomials_of_degree
+from poly_oracle import monomials_of_degree, substitute
 
 EXPECTED_QUADRIC_COUNTS = {
     "twisted-cubic": 3,
@@ -59,10 +59,8 @@ def test_entry_names_are_their_keys(entries):
 
 def test_twisted_cubic_entry(entries):
     """X_f of y0^3: the chart y -> (1, y, -3 y^2, y^3), under the form that
-    pairs x0 with x3 and x1 with x2, generated with no transcribed data."""
-    entry = entries["twisted-cubic"]
-    pres = entry.presentation
-    assert entry.source == "generated"
+    pairs x0 with x3 and x1 with x2."""
+    pres = entries["twisted-cubic"].presentation
     assert pres.form.matrix == pairing_form(4, [(0, 3, 1), (1, 2, 1)]).matrix
     # the chart point at y = 2 lies on all three quadrics
     pt = [c.evaluate([2]) for c in pres.parametrization]
@@ -125,7 +123,7 @@ def test_cubic_norm_entries_are_their_charts(entries):
             assert par[j] == Polynomial.variable(params, i), name
             assert par[nv - 1 - j] == -f.partial_derivative(i), name
         for g in pres.generators:
-            assert g.homogeneous_degree() == 2 and g.substitute(par).is_zero(), name
+            assert g.homogeneous_degree() == 2 and substitute(g, par).is_zero(), name
         assert entry.base_point == [comp.evaluate([1] * params) for comp in par], name
 
 
@@ -181,12 +179,12 @@ def test_xf_cubic_fixtures(entries):
     surf = entries["xf-cubic-2"].presentation
     assert len(surf.generators) == 6
     assert all(g.homogeneous_degree() == 2 for g in surf.generators)
-    # the listed equations of the third chart: three quadrics, two cubics
+    # the third chart at implicit degree 3: three quadrics, two cubics
     listed = entries["xf-cubic-3"].presentation
     degrees = sorted(g.homogeneous_degree() for g in listed.generators)
     assert degrees == [2, 2, 2, 3, 3]
     for g in listed.generators:
-        assert g.substitute(listed.parametrization).is_zero()
+        assert substitute(g, listed.parametrization).is_zero()
 
 
 def test_xf_small_chart_is_twisted_cubic():
@@ -194,9 +192,38 @@ def test_xf_small_chart_is_twisted_cubic():
     pres = entry.presentation
     assert pres.nvars == 4
     assert len(pres.generators) == 3
-    from legquad.legendrian import legendrian_verdict
-
     assert legendrian_verdict(pres).verdict == "legendrian"
+
+
+# chart polynomial, chart variables -> how many generators `x_f` lists at
+# implicit degree 4 in each degree 1..4: every linear form and quadric on
+# the chart, and above degree 2 only the forms outside the span of the
+# multiples of those kept below
+XF_CENSUS = {
+    ("y0*y1*(y0+y1)", 2): [0, 3, 2, 0],
+    ("y0*y1*y2", 3): [0, 9, 0, 0],
+    ("y0^3+y1^3+y2^3", 3): [0, 4, 0, 4],
+    ("y0^3+y1^3", 2): [0, 3, 2, 0],
+    ("y0^3", 2): [1, 9, 0, 0],
+}
+
+
+def test_xf_lists_only_new_generators_above_degree_2():
+    """The census of `XF_CENSUS`, with no generator lost: at each degree d
+    the generators span I_d, the `_implicit_forms` of degree d.  With the
+    multiples of the quadrics gone, the homogeneous charts y0^2 y1 and
+    y0 y1 y2 keep their Kostant certificate at implicit degrees 3 and 4."""
+    for (text, nvars), census in XF_CENSUS.items():
+        pres = catalog.x_f(parse_poly(text, nvars), implicit_degree=4).presentation
+        degrees = [g.homogeneous_degree() for g in pres.generators]
+        assert [degrees.count(d) for d in range(1, 5)] == census, text
+        for d in range(1, 5):
+            full = catalog._implicit_forms(pres.parametrization, pres.nvars, d)
+            assert degree_part(pres.generators, d, MonomialCodec(pres.nvars, d))[0].rank == len(full), (text, d)
+    for text, nvars in (("y0^2*y1", 2), ("y0*y1*y2", 3)):
+        for degree in (3, 4):
+            verdict = legendrian_verdict(catalog.x_f(parse_poly(text, nvars), implicit_degree=degree).presentation)
+            assert (verdict.verdict, verdict.certificate) == ("legendrian", "kostant"), (text, degree)
 
 
 def test_xf_keeps_the_chart_order_and_names_chart_variables_y():
@@ -282,7 +309,8 @@ def _pinned_constructions():
 
 # sha256 of each construction's dump, name, generator terms in insertion
 # order, form and dual matrices, base point, parametrization terms, note,
-# source, and None where entries once carried a data file checksum
+# and the constants "generated" and None where entries once carried a
+# source and a data file checksum
 _PINS = {
     'twisted-cubic': 'b0dcb458ce76d1dde3157348417c61099ba8c1621549aa7b874324ca1a4c0334',
     'segre-3': 'c2c13fff09bcd008b6baede627c45fe45e85622016c5b99ee7e4388ea3d73803',
@@ -297,7 +325,7 @@ _PINS = {
     'e7': 'a0d1c22b05f22408961a72738a35d424588ef6dc9b815d261277c804ef979ba7',
     'xf-cubic-1': '8dfe56ddcb462a693c22644b55c6f220131913e142992842641477555e10b33d',
     'xf-cubic-2': '15f021d5c986ed36801814d04e58a642931e99f5edf176684320ec023e61b36f',
-    'xf-cubic-3': '6dc22bdb8e2301e87a44fee8dd217a8bec1cacb5970ef7cce0d333eb7bc5727b',
+    'xf-cubic-3': '415fe0f6532f96ebf675fcabf2495f25e68c94957abf4b1cc4fd5c89171b5196',
     'complete-intersection': 'bd08b9f71c36776f778674ea1fcd27b180688869ae12f3bd10b2550f289c3190',
     'four-lines': 'aacc3ccc66784dc991bbc5fe270c471a571de5890bbe81a86241be6f06302cd2',
     'linear-lagrangian': 'b6cf457f503897b1c83b60541e3062469503eb1c7acc758c2f7df89f9a353f3a',
@@ -332,7 +360,7 @@ _PINS = {
     'segre_line_quadric(17, split=False)': '844e0f0820d8c1e38c781a37207a21e24521f28368b70b613b9a3bb148b149d6',
     'segre_line_quadric(17, split=True)': '990b7401b55b801c5433f1b3fce24110543b6efe1e41c1a57c279ae878853535',
     'x_f(y0^3, 2)': '256c8d25d5e54028188f30403ebac6a51dbc94260a45fb7bec2e2d23afa0233a',
-    'x_f(y0^2*y1 + y1^3, 3)': 'ced1ffdb631d42a4d71ccaf21faacc307f829c0a4967f80cd88a0107ea7b8164',
+    'x_f(y0^2*y1 + y1^3, 3)': '92b82897c29c597be5f87f7277a24cf52b4de6a0f55ce5c6ff1c46efb6668388',
 }
 
 
@@ -343,5 +371,5 @@ def test_construction_is_pinned(label):
     terms = lambda polys: None if polys is None else [(p.nvars, list(p.terms.items())) for p in polys]
     fields = [catalog.dump_entry(entry), entry.name, terms(pres.generators), pres.form.matrix,
               pres.form.dual_matrix, entry.base_point, terms(pres.parametrization),
-              entry.provenance_note, entry.source, None]
+              entry.provenance_note, "generated", None]
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == _PINS[label]

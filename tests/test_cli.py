@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import legquad
 import transcription_oracle
 from legquad import catalog
+from legquad.poly import parse_poly
 from legquad.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_NEGATIVE,
@@ -295,6 +296,16 @@ def test_xf_subcommand(capsys):
     assert len(payload["result"]["generators"]) == 3
     # the chart polynomial keeps its own variable names, apart from the x's
     assert payload["inputs"]["poly"] == "y0^3" and payload["result"]["name"] == "xf-y0^3"
+
+
+def test_xf_lists_no_multiples_of_its_quadrics(capsys):
+    """The chart of y0 y1 y2 is cut out by its nine quadrics, so at implicit
+    degree 4 `xf` lists those and no form of degree 3 or 4."""
+    code, out, _ = run(capsys, "--json", "xf", "y0*y1*y2", "--implicit-degree", "4")
+    assert code == EXIT_OK
+    generators = [parse_poly(g, 8) for g in json.loads(out)["result"]["generators"]]
+    assert len(generators) == 9
+    assert all(g.homogeneous_degree() == 2 for g in generators)
 
 
 def test_usage_errors(capsys, tmp_path):

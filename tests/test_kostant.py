@@ -36,6 +36,7 @@ from legquad.liealg import (
 from legquad.poly import Polynomial
 from legquad.rootdata import _cartan_matrix, simple_types_up_to
 from legquad.symplectic import SymplecticForm
+from poly_oracle import substitute
 from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
 
 # (type, highest weight) of each certified entry, and its cone dimension
@@ -102,7 +103,7 @@ def _sheared(pres: VarietyPresentation, a: int, b: int) -> VarietyPresentation:
     for row in matrix:
         row[b] -= row[a]
     matrix[b] = [x - y for x, y in zip(matrix[b], matrix[a])]
-    gens = [g.substitute(images) for g in pres.generators]
+    gens = [substitute(g, images) for g in pres.generators]
     return VarietyPresentation(f"{pres.name}-sheared", SymplecticForm(matrix), gens)
 
 

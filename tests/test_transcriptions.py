@@ -11,10 +11,12 @@ import pytest
 import legquad
 import transcription_oracle
 from legquad import catalog
+from legquad.groebner import IdealPresentation, buchberger
 from legquad.legendrian import legendrian_verdict
 from legquad.liealg import degree_part
 from legquad.poly import MonomialCodec, parse_poly
 from legquad.symplectic import standard_form
+from poly_oracle import substitute
 from symplectic_oracle import dual_form
 
 
@@ -89,6 +91,21 @@ def test_hand_written_split_model_certifies_like_line_times_quadric():
         assert chart.certificate == listed.certificate == "kostant", m
         assert listed.kostant == chart.kostant, m
         assert len(recorded.generators) == len(built.generators) == m * (m - 1) // 2 + 3, m
+
+
+def test_listed_xf_cubic_3_equations_cut_out_the_generated_chart():
+    """The five listed equations of the chart of y0 y1 (y0 + y1) vanish
+    along the chart, and they generate the ideal of the xf-cubic-3 entry
+    that `x_f` builds: the two reduced grevlex bases agree."""
+    listed = transcription_oracle.xf_cubic_3().presentation
+    assert len(listed.generators) == len(transcription_oracle.XF3_EQUATIONS) == 5
+    for g in listed.generators:
+        assert substitute(g, listed.parametrization).is_zero(), g
+    built = catalog.get_entry("xf-cubic-3").presentation
+    assert built.parametrization == listed.parametrization
+    assert built.form.matrix == listed.form.matrix
+    bases = [list(buchberger(IdealPresentation(p.generators, p.nvars))) for p in (listed, built)]
+    assert bases[0] == bases[1]
 
 
 def test_the_package_ships_no_data_files():

@@ -10,7 +10,9 @@ source table, and the line times the hyperbolic quadric written out as 2x2
 minors and three quadric-form generators.  They are the same varieties
 in other coordinates, so the tests whose pinned bases, pair budgets,
 bracket tables and torus vectors were recorded in these coordinates read
-their input here.
+their input here.  Beside them sit the five equations once listed for the
+plane-cubic chart xf-cubic-3, in the chart's own coordinates: the catalog
+now builds that entry with `x_f`, and the listed equations check it.
 
 Each data file is sha256-pinned.  `grl36` derives its form by restricting the
 wedge pairing of Gr(3,6) along the substitution, and `substituted_gr36`
@@ -27,10 +29,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+from legquad import catalog
 from legquad.catalog import CatalogEntry
 from legquad.legendrian import VarietyPresentation
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import SymplecticForm, pairing_form, standard_form
+from poly_oracle import substitute
 
 DATA = Path(__file__).parent / "data"
 PINS = {
@@ -94,7 +98,7 @@ def gr36() -> CatalogEntry:
     assert len(polys) == 35
     form = pairing_form(20, [(i, 10 + i, s) for i, s in enumerate(signs)])
     return CatalogEntry(
-        VarietyPresentation("gr36", form, polys), "transcribed", _unit_point(20),
+        VarietyPresentation("gr36", form, polys), _unit_point(20),
         "Pluecker quadrics in the verbatim coordinate names of the data "
         "file; the base point is the x123 unit vector.",
     )
@@ -111,7 +115,7 @@ def substituted_gr36() -> Tuple[List[Polynomial], SymplecticForm]:
     form = pairing_form(14, [
         (image[i][1], image[10 + i][1], s * image[i][0] * image[10 + i][0]) for i, s in enumerate(signs)
     ])
-    return [p.substitute(forms) for p in polys], form
+    return [substitute(p, forms) for p in polys], form
 
 
 def grl36() -> CatalogEntry:
@@ -119,7 +123,7 @@ def grl36() -> CatalogEntry:
     polys = [parse_poly(l.strip(), 14) for l in read("grl36.txt") if l.strip() and not l.startswith("#")]
     assert len(polys) == 21
     return CatalogEntry(
-        VarietyPresentation("grl36", substituted_gr36()[1], polys), "transcribed", _unit_point(14),
+        VarietyPresentation("grl36", substituted_gr36()[1], polys), _unit_point(14),
         "reduction of the Gr(3,6) quadrics along six linear relations; "
         "the base point is the y0 unit vector.",
     )
@@ -141,7 +145,7 @@ def twisted_cubic() -> CatalogEntry:
     pres = VarietyPresentation("twisted-cubic", SymplecticForm(CUBIC_FORM, dual_matrix=CUBIC_DUAL),
                                gens, parametrization=par)
     return CatalogEntry(
-        pres, "generated", _unit_point(4),
+        pres, _unit_point(4),
         "Veronese curve of degree 3; the nonstandard form matrix is the one "
         "making all tangent spaces isotropic, unique up to scale.",
     )
@@ -152,7 +156,7 @@ def e7() -> CatalogEntry:
     polys = [parse_poly(l.strip(), 56) for l in read("e7.txt") if l.strip() and not l.startswith("#")]
     assert len(polys) == 133
     return CatalogEntry(
-        VarietyPresentation("e7", standard_form(28), polys), "transcribed", _unit_point(56),
+        VarietyPresentation("e7", standard_form(28), polys), _unit_point(56),
         "x<i> pairs with x<28+i> under the standard block form, an "
         "assumption read off the equation shapes and validated by bracket "
         "closure of the quadric span.",
@@ -170,8 +174,27 @@ def segre_split(n: int) -> CatalogEntry:
     texts.append(" + ".join(f"x{k}*x{nv - 1 - k}" for k in range(n)))
     form = pairing_form(nv, [(k, nv - 1 - k, 1) for k in range(n)])
     return CatalogEntry(
-        VarietyPresentation(f"segre-split-{n}", form, [parse_poly(t, nv) for t in texts]), "generated",
-        _unit_point(nv),
+        VarietyPresentation(f"segre-split-{n}", form, [parse_poly(t, nv) for t in texts]), _unit_point(nv),
         "line times the hyperbolic quadric; projectively equivalent to the "
         "sum-of-squares model but rationally split, with base point e0.",
     )
+
+
+# The five implicit equations listed for the plane-cubic chart built from
+# y0 y1 (y0 + y1): three quadrics and two cubics.
+XF3_EQUATIONS = [
+    "x0*x5 + x1^2 + 2*x1*x2",
+    "x0*x4 + 2*x1*x2 + x2^2",
+    "3*x0*x3 + x1*x4 + x2*x5",
+    "x1*x4^2 - 2*x1*x4*x5 + 9*x2^2*x3 - 5*x2*x4*x5 + 4*x2*x5^2",
+    "x1*x3*x4 - 2*x1*x3*x5 + 2*x2*x3*x4 - x2*x3*x5 - x4^2*x5 + x4*x5^2",
+]
+
+
+def xf_cubic_3() -> CatalogEntry:
+    """The chart of y0 y1 (y0 + y1) cut out by its five listed equations,
+    with the chart, form and base point of `x_f`."""
+    chart = catalog.x_f(parse_poly("y0*y1*(y0+y1)", 2))
+    pres = VarietyPresentation("xf-cubic-3", chart.presentation.form, [parse_poly(t, 6) for t in XF3_EQUATIONS],
+                               parametrization=chart.presentation.parametrization)
+    return CatalogEntry(pres, chart.base_point, "the five listed equations of the chart of y0 y1 (y0 + y1)")
