@@ -5,7 +5,7 @@ Modules:
   linalg      exact linear algebra on one sparse elimination kernel
   symplectic  forms and the Poisson bracket
   groebner    degree-by-degree Groebner bases and normal forms on the kernel, dimension
-  legendrian  the verdict engine
+  legendrian  the verdict engine and the isotropy identity of a parametrization
   liealg      quadric Lie algebras, roots, Dynkin identification
   rootdata    integer root data, Weyl dimension, weights of V(lambda)
   classify    the classification scan
@@ -27,8 +27,7 @@ from .legendrian import (
     VarietyPresentation,
     LegendrianVerdict,
     legendrian_verdict,
-    tangent_point_check,
-    rational_curve_check,
+    isotropy_identity,
     degeneracy_check,
 )
 from .liealg import (

@@ -51,6 +51,7 @@ and no filter recomputes p or the cone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -260,6 +261,9 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: Optional[int] = None) -> 
     canonical on its own.
     """
     verdicts: List[PairVerdict] = []
+    # a factor recurs in many products: decide each once, in this call only
+    self_dual = functools.cache(lambda f: is_self_dual(f.rs, f.weight))
+    multiplicity_free = functools.cache(lambda f: distinct_weight_count(f.rs, f.weight) == f.dim)
     for product in _products(max_rank, max_dim):
         dim_v = prod(f.dim for f in product)
         if max_dim is not None and dim_v > max_dim:
@@ -272,10 +276,10 @@ def enumerate_semisimple_pairs(max_rank: int, max_dim: Optional[int] = None) -> 
         verdicts.append(verdict)
         if dim_v != 2 * cone:
             verdict.reason = f"dimension {dim_v} differs from twice the product cone dimension {cone}"
-        elif not all(is_self_dual(f.rs, f.weight) for f in product):
+        elif not all(map(self_dual, product)):
             verdict.reason = "a tensor factor is not self-dual"
         # the weights of the product are the tuples of factor weights
-        elif not all(distinct_weight_count(f.rs, f.weight) == f.dim for f in product):
+        elif not all(map(multiplicity_free, product)):
             verdict.reason = "tensor product contains a multiple weight"
         else:
             quadrics = product_quadrics([(f.rs, f.p) for f in product])

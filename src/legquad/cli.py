@@ -20,11 +20,9 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import catalog
@@ -36,10 +34,10 @@ from .groebner import (
     krull_dimension,
     normal_form,
 )
-from .legendrian import VarietyPresentation, legendrian_verdict, rational_curve_check, tangent_point_check
+from .legendrian import VarietyPresentation, isotropy_identity, legendrian_verdict
 from .liealg import NotAdaptedError, NotClosedError, close_and_present, identify_algebra, split_root_data
 from .poly import Polynomial, PolyParseError, field_bits, parse_poly
-from .symplectic import SymplecticForm, poisson_bracket, standard_form
+from .symplectic import SymplecticForm, pairing_form, poisson_bracket, standard_form
 from .classify import enumerate_semisimple_pairs, enumerate_simple
 
 EXIT_OK = 0
@@ -47,8 +45,6 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_UNDECIDED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
-
-DEFAULT_SEED = 20140601
 
 
 class InputError(ValueError):
@@ -164,7 +160,6 @@ def _report(args, inputs: dict, result: dict, status: str, timings: dict) -> Non
         "result": result,
         "timings": {k: round(v, 6) for k, v in timings.items()},
         "status": status,
-        "seed": args.seed,
     }
     if args.json:
         print(json.dumps(payload, indent=2, default=str))
@@ -304,8 +299,13 @@ def _cmd_catalog(args) -> Optional[Answer]:
 
 
 def _cmd_curve(args) -> Answer:
+    """The curve (1 : f1 : f2 : f3) is isotropic for the form pairing
+    (x0, x1) and (x2, x3) exactly when f1' = f2' f3 - f3' f2, the identity
+    that `isotropy_identity` checks on that chart."""
     polys = [parse_poly(text.replace("t", "x0"), 1) for text in (args.f1, args.f2, args.f3)]
-    holds = rational_curve_check(*polys)
+    chart = [Polynomial.constant(1, 1)] + polys
+    form = pairing_form(4, [(0, 1, 1), (2, 3, 1)])
+    holds = isotropy_identity(VarietyPresentation("curve", form, [], parametrization=chart))
     inputs = {"f1": str(polys[0]), "f2": str(polys[1]), "f3": str(polys[2])}
     return inputs, {"equation_holds": holds}, EXIT_OK if holds else EXIT_NEGATIVE
 
@@ -315,12 +315,7 @@ def _cmd_xf(args) -> Answer:
     f = _parse_xf_poly(args.poly)
     entry = catalog.x_f(f, implicit_degree=args.implicit_degree)
     pres = entry.presentation
-    rng = random.Random(args.seed)
-    points = [
-        [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(f.nvars)]
-        for _ in range(5)
-    ]
-    tangent_ok = all(tangent_point_check(pres, pt) for pt in points)
+    tangent_ok = isotropy_identity(pres)
     result = {
         "name": entry.name,
         "ambient_dim": pres.nvars,
@@ -347,7 +342,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
     parser.add_argument("--text", dest="json", action="store_false", help="emit plain text (default)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled points")
     parser.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
                         help="cap on processed S-pairs in basis computations")
     parser.add_argument("--form", default=None,

@@ -27,6 +27,9 @@ ideal (`groebner.initial_ideal`: the F4 steps of a Groebner basis, with no
 interreduction), so an exhausted budget leaves the dimension undecided but
 never hides a failed closure.  Each verdict names the certificate that
 proved its dimension.
+
+A variety given by a parametrization instead has `isotropy_identity`: its
+closure is isotropic exactly when m polynomial pairings vanish.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .liealg import (
     simple_factors,
     split_root_data,
 )
-from .linalg import integral
 from .poly import MonomialCodec, Polynomial
 from .rootdata import (
     build_root_system,
@@ -94,11 +96,6 @@ class VarietyPresentation:
     @property
     def half_dim(self) -> int:
         return self.nvars // 2
-
-    def param_count(self) -> int:
-        if self.parametrization is None:
-            raise ValueError(f"{self.name} has no parametrization")
-        return self.parametrization[0].nvars
 
 
 @dataclass
@@ -309,62 +306,22 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     )
 
 
-def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
-    """Tangent criterion at a parametrized point: omega vanishes on the span
-    of the position vector and all parametrization partials.  The form and
-    each tangent vector are scaled to integers once, which leaves every
-    pairing's sign, so the pairings multiply ints and read only the nonzero
-    entries of the form's rows."""
-    if v.parametrization is None:
+def isotropy_identity(v: VarietyPresentation) -> bool:
+    """Whether the closure of the parametrized variety is isotropic, proved
+    by polynomial identities: omega(phi, d_k phi) is the zero polynomial for
+    every chart parameter k.
+
+    These m pairings are enough.  With g_k = omega(phi, d_k phi),
+    d_l g_k - d_k g_l = 2 omega(d_l phi, d_k phi), so once every g_k
+    vanishes, omega vanishes on the span of phi and its partials, the
+    tangent space of the cone at phi.  J phi is read off the nonzero entries
+    of the form's rows once; no point is sampled."""
+    phi = v.parametrization
+    if phi is None:
         raise ValueError(f"{v.name} has no parametrization")
-    pvals = [Fraction(x) for x in params]
-    position = [comp.evaluate(pvals) for comp in v.parametrization]
-    tangents = [position]
-    for k in range(v.param_count()):
-        tangents.append([comp.partial_derivative(k).evaluate(pvals) for comp in v.parametrization])
-    tangents = [integral(dict(enumerate(u)))[0] for u in tangents]
-    entries, _ = integral({(a, b): x for a, row in enumerate(v.form.rows) for b, x in row.items()})
-    rows: List[List[Tuple[int, int]]] = [[] for _ in v.form.rows]
-    for (a, b), x in entries.items():
-        rows[a].append((b, x))
-    for i, u in enumerate(tangents):
-        ju = [(a, y) for a, row in enumerate(rows) if (y := sum(x * u.get(b, 0) for b, x in row))]
-        for w in tangents[i + 1:]:
-            if sum(w.get(a, 0) * y for a, y in ju):  # omega(w, u), up to a positive scale
-                return False
-    return True
-
-
-def _as_num_den(f) -> Tuple[Polynomial, Polynomial]:
-    if isinstance(f, Polynomial):
-        return f, Polynomial.constant(f.nvars, 1)
-    num, den = f
-    if den.is_zero():
-        raise ValueError("zero denominator")
-    return num, den
-
-
-def rational_curve_check(f1, f2, f3) -> bool:
-    """Whether the planar-curve differential identity holds: the derivative of
-    the first function equals f2' f3 - f3' f2, as exact polynomials.
-
-    Each argument is a univariate Polynomial or a (numerator, denominator)
-    pair of univariate polynomials.
-    """
-    n1, d1 = _as_num_den(f1)
-    n2, d2 = _as_num_den(f2)
-    n3, d3 = _as_num_den(f3)
-    for p in (n1, d1, n2, d2, n3, d3):
-        if p.nvars != 1:
-            raise ValueError("univariate input required")
-
-    def derivative_pair(num: Polynomial, den: Polynomial) -> Tuple[Polynomial, Polynomial]:
-        return (num.partial_derivative(0) * den - num * den.partial_derivative(0), den * den)
-
-    dn1, dd1 = derivative_pair(n1, d1)
-    dn2, dd2 = derivative_pair(n2, d2)
-    dn3, dd3 = derivative_pair(n3, d3)
-    # f1' = f2' f3 - f3' f2, cross-multiplied to clear all denominators.
-    lhs = dn1 * (dd2 * d3 * dd3 * d2)
-    rhs = (dn2 * n3 * dd3 * d2 - dn3 * n2 * dd2 * d3) * dd1
-    return lhs == rhs
+    zero = Polynomial.zero(phi[0].nvars)
+    j_phi = [sum((phi[b].scale(x) for b, x in row.items()), zero) for row in v.form.rows]
+    return all(  # each sum is omega(d_k phi, phi) = -g_k
+        not sum((d * y for comp, y in zip(phi, j_phi) if (d := comp.partial_derivative(k))), zero)
+        for k in range(zero.nvars)
+    )

@@ -279,20 +279,6 @@ class Polynomial:
                     out.pop(dm_t, None)
         return Polynomial(self.nvars, out)
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point; point length must equal nvars."""
-        if len(point) != self.nvars:
-            raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        pt = [x if type(x) is Fraction else Fraction(x) for x in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            value = c
-            for x, e in zip(pt, m):
-                if e:
-                    value *= x ** e
-            total += value
-        return total
-
     # ----- text form -------------------------------------------------------
 
     def __repr__(self) -> str:

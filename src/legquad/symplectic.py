@@ -8,9 +8,9 @@ for the standard block form it is J again.
 
 Forms are data, not globals: several fixtures use non-standard matrices, so
 every operation takes the form explicitly.  A form is stored once, as the
-sparse rows of J and the integer rows of its dual; the tangent check reads
-the first and the bracket the second, and the dense matrices are only
-read back, for JSON and for the tests.
+sparse rows of J and the integer rows of its dual; the isotropy identity of
+a parametrization reads the first and the bracket the second, and the dense
+matrices are only read back, for JSON and for the tests.
 
 `bracket_terms` is the one differential bracket kernel: it works on sparse
 integer gradients (`gradient_terms`) keyed by `poly.MonomialCodec` codes, so

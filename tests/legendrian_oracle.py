@@ -1,6 +1,10 @@
-"""Test oracle for legquad.legendrian: the conormal criterion at one point,
-on point evaluations and the dense elimination of `linalg_oracle`, sharing
-neither the bracket kernel nor the Groebner basis with `legendrian_verdict`.
+"""Test oracles for legquad.legendrian, on point evaluations.
+
+The conormal criterion at one point, on the dense elimination of
+`linalg_oracle`, shares neither the bracket kernel nor the Groebner basis
+with `legendrian_verdict`.  The tangent criterion at one point of a chart
+samples what `isotropy_identity` proves as polynomial identities: it can
+refute a chart, never prove one.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from typing import Sequence
 from legquad.legendrian import VarietyPresentation
 
 from linalg_oracle import mat_vec, row_space_basis, vec_dot
-from poly_oracle import gradient
+from poly_oracle import evaluate, gradient
 
 
 class PointRankError(ValueError):
@@ -32,9 +36,9 @@ def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
     if all(x == 0 for x in pt):
         raise PointNotOnCone("the origin is excluded")
     for g in v.generators:
-        if g.evaluate(pt) != 0:
+        if evaluate(g, pt) != 0:
             raise PointNotOnCone(f"generator {g} does not vanish at the point")
-    grads = [[d.evaluate(pt) for d in gradient(g)] for g in v.generators]
+    grads = [[evaluate(d, pt) for d in gradient(g)] for g in v.generators]
     span = row_space_basis(grads)
     if len(span) != v.half_dim:
         raise PointRankError(
@@ -46,4 +50,21 @@ def conormal_point_check(v: VarietyPresentation, point: Sequence) -> bool:
         for j in range(i + 1, len(span)):
             if vec_dot(span[j], wi) != 0:
                 return False
+    return True
+
+
+def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
+    """Tangent criterion at one parametrized point: omega vanishes on the
+    span of the position vector and all parametrization partials there,
+    evaluated in exact rationals."""
+    if v.parametrization is None:
+        raise ValueError(f"{v.name} has no parametrization")
+    pt = [Fraction(x) for x in params]
+    par = v.parametrization
+    vectors = [[evaluate(c, pt) for c in par]]
+    vectors += [[evaluate(c.partial_derivative(k), pt) for c in par] for k in range(len(pt))]
+    for i, u in enumerate(vectors):
+        ju = [sum(x * u[b] for b, x in row.items()) for row in v.form.rows]  # J u
+        if any(vec_dot(w, ju) for w in vectors[i + 1:]):
+            return False
     return True

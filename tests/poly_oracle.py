@@ -1,7 +1,8 @@
 """Test oracle for legquad.poly: the Euler identity sum x_i dp/dx_i =
 deg(p) p, on `Polynomial` arithmetic alone, and the polynomial helpers only
 the tests and the other oracles call: coefficients, monic scaling, the
-gradient, the monomials of one degree and substitution."""
+gradient, the monomials of one degree, evaluation at a point and
+substitution."""
 
 from __future__ import annotations
 
@@ -46,6 +47,21 @@ def euler_weighted_sum(p: Polynomial) -> Polynomial:
     total = Polynomial.zero(p.nvars)
     for i in range(p.nvars):
         total = total + Polynomial.variable(p.nvars, i) * p.partial_derivative(i)
+    return total
+
+
+def evaluate(p: Polynomial, point: Sequence) -> Fraction:
+    """Exact value at a rational point; point length must equal nvars."""
+    if len(point) != p.nvars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {p.nvars}")
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        value = c
+        for x, e in zip(pt, m):
+            if e:
+                value *= x ** e
+        total += value
     return total
 
 

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from classify_oracle import accepted_pairs, accepted_simple
-from legquad import cli, legendrian, rootdata
+from legquad import classify, cli, legendrian, rootdata
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight
 from legquad.legendrian import kostant_certificate
 from legquad.liealg import diagram_automorphisms
@@ -258,6 +258,24 @@ def test_each_type_is_built_once_per_process(monkeypatch, entries, algebras):
     [[(e7, _)]] = orbits
     # no new build: the certificate's E7 is the one the scan built
     assert len(built) == 31 and e7 is build_root_system("E", 7) and e7 in built
+
+
+def test_product_scan_decides_each_factor_once(monkeypatch):
+    """A factor recurs in many products, but one product scan decides its
+    self-duality and multiplicity-freeness once; a second scan decides them
+    again, so no answer outlives the call."""
+    calls = {"is_self_dual": [], "distinct_weight_count": []}
+    for name, seen in calls.items():
+        def recording(rs, weight, _test=getattr(classify, name), _seen=seen):
+            _seen.append((rs.type_label, tuple(weight)))
+            return _test(rs, weight)
+
+        monkeypatch.setattr(classify, name, recording)
+    first = enumerate_semisimple_pairs(8, 100)
+    assert {name: len(seen) for name, seen in calls.items()} == {"is_self_dual": 18, "distinct_weight_count": 17}
+    assert all(len(set(seen)) == len(seen) for seen in calls.values())
+    assert enumerate_semisimple_pairs(8, 100) == first
+    assert {name: len(seen) for name, seen in calls.items()} == {"is_self_dual": 36, "distinct_weight_count": 34}
 
 
 def test_pair_accepted_family(pair_scan):

@@ -298,6 +298,13 @@ def test_xf_subcommand(capsys):
     assert payload["inputs"]["poly"] == "y0^3" and payload["result"]["name"] == "xf-y0^3"
 
 
+def test_seed_is_no_option(capsys):
+    """`xf` proves its chart by identities and samples no point, so there is
+    no seed to set."""
+    code, out, _ = run(capsys, "--seed", "5", "xf", "y0^3")
+    assert code == EXIT_USAGE and out == ""
+
+
 def test_xf_lists_no_multiples_of_its_quadrics(capsys):
     """The chart of y0 y1 y2 is cut out by its nine quadrics, so at implicit
     degree 4 `xf` lists those and no form of degree 3 or 4."""
@@ -430,7 +437,7 @@ def test_reports_roundtrip_json(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "check", str(path))
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
-    assert {"command", "inputs", "result", "timings", "status", "seed"} <= set(payload)
+    assert {"command", "inputs", "result", "timings", "status"} <= set(payload)
 
 
 @pytest.mark.parametrize("argv, inputs, code", [
@@ -462,7 +469,7 @@ def test_every_json_report_keeps_the_contract(capsys, tmp_path, argv, inputs, co
     got, out, _ = run(capsys, "--json", *argv)
     payload = json.loads(out)
     assert got == code
-    assert list(payload) == ["command", "inputs", "result", "timings", "status", "seed"]
+    assert list(payload) == ["command", "inputs", "result", "timings", "status"]
     assert payload["command"] == next(a for a in argv if not a.startswith("-") and not a.isdigit())
     assert list(payload["inputs"]) == inputs
     assert list(payload["timings"]) == (["simple", "pairs"] if argv[0] == "classify" else ["total"])

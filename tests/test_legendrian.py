@@ -7,14 +7,13 @@ from legquad import catalog
 from legquad.legendrian import (
     VarietyPresentation,
     degeneracy_check,
+    isotropy_identity,
     legendrian_verdict,
-    rational_curve_check,
-    tangent_point_check,
 )
 from legquad.liealg import bracket_closure
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import pairing_form, standard_form
-from legendrian_oracle import PointNotOnCone, PointRankError, conormal_point_check
+from legendrian_oracle import PointNotOnCone, PointRankError, conormal_point_check, tangent_point_check
 
 
 def test_twisted_cubic_verdict(entries):
@@ -149,12 +148,58 @@ def test_tangent_point_checks(entries, recorded_entries):
     assert tangent_point_check(cubic3, [1, 1])
 
 
+# The cubics of the X_f census, up to linear change: in two variables, then
+# the plane cubics; and three charts of other degrees.
+CENSUS_CHARTS = [
+    ("y0^3", 1), ("y0^2*y1", 2), ("y0*y1*(y0+y1)", 2), ("y0^3 + y1^3", 2),
+    ("y0*y1*y2", 3), ("y0*y1*(y0+y1)", 3), ("y2*(y0*y1 - y2^2)", 3), ("y0*(y0*y2 - y1^2)", 3),
+    ("y0^3 - y1^2*y2", 3), ("y0^3 + y0^2*y2 - y1^2*y2", 3), ("y0^3 + y1^3 + y2^3", 3),
+    ("y0^2*y1", 3), ("y0*(y1^2 + y2^2)", 3), ("y0*y1*y2 + y0^3", 3),
+    ("y0^4 + y1^4", 2), ("y0^2*y1^2*y2", 3), ("y0^5", 1),
+]
+
+
+def _two_points(m):
+    return [1] * m, [Fraction(k + 2, 3) if k % 2 else -k - 1 for k in range(m)]
+
+
+def test_isotropy_identity_holds_on_every_chart(entries, recorded_entries):
+    """Every parametrized entry, catalog and transcribed, and the census
+    charts: the identity holds, and the sampled tangent check agrees at two
+    points."""
+    charts = [(f"{origin}:{name}", e.presentation)
+              for origin, table in (("catalog", entries), ("recorded", recorded_entries))
+              for name, e in table.items() if e.presentation.parametrization is not None]
+    charts += [(text, catalog.x_f(parse_poly(text, m)).presentation) for text, m in CENSUS_CHARTS]
+    assert len(charts) > len(CENSUS_CHARTS) + 11
+    for name, pres in charts:
+        assert isotropy_identity(pres), name
+        for pt in _two_points(pres.parametrization[0].nvars):
+            assert tangent_point_check(pres, pt), (name, pt)
+
+
+@pytest.mark.parametrize("negated", [1, 5, 28, 54])
+def test_isotropy_identity_fails_on_e7_with_one_component_negated(entries, negated):
+    pres = entries["e7"].presentation
+    par = list(pres.parametrization)
+    par[negated] = -par[negated]
+    broken = VarietyPresentation("e7-negated", pres.form, [], parametrization=par)
+    assert not isotropy_identity(broken)
+    assert not all(tangent_point_check(broken, pt) for pt in _two_points(27))
+
+
+def test_isotropy_identity_requires_parametrization(entries):
+    with pytest.raises(ValueError):
+        isotropy_identity(entries["four-lines"].presentation)
+
+
 def test_tangent_checks_for_general_charts():
     rng = random.Random(19)
     for nparams in (1, 2, 3):
         for degree in (1, 2, 3, 4):
             f = _random_homog(rng, nparams, degree)
             entry = catalog.x_f(f)
+            assert isotropy_identity(entry.presentation)
             for _ in range(5):
                 pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nparams)]
                 assert tangent_point_check(entry.presentation, pt)
@@ -162,19 +207,20 @@ def test_tangent_checks_for_general_charts():
 
 @pytest.mark.parametrize("flipped", [0, 13, 27])
 def test_tangent_check_fails_under_e7_form_with_one_pair_flipped(entries, flipped):
-    """The tangent check reads every nonzero entry of the form: e7's chart
-    passes under its own pairing of x_i with x_(55-i), rebuilt here, and
-    fails at the same two points once one pair changes sign."""
+    """Both checks read every nonzero entry of the form: e7's chart passes
+    under its own pairing of x_i with x_(55-i), rebuilt here, and fails the
+    identity, and the tangent check at the same two points, once one pair
+    changes sign."""
     pres = entries["e7"].presentation
-    nvars, nparams = pres.nvars, pres.param_count()
+    nvars = pres.nvars
     pairs = [(i, nvars - 1 - i, 1) for i in range(nvars // 2)]
     true_form = pairing_form(nvars, pairs)
     assert true_form == pres.form
     pairs[flipped] = (flipped, nvars - 1 - flipped, -1)
     wrong = VarietyPresentation("e7-flipped", pairing_form(nvars, pairs), pres.generators,
                                 parametrization=pres.parametrization)
-    other = [Fraction(k + 2, 3) if k % 2 else -k - 1 for k in range(nparams)]
-    for pt in ([1] * nparams, other):
+    assert isotropy_identity(pres) and not isotropy_identity(wrong)
+    for pt in _two_points(27):
         assert tangent_point_check(pres, pt)
         assert not tangent_point_check(wrong, pt)
 
@@ -185,9 +231,10 @@ def test_tangent_check_fails_under_a_fractional_form_with_one_pair_flipped(entri
     x_(55-i) by 1 / (s_i s_(55-i)) keeps every tangent space isotropic.  With
     s_i of several denominators the form's rows have different denominators
     and the tangent vectors are not integral; the scaled chart still passes
-    at two points, and fails at both once one pair changes sign."""
+    the identity and the tangent check at two points, and fails them all
+    once one pair changes sign."""
     pres = entries["e7"].presentation
-    nvars, nparams = pres.nvars, pres.param_count()
+    nvars = pres.nvars
     scales = [Fraction(i % 5 + 1, i % 7 + 2) for i in range(nvars)]
     par = [comp.scale(s) for comp, s in zip(pres.parametrization, scales)]
     pairs = [(i, nvars - 1 - i, 1 / (scales[i] * scales[nvars - 1 - i])) for i in range(nvars // 2)]
@@ -196,8 +243,8 @@ def test_tangent_check_fails_under_a_fractional_form_with_one_pair_flipped(entri
     a, b, s = pairs[flipped]
     pairs[flipped] = (a, b, -s)
     wrong = VarietyPresentation("e7-scaled-flipped", pairing_form(nvars, pairs), [], parametrization=par)
-    other = [Fraction(k + 2, 3) if k % 2 else -k - 1 for k in range(nparams)]
-    for pt in ([1] * nparams, other):
+    assert isotropy_identity(scaled) and not isotropy_identity(wrong)
+    for pt in _two_points(27):
         assert tangent_point_check(scaled, pt)
         assert not tangent_point_check(wrong, pt)
 
@@ -207,37 +254,34 @@ def test_tangent_requires_parametrization(entries):
         tangent_point_check(entries["four-lines"].presentation, [1])
 
 
+# The contact form on P^3 that `legquad curve` reads: it pairs x0 with x1 and
+# x2 with x3, so the curve (1 : f1 : f2 : f3) is isotropic exactly when
+# f1' = f2' f3 - f3' f2.
+CURVE_FORM = pairing_form(4, [(0, 1, 1), (2, 3, 1)])
+
+
+def _curve(f1, f2, f3) -> VarietyPresentation:
+    return VarietyPresentation("curve", CURVE_FORM, [], parametrization=[Polynomial.constant(1, 1), f1, f2, f3])
+
+
 def test_rational_curve_examples():
     t = parse_poly("x0", 1)
     zero = Polynomial.zero(1)
-    assert rational_curve_check(zero, zero, zero)
-    assert not rational_curve_check(t, t, t)
+    assert isotropy_identity(_curve(zero, zero, zero))
+    assert not isotropy_identity(_curve(t, t, t))
     for k, l in ((2, 1), (3, 1), (3, 2), (5, 2)):
         f2 = parse_poly(f"x0^{k}", 1)
         f3 = parse_poly(f"x0^{l}", 1)
         f1 = parse_poly(f"{k - l}/{k + l}*x0^{k + l}", 1)
-        assert rational_curve_check(f1, f2, f3)
-        assert not rational_curve_check(f1 + t, f2, f3)
-
-
-def test_rational_curve_with_rational_functions():
-    t = parse_poly("x0", 1)
-    one = Polynomial.constant(1, 1)
-    # f2 = 1/t, f3 = t, ODE forces f1' = f2' f3 - f3' f2 = -2/t
-    # try f1 = t: 1 != -2/t
-    assert not rational_curve_check(t, (one, t), t)
-
-
-CURVE_FORM = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+        assert isotropy_identity(_curve(f1, f2, f3))
+        assert not isotropy_identity(_curve(f1 + t, f2, f3))
 
 
 def test_ode_tangent_consistency():
-    """For curves (1 : f1 : f2 : f3) the differential identity holds exactly
-    when every sampled tangent space is isotropic for the curve form."""
-    from legquad.symplectic import SymplecticForm
-
+    """For curves (1 : f1 : f2 : f3) the identity holds exactly when every
+    sampled tangent space is isotropic for the curve form."""
     rng = random.Random(55)
-    curve_form = SymplecticForm(CURVE_FORM)
+    assert CURVE_FORM.matrix == [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
     for trial in range(25):
         f2 = _random_univariate(rng)
         f3 = _random_univariate(rng)
@@ -246,14 +290,13 @@ def test_ode_tangent_consistency():
         broken = trial % 2 == 1
         if broken:
             f1 = f1 + parse_poly("x0", 1)
-        par = [Polynomial.constant(1, 1), f1, f2, f3]
-        pres = VarietyPresentation("curve", curve_form, [], parametrization=par)
-        ode = rational_curve_check(f1, f2, f3)
+        pres = _curve(f1, f2, f3)
+        identity = isotropy_identity(pres)
         points_ok = all(
             tangent_point_check(pres, [Fraction(v, 2)]) for v in range(-4, 5)
         )
-        assert ode == points_ok
-        assert ode == (not broken)
+        assert identity == points_ok
+        assert identity == (not broken)
 
 
 def test_generator_scaling_never_changes_verdicts(entries):

@@ -12,7 +12,7 @@ from legquad.poly import (
     format_poly,
     parse_poly,
 )
-from poly_oracle import coefficient, euler_weighted_sum
+from poly_oracle import coefficient, euler_weighted_sum, evaluate
 
 
 def test_parse_examples():
@@ -79,11 +79,11 @@ def test_partial_derivative_examples():
 
 
 def test_evaluate_examples():
-    assert parse_poly("x0*x3 - x1*x2", 4).evaluate([1, 1, 1, 1]) == 0
-    assert parse_poly("x2^2 - x1*x3", 4).evaluate([1, 1, 1, 1]) == 0
-    assert parse_poly("x2^2 - x1*x3", 4).evaluate([0, 1, 2, 3]) == 1
+    assert evaluate(parse_poly("x0*x3 - x1*x2", 4), [1, 1, 1, 1]) == 0
+    assert evaluate(parse_poly("x2^2 - x1*x3", 4), [1, 1, 1, 1]) == 0
+    assert evaluate(parse_poly("x2^2 - x1*x3", 4), [0, 1, 2, 3]) == 1
     with pytest.raises(ValueError):
-        parse_poly("x0", 2).evaluate([1])
+        evaluate(parse_poly("x0", 2), [1])
 
 
 def test_euler_identity_examples():
