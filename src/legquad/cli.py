@@ -38,7 +38,7 @@ from .legendrian import VarietyPresentation, isotropy_identity, legendrian_verdi
 from .liealg import NotAdaptedError, NotClosedError, close_and_present, identify_algebra, split_root_data
 from .poly import Polynomial, PolyParseError, field_bits, parse_poly
 from .symplectic import SymplecticForm, pairing_form, poisson_bracket, standard_form
-from .classify import enumerate_semisimple_pairs, enumerate_simple
+from .classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -269,12 +269,14 @@ def _require_positive(*flags: Tuple[str, Optional[int]]) -> None:
 
 
 def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
-    """An `Answer` and the timings of the simple and the product scan."""
+    """An `Answer` and the timings of the simple and the product scan, which
+    read one weight table; the simple timing includes building it."""
     _require_positive(("--max-rank", args.max_rank), ("--max-dim", args.max_dim))
     t0 = time.perf_counter()
-    simple = enumerate_simple(args.max_rank, args.max_dim)
+    tables = weight_tables(args.max_rank, args.max_dim)
+    simple = enumerate_simple(args.max_rank, args.max_dim, tables=tables)
     t1 = time.perf_counter()
-    products = enumerate_semisimple_pairs(args.max_rank, args.max_dim)
+    products = enumerate_semisimple_pairs(args.max_rank, args.max_dim, tables=tables)
     groups = {
         "simple": simple,
         "pairs": [v for v in products if len(v.factors) == 2],

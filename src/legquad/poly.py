@@ -140,6 +140,15 @@ class Polynomial:
                     clean[tuple(exps)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """The ring's own results: `terms` already maps exponent tuples of
+        length `nvars` to nonzero Fractions, and is stored as it is."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     # ----- constructors -------------------------------------------------
 
     @staticmethod
@@ -173,10 +182,10 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -194,7 +203,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -202,7 +211,7 @@ class Polynomial:
         f = Fraction(factor)
         if f == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {m: c * f for m, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {m: c * f for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
@@ -277,7 +286,7 @@ class Polynomial:
                     out[dm_t] = s
                 else:
                     out.pop(dm_t, None)
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     # ----- text form -------------------------------------------------------
 

@@ -260,6 +260,50 @@ def test_each_type_is_built_once_per_process(monkeypatch, entries, algebras):
     assert len(built) == 31 and e7 is build_root_system("E", 7) and e7 in built
 
 
+@pytest.mark.parametrize("max_dim", [None, 4, 10, 50, 100, 300])
+def test_both_scans_read_one_shared_table(max_dim):
+    """At every rank 1-16: both scans given `weight_tables` return what they
+    return with none, and the product scan's factors, filtered from the
+    simple scan's table, are the weights that a growth under the product
+    caps gives, in the same order."""
+    for rank in range(1, 17):
+        tables = classify.weight_tables(rank, max_dim)
+        assert enumerate_simple(rank, max_dim, tables=tables) == enumerate_simple(rank, max_dim)
+        assert enumerate_semisimple_pairs(rank, max_dim, tables=tables) == enumerate_semisimple_pairs(rank, max_dim)
+        grown = []
+        for label, r in simple_types_up_to(rank):
+            rs = build_root_system(label, r)
+            cap = max(len(rs.positive_roots) + 2, 4)
+            grown += classify._canonical_weights(rs, cap if max_dim is None else min(cap, max_dim // 2))
+        assert classify._product_factors(tables.factors, max_dim) == grown
+
+
+def test_tables_built_for_other_bounds_are_refused():
+    tables = classify.weight_tables(8, 100)
+    for scan in (enumerate_simple, enumerate_semisimple_pairs):
+        for max_rank, max_dim in ((7, 100), (9, 100), (8, 99), (8, None)):
+            with pytest.raises(ValueError, match="weight tables built for max_rank=8, max_dim=100"):
+                scan(max_rank, max_dim, tables=tables)
+
+
+def test_classify_grows_each_type_once(monkeypatch, capsys):
+    """One `classify` command grows each of the 31 types' weights once, in
+    453 probes, for one call of each scan through the names `cli` imports."""
+    calls = collections.defaultdict(list)
+    for module, name in ((classify, "_canonical_weights"), (classify, "pairing_dimension"),
+                         (cli, "enumerate_simple"), (cli, "enumerate_semisimple_pairs")):
+        def recording(*args, _run=getattr(module, name), _seen=calls[name], **kwargs):
+            _seen.append(args[0])
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+    assert cli.main(["--json", "classify", "--max-rank", "8", "--max-dim", "100"]) == 0
+    assert sorted(rs.type_label for rs in calls["_canonical_weights"]) == sorted(
+        f"{label}{rank}" for label, rank in simple_types_up_to(8))
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "_canonical_weights": 31, "pairing_dimension": 453, "enumerate_simple": 1, "enumerate_semisimple_pairs": 1}
+
+
 def test_product_scan_decides_each_factor_once(monkeypatch):
     """A factor recurs in many products, but one product scan decides its
     self-duality and multiplicity-freeness once; a second scan decides them

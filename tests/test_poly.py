@@ -121,6 +121,23 @@ def test_ring_axioms_randomized():
         assert (p + q).partial_derivative(i) == p.partial_derivative(i) + q.partial_derivative(i)
 
 
+def test_ring_operations_store_what_the_checked_constructor_would():
+    """The ring's own results skip the constructor's checks; on random
+    polynomials, cancelling ones included, each is still what the checked
+    constructor makes of the same terms: nonzero Fractions on exponent
+    tuples of length nvars."""
+    rng = random.Random(71)
+    for _ in range(200):
+        p, q = _random_poly(rng, 3, 3), _random_poly(rng, 3, 3)
+        k, i = rng.randint(-3, 3), rng.randrange(3)
+        results = [p + q, p + (-p), -p, p - q, p * q, p * (q - q), p * k, k * p,
+                   p * Fraction(k, 7), p.scale(k), p.partial_derivative(i), p ** 2]
+        for r in results:
+            assert all(type(c) is Fraction and c != 0 for c in r.terms.values()), r.terms
+            assert all(type(m) is tuple and len(m) == 3 for m in r.terms), r.terms
+            assert r == Polynomial(3, r.terms)
+
+
 def test_homogeneous_degree_query():
     assert parse_poly("x0^2 + x1*x2", 3).homogeneous_degree() == 2
     assert parse_poly("x0^2 + x1", 3).homogeneous_degree() is None
