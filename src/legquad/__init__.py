@@ -47,6 +47,6 @@ from .rootdata import (
     is_self_dual,
     angle_audit,
 )
-from .classify import enumerate_simple, enumerate_semisimple_pairs, CandidateVerdict
+from .classify import enumerate_simple, enumerate_semisimple_pairs, weight_tables, CandidateVerdict
 
 __version__ = "0.1.0"

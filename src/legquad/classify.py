@@ -49,13 +49,11 @@ weight, or a tensor factor, reaches the filters as (lambda, dim V, p, cone),
 and no filter recomputes p or the cone.
 
 The weights are grown once per type, under the simple scan's cap, into the
-`WeightTables` that `weight_tables` returns, and both scans read them: the
-product scan takes its factors by filtering the table on its own caps.  That
-is exact, as both product caps, max(|Phi+| + 2, 4) and max_dim // 2, are at
-most the simple scan's, and the growth lists the weights under any cap in
-lexicographic order.  `legquad classify` builds one table per call and hands
-it to both scans; a scan given none builds its own, and a table built for
-other bounds is refused.
+`WeightTables` that `weight_tables` returns, and both scans take that table
+as their one input: `legquad classify` builds one per call.  The product scan
+reads its factors from the same table, as `_products` picks every product by
+its factors' dimensions and the scan skips every product above `max_dim`, so
+the weights above the product caps reach no verdict.
 """
 
 from __future__ import annotations
@@ -156,11 +154,9 @@ def _evaluate_candidate(f: _Factor) -> CandidateVerdict:
 
 
 class WeightTables(NamedTuple):
-    """The canonical weights of every simple type up to `max_rank` under the
-    simple scan's cap 2 |Phi+| + 2, and under `max_dim` when one is given,
-    type by type and each type's in lexicographic order, with the bounds
-    they were built for."""
-    max_rank: int
+    """The canonical weights of every simple type up to a rank bound under
+    the simple scan's cap 2 |Phi+| + 2, and under `max_dim` when one is
+    given, type by type and each type's in lexicographic order."""
     max_dim: Optional[int]
     factors: Tuple[_Factor, ...]
 
@@ -172,28 +168,15 @@ def weight_tables(max_rank: int, max_dim: Optional[int] = None) -> WeightTables:
         rs = build_root_system(label, rank)
         cap = 2 * len(rs.positive_roots) + 2
         factors += _canonical_weights(rs, cap if max_dim is None else min(cap, max_dim))
-    return WeightTables(max_rank, max_dim, tuple(factors))
+    return WeightTables(max_dim, tuple(factors))
 
 
-def _table(tables: Optional[WeightTables], max_rank: int, max_dim: Optional[int]) -> Tuple[_Factor, ...]:
-    """The factors of `tables`, or of new tables when none are given;
-    ValueError when `tables` were built for other bounds."""
-    if tables is None:
-        return weight_tables(max_rank, max_dim).factors
-    if (tables.max_rank, tables.max_dim) != (max_rank, max_dim):
-        raise ValueError(
-            f"weight tables built for max_rank={tables.max_rank}, max_dim={tables.max_dim} "
-            f"do not serve max_rank={max_rank}, max_dim={max_dim}")
-    return tables.factors
-
-
-def enumerate_simple(max_rank: int, max_dim: Optional[int] = None, *,
-                     tables: Optional[WeightTables] = None) -> List[CandidateVerdict]:
-    """Every canonical weight of every simple type up to `max_rank` under the
-    derived cap 2 |Phi+| + 2, and under `max_dim` when one is given: every
-    entry of `tables`, which are built here when not given."""
+def enumerate_simple(tables: WeightTables) -> List[CandidateVerdict]:
+    """A verdict on every entry of `tables`: every canonical weight of every
+    simple type under the derived cap 2 |Phi+| + 2, and under `max_dim` when
+    one is given."""
     verdicts: List[CandidateVerdict] = []
-    for f in _table(tables, max_rank, max_dim):
+    for f in tables.factors:
         if f.dim == 2 * f.cone:
             verdicts.append(_evaluate_candidate(f))
             continue
@@ -273,16 +256,6 @@ class PairVerdict:
         }
 
 
-def _product_factors(table: Sequence[_Factor], max_dim: Optional[int]) -> List[_Factor]:
-    """The entries of the simple scan's `table` that the bound of the module
-    docstring allows as factors: dim V <= max(|Phi+| + 2, 4), and, as every
-    factor of a product has dimension at least 2, dim V <= max_dim // 2 under
-    `max_dim`.  Both caps are at most the table's, so these are the weights,
-    in the same order, that a growth under them would give."""
-    return [f for f in table if f.dim <= max(len(f.rs.positive_roots) + 2, 4)
-            and (max_dim is None or f.dim <= max_dim // 2)]
-
-
 def _products(factors: Sequence[_Factor]) -> Iterator[Sequence[_Factor]]:
     """The tensor products of `factors` that the bound allows."""
     line, three, four = ([f for f in factors if f.dim == n] for n in (2, 3, 4))
@@ -292,21 +265,20 @@ def _products(factors: Sequence[_Factor]) -> Iterator[Sequence[_Factor]]:
     yield from itertools.combinations_with_replacement(line, 3)
 
 
-def enumerate_semisimple_pairs(max_rank: int, max_dim: Optional[int] = None, *,
-                               tables: Optional[WeightTables] = None) -> List[PairVerdict]:
+def enumerate_semisimple_pairs(tables: WeightTables) -> List[PairVerdict]:
     """Every tensor product V(lambda_1) (x) ... (x) V(lambda_k) of k >= 2
-    canonical factors, of simple types up to `max_rank`, that the bound
-    allows: A1(1) (x) X with dim X <= |Phi_X+| + 2, the pairs of dimensions
-    (3, 3) and (3, 4), and A1(1)^(x)3; with dim V <= `max_dim` when one is
-    given.  A factor's automorphisms act on it alone, so each factor is
-    canonical on its own.  The factors are read from `tables`, which are
-    built here when not given.
+    canonical factors from `tables` that the bound allows: A1(1) (x) X with
+    dim X <= |Phi_X+| + 2, the pairs of dimensions (3, 3) and (3, 4), and
+    A1(1)^(x)3; with dim V <= the tables' `max_dim` when one is given.  A
+    factor's automorphisms act on it alone, so each factor is canonical on
+    its own.
     """
     verdicts: List[PairVerdict] = []
     # a factor recurs in many products: decide each once, in this call only
     self_dual = functools.cache(lambda f: is_self_dual(f.rs, f.weight))
     multiplicity_free = functools.cache(lambda f: distinct_weight_count(f.rs, f.weight) == f.dim)
-    for product in _products(_product_factors(_table(tables, max_rank, max_dim), max_dim)):
+    max_dim = tables.max_dim
+    for product in _products(tables.factors):
         dim_v = prod(f.dim for f in product)
         if max_dim is not None and dim_v > max_dim:
             continue

@@ -274,9 +274,9 @@ def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
     _require_positive(("--max-rank", args.max_rank), ("--max-dim", args.max_dim))
     t0 = time.perf_counter()
     tables = weight_tables(args.max_rank, args.max_dim)
-    simple = enumerate_simple(args.max_rank, args.max_dim, tables=tables)
+    simple = enumerate_simple(tables)
     t1 = time.perf_counter()
-    products = enumerate_semisimple_pairs(args.max_rank, args.max_dim, tables=tables)
+    products = enumerate_semisimple_pairs(tables)
     groups = {
         "simple": simple,
         "pairs": [v for v in products if len(v.factors) == 2],

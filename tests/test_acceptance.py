@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
 from legquad.liealg import cartan_subalgebra, identify_algebra, root_decomposition
@@ -98,7 +98,7 @@ def test_criterion_2_algebra_identification(entries, algebras):
 
 def test_criterion_3_classification_rerun():
     started = time.perf_counter()
-    simple = enumerate_simple(8, 100)
+    simple = enumerate_simple(weight_tables(8, 100))
     assert accepted_simple(simple) == [
         ("A1", (3,)),
         ("A5", (0, 0, 1, 0, 0)),
@@ -111,7 +111,7 @@ def test_criterion_3_classification_rerun():
     g2 = [v for v in simple if v.type_label == "G2"]
     assert g2 and all(v.status == "rejected" for v in g2)
 
-    pairs = enumerate_semisimple_pairs(8, 100)
+    pairs = enumerate_semisimple_pairs(weight_tables(8, 100))
     family = dict(accepted_pairs(pairs))
     expected_factors = {("A1", "A1"), ("A1", "A3")}
     expected_factors |= {("A1", f"B{r}") for r in range(2, 9)}

@@ -7,7 +7,7 @@ import pytest
 
 from classify_oracle import accepted_pairs, accepted_simple
 from legquad import classify, cli, legendrian, rootdata
-from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight, weight_tables
 from legquad.legendrian import kostant_certificate
 from legquad.liealg import diagram_automorphisms
 from legquad.rootdata import (
@@ -32,22 +32,22 @@ EXPECTED_SIMPLE = [
 
 @pytest.fixture(scope="module")
 def simple_scan():
-    return enumerate_simple(8, 100)
+    return enumerate_simple(weight_tables(8, 100))
 
 
 @pytest.fixture(scope="module")
 def pair_scan():
-    return enumerate_semisimple_pairs(8, 100)
+    return enumerate_semisimple_pairs(weight_tables(8, 100))
 
 
 @pytest.fixture(scope="module")
 def simple_12():
-    return enumerate_simple(12)
+    return enumerate_simple(weight_tables(12))
 
 
 @pytest.fixture(scope="module")
 def full_products():
-    return enumerate_semisimple_pairs(8)
+    return enumerate_semisimple_pairs(weight_tables(8))
 
 
 def test_simple_accepted_set(simple_scan):
@@ -142,8 +142,8 @@ def test_simple_scan_tests_exactly_the_weights_under_the_derived_cap(simple_12):
     assert tested["A1"] == [(1,), (2,), (3,)]
     assert len(simple_12) == 94
     assert sum(1 for v in simple_12 if v.quadric_count is not None) > 5
-    assert enumerate_simple(8) == [v for v in simple_12 if int(v.type_label[1:]) <= 8]
-    assert len(enumerate_simple(8)) == 66
+    assert enumerate_simple(weight_tables(8)) == [v for v in simple_12 if int(v.type_label[1:]) <= 8]
+    assert len(enumerate_simple(weight_tables(8))) == 66
     assert accepted_simple(simple_12) == EXPECTED_SIMPLE
 
 
@@ -151,10 +151,10 @@ def test_scan_at_rank_16_with_no_dimension_cap():
     """122 simple verdicts with the five of rank 8 accepted, and 92 products
     with 31 accepted: sl2 (x) so_m for m = 3, 5..33 and 6, 8..32, and the
     triple."""
-    simple = enumerate_simple(16)
+    simple = enumerate_simple(weight_tables(16))
     assert len(simple) == 122
     assert accepted_simple(simple) == EXPECTED_SIMPLE
-    products = enumerate_semisimple_pairs(16)
+    products = enumerate_semisimple_pairs(weight_tables(16))
     assert len(products) == 92
     expected = {("A1", "A1"): ((1,), (2,)), ("A1", "A3"): ((1,), (0, 1, 0))}
     for rank in range(2, 17):
@@ -261,29 +261,20 @@ def test_each_type_is_built_once_per_process(monkeypatch, entries, algebras):
 
 
 @pytest.mark.parametrize("max_dim", [None, 4, 10, 50, 100, 300])
-def test_both_scans_read_one_shared_table(max_dim):
-    """At every rank 1-16: both scans given `weight_tables` return what they
-    return with none, and the product scan's factors, filtered from the
-    simple scan's table, are the weights that a growth under the product
-    caps gives, in the same order."""
+def test_product_scan_reads_the_simple_scans_table(max_dim):
+    """At every rank 1-16, the product scan gives the same verdicts on the
+    simple scan's table as on the weights grown under the product caps
+    max(|Phi+| + 2, 4) and max_dim // 2 alone: the table's weights above
+    those caps reach no verdict."""
     for rank in range(1, 17):
-        tables = classify.weight_tables(rank, max_dim)
-        assert enumerate_simple(rank, max_dim, tables=tables) == enumerate_simple(rank, max_dim)
-        assert enumerate_semisimple_pairs(rank, max_dim, tables=tables) == enumerate_semisimple_pairs(rank, max_dim)
         grown = []
         for label, r in simple_types_up_to(rank):
             rs = build_root_system(label, r)
             cap = max(len(rs.positive_roots) + 2, 4)
             grown += classify._canonical_weights(rs, cap if max_dim is None else min(cap, max_dim // 2))
-        assert classify._product_factors(tables.factors, max_dim) == grown
-
-
-def test_tables_built_for_other_bounds_are_refused():
-    tables = classify.weight_tables(8, 100)
-    for scan in (enumerate_simple, enumerate_semisimple_pairs):
-        for max_rank, max_dim in ((7, 100), (9, 100), (8, 99), (8, None)):
-            with pytest.raises(ValueError, match="weight tables built for max_rank=8, max_dim=100"):
-                scan(max_rank, max_dim, tables=tables)
+        under_product_caps = classify.WeightTables(max_dim, tuple(grown))
+        assert (enumerate_semisimple_pairs(weight_tables(rank, max_dim))
+                == enumerate_semisimple_pairs(under_product_caps))
 
 
 def test_classify_grows_each_type_once(monkeypatch, capsys):
@@ -315,10 +306,10 @@ def test_product_scan_decides_each_factor_once(monkeypatch):
             return _test(rs, weight)
 
         monkeypatch.setattr(classify, name, recording)
-    first = enumerate_semisimple_pairs(8, 100)
+    first = enumerate_semisimple_pairs(weight_tables(8, 100))
     assert {name: len(seen) for name, seen in calls.items()} == {"is_self_dual": 18, "distinct_weight_count": 17}
     assert all(len(set(seen)) == len(seen) for seen in calls.values())
-    assert enumerate_semisimple_pairs(8, 100) == first
+    assert enumerate_semisimple_pairs(weight_tables(8, 100)) == first
     assert {name: len(seen) for name, seen in calls.items()} == {"is_self_dual": 36, "distinct_weight_count": 34}
 
 
@@ -356,13 +347,13 @@ def test_pair_g2_vector_rejected_by_quadric_count(pair_scan):
 
 @pytest.mark.slow
 def test_accepted_set_stable_under_larger_dimension_cap(simple_scan):
-    bigger = enumerate_simple(8, 300)
+    bigger = enumerate_simple(weight_tables(8, 300))
     assert accepted_simple(bigger) == accepted_simple(simple_scan)
 
 
 def test_scan_to_dimension_1000_leaves_nothing_undecided(simple_scan):
-    simple = enumerate_simple(8, 1000)
-    pairs = enumerate_semisimple_pairs(8, 1000)
+    simple = enumerate_simple(weight_tables(8, 1000))
+    pairs = enumerate_semisimple_pairs(weight_tables(8, 1000))
     assert {v.status for v in simple} | {v.status for v in pairs} == {"accepted", "rejected"}
     assert accepted_simple(simple) == accepted_simple(simple_scan)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import groebner_oracle
 from legquad import catalog
-from legquad.classify import enumerate_semisimple_pairs, enumerate_simple
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import (
     KostantCertificate,
@@ -219,8 +219,8 @@ def _diagram_automorphisms(label: str):
 def scan_acceptances():
     """(types, weights) of every acceptance of the rank-8 scan under its
     derived caps: simple candidates, pairs and the triple."""
-    simple = [((v.type_label,), (v.weight,)) for v in enumerate_simple(8) if v.status == "accepted"]
-    products = [(v.factors, v.weights) for v in enumerate_semisimple_pairs(8) if v.status == "accepted"]
+    simple = [((v.type_label,), (v.weight,)) for v in enumerate_simple(weight_tables(8)) if v.status == "accepted"]
+    products = [(v.factors, v.weights) for v in enumerate_semisimple_pairs(weight_tables(8)) if v.status == "accepted"]
     return simple + products
 
 
@@ -298,7 +298,7 @@ def test_line_times_quadric_charts_past_rank_8_are_scan_acceptances(m, label):
     omega1 = (1,) + (0,) * (int(label[1:]) - 1)
     assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
     assert verdict.kostant == KostantCertificate(["A1", label], [(1,), omega1], m)
-    accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(10) if v.status == "accepted"}
+    accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(weight_tables(10)) if v.status == "accepted"}
     assert (("A1", label), ((1,), omega1)) in accepted
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from legquad.classify import enumerate_semisimple_pairs
+from legquad.classify import enumerate_semisimple_pairs, weight_tables
 from legquad.rootdata import (
     angle_audit,
     build_root_system,
@@ -89,7 +89,7 @@ def test_closed_orbit_counts_of_two_factors():
     quadric_surface = [(a1, [1]), (a1, [1])]
     assert closed_orbit_quadrics(quadric_surface) == 1
     assert closed_orbit_cone_dimension(quadric_surface) == 3
-    [verdict] = enumerate_semisimple_pairs(1, 4)
+    [verdict] = enumerate_semisimple_pairs(weight_tables(1, 4))
     assert (verdict.weights, verdict.dim_cone, verdict.status) == (((1,), (1,)), 3, "rejected")
 
 
