@@ -7,7 +7,7 @@ Modules:
   groebner    degree-by-degree Groebner bases and normal forms on the kernel, dimension
   legendrian  the verdict engine and the isotropy identity of a parametrization
   liealg      quadric Lie algebras, roots, Dynkin identification
-  rootdata    integer root data, Weyl dimension, weights of V(lambda)
+  rootdata    integer root data, the Dynkin diagram, the closed orbit of V(lambda)
   classify    the classification scan
   catalog     example varieties, all generated
   cli         the command-line interface
@@ -42,8 +42,8 @@ from .liealg import (
 from .rootdata import (
     AbstractRootSystem,
     build_root_system,
-    weyl_dimension,
-    cone_orbit_dimension,
+    Orbit,
+    orbit,
     is_self_dual,
     angle_audit,
 )

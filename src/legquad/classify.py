@@ -45,8 +45,9 @@ Each type's weights are grown one coordinate at a time, and each carries its
 pairing vector p = <lambda + rho, alpha^vee> over the positive roots: raising
 lambda_i by one adds column i of the coroot table to p.  dim V, the cone
 dimension and the quadric count of (v) are read off p by `rootdata`.  A
-weight, or a tensor factor, reaches the filters as (lambda, dim V, p, cone),
-and no filter recomputes p or the cone.
+weight, or a tensor factor, reaches the filters as one `rootdata.Orbit`
+(rs, lambda, dim V, p, cone), the record the Kostant certificate builds with
+`rootdata.orbit`, and no filter recomputes p, dim V or the cone.
 
 The weights are grown once per type, under the simple scan's cap, into the
 `WeightTables` that `weight_tables` returns, and both scans take that table
@@ -67,11 +68,11 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .rootdata import (
     AbstractRootSystem,
-    Pairings,
-    Weight,
+    Orbit,
     angle_audit,
     build_root_system,
     distinct_weight_count,
+    is_canonical_weight,
     is_self_dual,
     pairing_cone_dimension,
     pairing_dimension,
@@ -81,17 +82,6 @@ from .rootdata import (
     simple_types_up_to,
     type_dimension,
 )
-
-
-class _Factor(NamedTuple):
-    """One tested weight or tensor factor V(lambda), as the growth loop made
-    it: lambda, dim V(lambda), the pairing vector p and the cone dimension
-    read off p."""
-    rs: AbstractRootSystem
-    weight: Weight
-    dim: int
-    p: Pairings
-    cone: int
 
 
 @dataclass
@@ -124,20 +114,20 @@ class CandidateVerdict:
         }
 
 
-def _evaluate_candidate(f: _Factor) -> CandidateVerdict:
+def _evaluate_candidate(o: Orbit) -> CandidateVerdict:
     """Filters (iii)-(v) plus the angle audit, for a candidate with dim V equal
     to twice the cone dimension."""
-    rs, coeffs, dim_v, p, cone = f
-    verdict = CandidateVerdict(rs.type_label, coeffs, dim_v, cone, status="rejected")
-    verdict.self_dual = is_self_dual(rs, coeffs)
+    rs = o.rs
+    verdict = CandidateVerdict(rs.type_label, o.weight, o.dim, o.cone, status="rejected")
+    verdict.self_dual = is_self_dual(o)
     if not verdict.self_dual:
         verdict.reason = "representation is not self-dual"
         return verdict
-    verdict.multiplicity_free = distinct_weight_count(rs, coeffs) == dim_v
+    verdict.multiplicity_free = distinct_weight_count(o) == o.dim
     if not verdict.multiplicity_free:
         verdict.reason = "representation contains a multiple weight"
         return verdict
-    verdict.quadric_count = product_quadrics([(rs, p)])
+    verdict.quadric_count = product_quadrics([o])
     verdict.algebra_dim = type_dimension(rs.label, rs.rank)
     if verdict.quadric_count != verdict.algebra_dim:
         verdict.reason = (
@@ -145,7 +135,7 @@ def _evaluate_candidate(f: _Factor) -> CandidateVerdict:
             f"has dimension {verdict.algebra_dim}"
         )
         return verdict
-    verdict.angle_audit_passed = angle_audit(rs, coeffs)
+    verdict.angle_audit_passed = angle_audit(o)
     if not verdict.angle_audit_passed:
         verdict.reason = "nilradical roots contain an obtuse pair"
         return verdict
@@ -158,12 +148,12 @@ class WeightTables(NamedTuple):
     the simple scan's cap 2 |Phi+| + 2, and under `max_dim` when one is
     given, type by type and each type's in lexicographic order."""
     max_dim: Optional[int]
-    factors: Tuple[_Factor, ...]
+    factors: Tuple[Orbit, ...]
 
 
 def weight_tables(max_rank: int, max_dim: Optional[int] = None) -> WeightTables:
     """The one weight table that both scans of a call read."""
-    factors: List[_Factor] = []
+    factors: List[Orbit] = []
     for label, rank in simple_types_up_to(max_rank):
         rs = build_root_system(label, rank)
         cap = 2 * len(rs.positive_roots) + 2
@@ -187,10 +177,10 @@ def enumerate_simple(tables: WeightTables) -> List[CandidateVerdict]:
     return verdicts
 
 
-def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[_Factor]:
+def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[Orbit]:
     """The nonzero canonical dominant weights with dim V(lambda) <= cap, in
-    lexicographic order, each with its dimension, pairing vector and cone
-    dimension.
+    lexicographic order, each as its `Orbit`: its dimension, pairing vector
+    and cone dimension.
 
     The Weyl dimension grows strictly in every coordinate, so the weights are
     grown one coordinate at a time, and a prefix is raised only while it,
@@ -210,24 +200,8 @@ def _canonical_weights(rs: AbstractRootSystem, cap: int) -> List[_Factor]:
                     break
                 grown.append((prefix + (k,), dim, p))
         layer = grown
-    return [_Factor(rs, w, dim, p, pairing_cone_dimension(rs, p)) for w, dim, p in layer
+    return [Orbit(rs, w, dim, p, pairing_cone_dimension(rs, p)) for w, dim, p in layer
             if any(w) and is_canonical_weight(rs.label, rs.rank, w)]
-
-
-def is_canonical_weight(label: str, rank: int, coeffs: Tuple[int, ...]) -> bool:
-    """Convention for the orbit representative: A-weights lean on the early
-    nodes, D4 leans on the vector node, higher D on the last spin node, E6 on
-    nodes 1 and 3."""
-    if label == "A":
-        return tuple(coeffs) >= tuple(reversed(coeffs))
-    if label == "D" and rank == 4:
-        c1, _, c3, c4 = coeffs
-        return (c1, c3, c4) == tuple(sorted((c1, c3, c4), reverse=True))
-    if label == "D":
-        return coeffs[rank - 2] <= coeffs[rank - 1]
-    if label == "E" and rank == 6:
-        return (coeffs[0], coeffs[2]) >= (coeffs[5], coeffs[4])
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +230,7 @@ class PairVerdict:
         }
 
 
-def _products(factors: Sequence[_Factor]) -> Iterator[Sequence[_Factor]]:
+def _products(factors: Sequence[Orbit]) -> Iterator[Sequence[Orbit]]:
     """The tensor products of `factors` that the bound allows."""
     line, three, four = ([f for f in factors if f.dim == n] for n in (2, 3, 4))
     yield from ((a, x) for a in line for x in factors if x.dim <= len(x.rs.positive_roots) + 2)
@@ -275,14 +249,14 @@ def enumerate_semisimple_pairs(tables: WeightTables) -> List[PairVerdict]:
     """
     verdicts: List[PairVerdict] = []
     # a factor recurs in many products: decide each once, in this call only
-    self_dual = functools.cache(lambda f: is_self_dual(f.rs, f.weight))
-    multiplicity_free = functools.cache(lambda f: distinct_weight_count(f.rs, f.weight) == f.dim)
+    self_dual = functools.cache(is_self_dual)
+    multiplicity_free = functools.cache(lambda f: distinct_weight_count(f) == f.dim)
     max_dim = tables.max_dim
     for product in _products(tables.factors):
         dim_v = prod(f.dim for f in product)
         if max_dim is not None and dim_v > max_dim:
             continue
-        cone = segre_cone_dimension(f.cone for f in product)
+        cone = segre_cone_dimension(product)
         verdict = PairVerdict(
             tuple(f.rs.type_label for f in product), tuple(f.weight for f in product),
             dim_v, cone, status="rejected",
@@ -296,7 +270,7 @@ def enumerate_semisimple_pairs(tables: WeightTables) -> List[PairVerdict]:
         elif not all(map(multiplicity_free, product)):
             verdict.reason = "tensor product contains a multiple weight"
         else:
-            quadrics = product_quadrics([(f.rs, f.p) for f in product])
+            quadrics = product_quadrics(product)
             algebra = sum(type_dimension(f.rs.label, f.rs.rank) for f in product)
             if quadrics != algebra:
                 verdict.reason = f"orbit lies on {quadrics} quadrics but the algebra has dimension {algebra}"

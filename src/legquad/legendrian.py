@@ -20,8 +20,8 @@ torus with diagonal sp-images gives every coordinate a weight, V is the
 irreducible V(lambda) and the generators span the quadrics of the closed
 orbit of G in P(V), Kostant's theorem makes the ideal that orbit's ideal,
 and the dimension comes from root data with no Groebner basis: conditions
-4 and 6 and the dimension read `rootdata`'s closed-orbit count, as the
-scan's filter (v) does.  Every other input, and a closed one the
+4 and 6 and the dimension read one `rootdata.Orbit` per simple factor, the
+record the scan's filters read.  Every other input, and a closed one the
 certificate does not cover, takes its dimension from the grevlex initial
 ideal (`groebner.initial_ideal`: the F4 steps of a Groebner basis, with no
 interreduction), so an exhausted budget leaves the dimension undecided but
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .classify import is_canonical_weight
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
@@ -52,17 +51,17 @@ from .liealg import (
     NotAdaptedError,
     bracket_closure,
     degree_part,
-    diagram_automorphisms,
     simple_factors,
     split_root_data,
 )
 from .poly import MonomialCodec, Polynomial
 from .rootdata import (
     build_root_system,
-    closed_orbit_cone_dimension,
-    closed_orbit_quadrics,
+    canonical_weight,
+    orbit,
+    product_quadrics,
+    segre_cone_dimension,
     type_key,
-    weyl_dimension,
 )
 from .symplectic import SymplecticForm
 
@@ -194,9 +193,9 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
        quadrics through X.
 
     The ideal is then I(X), and the cone over X, a product of the factors'
-    orbits under the Segre map, has dimension
-    1 + sum (cone_orbit_dimension - 1).  Each factor's lambda is reported as
-    the scan writes it (`_scan_weight`).
+    orbits under the Segre map, has dimension 1 + sum (cone_i - 1).  Each
+    factor is one `rootdata.Orbit`, the record the scan tests, with lambda
+    as the scan writes it (`rootdata.canonical_weight`).
     """
     if not algebra.is_semisimple():
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
@@ -226,39 +225,30 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
             p += 1
         return p
 
-    factors = sorted(
-        ((label, _scan_weight(label, tuple(string_length(alpha) for alpha in roots)))
+    orbits = sorted(
+        (orbit(build_root_system(*type_key(label)),
+               canonical_weight(label, [string_length(alpha) for alpha in roots]))
          for label, roots in simple_roots),
-        key=lambda f: (type_key(f[0]), f[1]),
+        key=lambda o: (type_key(o.rs.type_label), o.weight),
     )
-    orbit = [(build_root_system(label[0], int(label[1:])), labels) for label, labels in factors]
     nvars = v.nvars
-    dim_v = math.prod(weyl_dimension(rs, labels) for rs, labels in orbit)
+    dim_v = math.prod(o.dim for o in orbits)
     if dim_v != nvars:
         raise NotCertified(f"condition 4: V(lambda) has dimension {dim_v}, not {nvars}")
     top = coordinates.index(lam)
     square = tuple(2 * (k == top) for k in range(nvars))
     if any(square in g.terms for g in v.generators):
         raise NotCertified("condition 5: a generator does not vanish at the highest weight vector")
-    quadrics = closed_orbit_quadrics(orbit)
+    quadrics = product_quadrics(orbits)
     if algebra.dim != quadrics:
         raise NotCertified(
             f"condition 6: {algebra.dim} generators, but the orbit lies on {quadrics} quadrics"
         )
     return KostantCertificate(
-        types=[label for label, _ in factors],
-        highest_weight=[labels for _, labels in factors],
-        dimension=closed_orbit_cone_dimension(orbit),
+        types=[o.rs.type_label for o in orbits],
+        highest_weight=[o.weight for o in orbits],
+        dimension=segre_cone_dimension(orbits),
     )
-
-
-def _scan_weight(label: str, labels: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The image of a factor's Dynkin labels under its diagram automorphisms
-    that the scan lists (`classify.is_canonical_weight`): the simple roots
-    are matched to Bourbaki nodes only up to those automorphisms."""
-    kind, rank = type_key(label)
-    images = (tuple(labels[p] for p in sigma) for sigma in diagram_automorphisms(label))
-    return next(image for image in images if is_canonical_weight(kind, rank, image))
 
 
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:

@@ -60,12 +60,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial, code_columns
-from .rootdata import _cartan_matrix, simple_types_up_to, type_dimension, type_key
+from .rootdata import match_cartan, simple_types_up_to, type_dimension, type_key
 from .symplectic import SymplecticForm, bracket_terms, gradient_terms
 
 StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
@@ -475,7 +475,7 @@ def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
     alpha_b-string through alpha_a starts at alpha_a and
     <alpha_a, alpha_b^vee> = -q for the largest q with alpha_a + q alpha_b a
     root.  Each connected component of that Cartan matrix is matched against
-    rootdata's Bourbaki Cartan matrices of its rank.
+    rootdata's Bourbaki Cartan matrices of its rank (`rootdata.match_cartan`).
     """
     roots = cd.roots
     positive = [r for r in roots if next(x for x in r if x) > 0]
@@ -496,7 +496,7 @@ def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
     cartan = [[pairing(roots[a], roots[b]) for b in simple] for a in simple]
     factors = []
     for nodes in _components(cartan):
-        label, perm = _match_component([[cartan[i][j] for j in nodes] for i in nodes])
+        label, perm = match_cartan([[cartan[i][j] for j in nodes] for i in nodes])
         by_node = [0] * len(nodes)
         for i, p in zip(nodes, perm):
             by_node[p] = simple[i]
@@ -521,49 +521,6 @@ def _components(cartan: List[List[int]]) -> List[List[int]]:
                     nodes.append(j)
         out.append(nodes)
     return out
-
-
-def _match_component(cartan: List[List[int]]) -> Tuple[str, List[int]]:
-    """The type of a connected Cartan matrix, with the node bijection p that
-    carries it onto the Bourbaki matrix C: cartan[i][j] = C[p[i]][p[j]]."""
-    m = len(cartan)
-    for label, rank in simple_types_up_to(m):
-        if rank == m:
-            for perm in _node_bijections(cartan, _cartan_matrix(label, rank)):  # the first one
-                return f"{label}{rank}", perm
-    raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
-
-
-def _node_bijections(cartan: List[List[int]], target: List[List[int]]) -> Iterator[List[int]]:
-    """Every node bijection p with cartan[i][j] = target[p[i]][p[j]], depth
-    first, node i taking the smallest target node that still fits."""
-    m = len(cartan)
-    perm: List[int] = []
-
-    def extend() -> Iterator[List[int]]:
-        i = len(perm)
-        if i == m:
-            yield list(perm)
-            return
-        for t in range(m):
-            if t not in perm and all(
-                cartan[i][k] == target[t][p] and cartan[k][i] == target[p][t]
-                for k, p in enumerate(perm)
-            ):
-                perm.append(t)
-                yield from extend()
-                perm.pop()
-
-    return extend()
-
-
-def diagram_automorphisms(label: str) -> Iterator[List[int]]:
-    """The automorphisms of the Dynkin diagram of a simple type such as
-    "D6": the node bijections of its Bourbaki Cartan matrix onto itself,
-    found as they are needed, the identity first."""
-    kind, rank = type_key(label)
-    cartan = _cartan_matrix(kind, rank)
-    return _node_bijections(cartan, cartan)
 
 
 # ---------------------------------------------------------------------------

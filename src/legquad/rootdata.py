@@ -7,19 +7,25 @@ their Dynkin coordinates carried along, so each construction is
 self-checking against the known root counts.  Weights are integer tuples of
 Dynkin coordinates: mu is dominant when no coordinate is negative.
 
+The Dynkin diagram is known here alone: the node bijections of a Cartan
+matrix onto a Bourbaki one (`match_cartan`), the diagram automorphisms, and
+the one weight of each automorphism orbit that the scan lists
+(`is_canonical_weight`, `canonical_weight`).
+
 Each root system is built once per process, with its integer tables: root
 heights, coroot heights <rho, alpha^vee> with their product, and one column
 of coroot entries per simple coroot.  A weight lambda enters the formulas
 through its pairing vector p = <lambda + rho, alpha^vee> over the positive
 roots (`rho_pairings`), the coroot heights plus lambda_i times column i, so a
 caller that raises lambda_i by one carries p along by adding column i.  On p
-rest the Weyl dimension formula, the orbit (cone) dimension and the quadrics
-through the closed orbit of a tensor product, each written once on p, with
-`weyl_dimension`, `cone_orbit_dimension` and `closed_orbit_quadrics` taking
-lambda itself.  Also here: Weyl orbit sizes as products over root heights,
-duality involution, and the dominant weights and the number of distinct
+rest the Weyl dimension formula and the orbit (cone) dimension, each written
+once.  One tensor factor V(lambda) and its closed orbit is one `Orbit`
+record, (rs, lambda, dim V, p, cone), which `orbit` builds from lambda and
+the scan's growth loop builds with the p it carried; the scan's filters and
+the Kostant certificate read Orbits: self-duality, the number of distinct
 weights of V(lambda), which the scan's multiplicity-free test compares with
-dim V, all in exact integer arithmetic.
+dim V, the angle audit, and the quadrics and the cone dimension of the
+closed orbit of a tensor product, all in exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -28,12 +34,10 @@ import functools
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 Weight = Tuple[int, ...]
-Factor = Tuple["AbstractRootSystem", Sequence[int]]  # one tensor factor V(lambda)
 Pairings = Tuple[int, ...]  # <lambda + rho, alpha^vee> over the positive roots, in root order
-Paired = Tuple["AbstractRootSystem", Pairings]  # one tensor factor V(lambda) as (rs, p)
 
 _KNOWN_POSITIVE_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -203,6 +207,78 @@ def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
 
 
 # ---------------------------------------------------------------------------
+# The Dynkin diagram: node bijections, automorphisms, canonical weights.
+# ---------------------------------------------------------------------------
+
+
+def match_cartan(cartan: List[List[int]]) -> Tuple[str, List[int]]:
+    """The type of a connected Cartan matrix, with the node bijection p that
+    carries it onto the Bourbaki matrix C: cartan[i][j] = C[p[i]][p[j]]."""
+    m = len(cartan)
+    for label, rank in simple_types_up_to(m):
+        if rank == m:
+            for perm in _node_bijections(cartan, _cartan_matrix(label, rank)):  # the first one
+                return f"{label}{rank}", perm
+    raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
+
+
+def _node_bijections(cartan: List[List[int]], target: List[List[int]]) -> Iterator[List[int]]:
+    """Every node bijection p with cartan[i][j] = target[p[i]][p[j]], depth
+    first, node i taking the smallest target node that still fits."""
+    m = len(cartan)
+    perm: List[int] = []
+
+    def extend() -> Iterator[List[int]]:
+        i = len(perm)
+        if i == m:
+            yield list(perm)
+            return
+        for t in range(m):
+            if t not in perm and all(
+                cartan[i][k] == target[t][p] and cartan[k][i] == target[p][t]
+                for k, p in enumerate(perm)
+            ):
+                perm.append(t)
+                yield from extend()
+                perm.pop()
+
+    return extend()
+
+
+def diagram_automorphisms(label: str) -> Iterator[List[int]]:
+    """The automorphisms of the Dynkin diagram of a simple type such as
+    "D6": the node bijections of its Bourbaki Cartan matrix onto itself,
+    found as they are needed, the identity first."""
+    cartan = _cartan_matrix(*type_key(label))
+    return _node_bijections(cartan, cartan)
+
+
+def is_canonical_weight(label: str, rank: int, coeffs: Sequence[int]) -> bool:
+    """Convention for the representative of a weight's orbit under the
+    diagram automorphisms: A-weights lean on the early nodes, D4 leans on
+    the vector node, higher D on the last spin node, E6 on nodes 1 and 3."""
+    if label == "A":
+        return tuple(coeffs) >= tuple(reversed(coeffs))
+    if label == "D" and rank == 4:
+        c1, _, c3, c4 = coeffs
+        return (c1, c3, c4) == tuple(sorted((c1, c3, c4), reverse=True))
+    if label == "D":
+        return coeffs[rank - 2] <= coeffs[rank - 1]
+    if label == "E" and rank == 6:
+        return (coeffs[0], coeffs[2]) >= (coeffs[5], coeffs[4])
+    return True
+
+
+def canonical_weight(label: str, coeffs: Sequence[int]) -> Weight:
+    """The image of Dynkin labels under the diagram automorphisms of the
+    type `label` that `is_canonical_weight` keeps: a Cartan matrix read off
+    root data matches the Bourbaki nodes only up to those automorphisms."""
+    kind, rank = type_key(label)
+    images = (tuple(coeffs[p] for p in sigma) for sigma in diagram_automorphisms(label))
+    return next(image for image in images if is_canonical_weight(kind, rank, image))
+
+
+# ---------------------------------------------------------------------------
 # Dimension, orbit and duality, on the pairing vector.
 # ---------------------------------------------------------------------------
 
@@ -245,54 +321,42 @@ def pairing_cone_dimension(rs: AbstractRootSystem, p: Pairings) -> int:
     return 1 + len(_moved(rs, p))
 
 
-def segre_cone_dimension(cones: Iterable[int]) -> int:
+class Orbit(NamedTuple):
+    """One tensor factor V(lambda) and the closed orbit of G in P(V(lambda)):
+    lambda, dim V(lambda), the pairing vector p and the cone dimension read
+    off p."""
+    rs: AbstractRootSystem
+    weight: Weight
+    dim: int
+    p: Pairings
+    cone: int
+
+
+def orbit(rs: AbstractRootSystem, coeffs: Sequence[int]) -> Orbit:
+    """The `Orbit` of the highest weight lambda, from its pairing vector."""
+    p = rho_pairings(rs, coeffs)
+    return Orbit(rs, tuple(coeffs), pairing_dimension(rs, p), p, pairing_cone_dimension(rs, p))
+
+
+def segre_cone_dimension(orbits: Iterable[Orbit]) -> int:
     """Dimension of the affine cone over the closed orbit X in
-    V(lambda_1) (x) ... (x) V(lambda_k), from the factors' cone dimensions:
-    X is the Segre product of the factors' orbits, so 1 + sum (cone_i - 1)."""
-    return 1 + sum(c - 1 for c in cones)
+    V(lambda_1) (x) ... (x) V(lambda_k): X is the Segre product of the
+    factors' orbits, so 1 + sum (cone_i - 1)."""
+    return 1 + sum(o.cone - 1 for o in orbits)
 
 
-def product_quadrics(paired: Sequence[Paired]) -> int:
+def product_quadrics(orbits: Sequence[Orbit]) -> int:
     """Dimension of the space of quadrics through the closed orbit X in
-    P(V(lambda_1) (x) ... (x) V(lambda_k)), one factor (rs, p) each.
-    The square of X spans the Cartan component V(2 lambda_1) (x) ... of
-    Sym^2 V, so with N = prod dim V(lambda_i) this is
-    C(N + 1, 2) - prod dim V(2 lambda_i) (Lichtenstein, Proc. AMS 84, 1982).
-    The pairing vector of 2 lambda is <2 lambda + rho, alpha^vee> = 2p - h."""
-    n = prod(pairing_dimension(rs, p) for rs, p in paired)
+    P(V(lambda_1) (x) ... (x) V(lambda_k)).  The square of X spans the
+    Cartan component V(2 lambda_1) (x) ... of Sym^2 V, so with
+    N = prod dim V(lambda_i) this is C(N + 1, 2) - prod dim V(2 lambda_i)
+    (Lichtenstein, Proc. AMS 84, 1982).  The pairing vector of 2 lambda is
+    <2 lambda + rho, alpha^vee> = 2p - h."""
+    n = prod(o.dim for o in orbits)
     doubled = prod(
-        pairing_dimension(rs, [2 * x - h for x, h in zip(p, rs.coroot_heights)]) for rs, p in paired
+        pairing_dimension(o.rs, [2 * x - h for x, h in zip(o.p, o.rs.coroot_heights)]) for o in orbits
     )
     return n * (n + 1) // 2 - doubled
-
-
-def weyl_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
-    """Dimension of the irreducible representation with the given highest
-    weight, by `pairing_dimension`."""
-    return pairing_dimension(rs, rho_pairings(rs, coeffs))
-
-
-def _moved_roots(rs: AbstractRootSystem, coeffs: Sequence[int]) -> List[int]:
-    """`_moved` of lambda itself."""
-    return _moved(rs, rho_pairings(rs, coeffs))
-
-
-def cone_orbit_dimension(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
-    """Dimension of the affine cone over the highest weight orbit, by
-    `pairing_cone_dimension`."""
-    return pairing_cone_dimension(rs, rho_pairings(rs, coeffs))
-
-
-def closed_orbit_quadrics(factors: Sequence[Factor]) -> int:
-    """Quadrics through the closed orbit in P(V(lambda_1) (x) ... (x)
-    V(lambda_k)), one factor (rs, lambda) each, by `product_quadrics`."""
-    return product_quadrics([(rs, rho_pairings(rs, coeffs)) for rs, coeffs in factors])
-
-
-def closed_orbit_cone_dimension(factors: Sequence[Factor]) -> int:
-    """Cone dimension of the closed orbit in V(lambda_1) (x) ... (x)
-    V(lambda_k), one factor (rs, lambda) each, by `segre_cone_dimension`."""
-    return segre_cone_dimension(cone_orbit_dimension(rs, coeffs) for rs, coeffs in factors)
 
 
 def duality_involution(rs: AbstractRootSystem) -> List[int]:
@@ -313,9 +377,9 @@ def duality_involution(rs: AbstractRootSystem) -> List[int]:
     return perm
 
 
-def is_self_dual(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
-    perm = duality_involution(rs)
-    return all(coeffs[i] == coeffs[perm[i]] for i in range(rs.rank))
+def is_self_dual(o: Orbit) -> bool:
+    perm = duality_involution(o.rs)
+    return all(o.weight[i] == o.weight[perm[i]] for i in range(o.rs.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +414,17 @@ def _orbit_size(rs: AbstractRootSystem, mu: Weight) -> int:
     root system (Macdonald, Math. Ann. 199, 1972), and the roots of the
     stabilizer W_mu are the roots mu does not move, so the orbit size is the
     product over the roots that mu moves."""
-    moved = [rs.heights[k] for k in _moved_roots(rs, mu)]
+    moved = [rs.heights[k] for k in _moved(rs, rho_pairings(rs, mu))]
     size, rest = divmod(prod(h + 1 for h in moved), prod(moved))
     if rest:
         raise AssertionError("Weyl orbit size did not come out integral")
     return size
 
 
-def distinct_weight_count(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
+def distinct_weight_count(o: Orbit) -> int:
     """Number of distinct weights of V(lambda): the Weyl orbit sizes of its
     dominant weights, summed."""
-    return sum(_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs))
+    return sum(_orbit_size(o.rs, mu) for mu in dominant_weights(o.rs, o.weight))
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +432,16 @@ def distinct_weight_count(rs: AbstractRootSystem, coeffs: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def angle_audit(rs: AbstractRootSystem, coeffs: Sequence[int]) -> bool:
+def angle_audit(o: Orbit) -> bool:
     """True when no two nilradical roots make an obtuse angle and exactly one
     simple root is moved by the weight.  (alpha, beta) has the sign of
     <alpha, beta^vee>, the Dynkin coordinates of alpha against the
     simple-coroot coordinates of beta^vee."""
-    moved = _moved_roots(rs, coeffs)
+    rs = o.rs
+    moved = _moved(rs, o.p)
     for i, a in enumerate(moved):
         root = rs.positive_roots_dynkin[a]
         for b in moved[i + 1:]:
             if sum(map(mul, root, rs.positive_coroots[b])) < 0:
                 return False
-    return sum(1 for c in coeffs if c) == 1
+    return sum(1 for c in o.weight if c) == 1

@@ -12,7 +12,8 @@ The per-root integer routes that the root system's tables replaced, at the
 end: Dynkin coordinates as a matrix product, the Weyl dimension and the
 moved roots one coroot at a time, and Weyl orbit sizes by walking the orbit
 with simple reflections.  They read the Cartan matrix and the coroots of a
-legquad root system, not its tables.
+legquad root system, not its tables.  Last, the dual weight by simple
+reflections, against the duality involution's table of diagram symmetries.
 """
 
 from __future__ import annotations
@@ -412,3 +413,16 @@ def reflection_orbit_size(rs, mu: Sequence[int]) -> int:
                         lower.append(image)
         frontier = lower
     return len(seen)
+
+
+def dual_weight(rs, coeffs: Sequence[int]) -> Tuple[int, ...]:
+    """The highest weight of V(lambda)*: the dominant weight of the Weyl
+    orbit of -lambda, the lowest weight of V(lambda) negated.  It is reached
+    from -lambda by simple reflections s_i, mu -> mu - mu_i C[i], taken while
+    some mu_i is negative; each raises the weight, so the walk ends."""
+    mu = tuple(-c for c in coeffs)
+    while True:
+        i = next((i for i, x in enumerate(mu) if x < 0), None)
+        if i is None:
+            return mu
+        mu = tuple(x - mu[i] * c for x, c in zip(mu, rs.cartan[i]))

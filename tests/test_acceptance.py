@@ -15,7 +15,7 @@ from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
 from legquad.liealg import cartan_subalgebra, identify_algebra, root_decomposition
 from legquad.poly import Polynomial, parse_poly
-from legquad.rootdata import build_root_system, weyl_dimension
+from legquad.rootdata import build_root_system, orbit
 from legquad.symplectic import poisson_bracket, standard_form
 from classify_oracle import accepted_pairs, accepted_simple
 from groebner_oracle import krull_dimension_bruteforce
@@ -194,7 +194,7 @@ def test_criterion_5_property_suites():
         coeffs = [rng.randint(0, 2) for _ in range(rs.rank)]
         if not any(coeffs):
             continue
-        dim = weyl_dimension(rs, coeffs)
+        dim = orbit(rs, coeffs).dim
         if dim > 600:
             continue
         assert sum(weight_multiplicities(rs, coeffs).values()) == dim

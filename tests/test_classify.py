@@ -7,16 +7,16 @@ import pytest
 
 from classify_oracle import accepted_pairs, accepted_simple
 from legquad import classify, cli, legendrian, rootdata
-from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, is_canonical_weight, weight_tables
+from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.legendrian import kostant_certificate
-from legquad.liealg import diagram_automorphisms
 from legquad.rootdata import (
     build_root_system,
-    closed_orbit_quadrics,
-    cone_orbit_dimension,
+    diagram_automorphisms,
+    is_canonical_weight,
+    orbit,
+    product_quadrics,
     simple_types_up_to,
     type_key,
-    weyl_dimension,
 )
 from rootdata_oracle import box_weights_under_cap, per_root_moved_roots, per_root_weyl_dimension
 from test_kostant import _diagram_automorphisms
@@ -88,13 +88,13 @@ def test_c_type_natural_edges_exhaust(simple_scan):
         assert edge[0].status == "rejected" and "below twice" in edge[0].reason
         assert edge[0].dim_v == 2 * m and edge[0].dim_v < 2 * edge[0].dim_cone
         rs = build_root_system("C", m)
-        assert weyl_dimension(rs, (2,) + (0,) * (m - 1)) > 2 * len(rs.positive_roots) + 2
+        assert orbit(rs, (2,) + (0,) * (m - 1)).dim > 2 * len(rs.positive_roots) + 2
 
 
 @functools.lru_cache(maxsize=None)
 def _automorphisms(label: str):
     """The tests' permutation search up to rank 8; above it, where that
-    search has rank! permutations to try, `liealg.diagram_automorphisms`,
+    search has rank! permutations to try, `rootdata.diagram_automorphisms`,
     which matches it at every type up to rank 8 (test_kostant)."""
     if type_key(label)[1] <= 8:
         return _diagram_automorphisms(label)
@@ -121,19 +121,19 @@ def test_simple_scan_tests_exactly_the_weights_under_the_derived_cap(simple_12):
     and nothing else, for every type up to rank 12; the oracle finds them by a
     box search and the per-root Weyl product.  Every candidate's dim V, cone
     dimension and, where filter (v) ran, quadric count, all read off the
-    pairing vector the growth loop carried, match the per-root routes and the
-    functions that start from lambda.  A1 (3) sits on A1's cap of 4."""
+    pairing vector the growth loop carried, match the per-root routes and
+    `orbit` of lambda.  A1 (3) sits on A1's cap of 4."""
     tested = {}
     for v in simple_12:
         tested.setdefault(v.type_label, []).append(v.weight)
         rs = build_root_system(v.type_label[0], int(v.type_label[1:]))
         assert v.dim_v == per_root_weyl_dimension(rs, v.weight), (v.type_label, v.weight)
         cone = 1 + len(per_root_moved_roots(rs, v.weight))
-        assert v.dim_cone == cone == cone_orbit_dimension(rs, v.weight), (v.type_label, v.weight)
+        assert v.dim_cone == cone == orbit(rs, v.weight).cone, (v.type_label, v.weight)
         if v.quadric_count is not None:
             doubled = per_root_weyl_dimension(rs, [2 * c for c in v.weight])
             assert v.quadric_count == v.dim_v * (v.dim_v + 1) // 2 - doubled
-            assert v.quadric_count == closed_orbit_quadrics([(rs, v.weight)])
+            assert v.quadric_count == product_quadrics([orbit(rs, v.weight)])
     for label, rank in simple_types_up_to(12):
         rs = build_root_system(label, rank)
         want = {_orbit(rs.type_label, w) for w in box_weights_under_cap(rs, 2 * len(rs.positive_roots) + 2)}
@@ -251,13 +251,13 @@ def test_each_type_is_built_once_per_process(monkeypatch, entries, algebras):
 
     def recording_quadrics(factors):
         orbits.append(factors)
-        return closed_orbit_quadrics(factors)
+        return product_quadrics(factors)
 
-    monkeypatch.setattr(legendrian, "closed_orbit_quadrics", recording_quadrics)
+    monkeypatch.setattr(legendrian, "product_quadrics", recording_quadrics)
     kostant_certificate(entries["e7"].presentation, algebras["e7"])
-    [[(e7, _)]] = orbits
+    [[e7]] = orbits
     # no new build: the certificate's E7 is the one the scan built
-    assert len(built) == 31 and e7 is build_root_system("E", 7) and e7 in built
+    assert len(built) == 31 and e7.rs is build_root_system("E", 7) and e7.rs in built
 
 
 @pytest.mark.parametrize("max_dim", [None, 4, 10, 50, 100, 300])
@@ -301,9 +301,9 @@ def test_product_scan_decides_each_factor_once(monkeypatch):
     again, so no answer outlives the call."""
     calls = {"is_self_dual": [], "distinct_weight_count": []}
     for name, seen in calls.items():
-        def recording(rs, weight, _test=getattr(classify, name), _seen=seen):
-            _seen.append((rs.type_label, tuple(weight)))
-            return _test(rs, weight)
+        def recording(o, _test=getattr(classify, name), _seen=seen):
+            _seen.append((o.rs.type_label, o.weight))
+            return _test(o)
 
         monkeypatch.setattr(classify, name, recording)
     first = enumerate_semisimple_pairs(weight_tables(8, 100))

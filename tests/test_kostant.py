@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groebner_oracle
-from legquad import catalog
+from legquad import catalog, legendrian
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.groebner import IdealPresentation, buchberger, krull_dimension
 from legquad.legendrian import (
@@ -26,15 +26,9 @@ from legquad.legendrian import (
     kostant_certificate,
     legendrian_verdict,
 )
-from legquad.liealg import (
-    bracket_closure,
-    close_and_present,
-    diagram_automorphisms,
-    identify_algebra,
-    split_root_data,
-)
+from legquad.liealg import bracket_closure, close_and_present, identify_algebra, split_root_data
 from legquad.poly import Polynomial
-from legquad.rootdata import _cartan_matrix, simple_types_up_to
+from legquad.rootdata import _cartan_matrix, diagram_automorphisms, product_quadrics, simple_types_up_to
 from legquad.symplectic import SymplecticForm
 from poly_oracle import substitute
 from test_span_closure import BUDGET, _permuted, _relabeled_perturbation
@@ -244,27 +238,44 @@ def test_certified_simple_types_are_accepted_by_the_scan(scan_acceptances):
     assert ("D6", (0, 0, 0, 0, 0, 1)) in accepted
 
 
-def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptances):
+def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptances, monkeypatch):
     """The paper's list both ways at rank <= 8.  Every Kostant certificate of
     a catalog entry, of one, two or three factors, names a scan acceptance;
     and the constructions of the catalog, the line times each split quadric
     (`line_times_quadric(m)`, m = 3..17) and the X_f of each cubic norm row,
     are certified as exactly the scan's 20 acceptances, one each; the rows'
     types and weights are the scan's five simple acceptances as it writes
-    them."""
+    them.  Every certificate's factors, the `Orbit`s it reads its quadric
+    count from, are the very records the scan's table holds for the same
+    type and weight."""
     accepted = [_orbit_key(types, weights) for types, weights in scan_acceptances]
     assert len(accepted) == len(set(accepted)) == 20
     for name, (types, weights, _) in CERTIFIED.items():
         assert _orbit_key(types, weights) in accepted, name
-    rows = [entries[name].presentation for name in catalog._CUBIC_NORMS]
-    constructions = [catalog.line_times_quadric(m).presentation for m in range(3, 18)] + rows
-    verdicts = [legendrian_verdict(pres) for pres in constructions]
-    assert [v.certificate for v in verdicts] == ["kostant"] * len(constructions)
+    table = {(o.rs.type_label, o.weight): o for o in weight_tables(8).factors}
+    read = []
+
+    def recording_quadrics(orbits):
+        read.append(orbits)
+        return product_quadrics(orbits)
+
+    monkeypatch.setattr(legendrian, "product_quadrics", recording_quadrics)
+    by_entry = {}
+    for name, (types, weights, _) in CERTIFIED.items():
+        read.clear()
+        by_entry[name] = legendrian_verdict(entries[name].presentation)
+        assert read == [[table[key] for key in zip(types, weights)]], name
+    read.clear()
+    lines = [legendrian_verdict(catalog.line_times_quadric(m).presentation) for m in range(3, 18)]
+    assert len(read) == len(lines)
+    assert [[table[o.rs.type_label, o.weight] for o in orbits] for orbits in read] == read
+    verdicts = lines + [by_entry[name] for name in catalog._CUBIC_NORMS]
+    assert [v.certificate for v in verdicts] == ["kostant"] * len(verdicts)
     certified = [_orbit_key(v.kostant.types, v.kostant.highest_weight) for v in verdicts]
     assert sorted(certified) == sorted(accepted)
     assert _orbit_key(["A1"] * 3, [(1,)] * 3) in certified
     simple = sorted((types[0], weights[0]) for types, weights in scan_acceptances if len(types) == 1)
-    row_certificates = [v.kostant for v in verdicts[-len(rows):]]
+    row_certificates = [v.kostant for v in verdicts[len(lines):]]
     assert all(len(c.types) == 1 for c in row_certificates)
     assert sorted((c.types[0], c.highest_weight[0]) for c in row_certificates) == simple
 

@@ -13,7 +13,6 @@ from legquad.liealg import (
     NotClosedError,
     _dense_order,
     _integer_ad,
-    _match_component,
     _rational_eigenvalues,
     _type_of_dimension,
     cartan_subalgebra,
@@ -26,7 +25,7 @@ from legquad.liealg import (
     subalgebra_presentation,
 )
 from legquad.poly import parse_poly
-from legquad.rootdata import build_root_system, simple_types_up_to, type_key
+from legquad.rootdata import build_root_system, match_cartan, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
 from liealg_oracle import block_view, dense, exp_nilpotent_action, exp_orbit_points, quadratic_part, verify_jacobi
@@ -567,7 +566,7 @@ def test_component_match_returns_the_node_bijection():
         order = list(range(rank))
         rng.shuffle(order)
         cartan = [[target[a][b] for b in order] for a in order]
-        name, perm = _match_component(cartan)
+        name, perm = match_cartan(cartan)
         assert name == f"{label}{rank}"
         assert sorted(perm) == list(range(rank))
         assert all(cartan[i][j] == target[perm[i]][perm[j]] for i in range(rank) for j in range(rank))

@@ -6,12 +6,11 @@ from legquad.classify import enumerate_semisimple_pairs, weight_tables
 from legquad.rootdata import (
     angle_audit,
     build_root_system,
-    closed_orbit_cone_dimension,
-    closed_orbit_quadrics,
-    cone_orbit_dimension,
     distinct_weight_count,
     is_self_dual,
-    weyl_dimension,
+    orbit,
+    product_quadrics,
+    segre_cone_dimension,
 )
 from rootdata_oracle import DimensionCapExceeded, weight_multiplicities
 
@@ -36,41 +35,41 @@ def test_invalid_types_rejected():
 
 
 def test_weyl_dimension_examples():
-    assert weyl_dimension(build_root_system("A", 1), [3]) == 4
-    assert weyl_dimension(build_root_system("C", 3), [0, 0, 1]) == 14
-    assert weyl_dimension(build_root_system("E", 7), [0, 0, 0, 0, 0, 0, 1]) == 56
-    assert weyl_dimension(build_root_system("A", 5), [0, 0, 1, 0, 0]) == 20
-    assert weyl_dimension(build_root_system("D", 6), [0, 0, 0, 0, 0, 1]) == 32
+    assert orbit(build_root_system("A", 1), [3]).dim == 4
+    assert orbit(build_root_system("C", 3), [0, 0, 1]).dim == 14
+    assert orbit(build_root_system("E", 7), [0, 0, 0, 0, 0, 0, 1]).dim == 56
+    assert orbit(build_root_system("A", 5), [0, 0, 1, 0, 0]).dim == 20
+    assert orbit(build_root_system("D", 6), [0, 0, 0, 0, 0, 1]).dim == 32
 
 
 def test_weyl_dimension_classics():
     # adjoint representations have the algebra dimension
-    assert weyl_dimension(build_root_system("G", 2), [0, 1]) == 14
-    assert weyl_dimension(build_root_system("F", 4), [1, 0, 0, 0]) == 52
-    assert weyl_dimension(build_root_system("E", 6), [0, 1, 0, 0, 0, 0]) == 78
-    assert weyl_dimension(build_root_system("E", 8), [0, 0, 0, 0, 0, 0, 0, 1]) == 248
-    assert weyl_dimension(build_root_system("B", 3), [1, 0, 0]) == 7
-    assert weyl_dimension(build_root_system("A", 2), [1, 1]) == 8
+    assert orbit(build_root_system("G", 2), [0, 1]).dim == 14
+    assert orbit(build_root_system("F", 4), [1, 0, 0, 0]).dim == 52
+    assert orbit(build_root_system("E", 6), [0, 1, 0, 0, 0, 0]).dim == 78
+    assert orbit(build_root_system("E", 8), [0, 0, 0, 0, 0, 0, 0, 1]).dim == 248
+    assert orbit(build_root_system("B", 3), [1, 0, 0]).dim == 7
+    assert orbit(build_root_system("A", 2), [1, 1]).dim == 8
 
 
 def test_weyl_dimension_rejects_non_dominant():
     with pytest.raises(ValueError):
-        weyl_dimension(build_root_system("A", 2), [1, -1])
+        orbit(build_root_system("A", 2), [1, -1]).dim
 
 
 def test_cone_orbit_dimensions():
-    assert cone_orbit_dimension(build_root_system("A", 5), [0, 0, 1, 0, 0]) == 10
-    assert cone_orbit_dimension(build_root_system("D", 6), [0, 0, 0, 0, 0, 1]) == 16
-    assert cone_orbit_dimension(build_root_system("A", 1), [3]) == 2
-    assert cone_orbit_dimension(build_root_system("C", 3), [0, 0, 1]) == 7
-    assert cone_orbit_dimension(build_root_system("E", 7), [0] * 6 + [1]) == 28
+    assert orbit(build_root_system("A", 5), [0, 0, 1, 0, 0]).cone == 10
+    assert orbit(build_root_system("D", 6), [0, 0, 0, 0, 0, 1]).cone == 16
+    assert orbit(build_root_system("A", 1), [3]).cone == 2
+    assert orbit(build_root_system("C", 3), [0, 0, 1]).cone == 7
+    assert orbit(build_root_system("E", 7), [0] * 6 + [1]).cone == 28
 
 
 def test_closed_orbit_quadric_counts():
     """C(N + 1, 2) - prod dim V(2 lambda_i): for the five simple orbits the
     scan accepts, the quadrics number dim g."""
     def quadrics(label, rank, coeffs):
-        return closed_orbit_quadrics([(build_root_system(label, rank), coeffs)])
+        return product_quadrics([orbit(build_root_system(label, rank), coeffs)])
 
     assert quadrics("A", 1, [3]) == 3
     assert quadrics("C", 3, [0, 0, 1]) == 21
@@ -82,25 +81,25 @@ def test_closed_orbit_quadric_counts():
 def test_closed_orbit_counts_of_two_factors():
     a1, b2 = build_root_system("A", 1), build_root_system("B", 2)
     # the line times the quadric in P^4: N = 10, 55 - 3 * 14 quadrics, dim sl2 + dim so5
-    line_times_quadric = [(a1, [1]), (b2, [1, 0])]
-    assert closed_orbit_quadrics(line_times_quadric) == 55 - 42 == 3 + 10
-    assert closed_orbit_cone_dimension(line_times_quadric) == 5
+    line_times_quadric = [orbit(a1, [1]), orbit(b2, [1, 0])]
+    assert product_quadrics(line_times_quadric) == 55 - 42 == 3 + 10
+    assert segre_cone_dimension(line_times_quadric) == 5
     # the quadric surface in P^3: N = 4, 10 - 9 quadrics, cone 3, so N is not twice the cone
-    quadric_surface = [(a1, [1]), (a1, [1])]
-    assert closed_orbit_quadrics(quadric_surface) == 1
-    assert closed_orbit_cone_dimension(quadric_surface) == 3
+    quadric_surface = [orbit(a1, [1]), orbit(a1, [1])]
+    assert product_quadrics(quadric_surface) == 1
+    assert segre_cone_dimension(quadric_surface) == 3
     [verdict] = enumerate_semisimple_pairs(weight_tables(1, 4))
     assert (verdict.weights, verdict.dim_cone, verdict.status) == (((1,), (1,)), 3, "rejected")
 
 
 def test_self_duality_table():
-    assert is_self_dual(build_root_system("A", 5), [0, 0, 1, 0, 0])
-    assert not is_self_dual(build_root_system("A", 5), [1, 0, 0, 0, 0])
-    assert is_self_dual(build_root_system("E", 7), [0] * 6 + [1])
-    assert not is_self_dual(build_root_system("E", 6), [1, 0, 0, 0, 0, 0])
-    assert not is_self_dual(build_root_system("D", 5), [0, 0, 0, 0, 1])
-    assert is_self_dual(build_root_system("D", 6), [0, 0, 0, 0, 0, 1])
-    assert is_self_dual(build_root_system("B", 4), [0, 0, 0, 1])
+    assert is_self_dual(orbit(build_root_system("A", 5), [0, 0, 1, 0, 0]))
+    assert not is_self_dual(orbit(build_root_system("A", 5), [1, 0, 0, 0, 0]))
+    assert is_self_dual(orbit(build_root_system("E", 7), [0] * 6 + [1]))
+    assert not is_self_dual(orbit(build_root_system("E", 6), [1, 0, 0, 0, 0, 0]))
+    assert not is_self_dual(orbit(build_root_system("D", 5), [0, 0, 0, 0, 1]))
+    assert is_self_dual(orbit(build_root_system("D", 6), [0, 0, 0, 0, 0, 1]))
+    assert is_self_dual(orbit(build_root_system("B", 4), [0, 0, 0, 1]))
 
 
 def test_weight_multiplicities_examples():
@@ -129,7 +128,7 @@ def test_freudenthal_totals_match_weyl_dimension():
         coeffs = [rng.randint(0, 2) for _ in range(rs.rank)]
         if not any(coeffs):
             continue
-        dim = weyl_dimension(rs, coeffs)
+        dim = orbit(rs, coeffs).dim
         if dim > 600:
             continue
         table = weight_multiplicities(rs, coeffs)
@@ -144,25 +143,26 @@ def test_multiplicity_cap():
 
 def test_distinct_weight_counts():
     a1 = build_root_system("A", 1)
-    assert distinct_weight_count(a1, [1]) == 2
-    assert distinct_weight_count(a1, [2]) == 3
+    assert distinct_weight_count(orbit(a1, [1])) == 2
+    assert distinct_weight_count(orbit(a1, [2])) == 3
     b2 = build_root_system("B", 2)
-    assert distinct_weight_count(b2, [1, 0]) == 5      # vector rep of so5
-    assert distinct_weight_count(b2, [0, 1]) == 4      # spin rep
+    assert distinct_weight_count(orbit(b2, [1, 0])) == 5      # vector rep of so5
+    assert distinct_weight_count(orbit(b2, [0, 1])) == 4      # spin rep
 
 
 def test_minuscule_reps_multiplicity_free():
     """dim V distinct weights, the scan's multiplicity-free test."""
     for label, rank, coeffs in (("D", 6, [0] * 5 + [1]), ("B", 5, [0, 0, 0, 0, 1]), ("E", 7, [0] * 6 + [1])):
         rs = build_root_system(label, rank)
-        assert distinct_weight_count(rs, coeffs) == weyl_dimension(rs, coeffs)
+        o = orbit(rs, coeffs)
+        assert distinct_weight_count(o) == o.dim
 
 
 def test_angle_audit():
-    assert angle_audit(build_root_system("E", 7), [0] * 6 + [1])
-    assert angle_audit(build_root_system("A", 5), [0, 0, 1, 0, 0])
-    assert not angle_audit(build_root_system("A", 5), [1, 0, 1, 0, 0])
-    assert angle_audit(build_root_system("C", 3), [0, 0, 1])
+    assert angle_audit(orbit(build_root_system("E", 7), [0] * 6 + [1]))
+    assert angle_audit(orbit(build_root_system("A", 5), [0, 0, 1, 0, 0]))
+    assert not angle_audit(orbit(build_root_system("A", 5), [1, 0, 1, 0, 0]))
+    assert angle_audit(orbit(build_root_system("C", 3), [0, 0, 1]))
 
 
 def test_edge_monotonicity():
@@ -177,5 +177,5 @@ def test_edge_monotonicity():
                 for k in (0, 1, 2, 3, 4):
                     coeffs = list(base)
                     coeffs[edge] += k
-                    dims.append(weyl_dimension(rs, coeffs))
+                    dims.append(orbit(rs, coeffs).dim)
                 assert dims == sorted(set(dims))

@@ -7,15 +7,16 @@ from fractions import Fraction
 import pytest
 
 from legquad.rootdata import (
-    _moved_roots,
+    _moved,
     _orbit_size,
     angle_audit,
     build_root_system,
-    cone_orbit_dimension,
     distinct_weight_count,
     dominant_weights,
+    duality_involution,
+    is_self_dual,
+    orbit,
     simple_types_up_to,
-    weyl_dimension,
 )
 
 from linalg_oracle import vec_dot
@@ -23,6 +24,7 @@ from rootdata_oracle import (
     ambient,
     ambient_weyl_dimension,
     box_dominant_weights,
+    dual_weight,
     dynkin,
     per_root_moved_roots,
     per_root_weyl_dimension,
@@ -107,11 +109,12 @@ def test_parabolic_data_matches_ambient_roots():
             coeffs[i] = 1
             lam = amb.weight_from_coeffs(coeffs)
             moved = [a for a in amb.positive_roots if vec_dot(lam, a) != 0]
-            assert cone_orbit_dimension(rs, coeffs) == 1 + len(moved)
+            o = orbit(rs, coeffs)
+            assert o.cone == 1 + len(moved)
             obtuse = any(
                 vec_dot(a, b) < 0 for k, a in enumerate(moved) for b in moved[k + 1:]
             )
-            assert angle_audit(rs, coeffs) == (not obtuse), (rs.type_label, coeffs)
+            assert angle_audit(o) == (not obtuse), (rs.type_label, coeffs)
 
 
 @pytest.mark.parametrize("label,rank", SMALL_TYPES)
@@ -121,14 +124,14 @@ def test_weights_match_freudenthal(label, rank):
     root subtraction all agree with the Freudenthal table and the box
     enumeration."""
     rs = build_root_system(label, rank)
-    weights = _weights_up_to(rank, lambda c: weyl_dimension(rs, c), 50)
+    weights = _weights_up_to(rank, lambda c: orbit(rs, c).dim, 50)
     assert len(weights) >= 2
     for coeffs in weights:
         table = weight_multiplicities(rs, coeffs)
-        dim = weyl_dimension(rs, coeffs)
-        assert dim == sum(table.values()) == ambient_weyl_dimension(rs, coeffs)
-        assert distinct_weight_count(rs, coeffs) == len(table)
-        assert (distinct_weight_count(rs, coeffs) == dim) == all(m == 1 for m in table.values())
+        o = orbit(rs, coeffs)
+        assert o.dim == sum(table.values()) == ambient_weyl_dimension(rs, coeffs)
+        assert distinct_weight_count(o) == len(table)
+        assert (distinct_weight_count(o) == o.dim) == all(m == 1 for m in table.values())
         assert sorted(dominant_weights(rs, coeffs)) == sorted(box_dominant_weights(rs, coeffs))
 
 
@@ -168,12 +171,40 @@ def test_tables_match_the_per_root_routes(label, rank):
     for lam in weights:
         for coeffs in (lam, tuple(2 * c for c in lam)):
             dim = per_root_weyl_dimension(rs, coeffs)
-            assert weyl_dimension(rs, coeffs) == dim, coeffs
+            o = orbit(rs, coeffs)
+            assert o.dim == dim, coeffs
             moved = per_root_moved_roots(rs, coeffs)
-            assert _moved_roots(rs, coeffs) == moved, coeffs
-            assert cone_orbit_dimension(rs, coeffs) == 1 + len(moved), coeffs
+            assert _moved(rs, o.p) == moved, coeffs
+            assert o.cone == 1 + len(moved), coeffs
             if dim > 5000:
                 continue
             sizes = [reflection_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs)]
             assert [_orbit_size(rs, mu) for mu in dominant_weights(rs, coeffs)] == sizes, coeffs
-            assert distinct_weight_count(rs, coeffs) == sum(sizes), coeffs
+            assert distinct_weight_count(o) == sum(sizes), coeffs
+
+
+RANK_16_TYPES = (
+    [("A", n) for n in range(1, 17)]
+    + [("B", n) for n in range(2, 17)]
+    + [("C", n) for n in range(2, 17)]
+    + [("D", n) for n in range(3, 17)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("label,rank", RANK_16_TYPES)
+def test_duality_involution_is_the_dual_weight(label, rank):
+    """At every fundamental weight and at seeded weights with coordinates up
+    to 2, the duality involution gives the dual weight that simple
+    reflections reach from -lambda, and `is_self_dual` holds exactly where
+    that dual is lambda."""
+    rs = build_root_system(label, rank)
+    perm = duality_involution(rs)
+    rng = random.Random(f"dual:{rs.type_label}")
+    weights = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    weights += [tuple(rng.choice((0, 0, 1, 2)) for _ in range(rank)) for _ in range(6)]
+    weights += [tuple(lam[perm[i]] for i in range(rank)) for lam in weights[rank:]]
+    for lam in weights:
+        dual = dual_weight(rs, lam)
+        assert dual == tuple(lam[perm[i]] for i in range(rank)), (rs.type_label, lam)
+        assert is_self_dual(orbit(rs, lam)) == (dual == lam), (rs.type_label, lam)

@@ -140,3 +140,55 @@ def test_every_name_in_the_readme_prose_is_defined():
         if word not in names and not all(part in names for part in word.split("."))
     ]
     assert undefined == []
+
+
+def _package_imports(tree):
+    """(source, name) of every name a module imports from another module of
+    the package, the source being that module: "rootdata" for
+    `from .rootdata import name` and "linalg" for `from . import linalg`."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            base = node.module or ""
+        elif (node.module or "").partition(".")[0] == "legquad":
+            base = node.module.partition(".")[2]
+        else:
+            continue
+        yield from ((base or alias.name, alias.name) for alias in node.names)
+
+
+def test_modules_keep_their_layers():
+    """No module imports another's private (underscore) name, the verdict
+    engine `legendrian` imports nothing from the scan `classify`, and
+    `rootdata`, which owns the Dynkin diagram and the closed orbit, imports
+    no other module of the package."""
+    private, layering = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for source, name in _package_imports(ast.parse(path.read_text())):
+            if name.startswith("_"):
+                private.append(f"{path.stem}: {source}.{name}")
+            if path.stem == "rootdata" or (path.stem, source) == ("legendrian", "classify"):
+                layering.append(f"{path.stem}: {source}.{name}")
+    assert private == [] and layering == []
+
+
+def test_every_imported_name_is_read():
+    """Every name a module of `src/legquad` binds by an import, `__future__`
+    aside, is read in that module; `__init__.py`, whose imports are the
+    package's exports, is left out."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
+    assert unread == []
