@@ -239,8 +239,8 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     den_c times its image and the kernel is scaled back by den_p / den_c.
     Columns of different image degree share no row, so each image degree
     is one tracked `Echelon` over its columns in order: a column in the
-    span of the earlier ones is free, and its coefficients over them are
-    its kernel vector.  A column that alone holds an image monomial is
+    span of the earlier ones is free, and its coefficients over them, read
+    once every column is in, as they are unique, are its kernel vector.  A column that alone holds an image monomial is
     forced to zero and left out; one of zero image is free, its own form.
     """
     codec = MonomialCodec(par[0].nvars, max(degree * max(p.degree() for p in par), 1))
@@ -273,17 +273,12 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     for block in blocks.values():
         holders = Counter(chain.from_iterable(block.values()))
         ech = linalg.Echelon(track=True)
-        kept: List[int] = []
-        for col in sorted(block):
-            image = block[col]
-            if min(map(holders.__getitem__, image)) == 1:
-                continue
-            kept.append(col)
-            if not ech.add(image):
-                form = {kept[i]: Fraction(-x.numerator * dens[kept[i]], x.denominator * dens[col])
-                        for i, x in ech.coefficients(image).items()}
-                form[col] = Fraction(1)
-                forms[col] = form
+        kept = [col for col in sorted(block) if min(map(holders.__getitem__, block[col])) > 1]
+        for col in [col for col in kept if not ech.add(block[col])]:
+            form = {kept[i]: Fraction(-x.numerator * dens[kept[i]], x.denominator * dens[col])
+                    for i, x in ech.coefficients(block[col]).items()}
+            form[col] = Fraction(1)
+            forms[col] = form
     return [Polynomial(nv, {ambient.unpack(-c): x for c, x in forms[col].items()}) for col in sorted(forms)]
 
 

@@ -3,30 +3,25 @@
 Bases are built degree by degree, after Faugere's F4 (J. Pure Appl. Algebra
 139, 1999).  Each step takes the pending S-pairs of the smallest lcm degree,
 less those the coprime-leading-monomial and chain criteria drop, and the
-input generators of that degree.  Each step groups the pending pairs by
-lcm degree in one pass and sorts only its own group, and the chain
-criterion stops at its first witness.  The two halves of each pair and the
-generators become rows, and symbolic preprocessing makes a reducer, one
-multiple of a basis element, for every monomial met that a basis leading
-monomial divides.  A reducer is a shifted basis row, already integer and
-primitive with a leading monomial of its own, so it goes into one
-`linalg.Echelon` by `adopt`, with no elimination; the other rows are then
-added in leading-monomial order.  Each stored row whose leading monomial no
-basis leading monomial divides is a new basis element.  The pivots of an
-echelon form depend only on the span, so the order of the rows moves no
-leading monomial, pending pair or budget count.  Normal forms, and the
-tails of the reduced basis, are remainders against the adopted reducers.
-The result is the unique reduced, monic grevlex basis, so identical ideals
-give identical bases.  The dimension reads the initial ideal alone: its
-minimal generators are the leading monomials of the steps' elements that
-no other element's leading monomial divides, which are exactly the reduced
-basis's, and `initial_ideal` returns them with no interreduction.  Inside
-the steps a monomial is its
-`poly.MonomialCodec` code, and its column is the negated code, so the
-smallest column is the grevlex largest monomial and pivots are leading
-monomials: shifts are additions, lcms are word operations, and a
-divisibility test is one subtraction and one mask.  The basis is unpacked
-once, at the end.
+input generators of that degree; the pending pairs are grouped by lcm
+degree in one pass, and the chain criterion stops at its first witness.
+The two halves of each pair, each (k, lcm) once, and the generators become
+rows, and symbolic preprocessing makes a reducer, one multiple of a
+basis element, for every monomial met that a basis leading monomial
+divides.  A reducer is a shifted basis row, already integer and primitive
+with a leading monomial of its own, so it goes into one `linalg.Echelon` by
+`adopt`, with no elimination; the other rows are then added in
+leading-monomial order.  Each stored row whose leading monomial no basis
+leading monomial divides is a new basis element.  The pivots of an echelon
+form depend only on the span, so the order of the rows moves no leading
+monomial, pending pair or budget count.  Normal forms, and the tails of the
+unique reduced, monic grevlex basis, are remainders against the adopted
+reducers.  The dimension reads the initial ideal alone: the leading
+monomials of the steps' elements that no other element's divides are the
+reduced basis's (`initial_ideal`).  Inside the steps a monomial is its
+`poly.MonomialCodec` code and its column the negated code, so pivots are
+leading monomials: shifts are additions, lcms are word operations, and a
+divisibility test is one subtraction and one mask.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
 any mathematical answer; exceeding it raises BudgetExceeded, and callers
@@ -189,7 +184,7 @@ def _f4(
             lms = [wider.pack(codec.unpack(lm)) for lm in lms]
             pending = {pair: wider.pack(codec.unpack(lcm)) for pair, lcm in pending.items()}
             codec = wider
-        rows: List[Terms] = []
+        halves: Dict[Tuple[int, int], Terms] = {}  # (k, lcm) -> shifted row; a basis monomial's by its lcm alone
         met: Dict[int, bool] = {}
         for i, j in sorted(by_degree.pop(degree, ())):
             lcm = pending.pop((i, j))
@@ -210,10 +205,13 @@ def _f4(
                 for k in codec.dividing(lcm, lms)
             ):
                 continue
-            for k in (i, j):
-                shift = lcm - lms[k]
-                rows.append({t - shift: c for t, c in basis[k].items()})
+            for k in (i, j):  # a half that two pairs share, or that two basis monomials give, enters once
+                key = (k if len(basis[k]) > 1 else -1, lcm)
+                if key not in halves:
+                    shift = lcm - lms[k]
+                    halves[key] = {t - shift: c for t, c in basis[k].items()}
             met[-lcm] = True  # both halves lead there
+        rows = list(halves.values())
         while inputs and inputs[0].degree() == degree:
             rows.append(_packed(inputs.pop(0), codec))
         if not rows:

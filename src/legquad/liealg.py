@@ -1,56 +1,48 @@
 """Finite-dimensional Lie algebras spanned by the quadrics of an ideal.
 
 Everything is exact.  The main pipeline: take the degree-2 part of a
-variety's ideal, verify the span is bracket-closed, solve for structure
+variety's ideal, verify the span is bracket-closed, read off structure
 constants, find a torus of elements whose sp-images are diagonal, decompose
 into root spaces over the rationals, read the Cartan integers off root
 strings and match each component against `rootdata`'s Cartan matrices.
 
 Closure and structure constants are one bracket pass, `bracket_closure`,
 which is also the closure test of `legendrian` for generators of any
-degree: it brackets every pair of generators and tests each bracket for
-membership in the degree part of the ideal that `degree_part` builds; no
-other code in the package builds such spans.  For quadrics the span is
-tracked, and the coefficients of each bracket over it are the structure
-constants, on the basis of the quadrics that enlarge it, so repeated or
-dependent quadrics present their span.
-
-The arithmetic runs on one sparse integer bracket table per presentation,
-built once from the structure constants over their common denominator D:
-ad-matrices (one builder, `_integer_ad`, which the centroid and the generic
-rank read) and the Killing form (`killing_rows`, D^2 times the trace form)
-both read it.  The torus search and the root decomposition read the terms
-of each quadric, their two indices found once (`quadric_terms`), and the
-sparse integer sp-image entries built from them (`sp_entries`).  An element
-is one sparse coordinate vector over the basis (`linalg.SparseVector`), from
-the kernels that find it to `CartanData` and the ideal bases of
-`decompose_ideals`; Fractions appear at the API boundary only: `structure`
-and those vectors.  The roots are integer tuples in the scale of the
-integer coordinate weights.  The dense Fraction routes of the same
-quantities, the integer bracket of two vectors (`bracket_ints`), the
-exponentials of nilpotent sp-images and the block view of an sp element
-live in the tests (`tests/liealg_oracle.py`).
+degree: it brackets each generator's gradient with each later one's
+Hamiltonian field (`symplectic.bracket_terms`) and tests the bracket for
+membership in the degree part of the ideal (`degree_part`).  For quadrics
+that part is their span, and each bracket is read off its reduced rows
+(`linalg.Echelon.combination`), which decides membership and gives the
+structure constants as integers.  The pass hands each presentation its
+sparse integer bracket table, over the least common denominator D of the
+constants, which ad-matrices (`_integer_ad`) and the Killing form
+(`killing_rows`, D^2 times the trace form) read, and its quadrics' fields
+as their integer sp-images (`sp_entries`), which the torus search and the
+root decomposition read.  An element is one sparse coordinate vector over
+the basis (`linalg.SparseVector`); Fractions appear at the API boundary
+only: those vectors and `structure`.  The roots are integer tuples in the
+scale of the integer coordinate weights.  The dense Fraction routes live in
+the tests (`tests/liealg_oracle.py`).
 
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
 written (`cartan_subalgebra`).  It gives every coordinate a weight, and the
 quadric x_p x_q has weight w_p + w_q: the root spaces are the quadrics'
 terms grouped by weight, and the torus is self-centralizing exactly when
-the weight-0 vectors found number dim T (`root_decomposition`).  Both the
-identification and the Kostant certificate of `legendrian` read the one
-root decomposition over it that `split_root_data` caches, with the
-coordinate weights it read.
+the weight-0 vectors found number dim T (`root_decomposition`).  The
+identification and the Kostant certificate of `legendrian` share the root
+decomposition that `split_root_data` caches.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
-squares cut out quadrics without rational points).  Those take a fallback
-path: split into minimal ideals and name each factor by the `rootdata` types
-of its rank whose algebra has its dimension.  That fails, naming the
-candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.  The
-split reads the centroid, the operators that commute with every ad, as one
-exact kernel: it is Q exactly on an absolutely simple piece, which proves
-the piece simple at every dimension, and its rational eigenspaces split the
-other pieces.  A piece that no centroid element splits, though its centroid
-is larger than Q, raises NotAdaptedError.
+squares cut out quadrics without rational points).  Those split into
+minimal ideals by the centroid, the operators that commute with every ad,
+one exact kernel: it is Q exactly on an absolutely simple piece, which
+proves the piece simple at every dimension, and its rational eigenspaces
+split the other pieces; a piece that no centroid element splits, though
+its centroid is larger than Q, raises NotAdaptedError.  Each factor is named
+by the `rootdata` types of its rank whose algebra has its dimension, which
+fails, naming the candidates, when B and C (rank 3 and above) or B6, C6 and
+E6 collide.
 """
 
 from __future__ import annotations
@@ -66,9 +58,8 @@ from . import linalg
 from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial, code_columns
 from .rootdata import match_cartan, simple_types_up_to, type_dimension, type_key
-from .symplectic import SymplecticForm, bracket_terms, gradient_terms
+from .symplectic import SymplecticForm, bracket_terms, hamiltonian_terms
 
-StructureConstants = Dict[Tuple[int, int], Dict[int, Fraction]]
 # table[i][j] lists (k, n) with [b_i, b_j] = sum (n / D) b_k
 BracketTable = List[Dict[int, List[Tuple[int, int]]]]
 SparseAd = Dict[Tuple[int, int], int]  # (k, j) -> integer entry
@@ -93,39 +84,51 @@ class NotAdaptedError(ValueError):
     """The presentation basis does not split over the rationals."""
 
 
+class _StructureView(Mapping):
+    """`structure`: {(i, j): {k: c}} with [b_i, b_j] = sum c b_k for i < j
+    with a nonzero bracket, read-only, each read afresh off the table."""
+
+    def __init__(self, table: Tuple[BracketTable, int]):
+        self._table = table
+
+    def __getitem__(self, key: Tuple[int, int]) -> Dict[int, Fraction]:
+        (i, j), (table, den) = key, self._table
+        if not i < j or j not in table[i]:
+            raise KeyError(key)
+        return {k: Fraction(n, den) for k, n in table[i][j]}
+
+    def __iter__(self):
+        return ((i, j) for i, row in enumerate(self._table[0]) for j in row if i < j)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._table[0])) // 2
+
+
 class LieAlgebraPresentation:
-    """Basis of quadrics plus exact structure constants for their brackets."""
+    """Basis of quadrics with the integer bracket table and sp-images that
+    `bracket_closure` builds, and the structure constants as Fractions."""
 
     def __init__(
         self,
         basis: Sequence[Polynomial],
         form: SymplecticForm,
-        structure: StructureConstants,
+        table: Tuple[BracketTable, int],
+        sp_entries: List[SpEntries],
     ):
         self.basis = list(basis)
         self.form = form
-        self.structure = structure
         self.dim = len(self.basis)
-        self._table: Optional[Tuple[BracketTable, int]] = None
+        self._table = table
+        self._sp_entries = sp_entries
+        self.structure = _StructureView(table)
         self._terms: Optional[List[QuadricTerms]] = None
-        self._sp_entries: Optional[List[SpEntries]] = None
         self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
         self._semisimple: Optional[bool] = None
         self._root_data = None  # CartanData, or the NotAdaptedError it raised
 
     def bracket_table(self) -> Tuple[BracketTable, int]:
-        """(table, D), built once: table[i][j] lists the (k, n) with
-        [b_i, b_j] = sum (n / D) b_k, for every ordered pair with a nonzero
+        """(table, D), table[i][j] for each ordered pair with a nonzero
         bracket, over the least common denominator D of the constants."""
-        if self._table is None:
-            den = math.lcm(*[c.denominator for col in self.structure.values() for c in col.values()])
-            table: BracketTable = [{} for _ in range(self.dim)]
-            for (i, j), col in self.structure.items():
-                if col:
-                    terms = [(k, c.numerator * (den // c.denominator)) for k, c in col.items()]
-                    table[i][j] = terms
-                    table[j][i] = [(k, -n) for k, n in terms]
-            self._table = (table, den)
         return self._table
 
     def quadric_terms(self) -> List[QuadricTerms]:
@@ -136,30 +139,8 @@ class LieAlgebraPresentation:
         return self._terms
 
     def sp_entries(self) -> List[SpEntries]:
-        """(entries, den) for each basis quadric, built once: its sp-image
-        2 W A is entries / den, with entries sparse (p, q) -> nonzero
-        integer.  The dual matrix W and the quadric matrices A are both
-        sparse for every fixture."""
-        if self._sp_entries is None:
-            col_nonzeros: List[List[Tuple[int, int]]] = [[] for _ in range(self.form.dim)]
-            for p, row in enumerate(self.form.dual_rows):
-                for r, w in row:
-                    col_nonzeros[r].append((p, w))
-            out = []
-            for terms in self.quadric_terms():
-                den = math.lcm(*[c.denominator for _, _, c in terms])
-                image: Dict[Tuple[int, int], int] = {}
-                for r, q, coeff in terms:
-                    c = coeff.numerator * (den // coeff.denominator)
-                    if r == q:
-                        entries = [(r, r, 2 * c)]  # 2 W A for A[r][r] = c
-                    else:
-                        entries = [(r, q, c), (q, r, c)]  # 2 W A for A[r][q] = A[q][r] = c / 2
-                    for r, q, a in entries:
-                        for p, w in col_nonzeros[r]:
-                            image[(p, q)] = image.get((p, q), 0) + w * a
-                out.append(({pq: x for pq, x in image.items() if x}, den * self.form.dual_den))
-            self._sp_entries = out
+        """(entries, den) for each basis quadric: its sp-image 2 W A, its
+        Hamiltonian field, is entries / den."""
         return self._sp_entries
 
     def element_polynomial(self, vec: Mapping[int, Fraction]) -> Polynomial:
@@ -248,9 +229,8 @@ def degree_part(
 ) -> Tuple[linalg.Echelon, Dict[int, int]]:
     """Echelon basis of I_d, the span of m * g over the generators g of
     degree e <= d and the monomials m of degree d - e, in that order, with
-    the column of each monomial code.  Columns run largest grevlex monomial
-    (largest code) first, so pivots are leading monomials.  With `track`,
-    `Echelon.coefficients` writes a vector of the span over the multiples."""
+    the column of each monomial code, largest grevlex (largest code) first,
+    so pivots are leading monomials; with `track`, over the multiples."""
     multiples = []
     for g in generators:
         if (e := g.degree()) <= degree:
@@ -274,20 +254,12 @@ def bracket_closure(
     Closure of the generators is enough: the Leibniz rule propagates it to
     the whole ideal.  The ideal is homogeneous, so a bracket of degree d
     lies in it exactly when it lies in I_d (`degree_part`), built once per
-    degree, for d = e_i + e_j - 2 with e_i, e_j the degrees of the
-    generators; a bracket monomial that no row of I_d has fails at once.
-    Brackets are integer vectors over packed monomial columns, d_i * d_j *
-    d_W times the true bracket for the denominators d_i, d_j of the two
-    gradients and d_W of the dual matrix.  Monomials are codes of a codec
-    sized for twice the largest generator degree, above every bracket
-    degree, so a generator of too high a degree raises ValueError.
-
-    When the generators are quadrics, I_2 is their span, with the basis of
-    the generators that enlarge it, in order (`Echelon.stored_inputs`), and
-    the structure constants are the coefficients of each nonzero bracket of
-    two basis elements over it, scaled by 1 / (d_i * d_j * d_W) once, as
-    `Echelon.coefficients` writes them over those generators.  The second
-    value is that algebra when the span is closed, and None otherwise.
+    degree d = e_i + e_j - 2.  Each generator is packed once, on a codec
+    sized for twice the largest degree (too high a degree raises
+    ValueError), and a bracket is d_i * d_j * d_W times the true one.  For
+    quadrics, I_2 is their span on the generators that enlarge it, in order
+    (`Echelon.stored_inputs`), and a bracket read off it (`combination`) is
+    None outside, or the constants over one denominator, reduced once.
     """
     gens = list(generators)
     if any(g.nvars != form.dim for g in gens):
@@ -298,43 +270,58 @@ def bracket_closure(
     if not quadrics and (len(gens) < 2 or 0 in degrees):
         return [], None
     codec = MonomialCodec(form.dim, 2 * max(degrees, default=2))
+    hams = [hamiltonian_terms(g, form, codec) for g in gens]
     spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
-    position: Dict[int, int] = {}  # generator index -> basis index
-    if quadrics:
-        spans[2] = degree_part(gens, 2, codec, track=True)
-        position = {i: k for k, i in enumerate(spans[2][0].stored_inputs)}
-    structure: StructureConstants = {}
-    grads = [gradient_terms(g, codec) for g in gens]
+    basis = list(range(len(gens)))
+    while quadrics:  # I_2 over the monomial codes, spanned again by the basis alone if it is smaller
+        quadric_span = linalg.Echelon(track=True)
+        for k in basis:
+            quadric_span.add(hams[k][0], hams[k][1])
+        if len(quadric_span.stored_inputs) == len(basis):
+            break
+        basis = [basis[k] for k in quadric_span.stored_inputs]
+    position = {i: k for k, i in enumerate(basis)}  # generator index -> basis index
+    brackets: List[Tuple[int, int, Dict[int, int], int]] = []  # (a, b, n, q): [b_a, b_b] = sum_k (n_k / q) b_k
     failing: List[Tuple[int, int]] = []
-    for (i, (grad_i, den_i)), (j, (grad_j, den_j)) in itertools.combinations(enumerate(grads), 2):
-        br = bracket_terms(grad_i, grad_j, form)
-        if not br:
-            continue
-        degree = degrees[i] + degrees[j] - 2
-        span, columns = spans.get(degree) or spans.setdefault(degree, degree_part(gens, degree, codec))
-        if any(m not in columns for m in br):
-            failing.append((i, j))
-            continue
-        row = {columns[m]: c for m, c in br.items()}
-        if i not in position or j not in position:
-            if not span.contains(row):
+    fields = [field for *_, field in hams]
+    for i, (_, den_i, grad_i, _) in enumerate(hams):
+        for j in range(i + 1, len(hams)):
+            br = bracket_terms(grad_i, fields[j])
+            if not br:
+                continue
+            if not quadrics:
+                degree = degrees[i] + degrees[j] - 2
+                span, columns = spans.get(degree) or spans.setdefault(degree, degree_part(gens, degree, codec))
+                if any(m not in columns for m in br) or not span.contains({columns[m]: c for m, c in br.items()}):
+                    failing.append((i, j))
+            elif (read := quadric_span.combination(br)) is None:
                 failing.append((i, j))
-        elif (coeffs := span.coefficients(row, den=den_i * den_j * form.dual_den)) is None:
-            failing.append((i, j))
-        else:
-            structure[(position[i], position[j])] = {position[k]: c for k, c in coeffs.items()}
+            elif i in position and j in position:  # d_i d_j d_W [b_i, b_j] = sum_k (n_k / scale) b_k
+                ints, scale = read
+                brackets.append((position[i], position[j], ints, scale * den_i * hams[j][1] * form.dual_den))
     if failing or not quadrics:
         return failing, None
-    return failing, LieAlgebraPresentation([gens[i] for i in position], form, structure)
+    den = math.lcm(*[q // math.gcd(q, *ints.values()) for _, _, ints, q in brackets])
+    table: BracketTable = [{} for _ in basis]
+    for a, b, ints, q in brackets:
+        terms = table[a][b] = [(k, n * den // q) for k, n in ints.items()]
+        table[b][a] = [(k, -n) for k, n in terms]
+    variable = {u: v for v, u in enumerate(codec.units)}
+    images = []
+    for k in basis:
+        _, den_k, _, field = hams[k]
+        entries: Dict[Tuple[int, int], int] = Counter()
+        for p, terms in field.items():
+            for m, c in terms:
+                entries[p, variable[m]] += c
+        images.append(({pq: x for pq, x in entries.items() if x}, den_k * form.dual_den))
+    return failing, LieAlgebraPresentation([gens[i] for i in basis], form, (table, den), images)
 
 
 def close_and_present(quadrics: Sequence[Polynomial], form: SymplecticForm) -> LieAlgebraPresentation:
-    """The Lie algebra of the span of quadrics closed under the bracket,
-    presented on the quadrics that enlarge the span, in order, with the
-    structure constants of `bracket_closure`.  An open span raises
-    NotClosedError listing all the pairs of `quadrics` whose bracket leaves
-    it; input that is not all quadrics raises ValueError.
-    """
+    """The Lie algebra of a closed span of quadrics, as `bracket_closure`
+    presents it.  An open span raises NotClosedError listing all the pairs
+    of `quadrics` whose bracket leaves it; other input raises ValueError."""
     failing, algebra = bracket_closure(quadrics, form)
     if failing:
         raise NotClosedError(failing)

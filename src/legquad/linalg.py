@@ -4,14 +4,12 @@ A coordinate vector is a sparse dict, index -> nonzero Fraction
 (`SparseVector`); `integral` scales one to integers.  Every row elimination
 in the package runs on `Echelon`: sparse rows of integers, kept
 fraction-free with their content divided out, which suits the sparse
-systems the package solves (the Groebner bases and normal forms of
-`groebner`, the quadric spans of `liealg` and `catalog`, ad-matrices,
-centroid systems of d^3 rows in d^2 columns); `Echelon.kernel` and
-`sparse_nullspace` give canonical kernel bases of sparse vectors, and a
-tracked `Echelon` writes a vector over its input rows, which gives the
-symplectic form its dual.  The package keeps no dense matrix: the dense
-elimination, inverse, matrix products and the predicates on dense matrices
-are test oracles (`tests/linalg_oracle.py`).
+systems the package solves (Groebner steps and normal forms, quadric spans,
+ad-matrices, centroid systems of d^3 rows in d^2 columns).  `Echelon.kernel`
+and `sparse_nullspace` give canonical kernel bases, and a tracked `Echelon`
+writes a vector over its input rows off its reduced rows, which gives the
+symplectic form its dual and the quadric algebras their structure
+constants.  The dense routes are test oracles (`tests/linalg_oracle.py`).
 """
 
 from __future__ import annotations
@@ -72,25 +70,18 @@ class Echelon:
     row that is already in that form as it is, and the elimination clears
     pivot columns in increasing order, so the entries such a row keeps in
     other pivot columns are cleared after it.  `pivots` lists the leading
-    columns in increasing order and is kept sorted as rows are inserted.
-    With `track=True` each row also carries its integer coefficients over
-    the (denominator-cleared) input rows, eliminated alongside it, so that
-    `coefficients` can write a vector of the span in terms of the inputs.
+    columns in increasing order.  With `track=True` each row also carries
+    its integer coefficients over the (denominator-cleared) input rows,
+    eliminated alongside it, from which `combination` reads a vector.
 
     The elimination takes a row's pivot columns off a heap: it starts with
     the row's own, and each elimination pushes the pivot columns it adds,
     so a row on a tall system of short rows, such as a Groebner step after
     its reducers are adopted, touches only the pivots it meets.  Walking
-    every pivot from the row's lead on instead, as the package once did,
-    clears the same columns in the same order and stores the same rows.
-    On a 2-vCPU Xeon host the walk took 9.4 s to check the segre-4 ideal
-    with two products of three of its quadrics added, whose closure test
-    spans its parts of degree 2, 6 and 10, against 0.83-0.93 s on the heap
-    (best of five in-process passes).  Walking the pivots for rows with at
-    most four pivots after their lead per entry, and taking the heap for
-    the rest, measured no faster on the `catalog` benchmark (seed 47,
-    ten alternating 35 s runs of each: median pass 1.101 s against 1.102 s,
-    the heap alone faster in 5 of the 10), so the heap serves every row.
+    every pivot from the row's lead on instead clears the same columns in
+    the same order, but took 9.4 s against 0.83-0.93 s on the heap for the
+    closure test of segre-4 with two sextic products added (2-vCPU Xeon,
+    best of five); walking short rows only measured no faster on `catalog`.
     """
 
     def __init__(self, track: bool = False):
@@ -98,18 +89,13 @@ class Echelon:
         self.rows: Dict[int, SparseRow] = {}  # leading column -> row, in insertion order
         self._combos: Optional[Dict[int, SparseRow]] = {} if track else None
         self._denominators: List[int] = []
+        # tracked: the inputs stored as rows, in order, over which alone `combination` writes
+        self.stored_inputs: List[int] = []
+        self._reduced = True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @property
-    def stored_inputs(self) -> List[int]:
-        """The indices of the inputs stored as rows, in input order: those
-        that enlarged the span, over which alone `coefficients` writes.
-        Needs track=True.  A stored row's combination holds its own input
-        and earlier stored ones only, so its largest index is its own."""
-        return sorted(max(combo) for combo in self._combos.values())
 
     def _clear(self, work: SparseRow, p: int, combo: Optional[SparseRow]) -> int:
         """work <- a * work - b * (row of pivot p) with the least a > 0 that
@@ -139,13 +125,14 @@ class Echelon:
                     heappush(heap, k)
         return m
 
-    def add(self, vec: Mapping) -> bool:
-        """Insert a row (column -> rational); False when it lies in the span."""
-        work, den = integral(vec)
+    def add(self, vec: Mapping, den: int = 1) -> bool:
+        """Insert the row vec / den (vec: column -> rational); False when it
+        lies in the span."""
+        work, d = integral(vec)
         combo = None
         if self._combos is not None:
             combo = {len(self._denominators): 1}
-            self._denominators.append(den)
+            self._denominators.append(d * den)
         self._reduce(work, combo)
         if not work:
             return False
@@ -153,8 +140,10 @@ class Echelon:
         lead = min(work)
         insort(self.pivots, lead)
         self.rows[lead] = work
+        self._reduced = False
         if combo is not None:
             self._combos[lead] = combo
+            self.stored_inputs.append(len(self._denominators) - 1)
         return True
 
     def adopt(self, row: SparseRow) -> None:
@@ -171,8 +160,10 @@ class Echelon:
             raise ValueError(f"column {lead} is already a pivot")
         insort(self.pivots, lead)
         self.rows[lead] = row
+        self._reduced = False
         if self._combos is not None:
             self._combos[lead] = {len(self._denominators): 1}
+            self.stored_inputs.append(len(self._denominators))
             self._denominators.append(1)
 
     def remainder(self, vec: Mapping) -> Dict[int, Fraction]:
@@ -186,32 +177,56 @@ class Echelon:
         return not self.remainder(vec)
 
     def coefficients(self, vec: Mapping, den: int = 1) -> Optional[Dict[int, Fraction]]:
-        """vec / den as a combination of the input rows (input index ->
-        nonzero coefficient), or None when it is outside the span.  Needs
-        track=True."""
+        """vec / den over the input rows (input index -> nonzero Fraction) by
+        `combination`, or None when it is outside the span."""
         work, d = integral(vec)
-        den *= d
-        combo: SparseRow = {}
-        m = self._reduce(work, combo)
-        if work:
+        if (found := self.combination(work)) is None:
             return None
-        # m * den * (vec / den) = -sum_i combo[i] * (d_i * input_i)
-        return {
-            i: Fraction(-combo[i] * self._denominators[i], m * den) for i in sorted(combo)
-        }
+        return {i: Fraction(x, found[1] * d * den) for i, x in found[0].items()}
+
+    def combination(self, work: SparseRow) -> Optional[Tuple[SparseRow, int]]:
+        """(c, s) with the integer row `work` = sum_i (c[i] / s) * input_i, c
+        in input order, or None outside the span; needs track=True.  On the
+        reduced span row p alone has an entry in pivot column p, its lead
+        l_p, so a vector of it is the sum of (work[p] / l_p) * row p: one
+        pass over those rows over s the lcm of the leads met, and one
+        residual check."""
+        if not self._reduced:
+            self.reduce_fully()
+        rows, combos = self.rows, self._combos
+        hit = work.keys() & rows.keys()
+        scale = lcm(*[rows[p][p] for p in hit])
+        acc: SparseRow = {}
+        combo: SparseRow = {}
+        for p in hit:
+            row = rows[p]
+            s = work[p] * (scale // row[p])
+            for k, x in row.items():
+                acc[k] = acc.get(k, 0) + s * x
+            for i, c in combos[p].items():
+                combo[i] = combo.get(i, 0) + s * c
+        scaled = work if scale == 1 else {k: scale * x for k, x in work.items()}
+        if acc != scaled and {k: x for k, x in acc.items() if x} != scaled:
+            return None
+        # row p = sum_i combos[p][i] * (denominator_i * input_i)
+        dens = self._denominators
+        return {i: c * dens[i] for i, c in sorted(combo.items()) if c}, scale
 
     def reduce_fully(self) -> None:
         """Clear each pivot column in the rows above it too, so that every
-        row is its canonical reduced row echelon row times a positive integer.
-        Tracked coefficients are not carried along, so `coefficients` is
-        wrong afterwards."""
+        row is its canonical reduced row echelon row times a positive integer,
+        tracked combinations carried along; `add` and `adopt` undo it."""
+        if self._reduced:
+            return
         for p in reversed(self.pivots):
             row = self.rows[p]
+            combo = None if self._combos is None else self._combos[p]
             later = [q for q in row if q != p and q in self.rows]
             for q in later:
-                self._clear(row, q, None)
+                self._clear(row, q, combo)
             if later:
-                _primitive(row, None)
+                _primitive(row, combo)
+        self._reduced = True
 
     def kernel(self, columns: Iterable[int]) -> List[SparseVector]:
         """Canonical basis of the vectors over `columns`, which hold every

@@ -12,13 +12,11 @@ sparse rows of J and the integer rows of its dual; the isotropy identity of
 a parametrization reads the first and the bracket the second, and the dense
 matrices are only read back, for JSON and for the tests.
 
-`bracket_terms` is the one differential bracket kernel: it works on sparse
-integer gradients (`gradient_terms`) keyed by `poly.MonomialCodec` codes, so
-callers that bracket the same generators many times build each gradient
-once, and a product of monomials is one int addition.  Each generator's
-denominators are cleared once, in its gradient, and the dual matrix's once,
-in the form, so the kernel multiplies ints only; its result is the bracket
-times those denominators, which span tests never need to divide out.
+`bracket_terms` is the one differential bracket kernel: [f, g] is the
+gradient of f against the Hamiltonian field X_g = W grad g, both integer
+terms keyed by `poly.MonomialCodec` codes that `hamiltonian_terms` builds
+once per polynomial, denominators cleared, so a pair multiplies ints and
+adds codes only, and for a quadric the field is its sp-image.
 `poisson_bracket` wraps it and rescales once.
 """
 
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -33,7 +32,8 @@ from . import linalg
 from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial
 
-GradientTerms = Dict[int, List[Tuple[int, int]]]  # variable -> (monomial code, integer coefficient)
+Gradient = List[Tuple[int, int, int]]  # (variable, monomial code, integer coefficient)
+Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial code, integer coefficient) summing to it
 
 
 class SymplecticForm:
@@ -42,9 +42,8 @@ class SymplecticForm:
     The form is stored once, sparse: `rows[i]` maps each column j with
     J_ij != 0 to that entry, a Fraction.  The bracket kernel reads the dual
     matrix, -J^{-1}, as integer rows (`dual_rows`, pairs (column, integer)
-    in column order) over one common denominator (`dual_den`).  Row i of
-    J^{-1} is the combination of J's rows that gives the i-th unit vector,
-    which one tracked `linalg.Echelon` over those rows writes down.
+    in column order) over one common denominator (`dual_den`), each unit
+    vector written over J's rows by one tracked `linalg.Echelon`.
 
     `dual_matrix` may be supplied when a fixture's conventional bracket
     normalization differs from the computed dual by a nonzero scalar; the
@@ -188,55 +187,56 @@ def standard_form(n: int) -> SymplecticForm:
     return pairing_form(2 * n, ((i, n + i, 1) for i in range(n)))
 
 
-def gradient_terms(p: Polynomial, codec: MonomialCodec) -> Tuple[GradientTerms, int]:
-    """Sparse gradient of den * p, for the least den > 0 that makes its
-    coefficients integers: variable i -> the terms (monomial code, integer
-    coefficient) of d(den * p)/dx_i, for every variable p involves; and den."""
+def hamiltonian_terms(
+    p: Polynomial, form: SymplecticForm, codec: MonomialCodec
+) -> Tuple[Dict[int, int], int, Gradient, Field]:
+    """(terms, den, gradient, field) of den * p, den > 0 least to make its
+    coefficients integers: its terms (monomial code -> integer), gradient (a
+    triple (i, code, integer) per term of d(den * p)/dx_i) and dual_den times
+    its Hamiltonian field W grad(den * p), row i -> terms (code, integer)
+    that sum to it, one per gradient term and entry of W that meet there.
+    For a quadric x^T A x the field is 2 W A, entry (i, j) at x_j's code in
+    row i.  A code is the sum of its variables' codes: `codec` holds p."""
     ints, den = linalg.integral(p.terms)
     units = codec.units
-    out: GradientTerms = {}
+    variables = range(form.dim)
+    terms: Dict[int, int] = {}
+    grad: Gradient = []
+    field: Field = {}
     for m, a in ints.items():
-        code = codec.pack(m)
-        for i, e in enumerate(m):
-            if e:
-                out.setdefault(i, []).append((code - units[i], a * e))
-    return out, den
+        support = [(j, m[j]) for j in compress(variables, m)]
+        code = sum([e * units[j] for j, e in support])
+        terms[code] = a
+        for j, e in support:
+            dm, dc = code - units[j], a * e
+            grad.append((j, dm, dc))
+            for i, w in form.dual_rows[j]:  # W is skew: W_ij = -W_ji = -w
+                field.setdefault(i, []).append((dm, -w * dc))
+    return terms, den, grad, field
 
 
-def bracket_terms(
-    grad_f: GradientTerms, grad_g: GradientTerms, form: SymplecticForm
-) -> Dict[int, int]:
+def bracket_terms(grad_f: Gradient, field_g: Field) -> Dict[int, int]:
     """Terms (monomial code -> integer) of d_f * d_g * dual_den * [f, g], where
-    [f, g] = sum over i, j of W_ij (df/dx_i)(dg/dx_j) for the dual matrix W,
-    from the integer gradients of d_f * f and d_g * g."""
+    [f, g] = sum over i of (df/dx_i) (W grad g)_i for the dual matrix W,
+    from the gradient of d_f * f and the field of d_g * g
+    (`hamiltonian_terms`)."""
     out: Dict[int, int] = {}
-    for i, df in grad_f.items():
-        for j, w in form.dual_rows[i]:
-            dg = grad_g.get(j)
-            if dg is None:
-                continue
-            for m1, c1 in df:
-                a = c1 * w
-                for m2, c2 in dg:
-                    key = m1 + m2
-                    s = out.get(key, 0) + a * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-    return out
+    get = out.get
+    for i, m1, c1 in grad_f:
+        if xg := field_g.get(i):
+            for m2, c2 in xg:
+                key = m1 + m2
+                out[key] = get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polynomial:
-    """[f, g](x) = omega'(df_x, dg_x), computed exactly.
-
-    For homogeneous inputs of degrees i and j the result is homogeneous of
-    degree i + j - 2 (or zero).
-    """
+    """[f, g](x) = omega'(df_x, dg_x), computed exactly: of degree i + j - 2
+    (or zero) for homogeneous inputs of degrees i and j."""
     if f.nvars != form.dim or g.nvars != form.dim:
         raise ValueError(f"polynomials must live on {form.dim} variables")
     codec = MonomialCodec(form.dim, 2 * max(f.degree(), g.degree(), 0))
-    (grad_f, den_f), (grad_g, den_g) = gradient_terms(f, codec), gradient_terms(g, codec)
+    (_, den_f, grad_f, _), (_, den_g, _, field_g) = (hamiltonian_terms(p, form, codec) for p in (f, g))
     den = den_f * den_g * form.dual_den
-    terms = bracket_terms(grad_f, grad_g, form)
+    terms = bracket_terms(grad_f, field_g)
     return Polynomial(form.dim, {codec.unpack(m): Fraction(c, den) for m, c in terms.items()})

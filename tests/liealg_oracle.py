@@ -3,8 +3,9 @@
 The structure constants of `close_and_present` take the route the package
 took before its brackets ran on packed integer monomials: gradients and
 brackets over Fractions keyed by exponent tuples, the dual matrix read as
-Fractions, and each bracket written over the basis by one tracked
-`linalg.Echelon` over grevlex columns, with no rescaling after.
+Fractions, and each bracket written over the basis by the heap elimination
+of one tracked `linalg.Echelon` over grevlex columns, never reduced, with no
+rescaling after.
 
 The brackets of vectors, ad-matrices, the Killing form, the diagonal test
 and the torus search below are dense Fraction routes, kept here as the
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from legquad import linalg
-from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, StructureConstants
+from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError
 from legquad.poly import Exponent, Polynomial, grevlex_key
 from legquad.symplectic import SymplecticForm
 
@@ -35,6 +36,7 @@ from linalg_oracle import (
 )
 
 Gradient = Dict[int, List[Tuple[Exponent, Fraction]]]
+StructureConstants = Dict[Tuple[int, int], Optional[Dict[int, Fraction]]]
 
 
 def grevlex_columns(polys: Sequence[Polynomial]) -> Dict[Exponent, int]:
@@ -68,6 +70,18 @@ def bracket(grad_f: Gradient, grad_g: Gradient, form: SymplecticForm) -> Dict[Ex
     return {m: c for m, c in out.items() if c}
 
 
+def _heap_coefficients(span: linalg.Echelon, vec: Mapping[int, Fraction]) -> Optional[Dict[int, Fraction]]:
+    """vec over the inputs of a tracked span that is never reduced, by the
+    heap elimination `Echelon.add` runs, or None outside the span: the way
+    the package wrote vectors before it read them off a reduced span."""
+    work, den = linalg.integral(vec)
+    combo: Dict[int, int] = {}
+    m = span._reduce(work, combo)  # work = m * den * vec + sum_i combo[i] * (d_i * input_i)
+    if work:
+        return None
+    return {i: Fraction(-combo[i] * span._denominators[i], m * den) for i in sorted(combo)}
+
+
 def structure_constants(quadrics: Sequence[Polynomial], form: SymplecticForm) -> StructureConstants:
     """[b_i, b_j] over the basis for i < j, or None for a bracket that
     leaves the span."""
@@ -83,7 +97,7 @@ def structure_constants(quadrics: Sequence[Polynomial], form: SymplecticForm) ->
             if br:
                 inside = all(m in columns for m in br)
                 structure[(i, j)] = (
-                    span.coefficients({columns[m]: c for m, c in br.items()}) if inside else None
+                    _heap_coefficients(span, {columns[m]: c for m, c in br.items()}) if inside else None
                 )
     return structure
 

@@ -251,6 +251,31 @@ def test_initial_ideal_is_the_reduced_basis_leads(recorded_entries, name, seed):
             route(ideal, max_pairs=needed - 1)
 
 
+@pytest.mark.parametrize("name, seed", [("complete-intersection", None), ("grl36", 0), ("segre-5", 0)])
+def test_no_step_holds_a_row_twice(recorded_entries, name, seed, monkeypatch):
+    """A shifted half (k, lcm) that two pairs of one step share enters the
+    step once, and so does the monomial that two basis monomials shift to.
+    Taking both halves of every pair put 1, 14 and 56 rows in a second time
+    on these inputs, every one of them of those two kinds."""
+    from legquad import groebner
+
+    steps = []
+    echelon = groebner._echelon
+
+    def recording(reducers, rows=()):
+        steps.append([frozenset(row.items()) for row in rows])
+        return echelon(reducers, rows)
+
+    monkeypatch.setattr(groebner, "_echelon", recording)
+    pres = recorded_entries[name].presentation
+    gens = pres.generators
+    if seed is not None:
+        gens = _perturbed_relabeling(pres, random.Random(f"{name}:{seed}"))
+    initial_ideal(IdealPresentation(gens, pres.nvars), max_pairs=INITIAL_IDEAL_PAIRS[name, seed])
+    assert sum(map(len, steps)) > 0
+    assert all(len(set(rows)) == len(rows) for rows in steps)
+
+
 def test_basis_is_reduced():
     gb = buchberger(_cubic_ideal())
     lms = gb.leading_monomials()

@@ -621,7 +621,7 @@ def test_each_quantity_is_computed_once(algebras, monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(liealg, name, counted)
-    fresh = {name: LieAlgebraPresentation(L.basis, L.form, L.structure)
+    fresh = {name: LieAlgebraPresentation(L.basis, L.form, L.bracket_table(), L.sp_entries())
              for name, L in algebras.items() if name in ("segre-4", "e7")}
     assert identify_algebra(fresh["segre-4"]) == ["A1", "A1", "A1"]
     assert calls == {"subalgebra_presentation": 3, "_coordinate_weights": 4}

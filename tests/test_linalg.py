@@ -205,6 +205,38 @@ def test_span_membership_recovers_coefficients():
             assert span.coefficients(vec) is None
 
 
+def test_reduced_span_reads_coefficients_like_a_dense_solve():
+    """`coefficients` reads a vector off the reduced tracked span: on random
+    sparse systems it equals the dense solve of `linalg_oracle` over the
+    stored inputs, and gives None exactly where that solve has no solution.
+    Adding rows after a read leaves the span unreduced, and the next read
+    reduces it again."""
+    rng = random.Random(23)
+    for _ in range(60):
+        cols = rng.randint(1, 9)
+        inputs = [{j: x for j, x in enumerate(row) if x}
+                  for row in _random_sparse(rng, rng.randint(2, 9), cols)]
+        span = linalg.Echelon(track=True)
+        half = len(inputs) // 2
+        for stage in (inputs[:half], inputs[half:]):
+            for row in stage:
+                span.add(row)
+            kept = span.stored_inputs
+            columns = [[inputs[i].get(j, Fraction(0)) for i in kept] for j in range(cols)]
+            for _ in range(4):
+                weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in kept]
+                vec = [sum((w * c for w, c in zip(weights, row)), Fraction(0)) for row in columns]
+                if rng.random() < 0.4:
+                    vec[rng.randrange(cols)] += rng.randint(1, 3)
+                x = linalg_oracle.solve(columns, vec) if kept else (None if any(vec) else [])
+                read = span.coefficients({j: v for j, v in enumerate(vec) if v}, den=2)
+                if x is None:
+                    assert read is None
+                else:
+                    assert read == {i: c / 2 for i, c in zip(kept, x) if c}
+            assert span._reduced
+
+
 def test_adopted_rows_keep_the_row_invariants():
     """Rows already in stored form go in as they are, entries in other
     pivot columns included, and the span is the one `add` builds."""
