@@ -175,7 +175,7 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
         if d > 2 and forms:
             # a generator of degree e gives one multiple per monomial of degree d - e
             lower = sum(math.comb(nv + d - e - 1, d - e) for e in map(Polynomial.degree, gens))
-            span, _ = degree_part(gens + forms, d, MonomialCodec(nv, d), track=True)
+            span = degree_part(gens + forms, d, MonomialCodec(nv, d), track=True)
             forms = [forms[i - lower] for i in span.stored_inputs if i >= lower]
         gens.extend(forms)
     pres = VarietyPresentation(_xf_name(f), standard_form(nv // 2), gens, parametrization=par)

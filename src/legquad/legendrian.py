@@ -12,7 +12,8 @@ Closure is linear algebra, and every input takes the one bracket pass of
 ideal exactly when it lies in the degree-d part I_d, the span of the
 generator multiples of degree d (`liealg.degree_part`).  When the generators
 are quadrics, I_2 is their span, and the same pass gives the Lie algebra of
-that span.  `degeneracy_check` reads hyperplanes off I_1.
+that span.  `degeneracy_check` reads a hyperplane off I_1's last pivot,
+whose row is on monomial columns (`poly`), unpacked as negated codes.
 
 The cone dimension has two certificates.  A closed quadric input first
 tries `kostant_certificate`: when the quadric algebra g is semisimple, a
@@ -155,15 +156,12 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     if any(g.degree() == 0 for g in v.generators):
         return None
     codec = MonomialCodec(v.nvars, 1)
-    span, columns = degree_part(v.generators, 1, codec)
+    span = degree_part(v.generators, 1, codec)
     if not span.pivots:
         return None
     lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
     row = span.rows[lead]
-    monomials = list(columns)
-    return Polynomial(
-        v.nvars, {codec.unpack(monomials[k]): Fraction(x, row[lead]) for k, x in row.items()}
-    )
+    return Polynomial(v.nvars, {codec.unpack(-k): Fraction(x, row[lead]) for k, x in row.items()})
 
 
 def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation) -> KostantCertificate:

@@ -9,9 +9,10 @@ strings and match each component against `rootdata`'s Cartan matrices.
 Closure and structure constants are one bracket pass, `bracket_closure`,
 which is also the closure test of `legendrian` for generators of any
 degree: it brackets each generator's gradient with each later one's
-Hamiltonian field (`symplectic.bracket_terms`) and tests the bracket for
-membership in the degree part of the ideal (`degree_part`).  For quadrics
-that part is their span, and each bracket is read off its reduced rows
+Hamiltonian field (`symplectic.bracket_terms`) and tests the bracket, a row
+on the monomial columns of `poly`, for membership in the degree part of the
+ideal (`degree_part`) on the same columns.  For quadrics that part is the
+span of their packed rows, and each bracket is read off its reduced rows
 (`linalg.Echelon.combination`), which decides membership and gives the
 structure constants as integers.  The pass hands each presentation its
 sparse integer bracket table, over the least common denominator D of the
@@ -56,7 +57,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
 from .linalg import SparseVector
-from .poly import MonomialCodec, Polynomial, code_columns
+from .poly import MonomialCodec, Polynomial
 from .rootdata import match_cartan, simple_types_up_to, type_dimension, type_key
 from .symplectic import SymplecticForm, bracket_terms, hamiltonian_terms
 
@@ -124,7 +125,7 @@ class LieAlgebraPresentation:
         self._terms: Optional[List[QuadricTerms]] = None
         self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
         self._semisimple: Optional[bool] = None
-        self._root_data = None  # CartanData, or the NotAdaptedError it raised
+        self._root_data = None  # CartanData, or the message of the NotAdaptedError it raised
 
     def bracket_table(self) -> Tuple[BracketTable, int]:
         """(table, D), table[i][j] for each ordered pair with a nonzero
@@ -226,22 +227,18 @@ def _sp_integer(algebra: LieAlgebraPresentation, vec: Mapping[int, Fraction]) ->
 
 def degree_part(
     generators: Sequence[Polynomial], degree: int, codec: MonomialCodec, track: bool = False
-) -> Tuple[linalg.Echelon, Dict[int, int]]:
+) -> linalg.Echelon:
     """Echelon basis of I_d, the span of m * g over the generators g of
-    degree e <= d and the monomials m of degree d - e, in that order, with
-    the column of each monomial code, largest grevlex (largest code) first,
-    so pivots are leading monomials; with `track`, over the multiples."""
-    multiples = []
+    degree e <= d and the monomials m of degree d - e, in that order, on
+    monomial columns (negated codes), so pivots are leading monomials; with
+    `track`, over the multiples."""
+    span = linalg.Echelon(track=track)
     for g in generators:
         if (e := g.degree()) <= degree:
-            terms = [(codec.pack(m), c) for m, c in g.terms.items()]
-            shifts = itertools.combinations_with_replacement(codec.units, degree - e)
-            multiples.extend({m + shift: c for m, c in terms} for shift in map(sum, shifts))
-    columns = code_columns(m for p in multiples for m in p)
-    span = linalg.Echelon(track=track)
-    for p in multiples:
-        span.add({columns[m]: c for m, c in p.items()})
-    return span, columns
+            terms = [(-codec.pack(m), c) for m, c in g.terms.items()]
+            for shift in map(sum, itertools.combinations_with_replacement(codec.units, degree - e)):
+                span.add({k - shift: c for k, c in terms})
+    return span
 
 
 def bracket_closure(
@@ -254,12 +251,13 @@ def bracket_closure(
     Closure of the generators is enough: the Leibniz rule propagates it to
     the whole ideal.  The ideal is homogeneous, so a bracket of degree d
     lies in it exactly when it lies in I_d (`degree_part`), built once per
-    degree d = e_i + e_j - 2.  Each generator is packed once, on a codec
-    sized for twice the largest degree (too high a degree raises
-    ValueError), and a bracket is d_i * d_j * d_W times the true one.  For
-    quadrics, I_2 is their span on the generators that enlarge it, in order
-    (`Echelon.stored_inputs`), and a bracket read off it (`combination`) is
-    None outside, or the constants over one denominator, reduced once.
+    degree d = e_i + e_j - 2.  Each generator is packed once on monomial
+    columns, of a codec sized for twice the largest degree (too high a
+    degree raises ValueError), and a bracket is d_i * d_j * d_W times the
+    true one.  For quadrics, I_2 is the tracked span of the packed rows, on
+    the generators that enlarge it (`Echelon.stored_inputs`), and a bracket
+    read off it (`combination`) is None outside, or the constants over one
+    denominator, reduced once.
     """
     gens = list(generators)
     if any(g.nvars != form.dim for g in gens):
@@ -271,17 +269,13 @@ def bracket_closure(
         return [], None
     codec = MonomialCodec(form.dim, 2 * max(degrees, default=2))
     hams = [hamiltonian_terms(g, form, codec) for g in gens]
-    spans: Dict[int, Tuple[linalg.Echelon, Dict[int, int]]] = {}
-    basis = list(range(len(gens)))
-    while quadrics:  # I_2 over the monomial codes, spanned again by the basis alone if it is smaller
+    spans: Dict[int, linalg.Echelon] = {}
+    if quadrics:
         quadric_span = linalg.Echelon(track=True)
-        for k in basis:
-            quadric_span.add(hams[k][0], hams[k][1])
-        if len(quadric_span.stored_inputs) == len(basis):
-            break
-        basis = [basis[k] for k in quadric_span.stored_inputs]
-    position = {i: k for k, i in enumerate(basis)}  # generator index -> basis index
-    brackets: List[Tuple[int, int, Dict[int, int], int]] = []  # (a, b, n, q): [b_a, b_b] = sum_k (n_k / q) b_k
+        for terms, den, *_ in hams:
+            quadric_span.add(terms, den)
+        position = {i: a for a, i in enumerate(quadric_span.stored_inputs)}  # generator index -> basis index
+    brackets: List[Tuple[int, int, Dict[int, int], int]] = []  # (a, b, n, q): [b_a, b_b] = sum_k (n_k / q) g_k
     failing: List[Tuple[int, int]] = []
     fields = [field for *_, field in hams]
     for i, (_, den_i, grad_i, _) in enumerate(hams):
@@ -291,22 +285,23 @@ def bracket_closure(
                 continue
             if not quadrics:
                 degree = degrees[i] + degrees[j] - 2
-                span, columns = spans.get(degree) or spans.setdefault(degree, degree_part(gens, degree, codec))
-                if any(m not in columns for m in br) or not span.contains({columns[m]: c for m, c in br.items()}):
+                span = spans.get(degree) or spans.setdefault(degree, degree_part(gens, degree, codec))
+                if not span.contains(br):
                     failing.append((i, j))
             elif (read := quadric_span.combination(br)) is None:
                 failing.append((i, j))
-            elif i in position and j in position:  # d_i d_j d_W [b_i, b_j] = sum_k (n_k / scale) b_k
+            elif i in position and j in position:  # d_i d_j d_W [g_i, g_j] = sum_k (n_k / scale) g_k
                 ints, scale = read
                 brackets.append((position[i], position[j], ints, scale * den_i * hams[j][1] * form.dual_den))
     if failing or not quadrics:
         return failing, None
+    basis = quadric_span.stored_inputs
     den = math.lcm(*[q // math.gcd(q, *ints.values()) for _, _, ints, q in brackets])
     table: BracketTable = [{} for _ in basis]
     for a, b, ints, q in brackets:
-        terms = table[a][b] = [(k, n * den // q) for k, n in ints.items()]
+        terms = table[a][b] = [(position[k], n * den // q) for k, n in ints.items()]
         table[b][a] = [(k, -n) for k, n in terms]
-    variable = {u: v for v, u in enumerate(codec.units)}
+    variable = {-u: v for v, u in enumerate(codec.units)}
     images = []
     for k in basis:
         _, den_k, _, field = hams[k]
@@ -760,15 +755,16 @@ def subalgebra_presentation(algebra: LieAlgebraPresentation, vectors: List[Spars
 
 def split_root_data(algebra: LieAlgebraPresentation) -> CartanData:
     """Root decomposition over `cartan_subalgebra`, computed once per
-    presentation; a basis that does not split raises its NotAdaptedError
-    again on every call."""
+    presentation; a basis that does not split raises a fresh
+    NotAdaptedError with the cached message on every call, so no call's
+    traceback grows or keeps another's frames alive."""
     if algebra._root_data is None:
         try:
             algebra._root_data = root_decomposition(algebra, cartan_subalgebra(algebra))
         except NotAdaptedError as exc:
-            algebra._root_data = exc
-    if isinstance(algebra._root_data, NotAdaptedError):
-        raise algebra._root_data
+            algebra._root_data = str(exc)
+    if isinstance(algebra._root_data, str):
+        raise NotAdaptedError(algebra._root_data)
     return algebra._root_data
 
 

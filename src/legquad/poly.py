@@ -9,13 +9,18 @@ x0 > x1 > ... ; it is fixed once here so that every downstream computation
 (Groebner bases in particular) is deterministic.  The hot kernels (brackets,
 closure spans, structure constants, Groebner steps) key monomials by the
 ints of `MonomialCodec` instead, and convert back to tuples at their ends.
+
+Every sparse row over monomials (brackets, `linalg.Echelon` spans, Groebner
+steps) has the negated code as a monomial's column: columns increase down
+grevlex, so a row's pivot is its leading monomial, products add columns,
+and column k is monomial `unpack(-k)`, with no map between the two.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from struct import Struct
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -31,12 +36,6 @@ class PolyParseError(ValueError):
 def grevlex_key(exps: Exponent):
     """Sort key under grevlex with x0 > x1 > ...; larger key = larger monomial."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def code_columns(codes: Iterable[int]) -> Dict[int, int]:
-    """Column index of every distinct monomial code, largest (grevlex
-    largest) first, so that row echelon forms pivot on leading monomials."""
-    return {m: k for k, m in enumerate(sorted(set(codes), reverse=True))}
 
 
 def monomial_mul(a: Exponent, b: Exponent) -> Exponent:

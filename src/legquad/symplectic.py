@@ -14,10 +14,10 @@ matrices are only read back, for JSON and for the tests.
 
 `bracket_terms` is the one differential bracket kernel: [f, g] is the
 gradient of f against the Hamiltonian field X_g = W grad g, both integer
-terms keyed by `poly.MonomialCodec` codes that `hamiltonian_terms` builds
-once per polynomial, denominators cleared, so a pair multiplies ints and
-adds codes only, and for a quadric the field is its sp-image.
-`poisson_bracket` wraps it and rescales once.
+terms on monomial columns (`poly`) that `hamiltonian_terms` builds once per
+polynomial, denominators cleared, so a pair multiplies ints and adds
+columns only, the bracket is a row on columns, and for a quadric the
+field is its sp-image.  `poisson_bracket` wraps it and rescales once.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from . import linalg
 from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial
 
-Gradient = List[Tuple[int, int, int]]  # (variable, monomial code, integer coefficient)
-Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial code, integer coefficient) summing to it
+Gradient = List[Tuple[int, int, int]]  # (variable, monomial column, integer coefficient)
+Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial column, integer coefficient) summing to it
 
 
 class SymplecticForm:
@@ -191,12 +191,12 @@ def hamiltonian_terms(
     p: Polynomial, form: SymplecticForm, codec: MonomialCodec
 ) -> Tuple[Dict[int, int], int, Gradient, Field]:
     """(terms, den, gradient, field) of den * p, den > 0 least to make its
-    coefficients integers: its terms (monomial code -> integer), gradient (a
-    triple (i, code, integer) per term of d(den * p)/dx_i) and dual_den times
-    its Hamiltonian field W grad(den * p), row i -> terms (code, integer)
-    that sum to it, one per gradient term and entry of W that meet there.
-    For a quadric x^T A x the field is 2 W A, entry (i, j) at x_j's code in
-    row i.  A code is the sum of its variables' codes: `codec` holds p."""
+    coefficients integers, on monomial columns (negated codes): its terms
+    (column -> integer), gradient (a triple (i, column, integer) per term of
+    d(den * p)/dx_i) and dual_den times its Hamiltonian field W grad(den *
+    p), row i -> terms (column, integer) that sum to it, one per gradient
+    term and entry of W that meet there.  For a quadric x^T A x the field is
+    2 W A, entry (i, j) at x_j's column in row i.  `codec` holds p."""
     ints, den = linalg.integral(p.terms)
     units = codec.units
     variables = range(form.dim)
@@ -205,10 +205,10 @@ def hamiltonian_terms(
     field: Field = {}
     for m, a in ints.items():
         support = [(j, m[j]) for j in compress(variables, m)]
-        code = sum([e * units[j] for j, e in support])
-        terms[code] = a
+        col = -sum([e * units[j] for j, e in support])
+        terms[col] = a
         for j, e in support:
-            dm, dc = code - units[j], a * e
+            dm, dc = col + units[j], a * e
             grad.append((j, dm, dc))
             for i, w in form.dual_rows[j]:  # W is skew: W_ij = -W_ji = -w
                 field.setdefault(i, []).append((dm, -w * dc))
@@ -216,10 +216,10 @@ def hamiltonian_terms(
 
 
 def bracket_terms(grad_f: Gradient, field_g: Field) -> Dict[int, int]:
-    """Terms (monomial code -> integer) of d_f * d_g * dual_den * [f, g], where
-    [f, g] = sum over i of (df/dx_i) (W grad g)_i for the dual matrix W,
-    from the gradient of d_f * f and the field of d_g * g
-    (`hamiltonian_terms`)."""
+    """Terms (monomial column -> integer) of d_f * d_g * dual_den * [f, g],
+    where [f, g] = sum over i of (df/dx_i) (W grad g)_i for the dual matrix
+    W, from the gradient of d_f * f and the field of d_g * g
+    (`hamiltonian_terms`), whose columns add."""
     out: Dict[int, int] = {}
     get = out.get
     for i, m1, c1 in grad_f:
@@ -239,4 +239,4 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     (_, den_f, grad_f, _), (_, den_g, _, field_g) = (hamiltonian_terms(p, form, codec) for p in (f, g))
     den = den_f * den_g * form.dual_den
     terms = bracket_terms(grad_f, field_g)
-    return Polynomial(form.dim, {codec.unpack(m): Fraction(c, den) for m, c in terms.items()})
+    return Polynomial(form.dim, {codec.unpack(-k): Fraction(c, den) for k, c in terms.items()})

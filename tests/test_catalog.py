@@ -153,7 +153,7 @@ def test_reduced_basis_of_each_row_is_its_quadrics(entries):
         basis = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=count * (count - 1) // 2)
         assert len(basis) == count and all(g.homogeneous_degree() == 2 for g in basis), name
         codec = MonomialCodec(pres.nvars, 2)
-        assert degree_part(list(basis) + pres.generators, 2, codec)[0].rank == count, name
+        assert degree_part(list(basis) + pres.generators, 2, codec).rank == count, name
         sizes[name] = count
     assert sizes == {"twisted-cubic": 3, "gr36": 35, "grl36": 21, "spinor-s6": 66, "e7": 133,
                      **{f"line_times_quadric({m})": m * (m - 1) // 2 + 3 for m in range(3, 13)}}
@@ -228,7 +228,7 @@ def test_xf_lists_only_new_generators_above_degree_2():
         assert [degrees.count(d) for d in range(1, 5)] == census, text
         for d in range(1, 5):
             full = catalog._implicit_forms(pres.parametrization, pres.nvars, d)
-            assert degree_part(pres.generators, d, MonomialCodec(pres.nvars, d))[0].rank == len(full), (text, d)
+            assert degree_part(pres.generators, d, MonomialCodec(pres.nvars, d)).rank == len(full), (text, d)
     for text, nvars in (("y0^2*y1", 2), ("y0*y1*y2", 3)):
         for degree in (3, 4):
             verdict = legendrian_verdict(catalog.x_f(parse_poly(text, nvars), implicit_degree=degree).presentation)

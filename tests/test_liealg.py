@@ -1,5 +1,6 @@
 import math
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,13 @@ def test_close_and_present_takes_the_span_of_dependent_input():
     with pytest.raises(NotClosedError) as err:
         close_and_present(quadrics[:2] + [parse_poly("x1*x2", 4)], form)
     assert err.value.pairs == [(0, 2), (1, 2)]
+    # D is read off the brackets of basis elements alone: counting the
+    # dependent 1/3 x0 x2 as well would give D = 3 where the basis gives 1
+    quadrics = [parse_poly(t, 4) for t in ("x0^2", "x0*x2", "1/3*x0*x2", "x2^2")]
+    L = close_and_present(quadrics, form)
+    assert L.basis == [quadrics[0], quadrics[1], quadrics[3]]
+    assert L.bracket_table() == close_and_present(L.basis, form).bracket_table()
+    assert L.bracket_table()[1] == 1
 
 
 def test_single_quadric_is_abelian():
@@ -386,6 +394,21 @@ def test_no_torus_with_diagonal_sp_images_is_not_adapted(entries, algebras, name
         L = algebras[name]
     with pytest.raises(NotAdaptedError, match="^no self-centralizing torus with diagonal sp-images$"):
         split_root_data(L)
+
+
+def test_a_cached_failure_raises_afresh(entries):
+    """Each call that fails raises a new NotAdaptedError with the cached
+    message, so no traceback grows from call to call."""
+    pres = entries["segre-3"].presentation
+    L = close_and_present(pres.generators, pres.form)
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NotAdaptedError) as err:
+            split_root_data(L)
+        errors.append(err.value)
+    first, second = errors
+    assert first is not second and str(first) == str(second)
+    assert len(traceback.extract_tb(first.__traceback__)) == len(traceback.extract_tb(second.__traceback__))
 
 
 def test_root_decomposition_needs_diagonal_sp_images(entries):

@@ -12,9 +12,10 @@ import pytest
 import groebner_oracle
 import liealg_oracle
 from legquad import catalog
+from legquad.groebner import IdealPresentation, initial_ideal
 from legquad.legendrian import VarietyPresentation, degeneracy_check
-from legquad.liealg import bracket_closure
-from legquad.poly import Polynomial, parse_poly
+from legquad.liealg import bracket_closure, degree_part
+from legquad.poly import MonomialCodec, Polynomial, parse_poly
 from legquad.symplectic import SymplecticForm, poisson_bracket
 
 # Buchberger does not finish on spinor-s6 and e7 in test time.
@@ -192,6 +193,17 @@ def test_closure_kernel_matches_the_oracles(entries, name):
         gens[k] = gens[k] + Polynomial(pres.nvars, {_random_monomial(rng, pres.nvars, 2): rng.choice((-2, 1, 3))})
         failures += len(_assert_kernel_matches_oracles(gens, form, normal_forms))
     assert failures, name
+
+
+@pytest.mark.parametrize("name", ALL_QUADRIC)
+def test_quadric_span_pivots_are_the_initial_quadrics(entries, name):
+    """The pivots of I_2 on monomial columns, unpacked, are the degree-2
+    leading monomials that F4 reads off the same ideal."""
+    pres = entries[name].presentation
+    codec = MonomialCodec(pres.nvars, 2)
+    pivots = [codec.unpack(-k) for k in reversed(degree_part(pres.generators, 2, codec).pivots)]
+    leads = initial_ideal(IdealPresentation(pres.generators, pres.nvars))
+    assert pivots == [m for m in leads if sum(m) == 2]
 
 
 def test_bracket_kernel_matches_the_oracle_under_a_scaled_dual():
