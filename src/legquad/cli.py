@@ -328,7 +328,7 @@ def _cmd_xf(args) -> Answer:
 
 
 def _parse_xf_poly(text: str) -> Polynomial:
-    indices = [int(m) for m in re.findall(r"[xy](\d+)", text)]
+    indices = [int(m) for m in re.findall(r"[xy]([0-9]+)", text)]
     if not indices:
         raise InputError("no variables found in the chart polynomial")
     return parse_poly(text, max(indices) + 1)

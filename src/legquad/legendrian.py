@@ -302,13 +302,13 @@ def isotropy_identity(v: VarietyPresentation) -> bool:
     These m pairings are enough.  With g_k = omega(phi, d_k phi),
     d_l g_k - d_k g_l = 2 omega(d_l phi, d_k phi), so once every g_k
     vanishes, omega vanishes on the span of phi and its partials, the
-    tangent space of the cone at phi.  J phi is read off the nonzero entries
-    of the form's rows once; no point is sampled."""
+    tangent space of the cone at phi.  den * J phi is read off the form's
+    integer rows once, a scale no zero test sees; no point is sampled."""
     phi = v.parametrization
     if phi is None:
         raise ValueError(f"{v.name} has no parametrization")
     zero = Polynomial.zero(phi[0].nvars)
-    j_phi = [sum((phi[b].scale(x) for b, x in row.items()), zero) for row in v.form.rows]
+    j_phi = [sum((phi[b].scale(a) for b, a in row), zero) for row in v.form.rows]
     return all(  # each sum is omega(d_k phi, phi) = -g_k
         not sum((d * y for comp, y in zip(phi, j_phi) if (d := comp.partial_derivative(k))), zero)
         for k in range(zero.nvars)

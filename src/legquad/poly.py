@@ -14,10 +14,15 @@ Every sparse row over monomials (brackets, `linalg.Echelon` spans, Groebner
 steps) has the negated code as a monomial's column: columns increase down
 grevlex, so a row's pivot is its leading monomial, products add columns,
 and column k is monomial `unpack(-k)`, with no map between the two.
+
+`parse_poly` reads the text grammar below in one pass of one regex, which
+splits a line into tokens, and a recursive descent over the token list that
+builds the exponent-tuple terms directly; integers are ASCII digits only.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from struct import Struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -141,8 +146,9 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
-        """The ring's own results: `terms` already maps exponent tuples of
-        length `nvars` to nonzero Fractions, and is stored as it is."""
+        """The ring's own results and `parse_poly`'s: `terms` already maps
+        exponent tuples of length `nvars` to nonzero Fractions, and is
+        stored as it is."""
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -297,80 +303,113 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  Grammar (whitespace insignificant):
+# Parsing.  Grammar (whitespace insignificant, integers in ASCII digits):
 #   expr   := [sign] term (sign term)*
 #   term   := factor ('*' factor)*
 #   factor := rational | variable ['^' int] | '(' expr ')' ['^' int]
 #   rational := int ['/' int]
 #   variable := ('x'|'y') int           (y<k> is an alias for x<k>)
+#
+# One regex splits a line into tokens: a variable with its index, an
+# integer, or any other single character that is not whitespace.  The
+# grammar is walked over that list; positions are recovered on errors only.
 # ---------------------------------------------------------------------------
 
+_TOKEN = re.compile(r"[xy][0-9]+|[0-9]+|\S")
+_DIGITS = frozenset("0123456789")  # the first characters of integer tokens
 
-class _Parser:
-    def __init__(self, text: str, nvars: int):
-        self.text = text
+
+class _Syntax(Exception):
+    """(message, k, after): a syntax error at token k, at its start, or at
+    its end when `after`; k past the last token is the end of the text."""
+
+
+class _Reader:
+    __slots__ = ("tokens", "k", "nvars")
+
+    def __init__(self, tokens: List[str], nvars: int):
+        self.tokens = tokens
+        tokens.append("")  # the end of the text
+        self.k = 0
         self.nvars = nvars
-        self.pos = 0
 
-    def error(self, message: str):
-        raise PolyParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def parse_expr(self) -> Dict[Exponent, Fraction]:
+    def expr(self) -> Dict[Exponent, Fraction]:
         """The terms of an expression, summed in one dict; a term that
-        cancels stays, as a zero, for the `Polynomial` to drop."""
+        cancels stays, as a zero, for `parse_poly` or the `Polynomial` of a
+        parenthesised factor to drop."""
         terms: Dict[Exponent, Fraction] = {}
+        tokens = self.tokens
         sign = 1
-        ch = self.peek()
-        if ch in ("+", "-"):
-            self.take()
-            sign = -1 if ch == "-" else 1
-        self.parse_term(terms, sign)
+        t = tokens[self.k]
+        if t == "+" or t == "-":
+            self.k += 1
+            sign = -1 if t == "-" else 1
         while True:
-            ch = self.peek()
-            if ch not in ("+", "-"):
-                break
-            self.take()
-            self.parse_term(terms, -1 if ch == "-" else 1)
-        return terms
+            self.term(terms, sign)
+            t = tokens[self.k]
+            if t == "+":
+                sign = 1
+            elif t == "-":
+                sign = -1
+            else:
+                return terms
+            self.k += 1
 
-    def parse_term(self, terms: Dict[Exponent, Fraction], sign: int) -> None:
+    def term(self, terms: Dict[Exponent, Fraction], sign: int) -> None:
         """Add sign * term to `terms`.  Numbers multiply into one coefficient
         and variables into one exponent vector; only parenthesised factors
         are multiplied as polynomials."""
+        tokens, nvars = self.tokens, self.nvars
+        k = self.k
         coeff = sign
-        exps = [0] * self.nvars
+        exps = [0] * nvars
         product: Optional[Polynomial] = None
         while True:
-            factor = self.parse_factor(exps)
-            if isinstance(factor, Polynomial):
-                product = factor if product is None else product * factor
-            elif factor is not None:
-                coeff *= factor
-            if self.peek() != "*":
+            t = tokens[k]
+            head = t[:1]
+            if head == "x" or head == "y":
+                if len(t) == 1:  # whitespace before the index
+                    k += 1
+                    if tokens[k][:1] not in _DIGITS:
+                        raise _Syntax("expected an integer", k)
+                    t = "x" + tokens[k]
+                index = int(t[1:])
+                if index >= nvars:
+                    raise _Syntax(f"variable index {index} out of range (nvars={nvars})", k, True)
+                k += 1
+                if tokens[k] == "^":
+                    k, power = self.power(k)
+                    exps[index] += power
+                else:
+                    exps[index] += 1
+            elif head in _DIGITS:
+                k += 1
+                if tokens[k] == "/":
+                    k += 1
+                    if tokens[k][:1] not in _DIGITS:
+                        raise _Syntax("expected an integer", k)
+                    den = int(tokens[k])
+                    if not den:
+                        raise _Syntax("zero denominator", k, True)
+                    coeff *= Fraction(int(t), den)
+                    k += 1
+                else:
+                    coeff *= int(t)
+            elif t == "(":
+                self.k = k + 1
+                inner = Polynomial(nvars, self.expr())
+                k = self.k
+                if tokens[k] != ")":
+                    raise _Syntax("expected ')'", k)
+                k, power = self.power(k + 1)
+                inner = inner ** power
+                product = inner if product is None else product * inner
+            else:
+                raise _Syntax("expected a coefficient, variable or '('", k)
+            if tokens[k] != "*":
                 break
-            self.take()
+            k += 1
+        self.k = k
         mono = tuple(exps)
         if product is None:
             terms[mono] = terms.get(mono, 0) + coeff
@@ -379,41 +418,24 @@ class _Parser:
             key = monomial_mul(m, mono)
             terms[key] = terms.get(key, 0) + c * coeff
 
-    def parse_factor(self, exps: List[int]):
-        """A number (int or Fraction), a parenthesised factor (Polynomial),
-        or None for a variable, whose power is added into `exps`."""
-        ch = self.peek()
-        if ch == "(":
-            self.take()
-            inner = Polynomial(self.nvars, self.parse_expr())
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return inner ** self._exponent()
-        if ch in ("x", "y"):
-            self.take()
-            index = self.read_int()
-            if index >= self.nvars:
-                self.error(f"variable index {index} out of range (nvars={self.nvars})")
-            exps[index] += self._exponent()
-            return None
-        if ch.isdigit():
-            num = self.read_int()
-            if self.peek() == "/":
-                self.take()
-                den = self.read_int()
-                if den == 0:
-                    self.error("zero denominator")
-                return Fraction(num, den)
-            return num
-        self.error("expected a coefficient, variable or '('")
+    def power(self, k: int) -> Tuple[int, int]:
+        """The token after the power that starts at token k, after a
+        variable or ')', and that power: the integer after '^', or 1."""
+        tokens = self.tokens
+        if tokens[k] != "^":
+            return k, 1
+        if tokens[k + 1][:1] not in _DIGITS:
+            raise _Syntax("expected an integer", k + 1)
+        return k + 2, int(tokens[k + 1])
 
-    def _exponent(self) -> int:
-        """The power after a variable or ')': the integer after '^', or 1."""
-        if self.peek() == "^":
-            self.take()
-            return self.read_int()
-        return 1
+
+def _position(text: str, k: int, after: bool = False) -> int:
+    """The start, or with `after` the end, of token k of `text`; the length
+    of the text when it has no token k."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return match.end() if after else match.start()
+    return len(text)
 
 
 def parse_poly(text: str, nvars: int) -> Polynomial:
@@ -421,12 +443,17 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
 
     parse(format(p)) == p for every polynomial p.
     """
-    parser = _Parser(text, nvars)
-    terms = parser.parse_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
-    return Polynomial(nvars, terms)
+    reader = _Reader(_TOKEN.findall(text), nvars)
+    try:
+        terms = reader.expr()
+        if reader.tokens[reader.k]:
+            raise _Syntax("trailing input", reader.k)
+    except _Syntax as exc:
+        message, *where = exc.args
+        raise PolyParseError(message, _position(text, *where)) from None
+    return Polynomial._trusted(
+        nvars, {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c}
+    )
 
 
 def _format_monomial(exps: Exponent) -> str:

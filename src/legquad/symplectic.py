@@ -8,9 +8,10 @@ for the standard block form it is J again.
 
 Forms are data, not globals: several fixtures use non-standard matrices, so
 every operation takes the form explicitly.  A form is stored once, as the
-sparse rows of J and the integer rows of its dual; the isotropy identity of
-a parametrization reads the first and the bracket the second, and the dense
-matrices are only read back, for JSON and for the tests.
+integer rows of J and of its dual, each over one denominator; the isotropy
+identity of a parametrization reads the first and the bracket the second,
+and the dense matrices are only read back, for JSON and for the tests.  A
+form read from JSON has its numbers read exactly, from their literal text.
 
 `bracket_terms` is the one differential bracket kernel: [f, g] is the
 gradient of f against the Hamiltonian field X_g = W grad g, both integer
@@ -23,13 +24,13 @@ field is its sp-image.  `poisson_bracket` wraps it and rescales once.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
-from .linalg import SparseVector
 from .poly import MonomialCodec, Polynomial
 
 Gradient = List[Tuple[int, int, int]]  # (variable, monomial column, integer coefficient)
@@ -39,11 +40,13 @@ Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial column, integ
 class SymplecticForm:
     """Even-dimensional nondegenerate skew form given by its matrix J.
 
-    The form is stored once, sparse: `rows[i]` maps each column j with
-    J_ij != 0 to that entry, a Fraction.  The bracket kernel reads the dual
-    matrix, -J^{-1}, as integer rows (`dual_rows`, pairs (column, integer)
-    in column order) over one common denominator (`dual_den`), each unit
-    vector written over J's rows by one tracked `linalg.Echelon`.
+    The form is stored once, sparse, as integer rows over one denominator:
+    `rows[i]` lists a pair (j, a) per J_ij != 0, in column order, with
+    J_ij = a / `den`, den the least common denominator of J's entries.  The
+    bracket kernel reads the dual matrix, -J^{-1}, the same way
+    (`dual_rows` over `dual_den`), each unit vector written over J's rows
+    by one tracked `linalg.Echelon`.  Each distinct entry of a matrix is
+    read once (`_rational`), and the checks run on the integer rows.
 
     `dual_matrix` may be supplied when a fixture's conventional bracket
     normalization differs from the computed dual by a nonzero scalar; the
@@ -53,35 +56,38 @@ class SymplecticForm:
     Fractions.
     """
 
-    __slots__ = ("dim", "rows", "_scalar", "dual_rows", "dual_den")
+    __slots__ = ("dim", "rows", "den", "_scalar", "dual_rows", "dual_den")
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
-        self._set_rows(*_sparse_rows(matrix), dual_matrix)
-
-    def _set_rows(self, rows: List[SparseVector], square: bool, dual_matrix: Optional[Sequence[Sequence]]):
-        """Check and store the rows of J, nonzero entries only, `square` when
-        J has one column per row; then compute or check the dual."""
-        dim = len(rows)
+        dense, den = _integer_rows(matrix)
+        dim = len(dense)
         if dim == 0 or dim % 2 != 0:
             raise ValueError(f"symplectic form needs a positive even dimension, got {dim}")
-        if not square or not _is_skew(rows):
+        rows = _sparse(dense)
+        if any(len(row) != dim for row in dense) or not _is_skew(rows, dense):
             raise ValueError("symplectic form matrix must be skew-symmetric")
         if dual_matrix is None:
             span = linalg.Echelon(track=True)
-            if not all(span.add(row) for row in rows):
+            if not all(span.add(dict(row), den) for row in rows):
                 raise ValueError("symplectic form matrix must be invertible")
             dual = [{j: -x for j, x in span.coefficients({i: 1}).items()} for i in range(dim)]
+            dual_den = lcm(*[w.denominator for row in dual for w in row.values()])
+            dual_rows = [[(j, w.numerator * (dual_den // w.denominator)) for j, w in row.items()] for row in dual]
             scalar = Fraction(1)
         else:
-            dual, dual_square = _sparse_rows(dual_matrix)
-            scalar = _dual_scalar(rows, dual) if dual_square and len(dual) == dim else None
-            if scalar is None:
+            dual_dense, dual_den = _integer_rows(dual_matrix)
+            dual_rows = _sparse(dual_dense)
+            square = len(dual_dense) == dim and all(len(row) == dim for row in dual_dense)
+            product = _dual_scalar(rows, dual_rows) if square else None
+            if product is None:
                 raise ValueError("dual_matrix must be a nonzero scalar multiple of -J^{-1}")
+            scalar = Fraction(product, den * dual_den)
         self.dim = dim
         self.rows = rows
+        self.den = den
         self._scalar = scalar  # dual = -scalar * J^{-1}
-        den = self.dual_den = lcm(*[w.denominator for row in dual for w in row.values()])
-        self.dual_rows = [[(j, w.numerator * (den // w.denominator)) for j, w in row.items()] for row in dual]
+        self.dual_rows = dual_rows
+        self.dual_den = dual_den
 
     @property
     def half_dim(self) -> int:
@@ -89,12 +95,11 @@ class SymplecticForm:
 
     @property
     def matrix(self) -> List[List[Fraction]]:
-        return _dense(self.rows, self.dim)
+        return _dense(self.rows, self.den, self.dim)
 
     @property
     def dual_matrix(self) -> List[List[Fraction]]:
-        den = self.dual_den
-        return _dense([{j: Fraction(w, den) for j, w in row} for row in self.dual_rows], self.dim)
+        return _dense(self.dual_rows, self.dual_den, self.dim)
 
     def to_json(self) -> str:
         matrix = [[str(x) for x in row] for row in self.matrix]
@@ -105,60 +110,95 @@ class SymplecticForm:
 
     @staticmethod
     def from_json(text: str) -> "SymplecticForm":
-        data = json.loads(text)
-        parsed: Dict[object, Fraction] = {}  # each distinct entry string is parsed once
-        if isinstance(data, dict):
-            return SymplecticForm(
-                _parse_entries(data["matrix"], parsed), _parse_entries(data["dual"], parsed)
-            )
-        return SymplecticForm(_parse_entries(data, parsed))
+        """The form of `to_json`'s text: a matrix, or an object with its
+        "matrix" and "dual".  An entry is a rational string or a JSON number,
+        read exactly from its literal text; booleans, null, NaN and the
+        infinities are refused."""
+        data = json.loads(text, parse_float=_rational, parse_constant=_refuse_constant)
+        matrices = (data["matrix"], data["dual"]) if isinstance(data, dict) else (data,)
+        for matrix in matrices:
+            kinds = set(map(type, chain.from_iterable(matrix)))
+            if bool in kinds or type(None) in kinds:
+                bad = next(x for x in chain.from_iterable(matrix) if x is None or type(x) is bool)
+                raise ValueError(f"entry {json.dumps(bad)} is not a number")
+        return SymplecticForm(*matrices)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymplecticForm) and self.rows == other.rows
+        return isinstance(other, SymplecticForm) and self.rows == other.rows and self.den == other.den
 
     def __repr__(self) -> str:
         return f"SymplecticForm(dim={self.dim})"
 
 
-def _sparse_rows(matrix: Sequence[Sequence]) -> Tuple[List[SparseVector], bool]:
-    """The nonzero entries of each row as Fractions (entries that already
-    are stay as they are), and whether every row has as many entries as the
-    matrix has rows."""
-    rows, widths = [], set()
-    for row in matrix:
-        entries = [x if type(x) is Fraction else Fraction(x) for x in row]
-        widths.add(len(entries))
-        rows.append({j: x for j, x in enumerate(entries) if x})
-    return rows, widths <= {len(rows)}
+IntegerRows = List[List[Tuple[int, int]]]  # row -> pairs (column, integer), nonzero, in column order
+
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+# exponents of 10000 and above, which `Fraction` would expand digit by digit
+_HUGE_EXPONENT = re.compile(r"[eE][-+]?0*[1-9][0-9_]{4,}")
 
 
-def _is_skew(rows: List[SparseVector]) -> bool:
+def _rational(x) -> Union[int, Fraction]:
+    """The value of a matrix entry, an int or a Fraction: ints and Fractions
+    as they are, integer strings by `int`, and anything else by `Fraction`,
+    which refuses it unless it is a number or a rational string; a decimal
+    exponent of 10000 or more is refused rather than expanded."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if type(x) is str:
+        if _INTEGER.fullmatch(x):
+            return int(x)
+        if _HUGE_EXPONENT.search(x):
+            raise ValueError(f"the exponent of {x!r} is too large")
+    return Fraction(x)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"entry {name} is not a finite number")
+
+
+def _integer_rows(matrix: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """(den * matrix as lists of integers, den) for den the least common
+    denominator of its entries, each distinct entry read once, in the order
+    of first appearance."""
+    dense = [list(row) for row in matrix]
+    values = {x: _rational(x) for x in dict.fromkeys(chain.from_iterable(dense))}
+    den = lcm(*[v.denominator for v in values.values()])
+    ints = {x: v.numerator * (den // v.denominator) for x, v in values.items()}
+    return [list(map(ints.__getitem__, row)) for row in dense], den
+
+
+def _sparse(dense: List[List[int]]) -> IntegerRows:
+    return [list(zip(compress(range(len(row)), row), filter(None, row))) for row in dense]
+
+
+def _is_skew(rows: IntegerRows, dense: List[List[int]]) -> bool:
     """Whether J_ji = -J_ij for every nonzero entry J_ij of a square matrix;
     a nonzero diagonal entry fails, as it is not its own negative."""
-    return all(rows[j].get(i) == -x for i, row in enumerate(rows) for j, x in row.items())
+    return all(dense[j][i] == -a for i, row in enumerate(rows) for j, a in row)
 
 
-def _dense(rows: List[SparseVector], dim: int) -> List[List[Fraction]]:
+def _dense(rows: IntegerRows, den: int, dim: int) -> List[List[Fraction]]:
     zero = Fraction(0)
-    return [[row.get(j, zero) for j in range(dim)] for row in rows]
+    out = []
+    for row in rows:
+        entries = [zero] * dim
+        for j, a in row:
+            entries[j] = Fraction(a, den)
+        out.append(entries)
+    return out
 
 
-def _parse_entries(rows: Sequence[Sequence], parsed: Dict[object, Fraction]) -> List[List[Fraction]]:
-    for x in {x for row in rows for x in row}.difference(parsed):
-        parsed[x] = Fraction(x)
-    return [[parsed[x] for x in row] for row in rows]
-
-
-def _dual_scalar(rows: List[SparseVector], dual: List[SparseVector]) -> Optional[Fraction]:
-    """The scalar c with J * dual = -c * I when there is one and it is
-    nonzero, else None, for the sparse rows of two square matrices of one
-    size.  Such a c exists exactly when J is invertible and
-    dual = -c * J^{-1}, so no inverse is needed to validate a dual."""
+def _dual_scalar(rows: IntegerRows, dual: IntegerRows) -> Optional[int]:
+    """The integer c with A * B = -c * I when there is one and it is
+    nonzero, else None, for the integer rows A and B of two square matrices
+    of one size.  For A = a * J and B = b * dual, such a c exists exactly
+    when J is invertible and dual = -(c / ab) * J^{-1}, so no inverse is
+    needed to validate a dual."""
     scalar = None
     for i, row in enumerate(rows):
-        product: Dict[int, Fraction] = {}
-        for j, a in row.items():
-            for k, x in dual[j].items():
+        product: Dict[int, int] = {}
+        for j, a in row:
+            for k, x in dual[j]:
                 product[k] = product.get(k, 0) + a * x
         diagonal = -product.pop(i, 0)
         if any(product.values()) or not diagonal or (scalar is not None and diagonal != scalar):
@@ -170,14 +210,12 @@ def _dual_scalar(rows: List[SparseVector], dual: List[SparseVector]) -> Optional
 def pairing_form(nvars: int, pairs: Iterable[Tuple[int, int, object]]) -> SymplecticForm:
     """The form on nvars coordinates whose matrix is the sum, over the
     triples (a, b, s) of `pairs`, of s at (a, b) and -s at (b, a)."""
-    rows: List[SparseVector] = [{} for _ in range(nvars)]
+    matrix: List[List[object]] = [[0] * nvars for _ in range(nvars)]
     for a, b, s in pairs:
         s = Fraction(s)
-        rows[a][b] = rows[a].get(b, 0) + s
-        rows[b][a] = rows[b].get(a, 0) - s
-    form = SymplecticForm.__new__(SymplecticForm)  # the rows are read as they are, with no dense matrix
-    form._set_rows([{j: x for j, x in row.items() if x} for row in rows], True, None)
-    return form
+        matrix[a][b] += s
+        matrix[b][a] -= s
+    return SymplecticForm(matrix)
 
 
 def standard_form(n: int) -> SymplecticForm:

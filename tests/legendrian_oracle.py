@@ -64,7 +64,7 @@ def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
     vectors = [[evaluate(c, pt) for c in par]]
     vectors += [[evaluate(c.partial_derivative(k), pt) for c in par] for k in range(len(pt))]
     for i, u in enumerate(vectors):
-        ju = [sum(x * u[b] for b, x in row.items()) for row in v.form.rows]  # J u
+        ju = [sum(x * u[b] for b, x in enumerate(row) if x) for row in v.form.matrix]  # J u
         if any(vec_dot(w, ju) for w in vectors[i + 1:]):
             return False
     return True

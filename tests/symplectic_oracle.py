@@ -4,7 +4,8 @@ the Lie algebra isomorphism with sp(V), in dense Fraction matrices.
 A quadric x^T A x goes to 2 W A for the dual matrix W, and the bracket of
 two quadrics to 2 (A W B - B W A).  Neither route shares the gradient
 bracket kernel of `legquad.symplectic`, so the tests check the package's
-brackets and sp-image entries against them.
+brackets and sp-image entries against them.  `fraction_form` reads a form
+and checks it on dense Fraction matrices, the oracle of the integer rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from legquad.poly import Polynomial
 from legquad.symplectic import SymplecticForm
 
 from linalg_oracle import (
-    is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_scale, mat_sub, transpose, zeros,
+    identity, inverse, is_symmetric, mat, mat_add, mat_eq_zero, mat_mul, mat_scale, mat_sub, transpose, zeros,
 )
 
 
@@ -87,6 +88,29 @@ class SpElement:
 
     def __repr__(self) -> str:
         return f"SpElement(dim={self.dim})"
+
+
+def fraction_form(matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
+    """(J, dual) as dense Fraction matrices, the dual computed as -J^{-1}
+    when none is supplied, or None when `SymplecticForm` refuses them: J
+    must be square, of positive even size, skew and invertible, and a
+    supplied dual must be square of J's size with J * dual = -c * I, c != 0."""
+    j = mat(matrix)
+    n = len(j)
+    if n == 0 or n % 2 or any(len(row) != n for row in j) or transpose(j) != mat_scale(j, -1):
+        return None
+    try:
+        computed = mat_scale(inverse(j), -1)
+    except ValueError:
+        return None
+    if dual_matrix is None:
+        return j, computed
+    dual = mat(dual_matrix)
+    if len(dual) != n or any(len(row) != n for row in dual):
+        return None
+    product = mat_mul(j, dual)
+    c = -product[0][0]
+    return (j, dual) if c and product == mat_scale(identity(n), -c) else None
 
 
 def dual_form(form: SymplecticForm) -> SymplecticForm:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,48 @@ def test_malformed_variety_files_name_the_line(capsys, tmp_path, text, override,
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("entry, negated, value", [
+    ("0.1", "-0.1", Fraction(1, 10)), ("-2.5e-3", "2.5E-3", Fraction(-1, 400)), ("1e400", "-1e400", 10 ** 400),
+    ("3", "-3", 3), ('"2/3"', '"-2/3"', Fraction(2, 3)),
+])
+def test_form_numbers_are_read_exactly(entry, negated, value):
+    """A JSON number in a form is read from its literal text, not through a
+    binary float."""
+    pres = parse_variety_file(f"n=1\nform=json:[[0, {entry}], [{negated}, 0]]\nx0*x1\n")
+    assert pres.form.matrix == [[0, value], [-value, 0]]
+
+
+@pytest.mark.parametrize("form, message", [
+    ("[[0, true], [-1, 0]]", "entry true is not a number"),
+    ("[[0, 1], [false, 0]]", "entry false is not a number"),
+    ("[[0, null], [-1, 0]]", "entry null is not a number"),
+    ('{"matrix": [[0, 1], [-1, 0]], "dual": [[0, 1], [true, 0]]}', "entry true is not a number"),
+    ("[[0, NaN], [-1, 0]]", "entry NaN is not a finite number"),
+    ("[[0, Infinity], [-1, 0]]", "entry Infinity is not a finite number"),
+    ("[[0, 1], [-Infinity, 0]]", "entry -Infinity is not a finite number"),
+    ("[[0, 1e99999], [-1e99999, 0]]", "the exponent of '1e99999' is too large"),
+    ('[["0", "1e10000"], ["-1e10000", "0"]]', "the exponent of '1e10000' is too large"),
+])
+def test_forms_with_entries_that_are_no_rationals_exit_1(capsys, tmp_path, form, message):
+    """Booleans, null, NaN, the infinities and exponents too large to expand
+    are refused as a bad form on the form's line, with no traceback."""
+    path = tmp_path / "bad.txt"
+    path.write_text(f"n=1\n# a form that is no matrix of rationals\nform=json:{form}\nx0*x1\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: line 3: bad form: {message}\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x0^\u00b2", "expected an integer (at position 3)"),
+    ("x\u0663*x0", "expected an integer (at position 1)"),
+])
+def test_non_ascii_digits_are_parse_errors_on_their_line(capsys, tmp_path, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"n=2\nx0*x2\n{line}\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: line 3: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [["check"], ["gb"], ["nf", "x0"], ["bracket", "0", "0"]],
                          ids=["check", "gb", "nf", "bracket"])
 def test_exponents_too_wide_for_a_monomial_code_exit_1(capsys, tmp_path, argv):
@@ -506,6 +549,7 @@ _FRAGMENTS = [
     "# a comment", "x0*x1  # a trailing comment", "", "   ",
     "x0*x2", "x1*x3", "x0^2", "x0*x1", "x1", "3/2*x0*x1 - x2*x3", "x0^2 + x1", "x9", "x0*",
     "x0^70000 - x1^70000", "1",
+    "form=json:[[0, 1e400], [-1e400, 0]]", "form=json:[[0, NaN], [NaN, 0]]", "form=json:[[0, true], [-1, 0]]",
 ]
 _EXIT_ONE_PREFIXES = re.compile(r"error: (line \d+: |--form: |missing 'n=<n>' header)")
 

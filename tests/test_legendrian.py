@@ -239,7 +239,7 @@ def test_tangent_check_fails_under_a_fractional_form_with_one_pair_flipped(entri
     par = [comp.scale(s) for comp, s in zip(pres.parametrization, scales)]
     pairs = [(i, nvars - 1 - i, 1 / (scales[i] * scales[nvars - 1 - i])) for i in range(nvars // 2)]
     scaled = VarietyPresentation("e7-scaled", pairing_form(nvars, pairs), [], parametrization=par)
-    assert len({x.denominator for row in scaled.form.rows for x in row.values()}) > 2
+    assert len({x.denominator for row in scaled.form.matrix for x in row if x}) > 2
     a, b, s = pairs[flipped]
     pairs[flipped] = (a, b, -s)
     wrong = VarietyPresentation("e7-scaled-flipped", pairing_form(nvars, pairs), [], parametrization=par)

@@ -12,6 +12,8 @@ from legquad.poly import (
     format_poly,
     parse_poly,
 )
+import poly_oracle
+from legquad import catalog
 from poly_oracle import coefficient, euler_weighted_sum, evaluate
 
 
@@ -54,6 +56,11 @@ PARSE_ERRORS = [
     ("x0*", 2, "expected a coefficient, variable or '('", 3),
     ("3/x0", 2, "expected an integer", 2),
     ("y1^2 - ", 2, "expected a coefficient, variable or '('", 7),
+    # integers are ASCII digits: a superscript or an Arabic-Indic digit is not one
+    ("x0^\u00b2", 2, "expected an integer", 3),
+    ("x\u0663", 4, "expected an integer", 1),
+    ("3*\u00b2", 2, "expected a coefficient, variable or '('", 2),
+    ("1\u0663*x0", 2, "trailing input", 1),
 ]
 
 
@@ -217,3 +224,79 @@ def test_parse_matches_sympy_on_random_texts():
         expected = {m: Fraction(int(c.p), int(c.q))
                     for m, c in sympy.Poly(expr, *xs).terms() if c}
         assert p.terms == expected, text
+
+
+def _reading(parse, text, nvars):
+    """A parser's reading of a text: the terms of its polynomial, in order,
+    or the message and position of its error."""
+    try:
+        p = parse(text, nvars)
+    except PolyParseError as exc:
+        return str(exc), exc.position
+    return list(p.terms.items())
+
+
+def _assert_reads_as_the_oracle(text, nvars):
+    assert _reading(parse_poly, text, nvars) == _reading(poly_oracle.parse_poly, text, nvars), repr(text)
+
+
+def _relabeled_line(p, rng):
+    """p in permuted variables, scaled, its terms in random order, each
+    variable written as x or y, spaced at random."""
+    perm = list(range(p.nvars))
+    rng.shuffle(perm)
+    scale = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+    chunks = []
+    for m, c in rng.sample(sorted(p.terms.items()), len(p.terms)):
+        c *= scale
+        factors = [str(abs(c))] if abs(c) != 1 or not any(m) else []
+        for i, e in enumerate(m):
+            if e:
+                name = f"{rng.choice('xy')}{perm[i]}"
+                factors.append(name if e == 1 else f"{name}{rng.choice(['^', ' ^ '])}{e}")
+        sign = "-" if c < 0 else "+" if chunks else ""
+        chunks.append(sign + rng.choice(["", " "]) + rng.choice(["*", " * "]).join(factors))
+    return " ".join(chunks)
+
+
+def test_parse_matches_the_oracle_on_every_catalog_generator_line(entries):
+    """Each generator line of each `legquad catalog NAME` dump, and of three
+    seeded relabelings of each generator, reads as the oracle parser reads
+    it, terms in the same order."""
+    rng = random.Random(37)
+    lines = 0
+    for entry in entries.values():
+        text = catalog.dump_entry(entry)
+        nvars = entry.presentation.nvars
+        for line in text.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line and not line.startswith(("n=", "form=")):
+                _assert_reads_as_the_oracle(line, nvars)
+                lines += 1
+        for g in entry.presentation.generators:
+            for _ in range(3):
+                _assert_reads_as_the_oracle(_relabeled_line(g, rng), nvars)
+    assert lines > 300
+
+
+# spaces the grammar skips, Unicode ones included, and characters it refuses
+_ODD_SPACES = [" ", "  ", "\t", "\u00a0", "\u2003", "\x0b"]
+_STRAY = ["@", ")", "(", "x", "y", "^", "/", "*", "+", "-", "7", "x9", "0"]
+
+
+def test_parse_matches_the_oracle_on_random_texts_and_their_truncations():
+    """Random texts of the grammar, with odd whitespace and stray characters
+    put in at random, and every truncation of each: the same polynomial, or
+    the same message at the same position."""
+    rng = random.Random(43)
+    errors = 0
+    for _ in range(100):
+        text = _random_text(rng, 3)
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_ODD_SPACES + _STRAY) + text[at:]
+        for end in range(len(text) + 1):
+            _assert_reads_as_the_oracle(text[:end], 3)
+            errors += isinstance(_reading(parse_poly, text[:end], 3), tuple)
+    assert errors > 500
+

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -13,6 +14,7 @@ from symplectic_oracle import (
     QuadraticForm,
     commutator,
     dual_form,
+    fraction_form,
     quadric_bracket_matrix,
     quadric_to_sp,
     sp_membership,
@@ -116,6 +118,60 @@ def test_dual_form_examples():
     plain = SymplecticForm(CUBIC_FORM)
     computed = dual_form(plain).matrix
     assert mat_scale(computed, -3) == CUBIC_DUAL
+
+
+def _reading(matrix, dual=None):
+    """What `SymplecticForm` reads: (J, dual) as dense Fractions, or None
+    when it refuses them; its integer rows are checked to be den * J with
+    den least."""
+    try:
+        form = SymplecticForm(matrix, dual)
+    except ValueError:
+        return None
+    j = form.matrix
+    assert form.den == lcm(*[x.denominator for row in j for x in row])
+    assert form.rows == [[(k, x * form.den) for k, x in enumerate(row) if x] for row in j]
+    assert all(type(a) is int for row in form.rows for _, a in row)
+    assert gcd(form.dual_den, *[a for row in form.dual_rows for _, a in row]) == 1
+    return j, form.dual_matrix
+
+
+def test_integer_rows_read_every_catalog_form_as_fractions_do(entries):
+    """Every catalog form, given as Fractions and read back from its JSON,
+    reads as the dense Fraction oracle reads it."""
+    for entry in entries.values():
+        form = entry.presentation.form
+        expected = fraction_form(form.matrix, form.dual_matrix)
+        assert expected == (form.matrix, form.dual_matrix)
+        assert _reading(form.matrix, form.dual_matrix) == expected
+        again = SymplecticForm.from_json(form.to_json())
+        assert again == form and (again.matrix, again.dual_matrix) == expected
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_rows_accept_and_reject_as_fractions_do(seed):
+    """Random skew forms, some singular, with no dual, a scaled computed
+    dual, that dual with one entry moved, a pairwise rescaled dual and a
+    dual of the wrong shape: the same matrices, or a refusal, as the dense
+    Fraction oracle."""
+    rng = random.Random(500 + seed)
+    outcomes = {True: 0, False: 0}
+    for _ in range(10):
+        n = rng.choice((2, 4, 6))
+        m = _random_skew(rng, n) if n > 2 else [[0, Fraction(rng.randint(-4, 4), 3)], [0, 0]]
+        m[1][0] = -m[0][1]
+        computed = fraction_form(m)
+        base = computed[1] if computed else [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        scale = Fraction(rng.choice([-5, -1, 1, 3]), rng.choice([1, 2, 9]))
+        scaled = mat_scale(base, scale)
+        moved = [list(row) for row in scaled]
+        moved[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 7)
+        paired = [[x * (2 if i % 2 else 1) for x in row] for i, row in enumerate(scaled)]
+        for dual in (None, scaled, moved, paired, scaled[:-1], [row + [0] for row in scaled]):
+            expected = fraction_form(m, dual)
+            assert _reading(m, dual) == expected
+            outcomes[expected is not None] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
 def test_dual_override_must_be_scalar_multiple():
