@@ -16,7 +16,6 @@ are one sparse kernel per image degree of integer monomial products.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,10 +161,9 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
     attach generators of the ideal of the image up to that degree (exact
     linear algebra); by default the entry is parametrization-only.  Degrees
     1 and 2 keep every form of `_implicit_forms`, so the quadrics span I_2.
-    Above that a form is kept only outside the span of the multiples of the
-    generators kept below its degree: `liealg.degree_part` spans those
-    multiples and then the forms, in order, and `Echelon.stored_inputs`
-    names the forms that enlarged it.
+    Above that a form is kept only when it enlarges the span of the
+    multiples of the generators kept below its degree (`liealg.degree_part`)
+    and of the forms kept before it.
     """
     par = _chart(f)
     nv = 2 * (f.nvars + 1)
@@ -173,10 +171,9 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
     for d in range(1, (implicit_degree or 0) + 1):
         forms = _implicit_forms(par, nv, d)
         if d > 2 and forms:
-            # a generator of degree e gives one multiple per monomial of degree d - e
-            lower = sum(math.comb(nv + d - e - 1, d - e) for e in map(Polynomial.degree, gens))
-            span = degree_part(gens + forms, d, MonomialCodec(nv, d), track=True)
-            forms = [forms[i - lower] for i in span.stored_inputs if i >= lower]
+            codec = MonomialCodec(nv, d)
+            span = degree_part(gens, d, codec)
+            forms = [form for form in forms if span.add(codec.row(form))]
         gens.extend(forms)
     pres = VarietyPresentation(_xf_name(f), standard_form(nv // 2), gens, parametrization=par)
     return CatalogEntry(pres, _chart_point(par), _chart_note(f))
@@ -234,21 +231,20 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     degree-d monomials, largest grevlex first, to their images, one form per
     free monomial in that order (`linalg.Echelon.kernel`).
 
-    Each component is integer terms over one codec times 1/den, and a
-    monomial's image is the product of its components, so column c holds
-    den_c times its image and the kernel is scaled back by den_p / den_c.
-    Columns of different image degree share no row, so each image degree
-    is one tracked `Echelon` over its columns in order: a column in the
-    span of the earlier ones is free, and its coefficients over them, read
-    once every column is in, as they are unique, are its kernel vector.  A column that alone holds an image monomial is
-    forced to zero and left out; one of zero image is free, its own form.
+    A monomial's column is its code in the ambient codec, so columns
+    increase down grevlex.  Each component is integer terms over one codec
+    times 1/den, and a monomial's image is the product of its components,
+    so column c holds den_c times its image and the kernel is scaled back
+    by den_p / den_c.  Columns of different image degree share no row, so
+    each image degree is one tracked `Echelon` over its columns in order: a
+    column in the span of the earlier ones is free, and its coefficients
+    over them, read once every column is in, as they are unique, are its
+    kernel vector.  A column that alone holds an image monomial is forced
+    to zero and left out; one of zero image is free, its own form.
     """
     codec = MonomialCodec(par[0].nvars, max(degree * max(p.degree() for p in par), 1))
     ambient = MonomialCodec(nv, degree)
-    comps: List[Tuple[Image, int]] = []
-    for p in par:
-        ints, den = linalg.integral(p.terms) if p.terms else ({}, 1)
-        comps.append(({codec.pack(e): x for e, x in ints.items()}, den))
+    comps = [linalg.integral(codec.row(p)) if p.terms else ({}, 1) for p in par]
     # monomial, as a sorted tuple of its variables -> (its ambient code, image, den)
     prefixes: Dict[Tuple[int, ...], Tuple[int, Image, int]] = {(): (0, {0: 1}, 1)}
 
@@ -260,16 +256,15 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
         terms, d = comps[support[-1]]
         return code + ambient.units[support[-1]], _times(image, terms), den * d
 
-    # a column is minus its monomial's code, so that columns increase down grevlex
-    blocks: Dict[int, Dict[int, Image]] = {}
+    blocks: Dict[int, Dict[int, Image]] = {}  # image degree -> column -> image
     dens: Dict[int, int] = {}
     forms: Dict[int, Dict[int, Fraction]] = {}
     for support in combinations_with_replacement(range(nv), degree):
-        code, image, dens[-code] = product(support)
+        col, image, dens[col] = product(support)
         if image:
-            blocks.setdefault(codec.degree(next(iter(image))), {})[-code] = image
+            blocks.setdefault(codec.degree(next(iter(image))), {})[col] = image
         else:
-            forms[-code] = {-code: Fraction(1)}
+            forms[col] = {col: Fraction(1)}
     for block in blocks.values():
         holders = Counter(chain.from_iterable(block.values()))
         ech = linalg.Echelon(track=True)
@@ -279,7 +274,7 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
                     for i, x in ech.coefficients(block[col]).items()}
             form[col] = Fraction(1)
             forms[col] = form
-    return [Polynomial(nv, {ambient.unpack(-c): x for c, x in forms[col].items()}) for col in sorted(forms)]
+    return [ambient.polynomial(forms[col]) for col in sorted(forms)]
 
 
 def x_f_cubic_fixture(which: int) -> CatalogEntry:

@@ -19,8 +19,8 @@ unique reduced, monic grevlex basis, are remainders against the adopted
 reducers.  The dimension reads the initial ideal alone: the leading
 monomials of the steps' elements that no other element's divides are the
 reduced basis's (`initial_ideal`).  Inside the steps a monomial is its
-`poly.MonomialCodec` code and its column the negated code, so pivots are
-leading monomials: shifts are additions, lcms are word operations, and a
+`poly.MonomialCodec` code, which is also its column, so pivots are leading
+monomials: shifts are additions, lcms are word operations, and a
 divisibility test is one subtraction and one mask.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
@@ -35,9 +35,9 @@ from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from .linalg import Echelon, integral
-from .poly import Exponent, MonomialCodec, Polynomial, grevlex_key
+from .poly import Exponent, MonomialCodec, Polynomial
 
-Terms = Dict[int, Fraction]  # column -> coefficient; or int, as `Echelon` stores rows
+Terms = Dict[int, Fraction]  # monomial code -> coefficient; or int, as `Echelon` stores rows
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -104,18 +104,18 @@ def _preprocess(
         for t in row:
             if t in met:
                 continue
-            k = codec.divisor(-t, lms)
+            k = next(codec.dividing(t, lms), None)
             met[t] = k is not None
             if k is not None:
-                shift = -t - lms[k]
-                reducers.append({m - shift: c for m, c in basis[k].items()})
+                shift = t - lms[k]
+                reducers.append({m + shift: c for m, c in basis[k].items()})
     return reducers
 
 
 def _echelon(reducers: Sequence[Terms], rows: Sequence[Terms] = ()) -> Echelon:
     """The reducers adopted as they are, then the rows added by leading
-    column.  A column is a negated monomial code, so the smallest column
-    is the grevlex largest monomial and pivots are leading monomials."""
+    column.  A column is a monomial code, so the smallest column is the
+    grevlex largest monomial and pivots are leading monomials."""
     span = Echelon()
     for row in reducers:
         span.adopt(row)
@@ -134,33 +134,28 @@ def _remainders(
     return [span.remainder(p) for p in polys]
 
 
-def _packed(p: Polynomial, codec: MonomialCodec) -> Terms:
-    """The terms of p on columns: negated monomial codes."""
-    return {-codec.pack(m): c for m, c in p.terms.items()}
-
-
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
     """Remainder of p modulo the basis; zero exactly when p is in the ideal."""
     if p.nvars != gb.nvars:
         raise ValueError("nvars mismatch")
     # preprocessing multiples have no monomial of higher degree than p's
     codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in gb.elements]))
-    basis = []
-    for g in gb.elements:  # monic, so den * g is primitive with a positive lead
-        basis.append(integral(_packed(g, codec))[0])
-    [r] = _remainders([_packed(p, codec)], basis, [-min(g) for g in basis], codec)
-    return Polynomial(p.nvars, {codec.unpack(-t): c for t, c in r.items()})
+    # monic, so den * g is primitive with a positive lead
+    basis = [integral(codec.row(g))[0] for g in gb.elements]
+    [r] = _remainders([codec.row(p)], basis, [min(g) for g in basis], codec)
+    return codec.polynomial(r)
 
 
 def _f4(
     ideal: IdealPresentation, max_pairs: int
 ) -> Tuple[MonomialCodec, List[Terms], List[int], List[int]]:
     """The F4 steps of the ideal's grevlex basis.  Returns the codec, the
-    basis rows on its columns (integer, content divided out), the codes of
-    their leading monomials, and `keep`: the positions, in order, of the
-    elements whose leading monomial no other element's divides.  Those
-    leading monomials are the minimal generators of the initial ideal, and
-    the reduced basis leads at exactly them.
+    basis rows on its codes (integer, content divided out), the codes of
+    their leading monomials, and `keep`: the positions of the elements
+    whose leading monomial no other element's divides, in increasing
+    grevlex order of that monomial, so in decreasing code.  Those leading
+    monomials are the minimal generators of the initial ideal, and the
+    reduced basis leads at exactly them.
 
     Raises BudgetExceeded when more than max_pairs S-pairs would have to be
     processed.  No exponent of a step exceeds the step's degree, so a step
@@ -168,7 +163,7 @@ def _f4(
     wider codec.
     """
     codec = MonomialCodec(ideal.nvars, 0)
-    basis: List[Terms] = []  # integer rows on columns, content divided out
+    basis: List[Terms] = []  # integer rows on codes, content divided out
     lms: List[int] = []  # codes of the leading monomials
     pending: Dict[Tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
     inputs = sorted(ideal.generators, key=Polynomial.degree)
@@ -180,7 +175,7 @@ def _f4(
         degree = min([*by_degree] + [g.degree() for g in inputs[:1]])
         if degree > codec.limit:
             wider = MonomialCodec(ideal.nvars, degree)
-            basis = [{-wider.pack(codec.unpack(-t)): c for t, c in g.items()} for g in basis]
+            basis = [{wider.pack(codec.unpack(t)): c for t, c in g.items()} for g in basis]
             lms = [wider.pack(codec.unpack(lm)) for lm in lms]
             pending = {pair: wider.pack(codec.unpack(lcm)) for pair, lcm in pending.items()}
             codec = wider
@@ -209,44 +204,41 @@ def _f4(
                 key = (k if len(basis[k]) > 1 else -1, lcm)
                 if key not in halves:
                     shift = lcm - lms[k]
-                    halves[key] = {t - shift: c for t, c in basis[k].items()}
-            met[-lcm] = True  # both halves lead there
+                    halves[key] = {t + shift: c for t, c in basis[k].items()}
+            met[lcm] = True  # both halves lead there
         rows = list(halves.values())
         while inputs and inputs[0].degree() == degree:
-            rows.append(_packed(inputs.pop(0), codec))
+            rows.append(codec.row(inputs.pop(0)))
         if not rows:
             continue
         span = _echelon(_preprocess(rows, met, basis, lms, codec), rows)
-        for lead in span.pivots:
-            if met[lead]:  # a basis leading monomial divides it
+        for lm in span.pivots:
+            if met[lm]:  # a basis leading monomial divides it
                 continue
-            lm = -lead
             for k in range(len(basis)):
                 pending[(k, len(basis))] = codec.lcm(lms[k], lm)
-            basis.append(span.rows[lead])
+            basis.append(span.rows[lm])
             lms.append(lm)
     keep = [k for k, lm in enumerate(lms) if not any(j != k for j in codec.dividing(lm, lms))]
-    return codec, basis, lms, keep
+    return codec, basis, lms, sorted(keep, key=lms.__getitem__, reverse=True)
 
 
 def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under grevlex: the F4 steps, then
     each minimal element's tail reduced against the others and the element
-    made monic.
+    made monic, in `_f4`'s order: increasing grevlex leading monomial.
 
     Deterministic for a fixed generator list and idempotent on its own
     output.  Raises BudgetExceeded when more than max_pairs S-pairs would
     have to be processed.
     """
     codec, basis, lms, keep = _f4(ideal, max_pairs)
-    tails = [{t: c for t, c in basis[k].items() if t != -lms[k]} for k in keep]
+    tails = [{t: c for t, c in basis[k].items() if t != lms[k]} for k in keep]
     reduced = []
     remainders = _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep], codec)
     for k, tail in zip(keep, remainders):
-        lead = basis[k][-lms[k]]
-        terms = {codec.unpack(-t): c / lead for t, c in tail.items()}
-        reduced.append(Polynomial(ideal.nvars, {codec.unpack(lms[k]): 1, **terms}))
-    reduced.sort(key=lambda g: grevlex_key(g.leading_monomial()))
+        lead = basis[k][lms[k]]
+        reduced.append(codec.polynomial({lms[k]: lead, **tail}, lead))
     return GroebnerBasis(reduced, ideal.nvars)
 
 
@@ -258,7 +250,7 @@ def initial_ideal(
     reduced basis, read off the same F4 steps with no interreduction.
     Raises BudgetExceeded at the same pair count as `buchberger`."""
     codec, _, lms, keep = _f4(ideal, max_pairs)
-    return [codec.unpack(lms[k]) for k in sorted(keep, key=lms.__getitem__)]
+    return [codec.unpack(lms[k]) for k in keep]
 
 
 def krull_dimension(monomials: Iterable[Exponent], nvars: int) -> int:

@@ -13,7 +13,7 @@ ideal exactly when it lies in the degree-d part I_d, the span of the
 generator multiples of degree d (`liealg.degree_part`).  When the generators
 are quadrics, I_2 is their span, and the same pass gives the Lie algebra of
 that span.  `degeneracy_check` reads a hyperplane off I_1's last pivot,
-whose row is on monomial columns (`poly`), unpacked as negated codes.
+whose row is on monomial codes (`poly.MonomialCodec`).
 
 The cone dimension has two certificates.  A closed quadric input first
 tries `kostant_certificate`: when the quadric algebra g is semisimple, a
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .groebner import (
@@ -161,7 +160,7 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
         return None
     lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
     row = span.rows[lead]
-    return Polynomial(v.nvars, {codec.unpack(-k): Fraction(x, row[lead]) for k, x in row.items()})
+    return codec.polynomial(row, row[lead])
 
 
 def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation) -> KostantCertificate:

@@ -10,11 +10,11 @@ Closure and structure constants are one bracket pass, `bracket_closure`,
 which is also the closure test of `legendrian` for generators of any
 degree: it brackets each generator's gradient with each later one's
 Hamiltonian field (`symplectic.bracket_terms`) and tests the bracket, a row
-on the monomial columns of `poly`, for membership in the degree part of the
-ideal (`degree_part`) on the same columns.  For quadrics that part is the
-span of their packed rows, and each bracket is read off its reduced rows
-(`linalg.Echelon.combination`), which decides membership and gives the
-structure constants as integers.  The pass hands each presentation its
+on the monomial codes of `poly.MonomialCodec`, which are its columns, for
+membership in the degree part of the ideal (`degree_part`) on the same
+codes.  For quadrics that part is the span of their packed rows, and each
+bracket is read off its reduced rows (`linalg.Echelon.combination`), which
+decides membership and gives the structure constants as integers.  The pass hands each presentation its
 sparse integer bracket table, over the least common denominator D of the
 constants, which ad-matrices (`_integer_ad`) and the Killing form
 (`killing_rows`, D^2 times the trace form) read, and its quadrics' fields
@@ -225,19 +225,16 @@ def _sp_integer(algebra: LieAlgebraPresentation, vec: Mapping[int, Fraction]) ->
     return {pq: x for pq, x in out.items() if x}, dv * den
 
 
-def degree_part(
-    generators: Sequence[Polynomial], degree: int, codec: MonomialCodec, track: bool = False
-) -> linalg.Echelon:
+def degree_part(generators: Sequence[Polynomial], degree: int, codec: MonomialCodec) -> linalg.Echelon:
     """Echelon basis of I_d, the span of m * g over the generators g of
     degree e <= d and the monomials m of degree d - e, in that order, on
-    monomial columns (negated codes), so pivots are leading monomials; with
-    `track`, over the multiples."""
-    span = linalg.Echelon(track=track)
+    the codes of `codec`, so pivots are leading monomials."""
+    span = linalg.Echelon()
     for g in generators:
         if (e := g.degree()) <= degree:
-            terms = [(-codec.pack(m), c) for m, c in g.terms.items()]
+            terms = codec.row(g).items()
             for shift in map(sum, itertools.combinations_with_replacement(codec.units, degree - e)):
-                span.add({k - shift: c for k, c in terms})
+                span.add({k + shift: c for k, c in terms})
     return span
 
 
@@ -252,7 +249,7 @@ def bracket_closure(
     the whole ideal.  The ideal is homogeneous, so a bracket of degree d
     lies in it exactly when it lies in I_d (`degree_part`), built once per
     degree d = e_i + e_j - 2.  Each generator is packed once on monomial
-    columns, of a codec sized for twice the largest degree (too high a
+    codes, of a codec sized for twice the largest degree (too high a
     degree raises ValueError), and a bracket is d_i * d_j * d_W times the
     true one.  For quadrics, I_2 is the tracked span of the packed rows, on
     the generators that enlarge it (`Echelon.stored_inputs`), and a bracket
@@ -301,7 +298,7 @@ def bracket_closure(
     for a, b, ints, q in brackets:
         terms = table[a][b] = [(position[k], n * den // q) for k, n in ints.items()]
         table[b][a] = [(k, -n) for k, n in terms]
-    variable = {-u: v for v, u in enumerate(codec.units)}
+    variable = {u: v for v, u in enumerate(codec.units)}
     images = []
     for k in basis:
         _, den_k, _, field = hams[k]

@@ -176,13 +176,13 @@ class Echelon:
     def contains(self, vec: Mapping) -> bool:
         return not self.remainder(vec)
 
-    def coefficients(self, vec: Mapping, den: int = 1) -> Optional[Dict[int, Fraction]]:
-        """vec / den over the input rows (input index -> nonzero Fraction) by
+    def coefficients(self, vec: Mapping) -> Optional[Dict[int, Fraction]]:
+        """vec over the input rows (input index -> nonzero Fraction) by
         `combination`, or None when it is outside the span."""
         work, d = integral(vec)
         if (found := self.combination(work)) is None:
             return None
-        return {i: Fraction(x, found[1] * d * den) for i, x in found[0].items()}
+        return {i: Fraction(x, found[1] * d) for i, x in found[0].items()}
 
     def combination(self, work: SparseRow) -> Optional[Tuple[SparseRow, int]]:
         """(c, s) with the integer row `work` = sum_i (c[i] / s) * input_i, c

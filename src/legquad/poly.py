@@ -8,12 +8,13 @@ The global monomial order is graded reverse lexicographic with
 x0 > x1 > ... ; it is fixed once here so that every downstream computation
 (Groebner bases in particular) is deterministic.  The hot kernels (brackets,
 closure spans, structure constants, Groebner steps) key monomials by the
-ints of `MonomialCodec` instead, and convert back to tuples at their ends.
+ints of `MonomialCodec` instead, and convert back to tuples at their ends
+(`MonomialCodec.row` and `MonomialCodec.polynomial`).
 
-Every sparse row over monomials (brackets, `linalg.Echelon` spans, Groebner
-steps) has the negated code as a monomial's column: columns increase down
-grevlex, so a row's pivot is its leading monomial, products add columns,
-and column k is monomial `unpack(-k)`, with no map between the two.
+A monomial's code is its column in every sparse row over monomials
+(brackets, `linalg.Echelon` spans, Groebner steps): codes increase down
+grevlex, so a row's pivot is its leading monomial, products add codes,
+and column k is monomial `unpack(k)`, with no map between the two.
 
 `parse_poly` reads the text grammar below in one pass of one regex, which
 splits a line into tokens, and a recursive descent over the token list that
@@ -25,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from struct import Struct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 
@@ -58,16 +59,17 @@ def field_bits(max_degree: int) -> int:
 class MonomialCodec:
     """Exponent vectors of `nvars` variables packed into one int each.
 
-    The code of e is P(e) = deg(e) * 2^(B*n) - sum_i e_i * 2^(B*i), with a
-    field of B bits per variable (Monagan and Pearce, CASC 2007).  P is
-    additive, so multiplying monomials adds their codes and dividing
-    subtracts them, and comparing codes as ints is the grevlex order of
-    `grevlex_key`.  B is 8 or 16, the least that holds `max_degree`, so
-    that `pack` and `unpack` are one bytes conversion each.  The top bit of
-    every field is a guard that stays clear, which `dividing` reads; `pack`
-    refuses an exponent that would reach it, so two exponent vectors never
-    share a code.  Sums of codes are not checked: callers size the codec
-    for the largest degree their products reach.
+    The code of e is C(e) = sum_i e_i * 2^(B*i) - deg(e) * 2^(B*n), with a
+    field of B bits per variable (after Monagan and Pearce, CASC 2007), and
+    it is e's column in every sparse row (`row`, `polynomial`).  C is
+    additive, so multiplying monomials adds their codes, and int order is
+    reverse grevlex, so the least code of a row is its leading monomial.
+    B is 8 or 16, the least that holds `max_degree`, so that `pack` and
+    `unpack`, of the low B*n bits, are one bytes conversion each.  The top
+    bit of every field is a guard that stays clear, which `dividing` reads;
+    `pack` refuses an exponent that would reach it, so two exponent vectors
+    never share a code.  Sums of codes are not checked: callers size the
+    codec for the largest degree their products reach.
     """
 
     __slots__ = ("nvars", "limit", "units", "_bits", "_shift", "_mask", "_guards", "_struct")
@@ -82,32 +84,35 @@ class MonomialCodec:
         self._guards = sum(1 << (bits * i + bits - 1) for i in range(nvars))
         self._struct = Struct(f"<{nvars}{'B' if bits == 8 else 'H'}")
         # the code of each variable
-        self.units = [(1 << self._shift) - (1 << bits * i) for i in range(nvars)]
+        self.units = [(1 << bits * i) - (1 << self._shift) for i in range(nvars)]
 
     def pack(self, exps: Exponent) -> int:
         if exps and max(exps) > self.limit:
             raise ValueError(f"exponent {max(exps)} is above {self.limit}, the field's largest")
-        return (sum(exps) << self._shift) - int.from_bytes(self._struct.pack(*exps), "little")
+        return int.from_bytes(self._struct.pack(*exps), "little") - (sum(exps) << self._shift)
 
     def unpack(self, code: int) -> Exponent:
-        return self._struct.unpack((-code & self._mask).to_bytes(self._struct.size, "little"))
+        return self._struct.unpack((code & self._mask).to_bytes(self._struct.size, "little"))
 
     def degree(self, code: int) -> int:
-        return -(-code >> self._shift)
+        return -(code >> self._shift)
+
+    def row(self, p: Polynomial) -> Dict[int, Fraction]:
+        """The terms of p at their codes."""
+        return {self.pack(m): c for m, c in p.terms.items()}
+
+    def polynomial(self, row: Dict[int, Union[int, Fraction]], den: int = 1) -> Polynomial:
+        """The polynomial row / den; the inverse of `row` at den = 1."""
+        terms = {self.unpack(k): Fraction(c, den) for k, c in row.items() if c}
+        return Polynomial._trusted(self.nvars, terms)
 
     def dividing(self, t: int, codes: Sequence[int]) -> Iterator[int]:
         """Positions, in order and lazily, of the codes that divide t.  The
-        low B*n bits of a - t are those of t's exponent fields minus a's,
+        low B*n bits of t - a are those of t's exponent fields minus a's,
         whatever the degrees; a divides t when no field borrows, so that no
         guard bit is set."""
         guards = self._guards
-        return (k for k, a in enumerate(codes) if not (a - t) & guards)
-
-    def divisor(self, t: int, codes: Sequence[int]) -> Optional[int]:
-        """Position of the first code that divides t, or None; the first
-        entry of `dividing`."""
-        guards = self._guards
-        return next((k for k, a in enumerate(codes) if not (a - t) & guards), None)
+        return (k for k, a in enumerate(codes) if not (t - a) & guards)
 
     def lcm(self, a: int, b: int) -> int:
         """Code of the least common multiple, field by field on the packed
@@ -115,12 +120,12 @@ class MonomialCodec:
         cannot borrow from the next, and keeps its guard bit exactly when
         a's exponent is at least b's; those guard bits widen to a mask of
         the fields where a's exponent is the larger."""
-        ea, eb = -a & self._mask, -b & self._mask
+        ea, eb = a & self._mask, b & self._mask
         ahead = ((ea | self._guards) - eb) & self._guards
         pick = ahead - (ahead >> (self._bits - 1))
         exps = eb ^ ((ea ^ eb) & pick)
         degree = sum(self._struct.unpack(exps.to_bytes(self._struct.size, "little")))
-        return (degree << self._shift) - exps
+        return exps - (degree << self._shift)
 
 
 class Polynomial:
@@ -146,9 +151,9 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Dict[Exponent, Fraction]) -> "Polynomial":
-        """The ring's own results and `parse_poly`'s: `terms` already maps
-        exponent tuples of length `nvars` to nonzero Fractions, and is
-        stored as it is."""
+        """The ring's own results, `parse_poly`'s and those of
+        `MonomialCodec.polynomial`: `terms` already maps exponent tuples of
+        length `nvars` to nonzero Fractions, and is stored as it is."""
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -451,6 +456,8 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
     except _Syntax as exc:
         message, *where = exc.args
         raise PolyParseError(message, _position(text, *where)) from None
+    except RecursionError:  # one level of recursion per parenthesis
+        raise PolyParseError("parentheses nested too deeply", _position(text, reader.k)) from None
     return Polynomial._trusted(
         nvars, {m: c if type(c) is Fraction else Fraction(c) for m, c in terms.items() if c}
     )

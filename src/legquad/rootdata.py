@@ -34,7 +34,7 @@ import functools
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, mul, sub
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 Weight = Tuple[int, ...]
 Pairings = Tuple[int, ...]  # <lambda + rho, alpha^vee> over the positive roots, in root order

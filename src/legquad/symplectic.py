@@ -15,9 +15,9 @@ form read from JSON has its numbers read exactly, from their literal text.
 
 `bracket_terms` is the one differential bracket kernel: [f, g] is the
 gradient of f against the Hamiltonian field X_g = W grad g, both integer
-terms on monomial columns (`poly`) that `hamiltonian_terms` builds once per
-polynomial, denominators cleared, so a pair multiplies ints and adds
-columns only, the bracket is a row on columns, and for a quadric the
+terms on monomial codes (`poly.MonomialCodec`) that `hamiltonian_terms`
+builds once per polynomial, denominators cleared, so a pair multiplies ints
+and adds codes only, the bracket is a row on codes, and for a quadric the
 field is its sp-image.  `poisson_bracket` wraps it and rescales once.
 """
 
@@ -33,8 +33,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from . import linalg
 from .poly import MonomialCodec, Polynomial
 
-Gradient = List[Tuple[int, int, int]]  # (variable, monomial column, integer coefficient)
-Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial column, integer coefficient) summing to it
+Gradient = List[Tuple[int, int, int]]  # (variable, monomial code, integer coefficient)
+Field = Dict[int, List[Tuple[int, int]]]  # row -> terms (monomial code, integer coefficient) summing to it
 
 
 class SymplecticForm:
@@ -140,11 +140,14 @@ _HUGE_EXPONENT = re.compile(r"[eE][-+]?0*[1-9][0-9_]{4,}")
 def _rational(x) -> Union[int, Fraction]:
     """The value of a matrix entry, an int or a Fraction: ints and Fractions
     as they are, integer strings by `int`, and anything else by `Fraction`,
-    which refuses it unless it is a number or a rational string; a decimal
-    exponent of 10000 or more is refused rather than expanded."""
+    which refuses it unless it is a number or a rational string; a string
+    outside ASCII (`Fraction` reads any script's digits) and a decimal
+    exponent of 10000 or more, which it would expand, are refused."""
     if type(x) is int or type(x) is Fraction:
         return x
     if type(x) is str:
+        if not x.isascii():
+            raise ValueError(f"entry {x!r} has a character outside ASCII")
         if _INTEGER.fullmatch(x):
             return int(x)
         if _HUGE_EXPONENT.search(x):
@@ -229,12 +232,12 @@ def hamiltonian_terms(
     p: Polynomial, form: SymplecticForm, codec: MonomialCodec
 ) -> Tuple[Dict[int, int], int, Gradient, Field]:
     """(terms, den, gradient, field) of den * p, den > 0 least to make its
-    coefficients integers, on monomial columns (negated codes): its terms
-    (column -> integer), gradient (a triple (i, column, integer) per term of
-    d(den * p)/dx_i) and dual_den times its Hamiltonian field W grad(den *
-    p), row i -> terms (column, integer) that sum to it, one per gradient
-    term and entry of W that meet there.  For a quadric x^T A x the field is
-    2 W A, entry (i, j) at x_j's column in row i.  `codec` holds p."""
+    coefficients integers, on the monomial codes of `codec`, which holds p:
+    its terms (code -> integer), gradient (a triple (i, code, integer) per
+    term of d(den * p)/dx_i) and dual_den times its Hamiltonian field
+    W grad(den * p), row i -> terms (code, integer) that sum to it, one per
+    gradient term and entry of W that meet there.  For a quadric x^T A x
+    the field is 2 W A, entry (i, j) at x_j's code in row i."""
     ints, den = linalg.integral(p.terms)
     units = codec.units
     variables = range(form.dim)
@@ -243,10 +246,10 @@ def hamiltonian_terms(
     field: Field = {}
     for m, a in ints.items():
         support = [(j, m[j]) for j in compress(variables, m)]
-        col = -sum([e * units[j] for j, e in support])
-        terms[col] = a
+        code = sum([e * units[j] for j, e in support])
+        terms[code] = a
         for j, e in support:
-            dm, dc = col + units[j], a * e
+            dm, dc = code - units[j], a * e
             grad.append((j, dm, dc))
             for i, w in form.dual_rows[j]:  # W is skew: W_ij = -W_ji = -w
                 field.setdefault(i, []).append((dm, -w * dc))
@@ -254,10 +257,10 @@ def hamiltonian_terms(
 
 
 def bracket_terms(grad_f: Gradient, field_g: Field) -> Dict[int, int]:
-    """Terms (monomial column -> integer) of d_f * d_g * dual_den * [f, g],
+    """Terms (monomial code -> integer) of d_f * d_g * dual_den * [f, g],
     where [f, g] = sum over i of (df/dx_i) (W grad g)_i for the dual matrix
     W, from the gradient of d_f * f and the field of d_g * g
-    (`hamiltonian_terms`), whose columns add."""
+    (`hamiltonian_terms`), whose codes add."""
     out: Dict[int, int] = {}
     get = out.get
     for i, m1, c1 in grad_f:
@@ -277,4 +280,4 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     (_, den_f, grad_f, _), (_, den_g, _, field_g) = (hamiltonian_terms(p, form, codec) for p in (f, g))
     den = den_f * den_g * form.dual_den
     terms = bracket_terms(grad_f, field_g)
-    return Polynomial(form.dim, {codec.unpack(-k): Fraction(c, den) for k, c in terms.items()})
+    return codec.polynomial(terms, den)

@@ -414,14 +414,26 @@ def test_form_numbers_are_read_exactly(entry, negated, value):
     ("[[0, 1], [-Infinity, 0]]", "entry -Infinity is not a finite number"),
     ("[[0, 1e99999], [-1e99999, 0]]", "the exponent of '1e99999' is too large"),
     ('[["0", "1e10000"], ["-1e10000", "0"]]', "the exponent of '1e10000' is too large"),
+    ('[["0", "\u0663"], ["-\u0663", "0"]]', "entry '\u0663' has a character outside ASCII"),
 ])
 def test_forms_with_entries_that_are_no_rationals_exit_1(capsys, tmp_path, form, message):
-    """Booleans, null, NaN, the infinities and exponents too large to expand
-    are refused as a bad form on the form's line, with no traceback."""
+    """Booleans, null, NaN, the infinities, exponents too large to expand
+    and strings outside ASCII are refused as a bad form on the form's line,
+    with no traceback."""
     path = tmp_path / "bad.txt"
     path.write_text(f"n=1\n# a form that is no matrix of rationals\nform=json:{form}\nx0*x1\n")
     code, out, err = run(capsys, "check", str(path))
     assert (code, out, err) == (EXIT_USAGE, "", f"error: line 3: bad form: {message}\n")
+
+
+def test_deeply_nested_parentheses_exit_1_on_their_line(capsys, tmp_path):
+    """A generator nested deeper than the parser recurses is a parse error
+    on its line, with no traceback."""
+    path = tmp_path / "deep.txt"
+    path.write_text("n=2\nx0*x2\n" + "(" * 600 + "x0*x1" + ")" * 600 + "\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: line 3: parentheses nested too deeply (at position "), err
 
 
 @pytest.mark.parametrize("line, message", [
@@ -550,6 +562,7 @@ _FRAGMENTS = [
     "x0*x2", "x1*x3", "x0^2", "x0*x1", "x1", "3/2*x0*x1 - x2*x3", "x0^2 + x1", "x9", "x0*",
     "x0^70000 - x1^70000", "1",
     "form=json:[[0, 1e400], [-1e400, 0]]", "form=json:[[0, NaN], [NaN, 0]]", "form=json:[[0, true], [-1, 0]]",
+    "(" * 600 + "x0*x1" + ")" * 600, 'form=json:[["0","\u0663"],["-\u0663","0"]]',
 ]
 _EXIT_ONE_PREFIXES = re.compile(r"error: (line \d+: |--form: |missing 'n=<n>' header)")
 

@@ -9,7 +9,7 @@ from groebner_oracle import division_buchberger, monomial_divides, monomial_lcm
 from legquad.groebner import IdealPresentation, buchberger
 from legquad.legendrian import VarietyPresentation
 from legquad.liealg import bracket_closure
-from legquad.poly import MonomialCodec, grevlex_key, monomial_mul, parse_poly
+from legquad.poly import MonomialCodec, Polynomial, grevlex_key, monomial_mul, parse_poly
 from legquad.symplectic import poisson_bracket, standard_form
 
 
@@ -41,9 +41,34 @@ def test_codes_add_like_monomials(case):
 
 @given(codec_and_exponents())
 def test_int_order_is_grevlex(case):
+    """Int order is grevlex reversed: the least code leads."""
     codec, [a, b] = case
-    assert (codec.pack(a) < codec.pack(b)) == (grevlex_key(a) < grevlex_key(b))
+    assert (codec.pack(a) < codec.pack(b)) == (grevlex_key(a) > grevlex_key(b))
     assert (codec.pack(a) == codec.pack(b)) == (a == b)
+
+
+@st.composite
+def codec_and_polynomial(draw):
+    """A codec of 8- or 16-bit fields and a nonzero polynomial whose
+    exponents fit them."""
+    codec, vectors = draw(codec_and_exponents(count=draw(st.integers(1, 6))))
+    coefficients = st.fractions(max_denominator=12).filter(bool)
+    return codec, Polynomial(codec.nvars, {e: draw(coefficients) for e in vectors})
+
+
+@given(codec_and_polynomial())
+@example((MonomialCodec(2, 127), Polynomial(2, {(127, 0): 1, (0, 127): -2, (63, 64): 3})))
+@example((MonomialCodec(2, 32767), Polynomial(2, {(32767, 0): 1, (0, 32767): 5, (1, 1): -1})))
+def test_a_row_is_a_polynomial_on_its_codes(case):
+    """A polynomial's row holds its terms at their codes, `polynomial` reads
+    it back, and its least code is its leading monomial, the pivot of the
+    row in an `Echelon`."""
+    codec, p = case
+    row = codec.row(p)
+    assert [codec.unpack(k) for k in row] == list(p.terms)
+    assert codec.polynomial(row) == p
+    assert min(row) == codec.pack(p.leading_monomial())
+    assert codec.polynomial({k: 2 * c for k, c in row.items()}, 2) == p
 
 
 @given(codec_and_exponents(count=4))

@@ -229,7 +229,7 @@ def test_reduced_span_reads_coefficients_like_a_dense_solve():
                 if rng.random() < 0.4:
                     vec[rng.randrange(cols)] += rng.randint(1, 3)
                 x = linalg_oracle.solve(columns, vec) if kept else (None if any(vec) else [])
-                read = span.coefficients({j: v for j, v in enumerate(vec) if v}, den=2)
+                read = span.coefficients({j: v / 2 for j, v in enumerate(vec) if v})
                 if x is None:
                     assert read is None
                 else:

@@ -5,7 +5,10 @@ Python name the README's prose names is defined in `src/legquad` or the
 tests."""
 
 import ast
+import importlib
+import inspect
 import re
+import typing
 from pathlib import Path
 
 import legquad
@@ -192,3 +195,28 @@ def test_every_imported_name_is_read():
                 continue
             unread += [f"{path.name}:{node.lineno}: {name}" for name in bound if name not in read]
     assert unread == []
+
+
+def test_every_annotation_resolves():
+    """`typing.get_type_hints` resolves the annotations of every function,
+    class and method defined in a module of `src/legquad`: each name an
+    annotation reads is bound in that module."""
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"legquad.{path.stem}".removesuffix(".__init__"))
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            targets = [(name, obj)]
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(member):
+                        targets.append((f"{name}.{attr}", member))
+            for label, target in targets:
+                if inspect.isclass(target) or inspect.isfunction(target):
+                    try:
+                        typing.get_type_hints(target)
+                    except NameError as exc:
+                        unresolved.append(f"{path.name}: {label}: {exc}")
+    assert unresolved == []
