@@ -4,10 +4,10 @@ Modules:
   poly        sparse rational polynomials and the text grammar
   linalg      exact linear algebra on one sparse elimination kernel
   symplectic  forms and the Poisson bracket
-  groebner    degree-by-degree Groebner bases and normal forms on the kernel, dimension
-  legendrian  the verdict engine and the isotropy identity of a parametrization
-  liealg      quadric Lie algebras, roots, Dynkin identification
-  rootdata    integer root data, the Dynkin diagram, the closed orbit of V(lambda)
+  groebner    Groebner bases of generator lists, as Polynomial lists, normal forms, dimension
+  legendrian  the verdict engine and the isotropy identity of a chart and a form
+  liealg      quadric Lie algebras, root spaces from the integer sp-images, identification
+  rootdata    integer root data, the Dynkin diagram and its components, the closed orbit of V(lambda)
   classify    the classification scan
   catalog     example varieties, all generated
   cli         the command-line interface
@@ -16,10 +16,9 @@ Modules:
 from .poly import Polynomial, parse_poly, format_poly
 from .symplectic import SymplecticForm, standard_form, poisson_bracket
 from .groebner import (
-    IdealPresentation,
-    GroebnerBasis,
     BudgetExceeded,
     buchberger,
+    initial_ideal,
     normal_form,
     krull_dimension,
 )

@@ -29,7 +29,6 @@ from . import catalog
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
-    IdealPresentation,
     buchberger,
     krull_dimension,
     normal_form,
@@ -224,17 +223,16 @@ def _cmd_bracket(args) -> Answer:
 
 def _cmd_gb(args) -> Answer:
     pres = _load_presentation(args)
-    gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    dimension = krull_dimension(gb.leading_monomials(), gb.nvars)
-    result = {"size": len(gb), "dimension": dimension, "elements": [str(g) for g in gb]}
+    basis = buchberger(pres.generators, pres.nvars, max_pairs=args.budget)
+    dimension = krull_dimension([g.leading_monomial() for g in basis], pres.nvars)
+    result = {"size": len(basis), "dimension": dimension, "elements": [str(g) for g in basis]}
     return {"file": args.file}, result, EXIT_OK
 
 
 def _cmd_nf(args) -> Answer:
     pres = _load_presentation(args)
     p = parse_poly(args.poly, pres.nvars)
-    gb = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=args.budget)
-    r = normal_form(p, gb)
+    r = normal_form(p, buchberger(pres.generators, pres.nvars, max_pairs=args.budget))
     return {"file": args.file, "poly": str(p)}, {"normal_form": str(r), "in_ideal": r.is_zero()}, EXIT_OK
 
 
@@ -307,7 +305,7 @@ def _cmd_curve(args) -> Answer:
     polys = [parse_poly(text.replace("t", "x0"), 1) for text in (args.f1, args.f2, args.f3)]
     chart = [Polynomial.constant(1, 1)] + polys
     form = pairing_form(4, [(0, 1, 1), (2, 3, 1)])
-    holds = isotropy_identity(VarietyPresentation("curve", form, [], parametrization=chart))
+    holds = isotropy_identity(chart, form)
     inputs = {"f1": str(polys[0]), "f2": str(polys[1]), "f3": str(polys[2])}
     return inputs, {"equation_holds": holds}, EXIT_OK if holds else EXIT_NEGATIVE
 
@@ -317,7 +315,7 @@ def _cmd_xf(args) -> Answer:
     f = _parse_xf_poly(args.poly)
     entry = catalog.x_f(f, implicit_degree=args.implicit_degree)
     pres = entry.presentation
-    tangent_ok = isotropy_identity(pres)
+    tangent_ok = isotropy_identity(pres.parametrization, pres.form)
     result = {
         "name": entry.name,
         "ambient_dim": pres.nvars,

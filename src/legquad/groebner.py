@@ -21,7 +21,9 @@ monomials of the steps' elements that no other element's divides are the
 reduced basis's (`initial_ideal`).  Inside the steps a monomial is its
 `poly.MonomialCodec` code, which is also its column, so pivots are leading
 monomials: shifts are additions, lcms are word operations, and a
-divisibility test is one subtraction and one mask.
+divisibility test is one subtraction and one mask.  The entry points take a
+generator list and its number of variables, and a basis is the plain list
+of Polynomials that `buchberger` returns and `normal_form` reads.
 
 A configurable cap on processed S-pairs separates "ran out of budget" from
 any mathematical answer; exceeding it raises BudgetExceeded, and callers
@@ -53,39 +55,6 @@ class BudgetExceeded(RuntimeError):
 
 class ImproperIdealError(ValueError):
     """The ideal contains a nonzero constant, so the variety is empty."""
-
-
-class IdealPresentation:
-    """A list of generators over a fixed number of variables."""
-
-    __slots__ = ("generators", "nvars")
-
-    def __init__(self, generators: Sequence[Polynomial], nvars: int):
-        gens = [g for g in generators if not g.is_zero()]
-        for g in gens:
-            if g.nvars != nvars:
-                raise ValueError("all generators must share nvars")
-        self.generators = gens
-        self.nvars = nvars
-
-
-class GroebnerBasis:
-    """Reduced, monic basis under the global grevlex order."""
-
-    __slots__ = ("elements", "nvars")
-
-    def __init__(self, elements: Sequence[Polynomial], nvars: int):
-        self.elements = list(elements)
-        self.nvars = nvars
-
-    def leading_monomials(self) -> List[Exponent]:
-        return [g.leading_monomial() for g in self.elements]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
 
 
 def _preprocess(
@@ -134,39 +103,44 @@ def _remainders(
     return [span.remainder(p) for p in polys]
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Remainder of p modulo the basis; zero exactly when p is in the ideal."""
-    if p.nvars != gb.nvars:
+def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Remainder of p modulo a reduced basis that `buchberger` returned;
+    zero exactly when p is in the ideal."""
+    if any(g.nvars != p.nvars for g in basis):
         raise ValueError("nvars mismatch")
     # preprocessing multiples have no monomial of higher degree than p's
-    codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in gb.elements]))
+    codec = MonomialCodec(p.nvars, max([p.degree()] + [g.degree() for g in basis]))
     # monic, so den * g is primitive with a positive lead
-    basis = [integral(codec.row(g))[0] for g in gb.elements]
-    [r] = _remainders([codec.row(p)], basis, [min(g) for g in basis], codec)
+    rows = [integral(codec.row(g))[0] for g in basis]
+    [r] = _remainders([codec.row(p)], rows, [min(g) for g in rows], codec)
     return codec.polynomial(r)
 
 
 def _f4(
-    ideal: IdealPresentation, max_pairs: int
+    generators: Sequence[Polynomial], nvars: int, max_pairs: int
 ) -> Tuple[MonomialCodec, List[Terms], List[int], List[int]]:
-    """The F4 steps of the ideal's grevlex basis.  Returns the codec, the
-    basis rows on its codes (integer, content divided out), the codes of
-    their leading monomials, and `keep`: the positions of the elements
-    whose leading monomial no other element's divides, in increasing
-    grevlex order of that monomial, so in decreasing code.  Those leading
-    monomials are the minimal generators of the initial ideal, and the
-    reduced basis leads at exactly them.
+    """The F4 steps of the grevlex basis of the ideal of the generators in
+    `nvars` variables, zero ones dropped.  Returns the codec, the basis rows
+    on its codes (integer, content divided out), the codes of their leading
+    monomials, and `keep`: the positions of the elements whose leading
+    monomial no other element's divides, in increasing grevlex order of that
+    monomial, so in decreasing code.  Those leading monomials are the
+    minimal generators of the initial ideal, and the reduced basis leads at
+    exactly them.
 
-    Raises BudgetExceeded when more than max_pairs S-pairs would have to be
+    Raises ValueError when a generator has another number of variables, and
+    BudgetExceeded when more than max_pairs S-pairs would have to be
     processed.  No exponent of a step exceeds the step's degree, so a step
     of higher degree than the codec holds first repacks the state with a
     wider codec.
     """
-    codec = MonomialCodec(ideal.nvars, 0)
+    inputs = sorted((g for g in generators if not g.is_zero()), key=Polynomial.degree)
+    if any(g.nvars != nvars for g in inputs):
+        raise ValueError("all generators must share nvars")
+    codec = MonomialCodec(nvars, 0)
     basis: List[Terms] = []  # integer rows on codes, content divided out
     lms: List[int] = []  # codes of the leading monomials
     pending: Dict[Tuple[int, int], int] = {}  # pair -> lcm of its leading monomials
-    inputs = sorted(ideal.generators, key=Polynomial.degree)
     processed = 0
     while pending or inputs:
         by_degree: Dict[int, List[Tuple[int, int]]] = {}
@@ -174,7 +148,7 @@ def _f4(
             by_degree.setdefault(codec.degree(lcm), []).append(pair)
         degree = min([*by_degree] + [g.degree() for g in inputs[:1]])
         if degree > codec.limit:
-            wider = MonomialCodec(ideal.nvars, degree)
+            wider = MonomialCodec(nvars, degree)
             basis = [{wider.pack(codec.unpack(t)): c for t, c in g.items()} for g in basis]
             lms = [wider.pack(codec.unpack(lm)) for lm in lms]
             pending = {pair: wider.pack(codec.unpack(lcm)) for pair, lcm in pending.items()}
@@ -223,33 +197,37 @@ def _f4(
     return codec, basis, lms, sorted(keep, key=lms.__getitem__, reverse=True)
 
 
-def buchberger(ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal under grevlex: the F4 steps, then
-    each minimal element's tail reduced against the others and the element
-    made monic, in `_f4`'s order: increasing grevlex leading monomial.
+def buchberger(
+    generators: Sequence[Polynomial], nvars: int, max_pairs: int = DEFAULT_PAIR_BUDGET
+) -> List[Polynomial]:
+    """The reduced, monic grevlex Groebner basis of the ideal of the
+    generators in `nvars` variables: the F4 steps, then each minimal
+    element's tail reduced against the others and the element made monic,
+    in `_f4`'s order: increasing grevlex leading monomial.
 
     Deterministic for a fixed generator list and idempotent on its own
     output.  Raises BudgetExceeded when more than max_pairs S-pairs would
     have to be processed.
     """
-    codec, basis, lms, keep = _f4(ideal, max_pairs)
+    codec, basis, lms, keep = _f4(generators, nvars, max_pairs)
     tails = [{t: c for t, c in basis[k].items() if t != lms[k]} for k in keep]
     reduced = []
     remainders = _remainders(tails, [basis[k] for k in keep], [lms[k] for k in keep], codec)
     for k, tail in zip(keep, remainders):
         lead = basis[k][lms[k]]
         reduced.append(codec.polynomial({lms[k]: lead, **tail}, lead))
-    return GroebnerBasis(reduced, ideal.nvars)
+    return reduced
 
 
 def initial_ideal(
-    ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET
+    generators: Sequence[Polynomial], nvars: int, max_pairs: int = DEFAULT_PAIR_BUDGET
 ) -> List[Exponent]:
-    """Minimal generators of the ideal's grevlex initial ideal, in
-    increasing grevlex order: the leading monomials of `buchberger`'s
-    reduced basis, read off the same F4 steps with no interreduction.
-    Raises BudgetExceeded at the same pair count as `buchberger`."""
-    codec, _, lms, keep = _f4(ideal, max_pairs)
+    """Minimal generators of the grevlex initial ideal of the generators in
+    `nvars` variables, in increasing grevlex order: the leading monomials
+    of `buchberger`'s reduced basis, read off the same F4 steps with no
+    interreduction.  Raises BudgetExceeded at the same pair count as
+    `buchberger`."""
+    codec, _, lms, keep = _f4(generators, nvars, max_pairs)
     return [codec.unpack(lms[k]) for k in keep]
 
 

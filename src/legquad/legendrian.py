@@ -29,8 +29,9 @@ interreduction), so an exhausted budget leaves the dimension undecided but
 never hides a failed closure.  Each verdict names the certificate that
 proved its dimension.
 
-A variety given by a parametrization instead has `isotropy_identity`: its
-closure is isotropic exactly when m polynomial pairings vanish.
+A variety given by a chart phi in m parameters instead has
+`isotropy_identity(phi, form)`: its closure is isotropic exactly when m
+polynomial pairings vanish.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from typing import List, Optional, Sequence, Tuple
 from .groebner import (
     BudgetExceeded,
     DEFAULT_PAIR_BUDGET,
-    IdealPresentation,
     initial_ideal,
     krull_dimension,
 )
@@ -271,7 +271,7 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
             pass
     if kostant is None:
         try:
-            leads = initial_ideal(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+            leads = initial_ideal(v.generators, v.nvars, max_pairs=budget)
             dimension = krull_dimension(leads, v.nvars)
         except BudgetExceeded as exc:
             budget_name = exc.budget_name
@@ -293,9 +293,10 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     )
 
 
-def isotropy_identity(v: VarietyPresentation) -> bool:
-    """Whether the closure of the parametrized variety is isotropic, proved
-    by polynomial identities: omega(phi, d_k phi) is the zero polynomial for
+def isotropy_identity(phi: Sequence[Polynomial], form: SymplecticForm) -> bool:
+    """Whether the closure of the variety that the chart phi parametrizes,
+    one component per coordinate of the form, is isotropic, proved by
+    polynomial identities: omega(phi, d_k phi) is the zero polynomial for
     every chart parameter k.
 
     These m pairings are enough.  With g_k = omega(phi, d_k phi),
@@ -303,11 +304,10 @@ def isotropy_identity(v: VarietyPresentation) -> bool:
     vanishes, omega vanishes on the span of phi and its partials, the
     tangent space of the cone at phi.  den * J phi is read off the form's
     integer rows once, a scale no zero test sees; no point is sampled."""
-    phi = v.parametrization
-    if phi is None:
-        raise ValueError(f"{v.name} has no parametrization")
+    if not phi or len(phi) != form.dim:
+        raise ValueError("a parametrization needs one component per coordinate of the form")
     zero = Polynomial.zero(phi[0].nvars)
-    j_phi = [sum((phi[b].scale(a) for b, a in row), zero) for row in v.form.rows]
+    j_phi = [sum((phi[b].scale(a) for b, a in row), zero) for row in form.rows]
     return all(  # each sum is omega(d_k phi, phi) = -g_k
         not sum((d * y for comp, y in zip(phi, j_phi) if (d := comp.partial_derivative(k))), zero)
         for k in range(zero.nvars)

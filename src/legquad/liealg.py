@@ -28,11 +28,12 @@ the tests (`tests/liealg_oracle.py`).
 There is one torus: all the elements whose sp-images are diagonal, one
 kernel over the whole basis, so it does not depend on how the quadrics are
 written (`cartan_subalgebra`).  It gives every coordinate a weight, and the
-quadric x_p x_q has weight w_p + w_q: the root spaces are the quadrics'
-terms grouped by weight, and the torus is self-centralizing exactly when
-the weight-0 vectors found number dim T (`root_decomposition`).  The
-identification and the Kostant certificate of `legendrian` share the root
-decomposition that `split_root_data` caches.
+quadric x_p x_q has weight w_p + w_q: the root spaces are the integer
+sp-images grouped by weight, entry (i, k) having weight w_k - w_i, the
+weight of the terms it comes from, and the torus is self-centralizing
+exactly when the weight-0 vectors found number dim T (`root_decomposition`).
+The identification and the Kostant certificate of `legendrian` share the
+root decomposition that `split_root_data` caches.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those split into
@@ -65,7 +66,6 @@ from .symplectic import SymplecticForm, bracket_terms, hamiltonian_terms
 BracketTable = List[Dict[int, List[Tuple[int, int]]]]
 SparseAd = Dict[Tuple[int, int], int]  # (k, j) -> integer entry
 SpEntries = Tuple[Dict[Tuple[int, int], int], int]  # ((p, q) -> integer entry, denominator)
-QuadricTerms = List[Tuple[int, int, Fraction]]  # (p, q, c) for each term c x_p x_q, p <= q
 Weight = Tuple[int, ...]
 
 
@@ -122,7 +122,6 @@ class LieAlgebraPresentation:
         self._table = table
         self._sp_entries = sp_entries
         self.structure = _StructureView(table)
-        self._terms: Optional[List[QuadricTerms]] = None
         self._killing_rows: Optional[Dict[int, Dict[int, int]]] = None
         self._semisimple: Optional[bool] = None
         self._root_data = None  # CartanData, or the message of the NotAdaptedError it raised
@@ -131,13 +130,6 @@ class LieAlgebraPresentation:
         """(table, D), table[i][j] for each ordered pair with a nonzero
         bracket, over the least common denominator D of the constants."""
         return self._table
-
-    def quadric_terms(self) -> List[QuadricTerms]:
-        """(p, q, c) for each term c x_p x_q of each basis quadric, p <= q,
-        with the indices found once."""
-        if self._terms is None:
-            self._terms = [[(*_quadric_indices(exps), c) for exps, c in b.terms.items()] for b in self.basis]
-        return self._terms
 
     def sp_entries(self) -> List[SpEntries]:
         """(entries, den) for each basis quadric: its sp-image 2 W A, its
@@ -187,14 +179,6 @@ class LieAlgebraPresentation:
                 span.add(row)
             self._semisimple = span.rank == self.dim
         return self._semisimple
-
-
-def _quadric_indices(exps: Tuple[int, ...]) -> Tuple[int, int]:
-    """(p, q) with p <= q for the monomial x_p x_q, by the tuple's own search."""
-    if 2 in exps:
-        return (p := exps.index(2)), p
-    p = exps.index(1)
-    return p, exps.index(1, p + 1)
 
 
 def _integer_ad(algebra: LieAlgebraPresentation, x: Mapping[int, Fraction]) -> Tuple[SparseAd, int]:
@@ -389,12 +373,16 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     """The root spaces of a torus with diagonal sp-images.
 
     The torus gives coordinate p the weight w_p (`_coordinate_weights`), so
-    the quadric x_p x_q is a weight vector of weight mu = w_p + w_q, of root
-    -mu.  A basis element of one weight is an eigenvector unless another
-    element mixes that weight with a second one.  The elements that touch a
-    mixed weight span the sum of their weight parts, since g is
-    torus-stable; its vectors of weight mu are the combinations whose parts
-    of every other weight vanish, one kernel per mixed weight.
+    the quadric x_p x_q has weight mu = w_p + w_q, of root -mu.  Entry (i, k)
+    of its integer sp-image (`sp_entries`), the field W grad, comes from its
+    terms x_r x_k with W[i][r] nonzero, and the form pairs only opposite
+    weights, w_r = -w_i: the entry has weight w_k - w_i, that of its terms.
+    The sp-image is injective, so its weight parts are those of the terms.
+    A basis element of one weight is an eigenvector unless another element
+    mixes that weight with a second one.  The elements that touch a mixed
+    weight span the sum of their weight parts, since g is torus-stable; its
+    vectors of weight mu are the combinations whose parts of every other
+    weight vanish, one kernel per mixed weight over one denominator.
 
     So g is the sum of the weight vectors found, and those of weight 0 span
     the centralizer of the torus.  Raises NotAdaptedError when a torus
@@ -402,11 +390,12 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
     torus is then not self-centralizing.
     """
     weights = _coordinate_weights(algebra, cartan.cartan_vectors)
-    parts: List[Dict[Weight, Dict[Tuple[int, int], Fraction]]] = []  # weight -> (p, q) -> coefficient
-    for terms in algebra.quadric_terms():
-        part: Dict[Weight, Dict[Tuple[int, int], Fraction]] = {}
-        for p, q, c in terms:
-            part.setdefault(tuple(a + b for a, b in zip(weights[p], weights[q])), {})[(p, q)] = c
+    images = algebra.sp_entries()
+    parts: List[Dict[Weight, Dict[Tuple[int, int], int]]] = []  # weight -> (i, k) -> entry
+    for entries, _ in images:
+        part: Dict[Weight, Dict[Tuple[int, int], int]] = {}
+        for (i, k), x in entries.items():
+            part.setdefault(tuple(b - a for a, b in zip(weights[i], weights[k])), {})[(i, k)] = x
         parts.append(part)
     mixed = {mu for part in parts if len(part) > 1 for mu in part}
     pairs: List[Tuple[Weight, SparseVector]] = []
@@ -416,11 +405,13 @@ def root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> C
             pairs.append((next(iter(part)), {j: Fraction(1)}))
         else:
             leftover.append(j)
-    rows: Dict[Tuple[Weight, Tuple[int, int]], Dict[int, Fraction]] = {}  # (weight, (p, q)) -> j -> c
+    scale = math.lcm(*[images[j][1] for j in leftover])
+    rows: Dict[Tuple[Weight, Tuple[int, int]], Dict[int, int]] = {}  # (weight, (i, k)) -> j -> entry
     for j in leftover:
+        factor = scale // images[j][1]
         for mu, part in parts[j].items():
-            for pq, c in part.items():
-                rows.setdefault((mu, pq), {})[j] = c
+            for ik, x in part.items():
+                rows.setdefault((mu, ik), {})[j] = x * factor
     for mu in mixed:
         kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], leftover)
         pairs.extend((mu, vec) for vec in kernel)
@@ -453,8 +444,8 @@ def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
     alpha_a and alpha_b, alpha_a - alpha_b is not a root, so the
     alpha_b-string through alpha_a starts at alpha_a and
     <alpha_a, alpha_b^vee> = -q for the largest q with alpha_a + q alpha_b a
-    root.  Each connected component of that Cartan matrix is matched against
-    rootdata's Bourbaki Cartan matrices of its rank (`rootdata.match_cartan`).
+    root.  `rootdata.match_cartan` matches each connected component of that
+    Cartan matrix against rootdata's Bourbaki Cartan matrices of its rank.
     """
     roots = cd.roots
     positive = [r for r in roots if next(x for x in r if x) > 0]
@@ -473,33 +464,7 @@ def simple_factors(cd: CartanData) -> List[Tuple[str, List[int]]]:
         return -q
 
     cartan = [[pairing(roots[a], roots[b]) for b in simple] for a in simple]
-    factors = []
-    for nodes in _components(cartan):
-        label, perm = match_cartan([[cartan[i][j] for j in nodes] for i in nodes])
-        by_node = [0] * len(nodes)
-        for i, p in zip(nodes, perm):
-            by_node[p] = simple[i]
-        factors.append((label, by_node))
-    return factors
-
-
-def _components(cartan: List[List[int]]) -> List[List[int]]:
-    """Nodes of each connected component of the Dynkin graph, breadth first,
-    so that every node after the first is joined to an earlier one."""
-    seen = set()
-    out = []
-    for start in range(len(cartan)):
-        if start in seen:
-            continue
-        seen.add(start)
-        nodes = [start]
-        for i in nodes:
-            for j, x in enumerate(cartan[i]):
-                if x and j not in seen:
-                    seen.add(j)
-                    nodes.append(j)
-        out.append(nodes)
-    return out
+    return [(label, [simple[i] for i in nodes]) for label, nodes in match_cartan(cartan)]
 
 
 # ---------------------------------------------------------------------------

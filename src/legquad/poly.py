@@ -18,11 +18,13 @@ and column k is monomial `unpack(k)`, with no map between the two.
 
 `parse_poly` reads the text grammar below in one pass of one regex, which
 splits a line into tokens, and a recursive descent over the token list that
-builds the exponent-tuple terms directly; integers are ASCII digits only.
+builds the exponent-tuple terms directly; integers are ASCII digits only,
+and a parenthesised factor too large to expand (`MAX_EXPANSION`) is refused.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from struct import Struct
@@ -322,6 +324,16 @@ class Polynomial:
 
 _TOKEN = re.compile(r"[xy][0-9]+|[0-9]+|\S")
 _DIGITS = frozenset("0123456789")  # the first characters of integer tokens
+MAX_EXPANSION = 50_000  # a parenthesised product's term bound times its last power
+
+
+def _power_terms(p: Polynomial, k: int) -> int:
+    """A bound on the terms of p^k: the multisets of k terms of p, or the
+    monomials of degree at most k deg p in p's variables, if fewer."""
+    if len(p.terms) < 2:
+        return 1
+    variables = sum(map(any, zip(*p.terms)))
+    return min(math.comb(len(p.terms) + k - 1, k), math.comb(variables + k * p.degree(), variables))
 
 
 class _Syntax(Exception):
@@ -406,7 +418,13 @@ class _Reader:
                 k = self.k
                 if tokens[k] != ")":
                     raise _Syntax("expected ')'", k)
-                k, power = self.power(k + 1)
+                at = k + 1  # the power, or the token after the factor
+                k, power = self.power(at)
+                bound = _power_terms(inner, power) * (1 if product is None else len(product.terms))
+                if bound * power > MAX_EXPANSION:
+                    raise _Syntax(
+                        f"too large to expand: up to {bound} terms times power {power} exceeds {MAX_EXPANSION}", at
+                    )
                 inner = inner ** power
                 product = inner if product is None else product * inner
             else:
@@ -446,7 +464,11 @@ def _position(text: str, k: int, after: bool = False) -> int:
 def parse_poly(text: str, nvars: int) -> Polynomial:
     """Parse the text grammar into canonical sparse form.
 
-    parse(format(p)) == p for every polynomial p.
+    parse(format(p)) == p for every polynomial p.  A parenthesised factor
+    p^k is expanded as it is read, once the terms of the product so far
+    times a bound on those of p^k (`_power_terms`), times k, the length its
+    coefficients grow to, are within MAX_EXPANSION = 50 000; the work grows
+    with both.  Above it the text is refused at the power, before any work.
     """
     reader = _Reader(_TOKEN.findall(text), nvars)
     try:

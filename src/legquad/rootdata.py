@@ -7,10 +7,11 @@ their Dynkin coordinates carried along, so each construction is
 self-checking against the known root counts.  Weights are integer tuples of
 Dynkin coordinates: mu is dominant when no coordinate is negative.
 
-The Dynkin diagram is known here alone: the node bijections of a Cartan
-matrix onto a Bourbaki one (`match_cartan`), the diagram automorphisms, and
-the one weight of each automorphism orbit that the scan lists
-(`is_canonical_weight`, `canonical_weight`).
+The Dynkin diagram is known here alone: the connected components of a
+Cartan matrix's diagram and the node bijection of each onto a Bourbaki one
+(`match_cartan`), the diagram automorphisms, and the one weight of each
+automorphism orbit that the scan lists (`is_canonical_weight`,
+`canonical_weight`).
 
 Each root system is built once per process, with its integer tables: root
 heights, coroot heights <rho, alpha^vee> with their product, and one column
@@ -211,15 +212,43 @@ def _coroot(root: Weight, pairings: Weight, lengths: Sequence[int]) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-def match_cartan(cartan: List[List[int]]) -> Tuple[str, List[int]]:
-    """The type of a connected Cartan matrix, with the node bijection p that
-    carries it onto the Bourbaki matrix C: cartan[i][j] = C[p[i]][p[j]]."""
-    m = len(cartan)
-    for label, rank in simple_types_up_to(m):
-        if rank == m:
-            for perm in _node_bijections(cartan, _cartan_matrix(label, rank)):  # the first one
-                return f"{label}{rank}", perm
-    raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
+def match_cartan(cartan: List[List[int]]) -> List[Tuple[str, List[int]]]:
+    """The simple factors of a Cartan matrix, one per connected component
+    of its Dynkin diagram (`_components`): the type, and for each Bourbaki
+    node in turn the index of the matrix node that the first node bijection
+    onto the Bourbaki matrix C carries there."""
+    factors = []
+    for nodes in _components(cartan):
+        m = len(nodes)
+        sub = [[cartan[i][j] for j in nodes] for i in nodes]
+        found = next((
+            (f"{label}{rank}", perm) for label, rank in simple_types_up_to(m) if rank == m
+            for perm in _node_bijections(sub, _cartan_matrix(label, rank))
+        ), None)
+        if found is None:
+            raise ValueError(f"a rank {m} component of the Cartan matrix matches no simple type")
+        label, perm = found  # perm[a] is the Bourbaki node of nodes[a]
+        factors.append((label, [nodes[a] for a in sorted(range(m), key=perm.__getitem__)]))
+    return factors
+
+
+def _components(cartan: List[List[int]]) -> List[List[int]]:
+    """Nodes of each connected component of the Dynkin graph, breadth first,
+    so that every node after the first is joined to an earlier one."""
+    seen = set()
+    out = []
+    for start in range(len(cartan)):
+        if start in seen:
+            continue
+        seen.add(start)
+        nodes = [start]
+        for i in nodes:
+            for j, x in enumerate(cartan[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    nodes.append(j)
+        out.append(nodes)
+    return out
 
 
 def _node_bijections(cartan: List[List[int]], target: List[List[int]]) -> Iterator[List[int]]:

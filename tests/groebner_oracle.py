@@ -28,8 +28,6 @@ from typing import Dict, List, Sequence, Tuple
 from legquad.groebner import (
     DEFAULT_PAIR_BUDGET,
     BudgetExceeded,
-    GroebnerBasis,
-    IdealPresentation,
     ImproperIdealError,
 )
 from legquad.poly import Exponent, Polynomial, grevlex_key, monomial_mul
@@ -115,16 +113,16 @@ def _interreduce(polys: List[Polynomial]) -> List[Polynomial]:
 
 
 def division_buchberger(
-    ideal: IdealPresentation, max_pairs: int = DEFAULT_PAIR_BUDGET
-) -> GroebnerBasis:
+    generators: Sequence[Polynomial], max_pairs: int = DEFAULT_PAIR_BUDGET
+) -> List[Polynomial]:
     """Reduced grevlex basis, one S-pair at a time, reducing by division."""
     basis: List[Polynomial] = []
-    for g in ideal.generators:
+    for g in generators:
         r = division_remainder(g, basis)
         if not r.is_zero():
             basis.append(monic(r))
     if not basis:
-        return GroebnerBasis([], ideal.nvars)
+        return []
 
     def lcm_of(i: int, j: int) -> Exponent:
         return monomial_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
@@ -175,7 +173,7 @@ def division_buchberger(
             for k in range(new_index):
                 push(k, new_index)
 
-    return GroebnerBasis(_interreduce(basis), ideal.nvars)
+    return _interreduce(basis)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial]) -> bool:
@@ -206,25 +204,25 @@ def poisson_bracket(f: Polynomial, g: Polynomial, form: SymplecticForm) -> Polyn
     return result
 
 
-def groebner_basis(v, budget: int) -> GroebnerBasis:
-    return division_buchberger(IdealPresentation(v.generators, v.nvars), max_pairs=budget)
+def groebner_basis(v, budget: int) -> List[Polynomial]:
+    return division_buchberger(v.generators, max_pairs=budget)
 
 
-def failing_pairs(v, gb: GroebnerBasis) -> List[Tuple[int, int]]:
+def failing_pairs(v, gb: Sequence[Polynomial]) -> List[Tuple[int, int]]:
     """Generator pairs whose bracket has a nonzero normal form modulo gb."""
     return [
         (i, j)
         for i, j in itertools.combinations(range(len(v.generators)), 2)
-        if division_remainder(poisson_bracket(v.generators[i], v.generators[j], v.form), gb.elements)
+        if division_remainder(poisson_bracket(v.generators[i], v.generators[j], v.form), gb)
     ]
 
 
-def linear_part(gb: GroebnerBasis) -> List[Polynomial]:
+def linear_part(gb: Sequence[Polynomial]) -> List[Polynomial]:
     """All degree-1 elements of the reduced basis.
 
     Nonempty exactly when the variety lies in a hyperplane, i.e. is a cone.
     """
-    return [g for g in gb.elements if g.degree() == 1]
+    return [g for g in gb if g.degree() == 1]
 
 
 def krull_dimension_bruteforce(leading_monomials: Sequence[Exponent], nvars: int) -> int:

@@ -11,6 +11,10 @@ The brackets of vectors, ad-matrices, the Killing form, the diagonal test
 and the torus search below are dense Fraction routes, kept here as the
 independent side of the tests of the bracket table.
 
+`quadric_term_root_decomposition` is the root decomposition the package
+ran before it read the integer sp-images: each basis quadric's Fraction
+terms c x_p x_q grouped by their weight w_p + w_q.
+
 The last sections hold routes only the tests take: the Jacobi identity on
 basis triples, the echelon basis of a generator list's quadrics, exact
 exponentials of nilpotent sp-images and the block view of an sp element.
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from legquad import linalg
-from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError
+from legquad.liealg import CartanData, LieAlgebraPresentation, NotAdaptedError, _coordinate_weights
 from legquad.poly import Exponent, Polynomial, grevlex_key
 from legquad.symplectic import SymplecticForm
 
@@ -337,6 +341,41 @@ def _root_decomposition(algebra, cartan: CartanData) -> CartanData:
         cartan.cartan_vectors,
         root_spaces=sorted(root_spaces, key=lambda rv: tuple(rv[0]), reverse=True),
     )
+
+
+def quadric_term_root_decomposition(algebra: LieAlgebraPresentation, cartan: CartanData) -> CartanData:
+    """`liealg.root_decomposition` with each weight part read off the basis
+    quadrics' terms: x_p x_q has weight w_p + w_q, and the kernels run over
+    the Fraction coefficients, keyed by (weight, monomial)."""
+    weights = _coordinate_weights(algebra, cartan.cartan_vectors)
+    parts: List[Dict[Tuple[int, ...], Dict[Exponent, Fraction]]] = []
+    for quadric in algebra.basis:
+        part: Dict[Tuple[int, ...], Dict[Exponent, Fraction]] = {}
+        for exps, c in quadric.terms.items():
+            p, q = [k for k, e in enumerate(exps) for _ in range(e)]
+            part.setdefault(tuple(a + b for a, b in zip(weights[p], weights[q])), {})[exps] = c
+        parts.append(part)
+    mixed = {mu for part in parts if len(part) > 1 for mu in part}
+    pairs = []
+    leftover = []
+    for j, part in enumerate(parts):
+        if mixed.isdisjoint(part):
+            pairs.append((next(iter(part)), {j: Fraction(1)}))
+        else:
+            leftover.append(j)
+    rows: Dict[Tuple[Tuple[int, ...], Exponent], Dict[int, Fraction]] = {}
+    for j in leftover:
+        for mu, part in parts[j].items():
+            for exps, c in part.items():
+                rows.setdefault((mu, exps), {})[j] = c
+    for mu in mixed:
+        kernel = linalg.sparse_nullspace([row for (nu, _), row in rows.items() if nu != mu], leftover)
+        pairs.extend((mu, vec) for vec in kernel)
+    pairs.sort(key=lambda pair: pair[0])
+    root_spaces = [(tuple(-x for x in mu), vec) for mu, vec in pairs if any(mu)]
+    if len(pairs) - len(root_spaces) != cartan.rank:
+        raise NotAdaptedError("no self-centralizing torus with diagonal sp-images")
+    return CartanData(cartan.cartan_vectors, root_spaces, weights)
 
 
 def _split_by_eigenvalue(ad_h: Matrix, space: List[Vector], candidates: List[Fraction]) -> List[List[Vector]]:

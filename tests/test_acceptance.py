@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
-from legquad.groebner import IdealPresentation, buchberger, krull_dimension
+from legquad.groebner import buchberger, krull_dimension
 from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
 from legquad.liealg import cartan_subalgebra, identify_algebra, root_decomposition
 from legquad.poly import Polynomial, parse_poly
@@ -224,8 +224,7 @@ def test_criterion_6_oracle_equivalence():
                 gens.append(Polynomial(nvars, {tuple(exps): Fraction(1)}))
         if not gens:
             continue
-        gb = buchberger(IdealPresentation(gens, nvars))
-        leads = gb.leading_monomials()
+        leads = [g.leading_monomial() for g in buchberger(gens, nvars)]
         assert krull_dimension(leads, nvars) == krull_dimension_bruteforce(leads, nvars)
         checked += 1
     _passed("6 (oracle equivalence: bracket routes and dimension search)")

@@ -12,6 +12,7 @@ import liealg_oracle
 from legquad import liealg, linalg
 from legquad.liealg import (
     NotAdaptedError,
+    NotClosedError,
     _centroid,
     _integer_ad,
     _sp_integer,
@@ -19,9 +20,11 @@ from legquad.liealg import (
     cartan_subalgebra,
     close_and_present,
     decompose_ideals,
+    root_decomposition,
     split_root_data,
     subalgebra_presentation,
 )
+from legquad.legendrian import VarietyPresentation
 from legquad.poly import parse_poly
 from liealg_oracle import dense
 from legquad.symplectic import standard_form
@@ -294,3 +297,39 @@ def _span(vectors):
     return span
 
 
+def _root_decomposition_outcome(route, algebra):
+    """The (root_spaces, weights) a root decomposition route gives over
+    `cartan_subalgebra`, or the message of its NotAdaptedError."""
+    try:
+        cd = route(algebra, cartan_subalgebra(algebra))
+    except NotAdaptedError as exc:
+        return str(exc)
+    return cd.root_spaces, cd.weights
+
+
+def test_root_spaces_from_sp_images_match_the_quadric_terms(entries):
+    """Grouping the integer sp-images by the weight w_k - w_i of entry
+    (i, k) gives the root spaces and weights of grouping the quadrics' terms
+    by w_p + w_q (`liealg_oracle.quadric_term_root_decomposition`): on the
+    algebra of every catalog entry whose quadrics close, on each
+    `decompose_ideals` piece of the semisimple ones below dimension 60 (the
+    larger ones, spinor-s6 and e7, are simple: their one piece is the
+    algebra), and on three seeded relabelings of each."""
+    oracle = liealg_oracle.quadric_term_root_decomposition
+    checked = split = 0
+    for name, entry in entries.items():
+        pres = entry.presentation
+        quadrics = VarietyPresentation(name, pres.form, [g for g in pres.generators if g.degree() == 2])
+        try:
+            algebra = close_and_present(quadrics.generators, quadrics.form)
+        except NotClosedError:
+            continue
+        cases = [algebra] + [relabeled_algebra(quadrics, random.Random(f"{name}:{seed}")) for seed in range(3)]
+        if algebra.dim < 60 and algebra.is_semisimple():
+            cases += [sub for _, sub in decompose_ideals(algebra)]
+        for L in cases:
+            found = _root_decomposition_outcome(root_decomposition, L)
+            assert found == _root_decomposition_outcome(oracle, L), name
+            checked += 1
+            split += not isinstance(found, str)
+    assert checked > 80 and split > 65

@@ -7,7 +7,7 @@ import pytest
 
 import catalog_oracle
 from legquad import catalog
-from legquad.groebner import IdealPresentation, buchberger
+from legquad.groebner import buchberger
 from legquad.legendrian import legendrian_verdict
 from legquad.liealg import degree_part
 from legquad.poly import MonomialCodec, Polynomial, parse_poly
@@ -150,7 +150,7 @@ def test_reduced_basis_of_each_row_is_its_quadrics(entries):
     for name, entry in builds.items():
         pres = entry.presentation
         count = len(pres.generators)
-        basis = buchberger(IdealPresentation(pres.generators, pres.nvars), max_pairs=count * (count - 1) // 2)
+        basis = buchberger(pres.generators, pres.nvars, max_pairs=count * (count - 1) // 2)
         assert len(basis) == count and all(g.homogeneous_degree() == 2 for g in basis), name
         codec = MonomialCodec(pres.nvars, 2)
         assert degree_part(list(basis) + pres.generators, 2, codec).rank == count, name

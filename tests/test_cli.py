@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,6 +437,21 @@ def test_deeply_nested_parentheses_exit_1_on_their_line(capsys, tmp_path):
     assert err.startswith("error: line 3: parentheses nested too deeply (at position "), err
 
 
+def test_a_power_past_the_expansion_cap_exits_1_on_its_line(capsys, tmp_path):
+    """A power too large for `poly.MAX_EXPANSION` is refused at the power
+    before it is expanded: (x0+x1+x2)^1000, 501501 terms, ran past 300 s
+    when it was expanded."""
+    path = tmp_path / "power.txt"
+    path.write_text("n=3\nx0*x3\n(x0+x1+x2)^1000\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: line 3: too large to expand: up to 501501 terms times power 1000 exceeds 50000 (at position 10)\n"
+    ), err
+
+
 @pytest.mark.parametrize("line, message", [
     ("x0^\u00b2", "expected an integer (at position 3)"),
     ("x\u0663*x0", "expected an integer (at position 1)"),
@@ -563,6 +579,7 @@ _FRAGMENTS = [
     "x0^70000 - x1^70000", "1",
     "form=json:[[0, 1e400], [-1e400, 0]]", "form=json:[[0, NaN], [NaN, 0]]", "form=json:[[0, true], [-1, 0]]",
     "(" * 600 + "x0*x1" + ")" * 600, 'form=json:[["0","\u0663"],["-\u0663","0"]]',
+    "(x0+x1+x2)^1000",
 ]
 _EXIT_ONE_PREFIXES = re.compile(r"error: (line \d+: |--form: |missing 'n=<n>' header)")
 

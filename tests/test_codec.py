@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groebner_oracle import division_buchberger, monomial_divides, monomial_lcm
-from legquad.groebner import IdealPresentation, buchberger
+from legquad.groebner import buchberger
 from legquad.legendrian import VarietyPresentation
 from legquad.liealg import bracket_closure
 from legquad.poly import MonomialCodec, Polynomial, grevlex_key, monomial_mul, parse_poly
@@ -117,5 +117,5 @@ def test_huge_degree_in_a_closure_check_raises():
 def test_basis_past_the_narrow_field_repacks():
     """A step of degree 130 outgrows the 8-bit fields; the basis is still
     the division oracle's."""
-    ideal = IdealPresentation([parse_poly("x0^130 - x1*x2", 3), parse_poly("x1^2 - x2", 3)], 3)
-    assert buchberger(ideal).elements == division_buchberger(ideal).elements
+    gens = [parse_poly("x0^130 - x1*x2", 3), parse_poly("x1^2 - x2", 3)]
+    assert buchberger(gens, 3) == division_buchberger(gens)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from legquad.groebner import (
     BudgetExceeded,
-    IdealPresentation,
     ImproperIdealError,
     buchberger,
     initial_ideal,
@@ -34,27 +33,31 @@ def _cubic_ideal():
         parse_poly("x1*x3 - x2^2", 4),
         parse_poly("x0*x3 - x1*x2", 4),
     ]
-    return IdealPresentation(gens, 4)
+    return gens, 4
+
+
+def _leads(basis):
+    return [g.leading_monomial() for g in basis]
 
 
 def test_twisted_cubic_basis():
-    gb = buchberger(_cubic_ideal())
+    gb = buchberger(*_cubic_ideal())
     assert len(gb) == 3
-    assert is_groebner_basis(gb.elements)
+    assert is_groebner_basis(gb)
     # idempotent on its own output
-    again = buchberger(IdealPresentation(gb.elements, 4))
+    again = buchberger(gb, 4)
     assert [str(g) for g in again] == [str(g) for g in gb]
 
 
 def test_principal_and_coprime_ideals():
-    gb = buchberger(IdealPresentation([parse_poly("x0", 4)], 4))
+    gb = buchberger([parse_poly("x0", 4)], 4)
     assert [str(g) for g in gb] == ["x0"]
-    four = buchberger(IdealPresentation([parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)], 4))
+    four = buchberger([parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)], 4)
     assert sorted(str(g) for g in four) == ["x0*x2", "x1*x3"]
 
 
 def test_normal_form_examples():
-    gb = buchberger(_cubic_ideal())
+    gb = buchberger(*_cubic_ideal())
     assert normal_form(parse_poly("x0*x3 - x1*x2", 4), gb).is_zero()
     one = Polynomial.constant(4, 1)
     assert normal_form(one, gb) == one
@@ -63,8 +66,8 @@ def test_normal_form_examples():
 
 def test_normal_form_invariance_under_ideal_shifts():
     rng = random.Random(31)
-    gb = buchberger(_cubic_ideal())
-    gens = _cubic_ideal().generators
+    gb = buchberger(*_cubic_ideal())
+    gens, _ = _cubic_ideal()
     for _ in range(40):
         p = _random_poly(rng, 4, 3)
         q = _random_poly(rng, 4, 2)
@@ -73,16 +76,16 @@ def test_normal_form_invariance_under_ideal_shifts():
 
 
 def test_determinism():
-    a = buchberger(_cubic_ideal())
-    b = buchberger(_cubic_ideal())
+    a = buchberger(*_cubic_ideal())
+    b = buchberger(*_cubic_ideal())
     assert [str(g) for g in a] == [str(g) for g in b]
 
 
 def test_krull_dimension_examples():
-    assert krull_dimension(buchberger(_cubic_ideal()).leading_monomials(), 4) == 2
+    assert krull_dimension(_leads(buchberger(*_cubic_ideal())), 4) == 2
     assert krull_dimension([], 5) == 5
-    four = buchberger(IdealPresentation([parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)], 4))
-    assert krull_dimension(four.leading_monomials(), 4) == 2
+    four = buchberger([parse_poly("x0*x2", 4), parse_poly("x1*x3", 4)], 4)
+    assert krull_dimension(_leads(four), 4) == 2
 
 
 def test_krull_dimension_of_e7_quadric_leading_monomials(recorded_entries):
@@ -115,9 +118,9 @@ def test_krull_matches_bruteforce_on_random_supports():
 
 
 def test_improper_ideal_flagged():
-    gb = buchberger(IdealPresentation([parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2))
+    gb = buchberger([parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2)
     with pytest.raises(ImproperIdealError):
-        krull_dimension(gb.leading_monomials(), 2)
+        krull_dimension(_leads(gb), 2)
 
 
 def test_krull_matches_bruteforce_on_random_monomial_ideals():
@@ -133,15 +136,15 @@ def test_krull_matches_bruteforce_on_random_monomial_ideals():
                 gens.append(Polynomial(nvars, {tuple(exps): Fraction(1)}))
         if not gens:
             continue
-        gb = buchberger(IdealPresentation(gens, nvars))
-        fast = krull_dimension(gb.leading_monomials(), nvars)
-        slow = krull_dimension_bruteforce(gb.leading_monomials(), nvars)
+        gb = buchberger(gens, nvars)
+        fast = krull_dimension(_leads(gb), nvars)
+        slow = krull_dimension_bruteforce(_leads(gb), nvars)
         assert fast == slow
 
 
 def test_linear_part_examples():
-    assert linear_part(buchberger(_cubic_ideal())) == []
-    gb = buchberger(IdealPresentation([parse_poly("x0 + x1", 4), parse_poly("x2*x3", 4)], 4))
+    assert linear_part(buchberger(*_cubic_ideal())) == []
+    gb = buchberger([parse_poly("x0 + x1", 4), parse_poly("x2*x3", 4)], 4)
     linear = linear_part(gb)
     assert len(linear) == 1
     assert linear[0] == parse_poly("x0 + x1", 4)
@@ -155,7 +158,7 @@ def test_budget_raises_distinctly():
         parse_poly("x0*x2 + x1*x3 + x3^2", 4),
     ]
     with pytest.raises(BudgetExceeded) as err:
-        buchberger(IdealPresentation(gens, 4), max_pairs=2)
+        buchberger(gens, 4, max_pairs=2)
     assert err.value.budget_name == "groebner_pairs"
 
 
@@ -174,12 +177,11 @@ def test_pair_budget_needed_is_unchanged(recorded_entries, name):
     gens = list(pres.generators)
     if extra:
         gens[0] = gens[0] + parse_poly(extra, pres.nvars)
-    ideal = IdealPresentation(gens, pres.nvars)
     needed = PAIRS_NEEDED[name]
     for route in (buchberger, initial_ideal):
-        assert route(ideal, max_pairs=needed)
+        assert route(gens, pres.nvars, max_pairs=needed)
         with pytest.raises(BudgetExceeded) as err:
-            route(ideal, max_pairs=needed - 1)
+            route(gens, pres.nvars, max_pairs=needed - 1)
         assert err.value.budget_name == "groebner_pairs"
 
 
@@ -241,14 +243,13 @@ def test_initial_ideal_is_the_reduced_basis_leads(recorded_entries, name, seed):
     gens = pres.generators
     if seed is not None:
         gens = _perturbed_relabeling(pres, random.Random(f"{name}:{seed}"))
-    ideal = IdealPresentation(gens, pres.nvars)
     needed = INITIAL_IDEAL_PAIRS[name, seed]
-    leads = initial_ideal(ideal, max_pairs=needed)
-    assert leads == buchberger(ideal, max_pairs=needed).leading_monomials()
+    leads = initial_ideal(gens, pres.nvars, max_pairs=needed)
+    assert leads == _leads(buchberger(gens, pres.nvars, max_pairs=needed))
     assert not any(a != b and monomial_divides(a, b) for a in leads for b in leads)
     for route in (buchberger, initial_ideal):
         with pytest.raises(BudgetExceeded):
-            route(ideal, max_pairs=needed - 1)
+            route(gens, pres.nvars, max_pairs=needed - 1)
 
 
 @pytest.mark.parametrize("name, seed", [("complete-intersection", None), ("grl36", 0), ("segre-5", 0)])
@@ -271,14 +272,14 @@ def test_no_step_holds_a_row_twice(recorded_entries, name, seed, monkeypatch):
     gens = pres.generators
     if seed is not None:
         gens = _perturbed_relabeling(pres, random.Random(f"{name}:{seed}"))
-    initial_ideal(IdealPresentation(gens, pres.nvars), max_pairs=INITIAL_IDEAL_PAIRS[name, seed])
+    initial_ideal(gens, pres.nvars, max_pairs=INITIAL_IDEAL_PAIRS[name, seed])
     assert sum(map(len, steps)) > 0
     assert all(len(set(rows)) == len(rows) for rows in steps)
 
 
 def test_basis_is_reduced():
-    gb = buchberger(_cubic_ideal())
-    lms = gb.leading_monomials()
+    gb = buchberger(*_cubic_ideal())
+    lms = _leads(gb)
     for i, lm in enumerate(lms):
         for j, other in enumerate(lms):
             if i != j:
@@ -313,34 +314,35 @@ def _random_ideal(rng):
                 exps[rng.randrange(nvars)] += 1
             terms[tuple(exps)] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
         gens.append(Polynomial(nvars, terms))
-    return IdealPresentation(gens, nvars)
+    return gens, nvars
 
 
 def _random_ideals():
     rng = random.Random(2024)
-    unit = IdealPresentation([parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2)
+    unit = [parse_poly("x0", 2), parse_poly("x0 + 1", 2)], 2
     return [unit] + [_random_ideal(rng) for _ in range(150)]
 
 
 def _sympy_basis(ideal):
-    xs = sympy.symbols(f"x0:{ideal.nvars}")
+    generators, nvars = ideal
+    xs = sympy.symbols(f"x0:{nvars}")
     exprs = [
         sum(sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, m))
             for m, c in g.terms.items())
-        for g in ideal.generators
+        for g in generators
     ]
     out = []
     for g in sympy.groebner(exprs, *xs, order="grevlex", domain="QQ").exprs:
         terms = sympy.Poly(g, *xs).terms()
-        out.append(monic(Polynomial(ideal.nvars, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})))
+        out.append(monic(Polynomial(nvars, {m: Fraction(int(c.p), int(c.q)) for m, c in terms})))
     return sorted(out, key=lambda g: grevlex_key(g.leading_monomial()))
 
 
 def test_basis_matches_division_oracle_and_sympy():
     for ideal in _random_ideals():
-        gb = [str(g) for g in buchberger(ideal)]
-        assert gb == [str(g) for g in division_buchberger(ideal)], ideal.generators
-        assert gb == [str(g) for g in _sympy_basis(ideal)], ideal.generators
+        gb = [str(g) for g in buchberger(*ideal)]
+        assert gb == [str(g) for g in division_buchberger(ideal[0])], ideal[0]
+        assert gb == [str(g) for g in _sympy_basis(ideal)], ideal[0]
 
 
 def test_initial_ideal_matches_the_basis_on_random_ideals():
@@ -349,17 +351,17 @@ def test_initial_ideal_matches_the_basis_on_random_ideals():
     leading monomials of the reduced basis, in the same order, here from
     the pair-at-a-time oracle."""
     for ideal in _random_ideals():
-        leads = division_buchberger(ideal).leading_monomials()
-        assert initial_ideal(ideal) == leads, ideal.generators
+        leads = _leads(division_buchberger(ideal[0]))
+        assert initial_ideal(*ideal) == leads, ideal[0]
 
 
 def test_normal_form_matches_division_oracle():
     rng = random.Random(7)
     for ideal in _random_ideals():
-        gb = buchberger(ideal)
+        gb = buchberger(*ideal)
         for _ in range(5):
-            p = _random_poly(rng, ideal.nvars, 4)
-            assert normal_form(p, gb) == division_remainder(p, gb.elements)
+            p = _random_poly(rng, ideal[1], 4)
+            assert normal_form(p, gb) == division_remainder(p, gb)
 
 
 @st.composite
@@ -373,7 +375,7 @@ def homogeneous_ideals(draw):
         monomials = monomials_of_degree(nvars, draw(st.integers(1, 3)))
         support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
         gens.append(Polynomial(nvars, {m: draw(st.integers(-3, 3).filter(bool)) for m in support}))
-    return IdealPresentation(gens, nvars)
+    return gens, nvars
 
 
 @settings(max_examples=60, deadline=None)
@@ -382,8 +384,8 @@ def test_buchberger_returns_a_reduced_basis_unchanged(ideal):
     """A reduced basis is its own reduced Groebner basis: element for
     element, in the same order."""
     try:
-        gb = buchberger(ideal, max_pairs=300)
+        gb = buchberger(*ideal, max_pairs=300)
     except BudgetExceeded:
         assume(False)
-    again = buchberger(IdealPresentation(gb.elements, ideal.nvars), max_pairs=300)
-    assert again.elements == gb.elements
+    again = buchberger(gb, ideal[1], max_pairs=300)
+    assert again == gb

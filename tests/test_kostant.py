@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import groebner_oracle
 from legquad import catalog, legendrian
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
-from legquad.groebner import IdealPresentation, buchberger, krull_dimension
+from legquad.groebner import buchberger, krull_dimension
 from legquad.legendrian import (
     KostantCertificate,
     NotCertified,
@@ -51,8 +51,8 @@ SCALINGS = (-3, -2, -1, 1, 2, 3)
 
 
 def _groebner_dimension(pres: VarietyPresentation) -> int:
-    gb = buchberger(IdealPresentation(pres.generators, pres.nvars))
-    return krull_dimension(gb.leading_monomials(), pres.nvars)
+    gb = buchberger(pres.generators, pres.nvars)
+    return krull_dimension([g.leading_monomial() for g in gb], pres.nvars)
 
 
 def _bracket_witnesses(verdict):
@@ -490,5 +490,5 @@ def test_oracle_agrees_on_a_certified_entry(entries):
     dimension as the certificate."""
     pres = entries["segre-split-3"].presentation
     gb = groebner_oracle.groebner_basis(pres, 20_000)
-    dimension = krull_dimension(gb.leading_monomials(), pres.nvars)
+    dimension = krull_dimension([g.leading_monomial() for g in gb], pres.nvars)
     assert dimension == legendrian_verdict(pres).cone_dimension == 3

@@ -173,7 +173,7 @@ def test_isotropy_identity_holds_on_every_chart(entries, recorded_entries):
     charts += [(text, catalog.x_f(parse_poly(text, m)).presentation) for text, m in CENSUS_CHARTS]
     assert len(charts) > len(CENSUS_CHARTS) + 11
     for name, pres in charts:
-        assert isotropy_identity(pres), name
+        assert isotropy_identity(pres.parametrization, pres.form), name
         for pt in _two_points(pres.parametrization[0].nvars):
             assert tangent_point_check(pres, pt), (name, pt)
 
@@ -184,13 +184,14 @@ def test_isotropy_identity_fails_on_e7_with_one_component_negated(entries, negat
     par = list(pres.parametrization)
     par[negated] = -par[negated]
     broken = VarietyPresentation("e7-negated", pres.form, [], parametrization=par)
-    assert not isotropy_identity(broken)
+    assert not isotropy_identity(par, pres.form)
     assert not all(tangent_point_check(broken, pt) for pt in _two_points(27))
 
 
 def test_isotropy_identity_requires_parametrization(entries):
+    pres = entries["four-lines"].presentation
     with pytest.raises(ValueError):
-        isotropy_identity(entries["four-lines"].presentation)
+        isotropy_identity(pres.parametrization, pres.form)
 
 
 def test_tangent_checks_for_general_charts():
@@ -199,7 +200,7 @@ def test_tangent_checks_for_general_charts():
         for degree in (1, 2, 3, 4):
             f = _random_homog(rng, nparams, degree)
             entry = catalog.x_f(f)
-            assert isotropy_identity(entry.presentation)
+            assert isotropy_identity(entry.presentation.parametrization, entry.presentation.form)
             for _ in range(5):
                 pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nparams)]
                 assert tangent_point_check(entry.presentation, pt)
@@ -219,7 +220,8 @@ def test_tangent_check_fails_under_e7_form_with_one_pair_flipped(entries, flippe
     pairs[flipped] = (flipped, nvars - 1 - flipped, -1)
     wrong = VarietyPresentation("e7-flipped", pairing_form(nvars, pairs), pres.generators,
                                 parametrization=pres.parametrization)
-    assert isotropy_identity(pres) and not isotropy_identity(wrong)
+    assert isotropy_identity(pres.parametrization, pres.form)
+    assert not isotropy_identity(wrong.parametrization, wrong.form)
     for pt in _two_points(27):
         assert tangent_point_check(pres, pt)
         assert not tangent_point_check(wrong, pt)
@@ -243,7 +245,7 @@ def test_tangent_check_fails_under_a_fractional_form_with_one_pair_flipped(entri
     a, b, s = pairs[flipped]
     pairs[flipped] = (a, b, -s)
     wrong = VarietyPresentation("e7-scaled-flipped", pairing_form(nvars, pairs), [], parametrization=par)
-    assert isotropy_identity(scaled) and not isotropy_identity(wrong)
+    assert isotropy_identity(par, scaled.form) and not isotropy_identity(par, wrong.form)
     for pt in _two_points(27):
         assert tangent_point_check(scaled, pt)
         assert not tangent_point_check(wrong, pt)
@@ -260,21 +262,25 @@ def test_tangent_requires_parametrization(entries):
 CURVE_FORM = pairing_form(4, [(0, 1, 1), (2, 3, 1)])
 
 
+def _chart(f1, f2, f3):
+    return [Polynomial.constant(1, 1), f1, f2, f3]
+
+
 def _curve(f1, f2, f3) -> VarietyPresentation:
-    return VarietyPresentation("curve", CURVE_FORM, [], parametrization=[Polynomial.constant(1, 1), f1, f2, f3])
+    return VarietyPresentation("curve", CURVE_FORM, [], parametrization=_chart(f1, f2, f3))
 
 
 def test_rational_curve_examples():
     t = parse_poly("x0", 1)
     zero = Polynomial.zero(1)
-    assert isotropy_identity(_curve(zero, zero, zero))
-    assert not isotropy_identity(_curve(t, t, t))
+    assert isotropy_identity(_chart(zero, zero, zero), CURVE_FORM)
+    assert not isotropy_identity(_chart(t, t, t), CURVE_FORM)
     for k, l in ((2, 1), (3, 1), (3, 2), (5, 2)):
         f2 = parse_poly(f"x0^{k}", 1)
         f3 = parse_poly(f"x0^{l}", 1)
         f1 = parse_poly(f"{k - l}/{k + l}*x0^{k + l}", 1)
-        assert isotropy_identity(_curve(f1, f2, f3))
-        assert not isotropy_identity(_curve(f1 + t, f2, f3))
+        assert isotropy_identity(_chart(f1, f2, f3), CURVE_FORM)
+        assert not isotropy_identity(_chart(f1 + t, f2, f3), CURVE_FORM)
 
 
 def test_ode_tangent_consistency():
@@ -291,7 +297,7 @@ def test_ode_tangent_consistency():
         if broken:
             f1 = f1 + parse_poly("x0", 1)
         pres = _curve(f1, f2, f3)
-        identity = isotropy_identity(pres)
+        identity = isotropy_identity(pres.parametrization, CURVE_FORM)
         points_ok = all(
             tangent_point_check(pres, [Fraction(v, 2)]) for v in range(-4, 5)
         )

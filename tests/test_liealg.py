@@ -589,7 +589,8 @@ def test_component_match_returns_the_node_bijection():
         order = list(range(rank))
         rng.shuffle(order)
         cartan = [[target[a][b] for b in order] for a in order]
-        name, perm = match_cartan(cartan)
+        [(name, nodes)] = match_cartan(cartan)
+        perm = sorted(range(rank), key=nodes.__getitem__)  # matrix node -> Bourbaki node
         assert name == f"{label}{rank}"
         assert sorted(perm) == list(range(rank))
         assert all(cartan[i][j] == target[perm[i]][perm[j]] for i in range(rank) for j in range(rank))

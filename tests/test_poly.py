@@ -61,6 +61,9 @@ PARSE_ERRORS = [
     ("x\u0663", 4, "expected an integer", 1),
     ("3*\u00b2", 2, "expected a coefficient, variable or '('", 2),
     ("1\u0663*x0", 2, "trailing input", 1),
+    # a parenthesised product is bounded before it is expanded
+    ("(x0+x1+x2)^1000", 3, "too large to expand: up to 501501 terms times power 1000 exceeds 50000", 10),
+    ("(x0+x1)^40*(x0-x1)^40", 2, "too large to expand: up to 1681 terms times power 40 exceeds 50000", 18),
 ]
 
 

@@ -12,7 +12,7 @@ import pytest
 import groebner_oracle
 import liealg_oracle
 from legquad import catalog
-from legquad.groebner import IdealPresentation, initial_ideal
+from legquad.groebner import initial_ideal
 from legquad.legendrian import VarietyPresentation, degeneracy_check
 from legquad.liealg import bracket_closure, degree_part
 from legquad.poly import MonomialCodec, Polynomial, parse_poly
@@ -202,7 +202,7 @@ def test_quadric_span_pivots_are_the_initial_quadrics(entries, name):
     pres = entries[name].presentation
     codec = MonomialCodec(pres.nvars, 2)
     pivots = [codec.unpack(k) for k in reversed(degree_part(pres.generators, 2, codec).pivots)]
-    leads = initial_ideal(IdealPresentation(pres.generators, pres.nvars))
+    leads = initial_ideal(pres.generators, pres.nvars)
     assert pivots == [m for m in leads if sum(m) == 2]
 
 
