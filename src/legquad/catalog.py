@@ -24,10 +24,8 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .legendrian import VarietyPresentation
-from .liealg import degree_part
 from .poly import MonomialCodec, Polynomial, parse_poly
-from .symplectic import pairing_form, standard_form
+from .symplectic import VarietyPresentation, pairing_form, standard_form
 
 
 @dataclass
@@ -171,6 +169,7 @@ def x_f(f: Polynomial, implicit_degree: Optional[int] = None) -> CatalogEntry:
     for d in range(1, (implicit_degree or 0) + 1):
         forms = _implicit_forms(par, nv, d)
         if d > 2 and forms:
+            from .liealg import degree_part
             codec = MonomialCodec(nv, d)
             span = degree_part(gens, d, codec)
             forms = [form for form in forms if span.add(codec.row(form))]

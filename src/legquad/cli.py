@@ -1,9 +1,15 @@
 """Command-line front door: parse inputs, dispatch, emit reports.
 
 Each command returns its answer (inputs, result, exit code) and reports
-nothing itself; `classify` adds its stage timings, and `catalog NAME` writes
-its dump and returns None.  `main` alone times the command, reports an
-exhausted Groebner budget, derives the status and prints the one report.
+nothing itself; `classify` adds its stage timings, `gb` and `nf` answer an
+exhausted Groebner budget, and `catalog NAME` writes its dump and returns
+None.  `main` alone times the command, derives the status and prints the
+one report.
+
+Start-up is most of a small command's time, so this module imports at its
+top only what reading a variety file needs (`poly`, `symplectic`), and each
+command imports the layers it runs: `classify` loads no Groebner, verdict
+or Lie algebra layer, and `check` no scan.
 
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
 mathematical negative (not legendrian, quadrics not closed, equation
@@ -25,19 +31,9 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from . import catalog
-from .groebner import (
-    BudgetExceeded,
-    DEFAULT_PAIR_BUDGET,
-    buchberger,
-    krull_dimension,
-    normal_form,
-)
-from .legendrian import VarietyPresentation, isotropy_identity, legendrian_verdict
-from .liealg import NotAdaptedError, NotClosedError, close_and_present, identify_algebra, split_root_data
+from . import lazy_attributes
 from .poly import Polynomial, PolyParseError, field_bits, parse_poly
-from .symplectic import SymplecticForm, pairing_form, poisson_bracket, standard_form
-from .classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
+from .symplectic import SymplecticForm, VarietyPresentation, pairing_form, poisson_bracket, standard_form
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,6 +47,19 @@ class InputError(ValueError):
 
 
 Answer = Tuple[dict, dict, int]  # what a command answers: its inputs, result and exit code
+
+# Layer functions that stay attributes of this module, each bound to its
+# layer's own function on first use.  A command calls them through the
+# module (`_module.legendrian_verdict`), so one replaced by perfbench's
+# tracer or a test sees every call.
+__getattr__, __dir__ = lazy_attributes(globals(), {
+    "legendrian_verdict": "legendrian",
+    "close_and_present": "liealg",
+    "identify_algebra": "liealg",
+    "enumerate_simple": "classify",
+    "enumerate_semisimple_pairs": "classify",
+})
+_module = sys.modules[__name__]
 
 
 def _load_presentation(args) -> VarietyPresentation:
@@ -179,7 +188,7 @@ def _print_text(payload: dict) -> None:
 def _cmd_check(args) -> Answer:
     pres = _load_presentation(args)
     try:
-        verdict = legendrian_verdict(pres, budget=args.budget)
+        verdict = _module.legendrian_verdict(pres, budget=_budget(args))
     except ValueError as exc:
         raise _with_line(exc, pres, pres.generators) from None
     code = {"legendrian": EXIT_OK, "not-legendrian": EXIT_NEGATIVE, "undecided": EXIT_UNDECIDED}
@@ -221,35 +230,51 @@ def _cmd_bracket(args) -> Answer:
     return {"file": args.file, "f": str(f), "g": str(g)}, {"bracket": str(br)}, EXIT_OK
 
 
+def _budget(args) -> int:
+    """The S-pair budget: `--budget`, or the Groebner layer's default."""
+    from .groebner import DEFAULT_PAIR_BUDGET
+    return DEFAULT_PAIR_BUDGET if args.budget is None else args.budget
+
+
 def _cmd_gb(args) -> Answer:
+    from .groebner import BudgetExceeded, buchberger, krull_dimension
     pres = _load_presentation(args)
-    basis = buchberger(pres.generators, pres.nvars, max_pairs=args.budget)
+    try:
+        basis = buchberger(pres.generators, pres.nvars, max_pairs=_budget(args))
+    except BudgetExceeded as exc:
+        return {"file": args.file}, {"budget": exc.budget_name}, EXIT_UNDECIDED
     dimension = krull_dimension([g.leading_monomial() for g in basis], pres.nvars)
     result = {"size": len(basis), "dimension": dimension, "elements": [str(g) for g in basis]}
     return {"file": args.file}, result, EXIT_OK
 
 
 def _cmd_nf(args) -> Answer:
+    from .groebner import BudgetExceeded, buchberger, normal_form
     pres = _load_presentation(args)
     p = parse_poly(args.poly, pres.nvars)
-    r = normal_form(p, buchberger(pres.generators, pres.nvars, max_pairs=args.budget))
+    try:
+        basis = buchberger(pres.generators, pres.nvars, max_pairs=_budget(args))
+    except BudgetExceeded as exc:
+        return {"file": args.file}, {"budget": exc.budget_name}, EXIT_UNDECIDED
+    r = normal_form(p, basis)
     return {"file": args.file, "poly": str(p)}, {"normal_form": str(r), "in_ideal": r.is_zero()}, EXIT_OK
 
 
 def _cmd_algebra(args) -> Answer:
     """The quadric algebra; a span the bracket leaves is a negative answer
     naming every failing pair of generators, by their index in the file."""
+    from .liealg import NotAdaptedError, NotClosedError, split_root_data
     pres = _load_presentation(args)
     index = [k for k, g in enumerate(pres.generators) if g.homogeneous_degree() == 2]
     try:
-        algebra = close_and_present([pres.generators[k] for k in index], pres.form)
+        algebra = _module.close_and_present([pres.generators[k] for k in index], pres.form)
     except NotClosedError as exc:
         pairs = [[index[i], index[j]] for i, j in exc.pairs]
         return {"file": args.file}, {"closed": False, "failing_pairs": pairs}, EXIT_NEGATIVE
     semisimple = algebra.is_semisimple()
     result = {"dim": algebra.dim, "semisimple": semisimple}
     if semisimple:
-        result["types"] = identify_algebra(algebra)
+        result["types"] = _module.identify_algebra(algebra)
         try:
             full = split_root_data(algebra)
             result.update(cartan_rank=full.rank, root_count=len(full.roots))
@@ -269,12 +294,13 @@ def _require_positive(*flags: Tuple[str, Optional[int]]) -> None:
 def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
     """An `Answer` and the timings of the simple and the product scan, which
     read one weight table; the simple timing includes building it."""
+    from .classify import weight_tables
     _require_positive(("--max-rank", args.max_rank), ("--max-dim", args.max_dim))
     t0 = time.perf_counter()
     tables = weight_tables(args.max_rank, args.max_dim)
-    simple = enumerate_simple(tables)
+    simple = _module.enumerate_simple(tables)
     t1 = time.perf_counter()
-    products = enumerate_semisimple_pairs(tables)
+    products = _module.enumerate_semisimple_pairs(tables)
     groups = {
         "simple": simple,
         "pairs": [v for v in products if len(v.factors) == 2],
@@ -290,6 +316,7 @@ def _cmd_classify(args) -> Tuple[dict, dict, int, dict]:
 
 def _cmd_catalog(args) -> Optional[Answer]:
     """The entry list, or None once the named entry is dumped."""
+    from . import catalog
     if args.name is None:
         return {}, {"entries": catalog.entry_names()}, EXIT_OK
     if args.name not in catalog.entry_names():
@@ -302,6 +329,7 @@ def _cmd_curve(args) -> Answer:
     """The curve (1 : f1 : f2 : f3) is isotropic for the form pairing
     (x0, x1) and (x2, x3) exactly when f1' = f2' f3 - f3' f2, the identity
     that `isotropy_identity` checks on that chart."""
+    from .legendrian import isotropy_identity
     polys = [parse_poly(text.replace("t", "x0"), 1) for text in (args.f1, args.f2, args.f3)]
     chart = [Polynomial.constant(1, 1)] + polys
     form = pairing_form(4, [(0, 1, 1), (2, 3, 1)])
@@ -311,6 +339,8 @@ def _cmd_curve(args) -> Answer:
 
 
 def _cmd_xf(args) -> Answer:
+    from . import catalog
+    from .legendrian import isotropy_identity
     _require_positive(("--implicit-degree", args.implicit_degree))
     f = _parse_xf_poly(args.poly)
     entry = catalog.x_f(f, implicit_degree=args.implicit_degree)
@@ -342,7 +372,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
     parser.add_argument("--text", dest="json", action="store_false", help="emit plain text (default)")
-    parser.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+    parser.add_argument("--budget", type=int, default=None,
                         help="cap on processed S-pairs in basis computations")
     parser.add_argument("--form", default=None,
                         help="override the input file's form: 'standard', a JSON file path, or json:<...>")
@@ -400,13 +430,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        if args.budget < 0:
+        if args.budget is not None and args.budget < 0:
             raise InputError(f"--budget must be a non-negative integer, got {args.budget}")
         t0 = time.perf_counter()
-        try:
-            answer = args.func(args)
-        except BudgetExceeded as exc:  # only `gb` and `nf` let it through
-            answer = {"file": args.file}, {"budget": exc.budget_name}, EXIT_UNDECIDED
+        answer = args.func(args)
         code = EXIT_OK
         if answer is not None:
             inputs, result, code, *stages = answer

@@ -63,38 +63,7 @@ from .rootdata import (
     segre_cone_dimension,
     type_key,
 )
-from .symplectic import SymplecticForm
-
-
-class VarietyPresentation:
-    """A named variety: generators, symplectic form, optional parametrization."""
-
-    def __init__(
-        self,
-        name: str,
-        form: SymplecticForm,
-        generators: Sequence[Polynomial],
-        parametrization: Optional[Sequence[Polynomial]] = None,
-    ):
-        self.name = name
-        self.form = form
-        self.nvars = form.dim
-        gens = [g for g in generators if not g.is_zero()]
-        for g in gens:
-            if g.nvars != self.nvars:
-                raise ValueError("generator nvars must match the form dimension")
-            if not g.is_homogeneous():
-                raise ValueError(f"generator {g} is not homogeneous")
-        self.generators = gens
-        if parametrization is not None:
-            parametrization = list(parametrization)
-            if len(parametrization) != self.nvars:
-                raise ValueError("parametrization must have one component per ambient coordinate")
-        self.parametrization = parametrization
-
-    @property
-    def half_dim(self) -> int:
-        return self.nvars // 2
+from .symplectic import SymplecticForm, VarietyPresentation
 
 
 @dataclass

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from struct import Struct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -341,6 +342,12 @@ class _Syntax(Exception):
     its end when `after`; k past the last token is the end of the text."""
 
 
+def _too_long(digits: str, k: int) -> _Syntax:
+    """The error at integer token k, whose `digits` are more than `int`
+    reads: Python caps the digits of an integer string (4300 by default)."""
+    return _Syntax(f"an integer of {len(digits)} digits is above the limit of {sys.get_int_max_str_digits()}", k)
+
+
 class _Reader:
     __slots__ = ("tokens", "k", "nvars")
 
@@ -390,7 +397,10 @@ class _Reader:
                     if tokens[k][:1] not in _DIGITS:
                         raise _Syntax("expected an integer", k)
                     t = "x" + tokens[k]
-                index = int(t[1:])
+                try:
+                    index = int(t[1:])
+                except ValueError:
+                    raise _too_long(t[1:], k) from None
                 if index >= nvars:
                     raise _Syntax(f"variable index {index} out of range (nvars={nvars})", k, True)
                 k += 1
@@ -400,18 +410,25 @@ class _Reader:
                 else:
                     exps[index] += 1
             elif head in _DIGITS:
+                try:
+                    number = int(t)
+                except ValueError:
+                    raise _too_long(t, k) from None
                 k += 1
                 if tokens[k] == "/":
                     k += 1
                     if tokens[k][:1] not in _DIGITS:
                         raise _Syntax("expected an integer", k)
-                    den = int(tokens[k])
+                    try:
+                        den = int(tokens[k])
+                    except ValueError:
+                        raise _too_long(tokens[k], k) from None
                     if not den:
                         raise _Syntax("zero denominator", k, True)
-                    coeff *= Fraction(int(t), den)
+                    coeff *= Fraction(number, den)
                     k += 1
                 else:
-                    coeff *= int(t)
+                    coeff *= number
             elif t == "(":
                 self.k = k + 1
                 inner = Polynomial(nvars, self.expr())
@@ -449,7 +466,10 @@ class _Reader:
             return k, 1
         if tokens[k + 1][:1] not in _DIGITS:
             raise _Syntax("expected an integer", k + 1)
-        return k + 2, int(tokens[k + 1])
+        try:
+            return k + 2, int(tokens[k + 1])
+        except ValueError:
+            raise _too_long(tokens[k + 1], k + 1) from None
 
 
 def _position(text: str, k: int, after: bool = False) -> int:

@@ -19,6 +19,10 @@ terms on monomial codes (`poly.MonomialCodec`) that `hamiltonian_terms`
 builds once per polynomial, denominators cleared, so a pair multiplies ints
 and adds codes only, the bracket is a row on codes, and for a quadric the
 field is its sp-image.  `poisson_bracket` wraps it and rescales once.
+
+A `VarietyPresentation` is a form with its generators and an optional
+parametrization, the input every verdict reads; it lives beside the form so
+that reading a variety file or a catalog entry loads no verdict engine.
 """
 
 from __future__ import annotations
@@ -128,6 +132,37 @@ class SymplecticForm:
 
     def __repr__(self) -> str:
         return f"SymplecticForm(dim={self.dim})"
+
+
+class VarietyPresentation:
+    """A named variety: generators, symplectic form, optional parametrization."""
+
+    def __init__(
+        self,
+        name: str,
+        form: SymplecticForm,
+        generators: Sequence[Polynomial],
+        parametrization: Optional[Sequence[Polynomial]] = None,
+    ):
+        self.name = name
+        self.form = form
+        self.nvars = form.dim
+        gens = [g for g in generators if not g.is_zero()]
+        for g in gens:
+            if g.nvars != self.nvars:
+                raise ValueError("generator nvars must match the form dimension")
+            if not g.is_homogeneous():
+                raise ValueError(f"generator {g} is not homogeneous")
+        self.generators = gens
+        if parametrization is not None:
+            parametrization = list(parametrization)
+            if len(parametrization) != self.nvars:
+                raise ValueError("parametrization must have one component per ambient coordinate")
+        self.parametrization = parametrization
+
+    @property
+    def half_dim(self) -> int:
+        return self.nvars // 2
 
 
 IntegerRows = List[List[Tuple[int, int]]]  # row -> pairs (column, integer), nonzero, in column order

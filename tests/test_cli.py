@@ -463,6 +463,17 @@ def test_non_ascii_digits_are_parse_errors_on_their_line(capsys, tmp_path, line,
     assert (code, out, err) == (EXIT_USAGE, "", f"error: line 3: {message}\n")
 
 
+@pytest.mark.parametrize("line", ["x0^" + "9" * 5000, "9" * 5000 + "*x0^2"], ids=["exponent", "coefficient"])
+def test_integers_past_the_digit_limit_exit_1_on_their_line(capsys, tmp_path, line):
+    """An integer longer than `int` reads from a string (4300 digits) is a
+    parse error on its line, not an error with no line."""
+    path = tmp_path / "long.txt"
+    path.write_text(f"n=1\n{line}\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: line 2: an integer of 5000 digits is above the limit of 4300 (at position "), err
+
+
 @pytest.mark.parametrize("argv", [["check"], ["gb"], ["nf", "x0"], ["bracket", "0", "0"]],
                          ids=["check", "gb", "nf", "bracket"])
 def test_exponents_too_wide_for_a_monomial_code_exit_1(capsys, tmp_path, argv):

@@ -43,6 +43,7 @@ def test_parse_errors_carry_position():
 
 # Each message and position below is the grammar's contract; "2^3" is an
 # error because a number takes no power.
+_TOO_LONG = "an integer of 5000 digits is above the limit of 4300"
 PARSE_ERRORS = [
     ("2^3", 2, "trailing input", 1),
     ("x0 + @", 2, "expected a coefficient, variable or '('", 5),
@@ -64,6 +65,12 @@ PARSE_ERRORS = [
     # a parenthesised product is bounded before it is expanded
     ("(x0+x1+x2)^1000", 3, "too large to expand: up to 501501 terms times power 1000 exceeds 50000", 10),
     ("(x0+x1)^40*(x0-x1)^40", 2, "too large to expand: up to 1681 terms times power 40 exceeds 50000", 18),
+    # an integer past Python's 4300-digit limit on `int` of a string, at each place one is read
+    pytest.param("x0^" + "9" * 5000, 2, _TOO_LONG, 3, id="exponent-past-the-digit-limit"),
+    pytest.param("9" * 5000 + "*x0", 2, _TOO_LONG, 0, id="coefficient-past-the-digit-limit"),
+    pytest.param("x1 - 1/" + "9" * 5000, 2, _TOO_LONG, 7, id="denominator-past-the-digit-limit"),
+    pytest.param("x0 + x" + "0" * 5000, 2, _TOO_LONG, 5, id="variable-index-past-the-digit-limit"),
+    pytest.param("(x0)^" + "9" * 5000, 2, _TOO_LONG, 5, id="power-past-the-digit-limit"),
 ]
 
 
