@@ -40,6 +40,7 @@ EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_UNDECIDED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+MAX_XF_VARIABLES = 1000  # an xf chart in m variables has 2m + 2 coordinates
 
 
 class InputError(ValueError):
@@ -356,10 +357,15 @@ def _cmd_xf(args) -> Answer:
 
 
 def _parse_xf_poly(text: str) -> Polynomial:
-    indices = [int(m) for m in re.findall(r"[xy]([0-9]+)", text)]
+    """f in the variables up to the largest index in the text, below
+    MAX_XF_VARIABLES; `parse_poly` refuses a larger index, or one too long
+    to read, at its position."""
+    indices = [m.lstrip("0") or "0" for m in re.findall(r"[xy]\s*([0-9]+)", text)]
     if not indices:
         raise InputError("no variables found in the chart polynomial")
-    return parse_poly(text, max(indices) + 1)
+    width = len(str(MAX_XF_VARIABLES))
+    nvars = max(int(i) + 1 if len(i) <= width else MAX_XF_VARIABLES for i in indices)
+    return parse_poly(text, min(nvars, MAX_XF_VARIABLES))
 
 
 @functools.lru_cache(maxsize=None)

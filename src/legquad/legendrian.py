@@ -15,19 +15,20 @@ are quadrics, I_2 is their span, and the same pass gives the Lie algebra of
 that span.  `degeneracy_check` reads a hyperplane off I_1's last pivot,
 whose row is on monomial codes (`poly.MonomialCodec`).
 
-The cone dimension has two certificates.  A closed quadric input first
-tries `kostant_certificate`: when the quadric algebra g is semisimple, a
-torus with diagonal sp-images gives every coordinate a weight, V is the
-irreducible V(lambda) and the generators span the quadrics of the closed
-orbit of G in P(V), Kostant's theorem makes the ideal that orbit's ideal,
-and the dimension comes from root data with no Groebner basis: conditions
-4 and 6 and the dimension read one `rootdata.Orbit` per simple factor, the
-record the scan's filters read.  Every other input, and a closed one the
-certificate does not cover, takes its dimension from the grevlex initial
-ideal (`groebner.initial_ideal`: the F4 steps of a Groebner basis, with no
-interreduction), so an exhausted budget leaves the dimension undecided but
-never hides a failed closure.  Each verdict names the certificate that
-proved its dimension.
+The cone dimension comes from the first of `CERTIFICATES` that proves it:
+each returns a `Proof` (its name, the dimension and the report keys it
+appends) or raises NotCertified naming the condition that fails.
+`kostant_certificate` comes first: when the generators span a closed
+quadric algebra g that is semisimple, a torus with diagonal sp-images gives
+every coordinate a weight, V is the irreducible V(lambda) and the
+generators span the quadrics of the closed orbit of G in P(V), Kostant's
+theorem makes the ideal that orbit's ideal, and the dimension comes from
+root data with no Groebner basis: conditions 4 and 6 and the dimension read
+one `rootdata.Orbit` per simple factor, the record the scan's filters read.
+`groebner_certificate` refuses no input: it takes the dimension from the
+grevlex initial ideal (`groebner.initial_ideal`: the F4 steps of a Groebner
+basis, with no interreduction), so an exhausted budget leaves the dimension
+undecided but never hides a failed closure.
 
 A variety given by a chart phi in m parameters instead has
 `isotropy_identity(phi, form)`: its closure is isotropic exactly when m
@@ -36,9 +37,10 @@ polynomial pairings vanish.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .groebner import (
     BudgetExceeded,
@@ -67,41 +69,39 @@ from .symplectic import SymplecticForm, VarietyPresentation
 
 
 @dataclass
-class KostantCertificate:
-    """The generators are the quadrics of the closed orbit X of G in
-    P(V(lambda)): the simple types of the quadric algebra, lambda in Bourbaki
-    Dynkin labels for each factor (in the same order), and the dimension of
-    the affine cone over X."""
+class Proof:
+    """What a certificate proved: its name, the dimension of the affine
+    cone, and the keys it appends to the report after `certificate`."""
 
-    types: List[str]
-    highest_weight: List[Tuple[int, ...]]
+    certificate: str
     dimension: int
+    keys: Dict[str, list] = field(default_factory=dict)
 
 
 class NotCertified(ValueError):
-    """A condition of the Kostant certificate fails; the message names it."""
+    """A condition of a certificate fails; the message names it."""
 
 
 @dataclass
 class LegendrianVerdict:
     bracket_closed: bool
-    cone_dimension: Optional[int]   # None when the budget ran out
     degenerate: bool
     verdict: str                    # "legendrian" | "not-legendrian" | "undecided"
     witnesses: List[str] = field(default_factory=list)
     budget_name: Optional[str] = None
-    kostant: Optional[KostantCertificate] = None
+    proof: Optional[Proof] = None   # None when the budget ran out
+
+    @property
+    def cone_dimension(self) -> Optional[int]:
+        return None if self.proof is None else self.proof.dimension
 
     @property
     def certificate(self) -> Optional[str]:
-        """What proved the dimension: "kostant", "groebner", or None when
-        the budget ran out."""
-        if self.kostant is not None:
-            return "kostant"
-        return None if self.cone_dimension is None else "groebner"
+        """What proved the dimension, or None when the budget ran out."""
+        return None if self.proof is None else self.proof.certificate
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "bracket_closed": self.bracket_closed,
             "dimension": self.cone_dimension,
             "degenerate": self.degenerate,
@@ -109,11 +109,8 @@ class LegendrianVerdict:
             "witnesses": list(self.witnesses),
             "budget": self.budget_name,
             "certificate": self.certificate,
+            **(self.proof.keys if self.proof else {}),
         }
-        if self.kostant is not None:
-            out["type"] = list(self.kostant.types)
-            out["highest_weight"] = [list(lam) for lam in self.kostant.highest_weight]
-        return out
 
 
 def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
@@ -132,16 +129,20 @@ def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
     return codec.polynomial(row, row[lead])
 
 
-def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation) -> KostantCertificate:
+def kostant_certificate(v: VarietyPresentation, algebra: Optional[LieAlgebraPresentation],
+                        budget: int = DEFAULT_PAIR_BUDGET) -> Proof:
     """Prove that the generators of `v`, which span the quadric algebra g,
     generate the ideal of the closed orbit X of G in P(V), and give the
-    dimension of its cone; raise NotCertified naming the first condition
-    that fails.
+    dimension of its cone, with its types and lambda as report keys; raise
+    NotCertified naming the first condition that fails.  It takes no
+    S-pairs, so it ignores `budget`.
 
     By Kostant's theorem (Lichtenstein, Proc. AMS 84, 1982) the ideal of X
     in P(V(lambda)) is generated by its quadrics, the complement of
     V(2 lambda)* in S^2 V*.  The conditions:
 
+    0. The generators are quadrics closed under the bracket, and `algebra`
+       is the Lie algebra g of their span (`liealg.bracket_closure`).
     1. g is semisimple.
     2. A torus with diagonal sp-images splits g (`split_root_data`), so
        each coordinate is a weight vector, and the roots, simple roots of
@@ -163,6 +164,8 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
     factor is one `rootdata.Orbit`, the record the scan tests, with lambda
     as the scan writes it (`rootdata.canonical_weight`).
     """
+    if algebra is None:
+        raise NotCertified("condition 0: the generators span no closed quadric algebra")
     if not algebra.is_semisimple():
         raise NotCertified("condition 1: the quadric algebra is not semisimple")
     try:
@@ -210,56 +213,52 @@ def kostant_certificate(v: VarietyPresentation, algebra: LieAlgebraPresentation)
         raise NotCertified(
             f"condition 6: {algebra.dim} generators, but the orbit lies on {quadrics} quadrics"
         )
-    return KostantCertificate(
-        types=[o.rs.type_label for o in orbits],
-        highest_weight=[o.weight for o in orbits],
-        dimension=segre_cone_dimension(orbits),
-    )
+    keys = {"type": [o.rs.type_label for o in orbits], "highest_weight": [list(o.weight) for o in orbits]}
+    return Proof("kostant", segre_cone_dimension(orbits), keys)
+
+
+def groebner_certificate(v: VarietyPresentation, algebra: Optional[LieAlgebraPresentation],
+                         budget: int = DEFAULT_PAIR_BUDGET) -> Proof:
+    """The dimension of the cone from the grevlex initial ideal, whose
+    S-pairs `budget` caps; it holds on every input, and raises
+    BudgetExceeded when the budget runs out."""
+    leads = initial_ideal(v.generators, v.nvars, max_pairs=budget)
+    return Proof("groebner", krull_dimension(leads, v.nvars))
+
+
+CERTIFICATES = (kostant_certificate, groebner_certificate)
 
 
 def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET) -> LegendrianVerdict:
     """Combine bracket closure, cone dimension and degeneracy into one verdict.
 
-    A closed quadric input first tries `kostant_certificate` on the algebra
-    of its span, which needs no Groebner basis.  Otherwise the cone
-    dimension comes from the initial ideal, whose S-pairs `budget` caps.  When
-    it runs out, a failed closure still decides the verdict
-    (not-legendrian); a closed ideal stays undecided.
+    The cone dimension is the first proof of `CERTIFICATES`, walked in
+    order on the input and the algebra of its closed quadric span (None for
+    any other input); a refusal passes to the next certificate.  `budget`
+    caps the S-pairs of a certificate that needs a Groebner basis.  When it
+    runs out, a failed closure still decides the verdict (not-legendrian);
+    a closed ideal stays undecided.
     """
     n = v.half_dim
     failing, algebra = bracket_closure(v.generators, v.form)
     closed = not failing
-    degenerate = degeneracy_check(v) is not None
     witnesses = [f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
-    dimension, budget_name, kostant = None, None, None
-    if algebra is not None:
-        try:
-            kostant = kostant_certificate(v, algebra)
-            dimension = kostant.dimension
-        except NotCertified:
-            pass
-    if kostant is None:
-        try:
-            leads = initial_ideal(v.generators, v.nvars, max_pairs=budget)
-            dimension = krull_dimension(leads, v.nvars)
-        except BudgetExceeded as exc:
-            budget_name = exc.budget_name
-            witnesses.append("groebner basis not computed within budget")
+    proof, budget_name = None, None
+    try:
+        for certify in CERTIFICATES:
+            with contextlib.suppress(NotCertified):
+                proof = certify(v, algebra, budget)
+                break
+    except BudgetExceeded as exc:
+        budget_name = exc.budget_name
+        witnesses.append("groebner basis not computed within budget")
+    dimension = None if proof is None else proof.dimension
     if dimension is not None and dimension != n:
         witnesses.append(f"cone dimension {dimension} differs from n = {n}")
-    if closed and dimension is None:
-        verdict = "undecided"
-    else:
-        verdict = "legendrian" if closed and dimension == n else "not-legendrian"
-    return LegendrianVerdict(
-        bracket_closed=closed,
-        cone_dimension=dimension,
-        degenerate=degenerate,
-        verdict=verdict,
-        witnesses=witnesses,
-        budget_name=budget_name,
-        kostant=kostant,
-    )
+    verdict = ("undecided" if closed and dimension is None
+               else "legendrian" if closed and dimension == n else "not-legendrian")
+    return LegendrianVerdict(bracket_closed=closed, degenerate=degeneracy_check(v) is not None,
+                             verdict=verdict, witnesses=witnesses, budget_name=budget_name, proof=proof)
 
 
 def isotropy_identity(phi: Sequence[Polynomial], form: SymplecticForm) -> bool:

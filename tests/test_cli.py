@@ -290,6 +290,27 @@ def test_xf_names_a_zero_chart_polynomial(capsys):
     assert "the chart polynomial is zero" in err and "homogeneous" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("y" + "9" * 5000, "an integer of 5000 digits is above the limit of 4300 (at position 0)"),
+    ("y0^3 + y" + "9" * 50, f"variable index {'9' * 50} out of range (nvars=1000) (at position 58)"),
+    ("y0^3 + y1000^3", "variable index 1000 out of range (nvars=1000) (at position 12)"),
+])
+def test_xf_refuses_an_unusable_variable_index_at_its_position(capsys, text, message):
+    """An index too long to read, or at least MAX_XF_VARIABLES, is refused
+    by the polynomial reader before any list is sized by it."""
+    code, out, err = run(capsys, "xf", text)
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_xf_reads_an_index_after_whitespace(capsys):
+    """The grammar lets whitespace part a variable's letter from its index,
+    so the chart has as many variables either way."""
+    spaced, joined = (run(capsys, "--json", "xf", text) for text in ("y0^3 + y 1^3", "y0^3 + y1^3"))
+    assert spaced[0] == joined[0] == EXIT_OK
+    assert json.loads(spaced[1])["result"] == json.loads(joined[1])["result"]
+
+
 def test_xf_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "xf", "y0^3", "--implicit-degree", "2")
     assert code == EXIT_OK

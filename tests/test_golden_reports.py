@@ -1,10 +1,11 @@
 """The `result` objects of `check --json` and `algebra --json` on the catalog
 entries, pinned key for key and in key order against a stored fixture.
 
-`check` runs on the 15 entries whose verdict finished before the Kostant
-certificate (all but spinor-s6 and e7, which tests/test_kostant.py covers),
-`algebra` on all 17.  The fixture was written before the monomial codec
-went into the kernels, so a kernel change that alters any report fails here.
+Both run on all 17 entries.  The fixture was written before the monomial
+codec went into the kernels, so a kernel change that alters any report fails
+here; the `check` reports of spinor-s6 and e7, which only the Kostant
+certificate finishes, were added before the verdict read its certificate off
+one proof record.
 To pin an intended change of the reports, rewrite it with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
@@ -21,7 +22,6 @@ import pytest
 from legquad import catalog, cli
 
 FIXTURE = Path(__file__).parent / "data" / "golden_reports.json"
-CHECK_UNFINISHED = ("spinor-s6", "e7")
 
 
 def _result(command: str, name: str, directory: Path) -> dict:
@@ -37,7 +37,7 @@ def _result(command: str, name: str, directory: Path) -> dict:
 def _reports(directory: Path) -> dict:
     names = catalog.entry_names()
     return {
-        "check": {n: _result("check", n, directory) for n in names if n not in CHECK_UNFINISHED},
+        "check": {n: _result("check", n, directory) for n in names},
         "algebra": {n: _result("algebra", n, directory) for n in names},
     }
 
@@ -50,7 +50,7 @@ def golden():
 @pytest.mark.parametrize("command", ("check", "algebra"))
 def test_reports_match_the_fixture(golden, command, tmp_path):
     expected = golden[command]
-    assert len(expected) == (15 if command == "check" else 17)
+    assert len(expected) == 17
     for name, want in expected.items():
         got = _result(command, name, tmp_path)
         # json.dumps keeps key order, so this compares order as well as content

@@ -20,9 +20,10 @@ from legquad import catalog, legendrian
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.groebner import buchberger, krull_dimension
 from legquad.legendrian import (
-    KostantCertificate,
     NotCertified,
+    Proof,
     VarietyPresentation,
+    groebner_certificate,
     kostant_certificate,
     legendrian_verdict,
 )
@@ -48,6 +49,11 @@ CERTIFIED = {
 # the Groebner basis does not finish on these in test time
 BASIS_UNFINISHED = ("spinor-s6", "e7")
 SCALINGS = (-3, -2, -1, 1, 2, 3)
+
+
+def _keys(types, weights) -> dict:
+    """The report keys of a Kostant proof of these types and weights."""
+    return {"type": types, "highest_weight": [list(w) for w in weights]}
 
 
 def _groebner_dimension(pres: VarietyPresentation) -> int:
@@ -144,7 +150,7 @@ def _assert_falls_back(pres: VarietyPresentation):
     verdict = legendrian_verdict(pres)
     closed = not bracket_closure(pres.generators, pres.form)[0]
     dimension = _groebner_dimension(pres)
-    assert verdict.certificate == "groebner" and verdict.kostant is None
+    assert verdict.certificate == "groebner" and verdict.proof == Proof("groebner", dimension)
     assert verdict.bracket_closed == closed
     assert verdict.cone_dimension == dimension
     legendrian = closed and dimension == pres.half_dim
@@ -153,7 +159,7 @@ def _assert_falls_back(pres: VarietyPresentation):
 
 
 def _certificate_failure(pres: VarietyPresentation) -> str:
-    algebra = close_and_present(pres.generators, pres.form)
+    algebra = bracket_closure(pres.generators, pres.form)[1]
     with pytest.raises(NotCertified) as err:
         kostant_certificate(pres, algebra)
     return str(err.value)
@@ -165,7 +171,7 @@ def test_certified_entries(entries, name):
     pres = entries[name].presentation
     verdict = legendrian_verdict(pres, budget=1)
     assert verdict.certificate == "kostant" and verdict.budget_name is None
-    assert verdict.kostant.types == types and verdict.kostant.highest_weight == weights
+    assert verdict.proof == Proof("kostant", dimension, _keys(types, weights))
     assert verdict.cone_dimension == dimension == pres.half_dim
     assert verdict.verdict == "legendrian" and verdict.witnesses == []
     report = verdict.to_dict()
@@ -183,7 +189,7 @@ def test_certified_dimension_is_the_krull_dimension(entries, name):
     for pres in [base] + [_relabeled(base, rng) for _ in range(3)]:
         verdict = legendrian_verdict(pres)
         assert verdict.certificate == "kostant", pres.name
-        assert (verdict.kostant.types, verdict.kostant.highest_weight) == (types, weights)
+        assert verdict.proof.keys == _keys(types, weights)
         assert verdict.cone_dimension == _groebner_dimension(pres)
 
 
@@ -198,7 +204,7 @@ def test_certificate_is_invariant_under_scaling_the_form(entries, scale):
                               dual_matrix=[[x / scale for x in row] for row in base.form.dual_matrix])
         verdict = legendrian_verdict(VarietyPresentation(name, form, base.generators))
         assert verdict.certificate == "kostant", name
-        assert verdict.kostant == KostantCertificate(types, weights, dimension), name
+        assert verdict.proof == Proof("kostant", dimension, _keys(types, weights)), name
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,13 +277,13 @@ def test_certified_types_are_exactly_the_scan_acceptances(entries, scan_acceptan
     assert [[table[o.rs.type_label, o.weight] for o in orbits] for orbits in read] == read
     verdicts = lines + [by_entry[name] for name in catalog._CUBIC_NORMS]
     assert [v.certificate for v in verdicts] == ["kostant"] * len(verdicts)
-    certified = [_orbit_key(v.kostant.types, v.kostant.highest_weight) for v in verdicts]
+    certified = [_orbit_key(v.proof.keys["type"], v.proof.keys["highest_weight"]) for v in verdicts]
     assert sorted(certified) == sorted(accepted)
     assert _orbit_key(["A1"] * 3, [(1,)] * 3) in certified
     simple = sorted((types[0], weights[0]) for types, weights in scan_acceptances if len(types) == 1)
-    row_certificates = [v.kostant for v in verdicts[len(lines):]]
-    assert all(len(c.types) == 1 for c in row_certificates)
-    assert sorted((c.types[0], c.highest_weight[0]) for c in row_certificates) == simple
+    row_keys = [v.proof.keys for v in verdicts[len(lines):]]
+    assert all(len(k["type"]) == 1 for k in row_keys)
+    assert sorted((k["type"][0], tuple(k["highest_weight"][0])) for k in row_keys) == simple
 
 
 def test_diagram_automorphisms_are_the_permutations_that_keep_the_cartan_matrix():
@@ -296,7 +302,7 @@ def test_highest_weight_is_the_one_the_scan_lists(entries, seed):
     base = entries["spinor-s6"].presentation
     gens = random.Random(seed).sample(base.generators, 66)
     verdict = legendrian_verdict(VarietyPresentation(f"spinor-s6-{seed}", base.form, gens))
-    assert verdict.kostant == KostantCertificate(["D6"], [(0, 0, 0, 0, 0, 1)], 16)
+    assert verdict.proof == Proof("kostant", 16, _keys(["D6"], [(0, 0, 0, 0, 0, 1)]))
 
 
 @pytest.mark.parametrize("m, label", [(19, "B9"), (20, "D10")])
@@ -308,7 +314,7 @@ def test_line_times_quadric_charts_past_rank_8_are_scan_acceptances(m, label):
     verdict = legendrian_verdict(catalog.line_times_quadric(m).presentation)
     omega1 = (1,) + (0,) * (int(label[1:]) - 1)
     assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
-    assert verdict.kostant == KostantCertificate(["A1", label], [(1,), omega1], m)
+    assert verdict.proof == Proof("kostant", m, _keys(["A1", label], [(1,), omega1]))
     accepted = {(v.factors, v.weights) for v in enumerate_semisimple_pairs(weight_tables(10)) if v.status == "accepted"}
     assert (("A1", label), ((1,), omega1)) in accepted
 
@@ -344,7 +350,7 @@ def test_torus_generator_summed_with_root_vectors_is_certified(entries, added):
         h = h + base.generators[k]
     verdict = legendrian_verdict(VarietyPresentation("twisted-cubic-rewritten", base.form, [g0, g1, h]))
     assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
-    assert verdict.kostant == KostantCertificate(["A1"], [(3,)], 2)
+    assert verdict.proof == Proof("kostant", 2, _keys(["A1"], [(3,)]))
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-split-3", "segre-split-4", "segre-split-5", "grl36"))
@@ -353,7 +359,7 @@ def test_certificate_does_not_depend_on_the_basis(entries, name):
     same algebra, so the Cartan rank, the types and the certificate stay."""
     base = entries[name].presentation
     algebra = close_and_present(base.generators, base.form)
-    expected = (split_root_data(algebra).rank, identify_algebra(algebra), legendrian_verdict(base).kostant)
+    expected = (split_root_data(algebra).rank, identify_algebra(algebra), legendrian_verdict(base).proof)
     rng = random.Random(f"basis:{name}")
     for _ in range(4):
         a, b = rng.sample(range(len(base.generators)), 2)
@@ -362,7 +368,7 @@ def test_certificate_does_not_depend_on_the_basis(entries, name):
         algebra = close_and_present(gens, base.form)
         verdict = legendrian_verdict(VarietyPresentation(f"{name}: {a} + {b}", base.form, gens))
         assert verdict.certificate == "kostant", (a, b)
-        assert (split_root_data(algebra).rank, identify_algebra(algebra), verdict.kostant) == expected, (a, b)
+        assert (split_root_data(algebra).rank, identify_algebra(algebra), verdict.proof) == expected, (a, b)
 
 
 SHEAR_ENTRIES = ("twisted-cubic", "segre-3", "segre-split-3", "segre-4", "four-lines",
@@ -454,10 +460,27 @@ def test_dependent_generators_take_the_span_test(entries):
             assert algebra.basis == base.generators and algebra.dim == len(base.generators), name
             verdict = legendrian_verdict(pres)
             assert verdict.verdict == "legendrian" and verdict.certificate == "kostant", name
-            assert verdict.kostant == KostantCertificate(types, weights, dimension), name
+            assert verdict.proof == Proof("kostant", dimension, _keys(types, weights)), name
+
+
+def _unclosed_twisted_cubic(entries) -> VarietyPresentation:
+    """The twisted cubic without its middle generator: the bracket of the
+    other two leaves their span."""
+    base = entries["twisted-cubic"].presentation
+    return VarietyPresentation("twisted-cubic-unclosed", base.form, base.generators[::2])
+
+
+def _twisted_cubic_and_a_cubic(entries) -> VarietyPresentation:
+    """The twisted cubic's quadrics and x0 times the first: a closed ideal,
+    but not one of quadrics."""
+    base = entries["twisted-cubic"].presentation
+    cubic = Polynomial.variable(base.nvars, 0) * base.generators[0]
+    return VarietyPresentation("twisted-cubic+cubic", base.form, base.generators + [cubic])
 
 
 @pytest.mark.parametrize("build, condition", [
+    (_unclosed_twisted_cubic, "condition 0: the generators span no closed quadric algebra"),
+    (_twisted_cubic_and_a_cubic, "condition 0: the generators span no closed quadric algebra"),
     (lambda entries: entries["four-lines"].presentation,
      "condition 1: the quadric algebra is not semisimple"),
     (lambda entries: entries["segre-3"].presentation,
@@ -469,7 +492,7 @@ def test_dependent_generators_take_the_span_test(entries):
     (lambda entries: _sl2_variety(1),
      "condition 5: a generator does not vanish at the highest weight vector"),
     (lambda entries: _sl2_variety(5), "condition 6: 3 generators, but the orbit lies on 10 quadrics"),
-], ids=["not-semisimple", "non-split", "reducible", "two-highest", "too-small", "not-vanishing",
+], ids=["unclosed", "cubic", "not-semisimple", "non-split", "reducible", "two-highest", "too-small", "not-vanishing",
         "too-few"])
 def test_each_condition_rejects_its_input(entries, build, condition):
     """Each input fails exactly at the named condition, and the verdict is
@@ -479,10 +502,21 @@ def test_each_condition_rejects_its_input(entries, build, condition):
     _assert_falls_back(pres)
 
 
+def test_the_verdict_walks_kostant_then_groebner(entries, monkeypatch):
+    """The verdict takes the first proof of `CERTIFICATES` in its order:
+    Kostant, then Groebner, which refuses nothing.  Reversed, the list
+    proves the twisted cubic by Groebner with the same dimension."""
+    assert legendrian.CERTIFICATES == (kostant_certificate, groebner_certificate)
+    pres = entries["twisted-cubic"].presentation
+    assert legendrian_verdict(pres).proof == Proof("kostant", 2, _keys(["A1"], [(3,)]))
+    monkeypatch.setattr(legendrian, "CERTIFICATES", legendrian.CERTIFICATES[::-1])
+    assert legendrian_verdict(pres).proof == Proof("groebner", 2)
+
+
 def test_sl2_on_the_binary_cubics_is_the_twisted_cubic():
     verdict = legendrian_verdict(_sl2_variety(3))
     assert verdict.certificate == "kostant" and verdict.verdict == "legendrian"
-    assert (verdict.kostant.types, verdict.kostant.highest_weight) == (["A1"], [(3,)])
+    assert verdict.proof.keys == _keys(["A1"], [(3,)])
 
 
 def test_oracle_agrees_on_a_certified_entry(entries):
