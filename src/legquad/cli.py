@@ -41,6 +41,7 @@ EXIT_NEGATIVE = 2
 EXIT_UNDECIDED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 MAX_XF_VARIABLES = 1000  # an xf chart in m variables has 2m + 2 coordinates
+MAX_N = MAX_XF_VARIABLES + 1  # the largest 'n=', that of the largest xf chart
 
 
 class InputError(ValueError):
@@ -80,11 +81,12 @@ def _read_source(path: str) -> str:
 
 
 def parse_variety_file(text: str, form_override: Optional[str] = None) -> VarietyPresentation:
-    """Input format: 'n=<n>' header, optional 'form=<file|standard|json:...>',
-    then one generator per line; '#' starts a comment.  A non-None
-    form_override wins over the header.  Errors name the line they are on,
-    or `--form` when the override is at fault.  The presentation's `lines`
-    gives the line of each generator, for the errors found later."""
+    """Input format: 'n=<n>' header, n in ASCII digits from 1 to MAX_N,
+    optional 'form=<file|standard|json:...>', then one generator per line;
+    '#' starts a comment.  A non-None form_override wins over the header.
+    Errors name the line they are on, or `--form` when the override is at
+    fault.  The presentation's `lines` gives the line of each generator,
+    for the errors found later."""
     n = None
     form_spec, form_origin = "standard", "the default form"
     gen_lines: List[tuple] = []
@@ -97,12 +99,11 @@ def parse_variety_file(text: str, form_override: Optional[str] = None) -> Variet
         if key and headers.setdefault(key, lineno) != lineno:
             raise InputError(f"line {lineno}: a second {key!r} line; line {headers[key]} has the first")
         if key == "n=":
-            try:
-                n = int(line[2:])
-            except ValueError:
-                n = None
-            if n is None or n < 1:
+            digits = line[2:].strip().lstrip("0")
+            if not (digits.isascii() and digits.isdigit()):
                 raise InputError(f"line {lineno}: 'n=' needs a positive integer, got {line[2:]!r}")
+            if len(digits) > len(str(MAX_N)) or (n := int(digits)) > MAX_N:
+                raise InputError(f"line {lineno}: 'n=' is at most {MAX_N}, got {line[2:]!r}")
         elif key == "form=":
             form_spec, form_origin = line[5:].strip(), f"line {lineno}"
         else:

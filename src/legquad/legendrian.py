@@ -12,8 +12,9 @@ Closure is linear algebra, and every input takes the one bracket pass of
 ideal exactly when it lies in the degree-d part I_d, the span of the
 generator multiples of degree d (`liealg.degree_part`).  When the generators
 are quadrics, I_2 is their span, and the same pass gives the Lie algebra of
-that span.  `degeneracy_check` reads a hyperplane off I_1's last pivot,
-whose row is on monomial codes (`poly.MonomialCodec`).
+that span.  The variety is degenerate, in a hyperplane, exactly when I_1,
+the span of the degree-1 generators, is not zero and the ideal is not the
+unit ideal: some generator has degree 1 and none has degree 0.
 
 The cone dimension comes from the first of `CERTIFICATES` that proves it:
 each returns a `Proof` (its name, the dimension and the report keys it
@@ -52,11 +53,10 @@ from .liealg import (
     LieAlgebraPresentation,
     NotAdaptedError,
     bracket_closure,
-    degree_part,
     simple_factors,
     split_root_data,
 )
-from .poly import MonomialCodec, Polynomial
+from .poly import Polynomial
 from .rootdata import (
     build_root_system,
     canonical_weight,
@@ -111,22 +111,6 @@ class LegendrianVerdict:
             "certificate": self.certificate,
             **(self.proof.keys if self.proof else {}),
         }
-
-
-def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
-    """A hyperplane containing the variety, when one exists: the monic
-    reduced row of I_1 with the smallest grevlex leading monomial, which is
-    the first degree-1 element of the reduced Groebner basis.  The unit ideal
-    gets None, as its reduced basis is {1}."""
-    if any(g.degree() == 0 for g in v.generators):
-        return None
-    codec = MonomialCodec(v.nvars, 1)
-    span = degree_part(v.generators, 1, codec)
-    if not span.pivots:
-        return None
-    lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
-    row = span.rows[lead]
-    return codec.polynomial(row, row[lead])
 
 
 def kostant_certificate(v: VarietyPresentation, algebra: Optional[LieAlgebraPresentation],
@@ -257,7 +241,8 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
         witnesses.append(f"cone dimension {dimension} differs from n = {n}")
     verdict = ("undecided" if closed and dimension is None
                else "legendrian" if closed and dimension == n else "not-legendrian")
-    return LegendrianVerdict(bracket_closed=closed, degenerate=degeneracy_check(v) is not None,
+    degrees = {g.degree() for g in v.generators}
+    return LegendrianVerdict(bracket_closed=closed, degenerate=1 in degrees and 0 not in degrees,
                              verdict=verdict, witnesses=witnesses, budget_name=budget_name, proof=proof)
 
 

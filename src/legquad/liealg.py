@@ -40,7 +40,11 @@ squares cut out quadrics without rational points).  Those split into
 minimal ideals by the centroid, the operators that commute with every ad,
 one exact kernel: it is Q exactly on an absolutely simple piece, which
 proves the piece simple at every dimension, and its rational eigenspaces
-split the other pieces; a piece that no centroid element splits, though
+split the other pieces.  A centroid element keeps the one flattening of
+that kernel, X[p][r] at p d + r, through its minimal polynomial to its
+eigenspaces, and an integer Newton descent finds the rational roots of
+that polynomial in steps that grow with its coefficients' bit size
+(`_rational_roots`).  A piece that no centroid element splits, though
 its centroid is larger than Q, raises NotAdaptedError.  Each factor is named
 by the `rootdata` types of its rank whose algebra has its dimension, which
 fails, naming the candidates, when B and C (rank 3 and above) or B6, C6 and
@@ -561,14 +565,9 @@ def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[Spars
     if len(centroid) == 1:
         return None
     for element in centroid:
-        ints, den = linalg.integral(element)
-        cols: Dict[int, List[Tuple[int, int]]] = {}
-        for index, x in ints.items():
-            cols.setdefault(index % d, []).append((index // d, x))
-        t: AdColumns = (cols, den)
-        eigenvalues = _rational_eigenvalues(t, d)
+        eigenvalues = _rational_eigenvalues(element, d)
         if len(eigenvalues or ()) > 1:
-            return _split_by_eigenvalue(t, d, eigenvalues)
+            return _split_by_eigenvalue(element, d, eigenvalues)
     raise NotAdaptedError(
         f"a piece of dimension {d} has a centroid of dimension {len(centroid)} "
         f"that no rational eigenspace splits"
@@ -601,95 +600,90 @@ def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:
     return rows
 
 
-AdColumns = Tuple[Dict[int, List[Tuple[int, int]]], int]  # (j -> [(k, entry)], den)
-
-
-def _ad_apply(t: AdColumns, m: Mapping[int, Fraction], d: int) -> Dict[int, Fraction]:
-    """t m, for the sparse integer columns of t over their denominator and a
-    d x d matrix m flattened column by column, m[j][c] at c * d + j."""
-    cols, den = t
-    im, dm = linalg.integral(m)
-    acc: Dict[int, int] = {}
-    for index, y in im.items():
-        j = index % d
-        for k, x in cols.get(j, ()):
-            acc[index - j + k] = acc.get(index - j + k, 0) + x * y
-    return {k: Fraction(s, den * dm) for k, s in acc.items() if s}
-
-
-def _split_by_eigenvalue(t: AdColumns, d: int, eigenvalues: List[Fraction]) -> List[List[SparseVector]]:
-    """The eigenspaces of the d x d matrix t for the given eigenvalues, each
-    the kernel of t - lam read off the sparse columns of t.  The eigenvalues
-    are the distinct roots of t's minimal polynomial, so t is diagonalizable
-    and the eigenspaces span Q^d."""
-    cols, den = t
+def _split_by_eigenvalue(x: SparseVector, d: int, eigenvalues: List[Fraction]) -> List[List[SparseVector]]:
+    """The eigenspaces of the d x d matrix x, flattened with x[p][r] at
+    p * d + r, for the given eigenvalues, each the kernel of x - lam.  The
+    eigenvalues are the distinct roots of x's minimal polynomial, so x is
+    diagonalizable and the eigenspaces span Q^d."""
     pieces = []
     for lam in eigenvalues:
-        # den * lam.denominator * (t - lam), row by row
-        rows: List[Dict[int, int]] = [{k: -lam.numerator * den} for k in range(d)]
-        for j, entries in cols.items():
-            for k, x in entries:
-                rows[k][j] = rows[k].get(j, 0) + lam.denominator * x
+        rows: List[Dict[int, Fraction]] = [{p: -lam} for p in range(d)]
+        for index, v in x.items():
+            p, r = divmod(index, d)
+            rows[p][r] = rows[p].get(r, 0) + v
         pieces.append(linalg.sparse_nullspace(rows, range(d)))
     assert sum(map(len, pieces)) == d, "the eigenspaces of a diagonalizable matrix span"
     return pieces
 
 
-def _rational_eigenvalues(t: AdColumns, d: int) -> Optional[List[Fraction]]:
-    """Distinct rational eigenvalues of the d x d matrix t via its minimal
-    polynomial: the flattened matrices I, t, t^2, ... go into one tracked
-    `linalg.Echelon` until one lies in the span of those before it, whose
-    coefficients give the relation.  (The powers of t on one vector miss the
-    eigenvalues of the eigenspaces it has no part in.)
+def _rational_eigenvalues(x: SparseVector, d: int) -> Optional[List[Fraction]]:
+    """Distinct rational eigenvalues of the d x d matrix x, flattened with
+    x[p][r] at p * d + r, via its minimal polynomial: the flattened powers
+    I, m, m^2, ... of the integer matrix m = den * x go into one tracked
+    `linalg.Echelon` until one lies in the span of those before it, which
+    `Echelon.combination` writes over them in integers.  (The powers of x on
+    one vector miss the eigenvalues of the eigenspaces it has no part in.)
 
-    Returns None when the minimal polynomial does not split over the
-    rationals (all roots are searched by the rational root theorem).
+    Returns None unless the minimal polynomial has as many distinct
+    rational roots (`_rational_roots`) as its degree, which is to say x is
+    diagonalizable over the rationals.
     """
+    ints, den = linalg.integral(x)
+    by_row: Dict[int, List[Tuple[int, int]]] = {}  # r -> [(q, m[r][q])]
+    for index, v in ints.items():
+        by_row.setdefault(index // d, []).append((index % d, v))
     span = linalg.Echelon(track=True)
-    v = {c * d + c: Fraction(1) for c in range(d)}
-    while span.add(v):
-        v = _ad_apply(t, v, d)
-    # t^k = sum relation[i] * t^i for k = span.rank
-    relation = span.coefficients(v)
-    poly = [-relation.get(i, 0) for i in range(span.rank)] + [Fraction(1)]
-    den = math.lcm(*[c.denominator for c in poly])
-    ints = [int(c * den) for c in poly]
-    roots = _rational_roots(ints)
-    # The minimal polynomial of a split semisimple operator is squarefree
-    # with all roots rational: demand as many distinct rational roots as
-    # its degree.
-    return roots if len(roots) == len(ints) - 1 else None
+    power: Dict[int, int] = {c * d + c: 1 for c in range(d)}
+    while span.add(power):
+        product: Dict[int, int] = {}
+        for index, v in power.items():
+            p, r = divmod(index, d)
+            for q, y in by_row.get(r, ()):
+                product[p * d + q] = product.get(p * d + q, 0) + v * y
+        power = {k: v for k, v in product.items() if v}
+    combination, scale = span.combination(power)  # scale m^k = sum_i combination[i] m^i, k = span.rank
+    roots = _rational_roots([scale] + [-combination.get(i, 0) for i in reversed(range(span.rank))])
+    if roots is None or len(set(roots)) < len(roots):
+        return None
+    return [root / den for root in roots]
 
 
-def _rational_roots(ints: List[int]) -> List[Fraction]:
-    a0, ak = ints[0], ints[-1]
-    if a0 == 0:
-        reduced = list(ints)
-        while reduced and reduced[0] == 0:
-            reduced.pop(0)
-        return sorted(set([Fraction(0)] + (_rational_roots(reduced) if len(reduced) > 1 else [])))
-    roots = []
-    for p in _divisors(abs(a0)):
-        for q in _divisors(abs(ak)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                value = Fraction(0)
-                for c in reversed(ints):
-                    value = value * cand + c
-                if value == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+def _rational_roots(coeffs: List[int]) -> Optional[List[Fraction]]:
+    """The roots of the integer polynomial with coefficients `coeffs`, from
+    the leading one, nonzero, down: with multiplicity, in increasing order,
+    or None when the polynomial does not split over the rationals.
 
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    With a the leading coefficient and k the degree, s = a t turns it into
+    the monic integer g(s) = a^(k-1) f(s / a), whose rational roots are
+    integers.  Newton's method steps s down from Cauchy's bound B on their
+    size, each step g / g' rounded up.  When every root is an integer, g is
+    convex above its largest root r, so no step passes r, and each step
+    takes at least 1/k of the distance to r: r is met exactly within
+    k (bits(B) + 1) steps.  Each root met is divided out exactly and the
+    descent goes on from it.  Meeting g < 0 or g' <= 0, or running out of
+    steps, proves that some root is not an integer.
+    """
+    a, k = coeffs[0], len(coeffs) - 1
+    g = [1] + [c * a ** j for j, c in enumerate(coeffs[1:])]
+    bound = max(map(abs, g)) + 1
+    budget = k * (bound.bit_length() + 1)
+    roots: List[Fraction] = []
+    s, steps = bound, 0
+    while len(g) > 1:
+        value = slope = 0
+        for c in g:
+            value, slope = value * s + c, slope * s + value
+        if value == 0:
+            roots.append(Fraction(s, a))
+            for j in range(1, len(g)):  # g <- g / (y - s) in the variable y, in place
+                g[j] += s * g[j - 1]
+            g.pop()  # the remainder, 0
+            steps = 0
+        elif value < 0 or slope <= 0 or steps == budget:
+            return None
+        else:
+            s, steps = s + -value // slope, steps + 1
+    return sorted(roots)
 
 
 def _generic_rank(algebra: LieAlgebraPresentation) -> int:

@@ -14,7 +14,7 @@ taken as a sum of gradient products, is reduced by division modulo the
 oracle's basis.  It shares neither the bracket kernel nor the span
 elimination with `legquad.liealg.bracket_closure`, so the two routes are
 independent.  The hyperplanes of `linear_part` are the oracle for
-`legquad.legendrian.degeneracy_check`, and `krull_dimension_bruteforce`
+`legendrian_oracle.degeneracy_check`, and `krull_dimension_bruteforce`
 scans every variable subset for `legquad.groebner.krull_dimension`.
 """
 

@@ -5,14 +5,21 @@ The conormal criterion at one point, on the dense elimination of
 with `legendrian_verdict`.  The tangent criterion at one point of a chart
 samples what `isotropy_identity` proves as polynomial identities: it can
 refute a chart, never prove one.
+
+`degeneracy_check` finds a hyperplane through the variety as a polynomial,
+off the span I_1 of the degree-1 generators; `legendrian_verdict` reads its
+`degenerate` flag off the generator degrees alone, and the tests hold the
+two together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from legquad.legendrian import VarietyPresentation
+from legquad.liealg import degree_part
+from legquad.poly import MonomialCodec, Polynomial
 
 from linalg_oracle import mat_vec, row_space_basis, vec_dot
 from poly_oracle import evaluate, gradient
@@ -68,3 +75,19 @@ def tangent_point_check(v: VarietyPresentation, params: Sequence) -> bool:
         if any(vec_dot(w, ju) for w in vectors[i + 1:]):
             return False
     return True
+
+
+def degeneracy_check(v: VarietyPresentation) -> Optional[Polynomial]:
+    """A hyperplane containing the variety, when one exists: the monic
+    reduced row of I_1 with the smallest grevlex leading monomial, which is
+    the first degree-1 element of the reduced Groebner basis.  The unit ideal
+    gets None, as its reduced basis is {1}."""
+    if any(g.degree() == 0 for g in v.generators):
+        return None
+    codec = MonomialCodec(v.nvars, 1)
+    span = degree_part(v.generators, 1, codec)
+    if not span.pivots:
+        return None
+    lead = span.pivots[-1]  # its row has no other pivot column, so it is reduced
+    row = span.rows[lead]
+    return codec.polynomial(row, row[lead])

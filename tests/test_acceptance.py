@@ -12,13 +12,14 @@ from fractions import Fraction
 
 from legquad.classify import enumerate_semisimple_pairs, enumerate_simple, weight_tables
 from legquad.groebner import buchberger, krull_dimension
-from legquad.legendrian import VarietyPresentation, degeneracy_check, legendrian_verdict
+from legquad.legendrian import VarietyPresentation, legendrian_verdict
 from legquad.liealg import cartan_subalgebra, identify_algebra, root_decomposition
 from legquad.poly import Polynomial, parse_poly
 from legquad.rootdata import build_root_system, orbit
 from legquad.symplectic import poisson_bracket, standard_form
 from classify_oracle import accepted_pairs, accepted_simple
 from groebner_oracle import krull_dimension_bruteforce
+from legendrian_oracle import degeneracy_check
 from liealg_oracle import exp_orbit_points
 from poly_oracle import euler_weighted_sum, evaluate
 from rootdata_oracle import weight_multiplicities

@@ -248,6 +248,24 @@ def test_algebra_splits_a_basis_that_hides_a_factor(capsys, tmp_path):
     assert payload["result"]["dim"] == 6 and payload["result"]["types"] == ["A1", "A1"]
 
 
+def test_algebra_on_a_large_coefficient_answers_at_once(tmp_path):
+    """segre-4, a sum-of-squares model that only the centroid split names,
+    with its first generator times 10^12: its centroid elements' minimal
+    polynomials have coefficients far past any divisor search, and it still
+    names A1, A1, A1.  It runs in a subprocess with a timeout, so a
+    regression fails the test instead of hanging the suite."""
+    lines = catalog.dump_entry(catalog.get_entry("segre-4")).splitlines()
+    first = next(i for i, line in enumerate(lines) if not line.startswith(("#", "n=", "form=")))
+    lines[first] = f"{10**12}*({lines[first]})"
+    path = tmp_path / "segre-4-scaled.txt"
+    path.write_text("\n".join(lines) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(legquad.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "legquad.cli", "--json", "algebra", str(path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["result"]["types"] == ["A1", "A1", "A1"]
+
+
 def test_classify_subcommand(capsys):
     code, out, _ = run(capsys, "--json", "classify", "--max-rank", "3", "--max-dim", "30")
     assert code == EXIT_OK
@@ -385,6 +403,13 @@ def test_non_integer_header_names_its_line(capsys, tmp_path):
 
 @pytest.mark.parametrize("text, override, message", [
     ("n=0\nx0\n", None, "line 1: 'n=' needs a positive integer, got '0'"),
+    # 'n=' takes ASCII digits only, up to the n of the largest xf chart
+    ("n=\u0662\nx0^2\n", None, "line 1: 'n=' needs a positive integer, got '\u0662'"),
+    ("n=0_2\nx0^2\n", None, "line 1: 'n=' needs a positive integer, got '0_2'"),
+    ("# too large to build\nn=1000000\nx0^2\n", None, "line 2: 'n=' is at most 1001, got '1000000'"),
+    ("n=1002\nx0^2\n", None, "line 1: 'n=' is at most 1001, got '1002'"),
+    pytest.param("n=" + "9" * 5000 + "\nx0^2\n", None, f"line 1: 'n=' is at most 1001, got '{'9' * 5000}'",
+                 id="n-past-the-int-digit-limit"),
     ("n=2\nx0^2 + x1\n", None, "line 2: generator x0^2 + x1 is not homogeneous"),
     ("n=2\n\n# generators\nx0*x2\nx1^3 - x0\n", None, "line 5: generator x1^3 - x0 is not homogeneous"),
     ("n=2\nform=json:{bad\nx0*x2\n", None,

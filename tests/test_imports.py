@@ -25,7 +25,7 @@ EXPORTS = {
     "poly": ["Polynomial", "parse_poly", "format_poly"],
     "symplectic": ["SymplecticForm", "VarietyPresentation", "standard_form", "poisson_bracket"],
     "groebner": ["BudgetExceeded", "buchberger", "initial_ideal", "normal_form", "krull_dimension"],
-    "legendrian": ["LegendrianVerdict", "legendrian_verdict", "isotropy_identity", "degeneracy_check"],
+    "legendrian": ["LegendrianVerdict", "legendrian_verdict", "isotropy_identity"],
     "liealg": ["LieAlgebraPresentation", "CartanData", "close_and_present", "cartan_subalgebra",
                "root_decomposition", "identify_type", "identify_algebra"],
     "rootdata": ["AbstractRootSystem", "build_root_system", "Orbit", "orbit", "is_self_dual", "angle_audit"],

@@ -6,14 +6,20 @@ import pytest
 from legquad import catalog
 from legquad.legendrian import (
     VarietyPresentation,
-    degeneracy_check,
     isotropy_identity,
     legendrian_verdict,
 )
 from legquad.liealg import bracket_closure
 from legquad.poly import Polynomial, parse_poly
 from legquad.symplectic import pairing_form, standard_form
-from legendrian_oracle import PointNotOnCone, PointRankError, conormal_point_check, tangent_point_check
+from legendrian_oracle import (
+    PointNotOnCone,
+    PointRankError,
+    conormal_point_check,
+    degeneracy_check,
+    tangent_point_check,
+)
+from test_symplectic import _random_homog
 
 
 def test_twisted_cubic_verdict(entries):
@@ -90,6 +96,29 @@ def test_degeneracy_detection(entries):
         "explicit", standard_form(2), [parse_poly("x0 + x1", 4), parse_poly("x2*x3", 4)]
     )
     assert degeneracy_check(pres) == parse_poly("x0 + x1", 4)
+
+
+def test_degenerate_flag_matches_the_hyperplane_oracle(entries):
+    """`degenerate` is read off the generator degrees, some of degree 1 and
+    none of degree 0: it holds exactly when `degeneracy_check` finds a
+    hyperplane through the variety, on every catalog entry and on seeded
+    generators of degrees 1 to 3, repeated and opposite linear forms among
+    them.  (A constant generator makes the verdict raise, as the Groebner
+    certificate refuses the unit ideal.)  The flag does not depend on the
+    budget, so none is given."""
+    cases = [entry.presentation for entry in entries.values()]
+    rng = random.Random(41)
+    for _ in range(300):
+        gens = [_random_homog(rng, 4, rng.choice((1, 1, 2, 2, 2, 3))) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            gens.append(gens[0].scale(rng.choice((-1, 2))))
+        cases.append(VarietyPresentation("seeded", standard_form(2), gens))
+    flags = set()
+    for pres in cases:
+        flag = legendrian_verdict(pres, budget=0).degenerate
+        assert flag == (degeneracy_check(pres) is not None), pres.generators
+        flags.add(flag)
+    assert flags == {False, True}
 
 
 def test_budget_gives_undecided(entries):

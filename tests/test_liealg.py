@@ -1,4 +1,3 @@
-import math
 import random
 import traceback
 from fractions import Fraction
@@ -15,6 +14,7 @@ from legquad.liealg import (
     _dense_order,
     _integer_ad,
     _rational_eigenvalues,
+    _rational_roots,
     _type_of_dimension,
     cartan_subalgebra,
     close_and_present,
@@ -654,16 +654,11 @@ def test_each_quantity_is_computed_once(algebras, monkeypatch):
     assert calls == {"subalgebra_presentation": 0, "_coordinate_weights": 1}
 
 
-def _columns(matrix):
-    """The sparse integer columns of a rational matrix over their common
-    denominator, as `_rational_eigenvalues` reads them."""
-    den = math.lcm(*[Fraction(x).denominator for row in matrix for x in row])
-    cols = {}
-    for k, row in enumerate(matrix):
-        for j, x in enumerate(row):
-            if x:
-                cols.setdefault(j, []).append((k, int(Fraction(x) * den)))
-    return cols, den
+def _flattened(matrix):
+    """A rational matrix as a sparse vector with matrix[p][r] at p * d + r,
+    as `_rational_eigenvalues` reads it."""
+    d = len(matrix)
+    return {p * d + r: Fraction(x) for p, row in enumerate(matrix) for r, x in enumerate(row) if x}
 
 
 def test_rational_eigenvalues_against_sympy():
@@ -681,7 +676,37 @@ def test_rational_eigenvalues_against_sympy():
         m = p * diag(*diagonal) * p.inv()
         rows = [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(d)]
         expected = sorted(Fraction(int(x.p), int(x.q)) for x in m.eigenvals())
-        assert _rational_eigenvalues(_columns(rows), d) == expected, diagonal
-    assert _rational_eigenvalues(_columns([[0, -1], [1, 0]]), 2) is None
-    assert _rational_eigenvalues(_columns([[0, 1], [0, 0]]), 2) is None
-    assert _rational_eigenvalues(_columns([[1, -1, 1], [1, -1, 1], [0, 0, 0]]), 3) is None
+        assert _rational_eigenvalues(_flattened(rows), d) == expected, diagonal
+    assert _rational_eigenvalues(_flattened([[0, -1], [1, 0]]), 2) is None
+    assert _rational_eigenvalues(_flattened([[0, 1], [0, 0]]), 2) is None
+    assert _rational_eigenvalues(_flattened([[1, -1, 1], [1, -1, 1], [0, 0, 0]]), 3) is None
+
+
+def test_rational_roots_against_sympy():
+    """Seeded integer polynomials c * prod (q t - p), with roots p / q of
+    height past 10^20, zero and repeated roots and leading coefficients of
+    either sign, some times an irreducible quadratic or cubic (with real
+    roots or not): `_rational_roots` gives sympy's roots with multiplicity,
+    and None exactly when sympy's factors are not all linear."""
+    from sympy import Poly, symbols
+
+    t = symbols("t")
+    irreducible = [1, t**2 - 2, t**2 + 1, 5 * t**2 - 7, t**3 - 2, t**3 - 3 * t + 1, 2 * t**3 + 3 * t + 5]
+    rng = random.Random(29)
+    cases = []
+    for case in range(42):
+        roots = [Fraction(rng.randint(10**20, 10**25) * rng.choice((-1, 1)), rng.randint(1, 10**22))]
+        for _ in range(rng.randint(0, 3)):
+            roots.append(rng.choice([Fraction(0), rng.choice(roots), Fraction(rng.randint(-50, 50), rng.randint(1, 9))]))
+        lead = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        expr = lead * irreducible[case % len(irreducible)]
+        for r in roots:
+            expr *= r.denominator * t - r.numerator
+        cases.append(Poly(expr, t))
+    cases += [Poly(-7 * t**3 * (t - 5)**2, t), Poly(t, t), Poly(-3 * t**4, t), Poly(t**2 - 3 * t + 2, t)]
+    for poly in cases:
+        factors = poly.factor_list()[1]
+        expected = None
+        if all(f.degree() == 1 for f, _ in factors):
+            expected = sorted(Fraction(-int(f.nth(0)), int(f.nth(1))) for f, m in factors for _ in range(m))
+        assert _rational_roots([int(c) for c in poly.all_coeffs()]) == expected, poly

@@ -1,5 +1,5 @@
 """The span closure test of `legquad.liealg.bracket_closure` and the
-hyperplane test of `legquad.legendrian` against Groebner normal forms and
+hyperplane test of `legendrian_oracle` against Groebner normal forms and
 reduced bases (`groebner_oracle`)."""
 
 import math
@@ -13,10 +13,11 @@ import groebner_oracle
 import liealg_oracle
 from legquad import catalog
 from legquad.groebner import initial_ideal
-from legquad.legendrian import VarietyPresentation, degeneracy_check
+from legquad.legendrian import VarietyPresentation
 from legquad.liealg import bracket_closure, degree_part
 from legquad.poly import MonomialCodec, Polynomial, parse_poly
 from legquad.symplectic import SymplecticForm, poisson_bracket
+from legendrian_oracle import degeneracy_check
 
 # Buchberger does not finish on spinor-s6 and e7 in test time.
 BASIS_FINISHES = tuple(n for n in catalog.entry_names() if n not in ("spinor-s6", "e7"))
