@@ -4,12 +4,14 @@ Each command returns its answer (inputs, result, exit code) and reports
 nothing itself; `classify` adds its stage timings, `gb` and `nf` answer an
 exhausted Groebner budget, and `catalog NAME` writes its dump and returns
 None.  `main` alone times the command, derives the status and prints the
-one report.
+one report; under `--json` its text is `json.dumps(report, indent=2)` byte
+for byte, written by `report.dumps`.
 
 Start-up is most of a small command's time, so this module imports at its
 top only what reading a variety file needs (`poly`, `symplectic`), and each
 command imports the layers it runs: `classify` loads no Groebner, verdict
-or Lie algebra layer, and `check` no scan.
+or Lie algebra layer, `check` no scan, and only `--json` loads the report
+encoder.
 
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
 mathematical negative (not legendrian, quadrics not closed, equation
@@ -172,7 +174,8 @@ def _report(args, inputs: dict, result: dict, status: str, timings: dict) -> Non
         "status": status,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, default=str))
+        from .report import dumps
+        print(dumps(payload))
     else:
         _print_text(payload)
 
@@ -182,7 +185,7 @@ def _print_text(payload: dict) -> None:
     for key, value in payload["result"].items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
             for item in value:
-                print("  " + json.dumps(item, default=str))
+                print("  " + json.dumps(item))
         else:
             print(f"  {key}: {value}")
 

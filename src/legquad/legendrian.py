@@ -222,8 +222,17 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     caps the S-pairs of a certificate that needs a Groebner basis.  When it
     runs out, a failed closure still decides the verdict (not-legendrian);
     a closed ideal stays undecided.
+
+    A nonzero constant generator makes the ideal the unit ideal, which holds
+    every bracket and cuts out the empty variety: that input is
+    not-legendrian at once, with no certificate, dimension or budget.
     """
     n = v.half_dim
+    for k, g in enumerate(v.generators):
+        if g.degree() == 0:
+            witness = f"generator {k} is the nonzero constant {g}: the ideal is the unit ideal, the variety empty"
+            return LegendrianVerdict(bracket_closed=True, degenerate=False, verdict="not-legendrian",
+                                     witnesses=[witness])
     failing, algebra = bracket_closure(v.generators, v.form)
     closed = not failing
     witnesses = [f"bracket of generators {i} and {j} is not in the ideal" for i, j in failing]
@@ -242,7 +251,7 @@ def legendrian_verdict(v: VarietyPresentation, budget: int = DEFAULT_PAIR_BUDGET
     verdict = ("undecided" if closed and dimension is None
                else "legendrian" if closed and dimension == n else "not-legendrian")
     degrees = {g.degree() for g in v.generators}
-    return LegendrianVerdict(bracket_closed=closed, degenerate=1 in degrees and 0 not in degrees,
+    return LegendrianVerdict(bracket_closed=closed, degenerate=1 in degrees,
                              verdict=verdict, witnesses=witnesses, budget_name=budget_name, proof=proof)
 
 

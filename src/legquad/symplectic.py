@@ -64,12 +64,18 @@ class SymplecticForm:
 
     def __init__(self, matrix: Sequence[Sequence], dual_matrix: Optional[Sequence[Sequence]] = None):
         dense, den = _integer_rows(matrix)
-        dim = len(dense)
+        rows = _sparse(dense)
+        if any(len(row) != len(dense) for row in dense) or not _is_skew(rows, dense):
+            raise ValueError("symplectic form matrix must be skew-symmetric")
+        self._build(rows, den, dual_matrix)
+
+    def _build(self, rows: IntegerRows, den: int, dual_matrix: Optional[Sequence[Sequence]] = None) -> None:
+        """Keep the integer rows of a skew matrix J over `den`, and its dual:
+        computed, or `dual_matrix` once validated.  `__init__` ends here,
+        and so does `pairing_form`, which builds the rows from its pairs."""
+        dim = len(rows)
         if dim == 0 or dim % 2 != 0:
             raise ValueError(f"symplectic form needs a positive even dimension, got {dim}")
-        rows = _sparse(dense)
-        if any(len(row) != dim for row in dense) or not _is_skew(rows, dense):
-            raise ValueError("symplectic form matrix must be skew-symmetric")
         if dual_matrix is None:
             span = linalg.Echelon(track=True)
             if not all(span.add(dict(row), den) for row in rows):
@@ -247,13 +253,23 @@ def _dual_scalar(rows: IntegerRows, dual: IntegerRows) -> Optional[int]:
 
 def pairing_form(nvars: int, pairs: Iterable[Tuple[int, int, object]]) -> SymplecticForm:
     """The form on nvars coordinates whose matrix is the sum, over the
-    triples (a, b, s) of `pairs`, of s at (a, b) and -s at (b, a)."""
-    matrix: List[List[object]] = [[0] * nvars for _ in range(nvars)]
+    triples (a, b, s) of `pairs`, of s at (a, b) and -s at (b, a), for
+    0 <= a, b < nvars.  Its integer rows are built from the pairs, with no
+    dense matrix."""
+    entries: Dict[Tuple[int, int], Fraction] = {}
     for a, b, s in pairs:
+        if not (0 <= a < nvars and 0 <= b < nvars):
+            raise ValueError(f"pair ({a}, {b}) is outside the {nvars} coordinates")
         s = Fraction(s)
-        matrix[a][b] += s
-        matrix[b][a] -= s
-    return SymplecticForm(matrix)
+        entries[a, b] = entries.get((a, b), 0) + s
+        entries[b, a] = entries.get((b, a), 0) - s
+    ints, den = linalg.integral(entries)
+    rows: IntegerRows = [[] for _ in range(nvars)]
+    for (a, b), x in sorted(ints.items()):
+        rows[a].append((b, x))
+    form = SymplecticForm.__new__(SymplecticForm)
+    form._build(rows, den)
+    return form
 
 
 def standard_form(n: int) -> SymplecticForm:

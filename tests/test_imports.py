@@ -1,10 +1,11 @@
 """What importing the package loads and binds.
 
 `legquad` exports its names lazily (PEP 562) and each command imports the
-layers it runs, so start-up compiles only those.  These tests pin the
-exported names, the modules each command loads, and the attributes of
-`legquad.cli` that perfbench's tracer patches: a command must call those
-through the module attribute, or a patched one misses the call."""
+layers it runs, so start-up compiles only those; only `--json` loads the
+report encoder.  These tests pin the exported names, the modules each
+command loads, and the attributes of `legquad.cli` that perfbench's tracer
+patches: a command must call those through the module attribute, or a
+patched one misses the call."""
 
 import importlib
 import json
@@ -103,9 +104,12 @@ _LOADED_AT_EXIT = (
 @pytest.mark.parametrize("argv, loads, skips", [
     (["classify", "--max-rank", "3", "--max-dim", "40"], {"classify", "rootdata"},
      {"groebner", "legendrian", "liealg", "catalog"}),
-    (["check", "{cubic}"], {"legendrian", "groebner"}, {"classify", "catalog"}),
+    (["check", "{cubic}"], {"legendrian", "groebner"}, {"classify", "catalog", "report"}),
     (["catalog"], {"catalog"}, {"groebner", "legendrian", "liealg"}),
-], ids=["classify", "check", "catalog"])
+    (["catalog", "twisted-cubic"], {"catalog"}, {"groebner", "legendrian", "liealg", "report"}),
+    (["--json", "classify", "--max-rank", "3", "--max-dim", "40"], {"classify", "rootdata", "report"},
+     {"groebner", "legendrian", "liealg", "catalog"}),
+], ids=["classify", "check", "catalog", "catalog-dump", "classify-json"])
 def test_each_command_imports_only_its_layers(tmp_path, argv, loads, skips):
     path = tmp_path / "cubic.txt"
     path.write_text(catalog.dump_entry(catalog.get_entry("twisted-cubic")))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from legquad import catalog
+from legquad import catalog, legendrian
 from legquad.legendrian import (
     VarietyPresentation,
     isotropy_identity,
@@ -103,9 +103,8 @@ def test_degenerate_flag_matches_the_hyperplane_oracle(entries):
     none of degree 0: it holds exactly when `degeneracy_check` finds a
     hyperplane through the variety, on every catalog entry and on seeded
     generators of degrees 1 to 3, repeated and opposite linear forms among
-    them.  (A constant generator makes the verdict raise, as the Groebner
-    certificate refuses the unit ideal.)  The flag does not depend on the
-    budget, so none is given."""
+    them.  (A constant generator has a test of its own, below.)  The flag
+    does not depend on the budget, so none is given."""
     cases = [entry.presentation for entry in entries.values()]
     rng = random.Random(41)
     for _ in range(300):
@@ -119,6 +118,34 @@ def test_degenerate_flag_matches_the_hyperplane_oracle(entries):
         assert flag == (degeneracy_check(pres) is not None), pres.generators
         flags.add(flag)
     assert flags == {False, True}
+
+
+def test_a_constant_generator_gives_the_empty_variety_a_verdict(monkeypatch):
+    """A nonzero constant among the generators makes the ideal the unit
+    ideal: every budget gets not-legendrian, bracket-closed and not
+    degenerate, with no dimension, certificate or budget, and one witness
+    naming the constant, and neither the closure pass nor F4 runs.  The
+    seeded lists mix the constant with generators of degrees 1 to 3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant generator needs no closure pass or basis")
+
+    monkeypatch.setattr(legendrian, "bracket_closure", refuse)
+    monkeypatch.setattr(legendrian, "initial_ideal", refuse)
+    rng = random.Random(42)
+    for _ in range(248):
+        gens = [_random_homog(rng, 4, rng.choice((0, 1, 2, 2, 3))) for _ in range(rng.randint(1, 4))]
+        if all(g.degree() for g in gens):
+            gens.insert(rng.randrange(len(gens) + 1), _random_homog(rng, 4, 0))
+        pres = VarietyPresentation("seeded", standard_form(2), gens)
+        k = next(i for i, g in enumerate(pres.generators) if g.degree() == 0)
+        witness = (f"generator {k} is the nonzero constant {pres.generators[k]}: "
+                   "the ideal is the unit ideal, the variety empty")
+        assert degeneracy_check(pres) is None
+        for budget in (0, 1, 5):
+            assert legendrian_verdict(pres, budget=budget).to_dict() == {
+                "bracket_closed": True, "dimension": None, "degenerate": False,
+                "verdict": "not-legendrian", "witnesses": [witness], "budget": None, "certificate": None,
+            }
 
 
 def test_budget_gives_undecided(entries):

@@ -7,7 +7,7 @@ import sympy
 
 import groebner_oracle
 from legquad.poly import Polynomial, parse_poly
-from legquad.symplectic import SymplecticForm, poisson_bracket, standard_form
+from legquad.symplectic import SymplecticForm, pairing_form, poisson_bracket, standard_form
 
 from linalg_oracle import identity, mat_scale, zeros
 from symplectic_oracle import (
@@ -172,6 +172,58 @@ def test_integer_rows_accept_and_reject_as_fractions_do(seed):
             assert _reading(m, dual) == expected
             outcomes[expected is not None] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
+
+
+def _dense_pairing(nvars, pairs):
+    """The form of `pairing_form` read through a dense matrix of Fractions."""
+    matrix = [[0] * nvars for _ in range(nvars)]
+    for a, b, s in pairs:
+        matrix[a][b] += Fraction(s)
+        matrix[b][a] -= Fraction(s)
+    return SymplecticForm(matrix)
+
+
+def _built(build, *args):
+    """The form's rows, dual and JSON text, or the message it is refused with."""
+    try:
+        form = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return form.dim, form.rows, form.den, form.dual_rows, form.dual_den, form.to_json()
+
+
+def test_pairing_forms_build_the_rows_of_the_dense_route():
+    """`pairing_form` builds its integer rows from the pairs; they, the
+    dual and the JSON text are those of the dense matrix, or both are
+    refused with one message: on `standard_form(n)` for n = 1 to 8 and on
+    seeded rational pairings with repeated, reversed and diagonal pairs,
+    some of them singular and some of odd size.  A pair outside the
+    coordinates is refused, where the dense route wrapped a negative one."""
+    for n in range(1, 9):
+        assert _built(standard_form, n) == _built(_dense_pairing, 2 * n, [(i, n + i, 1) for i in range(n)])
+    rng = random.Random(4300)
+
+    def weight():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
+        nvars = rng.choice((2, 3, 4, 6, 8))
+        coordinates = rng.sample(range(nvars), nvars)
+        pairs = [(coordinates[2 * k], coordinates[2 * k + 1], weight()) for k in range(nvars // 2)]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randrange(nvars), rng.randrange(nvars)
+            pairs.append((a, b, rng.choice((weight(), str(weight()), 0.5))))
+        if rng.random() < 0.3:
+            a, b, s = rng.choice(pairs)
+            pairs.append((b, a, s))  # cancels that pair's entries
+        expected = _built(_dense_pairing, nvars, pairs)
+        assert _built(pairing_form, nvars, pairs) == expected, pairs
+        outcomes[type(expected) is tuple] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 10
+    for pair in ((0, 4), (4, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="outside the 4 coordinates"):
+            pairing_form(4, [(*pair, 1)])
 
 
 def test_dual_override_must_be_scalar_multiple():
