@@ -15,9 +15,10 @@ encoder.
 
 Exit codes partition outcomes: 0 for a positive or neutral result, 2 for a
 mathematical negative (not legendrian, quadrics not closed, equation
-fails), 3 for a resource undecided, 1 for usage or parse errors.  A report's
-status is `undecided` exactly at exit 3 and `ok` otherwise, so a resource
-limit is never reported as a mathematical answer.  When standard output is closed before the report
+fails), 3 for an undecided answer (a resource ran out, or `algebra` met a
+simple factor that identification cannot name over Q), 1 for usage or
+parse errors.  A report's status is `undecided` exactly at exit 3 and `ok`
+otherwise, so a resource limit is never reported as a mathematical answer.  When standard output is closed before the report
 is written (`legquad ... | head -c 10`), the command exits quietly with 141,
 the status a shell reports for a process that SIGPIPE ended.
 """
@@ -267,7 +268,9 @@ def _cmd_nf(args) -> Answer:
 
 def _cmd_algebra(args) -> Answer:
     """The quadric algebra; a span the bracket leaves is a negative answer
-    naming every failing pair of generators, by their index in the file."""
+    naming every failing pair of generators, by their index in the file,
+    and a simple factor that identification cannot name over Q leaves the
+    types undecided, with the reason."""
     from .liealg import NotAdaptedError, NotClosedError, split_root_data
     pres = _load_presentation(args)
     index = [k for k, g in enumerate(pres.generators) if g.homogeneous_degree() == 2]
@@ -278,15 +281,20 @@ def _cmd_algebra(args) -> Answer:
         return {"file": args.file}, {"closed": False, "failing_pairs": pairs}, EXIT_NEGATIVE
     semisimple = algebra.is_semisimple()
     result = {"dim": algebra.dim, "semisimple": semisimple}
+    code = EXIT_OK
     if semisimple:
-        result["types"] = _module.identify_algebra(algebra)
+        try:
+            result["types"] = _module.identify_algebra(algebra)
+        except NotAdaptedError as exc:
+            result.update(types=None, types_reason=f"NotAdaptedError: {exc}")
+            code = EXIT_UNDECIDED
         try:
             full = split_root_data(algebra)
             result.update(cartan_rank=full.rank, root_count=len(full.roots))
         except NotAdaptedError as exc:
             # a non-split real form: no rational Cartan subalgebra to report
             result.update(cartan_rank=None, root_count=None, cartan_reason=f"NotAdaptedError: {exc}")
-    return {"file": args.file}, result, EXIT_OK
+    return {"file": args.file}, result, code
 
 
 def _require_positive(*flags: Tuple[str, Optional[int]]) -> None:

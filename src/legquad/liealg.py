@@ -37,18 +37,20 @@ root decomposition that `split_root_data` caches.
 
 Some fixtures present a rational form that admits no split Cartan (sums of
 squares cut out quadrics without rational points).  Those split into
-minimal ideals by the centroid, the operators that commute with every ad,
-one exact kernel: it is Q exactly on an absolutely simple piece, which
-proves the piece simple at every dimension, and its rational eigenspaces
-split the other pieces.  A centroid element keeps the one flattening of
-that kernel, X[p][r] at p d + r, through its minimal polynomial to its
-eigenspaces, and an integer Newton descent finds the rational roots of
-that polynomial in steps that grow with its coefficients' bit size
-(`_rational_roots`).  A piece that no centroid element splits, though
-its centroid is larger than Q, raises NotAdaptedError.  Each factor is named
-by the `rootdata` types of its rank whose algebra has its dimension, which
-fails, naming the candidates, when B and C (rank 3 and above) or B6, C6 and
-E6 collide.
+minimal ideals in one step by the centroid C, the operators that commute
+with every ad, one exact kernel over the whole algebra: it is a sum of
+fields, one per simple ideal, so it is Q exactly on an absolutely simple
+algebra, which proves it simple at every dimension, and an element of C
+with dim C distinct rational eigenvalues has the absolutely simple ideals
+as its eigenspaces (`decompose_ideals`).  A centroid element keeps the one
+flattening of that kernel, X[p][r] at p d + r, through its minimal
+polynomial to its eigenspaces, and an integer Newton descent finds the
+rational roots of that polynomial in steps that grow with its
+coefficients' bit size (`_rational_roots`).  An algebra that no such
+element splits has a simple ideal whose centroid is a field larger than Q,
+and raises NotAdaptedError.  Each factor is named by the `rootdata` types
+of its rank whose algebra has its dimension, which fails, naming the
+candidates, when B and C (rank 3 and above) or B6, C6 and E6 collide.
 """
 
 from __future__ import annotations
@@ -249,8 +251,8 @@ def bracket_closure(
         raise ValueError("generator does not match the form dimension")
     degrees = [g.degree() for g in gens]
     quadrics = all(e == 2 for e in degrees)
-    # no pair to test, or a constant generator, whose unit ideal holds every bracket
-    if not quadrics and (len(gens) < 2 or 0 in degrees):
+    # no pair to test, so no codec twice as wide as a lone generator
+    if not quadrics and len(gens) < 2:
         return [], None
     codec = MonomialCodec(form.dim, 2 * max(degrees, default=2))
     hams = [hamiltonian_terms(g, form, codec) for g in gens]
@@ -492,47 +494,42 @@ def _type_of_dimension(dim: int, rank: int) -> str:
 def decompose_ideals(algebra: LieAlgebraPresentation) -> List[Tuple[List[SparseVector], LieAlgebraPresentation]]:
     """Minimal ideals of a semisimple algebra, each proved absolutely
     simple: (its basis as sparse coordinate vectors over the input basis,
-    its presentation) for each, the algebra itself when it is simple, by
-    dimension and then by basis vectors (`_dense_order`).
+    its presentation) for each, by dimension and then by eigenvalue; the
+    algebra itself when its centroid C is the scalars.
 
-    A piece is split by its centroid (`_split_centroid`) until the centroid
-    of every piece is the scalars.  Raises NotAdaptedError for a piece
-    whose centroid is larger but has no rational eigenspace split: its
-    centroid is then a field larger than Q, and the piece is simple over Q
-    but not absolutely simple.
+    C is the sum of fields K_i, one acting on each simple ideal g_i, so
+    m = dim C = sum [K_i : Q] bounds the number of ideals, and an eigenspace
+    of an element of C is a nonzero ideal.  An element with m distinct
+    rational eigenvalues therefore has one simple ideal with K_i = Q, an
+    absolutely simple one, as each eigenspace.  Over the canonical basis
+    X_0, ..., X_(m-1) of C (`_centroid`), the first c_t = sum_k t^k X_k,
+    t = 1, 2, ..., with m of them (`_rational_eigenvalues`) splits the
+    algebra.  When every K_i = Q, c_t acts on g_i as a polynomial in t of
+    degree below m, two of which agree at fewer than m values of t, so
+    some t up to m (m - 1)^2 / 2 + 1 separates all m ideals.  Raises
+    NotAdaptedError when none does: some K_i is then larger than Q, and
+    that ideal is simple over Q but not absolutely simple.
     """
-    if algebra.dim == 0:
+    d = algebra.dim
+    if d == 0:
         return []
-    whole = [{i: Fraction(1)} for i in range(algebra.dim)]
-    pending: List[Tuple[List[SparseVector], LieAlgebraPresentation]] = [(whole, algebra)]
-    result: List[Tuple[List[SparseVector], LieAlgebraPresentation]] = []
-    while pending:
-        lift, sub = pending.pop()  # lift: the piece's basis in `algebra` coordinates
-        split = _split_centroid(sub)
-        if split is None:
-            result.append((lift, sub))
-            continue
-        for piece in split:
-            lifted = [_combine(lift, v) for v in piece]
-            pending.append((lifted, subalgebra_presentation(algebra, lifted)))
-    result.sort(key=lambda pair: (len(pair[0]), [_dense_order(v) for v in pair[0]]))
-    return result
-
-
-def _dense_order(vec: SparseVector) -> List[Tuple]:
-    """A key that orders sparse vectors as their dense coordinate lists: at
-    the first index where those differ, a negative entry ranks below zero
-    and a positive one above it, whatever follows."""
-    return [(0, i, x) if x < 0 else (2, -i, x) for i, x in sorted(vec.items())] + [(1,)]
-
-
-def _combine(vectors: List[SparseVector], coeffs: Mapping[int, Fraction]) -> SparseVector:
-    """sum_a coeffs[a] vectors[a], nonzero entries only."""
-    out: Dict[int, Fraction] = {}
-    for a, c in coeffs.items():
-        for i, x in vectors[a].items():
-            out[i] = out.get(i, 0) + c * x
-    return {i: x for i, x in out.items() if x}
+    centroid = _centroid(algebra)
+    m = len(centroid)
+    if m == 1:
+        return [([{i: Fraction(1)} for i in range(d)], algebra)]
+    for t in range(1, m * (m - 1) ** 2 // 2 + 2):
+        element: Dict[int, Fraction] = {}
+        for k, x in enumerate(centroid):
+            for index, v in x.items():
+                element[index] = element.get(index, 0) + t ** k * v
+        eigenvalues = _rational_eigenvalues(element, d)
+        if len(eigenvalues or ()) == m:
+            ideals = sorted(_split_by_eigenvalue(element, d, eigenvalues), key=len)
+            return [(basis, subalgebra_presentation(algebra, basis)) for basis in ideals]
+    raise NotAdaptedError(
+        f"an algebra of dimension {d} has a centroid of dimension {m} "
+        f"that no rational eigenspace splits into {m} ideals"
+    )
 
 
 def _centroid(algebra: LieAlgebraPresentation) -> List[SparseVector]:
@@ -546,32 +543,6 @@ def _centroid(algebra: LieAlgebraPresentation) -> List[SparseVector]:
         if span.add(row) and span.rank == d * d - 1:
             break
     return span.kernel(range(d * d))
-
-
-def _split_centroid(algebra: LieAlgebraPresentation) -> Optional[List[List[SparseVector]]]:
-    """None when the centroid is the scalars, which proves the algebra
-    absolutely simple; otherwise the rational eigenspaces, in increasing
-    eigenvalue order, of the first canonical centroid element that is
-    diagonalizable over Q with two or more eigenvalues.
-
-    A centroid element X commutes with every ad, so [a, Xb] = X[a, b] and
-    its eigenspaces are ideals.  The centroid of a semisimple algebra is the
-    sum of those of its simple factors, each a field acting on its factor,
-    and Q exactly on an absolutely simple one.  Raises NotAdaptedError when
-    no element splits.
-    """
-    d = algebra.dim
-    centroid = _centroid(algebra)
-    if len(centroid) == 1:
-        return None
-    for element in centroid:
-        eigenvalues = _rational_eigenvalues(element, d)
-        if len(eigenvalues or ()) > 1:
-            return _split_by_eigenvalue(element, d, eigenvalues)
-    raise NotAdaptedError(
-        f"a piece of dimension {d} has a centroid of dimension {len(centroid)} "
-        f"that no rational eigenspace splits"
-    )
 
 
 def _commutant_rows(mats: List[SparseAd], d: int) -> List[Dict[int, int]]:

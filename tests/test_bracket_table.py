@@ -9,14 +9,13 @@ from fractions import Fraction
 import pytest
 
 import liealg_oracle
-from legquad import liealg, linalg
+from legquad import linalg
 from legquad.liealg import (
     NotAdaptedError,
     NotClosedError,
     _centroid,
     _integer_ad,
     _sp_integer,
-    _split_centroid,
     cartan_subalgebra,
     close_and_present,
     decompose_ideals,
@@ -205,19 +204,9 @@ def test_mixed_basis_cartan_data_matches():
     assert any(len(vec) > 1 for _, vec in got.root_spaces)
 
 
-def visited_pieces(algebra, monkeypatch):
-    """Every presentation `decompose_ideals` tries to split."""
-    seen = []
-    original = liealg._split_centroid
-
-    def recording(sub):
-        seen.append(sub)
-        return original(sub)
-
-    monkeypatch.setattr(liealg, "_split_centroid", recording)
-    decompose_ideals(algebra)
-    monkeypatch.undo()
-    return seen
+def algebra_and_ideals(algebra):
+    """The algebra and every ideal `decompose_ideals` returns for it."""
+    return [algebra] + [sub for _, sub in decompose_ideals(algebra)]
 
 
 def dense_commutant_nullity(algebra):
@@ -247,15 +236,14 @@ def dense_commutant_nullity(algebra):
 
 
 @pytest.mark.parametrize("name", ("twisted-cubic", "segre-3", "segre-4", "segre-5", "segre-split-3"))
-def test_certificate_holds_exactly_when_the_commutant_is_the_scalars(entries, algebras, monkeypatch, name):
-    """On every piece the splitting visits, and on two relabelings, the
-    centroid has the dimension of sympy's kernel of the dense commutant
-    system, and is the scalars on some piece."""
-    algebra = algebras[name]
-    pieces = visited_pieces(algebra, monkeypatch)
+def test_certificate_holds_exactly_when_the_commutant_is_the_scalars(entries, algebras, name):
+    """On the algebra and every ideal the splitting returns, and on two
+    relabelings, the centroid has the dimension of sympy's kernel of the
+    dense commutant system, and is the scalars on some piece."""
+    pieces = algebra_and_ideals(algebras[name])
     for seed in (1, 2):
         relabeled = relabeled_algebra(entries[name].presentation, random.Random(f"{name}:{seed}"))
-        pieces += visited_pieces(relabeled, monkeypatch)
+        pieces += algebra_and_ideals(relabeled)
     dims = set()
     for sub in pieces:
         dim = len(_centroid(sub))
@@ -268,14 +256,14 @@ def test_segre_4_piece_with_a_two_dimensional_commutant_splits(algebras):
     """segre-4 = A1 + A1 + A1 has three 3-dimensional ideals.  The sum of
     two of them, in the basis of the sums and differences of their basis
     vectors, has a centroid of dimension 2, so it is not claimed simple and
-    its centroid splits it into the two ideals."""
+    `decompose_ideals` splits it into the two ideals."""
     algebra = algebras["segre-4"]
     (first, _), (second, _), _ = decompose_ideals(algebra)
     straddling = [_combination([u, v], {0: 1, 1: s}) for s in (1, -1) for u, v in zip(first, second)]
     sub = subalgebra_presentation(algebra, straddling)
     assert len(_centroid(sub)) == 2 == dense_commutant_nullity(sub)
-    split = _split_centroid(sub)
-    assert split is not None and sorted(len(p) for p in split) == [3, 3]
+    split = [piece for piece, _ in decompose_ideals(sub)]
+    assert [len(p) for p in split] == [3, 3]
     for piece in split:
         lifted = [_combination(straddling, v) for v in piece]
         assert any(all(ideal.contains(w) for w in lifted) for ideal in (_span(first), _span(second)))

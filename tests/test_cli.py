@@ -248,6 +248,37 @@ def test_algebra_splits_a_basis_that_hides_a_factor(capsys, tmp_path):
     assert payload["result"]["dim"] == 6 and payload["result"]["types"] == ["A1", "A1"]
 
 
+@pytest.mark.parametrize("chart, dim, reason", [
+    ("y0^3 + 2*y1^3 + 4*y2^3 - 6*y0*y1*y2", 9, "an algebra of dimension 9 has a centroid of dimension 3 "),
+    ("y0*(y1^2 + y2^2)", 9, "an algebra of dimension 9 has a centroid of dimension 3 "),
+    (None, 36, "non-split factor of dimension 36 and rank 4 matches 2 simple types: B4, C4"),
+])
+def test_algebra_that_identification_cannot_name_is_undecided(capsys, tmp_path, chart, dim, reason):
+    """A closed semisimple span with a simple factor that no type is proved
+    for over Q is undecided, exit 3, not an input error: the x_f charts at
+    implicit degree 2 of a norm cubic and of y0 (y1^2 + y2^2), whose
+    centroids are larger than Q, and the anisotropic so(9), which B4 and C4
+    share."""
+    from test_liealg import _so_quadrics
+
+    if chart is None:
+        text = "n=9\n" + "".join(f"{q}\n" for q in _so_quadrics(9, 9))
+    else:
+        text = catalog.dump_entry(catalog.x_f(parse_poly(chart, 3), implicit_degree=2))
+    path = tmp_path / "unnamed.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "--json", "algebra", str(path))
+    assert code == EXIT_UNDECIDED and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "undecided"
+    result = payload["result"]
+    assert list(result) == ["dim", "semisimple", "types", "types_reason", "cartan_rank", "root_count", "cartan_reason"]
+    assert result["dim"] == dim and result["semisimple"] is True and result["types"] is None
+    assert result["types_reason"].startswith("NotAdaptedError: " + reason)
+    assert result["cartan_rank"] is None and result["root_count"] is None
+    assert result["cartan_reason"].startswith("NotAdaptedError")
+
+
 def test_algebra_on_a_large_coefficient_answers_at_once(tmp_path):
     """segre-4, a sum-of-squares model that only the centroid split names,
     with its first generator times 10^12: its centroid elements' minimal
@@ -622,7 +653,8 @@ def test_closed_stdout_exits_quietly():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()  # before the child can have imported legquad
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE
     assert err == b""
 

@@ -5,13 +5,12 @@ from fractions import Fraction
 import pytest
 
 import liealg_oracle
-from legquad import catalog, linalg
+from legquad import catalog
 from legquad.liealg import (
     CartanData,
     LieAlgebraPresentation,
     NotAdaptedError,
     NotClosedError,
-    _dense_order,
     _integer_ad,
     _rational_eigenvalues,
     _rational_roots,
@@ -25,7 +24,7 @@ from legquad.liealg import (
     split_root_data,
     subalgebra_presentation,
 )
-from legquad.poly import parse_poly
+from legquad.poly import Polynomial, parse_poly
 from legquad.rootdata import build_root_system, match_cartan, simple_types_up_to, type_key
 from legquad.symplectic import SymplecticForm, standard_form
 
@@ -487,18 +486,6 @@ def test_vectors_over_the_basis_are_sparse(entries, algebras):
             assert all(type(x) is Fraction and x for x in v.values())
 
 
-def test_ideals_keep_the_order_of_their_dense_bases():
-    """`decompose_ideals` sorts sparse vectors by `_dense_order`, which
-    orders them as their dense coordinate lists compare."""
-    rng = random.Random(3)
-    for _ in range(200):
-        dim = rng.randint(1, 5)
-        vecs = [{i: Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
-                 for i in range(dim) if rng.random() < 0.5} for _ in range(6)]
-        by_key = sorted(vecs, key=_dense_order)
-        assert [dense(v, dim) for v in by_key] == sorted(dense(v, dim) for v in vecs)
-
-
 def test_simple_factor_with_a_larger_centroid_is_not_adapted():
     """so(4) of x0^2 + x1^2 + x2^2 + 2 x3^2 is simple over Q, but its
     centroid is Q(sqrt 2), of dimension 2: it is not absolutely simple, so
@@ -509,6 +496,80 @@ def test_simple_factor_with_a_larger_centroid_is_not_adapted():
         decompose_ideals(L)
     with pytest.raises(NotAdaptedError, match="centroid of dimension 2 "):
         identify_algebra(L)
+
+
+def test_ideals_with_a_larger_centroid_are_not_adapted():
+    """so(3) of x0^2 + x1^2 + x2^2 plus so(4) of x3^2 + x4^2 + x5^2 + 2 x6^2:
+    the centroid Q + Q(sqrt 2) has dimension 3, and no element of it has 3
+    rational eigenvalues, so the whole algebra is refused, named by its
+    centroid's dimension."""
+    L = close_and_present(_so_quadrics(3, 7) + _so_quadrics(4, 7, offset=3, weights=[1, 1, 1, 2]), standard_form(7))
+    assert L.dim == 9 and L.is_semisimple()
+    message = "an algebra of dimension 9 has a centroid of dimension 3 that no rational eigenspace splits into 3 ideals"
+    with pytest.raises(NotAdaptedError, match=f"^{message}$"):
+        decompose_ideals(L)
+    with pytest.raises(NotAdaptedError, match=f"^{message}$"):
+        identify_algebra(L)
+
+
+def test_the_centroid_search_goes_past_t_2(monkeypatch):
+    """so(3) + so(3) + so(3) of sums of squares on disjoint coordinates, in
+    seeded integer 3 x 3 basis changes of the factors: each splits into its
+    three 3-dimensional ideals.  Some changes need c_3, as c_1 and c_2 have
+    2 rational eigenvalues there, and the search reads c_1, c_2, c_3."""
+    from legquad import liealg
+
+    factors = [_so_quadrics(3, 9, offset=3 * j) for j in range(3)]
+    counts = []
+    original = liealg._rational_eigenvalues
+
+    def counted(x, d):
+        eigenvalues = original(x, d)
+        counts.append(len(eigenvalues or ()))
+        return eigenvalues
+
+    monkeypatch.setattr(liealg, "_rational_eigenvalues", counted)
+    rng = random.Random(0)
+    searches = []
+    while len(searches) < 60:
+        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if not det(rows):
+            continue
+        basis = [sum((f[k].scale(c) for c, f in zip(row, factors)), Polynomial.zero(18))
+                 for row in rows for k in range(3)]
+        L = close_and_present(basis, standard_form(9))
+        counts.clear()
+        ideals = decompose_ideals(L)
+        assert [len(vectors) for vectors, _ in ideals] == [3, 3, 3], rows
+        assert all(sub.dim == 3 and sub.is_semisimple() for _, sub in ideals)
+        searches.append(tuple(counts))
+    assert set(searches) == {(3,), (2, 3), (2, 2, 3)}
+
+
+def test_identification_computes_one_centroid(entries, algebras, monkeypatch):
+    """`identify_algebra` computes the centroid once on the sum-of-squares
+    models segre-3/4/5, whose ideals it splits in one step, and never on an
+    algebra with a split torus."""
+    from legquad import liealg
+
+    calls = []
+    original = liealg._centroid
+
+    def counted(algebra):
+        calls.append(algebra)
+        return original(algebra)
+
+    monkeypatch.setattr(liealg, "_centroid", counted)
+    sums_of_squares = ("segre-3", "segre-4", "segre-5")
+    for name in sums_of_squares + ("twisted-cubic", "segre-split-3", "segre-split-4", "segre-split-5",
+                                   "gr36", "grl36", "spinor-s6", "e7", "xf-cubic-2", "linear-lagrangian"):
+        pres = entries[name].presentation
+        algebra = algebras.get(name) or close_and_present(
+            [g for g in pres.generators if g.homogeneous_degree() == 2], pres.form
+        )
+        calls.clear()
+        identify_algebra(algebra)
+        assert len(calls) == (name in sums_of_squares), name
 
 
 def test_segre_requires_n_at_least_3():
