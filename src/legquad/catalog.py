@@ -237,9 +237,10 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
     by den_p / den_c.  Columns of different image degree share no row, so
     each image degree is one tracked `Echelon` over its columns in order: a
     column in the span of the earlier ones is free, and its coefficients
-    over them, read once every column is in, as they are unique, are its
-    kernel vector.  A column that alone holds an image monomial is forced
-    to zero and left out; one of zero image is free, its own form.
+    over the columns stored (`combination`), read once every column is in,
+    as they are unique, are its kernel vector.  A column that alone holds an
+    image monomial is forced to zero and left out; one of zero image is
+    free, its own form.
     """
     codec = MonomialCodec(par[0].nvars, max(degree * max(p.degree() for p in par), 1))
     ambient = MonomialCodec(nv, degree)
@@ -268,9 +269,10 @@ def _implicit_forms(par: Sequence[Polynomial], nv: int, degree: int) -> List[Pol
         holders = Counter(chain.from_iterable(block.values()))
         ech = linalg.Echelon(track=True)
         kept = [col for col in sorted(block) if min(map(holders.__getitem__, block[col])) > 1]
-        for col in [col for col in kept if not ech.add(block[col])]:
-            form = {kept[i]: Fraction(-x.numerator * dens[kept[i]], x.denominator * dens[col])
-                    for i, x in ech.coefficients(block[col]).items()}
+        stored = [col for col in kept if ech.add(block[col])]
+        for col in sorted(set(kept).difference(stored)):
+            ints, scale = ech.combination(block[col])
+            form = {stored[i]: Fraction(-x * dens[stored[i]], scale * dens[col]) for i, x in ints.items()}
             form[col] = Fraction(1)
             forms[col] = form
     return [ambient.polynomial(forms[col]) for col in sorted(forms)]

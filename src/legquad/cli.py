@@ -45,6 +45,8 @@ EXIT_UNDECIDED = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 MAX_XF_VARIABLES = 1000  # an xf chart in m variables has 2m + 2 coordinates
 MAX_N = MAX_XF_VARIABLES + 1  # the largest 'n=', that of the largest xf chart
+# an integer a user types: optional sign, ASCII digits (`int` reads any script's)
+_INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*")
 
 
 class InputError(ValueError):
@@ -201,10 +203,19 @@ def _cmd_check(args) -> Answer:
     return {"file": args.file, "n": pres.half_dim}, verdict.to_dict(), code[verdict.verdict]
 
 
+def _integer(text: str) -> int:
+    """An integer argument (`_INTEGER`); argparse names the flag of a bad one."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_poly_or_index(token: str, pres: VarietyPresentation) -> Polynomial:
+    """A generator by its index, an `_integer`; `parse_poly` reads any other
+    token, or refuses it at its position."""
     try:
-        index = int(token)
-    except ValueError:
+        index = _integer(token)
+    except (argparse.ArgumentTypeError, ValueError):  # ValueError: past Python's digit limit
         return parse_poly(token, pres.nvars)
     if not 0 <= index < len(pres.generators):
         raise InputError(
@@ -390,7 +401,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable reports")
     parser.add_argument("--text", dest="json", action="store_false", help="emit plain text (default)")
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_integer, default=None,
                         help="cap on processed S-pairs in basis computations")
     parser.add_argument("--form", default=None,
                         help="override the input file's form: 'standard', a JSON file path, or json:<...>")
@@ -420,8 +431,8 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_algebra)
 
     p = sub.add_parser("classify", help="rerun the classification scan")
-    p.add_argument("--max-rank", type=int, default=8)
-    p.add_argument("--max-dim", type=int, default=None,
+    p.add_argument("--max-rank", type=_integer, default=8)
+    p.add_argument("--max-dim", type=_integer, default=None,
                    help="an extra cap on dim V; the scan's own caps are derived")
     p.set_defaults(func=_cmd_classify)
 
@@ -437,7 +448,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xf", help="build the chart variety of a form and self-check")
     p.add_argument("poly")
-    p.add_argument("--implicit-degree", type=int, default=None)
+    p.add_argument("--implicit-degree", type=_integer, default=None)
     p.set_defaults(func=_cmd_xf)
     return parser
 

@@ -241,10 +241,10 @@ def bracket_closure(
     degree d = e_i + e_j - 2.  Each generator is packed once on monomial
     codes, of a codec sized for twice the largest degree (too high a
     degree raises ValueError), and a bracket is d_i * d_j * d_W times the
-    true one.  For quadrics, I_2 is the tracked span of the packed rows, on
-    the generators that enlarge it (`Echelon.stored_inputs`), and a bracket
-    read off it (`combination`) is None outside, or the constants over one
-    denominator, reduced once.
+    true one.  For quadrics, I_2 is the tracked span of the packed rows, and
+    the generators that `add` stores in it are the basis, in order; a
+    bracket read off it (`combination`) is None outside, or the constants
+    over that basis, indexed as it is, over one denominator, reduced once.
     """
     gens = list(generators)
     if any(g.nvars != form.dim for g in gens):
@@ -259,10 +259,9 @@ def bracket_closure(
     spans: Dict[int, linalg.Echelon] = {}
     if quadrics:
         quadric_span = linalg.Echelon(track=True)
-        for terms, den, *_ in hams:
-            quadric_span.add(terms, den)
-        position = {i: a for a, i in enumerate(quadric_span.stored_inputs)}  # generator index -> basis index
-    brackets: List[Tuple[int, int, Dict[int, int], int]] = []  # (a, b, n, q): [b_a, b_b] = sum_k (n_k / q) g_k
+        basis = [k for k, (terms, den, *_) in enumerate(hams) if quadric_span.add(terms, den)]
+        position = {k: a for a, k in enumerate(basis)}  # generator index -> basis index
+    brackets: List[Tuple[int, int, Dict[int, int], int]] = []  # (a, b, n, q): [b_a, b_b] = sum_k (n_k / q) b_k
     failing: List[Tuple[int, int]] = []
     fields = [field for *_, field in hams]
     for i, (_, den_i, grad_i, _) in enumerate(hams):
@@ -277,16 +276,15 @@ def bracket_closure(
                     failing.append((i, j))
             elif (read := quadric_span.combination(br)) is None:
                 failing.append((i, j))
-            elif i in position and j in position:  # d_i d_j d_W [g_i, g_j] = sum_k (n_k / scale) g_k
+            elif i in position and j in position:  # d_i d_j d_W [g_i, g_j] = sum_k (n_k / scale) b_k
                 ints, scale = read
                 brackets.append((position[i], position[j], ints, scale * den_i * hams[j][1] * form.dual_den))
     if failing or not quadrics:
         return failing, None
-    basis = quadric_span.stored_inputs
     den = math.lcm(*[q // math.gcd(q, *ints.values()) for _, _, ints, q in brackets])
     table: BracketTable = [{} for _ in basis]
     for a, b, ints, q in brackets:
-        terms = table[a][b] = [(position[k], n * den // q) for k, n in ints.items()]
+        terms = table[a][b] = [(k, n * den // q) for k, n in ints.items()]
         table[b][a] = [(k, -n) for k, n in terms]
     variable = {u: v for v, u in enumerate(codec.units)}
     images = []

@@ -7,8 +7,8 @@ fraction-free with their content divided out, which suits the sparse
 systems the package solves (Groebner steps and normal forms, quadric spans,
 ad-matrices, centroid systems of d^3 rows in d^2 columns).  `Echelon.kernel`
 and `sparse_nullspace` give canonical kernel bases, and a tracked `Echelon`
-writes a vector over its input rows off its reduced rows, which gives the
-symplectic form its dual and the quadric algebras their structure
+writes a vector over the rows it stored off its reduced rows, which gives
+the symplectic form its dual and the quadric algebras their structure
 constants.  The dense routes are test oracles (`tests/linalg_oracle.py`).
 """
 
@@ -61,7 +61,7 @@ def _primitive(work: SparseRow, combo: Optional[SparseRow]) -> None:
 
 class Echelon:
     """Sparse row echelon form over Q, fraction-free, with optional
-    coefficient recovery against the input rows.
+    coefficient recovery against the rows it stored.
 
     Rows map column to integer.  Each stored row has its content divided
     out (jointly with its coefficients, when they are tracked), a positive
@@ -71,8 +71,9 @@ class Echelon:
     pivot columns in increasing order, so the entries such a row keeps in
     other pivot columns are cleared after it.  `pivots` lists the leading
     columns in increasing order.  With `track=True` each row also carries
-    its integer coefficients over the (denominator-cleared) input rows,
-    eliminated alongside it, from which `combination` reads a vector.
+    its integer coefficients, eliminated alongside it, over the inputs that
+    `add` stored (returned True for), numbered in that order, each cleared
+    of its denominators by one integer scale; `combination` reads them.
 
     The elimination takes a row's pivot columns off a heap: it starts with
     the row's own, and each elimination pushes the pivot columns it adds,
@@ -88,9 +89,7 @@ class Echelon:
         self.pivots: List[int] = []
         self.rows: Dict[int, SparseRow] = {}  # leading column -> row, in insertion order
         self._combos: Optional[Dict[int, SparseRow]] = {} if track else None
-        self._denominators: List[int] = []
-        # tracked: the inputs stored as rows, in order, over which alone `combination` writes
-        self.stored_inputs: List[int] = []
+        self._scales: List[int] = []  # tracked: stored input i is (its integer row) / _scales[i]
         self._reduced = True
 
     @property
@@ -129,10 +128,7 @@ class Echelon:
         """Insert the row vec / den (vec: column -> rational); False when it
         lies in the span."""
         work, d = integral(vec)
-        combo = None
-        if self._combos is not None:
-            combo = {len(self._denominators): 1}
-            self._denominators.append(d * den)
+        combo = None if self._combos is None else {len(self._scales): 1}
         self._reduce(work, combo)
         if not work:
             return False
@@ -143,14 +139,16 @@ class Echelon:
         self._reduced = False
         if combo is not None:
             self._combos[lead] = combo
-            self.stored_inputs.append(len(self._denominators) - 1)
+            self._scales.append(d * den)
         return True
 
     def adopt(self, row: SparseRow) -> None:
         """Store a row that is already in stored form, with no elimination:
         integer entries with content 1 and a positive leading entry.  Its
         leading column must not be a pivot yet; its other entries may lie in
-        pivot columns.  `row` is kept, not copied."""
+        pivot columns.  `row` is kept, not copied; a tracked span refuses it."""
+        if self._combos is not None:
+            raise ValueError("a tracked span adopts no row")
         if not row or not all(type(x) is int and x for x in row.values()):
             raise ValueError("an adopted row has nonzero integer entries")
         lead = min(row)
@@ -161,10 +159,6 @@ class Echelon:
         insort(self.pivots, lead)
         self.rows[lead] = row
         self._reduced = False
-        if self._combos is not None:
-            self._combos[lead] = {len(self._denominators): 1}
-            self.stored_inputs.append(len(self._denominators))
-            self._denominators.append(1)
 
     def remainder(self, vec: Mapping) -> Dict[int, Fraction]:
         """vec minus a vector of the span, with no entry in a pivot column
@@ -176,21 +170,13 @@ class Echelon:
     def contains(self, vec: Mapping) -> bool:
         return not self.remainder(vec)
 
-    def coefficients(self, vec: Mapping) -> Optional[Dict[int, Fraction]]:
-        """vec over the input rows (input index -> nonzero Fraction) by
-        `combination`, or None when it is outside the span."""
-        work, d = integral(vec)
-        if (found := self.combination(work)) is None:
-            return None
-        return {i: Fraction(x, found[1] * d) for i, x in found[0].items()}
-
     def combination(self, work: SparseRow) -> Optional[Tuple[SparseRow, int]]:
-        """(c, s) with the integer row `work` = sum_i (c[i] / s) * input_i, c
-        in input order, or None outside the span; needs track=True.  On the
-        reduced span row p alone has an entry in pivot column p, its lead
-        l_p, so a vector of it is the sum of (work[p] / l_p) * row p: one
-        pass over those rows over s the lcm of the leads met, and one
-        residual check."""
+        """(c, s) with the integer row `work` = sum_i (c[i] / s) * input_i
+        over the stored inputs, i in storing order, or None outside the
+        span; needs track=True.  On the reduced span row p alone has an
+        entry in pivot column p, its lead l_p, so a vector of it is the sum
+        of (work[p] / l_p) * row p: one pass over those rows over s the lcm
+        of the leads met, and one residual check."""
         if not self._reduced:
             self.reduce_fully()
         rows, combos = self.rows, self._combos
@@ -208,9 +194,9 @@ class Echelon:
         scaled = work if scale == 1 else {k: scale * x for k, x in work.items()}
         if acc != scaled and {k: x for k, x in acc.items() if x} != scaled:
             return None
-        # row p = sum_i combos[p][i] * (denominator_i * input_i)
-        dens = self._denominators
-        return {i: c * dens[i] for i, c in sorted(combo.items()) if c}, scale
+        # row p = sum_i combos[p][i] * (scale_i * input_i)
+        scales = self._scales
+        return {i: c * scales[i] for i, c in sorted(combo.items()) if c}, scale
 
     def reduce_fully(self) -> None:
         """Clear each pivot column in the rows above it too, so that every

@@ -31,7 +31,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import chain, compress
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
@@ -48,9 +48,10 @@ class SymplecticForm:
     `rows[i]` lists a pair (j, a) per J_ij != 0, in column order, with
     J_ij = a / `den`, den the least common denominator of J's entries.  The
     bracket kernel reads the dual matrix, -J^{-1}, the same way
-    (`dual_rows` over `dual_den`), each unit vector written over J's rows
-    by one tracked `linalg.Echelon`.  Each distinct entry of a matrix is
-    read once (`_rational`), and the checks run on the integer rows.
+    (`dual_rows` over `dual_den`), each unit vector written in integers over
+    J's rows, every one of them stored, by one tracked `linalg.Echelon`.
+    Each distinct entry of a matrix is read once (`_rational`), and the
+    checks run on the integer rows.
 
     `dual_matrix` may be supplied when a fixture's conventional bracket
     normalization differs from the computed dual by a nonzero scalar; the
@@ -80,9 +81,9 @@ class SymplecticForm:
             span = linalg.Echelon(track=True)
             if not all(span.add(dict(row), den) for row in rows):
                 raise ValueError("symplectic form matrix must be invertible")
-            dual = [{j: -x for j, x in span.coefficients({i: 1}).items()} for i in range(dim)]
-            dual_den = lcm(*[w.denominator for row in dual for w in row.values()])
-            dual_rows = [[(j, w.numerator * (dual_den // w.denominator)) for j, w in row.items()] for row in dual]
+            reads = [span.combination({i: 1}) for i in range(dim)]  # e_i = sum_j (c_j / s) J_j: every row is stored
+            dual_den = lcm(*[s // gcd(s, *c.values()) for c, s in reads])
+            dual_rows = [[(j, -x * dual_den // s) for j, x in c.items()] for c, s in reads]
             scalar = Fraction(1)
         else:
             dual_dense, dual_den = _integer_rows(dual_matrix)

@@ -75,15 +75,16 @@ def bracket(grad_f: Gradient, grad_g: Gradient, form: SymplecticForm) -> Dict[Ex
 
 
 def _heap_coefficients(span: linalg.Echelon, vec: Mapping[int, Fraction]) -> Optional[Dict[int, Fraction]]:
-    """vec over the inputs of a tracked span that is never reduced, by the
-    heap elimination `Echelon.add` runs, or None outside the span: the way
-    the package wrote vectors before it read them off a reduced span."""
+    """vec over the stored inputs of a tracked span that is never reduced,
+    by the heap elimination `Echelon.add` runs, or None outside the span:
+    the way the package wrote vectors before it read them off a reduced
+    span."""
     work, den = linalg.integral(vec)
     combo: Dict[int, int] = {}
-    m = span._reduce(work, combo)  # work = m * den * vec + sum_i combo[i] * (d_i * input_i)
+    m = span._reduce(work, combo)  # work = m * den * vec + sum_i combo[i] * (scale_i * input_i)
     if work:
         return None
-    return {i: Fraction(-combo[i] * span._denominators[i], m * den) for i in sorted(combo)}
+    return {i: Fraction(-combo[i] * span._scales[i], m * den) for i in sorted(combo)}
 
 
 def structure_constants(quadrics: Sequence[Polynomial], form: SymplecticForm) -> StructureConstants:

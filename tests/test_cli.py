@@ -590,6 +590,47 @@ def test_bracket_generator_index_out_of_range(capsys, tmp_path, index):
     assert f"generator index {index} out of range" in err and "2 generators" in err
 
 
+_LONG = "1" * 5000
+_LIMIT = f"an integer of 5000 digits is above the limit of {sys.get_int_max_str_digits()}"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["bracket", "{file}", "\u0662", "0"], EXIT_USAGE, "error: expected a coefficient, variable or '(' (at position 0)"),
+    (["bracket", "{file}", "0_1", "0"], EXIT_USAGE, "error: trailing input (at position 1)"),
+    (["bracket", "{file}", _LONG, "0"], EXIT_USAGE, f"error: {_LIMIT} (at position 0)"),
+    (["classify", "--max-rank", "\u0662"], EXIT_USAGE,
+     "argument --max-rank: expected an integer in ASCII digits, got '\u0662'"),
+    (["classify", "--max-dim", "1_0"], EXIT_USAGE, "argument --max-dim: expected an integer in ASCII digits, got '1_0'"),
+    (["--budget", "\u0660", "check", "{file}"], EXIT_USAGE,
+     "argument --budget: expected an integer in ASCII digits, got '\u0660'"),
+    (["--budget", _LONG, "check", "{file}"], EXIT_USAGE, "argument --budget: invalid _integer value"),
+    (["xf", "y0^3", "--implicit-degree", "\u0662"], EXIT_USAGE,
+     "argument --implicit-degree: expected an integer in ASCII digits, got '\u0662'"),
+    (["bracket", "{file}", "5", "0"], EXIT_USAGE, "generator index 5 out of range"),
+    (["bracket", "{file}", "-1", "0"], EXIT_USAGE, "generator index -1 out of range"),
+    (["--json", "bracket", "{file}", "+1", "0"], EXIT_OK, '"f": "x1*x3"'),
+    (["--json", "bracket", "{file}", " 1 ", "0"], EXIT_OK, '"f": "x1*x3"'),
+    (["--json", "bracket", "{file}", "2", "0"], EXIT_OK, '"f": "x0^2"'),
+    (["--json", "classify", "--max-rank", " +2 ", "--max-dim", "010"], EXIT_OK, '"max_dim": 10'),
+], ids=["arabic-index", "underscore-index", "long-index", "arabic-max-rank", "underscore-max-dim",
+        "arabic-budget", "long-budget", "arabic-implicit-degree", "index-5", "index-minus-1", "index-plus-1",
+        "index-spaces", "index-2", "flags-sign-and-zeros"])
+def test_command_line_integers_are_ascii_digits(capsys, tmp_path, argv, code, text):
+    """Every integer a user types, a generator index or a flag's value, is
+    an optional sign and ASCII digits with whitespace around: a token that
+    `int` alone reads, in another script's digits or with an underscore,
+    is a polynomial that `parse_poly` refuses at its position, or a flag's
+    value that argparse refuses naming the flag; exit 1 either way."""
+    path = tmp_path / "three.txt"
+    path.write_text("n=2\nx0*x2\nx1*x3\nx0^2\n")
+    got, out, err = run(capsys, *[arg.replace("{file}", str(path)) for arg in argv])
+    assert got == code
+    if code == EXIT_USAGE:
+        assert out == "" and text in err
+    else:
+        assert text in out
+
+
 def test_reports_roundtrip_json(capsys, tmp_path):
     path = tmp_path / "four.txt"
     path.write_text("n=2\nx0*x2\nx1*x3\n")

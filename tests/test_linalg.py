@@ -171,6 +171,16 @@ def test_kernel_edge_cases():
         linalg_oracle.inverse(dup[:2])
 
 
+def _read(span, kept, vec):
+    """vec over the inputs `kept` that a tracked span stored, in order, as
+    Fractions, by `combination`, or None outside the span."""
+    work, den = linalg.integral(vec)
+    if (found := span.combination(work)) is None:
+        return None
+    ints, scale = found
+    return {kept[i]: Fraction(x, scale * den) for i, x in ints.items()}
+
+
 def test_span_membership_recovers_coefficients():
     rng = random.Random(7)
     for _ in range(40):
@@ -179,7 +189,6 @@ def test_span_membership_recovers_coefficients():
                   for row in _random_sparse(rng, rng.randint(1, 8), cols)]
         span = linalg.Echelon(track=True)
         kept = [i for i, row in enumerate(inputs) if span.add(row)]
-        assert span.stored_inputs == kept
         assert span.rank == len(kept) == len(_rref(
             [[row.get(j, Fraction(0)) for j in range(cols)] for row in inputs])[1])
         plain = linalg.Echelon()
@@ -196,17 +205,17 @@ def test_span_membership_recovers_coefficients():
                 vec[j] = vec.get(j, Fraction(0)) + w * x
         vec = {j: x for j, x in vec.items() if x}
         assert span.contains(vec)
-        assert span.coefficients(vec) == {i: w for i, w in weights.items() if w}
+        assert _read(span, kept, vec) == {i: w for i, w in weights.items() if w}
         # a nonzero entry in a column without a pivot puts a vector off the span
         free = [j for j in range(cols) if j not in span.pivots]
         if free:
             vec[free[0]] = vec.get(free[0], Fraction(0)) + 1
             assert not span.contains(vec)
-            assert span.coefficients(vec) is None
+            assert _read(span, kept, vec) is None
 
 
 def test_reduced_span_reads_coefficients_like_a_dense_solve():
-    """`coefficients` reads a vector off the reduced tracked span: on random
+    """`combination` reads a vector off the reduced tracked span: on random
     sparse systems it equals the dense solve of `linalg_oracle` over the
     stored inputs, and gives None exactly where that solve has no solution.
     Adding rows after a read leaves the span unreduced, and the next read
@@ -218,10 +227,9 @@ def test_reduced_span_reads_coefficients_like_a_dense_solve():
                   for row in _random_sparse(rng, rng.randint(2, 9), cols)]
         span = linalg.Echelon(track=True)
         half = len(inputs) // 2
-        for stage in (inputs[:half], inputs[half:]):
-            for row in stage:
-                span.add(row)
-            kept = span.stored_inputs
+        kept = []
+        for stage in (range(half), range(half, len(inputs))):
+            kept += [i for i in stage if span.add(inputs[i])]
             columns = [[inputs[i].get(j, Fraction(0)) for i in kept] for j in range(cols)]
             for _ in range(4):
                 weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in kept]
@@ -229,7 +237,7 @@ def test_reduced_span_reads_coefficients_like_a_dense_solve():
                 if rng.random() < 0.4:
                     vec[rng.randrange(cols)] += rng.randint(1, 3)
                 x = linalg_oracle.solve(columns, vec) if kept else (None if any(vec) else [])
-                read = span.coefficients({j: v / 2 for j, v in enumerate(vec) if v})
+                read = _read(span, kept, {j: v / 2 for j, v in enumerate(vec) if v})
                 if x is None:
                     assert read is None
                 else:
@@ -294,15 +302,17 @@ class _WalkEchelon(linalg.Echelon):
 
 
 def _eliminations(echelon, adopted, added):
-    """Adopt, then add; what is stored, in insertion order, and every
-    coefficient and remainder read back."""
-    span = echelon(track=True)
+    """Adopt, then add, on an untracked span, and add alone on a tracked
+    one; what each stores, in insertion order, and every remainder and
+    combination read back."""
+    span, tracked = echelon(), echelon(track=True)
     for row in adopted:
         span.adopt(dict(row))
     enlarged = [span.add(row) for row in added]
+    kept = [i for i, row in enumerate(added) if tracked.add(row)]
     probes = added + [{j: x + 1 for j, x in row.items()} for row in added]
-    read = [(span.coefficients(v), span.remainder(v)) for v in probes]
-    return enlarged, list(span.rows.items()), span.pivots, read
+    read = [(span.remainder(v), tracked.remainder(v), _read(tracked, kept, v)) for v in probes]
+    return enlarged, list(span.rows.items()), span.pivots, list(tracked.rows.items()), tracked.pivots, read
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,8 +345,31 @@ def test_adopt_rejects_rows_not_in_stored_form():
         span.adopt({})
     assert span.pivots == [1] and span.rows == {1: {1: 2, 3: -3}}
     tracked = linalg.Echelon(track=True)
-    tracked.adopt({0: 1, 2: 3})
-    assert tracked.coefficients({0: 2, 2: 6}) == {0: 2}
+    with pytest.raises(ValueError, match="tracked span adopts no row"):
+        tracked.adopt({0: 1, 2: 3})
+    assert tracked.pivots == [] and tracked.rows == {}
+
+
+def test_combination_indexes_the_stored_rows():
+    """An input that `add` does not store takes no index: with 2 r0 between
+    r0 and r1, r1 reads back as stored row 1, the third input."""
+    r0, r1 = {0: 1, 2: 3}, {1: 2, 2: -1}
+    span = linalg.Echelon(track=True)
+    stored = [i for i, row in enumerate((r0, {0: 2, 2: 6}, r1)) if span.add(row)]
+    assert stored == [0, 2]
+    ints, scale = span.combination(r1)
+    assert ints == {1: scale}
+    assert _read(span, stored, {0: 2, 1: -2, 2: 7}) == {0: 2, 2: -1}
+
+
+def test_combination_scales_each_stored_row():
+    """Inputs added as Fraction rows over a denominator read back exactly:
+    each stored row keeps the one integer scale that cleared it."""
+    a, b = {0: Fraction(1, 2), 1: Fraction(2, 3)}, {1: Fraction(3, 4), 2: 1}
+    span = linalg.Echelon(track=True)
+    assert span.add(a, 5) and span.add({0: 1}) and span.add(b, 3)
+    vec = {0: Fraction(1, 5), 1: Fraction(4, 15) - Fraction(3, 4), 2: -1}  # 2 (a / 5) - 3 (b / 3)
+    assert _read(span, [0, 1, 2], vec) == {0: 2, 2: -3}
 
 
 def test_sparse_nullspace_matches_nullspace():

@@ -118,6 +118,10 @@ def test_dual_form_examples():
     plain = SymplecticForm(CUBIC_FORM)
     computed = dual_form(plain).matrix
     assert mat_scale(computed, -3) == CUBIC_DUAL
+    # rows of -J^{-1} over different denominators share their lcm: J with
+    # blocks 1/2 and 3 has dual blocks 2 and 1/3
+    blocks = SymplecticForm([[0, Fraction(1, 2), 0, 0], [Fraction(-1, 2), 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]])
+    assert (blocks.dual_rows, blocks.dual_den) == ([[(1, 6)], [(0, -6)], [(3, 1)], [(2, -1)]], 3)
 
 
 def _reading(matrix, dual=None):
